@@ -31,13 +31,9 @@ import (
 // CPLX3  BenchmarkAllPathsProjection
 // CPLX4  BenchmarkWeightedShortest
 
-func benchEngine(b *testing.B) *gcore.Engine {
+func benchEngine(b *testing.B, opts ...gcore.Option) *gcore.Engine {
 	b.Helper()
-	eng, err := repro.NewEngine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng
+	return goldenTour(b, gcore.NewEngine, opts...)
 }
 
 // BenchmarkFig2Build measures constructing the Example 2.2 PPG.
@@ -289,16 +285,16 @@ func BenchmarkIndexedScan(b *testing.B) {
 // property predicates pushed onto it — the hot loop every WHERE clause
 // pays. The "columns" run uses the typed property columns of the CSR
 // snapshot (interned-string equality and range tests over dense
-// arrays); "maps" disables them (core.DisablePropColumns) and chases
-// the per-node property maps row at a time. The two runs must return
+// arrays); "maps" ablates them (core.Ablation.NoPropColumns) and
+// chases the per-node property maps row at a time. The two runs must return
 // identical tables; the gap is what the columnar storage buys.
 func BenchmarkFilteredScan(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"columns", false}, {"maps", true}} {
+		name     string
+		ablation core.Ablation
+	}{{"columns", core.Ablation{}}, {"maps", core.Ablation{NoPropColumns: true}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewAblatedEngine(mode.ablation)
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
@@ -310,8 +306,6 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 			if err != nil {
 				b.Fatal(err)
 			}
-			core.DisablePropColumns = mode.disable
-			defer func() { core.DisablePropColumns = false }()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := eng.EvalStatement(stmt)
@@ -336,12 +330,11 @@ func BenchmarkParallelMatch(b *testing.B) {
 		workers int
 	}{{"sequential", 1}, {"parallel", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewEngine(gcore.WithParallelism(cfg.workers))
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
 			}
-			eng.SetParallelism(cfg.workers)
 			stmt, err := gcore.Parse(repro.MatchQueryAt(social))
 			if err != nil {
 				b.Fatal(err)
@@ -358,9 +351,8 @@ func BenchmarkParallelMatch(b *testing.B) {
 
 // BenchmarkCSRShortest measures the k-shortest regular-path kernel
 // itself — multi-source <:knows*> product search over the SNB graph —
-// under the CSR snapshot and under the legacy map-based expansion.
-// The csr/legacy gap is what the snapshot layer buys in the search
-// inner loop, free of parse/bind/materialize overhead.
+// free of parse/bind/materialize overhead. The sub-benchmark keeps
+// the name bench.base.txt and the BENCH_*.json trajectory know it by.
 func BenchmarkCSRShortest(b *testing.B) {
 	social, _ := gcore.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
 	nfa, err := rpq.Compile(&ast.Regex{Op: ast.RxStar, Subs: []*ast.Regex{{Op: ast.RxLabel, Label: "knows"}}})
@@ -373,30 +365,23 @@ func BenchmarkCSRShortest(b *testing.B) {
 	for i := 0; i < len(persons); i += 16 {
 		srcs = append(srcs, persons[i])
 	}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"csr", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			rpq.UseLegacy = mode.legacy
-			defer func() { rpq.UseLegacy = false }()
-			eng := rpq.NewEngine(social, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, src := range srcs {
-					res, err := eng.ShortestPaths(src, nfa, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += len(res)
+	b.Run("csr", func(b *testing.B) {
+		eng := rpq.NewEngine(social, nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			total := 0
+			for _, src := range srcs {
+				res, err := eng.ShortestPaths(src, nfa, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if total == 0 {
-					b.Fatal("no paths found")
-				}
+				total += len(res)
 			}
-		})
-	}
+			if total == 0 {
+				b.Fatal("no paths found")
+			}
+		}
+	})
 }
 
 // BenchmarkCSRBuild measures constructing the CSR snapshot itself —
@@ -432,7 +417,7 @@ func BenchmarkParse(b *testing.B) {
 // BenchmarkRepeatedEval measures the repeated-traffic shape the plan
 // cache serves: one statement evaluated from source again and again.
 // The cache sub-benchmark hits after the first compile; nocache
-// ablates the cache (core.DisablePlanCache), so every iteration pays
+// disables the cache (WithPlanCacheSize(-1)), so every iteration pays
 // lex/parse/analyze and planning again.
 func BenchmarkRepeatedEval(b *testing.B) {
 	const q = `SELECT n.firstName AS name, n.lastName AS last, n.employer AS emp, n.age AS age,
@@ -448,13 +433,11 @@ WHERE n.employer = 'Acme' AND n.age >= 18 AND n.age < 95
   AND CASE WHEN n.age > 40 THEN TRUE ELSE n.age < 100 END
 ORDER BY name, last, age`
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"cache", false}, {"nocache", true}} {
+		name string
+		size int
+	}{{"cache", 0}, {"nocache", -1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			core.DisablePlanCache = mode.disable
-			defer func() { core.DisablePlanCache = false }()
-			eng := benchEngine(b)
+			eng := benchEngine(b, gcore.WithPlanCacheSize(mode.size))
 			if _, err := eng.Eval(q); err != nil {
 				b.Fatal(err)
 			}
@@ -499,15 +482,15 @@ ORDER BY name`)
 // node and an edge to SNB-2000 and immediately runs a filtered scan,
 // so each read pays for bringing the CSR snapshot up to date. The
 // incremental mode delta-applies the two-op delta; the full-rebuild
-// mode (core.DisableIncrementalSnapshot) reconstructs the snapshot
-// from scratch each time.
+// mode (core.Ablation.NoIncrementalSnapshot) reconstructs the
+// snapshot from scratch each time.
 func BenchmarkMutateThenRead(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"incremental", false}, {"full-rebuild", true}} {
+		name     string
+		ablation core.Ablation
+	}{{"incremental", core.Ablation{}}, {"full-rebuild", core.Ablation{NoIncrementalSnapshot: true}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewEngine()
+			eng := gcore.NewAblatedEngine(mode.ablation)
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
@@ -519,8 +502,6 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 			if err != nil {
 				b.Fatal(err)
 			}
-			core.DisableIncrementalSnapshot = mode.disable
-			defer func() { core.DisableIncrementalSnapshot = false }()
 			g, _ := eng.Graph(social.Name())
 			persons := g.NodesWithLabel("Person")
 			if _, err := eng.EvalStatement(stmt); err != nil {

@@ -1,23 +1,21 @@
 package gcore_test
 
 import (
-	"fmt"
-	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"gcore"
 	"gcore/internal/core"
-	"gcore/internal/parser"
-	"gcore/internal/repro"
-	"gcore/internal/rpq"
 )
 
-// Differential tests between the CSR evaluation path (the default)
-// and the legacy map-based path (core.DisableCSR + rpq.UseLegacy).
-// Every paper example and a set of SNB-toy queries must produce
-// byte-identical serialized results under both paths, sequentially
-// and in parallel — the CSR snapshot layer is a pure performance
-// optimisation with no observable behaviour of its own.
+// Differential tests between the default engine and engines with
+// optimisations ablated. The ablations — residual-only filtering,
+// textual plan order, interpreter property reads, full snapshot
+// rebuilds, no plan cache — select the fallbacks the optimised paths
+// keep anyway; each is a pure performance matter with no observable
+// behaviour, so every ablated engine must render the same goldens as
+// the default one (golden_test.go), sequentially and in parallel.
 
 // renderResult serializes a query outcome deterministically: the
 // table rendering, the graph's canonical JSON, or the error text.
@@ -39,186 +37,87 @@ func renderResult(res *gcore.Result, err error) string {
 	return out
 }
 
-// evalConfigured runs one query on a fresh engine built by setup,
-// with the CSR path on or off and the given worker count.
-func evalConfigured(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, legacy bool, workers int) string {
-	t.Helper()
-	core.DisableCSR = legacy
-	rpq.UseLegacy = legacy
-	defer func() {
-		core.DisableCSR = false
-		rpq.UseLegacy = false
-	}()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	res, err := eng.Eval(query)
-	return renderResult(res, err)
-}
-
 // tourEngine builds the guided-tour toy database.
-func tourEngine(t *testing.T) *gcore.Engine {
-	t.Helper()
-	eng, err := repro.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+func tourEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
+	return goldenTour(t, gcore.NewEngine, opts...)
 }
 
-// snbQueries returns an SNB toy engine setup and the query set
-// exercising the hot kernels: indexed scans, multi-hop joins,
-// reachability, stored shortest paths and weighted view search.
-func snbQueries() (func(t *testing.T) *gcore.Engine, []string) {
-	setup := func(t *testing.T) *gcore.Engine {
-		t.Helper()
-		eng := gcore.NewEngine()
-		social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-		if err := eng.RegisterGraph(social); err != nil {
-			t.Fatal(err)
+// snbEngine builds the 60-person SNB toy engine.
+func snbEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
+	return goldenSNB(t, gcore.NewEngine, opts...)
+}
+
+// snbQueries is the part of the SNB toy query set exercising the hot
+// kernels: indexed scans, multi-hop joins, reachability, stored
+// shortest paths and grouped construction.
+func snbQueries() []string { return goldenSNBQueries[:6] }
+
+// fullAblation switches every optimisation off at once.
+var fullAblation = core.Ablation{NoPushdown: true, NoReorder: true, NoPropColumns: true, NoIncrementalSnapshot: true}
+
+// ablated returns a maker of engines under ab.
+func ablated(ab core.Ablation) engineMaker {
+	return func(opts ...gcore.Option) *gcore.Engine { return gcore.NewAblatedEngine(ab, opts...) }
+}
+
+// TestAblatedEnginesMatchGolden: each ablation alone, all four
+// together, and the disabled plan cache render every golden. Without
+// pushdown a path search also runs from sources the WHERE clause then
+// drops, and the paths found there consume identifiers; that shifts
+// the identifiers a later statement mints, so those engines are held
+// to the first execution only.
+func TestAblatedEnginesMatchGolden(t *testing.T) {
+	variants := []struct {
+		name  string
+		mk    engineMaker
+		twice bool
+	}{
+		{"residual", ablated(core.Ablation{NoPushdown: true}), false},
+		{"textual", ablated(core.Ablation{NoReorder: true}), true},
+		{"interpreter", ablated(core.Ablation{NoPropColumns: true}), true},
+		{"full-build", ablated(core.Ablation{NoIncrementalSnapshot: true}), true},
+		{"all", ablated(fullAblation), false},
+		{"nocache", func(opts ...gcore.Option) *gcore.Engine {
+			return gcore.NewEngine(append(opts, gcore.WithPlanCacheSize(-1))...)
+		}, true},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) { checkGoldens(t, v.mk, v.twice, false) })
+	}
+}
+
+// TestAblationIsPerEngine: a fully ablated engine and a default one
+// over the same dataset evaluate the SNB query set concurrently from
+// several goroutines, and both render the goldens — the ablation is a
+// property of one engine, not of the process.
+func TestAblationIsPerEngine(t *testing.T) {
+	engines := []*gcore.Engine{
+		goldenSNB(t, ablated(fullAblation)),
+		goldenSNB(t, gcore.NewEngine),
+	}
+	// Only statements that render the same on every execution: the
+	// goroutines share each engine's identifier generator.
+	want := map[int]string{}
+	for i := range goldenSNBQueries {
+		if g := readGolden(t, goldenSNBName(i)); !strings.Contains(g, secondExecution) {
+			want[i] = g
 		}
-		if err := eng.SetDefaultGraph(social.Name()); err != nil {
-			t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, eng := range engines {
+		for g := 0; g < 4; g++ {
+			eng := eng
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, w := range want {
+					if got := renderResult(eng.Eval(goldenSNBQueries[i])); got != w {
+						t.Errorf("snb query %d diverged from its golden under concurrent mixed-ablation load\ngot:\n%s\nwant:\n%s", i, got, w)
+						return
+					}
+				}
+			}()
 		}
-		return eng
 	}
-	queries := []string{
-		`SELECT c.name AS name MATCH (c:City) ORDER BY name`,
-		`SELECT n.firstName AS a, m.firstName AS b
-MATCH (n:Person)-[:knows]->(m:Person)-[:isLocatedIn]->(c:City)
-WHERE c.name = 'City0' ORDER BY a, b`,
-		`CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.anchor = TRUE`,
-		`CONSTRUCT (n)-/@p:reach/->(m)
-MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.anchor = TRUE`,
-		`CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*)
-MATCH (n)-[e:knows]->(m) WHERE (n:Person) AND (m:Person)`,
-		`SELECT n.firstName AS a, m.firstName AS b
-MATCH (n:Person)<-[:has_creator]-(msg:Post|Comment)-[:has_creator]->(m:Person)
-ORDER BY a, b`,
-	}
-	return setup, queries
-}
-
-// TestCSRDifferentialPaper: every paper example query renders
-// byte-identically with and without the CSR kernels, sequentially and
-// in parallel.
-func TestCSRDifferentialPaper(t *testing.T) {
-	keys := make([]string, 0, len(parser.PaperQueries))
-	for k := range parser.PaperQueries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		query := parser.PaperQueries[key]
-		t.Run(key, func(t *testing.T) {
-			for _, workers := range []int{1, 0} {
-				want := evalConfigured(t, tourEngine, query, true, workers)
-				got := evalConfigured(t, tourEngine, query, false, workers)
-				if got != want {
-					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
-				}
-			}
-		})
-	}
-}
-
-// evalPropCols runs one query with the columnar property store on or
-// off (the CSR path itself stays on) and the given worker count.
-func evalPropCols(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, disable bool, workers int) string {
-	t.Helper()
-	core.DisablePropColumns = disable
-	defer func() { core.DisablePropColumns = false }()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	res, err := eng.Eval(query)
-	return renderResult(res, err)
-}
-
-// TestPropColumnsDifferential: predicates over FSET(V) properties —
-// multi-valued employer sets, absent properties, typed range scans —
-// render byte-identically with the columnar property store on and
-// off, sequentially and in parallel. The SNB generator leaves ~10% of
-// persons without an employer and gives ~10% a two-element set, so
-// the employer column overflows and every absent/multi-valued branch
-// of the predicate compiler runs.
-func TestPropColumnsDifferential(t *testing.T) {
-	setup, _ := snbQueries()
-	queries := []string{
-		// Eq on the overflow employer column: multi-valued rows
-		// scalarize to NULL (drop), absent rows to the empty set.
-		`SELECT p.firstName AS f, p.lastName AS l MATCH (p:Person)
-WHERE p.employer = 'Company0' ORDER BY f, l`,
-		// Neq keeps multi-valued and absent behaviour aligned too.
-		`SELECT p.firstName AS f MATCH (p:Person)
-WHERE p.employer <> 'Company1' ORDER BY f`,
-		// IN reaches inside multi-valued sets; absent gives FALSE.
-		`SELECT p.firstName AS f, p.lastName AS l MATCH (p:Person)
-WHERE 'Company2' IN p.employer ORDER BY f, l`,
-		// SUBSET: the empty set is a subset of everything, so rows
-		// with no employer are KEPT — the absent-keep branch.
-		`SELECT p.firstName AS f, p.lastName AS l MATCH (p:Person)
-WHERE p.employer SUBSET 'Company0' ORDER BY f, l`,
-		// Range over the typed string column (interner id order).
-		`SELECT p.lastName AS l MATCH (p:Person)
-WHERE p.lastName >= 'Mayer' AND p.lastName < 'Reyes' ORDER BY l`,
-		// Absent property under a typed column: anchor is only set on
-		// the anchor person; everyone else must fall out via the
-		// presence bitmap, not a zero value.
-		`SELECT p.firstName AS f MATCH (p:Person)
-WHERE p.anchor = TRUE ORDER BY f`,
-		// Equality against a property that no node defines at all
-		// (no column exists; absent-keep semantics decide alone).
-		`SELECT p.firstName AS f MATCH (p:Person)
-WHERE p.nickname = 'none' ORDER BY f`,
-	}
-	for i, query := range queries {
-		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			for _, workers := range []int{1, 0} {
-				want := evalPropCols(t, setup, query, true, workers)
-				got := evalPropCols(t, setup, query, false, workers)
-				if got != want {
-					t.Fatalf("workers=%d: columnar result diverged from row-at-a-time\ncolumns:\n%s\nmaps:\n%s", workers, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestPropColumnsDifferentialTour: the same knob identity over every
-// paper example on the guided-tour database (employer there is also
-// multi-valued for some people and absent for Peter).
-func TestPropColumnsDifferentialTour(t *testing.T) {
-	keys := make([]string, 0, len(parser.PaperQueries))
-	for k := range parser.PaperQueries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		query := parser.PaperQueries[key]
-		t.Run(key, func(t *testing.T) {
-			for _, workers := range []int{1, 0} {
-				want := evalPropCols(t, tourEngine, query, true, workers)
-				got := evalPropCols(t, tourEngine, query, false, workers)
-				if got != want {
-					t.Fatalf("workers=%d: columnar result diverged from row-at-a-time\ncolumns:\n%s\nmaps:\n%s", workers, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestCSRDifferentialSNB: the same byte-identity on the synthetic SNB
-// toy graph.
-func TestCSRDifferentialSNB(t *testing.T) {
-	setup, queries := snbQueries()
-	for i, query := range queries {
-		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			for _, workers := range []int{1, 0} {
-				want := evalConfigured(t, setup, query, true, workers)
-				got := evalConfigured(t, setup, query, false, workers)
-				if got != want {
-					t.Fatalf("workers=%d: CSR result diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
-				}
-			}
-		})
-	}
+	wg.Wait()
 }

@@ -16,7 +16,6 @@ import (
 	"gcore"
 	"gcore/internal/faultinject"
 	"gcore/internal/parser"
-	"gcore/internal/repro"
 	"gcore/internal/wal"
 )
 
@@ -35,8 +34,6 @@ import (
 type mutEngine interface {
 	RegisterGraph(*gcore.Graph) error
 	RegisterTable(*gcore.Table) error
-	SetDefaultGraph(string) error
-	SetParallelism(int)
 	Graph(string) (*gcore.Graph, bool)
 	GraphNames() []string
 	Eval(string) (*gcore.Result, error)
@@ -51,9 +48,10 @@ type scriptOp struct {
 }
 
 // durabilityScript is a deterministic mutation script covering every
-// record kind: graph/table registration, default changes, element
-// inserts, label and property rewrites, stored paths, and a GRAPH
-// VIEW (whose materialised graph registers through the catalog hook).
+// record kind but the default change (TestDurabilityDefaultGraph):
+// graph/table registration, element inserts, label and property
+// rewrites, stored paths, and a GRAPH VIEW (whose materialised graph
+// registers through the catalog hook).
 func durabilityScript() []scriptOp {
 	props := func(kv map[string]gcore.Value) gcore.Properties { return gcore.NewProperties(kv) }
 	node := func(id uint64, label string, kv map[string]gcore.Value) *gcore.Node {
@@ -121,7 +119,6 @@ func durabilityScript() []scriptOp {
 			}
 			return e.RegisterTable(t)
 		}},
-		{"set_default", func(e mutEngine) error { return e.SetDefaultGraph("base") }},
 		{"graph_view", func(e mutEngine) error {
 			_, err := e.Eval(`GRAPH VIEW people AS (CONSTRUCT (n) MATCH (n:Person) ON base)`)
 			return err
@@ -158,8 +155,7 @@ var stateQueries = []string{
 
 // renderState serialises everything observable: every registered
 // graph's canonical JSON plus every state query's rendered result.
-func renderState(e mutEngine, workers int) string {
-	e.SetParallelism(workers)
+func renderState(e mutEngine) string {
 	var sb strings.Builder
 	for _, name := range e.GraphNames() {
 		g, _ := e.Graph(name)
@@ -181,9 +177,9 @@ func renderState(e mutEngine, workers int) string {
 // oracle applies the first n script operations to a fresh in-memory
 // engine. Operations whose target does not exist yet in that prefix
 // are impossible by construction (the script is linear).
-func oracle(t *testing.T, ops []scriptOp, n int) *gcore.Engine {
+func oracle(t *testing.T, ops []scriptOp, n int, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	e := gcore.NewEngine()
+	e := gcore.NewEngine(opts...)
 	for _, op := range ops[:n] {
 		if err := op.apply(e); err != nil {
 			t.Fatalf("oracle op %s: %v", op.name, err)
@@ -238,6 +234,12 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
+// openWorkers recovers dir into an engine evaluating with the given
+// intra-query worker count.
+func openWorkers(dir string, workers int, extra ...gcore.DurOption) (*gcore.DurableEngine, error) {
+	return gcore.OpenDurable(dir, append(extra, gcore.WithEngineOptions(gcore.WithParallelism(workers)))...)
+}
+
 // runScript runs ops[from:to] against a durable engine.
 func runScript(t *testing.T, d *gcore.DurableEngine, ops []scriptOp, from, to int) {
 	t.Helper()
@@ -278,8 +280,10 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 	// Expected renderings per surviving-prefix length, computed once.
 	wantByPrefix := make(map[int]map[int]string, len(ops)+1)
 	for k := 0; k <= len(ops); k++ {
-		o := oracle(t, ops, k)
-		wantByPrefix[k] = map[int]string{1: renderState(o, 1), 0: renderState(o, 0)}
+		wantByPrefix[k] = map[int]string{}
+		for _, workers := range []int{1, 0} {
+			wantByPrefix[k][workers] = renderState(oracle(t, ops, k, gcore.WithParallelism(workers)))
+		}
 	}
 	for cut := int64(0); cut <= int64(len(data)); cut++ {
 		k := 0
@@ -292,18 +296,20 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := gcore.OpenDurable(cutDir)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
+		// The second recovery runs over what the first left behind
+		// (the torn tail already truncated): recovery is idempotent.
 		for _, workers := range []int{1, 0} {
-			if got, want := renderState(rec, workers), wantByPrefix[k][workers]; got != want {
-				rec.Close()
+			rec, err := openWorkers(cutDir, workers)
+			if err != nil {
+				t.Fatalf("cut %d: recovery failed: %v", cut, err)
+			}
+			got, want := renderState(rec), wantByPrefix[k][workers]
+			rec.Close()
+			if got != want {
 				t.Fatalf("cut at byte %d (%d records survive), workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s",
 					cut, k, workers, got, want)
 			}
 		}
-		rec.Close()
 	}
 }
 
@@ -378,8 +384,8 @@ func TestDurabilityCrashAfterCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		want := renderState(oracle(t, ops, k), 1)
-		if got := renderState(rec, 1); got != want {
+		want := renderState(oracle(t, ops, k))
+		if got := renderState(rec); got != want {
 			rec.Close()
 			t.Fatalf("cut at byte %d (%d ops survive): recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", cut, k, got, want)
 		}
@@ -452,23 +458,21 @@ func faultSiteScenario(t *testing.T, dir, site string, boom error, extra []gcore
 
 	// The rejected mutation left no trace; the rest of the script runs.
 	runScript(t, d, ops, mid, len(ops))
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(d, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops)))
+	if got := renderState(d); got != want {
 		t.Fatalf("live state after cleared fault diverged\n--- live:\n%s\n--- want:\n%s", got, want)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := gcore.OpenDurable(dir, extra...)
-	if err != nil {
-		t.Fatalf("recovery after fault run: %v", err)
-	}
-	defer rec.Close()
-	// One oracle rendered in the same sequence as rec: CONSTRUCT
-	// queries draw from the ID allocator, so render order matters.
-	o := oracle(t, ops, len(ops))
 	for _, workers := range []int{1, 0} {
-		if got, want := renderState(rec, workers), renderState(o, workers); got != want {
+		rec, err := openWorkers(dir, workers, extra...)
+		if err != nil {
+			t.Fatalf("recovery after fault run: %v", err)
+		}
+		got, want := renderState(rec), renderState(oracle(t, ops, len(ops), gcore.WithParallelism(workers)))
+		rec.Close()
+		if got != want {
 			t.Fatalf("recovered state diverged (workers=%d)\n--- recovered:\n%s\n--- want:\n%s", workers, got, want)
 		}
 	}
@@ -510,8 +514,8 @@ func checkpointFaultScenario(t *testing.T, dir, site string, boom error) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer rec.Close()
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops)))
+	if got := renderState(rec); got != want {
 		t.Fatalf("recovered state diverged after checkpoint fault\n--- recovered:\n%s\n--- want:\n%s", got, want)
 	}
 }
@@ -551,18 +555,17 @@ func TestDurabilityPropertyRandom(t *testing.T) {
 				if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				rec, err := gcore.OpenDurable(cutDir)
-				if err != nil {
-					t.Fatalf("prefix %d: recovery failed: %v", k, err)
-				}
-				o := oracle(t, ops, k)
 				for _, workers := range []int{1, 0} {
-					if got, want := renderState(rec, workers), renderState(o, workers); got != want {
-						rec.Close()
+					rec, err := openWorkers(cutDir, workers)
+					if err != nil {
+						t.Fatalf("prefix %d: recovery failed: %v", k, err)
+					}
+					got, want := renderState(rec), renderState(oracle(t, ops, k, gcore.WithParallelism(workers)))
+					rec.Close()
+					if got != want {
 						t.Fatalf("prefix %d, workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", k, workers, got, want)
 					}
 				}
-				rec.Close()
 			}
 		})
 	}
@@ -632,16 +635,27 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 	return ops
 }
 
+// recoveredCopy recovers a copy of dir — a crash image: SyncAlways
+// means the directory is committed as-is, so it can be copied out
+// from under the live engine.
+func recoveredCopy(t *testing.T, dir string, workers int) *gcore.DurableEngine {
+	t.Helper()
+	crashDir := t.TempDir()
+	copyTree(t, dir, crashDir)
+	rec, err := openWorkers(crashDir, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rec.Close() })
+	return rec
+}
+
 // TestDurabilityDifferentialPaper: the guided-tour database loaded
 // into a durable engine survives a crash image — every paper example
 // query renders byte-identically on the recovered engine.
 func TestDurabilityDifferentialPaper(t *testing.T) {
-	src, err := repro.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	exportDir := t.TempDir()
-	if err := src.SaveCatalog(exportDir); err != nil {
+	if err := tourEngine(t).SaveCatalog(exportDir); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -649,30 +663,21 @@ func TestDurabilityDifferentialPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if err := d.LoadCatalog(exportDir); err != nil {
 		t.Fatal(err)
 	}
-	// Crash image: SyncAlways means the directory is committed as-is;
-	// copy it out from under the live engine and recover the copy.
-	crashDir := t.TempDir()
-	copyTree(t, dir, crashDir)
-	rec, err := gcore.OpenDurable(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	defer d.Close()
 
 	keys := make([]string, 0, len(parser.PaperQueries))
 	for k := range parser.PaperQueries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, key := range keys {
-		query := parser.PaperQueries[key]
-		for _, workers := range []int{1, 0} {
-			src.SetParallelism(workers)
-			rec.SetParallelism(workers)
+	for _, workers := range []int{1, 0} {
+		src := tourEngine(t, gcore.WithParallelism(workers))
+		rec := recoveredCopy(t, dir, workers)
+		for _, key := range keys {
+			query := parser.PaperQueries[key]
 			want := renderResult(src.Eval(query))
 			got := renderResult(rec.Eval(query))
 			if got != want {
@@ -686,47 +691,54 @@ func TestDurabilityDifferentialPaper(t *testing.T) {
 // durably, crashed and recovered — the differential query suite
 // renders byte-identically.
 func TestDurabilityDifferentialSNB(t *testing.T) {
-	_, queries := snbQueries()
-	live := gcore.NewEngine()
-	social, _ := live.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-	if err := live.RegisterGraph(social); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.SetDefaultGraph(social.Name()); err != nil {
-		t.Fatal(err)
-	}
-
 	dir := t.TempDir()
 	d, err := gcore.OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dupe := gcore.NewEngine()
-	social2, _ := dupe.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-	if err := d.RegisterGraph(social2); err != nil {
+	defer d.Close()
+	social, _ := gcore.NewEngine().GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
+	if err := d.RegisterGraph(social); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetDefaultGraph(social2.Name()); err != nil {
-		t.Fatal(err)
-	}
-	crashDir := t.TempDir()
-	copyTree(t, dir, crashDir)
-	d.Close()
-	rec, err := gcore.OpenDurable(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	for i, query := range queries {
-		for _, workers := range []int{1, 0} {
-			live.SetParallelism(workers)
-			rec.SetParallelism(workers)
+	for _, workers := range []int{1, 0} {
+		live := snbEngine(t, gcore.WithParallelism(workers))
+		rec := recoveredCopy(t, dir, workers)
+		for i, query := range snbQueries() {
 			want := renderResult(live.Eval(query))
 			got := renderResult(rec.Eval(query))
 			if got != want {
 				t.Fatalf("q%d (workers=%d): recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", i, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestDurabilityDefaultGraph: a WithDefaultGraph name registered after
+// another graph logs a default change, and recovery — without the
+// option — replays it.
+func TestDurabilityDefaultGraph(t *testing.T) {
+	dir := t.TempDir()
+	d, err := gcore.OpenDurable(dir, gcore.WithEngineOptions(gcore.WithDefaultGraph("company_graph")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*gcore.Graph{gcore.SampleSocialGraph(), gcore.SampleCompanyGraph()} {
+		if err := d.RegisterGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := gcore.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	res, err := rec.Eval(`SELECT c.name AS name MATCH (c:Company) ORDER BY name`)
+	if err != nil || res.Table.Len() != 4 {
+		t.Fatalf("recovered default graph is not company_graph: %v, %v", res, err)
 	}
 }
 
@@ -784,8 +796,8 @@ func TestDurabilitySyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rec.Close()
-			want := renderState(oracle(t, ops, len(ops)), 1)
-			if got := renderState(rec, 1); got != want {
+			want := renderState(oracle(t, ops, len(ops)))
+			if got := renderState(rec); got != want {
 				t.Fatalf("policy %v: recovered state diverged\n%s", pol, got)
 			}
 		})
@@ -813,8 +825,8 @@ func TestDurabilityAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops)))
+	if got := renderState(rec); got != want {
 		t.Fatalf("recovered state diverged under auto-checkpointing\n%s", got)
 	}
 	if rec.Metrics().WALCheckpoints != 0 {
@@ -881,8 +893,8 @@ func TestDurabilityTornTailMetric(t *testing.T) {
 	if m := rec.Metrics(); m.WALTornTruncated != 1 {
 		t.Fatalf("WALTornTruncated = %d, want 1", m.WALTornTruncated)
 	}
-	want := renderState(oracle(t, ops, len(ops)), 1)
-	if got := renderState(rec, 1); got != want {
+	want := renderState(oracle(t, ops, len(ops)))
+	if got := renderState(rec); got != want {
 		t.Fatalf("state diverged after torn-tail truncation\n%s", got)
 	}
 }

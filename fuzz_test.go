@@ -6,7 +6,6 @@ import (
 	"gcore"
 	"gcore/internal/csr"
 	"gcore/internal/parser"
-	"gcore/internal/repro"
 )
 
 // Fuzz targets. Without -fuzz these run their seed corpus as ordinary
@@ -152,18 +151,17 @@ func FuzzSnapshot(f *testing.F) {
 	})
 }
 
+// fuzzLimits bounds the binding tables of fuzzed statements.
+var fuzzLimits = gcore.WithLimits(gcore.Limits{MaxBindings: 200_000})
+
 func FuzzEval(f *testing.F) {
 	for _, s := range parserSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		eng, err := repro.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Bound adversarial cartesian products: the engine must reject
 		// them with an error, not hang.
-		eng.SetMaxBindings(200_000)
+		eng := tourEngine(t, fuzzLimits)
 		res, err := eng.Eval(src)
 		if err != nil {
 			return // evaluation errors are fine; panics and invalid graphs are not
@@ -196,31 +194,17 @@ func FuzzParamInline(f *testing.F) {
 		if err != nil {
 			return // lex errors or parameters beyond $a/$b: nothing to compare
 		}
-		paramEng, err := repro.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		paramEng.SetMaxBindings(200_000)
-		prep, err := paramEng.Prepare(src)
+		prep, err := tourEngine(t, fuzzLimits).Prepare(src)
 		if err != nil {
 			// The statement itself is invalid; the inlined form must
 			// agree that it is.
-			inlineEng, ierr := repro.NewEngine()
-			if ierr != nil {
-				t.Fatal(ierr)
-			}
-			if _, ierr := inlineEng.Eval(inlined); ierr == nil {
+			if _, ierr := tourEngine(t).Eval(inlined); ierr == nil {
 				t.Fatalf("Prepare rejected %q (%v) but the inlined form evaluated", src, err)
 			}
 			return
 		}
 		gotRes, gotErr := prep.Eval(params)
-		inlineEng, err := repro.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		inlineEng.SetMaxBindings(200_000)
-		wantRes, wantErr := inlineEng.Eval(inlined)
+		wantRes, wantErr := tourEngine(t, fuzzLimits).Eval(inlined)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("success diverged for %q:\nparam err:  %v\ninline err: %v", src, gotErr, wantErr)
 		}

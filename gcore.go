@@ -143,8 +143,15 @@ type (
 	QueryError = gov.QueryError
 	// ErrorKind classifies a QueryError.
 	ErrorKind = gov.Kind
-	// Limits bounds one statement's resource consumption; the zero
-	// value means ungoverned. See Engine.SetLimits.
+	// Limits bounds one statement's resource consumption: intermediate
+	// binding rows (MaxBindings), explored path-search product states
+	// (MaxPathFrontier), constructed result elements
+	// (MaxResultElements) and wall-clock time (Timeout). A zero field
+	// means unlimited for that resource. Exceeding a limit fails the
+	// statement with a *QueryError of KindBudget (KindTimeout for the
+	// deadline) naming the limit and the progress when it tripped; the
+	// engine and its graphs are untouched. See WithLimits and
+	// Session.SetLimits.
 	Limits = gov.Limits
 )
 
@@ -313,9 +320,13 @@ func WithPlanCacheSize(n int) Option {
 //	    gcore.WithLimits(gcore.Limits{Timeout: time.Second}),
 //	    gcore.WithDefaultGraph("social_graph"),
 //	)
-func NewEngine(opts ...Option) *Engine {
+func NewEngine(opts ...Option) *Engine { return newEngine(core.Ablation{}, opts) }
+
+// newEngine is NewEngine over an evaluator with the given ablation;
+// only tests pass a non-zero one (export_test.go).
+func newEngine(ab core.Ablation, opts []Option) *Engine {
 	cat := catalog.New()
-	e := &Engine{cat: cat, ev: core.New(cat)}
+	e := &Engine{cat: cat, ev: core.NewAblated(cat, ab)}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -581,6 +592,11 @@ func (e *Engine) EvalContext(ctx context.Context, src string) (*Result, error) {
 	return e.evalSrc(ctx, src, nil, core.ExecOpts{})
 }
 
+// Eval is EvalContext with context.Background().
+func (e *Engine) Eval(src string) (*Result, error) {
+	return e.EvalContext(context.Background(), src)
+}
+
 // EvalStatementContext evaluates an already-parsed statement under
 // ctx. AST-level evaluation bypasses the plan cache; prefer the
 // source-level entry points for repeated traffic.
@@ -597,6 +613,11 @@ func (e *Engine) EvalStatementContext(ctx context.Context, stmt *Statement) (*Re
 	return e.ev.EvalStatementContext(ctx, stmt)
 }
 
+// EvalStatement is EvalStatementContext with context.Background().
+func (e *Engine) EvalStatement(stmt *Statement) (*Result, error) {
+	return e.EvalStatementContext(context.Background(), stmt)
+}
+
 // ExplainContext renders the static evaluation plan of a statement
 // under the caller's context: the MATCH join tree with
 // predicate-pushdown placement, path-search strategies, OPTIONAL
@@ -607,6 +628,11 @@ func (e *Engine) EvalStatementContext(ctx context.Context, stmt *Statement) (*Re
 // with EXPLAIN; the Result carries it in Plan.
 func (e *Engine) ExplainContext(ctx context.Context, src string) (string, error) {
 	return e.explainSrc(ctx, src, core.ExecOpts{})
+}
+
+// Explain is ExplainContext with context.Background().
+func (e *Engine) Explain(src string) (string, error) {
+	return e.ExplainContext(context.Background(), src)
 }
 
 // ExplainAnalyzeContext executes the statement under the caller's
@@ -622,6 +648,11 @@ func (e *Engine) ExplainAnalyzeContext(ctx context.Context, src string) (string,
 	return e.explainAnalyzeSrc(ctx, src, nil, core.ExecOpts{})
 }
 
+// ExplainAnalyze is ExplainAnalyzeContext with context.Background().
+func (e *Engine) ExplainAnalyze(src string) (string, error) {
+	return e.ExplainAnalyzeContext(context.Background(), src)
+}
+
 // EvalScriptContext evaluates a script of semicolon-separated
 // statements under ctx and returns one result per statement;
 // evaluation stops at the first statement that fails (including by
@@ -632,6 +663,11 @@ func (e *Engine) ExplainAnalyzeContext(ctx context.Context, src string) (string,
 // writer lock.
 func (e *Engine) EvalScriptContext(ctx context.Context, src string) ([]*Result, error) {
 	return e.evalScript(ctx, src, core.ExecOpts{})
+}
+
+// EvalScript is EvalScriptContext with context.Background().
+func (e *Engine) EvalScript(src string) ([]*Result, error) {
+	return e.EvalScriptContext(context.Background(), src)
 }
 
 // MutateGraph runs fn with exclusive writer access to the registered

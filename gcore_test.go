@@ -2,6 +2,7 @@ package gcore_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"gcore"
 )
 
-func newEngine(t *testing.T) *gcore.Engine {
+func newEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	eng := gcore.NewEngine()
+	eng := gcore.NewEngine(opts...)
 	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +272,7 @@ func TestExplainPublic(t *testing.T) {
 }
 
 func TestMaxBindingsBudget(t *testing.T) {
-	eng := newEngine(t)
-	eng.SetMaxBindings(100)
+	eng := newEngine(t, gcore.WithLimits(gcore.Limits{MaxBindings: 100}))
 	// Five disconnected unlabeled patterns: a cartesian monster.
 	_, err := eng.Eval(`CONSTRUCT (a) MATCH (a), (b), (c), (d), (e)`)
 	if err == nil || !strings.Contains(err.Error(), "binding limit") {
@@ -283,9 +283,10 @@ func TestMaxBindingsBudget(t *testing.T) {
 	if err != nil || res.Graph.NumNodes() != 5 {
 		t.Fatalf("normal query under budget: %v, %v", res, err)
 	}
-	// Unlimited again.
-	eng.SetMaxBindings(0)
-	if _, err := eng.Eval(`CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
+	// A session lifts the limit for its own statements.
+	sess := eng.NewSession()
+	sess.SetLimits(gcore.Limits{})
+	if _, err := sess.EvalContext(context.Background(), `CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
 		t.Fatalf("unlimited: %v", err)
 	}
 }

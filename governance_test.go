@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/faultinject"
 	"gcore/internal/parser"
-	"gcore/internal/rpq"
 )
 
 // Governance tests: context cancellation, timeouts, resource budgets
@@ -87,13 +85,11 @@ func TestEvalContextCanceledBeforeStart(t *testing.T) {
 }
 
 // TestEvalContextCancelMidFlight cancels the context from inside the
-// CSR ALL-paths sweep of a multi-source SNB search and checks that
-// the cancellation surfaces as KindCanceled and that every worker
+// ALL-paths sweep of a multi-source SNB search and checks that the
+// cancellation surfaces as KindCanceled and that every worker
 // goroutine exits.
 func TestEvalContextCancelMidFlight(t *testing.T) {
-	setup, _ := snbQueries()
-	eng := setup(t)
-	eng.SetParallelism(4)
+	eng := snbEngine(t, gcore.WithParallelism(4))
 	gens := graphGenerations(eng)
 	before := runtime.NumGoroutine()
 
@@ -101,14 +97,14 @@ func TestEvalContextCancelMidFlight(t *testing.T) {
 	defer cancel()
 	faultinject.Arm()
 	defer faultinject.Disarm()
-	faultinject.Set(faultinject.SiteRPQCSRAll, faultinject.Action{Fn: cancel})
+	faultinject.Set(faultinject.SiteRPQAll, faultinject.Action{Fn: cancel})
 
 	_, err := eng.EvalContext(ctx, snbAllQuery)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindCanceled {
 		t.Fatalf("err = %v, want KindCanceled QueryError", err)
 	}
-	if faultinject.Hits(faultinject.SiteRPQCSRAll) == 0 {
+	if faultinject.Hits(faultinject.SiteRPQAll) == 0 {
 		t.Fatal("the ALL-paths sweep probe was never reached")
 	}
 	waitForGoroutines(t, before)
@@ -116,11 +112,7 @@ func TestEvalContextCancelMidFlight(t *testing.T) {
 }
 
 func TestEvalTimeout(t *testing.T) {
-	setup, _ := snbQueries()
-	eng := setup(t)
-	limits := eng.Limits()
-	limits.Timeout = time.Nanosecond
-	eng.SetLimits(limits)
+	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{Timeout: time.Nanosecond}))
 	_, err := eng.Eval(snbAllQuery)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindTimeout {
@@ -134,30 +126,20 @@ func TestEvalTimeout(t *testing.T) {
 	}
 }
 
+// TestMaxPathFrontierBudget: the frontier budget surfaces as a typed
+// KindBudget error (its text is pinned by the budget/frontier-all
+// goldens).
 func TestMaxPathFrontierBudget(t *testing.T) {
-	setup, _ := snbQueries()
-	for _, legacy := range []bool{false, true} {
-		core.DisableCSR = legacy
-		rpq.UseLegacy = legacy
-		eng := setup(t)
-		eng.SetLimits(gcore.Limits{MaxPathFrontier: 1})
-		_, err := eng.Eval(snbAllQuery)
-		core.DisableCSR = false
-		rpq.UseLegacy = false
-		qe, ok := gcore.AsQueryError(err)
-		if !ok || qe.Kind != gcore.KindBudget {
-			t.Fatalf("legacy=%v: err = %v, want KindBudget QueryError", legacy, err)
-		}
-		if !strings.Contains(err.Error(), "frontier limit") {
-			t.Errorf("legacy=%v: budget error does not name the frontier limit: %v", legacy, err)
-		}
+	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
+	_, err := eng.Eval(snbAllQuery)
+	qe, ok := gcore.AsQueryError(err)
+	if !ok || qe.Kind != gcore.KindBudget {
+		t.Fatalf("err = %v, want KindBudget QueryError", err)
 	}
 }
 
 func TestMaxResultElementsBudget(t *testing.T) {
-	setup, _ := snbQueries()
-	eng := setup(t)
-	eng.SetLimits(gcore.Limits{MaxResultElements: 5})
+	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{MaxResultElements: 5}))
 	_, err := eng.Eval(`CONSTRUCT (n) MATCH (n:Person)`)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -171,8 +153,7 @@ func TestMaxResultElementsBudget(t *testing.T) {
 // TestMaxBindingsKind: the pre-existing binding budget now surfaces as
 // a typed KindBudget error.
 func TestMaxBindingsKind(t *testing.T) {
-	eng := newEngine(t)
-	eng.SetMaxBindings(100)
+	eng := newEngine(t, gcore.WithLimits(gcore.Limits{MaxBindings: 100}))
 	_, err := eng.Eval(`CONSTRUCT (a) MATCH (a), (b), (c), (d), (e)`)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -238,33 +219,27 @@ func TestFailedViewNotRegistered(t *testing.T) {
 }
 
 // TestFaultInjectionAllSites drives every declared probe site with a
-// panic, an injected error and a mid-checkpoint cancellation, toggling
-// the ablation knobs so both the legacy and the CSR kernels are
-// reached. The scenario table is checked against AllSites so a new
-// checkpoint cannot be added without fault coverage.
+// panic, an injected error and a mid-checkpoint cancellation. The
+// scenario table is checked against AllSites so a new checkpoint
+// cannot be added without fault coverage.
 func TestFaultInjectionAllSites(t *testing.T) {
-	setup, _ := snbQueries()
 	type scenario struct {
-		legacy  bool
 		workers int
 		query   string
 	}
 	scenarios := map[string]scenario{
-		faultinject.SiteEvalStart:     {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreScan:      {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreExtend:    {false, 1, `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`},
-		faultinject.SiteCoreFilter:    {false, 1, `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`},
-		faultinject.SiteCorePath:      {false, 1, snbShortestQuery},
-		faultinject.SiteCoreConstruct: {false, 1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteEvalStart:     {1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteCoreScan:      {1, `CONSTRUCT (n) MATCH (n:Person)`},
+		faultinject.SiteCoreExtend:    {1, `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`},
+		faultinject.SiteCoreFilter:    {1, `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`},
+		faultinject.SiteCorePath:      {1, snbShortestQuery},
+		faultinject.SiteCoreConstruct: {1, `CONSTRUCT (n) MATCH (n:Person)`},
 		// par.chunk needs a parallel-eligible fan-out: >1 worker and at
 		// least 64 rows (the sequential fast path has no chunk probe).
-		faultinject.SiteParChunk:       {false, 4, `CONSTRUCT (n) MATCH (n)`},
-		faultinject.SiteRPQShortest:    {true, 1, snbShortestQuery},
-		faultinject.SiteRPQReach:       {true, 1, snbReachQuery},
-		faultinject.SiteRPQAll:         {true, 1, snbAllQuery},
-		faultinject.SiteRPQCSRShortest: {false, 1, snbShortestQuery},
-		faultinject.SiteRPQCSRReach:    {false, 1, snbReachQuery},
-		faultinject.SiteRPQCSRAll:      {false, 1, snbAllQuery},
+		faultinject.SiteParChunk:    {4, `CONSTRUCT (n) MATCH (n)`},
+		faultinject.SiteRPQShortest: {1, snbShortestQuery},
+		faultinject.SiteRPQReach:    {1, snbReachQuery},
+		faultinject.SiteRPQAll:      {1, snbAllQuery},
 	}
 	for _, site := range faultinject.AllSites() {
 		if _, ok := scenarios[site]; !ok {
@@ -277,14 +252,7 @@ func TestFaultInjectionAllSites(t *testing.T) {
 		sc := scenarios[site]
 		for _, mode := range []string{"panic", "error", "cancel"} {
 			t.Run(site+"/"+mode, func(t *testing.T) {
-				core.DisableCSR = sc.legacy
-				rpq.UseLegacy = sc.legacy
-				defer func() {
-					core.DisableCSR = false
-					rpq.UseLegacy = false
-				}()
-				eng := setup(t)
-				eng.SetParallelism(sc.workers)
+				eng := snbEngine(t, gcore.WithParallelism(sc.workers))
 				gens := graphGenerations(eng)
 				before := runtime.NumGoroutine()
 
@@ -338,8 +306,7 @@ func TestDifferentialCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	setup, queries := snbQueries()
-	snbEng := setup(t)
+	snbEng := snbEngine(t)
 	checkAll := func(t *testing.T, eng *gcore.Engine, queries []string) {
 		t.Helper()
 		gens := graphGenerations(eng)
@@ -357,7 +324,7 @@ func TestDifferentialCanceledContext(t *testing.T) {
 		}
 		assertGenerationsUnchanged(t, eng, gens)
 	}
-	t.Run("snb", func(t *testing.T) { checkAll(t, snbEng, queries) })
+	t.Run("snb", func(t *testing.T) { checkAll(t, snbEng, snbQueries()) })
 
 	paper := make([]string, 0, len(parser.PaperQueries))
 	for _, q := range parser.PaperQueries {
@@ -376,67 +343,12 @@ func TestDifferentialGenerousLimits(t *testing.T) {
 		MaxResultElements: 1 << 30,
 		Timeout:           time.Hour,
 	}
-	setup, queries := snbQueries()
-	for i, query := range queries {
-		plain := setup(t)
-		want := renderResult(plain.Eval(query))
-
-		governed := setup(t)
-		governed.SetLimits(generous)
-		got := renderResult(governed.Eval(query))
+	for i, query := range snbQueries() {
+		want := renderResult(snbEngine(t).Eval(query))
+		got := renderResult(snbEngine(t, gcore.WithLimits(generous)).Eval(query))
 		if got != want {
 			t.Errorf("query %d: governed result diverged from ungoverned\ngoverned:\n%s\nungoverned:\n%s", i, got, want)
 		}
-	}
-}
-
-// evalWithLimits renders one query under the given kernel/limits
-// configuration, for budget-parity comparisons.
-func evalWithLimits(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, legacy bool, workers int, limits gcore.Limits) string {
-	t.Helper()
-	core.DisableCSR = legacy
-	rpq.UseLegacy = legacy
-	defer func() {
-		core.DisableCSR = false
-		rpq.UseLegacy = false
-	}()
-	eng := setup(t)
-	eng.SetParallelism(workers)
-	eng.SetLimits(limits)
-	return renderResult(eng.Eval(query))
-}
-
-// TestBindingsBudgetParityCSRLegacy: the CSR and legacy scan/extend
-// kernels trip the bindings budget at the same logical point — the
-// rendered error (including the reached row count) is identical under
-// both kernels, sequentially and in parallel.
-func TestBindingsBudgetParityCSRLegacy(t *testing.T) {
-	setup, _ := snbQueries()
-	cases := []struct {
-		name  string
-		query string
-		limit int
-	}{
-		// Trips inside the node-scan merge (the scan alone overflows).
-		{"scan", `CONSTRUCT (n) MATCH (n)`, 10},
-		// Trips inside the edge-expansion merge (the Person scan fits,
-		// the knows expansion does not).
-		{"extend", `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m)`, 61},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			limits := gcore.Limits{MaxBindings: tc.limit}
-			for _, workers := range []int{1, 0} {
-				want := evalWithLimits(t, setup, tc.query, true, workers, limits)
-				got := evalWithLimits(t, setup, tc.query, false, workers, limits)
-				if !strings.Contains(want, "binding limit") {
-					t.Fatalf("workers=%d: legacy run did not trip the budget: %s", workers, want)
-				}
-				if got != want {
-					t.Fatalf("workers=%d: CSR budget error diverged from legacy\ncsr:\n%s\nlegacy:\n%s", workers, got, want)
-				}
-			}
-		})
 	}
 }
 

@@ -132,7 +132,7 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 					}
 				}
 			}
-			snap, info := csr.OfCounted(g)
+			snap, info := csr.OfCounted(g, true)
 			full := csr.Build(g)
 			if err := csr.Equivalent(snap, full); err != nil {
 				t.Fatalf("round %d (%v): incremental snapshot diverged from rebuild: %v", r, info.Kind, err)
@@ -144,21 +144,15 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 	})
 }
 
-// mutableSNB builds the SNB toy engine and returns the registered
-// social graph for direct mutation.
-func mutableSNB(t *testing.T) (*gcore.Engine, *gcore.Graph) {
+// mutableSNB builds the SNB toy engine (under ab, with the given
+// options) and returns its default graph — the social graph — for
+// direct mutation.
+func mutableSNB(t *testing.T, ab core.Ablation, opts ...gcore.Option) (*gcore.Engine, *gcore.Graph) {
 	t.Helper()
-	eng := gcore.NewEngine()
-	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
-	if err := eng.RegisterGraph(social); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetDefaultGraph(social.Name()); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := eng.Graph(social.Name())
+	eng := goldenSNB(t, ablated(ab), opts...)
+	g, ok := eng.Graph(eng.GraphNames()[0])
 	if !ok {
-		t.Fatalf("registered graph %q not found", social.Name())
+		t.Fatal("registered social graph not found")
 	}
 	return eng, g
 }
@@ -210,16 +204,11 @@ func snbMutationScript(t *testing.T, g *gcore.Graph, step int) {
 // metrics.
 func runInterleaved(t *testing.T, disableInc bool, workers int) (string, gcore.Metrics) {
 	t.Helper()
-	prev := core.DisableIncrementalSnapshot
-	core.DisableIncrementalSnapshot = disableInc
-	defer func() { core.DisableIncrementalSnapshot = prev }()
-	eng, g := mutableSNB(t)
-	eng.SetParallelism(workers)
-	_, queries := snbQueries()
+	eng, g := mutableSNB(t, core.Ablation{NoIncrementalSnapshot: disableInc}, gcore.WithParallelism(workers))
 	out := ""
 	for step := 0; step < 4; step++ {
 		snbMutationScript(t, g, step)
-		for qi, q := range queries {
+		for qi, q := range snbQueries() {
 			out += fmt.Sprintf("-- step %d query %d\n", step, qi)
 			out += renderResult(eng.Eval(q)) + "\n"
 		}
@@ -240,10 +229,10 @@ func TestIncrementalDifferentialSNB(t *testing.T) {
 				t.Fatalf("incremental snapshots changed results\nincremental:\n%s\nfull rebuild:\n%s", got, want)
 			}
 			if off.SnapshotDeltaApplies != 0 {
-				t.Fatalf("knob off but %d delta applies recorded", off.SnapshotDeltaApplies)
+				t.Fatalf("incremental off but %d delta applies recorded", off.SnapshotDeltaApplies)
 			}
 			if on.SnapshotDeltaApplies == 0 {
-				t.Fatalf("knob on but no delta applies recorded (full=%d fallback=%d)",
+				t.Fatalf("incremental on but no delta applies recorded (full=%d fallback=%d)",
 					on.SnapshotFullBuilds, on.SnapshotFallbacks)
 			}
 		})
@@ -254,10 +243,10 @@ func TestIncrementalDifferentialSNB(t *testing.T) {
 // fresh snapshot lineage; mutations to the original afterwards must
 // not bleed into the clone's snapshot through shared structure.
 func TestIncrementalCloneIsolation(t *testing.T) {
-	_, g := mutableSNB(t)
+	_, g := mutableSNB(t, core.Ablation{})
 	csr.Of(g)
 	snbMutationScript(t, g, 0) // dirty the chain so the next Of delta-applies
-	if _, info := csr.OfCounted(g); info.Kind != csr.BuildDelta {
+	if _, info := csr.OfCounted(g, true); info.Kind != csr.BuildDelta {
 		t.Fatalf("priming mutation produced %v, want BuildDelta", info.Kind)
 	}
 	clone := g.Clone()
@@ -277,9 +266,9 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 
 // TestExplainAnalyzeSnapshotFooter: after a mutation, the EXPLAIN
 // ANALYZE footer reports the snapshot as delta-applied (and as a full
-// build when the knob disables the incremental path).
+// build when the ablation disables the incremental path).
 func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
-	eng, g := mutableSNB(t)
+	eng, g := mutableSNB(t, core.Ablation{})
 	q := `SELECT c.name AS name MATCH (c:City) ORDER BY name`
 	if _, err := eng.Eval(q); err != nil {
 		t.Fatal(err)
@@ -293,16 +282,17 @@ func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
 		t.Fatalf("no delta-applied snapshot line in footer:\n%s", out)
 	}
 
-	prev := core.DisableIncrementalSnapshot
-	core.DisableIncrementalSnapshot = true
-	defer func() { core.DisableIncrementalSnapshot = prev }()
+	eng, g = mutableSNB(t, core.Ablation{NoIncrementalSnapshot: true})
+	if _, err := eng.Eval(q); err != nil {
+		t.Fatal(err)
+	}
 	snbMutationScript(t, g, 1)
 	out, err = eng.ExplainAnalyze(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "snapshots: 1 full") {
-		t.Fatalf("knob off: footer should report a full build:\n%s", out)
+		t.Fatalf("incremental off: footer should report a full build:\n%s", out)
 	}
 }
 
@@ -313,10 +303,10 @@ func TestIncrementalOverflowFallback(t *testing.T) {
 	saved := ppg.MaxDeltaOps
 	ppg.MaxDeltaOps = 4
 	defer func() { ppg.MaxDeltaOps = saved }()
-	_, g := mutableSNB(t)
+	_, g := mutableSNB(t, core.Ablation{})
 	csr.Of(g)
 	snbMutationScript(t, g, 0) // records more than 4 ops
-	snap, info := csr.OfCounted(g)
+	snap, info := csr.OfCounted(g, true)
 	if info.Kind != csr.BuildFull {
 		t.Fatalf("overflowed delta produced %v, want BuildFull", info.Kind)
 	}
@@ -328,7 +318,7 @@ func TestIncrementalOverflowFallback(t *testing.T) {
 		gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(1)})); err != nil {
 		t.Fatal(err)
 	}
-	snap, info = csr.OfCounted(g)
+	snap, info = csr.OfCounted(g, true)
 	if info.Kind != csr.BuildDelta {
 		t.Fatalf("post-overflow mutation produced %v, want BuildDelta", info.Kind)
 	}

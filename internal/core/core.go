@@ -35,11 +35,35 @@ import (
 	"gcore/internal/value"
 )
 
+// Ablation switches individual optimisations of one evaluator off, so
+// that tests can check — and benchmarks price — each against the
+// fallback it must keep anyway. It is fixed at construction
+// (NewAblated): evaluators with different ablations run side by side,
+// and nothing compiled under one value is ever served under another.
+// Results are identical for every value. No public API, CLI flag or
+// server setting reaches it.
+type Ablation struct {
+	// NoPushdown leaves every WHERE conjunct to the residual filter
+	// instead of applying it as soon as its variables are bound.
+	NoPushdown bool
+	// NoReorder pins the textual order: chains scan from their left
+	// end and conjunct patterns fold left to right.
+	NoReorder bool
+	// NoPropColumns sends predicates, property reads and projections
+	// through the expression interpreter and the ppg.Properties maps
+	// instead of the snapshot's property columns.
+	NoPropColumns bool
+	// NoIncrementalSnapshot runs the full csr.Build on every
+	// generation mismatch instead of applying the recorded delta.
+	NoIncrementalSnapshot bool
+}
+
 // Evaluator evaluates statements against a catalog.
 type Evaluator struct {
-	cat     *catalog.Catalog
-	limits  gov.Limits // zero fields = ungoverned
-	workers int        // 0 = GOMAXPROCS, 1 = sequential
+	cat      *catalog.Catalog
+	ablation Ablation
+	limits   gov.Limits // zero fields = ungoverned
+	workers  int        // 0 = GOMAXPROCS, 1 = sequential
 
 	registry *obs.Registry    // lifetime per-operator metrics
 	trace    obs.TraceHandler // user span hook; nil = no tracing
@@ -60,7 +84,7 @@ type Evaluator struct {
 	// caller serialisation (configuration setters still do: the
 	// engine calls them under its exclusive lock).
 	memoMu sync.Mutex
-	// limitsFP memoizes the cache key's limits-and-knobs fingerprint.
+	// limitsFP memoizes the cache key's limits fingerprint.
 	limitsFP limitsFP
 	// normMemo remembers the last source→normalised-text mapping, so
 	// repeated traffic of one statement skips re-normalisation.
@@ -68,9 +92,14 @@ type Evaluator struct {
 }
 
 // New creates an evaluator over the given catalog.
-func New(cat *catalog.Catalog) *Evaluator {
+func New(cat *catalog.Catalog) *Evaluator { return NewAblated(cat, Ablation{}) }
+
+// NewAblated is New with optimisations switched off (tests and
+// ablation benchmarks only).
+func NewAblated(cat *catalog.Catalog, ab Ablation) *Evaluator {
 	ev := &Evaluator{
 		cat:       cat,
+		ablation:  ab,
 		registry:  obs.NewRegistry(),
 		planCache: plancache.New(0),
 	}
@@ -88,13 +117,6 @@ func (ev *Evaluator) Catalog() *catalog.Catalog { return ev.cat }
 // order, so the produced binding tables — and therefore all query
 // results — are identical for every setting.
 func (ev *Evaluator) SetParallelism(n int) { ev.workers = n }
-
-// SetMaxBindings bounds the size of intermediate binding tables; a
-// query whose evaluation would exceed the bound fails with a clear
-// error instead of exhausting memory (resource governance for
-// adversarial cartesian products). Zero means unlimited. It is a
-// shorthand for setting Limits.MaxBindings.
-func (ev *Evaluator) SetMaxBindings(n int) { ev.limits.MaxBindings = n }
 
 // SetLimits installs the per-statement resource budget.
 func (ev *Evaluator) SetLimits(l gov.Limits) { ev.limits = l }
@@ -263,24 +285,13 @@ func (ev *Evaluator) newCtx(gv *gov.Governor) *evalCtx {
 // sequential: goroutine + merge overhead only pays off past this.
 const minParallelItems = 64
 
-// mapRows runs a chunked row-production job over n items and returns
-// the per-chunk row slices in input order; appending them in that
-// order reproduces the sequential output exactly. The job runs
-// concurrently only when it is marked safe (its predicates are free
-// of subqueries, which may touch evaluator state) and large enough to
-// amortise the fan-out.
-func (c *evalCtx) mapRows(n int, safe bool, fn func(lo, hi int) ([]bindings.Binding, error)) ([][]bindings.Binding, error) {
-	w := par.Workers(c.ev.workers)
-	if !safe || n < minParallelItems {
-		w = 1
-	}
-	return par.MapChunks(c.gov.Context(), n, w, fn)
-}
-
-// mapSlabs is mapRows for chunk jobs that produce dense row slabs
-// (rows laid out back to back in slot order): the chunk outputs
-// concatenate in input order via Table.AppendSlab without touching a
-// map per row.
+// mapSlabs runs a chunked row-production job over n items and returns
+// the per-chunk dense row slabs (rows laid out back to back in slot
+// order) in input order; appending them in that order via
+// Table.AppendSlab reproduces the sequential output exactly. The job
+// runs concurrently only when it is marked safe (its predicates are
+// free of subqueries, which may touch evaluator state) and large
+// enough to amortise the fan-out.
 func (c *evalCtx) mapSlabs(n int, safe bool, fn func(lo, hi int) ([]value.Value, error)) ([][]value.Value, error) {
 	w := par.Workers(c.ev.workers)
 	if !safe || n < minParallelItems {
@@ -289,7 +300,7 @@ func (c *evalCtx) mapSlabs(n int, safe bool, fn func(lo, hi int) ([]value.Value,
 	return par.MapChunks(c.gov.Context(), n, w, fn)
 }
 
-// mapIdx is mapRows for chunk jobs that select row indices (filters):
+// mapIdx is mapSlabs for chunk jobs that select row indices (filters):
 // the per-chunk index slices concatenate in input order.
 func (c *evalCtx) mapIdx(n int, safe bool, fn func(lo, hi int) ([]int, error)) ([][]int, error) {
 	w := par.Workers(c.ev.workers)

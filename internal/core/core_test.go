@@ -15,7 +15,10 @@ import (
 // newToy builds an evaluator over the Figure 4 toy database:
 // social_graph (default), company_graph, the example_graph of
 // Figure 2, and the orders binding table of §5.
-func newToy(t *testing.T) *core.Evaluator {
+func newToy(t *testing.T) *core.Evaluator { return newToyAblated(t, core.Ablation{}) }
+
+// newToyAblated is newToy over an evaluator with optimisations off.
+func newToyAblated(t *testing.T, ab core.Ablation) *core.Evaluator {
 	t.Helper()
 	cat := catalog.New()
 	if err := cat.RegisterGraph(snb.SocialGraph()); err != nil {
@@ -40,7 +43,7 @@ func newToy(t *testing.T) *core.Evaluator {
 	if err := cat.RegisterTable(orders); err != nil {
 		t.Fatal(err)
 	}
-	return core.New(cat)
+	return core.NewAblated(cat, ab)
 }
 
 func run(t *testing.T, ev *core.Evaluator, src string) *core.Result {

@@ -4,46 +4,26 @@ import (
 	"sort"
 
 	"gcore/internal/ast"
-	"gcore/internal/bindings"
 	"gcore/internal/csr"
-	"gcore/internal/faultinject"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
 )
 
-// CSR pattern kernels. scanNodes, extendEdge and the pushdown label
-// fast path run over the graph's CSR snapshot: dense node/edge
-// ordinals, flat adjacency arrays and interned integer labels replace
-// the map probes and string comparisons of the ppg layout. Candidate
-// order, edge iteration order and every accept/reject decision mirror
-// the legacy code exactly, so the binding tables are identical row
-// for row; the differential tests at the repository root enforce
-// this against the DisableCSR ablation.
+// Snapshot helpers of the pattern operators (match.go, pushdown.go):
+// dense node/edge ordinals, flat adjacency arrays and interned integer
+// labels replace map probes and string comparisons of the ppg layout.
 
-// DisableCSR turns the CSR kernels off, evaluating patterns and path
-// searches over the mutable ppg maps directly. Results are identical
-// either way (tested); the knob exists for differential tests and
-// ablation benchmarks.
-var DisableCSR bool
+// snapshot returns the graph's CSR snapshot at its current
+// generation — cached per generation inside the graph, so repeated
+// calls during one evaluation are cheap — and how it was obtained.
+func (ev *Evaluator) snapshot(g *ppg.Graph) (*csr.Snapshot, csr.BuildInfo) {
+	return csr.OfCounted(g, !ev.ablation.NoIncrementalSnapshot)
+}
 
-// DisableIncrementalSnapshot turns delta-applied snapshot maintenance
-// off: every generation mismatch runs the full csr.Build, as before
-// the incremental path existed. Results are identical either way
-// (tested); the knob exists for differential tests and ablation
-// benchmarks. It gates inside the csr package so snapshots taken
-// outside snapOf (rpq kernels, expression contexts) honour it too.
-var DisableIncrementalSnapshot bool
-
-func init() { csr.BindDisableIncremental(&DisableIncrementalSnapshot) }
-
-// snapOf returns the graph's snapshot, or nil when CSR evaluation is
-// disabled. The snapshot is cached per generation inside the graph,
-// so repeated calls during one evaluation are cheap.
+// snapOf is snapshot with the acquisition recorded in the statement's
+// cache and snapshot-maintenance counters.
 func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
-	if DisableCSR {
-		return nil
-	}
-	snap, info := csr.OfCounted(g)
+	snap, info := c.ev.snapshot(g)
 	c.col.CSREvent(info.Kind == csr.BuildReused)
 	if info.Kind != csr.BuildReused {
 		c.col.SnapshotBuild(info.Kind == csr.BuildDelta, info.Kind == csr.BuildFallback,
@@ -54,8 +34,7 @@ func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
 
 // resolvedSpec is a label spec with every name interned against one
 // snapshot. Labels absent from the snapshot resolve to csr.NoLabel,
-// which no element can carry — exactly the legacy "no node has this
-// label" outcome.
+// which no element can carry.
 type resolvedSpec [][]int32
 
 func resolveSpec(snap *csr.Snapshot, spec ast.LabelSpec) resolvedSpec {
@@ -102,9 +81,12 @@ func (rs resolvedSpec) matchesEdge(snap *csr.Snapshot, e int32) bool {
 	return true
 }
 
-// indexedNodeOrdinals is indexedNodeCandidates over the snapshot's
-// per-label partitions: the most selective conjunct yields the sorted
-// candidate ordinals.
+// indexedNodeOrdinals consults the snapshot's per-label partitions for
+// a node pattern: the most selective conjunct of the label spec yields
+// the candidate set (the sorted union of its disjuncts' partitions),
+// which is exactly the set of nodes satisfying that conjunct. The
+// remaining conjuncts and property filters are checked per candidate.
+// ok is false when the spec has no conjunct to index on.
 func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 	if len(rs) == 0 {
 		return nil, false
@@ -136,167 +118,6 @@ func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, true
-}
-
-// scanNodesCSR is the snapshot form of scanNodes: candidates come
-// from the ordinal partitions (or the full ordinal range), label
-// conjuncts are integer tests, compilable WHERE conjuncts run as
-// columnar predicates on the candidate ordinals before any row
-// exists, and only the remaining property checks touch the live ppg
-// structs.
-func (c *evalCtx) scanNodesCSR(snap *csr.Snapshot, g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
-	vars := []string{varName}
-	for _, ps := range np.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	tbl := bindings.EmptyTable(vars...)
-	varSlot := tbl.SlotOf(varName)
-	bp := newBindPlan(tbl, np.Props)
-	w := tbl.Width()
-	rs := resolveSpec(snap, np.Labels)
-	ords, indexed := indexedNodeOrdinals(snap, rs)
-	c.lastScanIndexed = indexed
-	if !indexed {
-		ords = make([]int32, snap.NumNodes())
-		for i := range ords {
-			ords[i] = int32(i)
-		}
-	}
-	preds := c.scanPrefilter(snap, np, varName, conjs)
-	parts, err := c.mapSlabs(len(ords), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, w)
-		var combos []propCombo
-		var colHits int64
-		defer func() { c.col.PropColEvent(colHits, 0) }()
-	cands:
-		for i, u := range ords[lo:hi] {
-			if i&(checkStride-1) == 0 {
-				if err := c.gov.Checkpoint(faultinject.SiteCoreScan); err != nil {
-					return nil, err
-				}
-			}
-			if !rs.matchesNode(snap, u) {
-				continue
-			}
-			for _, pr := range preds {
-				colHits++
-				if !pr.node.test(u, pr.p) {
-					continue cands
-				}
-			}
-			n := snap.Node(u)
-			ok, err := c.propsMatch(g, n.Props, np.Props)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			for s := range scratch {
-				scratch[s] = value.Absent
-			}
-			scratch[varSlot] = value.NodeRef(uint64(snap.NodeID(u)))
-			combos = bp.addCombos(combos[:0], n.Props)
-			slab = appendCombos(slab, scratch, combos)
-		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeSlabs(tbl, parts)
-}
-
-// extendEdgeCSR is the snapshot form of extendEdge: adjacency walks
-// the flat CSR arrays and the label tests are integer comparisons, in
-// the same deterministic order (out ascending, then in ascending,
-// self-loops emitted once under DirBoth).
-func (c *evalCtx) extendEdgeCSR(snap *csr.Snapshot, g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
-	vars := append(tbl.Vars(), edgeVar, rightVar)
-	for _, ps := range ep.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	for _, ps := range rightNp.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	out := bindings.EmptyTable(vars...)
-	eSpec := resolveSpec(snap, ep.Labels)
-	nSpec := resolveSpec(snap, rightNp.Labels)
-	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep, rightNp)
-
-	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
-	parts, err := c.mapSlabs(tbl.Len(), safe, func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, out.Width())
-		var combos []propCombo
-		for ri := lo; ri < hi; ri++ {
-			if err := c.gov.Checkpoint(faultinject.SiteCoreExtend); err != nil {
-				return nil, err
-			}
-			row := tbl.RowAt(ri)
-			uid, ok := nodeOf(ex.left(row))
-			if !ok {
-				continue
-			}
-			u, ok := snap.Ord(uid)
-			if !ok {
-				continue
-			}
-			emit := func(eo, otherOrd int32) error {
-				if !eSpec.matchesEdge(snap, eo) {
-					return nil
-				}
-				e := snap.Edge(eo)
-				if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
-					return err
-				}
-				other := snap.NodeID(otherOrd)
-				if !ex.agrees(row, uint64(e.ID), other) {
-					return nil
-				}
-				if !nSpec.matchesNode(snap, otherOrd) {
-					return nil
-				}
-				on := snap.Node(otherOrd)
-				if ok, err := c.propsMatch(g, on.Props, rightNp.Props); err != nil || !ok {
-					return err
-				}
-				combos = ex.fill(scratch, row, uint64(e.ID), uint64(other), e.Props, on.Props, combos)
-				slab = appendCombos(slab, scratch, combos)
-				return nil
-			}
-			var err error
-			if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
-				for _, eo := range snap.Out(u) {
-					if err = emit(eo, snap.Dst(eo)); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if ep.Dir == ast.DirIn || ep.Dir == ast.DirBoth {
-				for _, eo := range snap.In(u) {
-					if ep.Dir == ast.DirBoth && snap.Src(eo) == snap.Dst(eo) {
-						continue // self-loop already emitted by the out pass
-					}
-					if err = emit(eo, snap.Src(eo)); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeSlabs(out, parts)
 }
 
 // labelTestFast answers a pushed-down label test (x:A|B) on one row

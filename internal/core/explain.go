@@ -201,7 +201,7 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 	// walked in the direction the planner picks, so the step order —
 	// and therefore the pushdown points — match the evaluation.
 	ests := explainPatterns(ev, def, sb, mc.Patterns, conjs, indent, ann)
-	explainJoinOrder(sb, ests, indent, ann)
+	explainJoinOrder(ev, sb, ests, indent, ann)
 	var residual []string
 	for _, cj := range conjs {
 		if !cj.applied {
@@ -223,12 +223,12 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 		bEsts := make([]int, len(ob.Patterns))
 		for i, lp := range ob.Patterns {
 			g := ev.staticGraph(def, lp)
-			pl := planChain(lp.Pattern, g)
+			pl := planChain(lp.Pattern, g, ev.ablation.NoReorder)
 			bEsts[i] = patternEstimate(lp, pl)
 			explainScanDirection(sb, pl, g, indent+"    ")
-			explainChain(sb, pl.runGp, bConjs, indent+"    ", ann)
+			explainChain(ev, sb, pl.runGp, bConjs, indent+"    ", ann)
 		}
-		explainJoinOrder(sb, bEsts, indent+"  ", ann)
+		explainJoinOrder(ev, sb, bEsts, indent+"  ", ann)
 		var brest []string
 		for _, cj := range bConjs {
 			if !cj.applied {
@@ -261,10 +261,10 @@ func explainPatterns(ev *Evaluator, def string, sb *strings.Builder, pats []*ast
 		}
 		fmt.Fprintf(sb, "%s  %s pattern %d (%s)\n", indent, joiner, pi+1, loc)
 		g := ev.staticGraph(def, lp)
-		pl := planChain(lp.Pattern, g)
+		pl := planChain(lp.Pattern, g, ev.ablation.NoReorder)
 		ests[pi] = patternEstimate(lp, pl)
 		explainScanDirection(sb, pl, g, indent+"    ")
-		explainChain(sb, pl.runGp, conjs, indent+"    ", ann)
+		explainChain(ev, sb, pl.runGp, conjs, indent+"    ", ann)
 	}
 	return ests
 }
@@ -297,11 +297,11 @@ func explainScanDirection(sb *strings.Builder, pl chainPlan, g *ppg.Graph, inden
 
 // explainJoinOrder prints the fold order of a multi-pattern MATCH (or
 // OPTIONAL block), mirroring foldConjuncts.
-func explainJoinOrder(sb *strings.Builder, ests []int, indent string, ann *planAnnotator) {
+func explainJoinOrder(ev *Evaluator, sb *strings.Builder, ests []int, indent string, ann *planAnnotator) {
 	if len(ests) < 2 {
 		return
 	}
-	order := joinOrder(ests)
+	order := joinOrder(ests, ev.ablation.NoReorder)
 	parts := make([]string, len(order))
 	for i, o := range order {
 		parts[i] = fmt.Sprintf("pattern %d [est %s]", o+1, estString(ests[o]))
@@ -320,7 +320,7 @@ func estString(est int) string {
 // explainChain walks one pattern chain, reporting each step and the
 // conjuncts that become applicable (and marks them applied, like
 // applyReady does, so later chains don't re-claim them).
-func explainChain(sb *strings.Builder, gp *ast.GraphPattern, conjs []*conjunct, indent string, ann *planAnnotator) {
+func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conjs []*conjunct, indent string, ann *planAnnotator) {
 	bound := map[string]bool{}
 	claim := func() []string {
 		var out []string
@@ -341,7 +341,7 @@ func explainChain(sb *strings.Builder, gp *ast.GraphPattern, conjs []*conjunct, 
 				// The index-vs-column decision: conjuncts compilable
 				// against the snapshot's property columns are marked,
 				// the rest evaluate row-at-a-time.
-				if !DisableCSR && !DisablePropColumns && cj.colPred() != nil {
+				if !ev.ablation.NoPropColumns && cj.colPred() != nil {
 					desc += " [col]"
 				}
 				out = append(out, desc)

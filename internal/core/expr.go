@@ -42,8 +42,7 @@ type env struct {
 
 	// Cached CSR snapshot of graphs[0] for columnar property reads
 	// (lookupProp); resolved lazily on the first property access.
-	colSnap    *csr.Snapshot
-	colSnapSet bool
+	colSnap *csr.Snapshot
 }
 
 func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph) *env {
@@ -136,24 +135,21 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 // columns mirror Properties.Get exactly); any other ref falls through
 // to the walk.
 func (e *env) lookupProp(ref value.Value, key string) value.Value {
-	if !DisablePropColumns && !DisableCSR && e.constructed == nil && len(e.graphs) > 0 {
-		if !e.colSnapSet {
-			e.colSnapSet = true
-			// csr.Of, not snapOf: the cache counters must stay
+	if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
+		if e.colSnap == nil {
+			// snapshot, not snapOf: the cache counters must stay
 			// parallelism-invariant, and environments are per-chunk.
-			e.colSnap = csr.Of(e.graphs[0])
+			e.colSnap, _ = e.c.ev.snapshot(e.graphs[0])
 		}
-		if snap := e.colSnap; snap != nil {
-			if id, ok := ref.RefID(); ok {
-				switch ref.Kind() {
-				case value.KindNode:
-					if u, ok := snap.Ord(ppg.NodeID(id)); ok {
-						return snap.NodeProp(u, key)
-					}
-				case value.KindEdge:
-					if ed, ok := snap.EdgeOrd(ppg.EdgeID(id)); ok {
-						return snap.EdgeProp(ed, key)
-					}
+		if id, ok := ref.RefID(); ok {
+			switch ref.Kind() {
+			case value.KindNode:
+				if u, ok := e.colSnap.Ord(ppg.NodeID(id)); ok {
+					return e.colSnap.NodeProp(u, key)
+				}
+			case value.KindEdge:
+				if ed, ok := e.colSnap.EdgeOrd(ppg.EdgeID(id)); ok {
+					return e.colSnap.EdgeProp(ed, key)
 				}
 			}
 		}

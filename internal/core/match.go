@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
@@ -18,25 +17,10 @@ import (
 // non-blocking context poll stays invisible in profiles.
 const checkStride = 256
 
-// mergeBudget folds chunk outputs into a table in input order,
-// enforcing the bindings budget after each chunk so an overflowing
-// materialisation aborts early — at the same logical point on the
-// legacy and CSR paths (the chunks are identical row for row).
-func (c *evalCtx) mergeBudget(tbl *bindings.Table, parts [][]bindings.Binding) (*bindings.Table, error) {
-	for _, part := range parts {
-		for _, row := range part {
-			tbl.Add(row)
-		}
-		if err := c.checkBudget(tbl); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
-}
-
-// mergeSlabs is mergeBudget for dense row slabs: each chunk's slab is
-// a block copy into the table, with the budget enforced at the same
-// per-chunk boundary.
+// mergeSlabs folds chunk outputs — dense row slabs — into a table in
+// input order: each slab is a block copy, with the bindings budget
+// enforced after each chunk so an overflowing materialisation aborts
+// early.
 func (c *evalCtx) mergeSlabs(tbl *bindings.Table, parts [][]value.Value) (*bindings.Table, error) {
 	for _, part := range parts {
 		tbl.AppendSlab(part)
@@ -276,7 +260,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		pl, planned = c.cached.chainPlanFor(gp, g)
 	}
 	if !planned {
-		pl = planChain(gp, g)
+		pl = planChain(gp, g, c.ev.ablation.NoReorder)
 		if c.cached != nil {
 			c.cached.storeChainPlan(gp, g, pl)
 		}
@@ -458,7 +442,7 @@ type propCombo struct {
 
 // appendCombos appends one dense row per combination of combo values
 // to dst, expanding depth-first in spec order (later specs vary
-// fastest) — the same emission order as the legacy bindProps breadth
+// fastest) — the same emission order as the bindProps breadth
 // expansion. A pre-bound slot survives only when its value is a
 // member of the spec's (deduplicated) value set; an empty value set
 // drops the row (§3: an element without the property drops out).
@@ -530,61 +514,19 @@ func specsParallelSafe(specs []*ast.PropSpec) bool {
 	return true
 }
 
-// indexedNodeCandidates consults the graph's label index for a node
-// pattern: the most selective conjunct of the label spec yields the
-// candidate set (the sorted union of its disjuncts' buckets), which
-// is exactly the set of nodes satisfying that conjunct. The remaining
-// conjuncts and property filters are checked per candidate. ok is
-// false when the spec has no conjunct to index on.
-func indexedNodeCandidates(g *ppg.Graph, spec ast.LabelSpec) ([]ppg.NodeID, bool) {
-	if len(spec) == 0 {
-		return nil, false
-	}
-	best := -1
-	bestSize := 0
-	for i, disj := range spec {
-		size := 0
-		for _, l := range disj {
-			size += len(g.NodesWithLabel(l))
-		}
-		if best == -1 || size < bestSize {
-			best, bestSize = i, size
-		}
-	}
-	disj := spec[best]
-	if len(disj) == 1 {
-		return g.NodesWithLabel(disj[0]), true
-	}
-	// Union of the disjuncts' sorted buckets, ascending, deduplicated.
-	set := map[ppg.NodeID]bool{}
-	for _, l := range disj {
-		for _, id := range g.NodesWithLabel(l) {
-			set[id] = true
-		}
-	}
-	out := make([]ppg.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
-}
-
-// scanNodes produces the binding table of a single node pattern,
-// consulting the graph's label index instead of scanning all nodes
-// whenever the pattern names a label. Candidate chunks are matched
-// concurrently and merged in input order. On the CSR path, WHERE
-// conjuncts compilable against the property columns are applied to
-// candidate ordinals before any row is materialised (scanPrefilter);
-// the legacy path ignores conjs and leaves every conjunct to
-// applyReady, producing the identical table.
+// scanNodes produces the binding table of a single node pattern.
+// Candidates come from the snapshot's per-label ordinal partitions
+// whenever the pattern names a label (the full ordinal range
+// otherwise), label conjuncts are integer tests, WHERE conjuncts
+// compilable against the property columns run on the candidate
+// ordinals before any row is materialised (scanPrefilter), and only
+// the remaining property checks touch the live ppg structs. Candidate
+// chunks are matched concurrently and merged in input order.
 func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
 	if np.Copy {
 		return nil, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
 	}
-	if snap := c.snapOf(g); snap != nil {
-		return c.scanNodesCSR(snap, g, np, varName, conjs)
-	}
+	snap := c.snapOf(g)
 	vars := []string{varName}
 	for _, ps := range np.Props {
 		if ps.Mode == ast.PropBind {
@@ -595,23 +537,40 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 	varSlot := tbl.SlotOf(varName)
 	bp := newBindPlan(tbl, np.Props)
 	w := tbl.Width()
-	ids, indexed := indexedNodeCandidates(g, np.Labels)
+	rs := resolveSpec(snap, np.Labels)
+	ords, indexed := indexedNodeOrdinals(snap, rs)
 	c.lastScanIndexed = indexed
 	if !indexed {
-		ids = g.NodeIDs()
+		ords = make([]int32, snap.NumNodes())
+		for i := range ords {
+			ords[i] = int32(i)
+		}
 	}
-	parts, err := c.mapSlabs(len(ids), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
+	preds := c.scanPrefilter(snap, np, varName, conjs)
+	parts, err := c.mapSlabs(len(ords), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
 		var slab []value.Value
 		scratch := make([]value.Value, w)
 		var combos []propCombo
-		for i, id := range ids[lo:hi] {
+		var colHits int64
+		defer func() { c.col.PropColEvent(colHits, 0) }()
+	cands:
+		for i, u := range ords[lo:hi] {
 			if i&(checkStride-1) == 0 {
 				if err := c.gov.Checkpoint(faultinject.SiteCoreScan); err != nil {
 					return nil, err
 				}
 			}
-			n, _ := g.Node(id)
-			ok, err := c.nodeMatches(g, n, np)
+			if !rs.matchesNode(snap, u) {
+				continue
+			}
+			for _, pr := range preds {
+				colHits++
+				if !pr.node.test(u, pr.p) {
+					continue cands
+				}
+			}
+			n := snap.Node(u)
+			ok, err := c.propsMatch(g, n.Props, np.Props)
 			if err != nil {
 				return nil, err
 			}
@@ -621,7 +580,7 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 			for s := range scratch {
 				scratch[s] = value.Absent
 			}
-			scratch[varSlot] = value.NodeRef(uint64(id))
+			scratch[varSlot] = value.NodeRef(uint64(snap.NodeID(u)))
 			combos = bp.addCombos(combos[:0], n.Props)
 			slab = appendCombos(slab, scratch, combos)
 		}
@@ -634,14 +593,15 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 }
 
 // extendEdge extends every row of tbl over one edge pattern to the
-// next node pattern.
+// next node pattern. Adjacency walks the snapshot's flat CSR arrays
+// and the label tests are integer comparisons, in deterministic order
+// (out ascending, then in ascending, self-loops emitted once under
+// DirBoth).
 func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
 	if ep.Copy {
 		return nil, errf("the copy form [=%s] is only allowed in CONSTRUCT", ep.Var)
 	}
-	if snap := c.snapOf(g); snap != nil {
-		return c.extendEdgeCSR(snap, g, tbl, leftVar, ep, edgeVar, rightNp, rightVar)
-	}
+	snap := c.snapOf(g)
 	vars := append(tbl.Vars(), edgeVar, rightVar)
 	for _, ps := range ep.Props {
 		if ps.Mode == ast.PropBind {
@@ -654,6 +614,8 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 		}
 	}
 	out := bindings.EmptyTable(vars...)
+	eSpec := resolveSpec(snap, ep.Labels)
+	nSpec := resolveSpec(snap, rightNp.Labels)
 	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep, rightNp)
 
 	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
@@ -670,26 +632,28 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 			if !ok {
 				continue
 			}
-			// emit extends the row over one edge in deterministic
-			// order (out-edges ascending, then in-edges ascending).
-			emit := func(e *ppg.Edge, other ppg.NodeID) error {
-				// Edge label/property tests.
-				if !labelSpecMatches(ep.Labels, e.Labels) {
+			u, ok := snap.Ord(uid)
+			if !ok {
+				continue
+			}
+			emit := func(eo, otherOrd int32) error {
+				if !eSpec.matchesEdge(snap, eo) {
 					return nil
 				}
+				e := snap.Edge(eo)
 				if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
 					return err
 				}
 				// Pre-bound edge/node variables must agree.
+				other := snap.NodeID(otherOrd)
 				if !ex.agrees(row, uint64(e.ID), other) {
 					return nil
 				}
-				// Right node tests.
-				on, ok2 := g.Node(other)
-				if !ok2 {
+				if !nSpec.matchesNode(snap, otherOrd) {
 					return nil
 				}
-				if ok3, err := c.nodeMatches(g, on, rightNp); err != nil || !ok3 {
+				on := snap.Node(otherOrd)
+				if ok, err := c.propsMatch(g, on.Props, rightNp.Props); err != nil || !ok {
 					return err
 				}
 				combos = ex.fill(scratch, row, uint64(e.ID), uint64(other), e.Props, on.Props, combos)
@@ -698,20 +662,18 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 			}
 			var err error
 			if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
-				for _, eid := range g.OutEdges(uid) {
-					e, _ := g.Edge(eid)
-					if err = emit(e, e.Dst); err != nil {
+				for _, eo := range snap.Out(u) {
+					if err = emit(eo, snap.Dst(eo)); err != nil {
 						return nil, err
 					}
 				}
 			}
 			if ep.Dir == ast.DirIn || ep.Dir == ast.DirBoth {
-				for _, eid := range g.InEdges(uid) {
-					e, _ := g.Edge(eid)
-					if ep.Dir == ast.DirBoth && e.Src == e.Dst {
+				for _, eo := range snap.In(u) {
+					if ep.Dir == ast.DirBoth && snap.Src(eo) == snap.Dst(eo) {
 						continue // self-loop already emitted by the out pass
 					}
-					if err = emit(e, e.Src); err != nil {
+					if err = emit(eo, snap.Src(eo)); err != nil {
 						return nil, err
 					}
 				}

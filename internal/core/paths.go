@@ -403,12 +403,8 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		nfas = []*rpq.NFA{fwd, bwd}
 	}
 	views := &viewAdapter{c: c, s: s, g: g}
-	var eng *rpq.Engine
-	if DisableCSR {
-		eng = rpq.NewLegacyEngine(g, views)
-	} else {
-		eng = rpq.NewEngine(g, views)
-	}
+	snap, _ := c.ev.snapshot(g)
+	eng := rpq.NewEngineOn(g, snap, views)
 	eng.SetGovernor(c.gov)
 	eng.SetCollector(c.col)
 

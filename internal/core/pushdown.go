@@ -152,16 +152,10 @@ func collectExprVars(e ast.Expr, into map[string]bool) bool {
 	return false
 }
 
-// DisablePushdown turns eager conjunct application off, leaving every
-// conjunct to the residual filter. Results are identical either way
-// (the equivalence is tested); the knob exists only so the ablation
-// benchmarks can measure what the optimisation buys.
-var DisablePushdown bool
-
 // applyReady filters tbl by every pushable, not-yet-applied conjunct
 // whose variables are all in the table schema.
 func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Graph) (*bindings.Table, error) {
-	if len(conjs) == 0 || DisablePushdown {
+	if len(conjs) == 0 || c.ev.ablation.NoPushdown {
 		return tbl, nil
 	}
 	var ready []*conjunct
@@ -207,20 +201,18 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 		slot  int
 	}
 	accels := make([]accel, len(ready))
-	if snap != nil {
-		for i, cj := range ready {
-			if lt, ok := cj.expr.(*ast.LabelTest); ok {
-				lids := make([]int32, len(lt.Labels))
-				for j, l := range lt.Labels {
-					lids[j] = snap.LabelID(l)
-				}
-				accels[i] = accel{label: &labelFast{v: lt.Var, lids: lids}, slot: tbl.SlotOf(lt.Var)}
-				continue
+	for i, cj := range ready {
+		if lt, ok := cj.expr.(*ast.LabelTest); ok {
+			lids := make([]int32, len(lt.Labels))
+			for j, l := range lt.Labels {
+				lids[j] = snap.LabelID(l)
 			}
-			if !DisablePropColumns {
-				if p := cj.colPred(); p != nil {
-					accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
-				}
+			accels[i] = accel{label: &labelFast{v: lt.Var, lids: lids}, slot: tbl.SlotOf(lt.Var)}
+			continue
+		}
+		if !c.ev.ablation.NoPropColumns {
+			if p := cj.colPred(); p != nil {
+				accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
 			}
 		}
 	}
@@ -324,13 +316,12 @@ func (c *evalCtx) residualFilter(conjs []*conjunct, tbl *bindings.Table, env *en
 	// graphs[0] resolves exactly like the interpreter's walk).
 	preds := make([]*boundPred, len(rest))
 	slots := make([]int, len(rest))
-	if !DisablePropColumns && env.constructed == nil && len(env.graphs) > 0 {
-		if snap := c.snapOf(env.graphs[0]); snap != nil {
-			for i, cj := range rest {
-				if p := cj.colPred(); p != nil {
-					preds[i] = bindColPred(snap, p)
-					slots[i] = tbl.SlotOf(p.v)
-				}
+	if !c.ev.ablation.NoPropColumns && env.constructed == nil && len(env.graphs) > 0 {
+		snap := c.snapOf(env.graphs[0])
+		for i, cj := range rest {
+			if p := cj.colPred(); p != nil {
+				preds[i] = bindColPred(snap, p)
+				slots[i] = tbl.SlotOf(p.v)
 			}
 		}
 	}

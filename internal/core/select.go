@@ -77,7 +77,7 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 
 	sorted := tbl.Sorted()
 	var rows []projRow
-	if !hasAgg && !DisablePropColumns {
+	if !hasAgg {
 		// No aggregates: one output row per binding. Rows dispatch
 		// through the slot table (and property reads through the
 		// snapshot columns) instead of materialising a map per row.
@@ -95,48 +95,42 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		return finishSelect(out, sc, rows)
 	}
 
-	// groups: one entry per output row — a representative binding and
-	// (when aggregating) the rows of its group.
+	// Aggregating: one output row per group — a representative binding
+	// and the group's rows, grouped by the evaluated values of the
+	// non-aggregate items (the implicit GROUP BY of SQL-style
+	// aggregation).
 	type outGroup struct {
 		rep  bindings.Binding
 		rows []bindings.Binding
 	}
 	var groups []outGroup
 	sortedRows := sorted.Rows()
-	if !hasAgg {
-		for _, b := range sortedRows {
+	idx := map[string]int{}
+	for _, b := range sortedRows {
+		env.row = b
+		key := ""
+		for i, it := range sc.Items {
+			if aggItem[i] {
+				continue
+			}
+			v, err := env.eval(it.Expr)
+			if err != nil {
+				return nil, err
+			}
+			key += v.Key() + "|"
+		}
+		gi, ok := idx[key]
+		if !ok {
+			gi = len(groups)
+			idx[key] = gi
 			groups = append(groups, outGroup{rep: b})
 		}
-	} else {
-		// Group rows by the evaluated values of the non-aggregate
-		// items (the implicit GROUP BY of SQL-style aggregation).
-		idx := map[string]int{}
-		for _, b := range sortedRows {
-			env.row = b
-			key := ""
-			for i, it := range sc.Items {
-				if aggItem[i] {
-					continue
-				}
-				v, err := env.eval(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				key += v.Key() + "|"
-			}
-			gi, ok := idx[key]
-			if !ok {
-				gi = len(groups)
-				idx[key] = gi
-				groups = append(groups, outGroup{rep: b})
-			}
-			groups[gi].rows = append(groups[gi].rows, b)
-		}
-		if len(sortedRows) == 0 && allAggregates(aggItem) {
-			// SELECT COUNT(*) over an empty match still yields one row
-			// (the aggregate of the empty group).
-			groups = append(groups, outGroup{rep: bindings.Empty(), rows: []bindings.Binding{}})
-		}
+		groups[gi].rows = append(groups[gi].rows, b)
+	}
+	if len(sortedRows) == 0 && allAggregates(aggItem) {
+		// SELECT COUNT(*) over an empty match still yields one row
+		// (the aggregate of the empty group).
+		groups = append(groups, outGroup{rep: bindings.Empty(), rows: []bindings.Binding{}})
 	}
 
 	for _, g := range groups {

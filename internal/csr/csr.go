@@ -111,17 +111,17 @@ type Snapshot struct {
 // incrementalizable, and a full build otherwise. Safe for concurrent
 // readers.
 func Of(g *ppg.Graph) *Snapshot {
-	s, _ := OfCounted(g)
+	s, _ := OfCounted(g, true)
 	return s
 }
 
 // OfCounted is Of plus a report of how the snapshot was obtained
 // (reused, delta-applied, fallback, full build), feeding the
 // observability counters.
-func OfCounted(g *ppg.Graph) (*Snapshot, BuildInfo) {
+func OfCounted(g *ppg.Graph, incremental bool) (*Snapshot, BuildInfo) {
 	info := BuildInfo{Kind: BuildReused}
 	var inc func(prev any, d *ppg.Delta) any
-	if !incrementalOff() {
+	if incremental {
 		inc = func(prev any, d *ppg.Delta) any {
 			ns, ok := applyDelta(prev.(*Snapshot), g, d, &info)
 			if !ok {

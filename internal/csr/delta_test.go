@@ -9,10 +9,10 @@ import (
 )
 
 // snapKind primes or refreshes g's cached snapshot through OfCounted
-// and reports how it was obtained.
+// (incremental maintenance on) and reports how it was obtained.
 func snapKind(t *testing.T, g *ppg.Graph) (*Snapshot, BuildKind) {
 	t.Helper()
-	s, info := OfCounted(g)
+	s, info := OfCounted(g, true)
 	return s, info.Kind
 }
 
@@ -211,7 +211,7 @@ func TestDeltaSharingAccounting(t *testing.T) {
 	if err := g.AddNode(&ppg.Node{ID: 500, Labels: ppg.NewLabels("Person")}); err != nil {
 		t.Fatal(err)
 	}
-	_, info := OfCounted(g)
+	_, info := OfCounted(g, true)
 	if info.Kind != BuildDelta {
 		t.Fatalf("kind = %v, want BuildDelta", info.Kind)
 	}
@@ -353,22 +353,18 @@ func TestCloneStartsFreshChain(t *testing.T) {
 	}
 }
 
-func TestDisableIncrementalKnob(t *testing.T) {
-	var off bool
-	old := disableIncremental
-	disableIncremental = &off
-	defer func() { disableIncremental = old }()
-
+// TestNonIncrementalAcquisition: a caller that asks for no
+// incremental maintenance gets a full rebuild on a generation
+// mismatch, and a later incremental caller deltas onto that build.
+func TestNonIncrementalAcquisition(t *testing.T) {
 	g := deltaGraph(t)
 	snapKind(t, g)
-	off = true
 	if err := g.AddNode(&ppg.Node{ID: 900}); err != nil {
 		t.Fatal(err)
 	}
-	if _, kind := snapKind(t, g); kind != BuildFull {
-		t.Fatal("knob on: snapshot should be a full rebuild")
+	if _, info := OfCounted(g, false); info.Kind != BuildFull {
+		t.Fatal("incremental off: snapshot should be a full rebuild")
 	}
-	off = false
 	if err := g.AddNode(&ppg.Node{ID: 901}); err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +398,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	const n = 20_000
 	for _, mode := range []string{"delta-apply", "full-rebuild"} {
 		b.Run(mode, func(b *testing.B) {
-			off := mode == "full-rebuild"
-			old := disableIncremental
-			disableIncremental = &off
-			defer func() { disableIncremental = old }()
+			incremental := mode == "delta-apply"
 			g := build(n)
 			Of(g)
 			p := ppg.Properties{}
@@ -422,7 +415,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				Of(g)
+				OfCounted(g, incremental)
 			}
 		})
 	}

@@ -93,7 +93,7 @@ func TestAllSitesDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if len(seen) < 13 {
-		t.Fatalf("expected at least 13 sites, got %d", len(seen))
+	if len(seen) < 10 {
+		t.Fatalf("expected at least 10 sites, got %d", len(seen))
 	}
 }

@@ -26,7 +26,7 @@ type ScalePoint struct {
 }
 
 // engineAt builds an engine over a generated SNB graph of the given
-// size.
+// size; the social graph, registered first, is the default graph.
 func engineAt(persons int) (*gcore.Engine, *gcore.Graph, error) {
 	eng := gcore.NewEngine()
 	social, companies := eng.GenerateSNB(gcore.SNBConfig{Persons: persons, Seed: 1})
@@ -34,9 +34,6 @@ func engineAt(persons int) (*gcore.Engine, *gcore.Graph, error) {
 		return nil, nil, err
 	}
 	if err := eng.RegisterGraph(companies); err != nil {
-		return nil, nil, err
-	}
-	if err := eng.SetDefaultGraph(social.Name()); err != nil {
 		return nil, nil, err
 	}
 	return eng, social, nil

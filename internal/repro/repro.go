@@ -32,7 +32,7 @@ func (c Check) OK() bool { return c.Err == nil }
 // (default), company_graph, the Figure 2 example graph, and the
 // orders table.
 func NewEngine() (*gcore.Engine, error) {
-	eng := gcore.NewEngine()
+	eng := gcore.NewEngine(gcore.WithDefaultGraph("social_graph"))
 	for _, g := range []*gcore.Graph{
 		gcore.SampleSocialGraph(), gcore.SampleCompanyGraph(), gcore.SampleExampleGraph(),
 	} {
@@ -41,9 +41,6 @@ func NewEngine() (*gcore.Engine, error) {
 		}
 	}
 	if err := eng.RegisterTable(gcore.SampleOrdersTable()); err != nil {
-		return nil, err
-	}
-	if err := eng.SetDefaultGraph("social_graph"); err != nil {
 		return nil, err
 	}
 	return eng, nil

@@ -10,17 +10,15 @@ import (
 	"gcore/internal/ppg"
 )
 
-// CSR product search. These are the default kernels behind
-// ShortestPaths, Reachable and AllPaths: the same product-automaton
-// algorithms as the legacy (map-based) implementations in engine.go,
-// but run over the graph's CSR snapshot — node ordinals instead of
-// identifiers, flat offset arrays instead of adjacency maps, interned
-// integer labels instead of string-slice scans, and dense visit
-// tables instead of map[cfg] probes. Expansion order is identical to
-// the legacy kernels by construction (CSR ranges ascend by edge
-// identifier, exactly like ppg adjacency), so results — including the
-// deterministic tie-breaking — are byte-identical; the differential
-// tests enforce this.
+// Product search. The kernels behind ShortestPaths, Reachable and
+// AllPaths walk the graph × automaton product over the graph's CSR
+// snapshot — node ordinals instead of identifiers, flat offset arrays
+// instead of adjacency maps, interned integer labels instead of
+// string-slice scans, and dense visit tables instead of map probes.
+// Expansion follows the automaton's transition order and, within one
+// edge transition, ascending edge identifiers (CSR ranges ascend
+// exactly like ppg adjacency); that order plus the (cost, hops,
+// sequence) heap order is the engine's fixed tie-break.
 
 // Interned-label sentinels for resolved transitions. csr.NoLabel
 // (absent from the snapshot) is remapped to deadLabel so it cannot
@@ -123,9 +121,9 @@ func (t *stateTab) inc(u, q int32) {
 }
 
 // expandOrdinal enumerates the product transitions leaving (u, q) in
-// the same deterministic order as the legacy expand: ε and node tests
-// first as listed, edge transitions along ascending edge ordinals,
-// view transitions along the resolver's segment order. Regular edge
+// deterministic order: ε and node tests as listed (zero cost, same
+// node), edge transitions along ascending edge ordinals, view
+// transitions along the resolver's segment order. Regular edge
 // steps emit (viaEdge ≥ 0, nil slices) — the step's node is the
 // emitted ordinal itself, so nothing is allocated per step. View
 // steps pass their expansion through in graph terms.
@@ -197,10 +195,10 @@ type carrival struct {
 	viaEdges []ppg.EdgeID
 }
 
-// cheap is a typed binary min-heap of pqItems with the same
-// (cost, hops, seq) order as pq. container/heap boxes every Push and
-// Pop through an interface — one allocation per product arrival each
-// way — which this avoids; the frontier loop does not allocate.
+// cheap is a typed binary min-heap of pqItems in (cost, hops, seq)
+// order. container/heap boxes every Push and Pop through an interface
+// — one allocation per product arrival each way — which this avoids;
+// the frontier loop does not allocate.
 type cheap []pqItem
 
 func pqLess(a, b pqItem) bool {
@@ -279,10 +277,17 @@ func (st *shortestState) relax(parent int, base *carrival, u, q int32, cost floa
 	st.seq++
 }
 
-// shortestCSR is the CSR k-shortest search: deterministic Dijkstra
-// over the product with a dense pop table, a typed heap and
-// allocation-free edge relaxation.
-func (e *Engine) shortestCSR(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]PathResult, error) {
+// ShortestPaths runs the deterministic k-shortest search from src and
+// returns up to k cheapest conforming paths per destination, cheapest
+// first. k must be ≥ 1. Paths are walks (arbitrary-path semantics,
+// §A.1): nodes and edges may repeat, which is what keeps the search
+// polynomial per destination. The search is Dijkstra over the product
+// with a dense pop table, a typed heap and allocation-free edge
+// relaxation.
+func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]PathResult, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("rpq: k must be at least 1, got %d", k)
+	}
 	srcOrd, ok := e.snap.Ord(src)
 	if !ok {
 		return map[ppg.NodeID][]PathResult{}, nil
@@ -303,7 +308,7 @@ func (e *Engine) shortestCSR(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]
 	steps, pushed, found := 0, 0, 0
 	if sp := e.col.Start(obs.OpShortest); sp != nil {
 		if sp.Verbose() {
-			sp.SetLabel("k-shortest product search (csr)")
+			sp.SetLabel("k-shortest product search")
 		}
 		defer func() {
 			sp.Frontier(int64(steps), int64(pushed)).Rows(0, int64(found)).End()
@@ -311,7 +316,7 @@ func (e *Engine) shortestCSR(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]
 	}
 	for len(st.h) > 0 {
 		if steps&(checkStride-1) == 0 {
-			if err := e.gov.Checkpoint(faultinject.SiteRPQCSRShortest); err != nil {
+			if err := e.gov.Checkpoint(faultinject.SiteRPQShortest); err != nil {
 				return nil, err
 			}
 		}
@@ -325,7 +330,7 @@ func (e *Engine) shortestCSR(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]
 		if a.q == accept {
 			dst := snap.NodeID(a.u)
 			if len(results[dst]) < k {
-				res := e.reconstructCSR(src, st.arrivals, int32(it.idx))
+				res := e.reconstruct(src, st.arrivals, int32(it.idx))
 				sig := res.Signature()
 				if sigs[dst] == nil {
 					sigs[dst] = map[WalkSig]bool{}
@@ -401,10 +406,10 @@ func (e *Engine) shortestCSR(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]
 	return results, nil
 }
 
-// reconstructCSR rebuilds the graph-level path of an arrival chain,
+// reconstruct rebuilds the graph-level path of an arrival chain,
 // translating ordinals back to identifiers — the only point of the
 // search where graph identifiers appear.
-func (e *Engine) reconstructCSR(src ppg.NodeID, arrivals []carrival, idx int32) PathResult {
+func (e *Engine) reconstruct(src ppg.NodeID, arrivals []carrival, idx int32) PathResult {
 	var chain []int32
 	for i := idx; i >= 0; i = arrivals[i].parent {
 		chain = append(chain, i)
@@ -428,10 +433,13 @@ func (e *Engine) reconstructCSR(src ppg.NodeID, arrivals []carrival, idx int32) 
 	return res
 }
 
-// reachableCSR is the CSR reachability sweep: BFS over the product
-// with a dense seen table; destinations are collected per ordinal, so
-// the ascending-identifier output order falls out without sorting.
-func (e *Engine) reachableCSR(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
+// Reachable returns, ascending, the nodes m such that some path from
+// src to m conforms to the regex — the reachability-test semantics
+// that a path pattern without a variable gets (§3, line 29). It is a
+// BFS over the product with a dense seen table; destinations are
+// collected per ordinal, so the output order falls out without
+// sorting.
+func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	srcOrd, ok := e.snap.Ord(src)
 	if !ok {
 		return nil, nil
@@ -445,7 +453,7 @@ func (e *Engine) reachableCSR(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	steps, pushed, found := 0, 0, 0
 	if sp := e.col.Start(obs.OpReach); sp != nil {
 		if sp.Verbose() {
-			sp.SetLabel("reachability sweep (csr)")
+			sp.SetLabel("reachability sweep")
 		}
 		defer func() {
 			sp.Frontier(int64(steps), int64(pushed)).Rows(0, int64(found)).End()
@@ -453,7 +461,7 @@ func (e *Engine) reachableCSR(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	}
 	for len(queue) > 0 {
 		if steps&(checkStride-1) == 0 {
-			if err := e.gov.Checkpoint(faultinject.SiteRPQCSRReach); err != nil {
+			if err := e.gov.Checkpoint(faultinject.SiteRPQReach); err != nil {
 				return nil, err
 			}
 		}
@@ -488,30 +496,31 @@ func (e *Engine) reachableCSR(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	return out, nil
 }
 
-// cprodEdge records one product transition of the CSR ALL-paths sweep.
-type cprodEdge struct {
+// prodEdge records one product transition taken during the forward
+// sweep of the ALL-paths summarisation.
+type prodEdge struct {
 	from, to ccfg
 	viaEdge  int32
 	viaNodes []ppg.NodeID // view steps only
 	viaEdges []ppg.EdgeID
 }
 
-// allPathsCSR performs the forward product sweep over the snapshot.
-func (e *Engine) allPathsCSR(src ppg.NodeID, nfa *NFA) (*AllPaths, error) {
+// AllPaths performs the forward product sweep from src.
+func (e *Engine) AllPaths(src ppg.NodeID, nfa *NFA) (*AllPaths, error) {
 	ap := &AllPaths{src: src, nfa: nfa, snap: e.snap,
-		cReached: map[ccfg]bool{}, cRev: map[ccfg][]int32{}}
+		reached: map[ccfg]bool{}, rev: map[ccfg][]int32{}}
 	srcOrd, ok := e.snap.Ord(src)
 	if !ok {
 		return ap, nil
 	}
 	trans := e.resolve(nfa)
 	start := ccfg{srcOrd, int32(nfa.start)}
-	ap.cReached[start] = true
+	ap.reached[start] = true
 	queue := []ccfg{start}
 	steps, pushed := 0, 0
 	if sp := e.col.Start(obs.OpAllPaths); sp != nil {
 		if sp.Verbose() {
-			sp.SetLabel("ALL-paths sweep (csr)")
+			sp.SetLabel("ALL-paths sweep")
 		}
 		defer func() {
 			sp.Frontier(int64(steps), int64(pushed)).End()
@@ -519,39 +528,40 @@ func (e *Engine) allPathsCSR(src ppg.NodeID, nfa *NFA) (*AllPaths, error) {
 	}
 	for len(queue) > 0 {
 		if steps&(checkStride-1) == 0 {
-			if err := e.gov.Checkpoint(faultinject.SiteRPQCSRAll); err != nil {
+			if err := e.gov.Checkpoint(faultinject.SiteRPQAll); err != nil {
 				return nil, err
 			}
 		}
 		steps++
 		c := queue[0]
 		queue = queue[1:]
-		before := len(ap.cEdges)
+		before := len(ap.edges)
 		err := e.expandOrdinal(trans[c.q], c.u, func(v, q int32, _ float64, _ int32, viaEdge int32, viaNodes []ppg.NodeID, viaEdges []ppg.EdgeID) {
 			next := ccfg{v, q}
-			ap.cEdges = append(ap.cEdges, cprodEdge{from: c, to: next, viaEdge: viaEdge, viaNodes: viaNodes, viaEdges: viaEdges})
-			ap.cRev[next] = append(ap.cRev[next], int32(len(ap.cEdges)-1))
-			if !ap.cReached[next] {
-				ap.cReached[next] = true
+			ap.edges = append(ap.edges, prodEdge{from: c, to: next, viaEdge: viaEdge, viaNodes: viaNodes, viaEdges: viaEdges})
+			ap.rev[next] = append(ap.rev[next], int32(len(ap.edges)-1))
+			if !ap.reached[next] {
+				ap.reached[next] = true
 				queue = append(queue, next)
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		pushed += len(ap.cEdges) - before
-		if err := e.gov.GrowFrontier(len(ap.cEdges) - before); err != nil {
+		pushed += len(ap.edges) - before
+		if err := e.gov.GrowFrontier(len(ap.edges) - before); err != nil {
 			return nil, err
 		}
 	}
 	return ap, nil
 }
 
-// destinationsCSR extracts the accepting nodes of a CSR sweep.
-func (a *AllPaths) destinationsCSR() []ppg.NodeID {
+// Destinations returns, ascending, the nodes for which some conforming
+// path from the sweep's source exists.
+func (a *AllPaths) Destinations() []ppg.NodeID {
 	accept := int32(a.nfa.accept)
 	var ords []int32
-	for c := range a.cReached {
+	for c := range a.reached {
 		if c.q == accept {
 			ords = append(ords, c.u)
 		}
@@ -564,15 +574,19 @@ func (a *AllPaths) destinationsCSR() []ppg.NodeID {
 	return out
 }
 
-// projectionCSR summarises the conforming paths to dst from a CSR
-// sweep, mirroring the legacy backward co-reachability pass.
-func (a *AllPaths) projectionCSR(dst ppg.NodeID) (nodes []ppg.NodeID, edges []ppg.EdgeID, ok bool) {
+// Projection summarises all conforming paths from the sweep's source
+// to dst as the sets of nodes and edges lying on at least one such
+// path. ok is false if no conforming path exists. A backward sweep
+// over the recorded product edges finds the configurations that can
+// reach the accepting target; every recorded edge between two of them
+// lies on a conforming path.
+func (a *AllPaths) Projection(dst ppg.NodeID) (nodes []ppg.NodeID, edges []ppg.EdgeID, ok bool) {
 	dstOrd, ok := a.snap.Ord(dst)
 	if !ok {
 		return nil, nil, false
 	}
 	target := ccfg{dstOrd, int32(a.nfa.accept)}
-	if !a.cReached[target] {
+	if !a.reached[target] {
 		return nil, nil, false
 	}
 	co := map[ccfg]bool{target: true}
@@ -580,8 +594,8 @@ func (a *AllPaths) projectionCSR(dst ppg.NodeID) (nodes []ppg.NodeID, edges []pp
 	for len(queue) > 0 {
 		c := queue[0]
 		queue = queue[1:]
-		for _, ei := range a.cRev[c] {
-			f := a.cEdges[ei].from
+		for _, ei := range a.rev[c] {
+			f := a.edges[ei].from
 			if !co[f] {
 				co[f] = true
 				queue = append(queue, f)
@@ -590,7 +604,7 @@ func (a *AllPaths) projectionCSR(dst ppg.NodeID) (nodes []ppg.NodeID, edges []pp
 	}
 	nodeSet := map[ppg.NodeID]bool{a.src: true, dst: true}
 	edgeSet := map[ppg.EdgeID]bool{}
-	for _, pe := range a.cEdges {
+	for _, pe := range a.edges {
 		if co[pe.to] && co[pe.from] {
 			nodeSet[a.snap.NodeID(pe.from.u)] = true
 			switch {
@@ -620,55 +634,32 @@ func (a *AllPaths) projectionCSR(dst ppg.NodeID) (nodes []ppg.NodeID, edges []pp
 
 // eachEdgeStep visits, in ascending edge-identifier order, the steps
 // over one edge transition leaving n: every conforming edge and the
-// node it leads to. The ablation baselines (simple paths, trails) go
-// through it so they read the CSR snapshot when the engine has one
-// and fall back to the ppg maps in legacy mode.
+// node it leads to. The ablation baselines (simple paths, trails) walk
+// the snapshot through it.
 func (e *Engine) eachEdgeStep(n ppg.NodeID, inverse bool, label string, f func(eid ppg.EdgeID, next ppg.NodeID) error) error {
-	if e.snap != nil {
-		u, ok := e.snap.Ord(n)
-		if !ok {
-			return nil
-		}
-		lid := wildcardLabel
-		if label != "" {
-			if lid = e.snap.LabelID(label); lid == csr.NoLabel {
-				return nil
-			}
-		}
-		list := e.snap.Out(u)
-		if inverse {
-			list = e.snap.In(u)
-		}
-		for _, eo := range list {
-			if lid != wildcardLabel && !e.snap.EdgeHasLabel(eo, lid) {
-				continue
-			}
-			next := e.snap.Dst(eo)
-			if inverse {
-				next = e.snap.Src(eo)
-			}
-			if err := f(e.snap.EdgeID(eo), e.snap.NodeID(next)); err != nil {
-				return err
-			}
-		}
+	u, ok := e.snap.Ord(n)
+	if !ok {
 		return nil
 	}
-	var list []ppg.EdgeID
-	if inverse {
-		list = e.g.InEdges(n)
-	} else {
-		list = e.g.OutEdges(n)
+	lid := wildcardLabel
+	if label != "" {
+		if lid = e.snap.LabelID(label); lid == csr.NoLabel {
+			return nil
+		}
 	}
-	for _, eid := range list {
-		ed, _ := e.g.Edge(eid)
-		if label != "" && !ed.Labels.Has(label) {
+	list := e.snap.Out(u)
+	if inverse {
+		list = e.snap.In(u)
+	}
+	for _, eo := range list {
+		if lid != wildcardLabel && !e.snap.EdgeHasLabel(eo, lid) {
 			continue
 		}
-		next := ed.Dst
+		next := e.snap.Dst(eo)
 		if inverse {
-			next = ed.Src
+			next = e.snap.Src(eo)
 		}
-		if err := f(eid, next); err != nil {
+		if err := f(e.snap.EdgeID(eo), e.snap.NodeID(next)); err != nil {
 			return err
 		}
 	}

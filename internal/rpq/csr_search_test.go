@@ -2,18 +2,14 @@ package rpq
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"gcore/internal/ast"
 	"gcore/internal/ppg"
 )
 
-// Differential tests: the CSR kernels must produce byte-identical
-// results to the legacy map-based kernels — same paths, same order,
-// same tie-breaking — on every regex shape and graph.
-
-// diffGraph builds a random labelled graph.
+// diffGraph builds a random labelled graph for the explicit-product
+// reference checks (reference_test.go).
 func diffGraph(t *testing.T, r *rand.Rand) (*ppg.Graph, []ppg.NodeID) {
 	t.Helper()
 	g := ppg.New("diff")
@@ -70,147 +66,6 @@ func diffRegexes(t *testing.T) []*NFA {
 		nfas[i] = n
 	}
 	return nfas
-}
-
-func TestCSRMatchesLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 12; trial++ {
-		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, nil)
-		if csrEng.snap == nil {
-			t.Fatal("NewEngine did not attach a snapshot")
-		}
-		legEng := NewLegacyEngine(g, nil)
-		if legEng.snap != nil {
-			t.Fatal("NewLegacyEngine attached a snapshot")
-		}
-		for ni, nfa := range diffRegexes(t) {
-			for _, src := range ids[:3] {
-				for _, k := range []int{1, 3} {
-					got, err := csrEng.ShortestPaths(src, nfa, k)
-					if err != nil {
-						t.Fatalf("trial %d regex %d: csr shortest: %v", trial, ni, err)
-					}
-					want, err := legEng.ShortestPaths(src, nfa, k)
-					if err != nil {
-						t.Fatalf("trial %d regex %d: legacy shortest: %v", trial, ni, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d regex %d src %d k=%d: ShortestPaths diverged\ncsr:    %v\nlegacy: %v",
-							trial, ni, src, k, got, want)
-					}
-				}
-
-				gotR, err := csrEng.Reachable(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantR, err := legEng.Reachable(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotR, wantR) {
-					t.Fatalf("trial %d regex %d src %d: Reachable diverged\ncsr:    %v\nlegacy: %v",
-						trial, ni, src, gotR, wantR)
-				}
-
-				gotAP, err := csrEng.AllPaths(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantAP, err := legEng.AllPaths(src, nfa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotDst, wantDst := gotAP.Destinations(), wantAP.Destinations()
-				if !reflect.DeepEqual(gotDst, wantDst) {
-					t.Fatalf("trial %d regex %d src %d: Destinations diverged\ncsr:    %v\nlegacy: %v",
-						trial, ni, src, gotDst, wantDst)
-				}
-				for _, dst := range wantDst {
-					gn, ge, gok := gotAP.Projection(dst)
-					wn, we, wok := wantAP.Projection(dst)
-					if gok != wok || !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ge, we) {
-						t.Fatalf("trial %d regex %d src %d dst %d: Projection diverged\ncsr:    %v %v %v\nlegacy: %v %v %v",
-							trial, ni, src, dst, gn, ge, gok, wn, we, wok)
-					}
-				}
-				// A destination absent from the sweep must answer !ok on
-				// both paths.
-				if _, _, ok := gotAP.Projection(ppg.NodeID(99_999)); ok {
-					t.Fatal("Projection accepted a node outside the graph")
-				}
-			}
-		}
-	}
-}
-
-// TestCSRBaselinesMatchLegacy checks the simple-path and trail
-// baselines agree between the snapshot-backed and legacy adjacency.
-func TestCSRBaselinesMatchLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	nfa := mustCompile(t, rxPlus(rxAlt(rxLabel("a"), rxLabel("b"))))
-	for trial := 0; trial < 6; trial++ {
-		g, ids := diffGraph(t, r)
-		csrEng := NewEngine(g, nil)
-		legEng := NewLegacyEngine(g, nil)
-		src, dst := ids[0], ids[1]
-
-		gotB, gotV, err := csrEng.SimplePathSearch(src, nfa, 50_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, wantV, err := legEng.SimplePathSearch(src, nfa, 50_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotV != wantV || !reflect.DeepEqual(gotB, wantB) {
-			t.Fatalf("trial %d: SimplePathSearch diverged (visits %d vs %d)", trial, gotV, wantV)
-		}
-
-		gc, gv, _ := csrEng.CountSimplePaths(src, dst, nfa, 50_000)
-		wc, wv, _ := legEng.CountSimplePaths(src, dst, nfa, 50_000)
-		if gc != wc || gv != wv {
-			t.Fatalf("trial %d: CountSimplePaths diverged (%d/%d vs %d/%d)", trial, gc, gv, wc, wv)
-		}
-
-		gotT, gotTV, err := csrEng.TrailSearch(src, nfa, 20_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantT, wantTV, err := legEng.TrailSearch(src, nfa, 20_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotTV != wantTV || !reflect.DeepEqual(gotT, wantT) {
-			t.Fatalf("trial %d: TrailSearch diverged (visits %d vs %d)", trial, gotTV, wantTV)
-		}
-
-		gtc, gtv, _ := csrEng.CountTrails(src, dst, nfa, 20_000)
-		wtc, wtv, _ := legEng.CountTrails(src, dst, nfa, 20_000)
-		if gtc != wtc || gtv != wtv {
-			t.Fatalf("trial %d: CountTrails diverged (%d/%d vs %d/%d)", trial, gtc, gtv, wtc, wtv)
-		}
-	}
-}
-
-// TestUseLegacyKnob: the package knob flips NewEngine to the legacy
-// path and back.
-func TestUseLegacyKnob(t *testing.T) {
-	g := ppg.New("knob")
-	if err := g.AddNode(&ppg.Node{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	UseLegacy = true
-	leg := NewEngine(g, nil)
-	UseLegacy = false
-	cs := NewEngine(g, nil)
-	if leg.snap != nil {
-		t.Fatal("UseLegacy=true still attached a snapshot")
-	}
-	if cs.snap == nil {
-		t.Fatal("UseLegacy=false did not attach a snapshot")
-	}
 }
 
 // TestStateTabSparseFallback forces the sparse branch and checks the

@@ -19,18 +19,15 @@ import (
 // deterministic across worker counts (spans may arrive in any order,
 // but partitioned operators merge in input order, so the totals are a
 // function of the query alone). EXPLAIN ANALYZE is checked on every
-// paper example, and the options-based construction API is held to
-// exact parity with the deprecated setters.
+// paper example.
 
 // evalObserved runs one query on a fresh engine built by setup with a
 // collector attached and the given worker count; it returns the
 // rendered result and the collector's aggregate totals.
-func evalObserved(t *testing.T, setup func(t *testing.T) *gcore.Engine, query string, workers int) (string, gcore.Stats) {
+func evalObserved(t *testing.T, setup func(*testing.T, ...gcore.Option) *gcore.Engine, query string, workers int) (string, gcore.Stats) {
 	t.Helper()
-	eng := setup(t)
-	eng.SetParallelism(workers)
 	col := gcore.NewCollector()
-	eng.SetCollector(col)
+	eng := setup(t, gcore.WithParallelism(workers), gcore.WithCollector(col))
 	res, err := eng.Eval(query)
 	return renderResult(res, err), col.Stats()
 }
@@ -64,7 +61,7 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
-			plain := evalConfigured(t, tourEngine, query, false, 1)
+			plain := renderResult(tourEngine(t, gcore.WithParallelism(1)).Eval(query))
 			seq, seqStats := evalObserved(t, tourEngine, query, 1)
 			par, parStats := evalObserved(t, tourEngine, query, 0)
 			if seq != plain {
@@ -85,12 +82,11 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 // TestObservabilityDifferentialSNB: the same invariants on the SNB
 // toy graph's kernel-heavy query set.
 func TestObservabilityDifferentialSNB(t *testing.T) {
-	setup, queries := snbQueries()
-	for i, query := range queries {
+	for i, query := range snbQueries() {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			plain := evalConfigured(t, setup, query, false, 1)
-			seq, seqStats := evalObserved(t, setup, query, 1)
-			par, parStats := evalObserved(t, setup, query, 0)
+			plain := renderResult(snbEngine(t, gcore.WithParallelism(1)).Eval(query))
+			seq, seqStats := evalObserved(t, snbEngine, query, 1)
+			par, parStats := evalObserved(t, snbEngine, query, 0)
 			if seq != plain {
 				t.Fatalf("observed sequential run diverged from plain run\nobserved:\n%s\nplain:\n%s", seq, plain)
 			}
@@ -104,66 +100,23 @@ func TestObservabilityDifferentialSNB(t *testing.T) {
 	}
 }
 
-// TestOptionsSettersParity: an engine assembled with construction
-// options behaves exactly like one configured through the deprecated
-// setters.
-func TestOptionsSettersParity(t *testing.T) {
+// TestConstructionOptions: limits given at construction are the
+// engine's limits, and a default graph named before it exists is
+// promoted when it is registered — even after another graph.
+func TestConstructionOptions(t *testing.T) {
 	limits := gcore.Limits{MaxBindings: 10_000, Timeout: time.Minute}
-	byOptions := gcore.NewEngine(
-		gcore.WithParallelism(1),
-		gcore.WithLimits(limits),
-		gcore.WithDefaultGraph("social_graph"),
-	)
-	// The default graph is named before it exists; registration
-	// promotes it.
-	if err := byOptions.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
-		t.Fatal(err)
-	}
-
-	bySetters := gcore.NewEngine()
-	bySetters.SetParallelism(1)
-	bySetters.SetLimits(limits)
-	if err := bySetters.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bySetters.SetDefaultGraph("social_graph"); err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := byOptions.Limits(), bySetters.Limits(); a != b {
-		t.Fatalf("limits differ: options=%+v setters=%+v", a, b)
-	}
-	const query = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
-	a := renderResult(byOptions.Eval(query))
-	b := renderResult(bySetters.Eval(query))
-	if a != b {
-		t.Fatalf("results differ\noptions:\n%s\nsetters:\n%s", a, b)
-	}
-}
-
-// TestSetMaxBindingsEquivalence: the deprecated SetMaxBindings is the
-// MaxBindings field of Limits — both forms trip the same budget error.
-func TestSetMaxBindingsEquivalence(t *testing.T) {
-	const query = `CONSTRUCT (n) MATCH (n) ON social_graph`
-	run := func(eng *gcore.Engine) string {
-		if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+	eng := gcore.NewEngine(gcore.WithLimits(limits), gcore.WithDefaultGraph("company_graph"))
+	for _, g := range []*gcore.Graph{gcore.SampleSocialGraph(), gcore.SampleCompanyGraph()} {
+		if err := eng.RegisterGraph(g); err != nil {
 			t.Fatal(err)
 		}
-		_, err := eng.Eval(query)
-		if err == nil {
-			t.Fatal("expected a budget error")
-		}
-		qe, ok := gcore.AsQueryError(err)
-		if !ok || qe.Kind != gcore.KindBudget {
-			t.Fatalf("expected KindBudget, got %v", err)
-		}
-		return err.Error()
 	}
-	old := gcore.NewEngine()
-	old.SetMaxBindings(2)
-	viaLimits := gcore.NewEngine(gcore.WithLimits(gcore.Limits{MaxBindings: 2}))
-	if a, b := run(old), run(viaLimits); a != b {
-		t.Fatalf("budget errors differ:\nSetMaxBindings: %s\nWithLimits:     %s", a, b)
+	if got := eng.Limits(); got != limits {
+		t.Fatalf("limits = %+v, want %+v", got, limits)
+	}
+	res, err := eng.Eval(`SELECT c.name AS name MATCH (c:Company) ORDER BY name`)
+	if err != nil || res.Table.Len() != 4 {
+		t.Fatalf("default graph is not company_graph: %v, %v", res, err)
 	}
 }
 
@@ -184,7 +137,7 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 				// A few tour queries reference views defined by other
 				// statements; EXPLAIN ANALYZE must fail exactly like a
 				// plain run, not invent a plan.
-				if plain := evalConfigured(t, tourEngine, query, false, 1); plain == "ERR: "+err.Error() {
+				if plain := renderResult(tourEngine(t).Eval(query)); plain == "ERR: "+err.Error() {
 					return
 				}
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 )
 
 // Engine-level plan cache tests: repeated statements hit, hits are
@@ -188,23 +187,53 @@ func TestPreparedStatement(t *testing.T) {
 func TestPreparedMatchesInlined(t *testing.T) {
 	const tmpl = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = $emp ORDER BY name`
 	const inlined = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = ('Acme') ORDER BY name`
-	for _, disable := range []bool{false, true} {
-		core.DisablePlanCache = disable
-		func() {
-			defer func() { core.DisablePlanCache = false }()
-			eng := newEngine(t)
-			p, err := eng.Prepare(tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")})
-			got := renderResult(res, err)
-			res2, err2 := newEngine(t).Eval(inlined)
-			want := renderResult(res2, err2)
-			if got != want {
-				t.Fatalf("disable=%v: parameterised result diverged\nparam:\n%s\ninline:\n%s", disable, got, want)
-			}
-		}()
+	for _, size := range []int{0, -1} {
+		eng := newEngine(t, gcore.WithPlanCacheSize(size))
+		p, err := eng.Prepare(tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")})
+		got := renderResult(res, err)
+		res2, err2 := newEngine(t).Eval(inlined)
+		want := renderResult(res2, err2)
+		if got != want {
+			t.Fatalf("cache size %d: parameterised result diverged\nparam:\n%s\ninline:\n%s", size, got, want)
+		}
+	}
+}
+
+// TestPlanCacheMutationSequence: a query / mutate / query sequence
+// renders identically with the cache on and off — the generation bump
+// retires the stale entry, so the cached engine sees the mutation.
+func TestPlanCacheMutationSequence(t *testing.T) {
+	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
+	runSeq := func(size int) []string {
+		eng := newEngine(t, gcore.WithPlanCacheSize(size))
+		var out []string
+		res, err := eng.Eval(q)
+		out = append(out, renderResult(res, err))
+		g, _ := eng.Graph("social_graph")
+		if err := g.AddNode(&gcore.Node{
+			ID:     eng.NextNodeID(),
+			Labels: gcore.NewLabels("Person"),
+			Props:  gcore.NewProperties(map[string]gcore.Value{"firstName": gcore.Str("Zed")}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res, err = eng.Eval(q)
+		out = append(out, renderResult(res, err))
+		return out
+	}
+	want := runSeq(-1)
+	got := runSeq(0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d diverged\ncached:\n%s\nuncached:\n%s", i, got[i], want[i])
+		}
+	}
+	if want[0] == want[1] {
+		t.Fatal("mutation had no observable effect; the sequence proves nothing")
 	}
 }
 
