@@ -48,22 +48,29 @@ benchcmp:
 
 # Regression guard over the committed baseline: allocation regressions
 # beyond 20% on the guarded hot-path benchmarks (joins, parallel
-# match, columnar scans, plan-cache and prepared-eval paths,
-# incremental snapshot maintenance, WAL append and group commit) fail,
+# match, columnar scans, plan-cache and prepared-eval paths, prepared
+# point lookups, incremental snapshot maintenance, WAL append and group
+# commit) fail,
 # timing regressions warn (allocs/op is machine-independent, ns/op is
 # not). CI calls this target, so the list lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:
 	go run ./cmd/gcore-repro
 	go run ./cmd/gcore-repro -complexity
 
+# Every fuzz target of the module, one minute each (go test -fuzz takes
+# one target and one package per run).
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=60s -run '^$$' .
 	go test -fuzz=FuzzSnapshot -fuzztime=60s -run '^$$' .
 	go test -fuzz=FuzzEval -fuzztime=60s -run '^$$' .
+	go test -fuzz=FuzzParamInline -fuzztime=60s -run '^$$' .
+	go test -fuzz=FuzzIncrementalSnapshot -fuzztime=60s -run '^$$' .
+	go test -fuzz=FuzzPropColumns -fuzztime=60s -run '^$$' ./internal/csr
+	go test -fuzz=FuzzKeyInjective -fuzztime=60s -run '^$$' ./internal/bindings
 
 cover:
 	go test -coverprofile=cover.out ./...

@@ -477,6 +477,68 @@ ORDER BY name`)
 	}
 }
 
+// BenchmarkPreparedPoint measures the constant-anchored point lookups
+// of the end-to-end point_prepared workload in process, on SNB-2000
+// with a dense integer pid stamped on every Person: a 1-hop knows
+// expansion from `n.pid = C` (typed int column) and a projection of
+// `n.employer = C` (overflow column: employers are multi-valued). Each
+// runs with C as a bound $parameter of a prepared statement and as a
+// literal spliced into the text; both compile the conjunct to the same
+// column predicate and seek the same value index, so the two must cost
+// the same — a parameter is a constant.
+func BenchmarkPreparedPoint(b *testing.B) {
+	eng := gcore.NewEngine()
+	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
+	var employer string
+	for pid, id := range social.NodesWithLabel("Person") {
+		n, _ := social.Node(id)
+		p := n.Props.Clone()
+		p.Set("pid", gcore.Int(int64(pid)))
+		if err := social.SetNodeProps(id, p); err != nil {
+			b.Fatal(err)
+		}
+		if v, ok := p.Get("employer").Singleton(); ok && employer == "" {
+			employer, _ = v.AsString()
+		}
+	}
+	if err := eng.RegisterGraph(social); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, src, param string
+		val              gcore.Value
+	}{
+		{"pid", `CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.pid = $pid`, "pid", gcore.Int(1234)},
+		{"employer", `SELECT n.pid AS pid, n.firstName AS first MATCH (n:Person) WHERE n.employer = $emp ORDER BY pid`, "emp", gcore.Str(employer)},
+	} {
+		params := map[string]gcore.Value{c.param: c.val}
+		b.Run(c.name+"/param", func(b *testing.B) {
+			p, err := eng.Prepare(c.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Eval(params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/literal", func(b *testing.B) {
+			text, err := parser.InlineParams(c.src, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Eval(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMutateThenRead measures the mixed read/write workload the
 // incremental snapshot maintenance targets: every iteration appends a
 // node and an edge to SNB-2000 and immediately runs a filtered scan,

@@ -72,7 +72,9 @@ func ExampleEngine_Eval_select() {
 // Explain shows the evaluation plan without running anything — note
 // the filter pushed onto the node scan, before the path search, and
 // its [col] mark: the comparison compiles against the snapshot's
-// property columns instead of evaluating row at a time.
+// property columns instead of evaluating row at a time. [seek key]
+// marks an equality the scan may answer from the key's value index
+// instead of visiting every :Person.
 func ExampleEngine_Explain() {
 	eng := gcore.NewEngine()
 	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
@@ -90,7 +92,7 @@ func ExampleEngine_Explain() {
 	// MATCH
 	//   scan pattern 1 (default graph)
 	//     start: left end, forward scan [est 5]
-	//     node scan (n :Person)  ⊳ filter: (n.firstName = 'John') [col]
+	//     node scan (n :Person)  ⊳ filter: (n.firstName = 'John') [col]  [seek firstName]
 	//     reachability BFS (product automaton) -/<(:knows)*>/->(m :Person)
 	// CONSTRUCT (identity-respecting, §A.3)
 	//   node (m)  [by identity]

@@ -1,11 +1,14 @@
 package gcore_test
 
 import (
+	"math"
 	"testing"
 
 	"gcore"
+	"gcore/internal/core"
 	"gcore/internal/csr"
 	"gcore/internal/parser"
+	"gcore/internal/value"
 )
 
 // Fuzz targets. Without -fuzz these run their seed corpus as ordinary
@@ -174,10 +177,73 @@ func FuzzEval(f *testing.F) {
 	})
 }
 
+// kindsGraph is FuzzParamInline's second graph: one :T node per row,
+// with a typed column of every kind the snapshots carry (i int, f float
+// including NaN, -0 and an integral value, b bool, d date, s string) and
+// an overflow column m mixing scalars of every kind with multi-valued
+// sets — the shapes on which a columnar predicate, an equality seek and
+// the interpreter could disagree.
+func kindsGraph(t testing.TB) *gcore.Graph {
+	t.Helper()
+	day := value.Date // days since the epoch; 16071 is 1 January 2014
+	nan := gcore.Float(math.NaN())
+	rows := []map[string]gcore.Value{
+		{"i": gcore.Int(1), "f": gcore.Float(1), "b": gcore.Bool(true), "d": day(16071), "s": gcore.Str("Acme"), "m": gcore.Str("Acme")},
+		{"i": gcore.Int(2), "f": gcore.Float(2.5), "b": gcore.Bool(false), "d": day(16072), "s": gcore.Str("HAL"), "m": gcore.SetOf(gcore.Str("Acme"), gcore.Str("HAL"))},
+		{"i": gcore.Int(2), "f": nan, "b": gcore.Bool(true), "d": day(16072), "s": gcore.Str("Acme"), "m": gcore.Int(2)},
+		{"i": gcore.Int(30), "f": gcore.Float(math.Copysign(0, -1)), "b": gcore.Bool(false), "d": day(16982), "s": gcore.Str(""), "m": gcore.Float(2)},
+		{"i": gcore.Int(-7), "f": gcore.Float(30), "d": day(0), "s": gcore.Str("HAL"), "m": gcore.Bool(true)},
+		{"i": gcore.Int(30), "f": gcore.Float(0), "b": gcore.Bool(true), "s": gcore.Str("acme"), "m": day(16072)},
+		{"f": nan, "b": gcore.Bool(false), "d": day(16071), "m": gcore.SetOf(gcore.Int(30), gcore.Str("Acme"))},
+		{"i": gcore.Int(0), "s": gcore.Str("Acme"), "m": gcore.Str("HAL")},
+	}
+	g := gcore.NewGraph("kinds_graph")
+	for i, kv := range rows {
+		n := &gcore.Node{ID: gcore.NodeID(9000 + i), Labels: gcore.NewLabels("T"), Props: gcore.NewProperties(kv)}
+		if err := g.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// paramBindings derives the $a/$b bindings of one FuzzParamInline input.
+// kind picks $a among every scalar kind — an integer, the integral
+// float equal to it, a fractional float, NaN, a bool, a date — and two
+// set shapes; its high bit makes $b a two-element set.
+func paramBindings(iv int64, sv string, kind uint8) map[string]gcore.Value {
+	a := gcore.Int(iv)
+	switch kind % 8 {
+	case 1:
+		a = gcore.Float(float64(iv))
+	case 2:
+		a = gcore.Float(float64(iv) / 4)
+	case 3:
+		a = gcore.Float(math.NaN())
+	case 4:
+		a = gcore.Bool(iv%2 == 0)
+	case 5:
+		a = value.Date(16071 + iv%3) // the dates kinds_graph holds, and the day after
+	case 6:
+		a = gcore.SetOf(gcore.Int(iv))
+	case 7:
+		a = gcore.SetOf(gcore.Int(iv), gcore.Str(sv))
+	}
+	b := gcore.Str(sv)
+	if kind >= 128 {
+		b = gcore.SetOf(gcore.Str(sv), gcore.Str("HAL"))
+	}
+	return map[string]gcore.Value{"a": a, "b": b}
+}
+
 // FuzzParamInline: evaluating a statement with $a/$b parameter
-// bindings must be indistinguishable from splicing the literals into
-// the source text — the uncached fallback is the oracle for the
-// parameterised path.
+// bindings must be indistinguishable from (1) splicing the literals
+// into the source text — the uncached fallback — wherever the bindings
+// have a literal form (NaN and sets have none), and (2) executing the
+// same prepared statement on an engine that never touches the property
+// columns (Ablation.NoPropColumns): bound parameters compile into
+// column predicates and equality seeks, the ablated engine interprets
+// them row by row.
 func FuzzParamInline(f *testing.F) {
 	for _, s := range []string{
 		`SELECT n.firstName AS x MATCH (n:Person) WHERE n.employer = $b ORDER BY x`,
@@ -185,36 +251,66 @@ func FuzzParamInline(f *testing.F) {
 		`SELECT n.firstName AS x MATCH (n) WHERE n.age = $a OR n.firstName = $b ORDER BY x`,
 		`CONSTRUCT (n {score := $a}) MATCH (n:Person)`,
 		`CONSTRUCT (n) MATCH (n)-[e]->(m) WHERE e.since >= $a AND m.name <> $b`,
+		`SELECT n.i AS i, n.m AS m MATCH (n:T) ON kinds_graph WHERE n.i = $a ORDER BY i, m`,
+		`SELECT n.i AS i, n.f AS f MATCH (n:T) ON kinds_graph WHERE $a = n.f ORDER BY i, f`,
+		`SELECT n.i AS i MATCH (n:T) ON kinds_graph WHERE n.b = $a AND n.s = $b ORDER BY i`,
+		`SELECT n.i AS i MATCH (n:T) ON kinds_graph WHERE n.d = $a ORDER BY i`,
+		`SELECT n.i AS i, n.s AS s MATCH (n:T) ON kinds_graph WHERE n.m = $a AND n.s <> $b ORDER BY i, s`,
+		`SELECT n.i AS i, n.s AS s MATCH (n:T) ON kinds_graph WHERE n.m = $b ORDER BY i, s`,
+		`SELECT n.i AS i MATCH (n:T) ON kinds_graph WHERE n.s IN $b AND n.i <= $a ORDER BY i`,
+		`CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName = $b`,
 	} {
-		f.Add(s, int64(30), "Acme")
-	}
-	f.Fuzz(func(t *testing.T, src string, iv int64, sv string) {
-		params := map[string]gcore.Value{"a": gcore.Int(iv), "b": gcore.Str(sv)}
-		inlined, err := parser.InlineParams(src, params)
-		if err != nil {
-			return // lex errors or parameters beyond $a/$b: nothing to compare
+		for _, kind := range []uint8{0, 1, 2, 3, 4, 5, 6, 7, 128} {
+			f.Add(s, int64(2), "Acme", kind)
 		}
-		prep, err := tourEngine(t, fuzzLimits).Prepare(src)
+		f.Add(s, int64(30), "John", uint8(0))
+	}
+	engine := func(t *testing.T, ab core.Ablation) *gcore.Engine {
+		eng := goldenTour(t, ablated(ab), fuzzLimits)
+		if err := eng.RegisterGraph(kindsGraph(t)); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	f.Fuzz(func(t *testing.T, src string, iv int64, sv string, kind uint8) {
+		params := paramBindings(iv, sv, kind)
+		inlined, inlineErr := parser.InlineParams(src, params)
+		if inlineErr != nil && len(parser.ParamNames(src)) == 0 {
+			return // lex error: nothing to compare
+		}
+		prep, err := engine(t, core.Ablation{}).Prepare(src)
 		if err != nil {
 			// The statement itself is invalid; the inlined form must
 			// agree that it is.
-			if _, ierr := tourEngine(t).Eval(inlined); ierr == nil {
-				t.Fatalf("Prepare rejected %q (%v) but the inlined form evaluated", src, err)
+			if inlineErr == nil {
+				if _, ierr := engine(t, core.Ablation{}).Eval(inlined); ierr == nil {
+					t.Fatalf("Prepare rejected %q (%v) but the inlined form evaluated", src, err)
+				}
 			}
 			return
 		}
 		gotRes, gotErr := prep.Eval(params)
-		wantRes, wantErr := tourEngine(t, fuzzLimits).Eval(inlined)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("success diverged for %q:\nparam err:  %v\ninline err: %v", src, gotErr, wantErr)
+		check := func(oracle string, wantRes *gcore.Result, wantErr error) {
+			t.Helper()
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("success diverged from %s for %q with %v:\nparam err:  %v\noracle err: %v", oracle, src, params, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				return // both failed; messages may name the expression differently
+			}
+			if got, want := renderResult(gotRes, nil), renderResult(wantRes, nil); got != want {
+				t.Fatalf("parameterised result diverged from %s\nquery: %q\nparams: %v\nparam:\n%s\noracle:\n%s", oracle, src, params, got, want)
+			}
 		}
-		if gotErr != nil {
-			return // both failed; messages may name the expression differently
+		if inlineErr == nil { // parameters beyond $a/$b, NaN and sets have no inlined form
+			wantRes, wantErr := engine(t, core.Ablation{}).Eval(inlined)
+			check("inlined literals", wantRes, wantErr)
 		}
-		got := renderResult(gotRes, nil)
-		want := renderResult(wantRes, nil)
-		if got != want {
-			t.Fatalf("parameterised result diverged from inlined literals\nquery: %q\nparam:\n%s\ninline:\n%s", src, got, want)
+		if rowPrep, err := engine(t, core.Ablation{NoPropColumns: true}).Prepare(src); err != nil {
+			t.Fatalf("the NoPropColumns engine rejected %q, which the default engine prepared: %v", src, err)
+		} else {
+			wantRes, wantErr := rowPrep.Eval(params)
+			check("the NoPropColumns engine", wantRes, wantErr)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"gcore/internal/core"
 	"gcore/internal/csr"
 	"gcore/internal/ppg"
+	"gcore/internal/value"
 )
 
 // Tests for incremental CSR snapshot maintenance: after any mutation
@@ -86,6 +87,7 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 
 		nextNode := gcore.NodeID(1_000_000)
 		nextEdge := gcore.EdgeID(2_000_000)
+		indexed := map[*csr.PropCol]bool{} // columns whose index some round built
 		for r := 0; r < int(rounds%16); r++ {
 			for o := 0; o < int(ops%32); o++ {
 				switch next(8) {
@@ -133,6 +135,15 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 				}
 			}
 			snap, info := csr.OfCounted(g, true)
+			// Seek every column before the equivalence check, so its
+			// validation pass has built indexes to hold against their
+			// columns. A column the delta shared with earlier versions
+			// is the same PropCol and must bring its index along.
+			for _, key := range keys {
+				lits := []gcore.Value{randVal(), randVal(), gcore.Str("s1"), gcore.Int(7), gcore.Float(0.25), gcore.Bool(true)}
+				seekAgainstScan(t, snap, snap.NodeCol(key), indexed, snap.NumNodes(), lits)
+				seekAgainstScan(t, snap, snap.EdgeCol(key), indexed, snap.NumEdges(), lits)
+			}
 			full := csr.Build(g)
 			if err := csr.Equivalent(snap, full); err != nil {
 				t.Fatalf("round %d (%v): incremental snapshot diverged from rebuild: %v", r, info.Kind, err)
@@ -142,6 +153,47 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 			t.Fatalf("frozen snapshot mutated by later delta applies: %v", err)
 		}
 	})
+}
+
+// seekAgainstScan holds one column's equality index to a from-scratch
+// scan: for every constant the column agrees to seek, the postings
+// ascend and contain each ordinal value.Eq accepts. indexed remembers
+// the columns whose index was built, across snapshot versions: no
+// column may build twice.
+func seekAgainstScan(t *testing.T, snap *csr.Snapshot, col *csr.PropCol, indexed map[*csr.PropCol]bool, count int, lits []gcore.Value) {
+	t.Helper()
+	if col == nil {
+		return
+	}
+	for _, lit := range lits {
+		post, built, ok := col.SeekEq(lit, snap.Strings())
+		if built && indexed[col] {
+			t.Fatalf("a column rebuilt its index for %v", lit)
+		}
+		indexed[col] = indexed[col] || built
+		if !ok {
+			continue
+		}
+		at := 0
+		for o := int32(0); o < int32(count); o++ {
+			if at < len(post) && post[at] < o {
+				t.Fatalf("postings %v for %v do not ascend", post, lit)
+			}
+			hit := at < len(post) && post[at] == o
+			if hit {
+				at++
+			}
+			if !col.Present(o) {
+				continue
+			}
+			if eq, _ := value.Eq(col.SetAt(o), lit).AsBool(); eq && !hit {
+				t.Fatalf("postings %v for %v (column kind %v) miss ordinal %d", post, lit, col.Kind(), o)
+			}
+		}
+		if at != len(post) {
+			t.Fatalf("postings %v for %v reach past the %d ordinals", post, lit, count)
+		}
+	}
 }
 
 // mutableSNB builds the SNB toy engine (under ab, with the given

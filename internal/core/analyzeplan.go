@@ -100,18 +100,22 @@ func (a *planAnnotator) suffix(op obs.Op, label string) string {
 	return fmt.Sprintf("  [actual rows=%d→%d, time=%s]", sp.RowsIn, sp.RowsOut, fmtElapsed(sp.Elapsed))
 }
 
-// scanSuffix is suffix for node scans: no meaningful input side, plus
-// the index-vs-scan decision the evaluator actually took.
+// scanSuffix is suffix for node scans: the input side is the number of
+// candidate ordinals examined, followed by where the evaluator actually
+// took them from: every node, a label partition, or a value index.
 func (a *planAnnotator) scanSuffix(label string) string {
 	sp, ok := a.take(obs.OpScan, label)
 	if !ok {
 		return ""
 	}
 	how := "full scan"
-	if sp.Indexed {
+	switch {
+	case sp.Seek != "":
+		how = "value index " + sp.Seek
+	case sp.Indexed:
 		how = "label index"
 	}
-	return fmt.Sprintf("  [actual rows=%d, time=%s, %s]", sp.RowsOut, fmtElapsed(sp.Elapsed), how)
+	return fmt.Sprintf("  [actual rows=%d→%d, time=%s, %s]", sp.RowsIn, sp.RowsOut, fmtElapsed(sp.Elapsed), how)
 }
 
 // writeAnalyzeFooter appends the statement-wide totals: wall time and

@@ -240,10 +240,6 @@ type evalCtx struct {
 	tempPaths map[ppg.PathID]*tempPath
 	anonSeq   int
 
-	// lastScanIndexed reports whether the most recent node scan used
-	// the label index; the scan span reads it right after scanNodes.
-	lastScanIndexed bool
-
 	// pendingViews holds GRAPH VIEW results defined by this statement,
 	// in definition order. They are visible to the rest of the
 	// statement (resolveGraphName consults them before the catalog)

@@ -86,10 +86,10 @@ func (rs resolvedSpec) matchesEdge(snap *csr.Snapshot, e int32) bool {
 // the candidate set (the sorted union of its disjuncts' partitions),
 // which is exactly the set of nodes satisfying that conjunct. The
 // remaining conjuncts and property filters are checked per candidate.
-// ok is false when the spec has no conjunct to index on.
-func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
+// by is the index of the conjunct taken, -1 when the spec has none.
+func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) (ords []int32, by int) {
 	if len(rs) == 0 {
-		return nil, false
+		return nil, -1
 	}
 	best := -1
 	bestSize := 0
@@ -104,7 +104,7 @@ func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 	}
 	disj := rs[best]
 	if len(disj) == 1 {
-		return snap.NodesWithLabel(disj[0]), true
+		return snap.NodesWithLabel(disj[0]), best
 	}
 	set := map[int32]bool{}
 	for _, lid := range disj {
@@ -117,7 +117,47 @@ func indexedNodeOrdinals(snap *csr.Snapshot, rs resolvedSpec) ([]int32, bool) {
 		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
+	return out, best
+}
+
+// scanStat is what a node scan reports about its candidates: where
+// they came from, how many were examined, and how many value indexes
+// had to be built to decide.
+type scanStat struct {
+	indexed  bool   // candidates from a label partition
+	seekKey  string // candidates from this property's equality index
+	examined int64  // candidate ordinals tested
+	builds   int64  // equality indexes built (first seek of a column)
+}
+
+// scanCandidates picks a node scan's candidate ordinals — the shortest
+// of: every node, the label partition of the spec's most selective
+// conjunct, the posting list of a prefilter `=` predicate — and the
+// label conjuncts each candidate still has to pass. A partition holds
+// exactly the nodes satisfying the conjunct it was taken from, so its
+// candidates skip that conjunct's test; seek postings know nothing
+// about labels and test them all.
+func scanCandidates(snap *csr.Snapshot, rs resolvedSpec, preds []*boundPred) (ords []int32, labelTests resolvedSpec, stat scanStat) {
+	part, by := indexedNodeOrdinals(snap, rs)
+	partSize := snap.NumNodes()
+	if by >= 0 {
+		partSize = len(part)
+	}
+	post, key, builds, ok := seekCandidates(snap, preds)
+	stat.builds = builds
+	switch {
+	case ok && len(post) < partSize:
+		ords, labelTests, stat.seekKey = post, rs, key
+	case by >= 0:
+		ords, labelTests, stat.indexed = part, append(rs[:by:by], rs[by+1:]...), true
+	default:
+		ords, labelTests = make([]int32, partSize), rs
+		for i := range ords {
+			ords[i] = int32(i)
+		}
+	}
+	stat.examined = int64(len(ords))
+	return ords, labelTests, stat
 }
 
 // labelTestFast answers a pushed-down label test (x:A|B) on one row

@@ -341,7 +341,7 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 				// The index-vs-column decision: conjuncts compilable
 				// against the snapshot's property columns are marked,
 				// the rest evaluate row-at-a-time.
-				if !ev.ablation.NoPropColumns && cj.colPred() != nil {
+				if !ev.ablation.NoPropColumns && staticColPred(cj) != nil {
 					desc += " [col]"
 				}
 				out = append(out, desc)
@@ -351,10 +351,21 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 	}
 	step := func(op obs.Op, desc string) {
 		fmt.Fprintf(sb, "%s%s", indent, desc)
+		var seek []string
+		if op == obs.OpScan {
+			seek = seekKeys(ev.ablation, gp.Nodes[0], conjs)
+		}
 		if pushed := claim(); len(pushed) > 0 {
 			fmt.Fprintf(sb, "  ⊳ filter: %s", strings.Join(pushed, " AND "))
 		}
 		if op == obs.OpScan {
+			// An equality start: the scan may take its candidates from
+			// the key's value index. Whether a given execution does
+			// depends on the column and constant kinds, which only the
+			// snapshot and the bindings know — EXPLAIN ANALYZE reports it.
+			if len(seek) > 0 {
+				fmt.Fprintf(sb, "  [seek %s]", strings.Join(seek, "|"))
+			}
 			sb.WriteString(ann.scanSuffix(desc))
 		} else {
 			sb.WriteString(ann.suffix(op, desc))
@@ -398,6 +409,28 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 			step(obs.OpPath, pathStepLabel(x, next))
 		}
 	}
+}
+
+// staticColPred is EXPLAIN's view of a conjunct's compiled form: the
+// shape alone, every parameter counting as bound.
+func staticColPred(cj *conjunct) *colPred { return compileColPred(cj.expr, nil, true) }
+
+// seekKeys lists the property keys a chain's start scan may seek on:
+// the `=` conjuncts its prefilter would consume (the evaluator's own
+// gate walk), in WHERE order. It must run before the step claims its
+// conjuncts.
+func seekKeys(ab Ablation, np *ast.NodePattern, conjs []*conjunct) []string {
+	if np.Var == "" {
+		return nil
+	}
+	_, preds := prefilterConjuncts(ab, np, np.Var, conjs, staticColPred)
+	var keys []string
+	for _, p := range preds {
+		if p.op == ast.OpEq {
+			keys = append(keys, p.key)
+		}
+	}
+	return keys
 }
 
 func pathStrategy(pp *ast.PathPattern) string {

@@ -278,7 +278,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 	if sp.Verbose() {
 		sp.SetLabel(scanStepLabel(run.Nodes[0]))
 	}
-	tbl, err := c.scanNodes(g, run.Nodes[0], runNames.node[0], conjs)
+	tbl, stat, err := c.scanNodes(g, run.Nodes[0], runNames.node[0], conjs)
 	if err != nil {
 		sp.Fail()
 		return nil, 0, err
@@ -287,7 +287,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		sp.Fail()
 		return nil, 0, err
 	}
-	sp.Indexed(c.lastScanIndexed).Rows(0, int64(tbl.Len())).End()
+	sp.Indexed(stat.indexed).Seek(stat.seekKey).Rows(stat.examined, int64(tbl.Len())).End()
 	for i, link := range run.Links {
 		rowsIn := int64(tbl.Len())
 		var sp *obs.ActiveSpan
@@ -517,14 +517,16 @@ func specsParallelSafe(specs []*ast.PropSpec) bool {
 // scanNodes produces the binding table of a single node pattern.
 // Candidates come from the snapshot's per-label ordinal partitions
 // whenever the pattern names a label (the full ordinal range
-// otherwise), label conjuncts are integer tests, WHERE conjuncts
+// otherwise) — or, when a pushed-down `x.key = constant` conjunct can
+// seek its column's equality index to a shorter list, from that
+// (scanCandidates). Label conjuncts are integer tests, WHERE conjuncts
 // compilable against the property columns run on the candidate
 // ordinals before any row is materialised (scanPrefilter), and only
 // the remaining property checks touch the live ppg structs. Candidate
 // chunks are matched concurrently and merged in input order.
-func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, error) {
+func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, scanStat, error) {
 	if np.Copy {
-		return nil, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
+		return nil, scanStat{}, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
 	}
 	snap := c.snapOf(g)
 	vars := []string{varName}
@@ -537,16 +539,9 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 	varSlot := tbl.SlotOf(varName)
 	bp := newBindPlan(tbl, np.Props)
 	w := tbl.Width()
-	rs := resolveSpec(snap, np.Labels)
-	ords, indexed := indexedNodeOrdinals(snap, rs)
-	c.lastScanIndexed = indexed
-	if !indexed {
-		ords = make([]int32, snap.NumNodes())
-		for i := range ords {
-			ords[i] = int32(i)
-		}
-	}
 	preds := c.scanPrefilter(snap, np, varName, conjs)
+	ords, labelTests, stat := scanCandidates(snap, resolveSpec(snap, np.Labels), preds)
+	c.col.PropIndexEvent(stat.seekKey != "", stat.builds)
 	parts, err := c.mapSlabs(len(ords), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
 		var slab []value.Value
 		scratch := make([]value.Value, w)
@@ -560,7 +555,7 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 					return nil, err
 				}
 			}
-			if !rs.matchesNode(snap, u) {
+			if !labelTests.matchesNode(snap, u) {
 				continue
 			}
 			for _, pr := range preds {
@@ -587,9 +582,10 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 		return slab, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, stat, err
 	}
-	return c.mergeSlabs(tbl, parts)
+	tbl, err = c.mergeSlabs(tbl, parts)
+	return tbl, stat, err
 }
 
 // extendEdge extends every row of tbl over one edge pattern to the

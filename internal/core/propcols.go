@@ -11,30 +11,40 @@ import (
 
 // Columnar predicate compilation. A WHERE conjunct of the shape
 //
-//	x.key OP literal        or        literal OP x.key
+//	x.key OP constant        or        constant OP x.key
 //
-// with OP one of = <> < <= > >= IN SUBSET depends on nothing but one
-// property of one bound element, so it can be answered straight from
-// the snapshot's property columns (csr/props.go): presence bit, typed
-// payload array, interned-string bound — no environment, no map
+// with OP one of = <> < <= > >= IN SUBSET, where a constant is a
+// literal or a $name parameter the execution binds, depends on nothing
+// but one property of one bound element, so it can be answered straight
+// from the snapshot's property columns (csr/props.go): presence bit,
+// typed payload array, interned-string bound — no environment, no map
 // probes, no per-row evaluation tree walk. The compiled form is
 // error-free by construction (the comparison operators of value/ops.go
 // return FALSE for nulls and unordered kinds instead of raising), so
 // replacing the interpreter evaluation of such a conjunct can never
 // change error behaviour, and pre-filtering scan candidates with a
 // prefix of error-free conjuncts can never suppress an error another
-// conjunct would have raised.
+// conjunct would have raised. A parameter the execution does NOT bind
+// is the one operand that raises ("unbound parameter $x"): such a
+// conjunct does not compile and reaches the interpreter where it
+// always did.
+//
+// The compiled form carries the bound value, so it lives on the
+// per-execution conjunct clone (prepareConjunctsCached) and never on
+// the cached statement: concurrent executions of one plan-cache entry
+// with different bindings each compile their own.
 //
 // Every answer the compiled form produces is defined to be what the
 // interpreter produces: typed fast paths exist only where the Go
 // comparison provably agrees with value.Compare (same-kind payloads,
-// non-NaN float literals), and everything else falls back first to the
+// non-NaN float constants), and everything else falls back first to the
 // mirrored FSET(V) sets and ultimately to the interpreter itself (refs
 // the snapshot does not know). The golden suite and FuzzPropColumns
 // enforce the equivalence against Ablation.NoPropColumns, under which
 // pushdown filters, residual filters and property lookups fall back to
-// the row-at-a-time ppg.Properties map reads (snapshots still build
-// their columns: the ablation gates use, not construction).
+// the row-at-a-time ppg.Properties map reads and node scans never seek
+// the columns' value indexes (snapshots still build their columns: the
+// ablation gates use, not construction).
 
 // colPred is the compiled, snapshot-independent form of one conjunct.
 type colPred struct {
@@ -42,7 +52,7 @@ type colPred struct {
 	key      string       // the property key
 	op       ast.BinaryOp // Eq..Ge, In, Subset
 	propLeft bool         // the property is the left operand
-	lit      value.Value  // the literal operand
+	lit      value.Value  // the constant operand: a literal or a bound parameter's value
 	// absentKeep is the conjunct's value when the property resolves to
 	// the empty set (absent property, unbound or non-ref variable):
 	// FALSE for every comparison and IN, but TRUE for `x.k SUBSET s`
@@ -53,7 +63,10 @@ type colPred struct {
 }
 
 // compileColPred recognises the compilable conjunct shape, or nil.
-func compileColPred(e ast.Expr) *colPred {
+// params are the execution's bindings; static is EXPLAIN's view, which
+// has no bindings and asks only about the shape — every parameter then
+// counts as bound (to Null, never evaluated).
+func compileColPred(e ast.Expr, params map[string]value.Value, static bool) *colPred {
 	b, ok := e.(*ast.Binary)
 	if !ok {
 		return nil
@@ -63,15 +76,28 @@ func compileColPred(e ast.Expr) *colPred {
 	default:
 		return nil
 	}
+	constant := func(x ast.Expr) (value.Value, bool) {
+		switch c := x.(type) {
+		case *ast.Literal:
+			return c.Val, true
+		case *ast.Param:
+			if static {
+				return value.Null, true
+			}
+			v, bound := params[c.Name]
+			return v, bound
+		}
+		return value.Null, false
+	}
 	if pa, ok := b.L.(*ast.PropAccess); ok {
-		if lit, ok := b.R.(*ast.Literal); ok {
-			return newColPred(pa, b.Op, lit.Val, true)
+		if v, ok := constant(b.R); ok {
+			return newColPred(pa, b.Op, v, true)
 		}
 		return nil
 	}
 	if pa, ok := b.R.(*ast.PropAccess); ok {
-		if lit, ok := b.L.(*ast.Literal); ok {
-			return newColPred(pa, b.Op, lit.Val, false)
+		if v, ok := constant(b.L); ok {
+			return newColPred(pa, b.Op, v, false)
 		}
 	}
 	return nil
@@ -115,12 +141,14 @@ func (p *colPred) apply(prop value.Value) bool {
 	return ok
 }
 
-// colPred returns the conjunct's compiled form, caching the (possibly
-// nil) result after the first attempt.
-func (cj *conjunct) colPred() *colPred {
+// colPred returns the conjunct's compiled form under the execution's
+// parameter bindings, caching the (possibly nil) result after the first
+// attempt — a conjunct belongs to one execution, whose bindings are
+// fixed.
+func (cj *conjunct) colPred(params map[string]value.Value) *colPred {
 	if !cj.colTried {
 		cj.colTried = true
-		cj.col = compileColPred(cj.expr)
+		cj.col = compileColPred(cj.expr, params, false)
 	}
 	return cj.col
 }
@@ -396,26 +424,28 @@ func boolEval(col *csr.PropCol, op ast.BinaryOp, l bool) func(int32) bool {
 	return nil
 }
 
-// scanPrefilter selects the WHERE conjuncts a node scan may evaluate
-// directly on candidate ordinals, before any row is materialised, and
-// marks them applied. Consuming a conjunct here is safe only when no
-// evaluation the interpreter would have run EARLIER on a dropped row
-// can raise an error; the gates are therefore:
+// prefilterConjuncts selects the WHERE conjuncts a node scan may
+// evaluate directly on candidate ordinals, before any row is
+// materialised, paired with their compiled forms (compiled supplies
+// them: the execution's, or EXPLAIN's static view). Consuming a
+// conjunct there is safe only when no evaluation the interpreter would
+// have run EARLIER on a dropped row can raise an error; the gates are
+// therefore:
 //
 //   - the pattern has no {key = expr} filter specs (their expressions
 //     are evaluated per candidate and may error),
 //   - walking the conjuncts that the post-scan applyReady would find
 //     ready, in order: compiled conjuncts on the scan variable are
-//     consumed, compiled conjuncts on bind variables and label tests
+//     selected, compiled conjuncts on bind variables and label tests
 //     (both error-free) are left to applyReady, and the first conjunct
 //     that may error stops the walk — nothing after it pre-filters.
-func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName string, conjs []*conjunct) []*boundPred {
-	if ab := c.ev.ablation; ab.NoPropColumns || ab.NoPushdown || len(conjs) == 0 {
-		return nil
+func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, conjs []*conjunct, compiled func(*conjunct) *colPred) (picked []*conjunct, preds []*colPred) {
+	if ab.NoPropColumns || ab.NoPushdown || len(conjs) == 0 {
+		return nil, nil
 	}
 	for _, ps := range np.Props {
 		if ps.Mode == ast.PropFilter {
-			return nil
+			return nil, nil
 		}
 	}
 	schema := map[string]bool{varName: true}
@@ -424,7 +454,6 @@ func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName
 			schema[ps.Var] = true
 		}
 	}
-	var preds []*boundPred
 	for _, cj := range conjs {
 		if cj.applied || !cj.pushable {
 			continue
@@ -444,16 +473,54 @@ func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName
 		if _, isLabel := cj.expr.(*ast.LabelTest); isLabel {
 			continue // error-free; commutes with the prefilter
 		}
-		p := cj.colPred()
+		p := compiled(cj)
 		if p == nil {
 			break // may error: nothing after it may filter earlier
 		}
 		if p.v == varName && len(cj.vars) == 1 {
-			preds = append(preds, bindColPred(snap, p))
-			cj.applied = true
+			picked = append(picked, cj)
+			preds = append(preds, p)
 		}
 		// Compiled conjuncts on bind variables are error-free too;
 		// leave them to applyReady and keep walking.
 	}
+	return picked, preds
+}
+
+// scanPrefilter binds the scan's prefilter conjuncts to the snapshot
+// and marks them applied.
+func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName string, conjs []*conjunct) []*boundPred {
+	picked, ps := prefilterConjuncts(c.ev.ablation, np, varName, conjs,
+		func(cj *conjunct) *colPred { return cj.colPred(c.params) })
+	preds := make([]*boundPred, len(ps))
+	for i, p := range ps {
+		preds[i] = bindColPred(snap, p)
+		picked[i].applied = true
+	}
 	return preds
+}
+
+// seekCandidates narrows a node scan through the columns' equality
+// indexes: among the prefilter's `=` predicates it returns the shortest
+// posting list and that predicate's property key, or ok=false when no
+// predicate can seek (csr.PropCol.SeekEq decides, from the column and
+// constant kinds alone); builds counts the indexes this call had to
+// build. Postings are a superset of the ordinals the predicate accepts,
+// ascending like the label partitions, so a scan that takes them as its
+// candidates and still applies every test emits exactly the rows, in
+// exactly the order, of the scan it replaces.
+func seekCandidates(snap *csr.Snapshot, preds []*boundPred) (ords []int32, key string, builds int64, ok bool) {
+	for _, pr := range preds {
+		if pr.p.op != ast.OpEq || pr.node.col == nil {
+			continue
+		}
+		post, built, seekable := pr.node.col.SeekEq(pr.p.lit, snap.Strings())
+		if built {
+			builds++
+		}
+		if seekable && (!ok || len(post) < len(ords)) {
+			ords, key, ok = post, pr.p.key, true
+		}
+	}
+	return ords, key, builds, ok
 }

@@ -211,7 +211,7 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 			continue
 		}
 		if !c.ev.ablation.NoPropColumns {
-			if p := cj.colPred(); p != nil {
+			if p := cj.colPred(c.params); p != nil {
 				accels[i] = accel{pred: bindColPred(snap, p), slot: tbl.SlotOf(p.v)}
 			}
 		}
@@ -319,7 +319,7 @@ func (c *evalCtx) residualFilter(conjs []*conjunct, tbl *bindings.Table, env *en
 	if !c.ev.ablation.NoPropColumns && env.constructed == nil && len(env.graphs) > 0 {
 		snap := c.snapOf(env.graphs[0])
 		for i, cj := range rest {
-			if p := cj.colPred(); p != nil {
+			if p := cj.colPred(c.params); p != nil {
 				preds[i] = bindColPred(snap, p)
 				slots[i] = tbl.SlotOf(p.v)
 			}

@@ -823,8 +823,8 @@ func acctSlice[T any](prev, ns []T, info *BuildInfo) {
 // are semantically interchangeable, tolerating the layout differences
 // a delta apply legitimately introduces (retained-but-empty labels,
 // columns demoted to overflow, all-absent columns, unsorted interner
-// extensions). It also self-checks each snapshot's typed payloads
-// against its mirrored sets. Test oracle for the incremental path.
+// extensions). It also validates each snapshot (Validate). Test oracle
+// for the incremental path.
 func Equivalent(a, b *Snapshot) error {
 	if err := selfCheck(a); err != nil {
 		return fmt.Errorf("first snapshot: %w", err)
@@ -935,12 +935,19 @@ func colsEquivalent(a, b *Snapshot, count int, node bool) error {
 	return nil
 }
 
-// selfCheck verifies a snapshot's internal consistency: typed column
-// payloads must agree with the mirrored sets, and string identifiers
-// must resolve through the interner to the mirrored string.
+// Validate verifies the snapshot's internal consistency: typed column
+// payloads must agree with the mirrored sets, string identifiers must
+// resolve through the interner to the mirrored string, and every
+// equality index built so far must equal a from-scratch build of its
+// column.
+func (s *Snapshot) Validate() error { return selfCheck(s) }
+
 func selfCheck(s *Snapshot) error {
 	check := func(cols map[string]*PropCol, count int, what string) error {
 		for key, c := range cols {
+			if err := c.checkEqIndex(); err != nil {
+				return fmt.Errorf("%s column %q: %w", what, key, err)
+			}
 			if c.kind == ColOverflow {
 				continue
 			}

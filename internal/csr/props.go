@@ -2,6 +2,8 @@ package csr
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gcore/internal/ppg"
 	"gcore/internal/value"
@@ -123,6 +125,12 @@ type PropCol struct {
 	floats  []float64     // ColFloat
 	strs    []int32       // ColString: interned identifiers
 	bools   []uint64      // ColBool: payload bitmap
+
+	// Equality index (eqindex.go): built on the first seek, immutable
+	// once published, shared with every later snapshot version that
+	// shares this column.
+	eqMu sync.Mutex
+	eq   atomic.Pointer[eqIndex]
 }
 
 // Kind reports the column's typed representation (ColOverflow: none).

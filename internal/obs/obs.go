@@ -91,7 +91,8 @@ type Span struct {
 	Pops     int64
 	Arrivals int64
 
-	Indexed bool // scan used the label index (vs. full node scan)
+	Indexed bool   // scan used the label index (vs. full node scan)
+	Seek    string // scan took its candidates from this property's equality index
 	Err     bool
 
 	Elapsed time.Duration
@@ -136,6 +137,8 @@ type Collector struct {
 	resultsUsed  atomic.Int64
 	propColHits  atomic.Int64
 	propColFalls atomic.Int64
+	propIdxSeeks atomic.Int64
+	propIdxBuild atomic.Int64
 
 	planHits      atomic.Int64
 	planMisses    atomic.Int64
@@ -175,6 +178,8 @@ func (c *Collector) Reset(h TraceHandler) {
 	c.resultsUsed.Store(0)
 	c.propColHits.Store(0)
 	c.propColFalls.Store(0)
+	c.propIdxSeeks.Store(0)
+	c.propIdxBuild.Store(0)
 	c.planHits.Store(0)
 	c.planMisses.Store(0)
 	c.planCompileNS.Store(0)
@@ -290,6 +295,21 @@ func (c *Collector) PropColEvent(hits, falls int64) {
 	}
 }
 
+// PropIndexEvent records one node scan's use of the property columns'
+// equality indexes: whether it took its candidates from one (a seek),
+// and how many indexes it had to build on the way.
+func (c *Collector) PropIndexEvent(seek bool, builds int64) {
+	if c == nil {
+		return
+	}
+	if seek {
+		c.propIdxSeeks.Add(1)
+	}
+	if builds != 0 {
+		c.propIdxBuild.Add(builds)
+	}
+}
+
 // RecordBudget adds the governor's consumed budget for one statement.
 // The counters are nonzero only when the corresponding limit is set:
 // the governor deliberately skips its atomics when unlimited, so the
@@ -368,6 +388,15 @@ func (sp *ActiveSpan) Indexed(used bool) *ActiveSpan {
 	return sp
 }
 
+// Seek records the property key whose equality index supplied a scan's
+// candidates ("" when it did not seek).
+func (sp *ActiveSpan) Seek(key string) *ActiveSpan {
+	if sp != nil {
+		sp.span.Seek = key
+	}
+	return sp
+}
+
 // Frontier records kernel frontier counters: pops from the search
 // frontier and arrivals pushed onto it.
 func (sp *ActiveSpan) Frontier(pops, arrivals int64) *ActiveSpan {
@@ -423,6 +452,8 @@ type Mark struct {
 	results   int64
 	propHits  int64
 	propFalls int64
+	idxSeeks  int64
+	idxBuilds int64
 
 	planHits    int64
 	planMisses  int64
@@ -454,6 +485,8 @@ func (c *Collector) Mark() Mark {
 		results:     c.resultsUsed.Load(),
 		propHits:    c.propColHits.Load(),
 		propFalls:   c.propColFalls.Load(),
+		idxSeeks:    c.propIdxSeeks.Load(),
+		idxBuilds:   c.propIdxBuild.Load(),
 		planHits:    c.planHits.Load(),
 		planMisses:  c.planMisses.Load(),
 		planCompile: c.planCompileNS.Load(),
@@ -511,6 +544,12 @@ type Stats struct {
 	PropColHits      int64
 	PropColFallbacks int64
 
+	// Equality-index activity of node scans: scans that took their
+	// candidates from a property column's value index, and indexes
+	// built (first seek of a column version).
+	PropIndexSeeks  int64
+	PropIndexBuilds int64
+
 	PlanCacheHits    int64
 	PlanCacheMisses  int64
 	PlanCacheCompile time.Duration
@@ -554,6 +593,8 @@ func (c *Collector) Since(m Mark) Stats {
 	st.ResultsUsed = c.resultsUsed.Load() - m.results
 	st.PropColHits = c.propColHits.Load() - m.propHits
 	st.PropColFallbacks = c.propColFalls.Load() - m.propFalls
+	st.PropIndexSeeks = c.propIdxSeeks.Load() - m.idxSeeks
+	st.PropIndexBuilds = c.propIdxBuild.Load() - m.idxBuilds
 	st.PlanCacheHits = c.planHits.Load() - m.planHits
 	st.PlanCacheMisses = c.planMisses.Load() - m.planMisses
 	st.PlanCacheCompile = time.Duration(c.planCompileNS.Load() - m.planCompile)

@@ -13,7 +13,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil collector Start = %v, want nil", sp)
 	}
 	// Every chainable method must tolerate the nil span.
-	sp.SetLabel("x").Rows(1, 2).Indexed(true).Frontier(3, 4).End()
+	sp.SetLabel("x").Rows(1, 2).Indexed(true).Seek("k").Frontier(3, 4).End()
 	sp.Fail()
 	if sp.Verbose() {
 		t.Fatal("nil span reports verbose")
@@ -21,6 +21,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.NFAEvent(true)
 	c.CSREvent(false)
 	c.RecordBudget(1, 2)
+	c.PropIndexEvent(true, 1)
 	c.EnterSub()
 	c.ExitSub()
 	c.SetHandler(nil)
@@ -41,7 +42,7 @@ func TestSpanRecording(t *testing.T) {
 	sp.SetLabel("node scan (x:Person)").Rows(0, 42).Indexed(true).End()
 
 	c.EnterSub()
-	c.Start(OpScan).Rows(0, 7).End()
+	c.Start(OpScan).Rows(7, 7).Seek("pid").End()
 	c.ExitSub()
 
 	c.Start(OpShortest).Frontier(10, 25).Rows(3, 5).Fail()
@@ -52,6 +53,9 @@ func TestSpanRecording(t *testing.T) {
 	}
 	if spans[0].Label != "node scan (x:Person)" || !spans[0].Indexed || spans[0].RowsOut != 42 {
 		t.Fatalf("scan span = %+v", spans[0])
+	}
+	if spans[0].Seek != "" || spans[1].Seek != "pid" || spans[1].RowsIn != 7 {
+		t.Fatalf("seek spans = %+v, %+v", spans[0], spans[1])
 	}
 	if spans[0].Depth != 0 || spans[1].Depth != 1 {
 		t.Fatalf("depths = %d, %d; want 0, 1", spans[0].Depth, spans[1].Depth)
@@ -73,11 +77,14 @@ func TestMarkSinceWindows(t *testing.T) {
 	c := NewCollector()
 	c.Start(OpScan).Rows(0, 5).End()
 	c.NFAEvent(false)
+	c.PropIndexEvent(true, 1)
 	m := c.Mark()
 	c.Start(OpScan).Rows(5, 3).End()
 	c.NFAEvent(true)
 	c.CSREvent(true)
 	c.RecordBudget(100, 9)
+	c.PropIndexEvent(true, 0)
+	c.PropIndexEvent(false, 2)
 
 	st := c.Since(m)
 	if st.Op(OpScan).Count != 1 || st.Op(OpScan).RowsOut != 3 {
@@ -88,6 +95,9 @@ func TestMarkSinceWindows(t *testing.T) {
 	}
 	if st.FrontierUsed != 100 || st.ResultsUsed != 9 {
 		t.Fatalf("windowed budget = %+v", st)
+	}
+	if st.PropIndexSeeks != 1 || st.PropIndexBuilds != 2 {
+		t.Fatalf("windowed index stats = %d seeks, %d builds", st.PropIndexSeeks, st.PropIndexBuilds)
 	}
 	if got := len(c.SpansSince(m)); got != 1 {
 		t.Fatalf("SpansSince = %d spans, want 1", got)
@@ -103,12 +113,13 @@ func TestResetClearsEverything(t *testing.T) {
 	c := NewCollector()
 	c.Start(OpJoin).Rows(4, 2).End()
 	c.NFAEvent(true)
+	c.PropIndexEvent(true, 1)
 	c.EnterSub()
 	c.Reset(nil)
 	if c.verbose.Load() {
 		t.Fatal("Reset(nil) should disable verbose")
 	}
-	if st := c.Stats(); st.Op(OpJoin).Count != 0 || st.NFAHits != 0 {
+	if st := c.Stats(); st.Op(OpJoin).Count != 0 || st.NFAHits != 0 || st.PropIndexSeeks != 0 || st.PropIndexBuilds != 0 {
 		t.Fatalf("stats after reset = %+v", st)
 	}
 	if c.Start(OpScan).Verbose() {
@@ -204,6 +215,8 @@ func TestRegistryObserveSnapshot(t *testing.T) {
 	c.Start(OpScan).Rows(0, 10).End()
 	c.Start(OpReach).Frontier(5, 12).Rows(0, 4).End()
 	c.NFAEvent(false)
+	c.PropIndexEvent(true, 1)
+	c.PropIndexEvent(true, 0)
 	r.Observe(c.Stats(), nil)
 	r.Observe(Stats{}, errors.New("boom"))
 
@@ -221,6 +234,9 @@ func TestRegistryObserveSnapshot(t *testing.T) {
 	}
 	if m.NFACacheMisses != 1 {
 		t.Fatalf("nfa misses = %d", m.NFACacheMisses)
+	}
+	if m.PropIndexSeeks != 2 || m.PropIndexBuilds != 1 {
+		t.Fatalf("index seeks/builds = %d/%d", m.PropIndexSeeks, m.PropIndexBuilds)
 	}
 	if _, present := m.Operators["join"]; present {
 		t.Fatal("zero-count operator exported")

@@ -26,6 +26,8 @@ type Registry struct {
 	snapCopied   atomic.Int64
 	frontierUsed atomic.Int64
 	resultsUsed  atomic.Int64
+	propIdxSeeks atomic.Int64
+	propIdxBuild atomic.Int64
 }
 
 type opCounters struct {
@@ -74,6 +76,8 @@ func (r *Registry) Observe(st Stats, err error) {
 	r.snapCopied.Add(st.SnapshotBytesCopied)
 	r.frontierUsed.Add(st.FrontierUsed)
 	r.resultsUsed.Add(st.ResultsUsed)
+	r.propIdxSeeks.Add(st.PropIndexSeeks)
+	r.propIdxBuild.Add(st.PropIndexBuilds)
 }
 
 // OpMetrics is the exported aggregate for one operator class.
@@ -118,6 +122,12 @@ type Metrics struct {
 	SnapshotDeltaOps     int64 `json:"snapshot_delta_ops,omitempty"`
 	SnapshotBytesShared  int64 `json:"snapshot_bytes_shared,omitempty"`
 	SnapshotBytesCopied  int64 `json:"snapshot_bytes_copied,omitempty"`
+
+	// Equality seeks: node scans whose candidates came from a property
+	// column's value index, and the indexes built for them (one per
+	// sought column per snapshot version that rewrote it).
+	PropIndexSeeks  int64 `json:"prop_index_seeks"`
+	PropIndexBuilds int64 `json:"prop_index_builds"`
 
 	// Plan-cache lifetime counters. These are not fed through Observe:
 	// the cache outlives statements, so the engine fills them from the
@@ -179,5 +189,7 @@ func (r *Registry) Snapshot() Metrics {
 	m.SnapshotBytesCopied = r.snapCopied.Load()
 	m.FrontierUsed = r.frontierUsed.Load()
 	m.ResultsUsed = r.resultsUsed.Load()
+	m.PropIndexSeeks = r.propIdxSeeks.Load()
+	m.PropIndexBuilds = r.propIdxBuild.Load()
 	return m
 }

@@ -199,6 +199,10 @@ type execRequest struct {
 	Handle    string                 `json:"handle"`
 	Params    map[string]gcore.Value `json:"params,omitempty"`
 	TimeoutMS int64                  `json:"timeout_ms,omitempty"`
+	// Explain selects plan output as on /query: "plan" renders the
+	// prepared statement's static plan, "analyze" executes it with
+	// Params and annotates the plan with what that execution did.
+	Explain string `json:"explain,omitempty"`
 }
 
 type errorResponse struct {
@@ -289,12 +293,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	case "analyze":
 		var plan string
-		plan, err = sess.ExplainAnalyzeContext(ctx, req.Query)
+		plan, err = sess.ExplainAnalyzeParamsContext(ctx, req.Query, req.Params)
 		if err == nil {
 			results = []*gcore.Result{{Plan: plan}}
 		}
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown explain mode %q (want \"plan\" or \"analyze\")", req.Explain), "")
+		writeUnknownExplain(w, req.Explain)
 		return
 	}
 	elapsed := time.Since(start)
@@ -347,7 +351,25 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.withTimeout(r.Context(), req.TimeoutMS)
 	defer cancel()
 	start := time.Now()
-	res, err := p.EvalContext(ctx, req.Params)
+	var res *gcore.Result
+	var err error
+	switch req.Explain {
+	case "":
+		res, err = p.EvalContext(ctx, req.Params)
+	case "plan":
+		var plan string
+		if plan, err = live.sess.ExplainContext(ctx, p.Text()); err == nil {
+			res = &gcore.Result{Plan: plan}
+		}
+	case "analyze":
+		var plan string
+		if plan, err = p.ExplainAnalyzeContext(ctx, req.Params); err == nil {
+			res = &gcore.Result{Plan: plan}
+		}
+	default:
+		writeUnknownExplain(w, req.Explain)
+		return
+	}
 	elapsed := time.Since(start)
 	s.logSlow(p.Text(), req.Session, elapsed)
 	if err != nil {
@@ -466,6 +488,10 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func writeError(w http.ResponseWriter, status int, msg, kind string) {
 	writeJSON(w, status, errorResponse{Error: msg, Kind: kind})
+}
+
+func writeUnknownExplain(w http.ResponseWriter, mode string) {
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown explain mode %q (want \"plan\" or \"analyze\")", mode), "")
 }
 
 // writeQueryError maps a governed evaluation failure onto an HTTP

@@ -210,6 +210,83 @@ func TestExplainModes(t *testing.T) {
 	}
 }
 
+// planOf extracts the single plan string of an explain response.
+func planOf(t *testing.T, resp *http.Response, out map[string]any) string {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %v", resp.StatusCode, out)
+	}
+	return out["results"].([]any)[0].(map[string]any)["plan"].(string)
+}
+
+// EXPLAIN ANALYZE over /query executes with the request's bindings,
+// like a plain evaluation of the same request.
+func TestExplainAnalyzeQueryParams(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, out := postJSON(t, ts.URL+"/query", map[string]any{
+		"query":   "SELECT n.lastName MATCH (n:Person) ON social_graph WHERE n.firstName = $name",
+		"params":  map[string]any{"name": "John"},
+		"explain": "analyze",
+	})
+	plan := planOf(t, resp, out)
+	for _, want := range []string{"(n.firstName = $name) [col]", "[seek firstName]", "value index firstName", "executed:"} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan misses %q:\n%s", want, plan)
+		}
+	}
+}
+
+// /exec takes the same explain modes as /query. "analyze" shows what
+// the given binding did: a string binding seeks the firstName index, an
+// integer one cannot (the kinds never compare equal) and scans the
+// label partition.
+func TestExecExplain(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, out := postJSON(t, ts.URL+"/session", map[string]any{"graph": "social_graph"})
+	sid := out["session"].(string)
+	_, out = postJSON(t, ts.URL+"/prepare", map[string]any{
+		"session": sid,
+		"query":   "SELECT n.lastName MATCH (n:Person) WHERE n.firstName = $name",
+	})
+	handle := out["handle"].(string)
+	exec := func(mode string, name any) (*http.Response, map[string]any) {
+		return postJSON(t, ts.URL+"/exec", map[string]any{
+			"session": sid, "handle": handle, "explain": mode,
+			"params": map[string]any{"name": name},
+		})
+	}
+
+	resp, out := exec("plan", "John")
+	if plan := planOf(t, resp, out); !strings.Contains(plan, "[seek firstName]") || strings.Contains(plan, "actual rows") {
+		t.Errorf("static plan should mark the seek and carry no measurements:\n%s", plan)
+	}
+	resp, out = exec("analyze", "John")
+	if plan := planOf(t, resp, out); !strings.Contains(plan, "actual rows=1→1") || !strings.Contains(plan, "value index firstName") {
+		t.Errorf("string binding should seek one candidate:\n%s", plan)
+	}
+	resp, out = exec("analyze", 7)
+	if plan := planOf(t, resp, out); !strings.Contains(plan, "label index") || strings.Contains(plan, "value index") {
+		t.Errorf("integer binding should scan the label partition:\n%s", plan)
+	}
+	resp, out = exec("verbose", "John")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"].(string), "unknown explain mode") {
+		t.Errorf("unknown mode = %d %v, want 400 unknown explain mode", resp.StatusCode, out)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m["prop_index_seeks"] != float64(1) || m["prop_index_builds"] != float64(1) {
+		t.Errorf("metrics seeks/builds = %v/%v, want 1/1", m["prop_index_seeks"], m["prop_index_builds"])
+	}
+}
+
 func TestTimeoutMapped(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxTimeout: time.Nanosecond})
 	resp, out := postJSON(t, ts.URL+"/query", map[string]any{

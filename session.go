@@ -176,7 +176,15 @@ func (s *Session) ExplainContext(ctx context.Context, src string) (string, error
 // configuration and renders the annotated plan (see
 // Engine.ExplainAnalyzeContext).
 func (s *Session) ExplainAnalyzeContext(ctx context.Context, src string) (string, error) {
-	plan, err := s.eng.explainAnalyzeSrc(ctx, src, nil, s.opts())
+	return s.ExplainAnalyzeParamsContext(ctx, src, nil)
+}
+
+// ExplainAnalyzeParamsContext is ExplainAnalyzeContext with $name
+// parameter bindings: the annotated plan of exactly the execution
+// EvalParamsContext would run, so it shows what these bindings did —
+// which scan took a value index, which conjuncts ran columnar.
+func (s *Session) ExplainAnalyzeParamsContext(ctx context.Context, src string, params map[string]Value) (string, error) {
+	plan, err := s.eng.explainAnalyzeSrc(ctx, src, params, s.opts())
 	s.boundary()
 	return plan, err
 }
