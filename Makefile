@@ -4,8 +4,9 @@
 
 # Packages with guarded hot-path benchmarks: the root suite (MATCH,
 # paths, construction), the binding-table operators, the CSR snapshot
-# maintenance path, and the write-ahead log append path.
-BENCH_PKGS := . ./internal/bindings ./internal/csr ./internal/obs ./internal/wal
+# maintenance path, the path-search kernels, and the write-ahead log
+# append path.
+BENCH_PKGS := . ./internal/bindings ./internal/csr ./internal/obs ./internal/rpq ./internal/wal
 
 all: build test
 
@@ -49,12 +50,12 @@ benchcmp:
 # Regression guard over the committed baseline: allocation regressions
 # beyond 20% on the guarded hot-path benchmarks (joins, parallel
 # match, columnar scans, plan-cache and prepared-eval paths, prepared
-# point lookups, incremental snapshot maintenance, WAL append and group
-# commit) fail,
+# point lookups, path patterns and the k-shortest kernel, incremental
+# snapshot maintenance, WAL append and group commit) fail,
 # timing regressions warn (allocs/op is machine-independent, ns/op is
 # not). CI calls this target, so the list lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:

@@ -375,7 +375,7 @@ func BenchmarkCSRShortest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				total += len(res)
+				total += res.Len()
 			}
 			if total == 0 {
 				b.Fatal("no paths found")
@@ -488,21 +488,14 @@ ORDER BY name`)
 // the same — a parameter is a constant.
 func BenchmarkPreparedPoint(b *testing.B) {
 	eng := gcore.NewEngine()
-	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
+	social := registerSNBWithPids(b, eng)
 	var employer string
-	for pid, id := range social.NodesWithLabel("Person") {
+	for _, id := range social.NodesWithLabel("Person") {
 		n, _ := social.Node(id)
-		p := n.Props.Clone()
-		p.Set("pid", gcore.Int(int64(pid)))
-		if err := social.SetNodeProps(id, p); err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := p.Get("employer").Singleton(); ok && employer == "" {
+		if v, ok := n.Props.Get("employer").Singleton(); ok {
 			employer, _ = v.AsString()
+			break
 		}
-	}
-	if err := eng.RegisterGraph(social); err != nil {
-		b.Fatal(err)
 	}
 	for _, c := range []struct {
 		name, src, param string
@@ -532,6 +525,53 @@ func BenchmarkPreparedPoint(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Eval(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// registerSNBWithPids registers SNB-2000 on eng with a dense integer
+// pid stamped on every Person in NodesWithLabel order, the single-source
+// handle of the end-to-end benchmark's dataset.
+func registerSNBWithPids(b *testing.B, eng *gcore.Engine) *gcore.Graph {
+	b.Helper()
+	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
+	for pid, id := range social.NodesWithLabel("Person") {
+		n, _ := social.Node(id)
+		p := n.Props.Clone()
+		p.Set("pid", gcore.Int(int64(pid)))
+		if err := social.SetNodeProps(id, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.RegisterGraph(social); err != nil {
+		b.Fatal(err)
+	}
+	return social
+}
+
+// BenchmarkPathPattern measures the three statement shapes of the
+// end-to-end path_analytics workload in process, on SNB-2000 from one
+// fixed source: reachability projected to a table, three shortest walks
+// per destination behind a destination filter stored with their cost,
+// and one stored shortest walk per reached node. The statements repeat
+// verbatim, so every iteration after the first is a plan-cache hit, as
+// in the workload.
+func BenchmarkPathPattern(b *testing.B) {
+	eng := gcore.NewEngine()
+	registerSNBWithPids(b, eng)
+	const src = 42
+	for _, c := range []struct{ name, query string }{
+		{"reach", fmt.Sprintf(`SELECT m.pid AS pid MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.pid = %d ORDER BY pid`, src)},
+		{"shortest3", fmt.Sprintf(`CONSTRUCT (n)-/@p:sp {distance := c}/->(m) MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.pid = %d AND m.lastName = 'Doe'`, src)},
+		{"stored_path", fmt.Sprintf(`CONSTRUCT (n)-/@p:sp/->(m) MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.pid = %d`, src)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Eval(c.query); err != nil {
 					b.Fatal(err)
 				}
 			}

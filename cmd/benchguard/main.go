@@ -35,6 +35,10 @@ func main() {
 	// $parameter that stops compiling into a column predicate (or stops
 	// seeking the value index) materialises the whole label partition
 	// again, a 10× allocation jump on its /param cases.
+	// BenchmarkPathPattern and BenchmarkKShortest guard implicit walks:
+	// a k-shortest search that reconstructs every walk it keeps, or a
+	// path step that builds rows or walks for destinations its filter
+	// drops, multiplies their allocations.
 	// BenchmarkWALAppend guards the per-record durability overhead:
 	// every graph mutation pays one append, so an allocation creep
 	// here taxes every write; BenchmarkWALGroupCommit the contended
@@ -46,7 +50,7 @@ func main() {
 	// BenchmarkConcurrentRead guards the reader path under the
 	// engine's read/write lock split: an allocation jump there means
 	// concurrent readers stopped sharing snapshots.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit", "comma-separated benchmark name prefixes to guard")
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

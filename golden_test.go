@@ -146,6 +146,18 @@ WHERE p.anchor = TRUE ORDER BY f`,
 	// A property no node defines at all: no column exists.
 	`SELECT p.firstName AS f MATCH (p:Person)
 WHERE p.nickname = 'none' ORDER BY f`,
+
+	// The three path_analytics statement shapes of the end-to-end
+	// benchmark, single-source from the anchor: reachability, 3-shortest
+	// walks behind a destination filter, and one stored shortest walk per
+	// reached node. They pin which destinations the filter keeps and the
+	// path identifiers minted for them, on both executions.
+	`SELECT id(m) AS id, m.lastName AS l
+MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.anchor = TRUE ORDER BY id`,
+	`CONSTRUCT (n)-/@p:sp {distance := c}/->(m)
+MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`,
+	`CONSTRUCT (n)-/@p:sp/->(m)
+MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.anchor = TRUE`,
 }
 
 // goldenBudgetCases trip a resource budget at a fixed logical point;

@@ -139,8 +139,12 @@ func writeAnalyzeFooter(sb *strings.Builder, st obs.Stats) {
 		if os.Count == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s ×%d (pops %d, arrivals %d, time %s)",
-			k.name, os.Count, os.Pops, os.Arrivals, fmtElapsed(os.Elapsed)))
+		part := fmt.Sprintf("%s ×%d (pops %d, arrivals %d, time %s", k.name, os.Count, os.Pops, os.Arrivals, fmtElapsed(os.Elapsed))
+		if k.op == obs.OpShortest {
+			// Kept walks stay implicit until a query dereferences them.
+			part += fmt.Sprintf(", walks %d built of %d", st.WalksBuilt, st.WalksFound)
+		}
+		parts = append(parts, part+")")
 	}
 	if len(parts) > 0 {
 		fmt.Fprintf(sb, "path kernels: %s\n", strings.Join(parts, "; "))

@@ -400,8 +400,8 @@ func (c *evalCtx) findElementData(graphs []*ppg.Graph, ref value.Value) (ppg.Lab
 				return p.Labels, p.Props, true
 			}
 		}
-		if tp, ok := c.tempPaths[ppg.PathID(id)]; ok {
-			return tp.path.Labels, tp.path.Props, true
+		if c.tempPathOf(ref) != nil {
+			return nil, nil, true // computed paths carry no labels or properties
 		}
 	}
 	return nil, nil, false
@@ -651,11 +651,10 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			pobj       *ppg.Path
 			srcGraph   *ppg.Graph
 			projection bool
-			cost       float64
 			isTemp     bool
 		)
-		if tp, ok := c.tempPaths[ppg.PathID(pid)]; ok {
-			pobj, srcGraph, projection, cost, isTemp = tp.path, tp.src, tp.projection, tp.cost, true
+		if tp := c.tempPathOf(ref); tp != nil {
+			pobj, srcGraph, projection, isTemp = tp.walk(), tp.src, tp.projection, true
 		} else {
 			for _, g := range graphs {
 				if p, ok := g.Path(ppg.PathID(pid)); ok {
@@ -667,7 +666,6 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if pobj == nil {
 			return errf("path #%d is not visible in the matched graphs", pid)
 		}
-		_ = cost
 
 		// Copy constituents into the item graph.
 		for _, nid := range pobj.Nodes {

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gcore/internal/ast"
@@ -216,12 +217,58 @@ func (s *scope) lookupPath(name string) (*ast.PathClause, bool) {
 
 // tempPath is a computed (not yet stored) path bound during MATCH: a
 // fresh path identifier associated with a walk of some source graph
-// (§A.2, the x –w in r→ y case), or an ALL-paths projection.
+// (§A.2, the x –w in r→ y case), or an ALL-paths projection. A walk
+// stays in the form the k-shortest search found it — accepted arrival
+// arr of res, stored against the arrow when reversed — until an
+// expression or CONSTRUCT reads its nodes or edges (walk). Computed
+// paths carry no labels and no properties.
 type tempPath struct {
-	path       *ppg.Path
+	id         ppg.PathID
 	src        *ppg.Graph
 	projection bool
-	cost       float64
+	cost       float64 // cost(p); 0 for a projection
+	length     int     // number of edges
+
+	res      *rpq.Shortest
+	arr      int32
+	reversed bool
+	col      *obs.Collector // counts the walks built
+
+	once sync.Once
+	path *ppg.Path // a projection's from the start; a walk's once built
+}
+
+// walk returns the path's node and edge sequences, building a
+// k-shortest walk on first use. Pushed-down filters evaluate row
+// chunks concurrently and several rows may hold one path, hence the
+// sync.Once.
+func (tp *tempPath) walk() *ppg.Path {
+	if tp.projection {
+		return tp.path
+	}
+	tp.once.Do(func() {
+		w := tp.res.Walk(tp.arr)
+		if tp.reversed {
+			// The search ran against the arrow (from the pattern's left
+			// node with a reversed regex); δ(w) reads in the arrow's
+			// direction, from µ(x) to µ(y).
+			slices.Reverse(w.Nodes)
+			slices.Reverse(w.Edges)
+		}
+		tp.path = &ppg.Path{ID: tp.id, Nodes: w.Nodes, Edges: w.Edges}
+		tp.res = nil // the search result is garbage once its walks are built
+		tp.col.WalkBuilt()
+	})
+	return tp.path
+}
+
+// tempPathOf returns the computed path a path reference names, or nil.
+func (c *evalCtx) tempPathOf(ref value.Value) *tempPath {
+	if ref.Kind() != value.KindPath {
+		return nil
+	}
+	id, _ := ref.RefID()
+	return c.tempPaths[ppg.PathID(id)]
 }
 
 // nfaKey identifies a compiled automaton: the regex node of the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"gcore/internal/ast"
@@ -423,7 +424,8 @@ func seekKeys(ab Ablation, np *ast.NodePattern, conjs []*conjunct) []string {
 	if np.Var == "" {
 		return nil
 	}
-	_, preds := prefilterConjuncts(ab, np, np.Var, conjs, staticColPred)
+	schema := appendBindVars([]string{np.Var}, np.Props)
+	_, preds := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, staticColPred)
 	var keys []string
 	for _, p := range preds {
 		if p.op == ast.OpEq {

@@ -117,12 +117,8 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 	if found {
 		return out, true
 	}
-	if ref.Kind() == value.KindPath {
-		if id, ok := ref.RefID(); ok {
-			if tp, ok := e.c.tempPaths[ppg.PathID(id)]; ok {
-				return tp.path.Labels, true
-			}
-		}
+	if e.c.tempPathOf(ref) != nil {
+		return nil, true // computed paths carry no labels
 	}
 	return nil, false
 }
@@ -167,22 +163,15 @@ func (e *env) lookupProp(ref value.Value, key string) value.Value {
 	if found {
 		return out
 	}
-	if ref.Kind() == value.KindPath {
-		if id, ok := ref.RefID(); ok {
-			if tp, ok := e.c.tempPaths[ppg.PathID(id)]; ok {
-				return tp.path.Props.Get(key)
-			}
-		}
-	}
-	return value.EmptySet
+	return value.EmptySet // also for computed paths, which carry no properties
 }
 
-// lookupPathElements resolves nodes()/edges() for stored and temp
-// paths.
-func (e *env) lookupPathElements(ref value.Value) (*ppg.Path, bool) {
+// lookupPath resolves a path reference to a stored path of a graph in
+// scope or, failing that, to a computed path of this statement.
+func (e *env) lookupPath(ref value.Value) (*ppg.Path, *tempPath) {
 	id, ok := ref.RefID()
 	if !ok || ref.Kind() != value.KindPath {
-		return nil, false
+		return nil, nil
 	}
 	var out *ppg.Path
 	e.allGraphs(func(g *ppg.Graph) bool {
@@ -193,12 +182,19 @@ func (e *env) lookupPathElements(ref value.Value) (*ppg.Path, bool) {
 		return true
 	})
 	if out != nil {
-		return out, true
+		return out, nil
 	}
-	if tp, ok := e.c.tempPaths[ppg.PathID(id)]; ok {
-		return tp.path, true
+	return nil, e.c.tempPathOf(ref)
+}
+
+// lookupPathElements resolves nodes()/edges() for stored and computed
+// paths — the point where a computed walk gets built.
+func (e *env) lookupPathElements(ref value.Value) (*ppg.Path, bool) {
+	p, tp := e.lookupPath(ref)
+	if tp != nil {
+		p = tp.walk()
 	}
-	return nil, false
+	return p, p != nil
 }
 
 // eval evaluates an expression under the environment. Unbound
@@ -421,8 +417,11 @@ func (e *env) evalFunc(n *ast.FuncCall) (value.Value, error) {
 			return value.Null, err
 		}
 		if args[0].Kind() == value.KindPath {
-			if p, ok := e.lookupPathElements(args[0]); ok {
+			switch p, tp := e.lookupPath(args[0]); {
+			case p != nil:
 				return value.Int(int64(p.Length())), nil
+			case tp != nil:
+				return value.Int(int64(tp.length)), nil
 			}
 		}
 		if l := args[0].Len(); l >= 0 {
@@ -433,14 +432,13 @@ func (e *env) evalFunc(n *ast.FuncCall) (value.Value, error) {
 		if err := need(1); err != nil {
 			return value.Null, err
 		}
-		id, ok := args[0].RefID()
-		if !ok || args[0].Kind() != value.KindPath {
+		if args[0].Kind() != value.KindPath {
 			return value.Null, errf("cost expects a path")
 		}
-		if tp, ok := e.c.tempPaths[ppg.PathID(id)]; ok {
+		if tp := e.c.tempPathOf(args[0]); tp != nil {
 			return value.Float(tp.cost), nil
 		}
-		if p, ok := e.lookupPathElements(args[0]); ok {
+		if p, _ := e.lookupPath(args[0]); p != nil {
 			return value.Int(int64(p.Length())), nil
 		}
 		return value.Null, nil

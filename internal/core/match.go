@@ -303,7 +303,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 			if sp.Verbose() {
 				sp.SetLabel(pathStepLabel(x, run.Nodes[i+1]))
 			}
-			tbl, err = c.extendPath(s, g, tbl, runNames.node[i], x, runNames.link[i], run.Nodes[i+1], runNames.node[i+1])
+			tbl, err = c.extendPath(s, g, tbl, runNames.node[i], x, runNames.link[i], run.Nodes[i+1], runNames.node[i+1], conjs)
 		}
 		if err != nil {
 			sp.Fail()
@@ -403,36 +403,6 @@ func (c *evalCtx) propsMatch(g *ppg.Graph, props ppg.Properties, specs []*ast.Pr
 	return true, nil
 }
 
-// bindProps unrolls binding entries ({employer=e}): one output row
-// per element of the property's value set; an absent property yields
-// no rows (§3: Peter, without employer, simply drops out).
-func bindProps(props ppg.Properties, specs []*ast.PropSpec, base bindings.Binding) []bindings.Binding {
-	rows := []bindings.Binding{base}
-	for _, ps := range specs {
-		if ps.Mode != ast.PropBind {
-			continue
-		}
-		vals := props.Get(ps.Key).Elems()
-		var next []bindings.Binding
-		for _, row := range rows {
-			for _, v := range vals {
-				if prev, bound := row[ps.Var]; bound {
-					if !value.Equal(prev, v) {
-						continue
-					}
-					next = append(next, row)
-					continue
-				}
-				nr := row.Clone()
-				nr[ps.Var] = v
-				next = append(next, nr)
-			}
-		}
-		rows = next
-	}
-	return rows
-}
-
 // propCombo is the columnar form of one PropBind spec: the output
 // slot to bind and the property's value set.
 type propCombo struct {
@@ -442,11 +412,11 @@ type propCombo struct {
 
 // appendCombos appends one dense row per combination of combo values
 // to dst, expanding depth-first in spec order (later specs vary
-// fastest) — the same emission order as the bindProps breadth
-// expansion. A pre-bound slot survives only when its value is a
-// member of the spec's (deduplicated) value set; an empty value set
-// drops the row (§3: an element without the property drops out).
-// scratch is restored on return.
+// fastest): binding entries ({employer=e}) unroll to one row per
+// element of the property's value set. A pre-bound slot survives only
+// when its value is a member of the spec's (deduplicated) value set;
+// an empty value set drops the row (§3: Peter, without employer,
+// simply drops out). scratch is restored on return.
 func appendCombos(dst []value.Value, scratch []value.Value, combos []propCombo) []value.Value {
 	if len(combos) == 0 {
 		return append(dst, scratch...)
@@ -466,6 +436,32 @@ func appendCombos(dst []value.Value, scratch []value.Value, combos []propCombo) 
 	}
 	scratch[cb.slot] = value.Absent
 	return dst
+}
+
+// hasCombo reports whether appendCombos would append at least one row.
+// scratch is restored on return.
+func hasCombo(scratch []value.Value, combos []propCombo) bool {
+	if len(combos) == 0 {
+		return true
+	}
+	cb := combos[0]
+	if prev := scratch[cb.slot]; !prev.IsAbsent() {
+		for _, v := range cb.vals {
+			if value.Equal(prev, v) {
+				return hasCombo(scratch, combos[1:])
+			}
+		}
+		return false
+	}
+	found := false
+	for _, v := range cb.vals {
+		scratch[cb.slot] = v
+		if found = hasCombo(scratch, combos[1:]); found {
+			break
+		}
+	}
+	scratch[cb.slot] = value.Absent
+	return found
 }
 
 // bindPlan precomputes the PropBind slots of a pattern element
@@ -521,7 +517,7 @@ func specsParallelSafe(specs []*ast.PropSpec) bool {
 // seek its column's equality index to a shorter list, from that
 // (scanCandidates). Label conjuncts are integer tests, WHERE conjuncts
 // compilable against the property columns run on the candidate
-// ordinals before any row is materialised (scanPrefilter), and only
+// ordinals before any row is materialised (prefilterPreds), and only
 // the remaining property checks touch the live ppg structs. Candidate
 // chunks are matched concurrently and merged in input order.
 func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, scanStat, error) {
@@ -529,17 +525,11 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 		return nil, scanStat{}, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
 	}
 	snap := c.snapOf(g)
-	vars := []string{varName}
-	for _, ps := range np.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	tbl := bindings.EmptyTable(vars...)
+	tbl := bindings.EmptyTable(appendBindVars([]string{varName}, np.Props)...)
 	varSlot := tbl.SlotOf(varName)
 	bp := newBindPlan(tbl, np.Props)
 	w := tbl.Width()
-	preds := c.scanPrefilter(snap, np, varName, conjs)
+	preds := c.prefilterPreds(snap, np, varName, tbl.HasVar, conjs)
 	ords, labelTests, stat := scanCandidates(snap, resolveSpec(snap, np.Labels), preds)
 	c.col.PropIndexEvent(stat.seekKey != "", stat.builds)
 	parts, err := c.mapSlabs(len(ords), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
@@ -599,20 +589,10 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	}
 	snap := c.snapOf(g)
 	vars := append(tbl.Vars(), edgeVar, rightVar)
-	for _, ps := range ep.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	for _, ps := range rightNp.Props {
-		if ps.Mode == ast.PropBind {
-			vars = append(vars, ps.Var)
-		}
-	}
-	out := bindings.EmptyTable(vars...)
+	out := bindings.EmptyTable(appendBindVars(appendBindVars(vars, ep.Props), rightNp.Props)...)
 	eSpec := resolveSpec(snap, ep.Labels)
 	nSpec := resolveSpec(snap, rightNp.Labels)
-	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep, rightNp)
+	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep.Props, rightNp)
 
 	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
 	parts, err := c.mapSlabs(tbl.Len(), safe, func(lo, hi int) ([]value.Value, error) {
@@ -642,7 +622,8 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 				}
 				// Pre-bound edge/node variables must agree.
 				other := snap.NodeID(otherOrd)
-				if !ex.agrees(row, uint64(e.ID), other) {
+				link := value.EdgeRef(uint64(e.ID))
+				if !ex.linkAgrees(row, link) || !ex.rightAgrees(row, other) {
 					return nil
 				}
 				if !nSpec.matchesNode(snap, otherOrd) {
@@ -652,7 +633,7 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 				if ok, err := c.propsMatch(g, on.Props, rightNp.Props); err != nil || !ok {
 					return err
 				}
-				combos = ex.fill(scratch, row, uint64(e.ID), uint64(other), e.Props, on.Props, combos)
+				combos = ex.fill(scratch, row, link, uint64(other), e.Props, on.Props, combos)
 				slab = appendCombos(slab, scratch, combos)
 				return nil
 			}
@@ -683,26 +664,27 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	return c.mergeSlabs(out, parts)
 }
 
-// extendPlan precomputes the slot arithmetic of one edge extension:
-// where the left/edge/right variables live in the input schema (for
-// pre-bound agreement checks), how input slots map into the output
-// schema, and the PropBind plans of the edge and right node.
+// extendPlan precomputes the slot arithmetic of one extension over a
+// link — an edge, or a path — to the next node: where the left, link
+// and right variables live in the input schema (for pre-bound
+// agreement checks), how input slots map into the output schema, and
+// the PropBind plans of the link and the right node.
 type extendPlan struct {
-	leftIn, edgeIn, rightIn int // input slots; -1 when not in the schema
-	edgeOut, rightOut       int
+	leftIn, linkIn, rightIn int // input slots; -1 when not in the schema
+	linkOut, rightOut       int // output slots; linkOut -1 for a reachability test
 	inToOut                 []int
-	edgeBind, rightBind     bindPlan
+	linkBind, rightBind     bindPlan
 }
 
-func newExtendPlan(in, out *bindings.Table, leftVar, edgeVar, rightVar string, ep *ast.EdgePattern, rightNp *ast.NodePattern) extendPlan {
+func newExtendPlan(in, out *bindings.Table, leftVar, linkVar, rightVar string, linkProps []*ast.PropSpec, rightNp *ast.NodePattern) extendPlan {
 	x := extendPlan{
 		leftIn:    in.SlotOf(leftVar),
-		edgeIn:    in.SlotOf(edgeVar),
+		linkIn:    in.SlotOf(linkVar),
 		rightIn:   in.SlotOf(rightVar),
-		edgeOut:   out.SlotOf(edgeVar),
+		linkOut:   out.SlotOf(linkVar),
 		rightOut:  out.SlotOf(rightVar),
 		inToOut:   make([]int, in.Width()),
-		edgeBind:  newBindPlan(out, ep.Props),
+		linkBind:  newBindPlan(out, linkProps),
 		rightBind: newBindPlan(out, rightNp.Props),
 	}
 	for s, v := range in.Vars() {
@@ -719,17 +701,22 @@ func (x extendPlan) left(row []value.Value) value.Value {
 	return row[x.leftIn]
 }
 
-// agrees checks pre-bound edge/right-node variables against the
-// candidate edge.
-func (x extendPlan) agrees(row []value.Value, edgeID uint64, other ppg.NodeID) bool {
-	if x.edgeIn >= 0 {
-		if prev := row[x.edgeIn]; !prev.IsAbsent() && !value.Equal(prev, value.EdgeRef(edgeID)) {
+// linkAgrees checks a pre-bound link variable against the candidate.
+func (x extendPlan) linkAgrees(row []value.Value, link value.Value) bool {
+	if x.linkIn >= 0 {
+		if prev := row[x.linkIn]; !prev.IsAbsent() && !value.Equal(prev, link) {
 			return false
 		}
 	}
+	return true
+}
+
+// rightAgrees checks a pre-bound right-node variable against the
+// candidate node.
+func (x extendPlan) rightAgrees(row []value.Value, other ppg.NodeID) bool {
 	if x.rightIn >= 0 {
 		if prev := row[x.rightIn]; !prev.IsAbsent() {
-			if pid, isNode := nodeOf(prev); !isNode || pid != other {
+			if id, isNode := nodeOf(prev); !isNode || id != other {
 				return false
 			}
 		}
@@ -737,18 +724,20 @@ func (x extendPlan) agrees(row []value.Value, edgeID uint64, other ppg.NodeID) b
 	return true
 }
 
-// fill prepares the output scratch row (input columns copied, edge and
-// right refs bound) and the bind combos for one accepted edge.
-func (x extendPlan) fill(scratch, row []value.Value, edgeID, otherID uint64, eProps, nProps ppg.Properties, combos []propCombo) []propCombo {
+// fill prepares the output scratch row (input columns copied, link and
+// right refs bound) and the bind combos for one accepted candidate.
+func (x extendPlan) fill(scratch, row []value.Value, link value.Value, otherID uint64, linkProps, nProps ppg.Properties, combos []propCombo) []propCombo {
 	for s := range scratch {
 		scratch[s] = value.Absent
 	}
 	for s, v := range row {
 		scratch[x.inToOut[s]] = v
 	}
-	scratch[x.edgeOut] = value.EdgeRef(edgeID)
+	if x.linkOut >= 0 {
+		scratch[x.linkOut] = link
+	}
 	scratch[x.rightOut] = value.NodeRef(otherID)
-	combos = x.edgeBind.addCombos(combos[:0], eProps)
+	combos = x.linkBind.addCombos(combos[:0], linkProps)
 	return x.rightBind.addCombos(combos, nProps)
 }
 

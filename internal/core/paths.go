@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
+	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/gov"
 	"gcore/internal/par"
@@ -195,8 +197,9 @@ func (c *evalCtx) pathElements(g *ppg.Graph, ref value.Value) ([]ppg.NodeID, []p
 	if p, ok := g.Path(ppg.PathID(id)); ok {
 		return p.Nodes, p.Edges, true
 	}
-	if tp, ok := c.tempPaths[ppg.PathID(id)]; ok {
-		return tp.path.Nodes, tp.path.Edges, true
+	if tp := c.tempPathOf(ref); tp != nil {
+		p := tp.walk()
+		return p.Nodes, p.Edges, true
 	}
 	return nil, nil, false
 }
@@ -298,450 +301,556 @@ type searchKey struct {
 	ni  int
 }
 
-// prefillSearches runs the path searches needed by extendPath's row
-// loop concurrently, filling the given caches. Jobs are the distinct
-// (source, automaton) pairs in the order the sequential loop first
-// meets them; errors surface for the lowest-ordered failing job, so
-// the reported error matches sequential evaluation.
-func (c *evalCtx) prefillSearches(eng *rpq.Engine, tbl *bindings.Table, leftVar string, pp *ast.PathPattern, nfas []*rpq.NFA,
-	shortCache map[searchKey]map[ppg.NodeID][]rpq.PathResult, reachCache map[searchKey][]ppg.NodeID, allCache map[searchKey]*rpq.AllPaths) error {
-	var srcs []ppg.NodeID
-	seen := map[ppg.NodeID]bool{}
-	for _, row := range tbl.Rows() {
-		if s, ok := nodeOf(row[leftVar]); ok && !seen[s] {
-			seen[s] = true
-			srcs = append(srcs, s)
+// searches memoises the product searches of one path step per
+// (source, automaton): many rows share a source.
+type searches struct {
+	eng   *rpq.Engine
+	nfas  []*rpq.NFA
+	k     int
+	reach map[searchKey][]ppg.NodeID
+	short map[searchKey]*rpq.Shortest
+	all   map[searchKey]*rpq.AllPaths
+}
+
+func (sc *searches) runReach(key searchKey) ([]ppg.NodeID, error) {
+	return sc.eng.Reachable(key.src, sc.nfas[key.ni])
+}
+
+func (sc *searches) runShortest(key searchKey) (*rpq.Shortest, error) {
+	return sc.eng.ShortestPaths(key.src, sc.nfas[key.ni], sc.k)
+}
+
+func (sc *searches) runAll(key searchKey) (*rpq.AllPaths, error) {
+	return sc.eng.AllPaths(key.src, sc.nfas[key.ni])
+}
+
+// memo returns the search of key from cache, running it on a miss.
+func memo[T any](cache map[searchKey]T, key searchKey, run func(searchKey) (T, error)) (T, error) {
+	r, ok := cache[key]
+	if !ok {
+		var err error
+		if r, err = run(key); err != nil {
+			return r, rpqErr(err)
 		}
+		cache[key] = r
 	}
-	jobs := make([]searchKey, 0, len(srcs)*len(nfas))
-	for _, src := range srcs {
-		for ni := range nfas {
-			jobs = append(jobs, searchKey{src, ni})
-		}
-	}
+	return r, nil
+}
+
+// prefillSearches runs the path searches the row loop of extendPath
+// will need concurrently, filling the step's caches. Jobs are the
+// distinct (source, automaton) pairs in the order the sequential loop
+// first meets them; errors surface for the lowest-ordered failing job,
+// so the reported error matches sequential evaluation.
+func (c *evalCtx) prefillSearches(sc *searches, mode ast.PathMode, tbl *bindings.Table, ex extendPlan) error {
 	workers := par.Workers(c.ev.workers)
-	if workers <= 1 || len(jobs) < 2 {
-		return nil // the row loop searches lazily, as before
+	if workers <= 1 {
+		return nil // the row loop searches lazily
 	}
-	switch pp.Mode {
+	var jobs []searchKey
+	seen := map[ppg.NodeID]bool{}
+	for i := 0; i < tbl.Len(); i++ {
+		if s, ok := nodeOf(ex.left(tbl.RowAt(i))); ok && !seen[s] {
+			seen[s] = true
+			for ni := range sc.nfas {
+				jobs = append(jobs, searchKey{s, ni})
+			}
+		}
+	}
+	if len(jobs) < 2 {
+		return nil
+	}
+	switch mode {
 	case ast.PathReach:
-		results := make([][]ppg.NodeID, len(jobs))
-		err := par.ForEachIdx(c.gov.Context(), len(jobs), workers, func(i int) error {
-			r, err := eng.Reachable(jobs[i].src, nfas[jobs[i].ni])
-			results[i] = r
-			return err
-		})
-		if err != nil {
-			return rpqErr(err)
-		}
-		for i, job := range jobs {
-			reachCache[job] = results[i]
-		}
+		return prefill(c, jobs, workers, sc.reach, sc.runReach)
 	case ast.PathShortest:
-		results := make([]map[ppg.NodeID][]rpq.PathResult, len(jobs))
-		err := par.ForEachIdx(c.gov.Context(), len(jobs), workers, func(i int) error {
-			r, err := eng.ShortestPaths(jobs[i].src, nfas[jobs[i].ni], pp.K)
-			results[i] = r
-			return err
-		})
-		if err != nil {
-			return rpqErr(err)
-		}
-		for i, job := range jobs {
-			shortCache[job] = results[i]
-		}
-	case ast.PathAll:
-		results := make([]*rpq.AllPaths, len(jobs))
-		err := par.ForEachIdx(c.gov.Context(), len(jobs), workers, func(i int) error {
-			r, err := eng.AllPaths(jobs[i].src, nfas[jobs[i].ni])
-			results[i] = r
-			return err
-		})
-		if err != nil {
-			return rpqErr(err)
-		}
-		for i, job := range jobs {
-			allCache[job] = results[i]
-		}
+		return prefill(c, jobs, workers, sc.short, sc.runShortest)
+	default:
+		return prefill(c, jobs, workers, sc.all, sc.runAll)
+	}
+}
+
+func prefill[T any](c *evalCtx, jobs []searchKey, workers int, into map[searchKey]T, run func(searchKey) (T, error)) error {
+	results := make([]T, len(jobs))
+	err := par.ForEachIdx(c.gov.Context(), len(jobs), workers, func(i int) error {
+		r, err := run(jobs[i])
+		results[i] = r
+		return err
+	})
+	if err != nil {
+		return rpqErr(err)
+	}
+	for i, job := range jobs {
+		into[job] = results[i]
 	}
 	return nil
 }
 
-// extendPath extends every row of tbl over one path pattern.
-func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVar string, pp *ast.PathPattern, pathVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
-	if pp.Stored {
-		return c.extendStoredPath(g, tbl, leftVar, pp, pathVar, rightNp, rightVar)
-	}
-	// Computed path: build the (direction-adjusted) automata.
-	rx := pp.Regex
-	if rx == nil {
-		rx = defaultRegex()
-	}
-	var nfas []*rpq.NFA
-	switch pp.Dir {
-	case ast.DirOut:
-		n, err := c.compiledNFA(rx, false)
-		if err != nil {
-			return nil, err
-		}
-		nfas = []*rpq.NFA{n}
-	case ast.DirIn:
-		n, err := c.compiledNFA(rx, true)
-		if err != nil {
-			return nil, err
-		}
-		nfas = []*rpq.NFA{n}
-	case ast.DirBoth:
-		fwd, err := c.compiledNFA(rx, false)
-		if err != nil {
-			return nil, err
-		}
-		bwd, err := c.compiledNFA(rx, true)
-		if err != nil {
-			return nil, err
-		}
-		nfas = []*rpq.NFA{fwd, bwd}
-	}
-	views := &viewAdapter{c: c, s: s, g: g}
-	snap, _ := c.ev.snapshot(g)
-	eng := rpq.NewEngineOn(g, snap, views)
-	eng.SetGovernor(c.gov)
-	eng.SetCollector(c.col)
-
+// extendPath extends every row of tbl over one path pattern to the next
+// node pattern, on slot rows like extendEdge. Every destination meets
+// the destination gate before anything per destination is built, and a
+// k-shortest walk binds the path variable to a tempPath over its
+// search result — built only if something dereferences it. Per input
+// row, rows come out destination by destination, ascending, and a
+// destination's walks cheapest first; fresh path identifiers are drawn
+// in that order, one per walk examined, whether or not its destination
+// passes the gate, so identifiers do not depend on what the gate drops.
+func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVar string, pp *ast.PathPattern, pathVar string, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct) (*bindings.Table, error) {
 	vars := append(tbl.Vars(), rightVar)
-	if pp.Mode != ast.PathReach {
+	if pp.Stored || pp.Mode != ast.PathReach {
 		vars = append(vars, pathVar)
 	}
 	if pp.CostVar != "" {
 		vars = append(vars, pp.CostVar)
 	}
+	var linkProps []*ast.PropSpec
+	if pp.Stored {
+		linkProps = pp.Props
+	}
+	vars = appendBindVars(appendBindVars(vars, linkProps), rightNp.Props)
 	out := bindings.EmptyTable(vars...)
-
-	// Cache searches per source node: many rows share a source.
-	shortCache := map[searchKey]map[ppg.NodeID][]rpq.PathResult{}
-	reachCache := map[searchKey][]ppg.NodeID{}
-	allCache := map[searchKey]*rpq.AllPaths{}
-
-	hasViews := false
-	for _, n := range nfas {
-		if n.HasViews() {
-			hasViews = true
-		}
+	snap, _ := c.ev.snapshot(g)
+	ex := newExtendPlan(tbl, out, leftVar, pathVar, rightVar, linkProps, rightNp)
+	ps := &pathStep{
+		c: c, g: g, snap: snap, pp: pp, ex: ex, rightNp: rightNp,
+		labels:  resolveSpec(snap, rightNp.Labels),
+		preds:   c.prefilterPreds(snap, rightNp, rightVar, out.HasVar, conjs),
+		costOut: -1,
+		scratch: make([]value.Value, out.Width()),
+	}
+	if pp.CostVar != "" {
+		ps.costOut = out.SlotOf(pp.CostVar)
 	}
 
-	// Parallel prefill: the per-source product searches dominate path
-	// pattern cost and are pure graph reads, so they run concurrently
-	// — one job per (distinct source, automaton), ordered exactly as
-	// the sequential row loop would first encounter them — and land in
-	// the caches before the (sequential, deterministic) emit loop
-	// below. View-backed automata materialise PATH views through the
-	// evaluator context and stay sequential.
-	if !hasViews {
-		if err := c.prefillSearches(eng, tbl, leftVar, pp, nfas, shortCache, reachCache, allCache); err != nil {
+	var (
+		sc        *searches
+		storedNFA *rpq.NFA
+	)
+	if pp.Stored {
+		if pp.Regex != nil {
+			n, err := c.compiledNFA(pp.Regex, false)
+			if err != nil {
+				return nil, err
+			}
+			storedNFA = n
+		}
+	} else {
+		var err error
+		if sc, err = c.pathSearches(s, g, snap, pp); err != nil {
 			return nil, err
 		}
+		for _, n := range sc.nfas {
+			ps.hasViews = ps.hasViews || n.HasViews()
+		}
+		// Parallel prefill: the per-source product searches dominate
+		// path pattern cost and are pure graph reads, so they run
+		// concurrently and land in the caches before the (sequential,
+		// deterministic) row loop below. View-backed automata
+		// materialise PATH views through the evaluator context and stay
+		// sequential.
+		if !ps.hasViews {
+			if err := c.prefillSearches(sc, pp.Mode, tbl, ex); err != nil {
+				return nil, err
+			}
+		}
 	}
 
-	for _, row := range tbl.Rows() {
+	for ri := 0; ri < tbl.Len(); ri++ {
 		if err := c.gov.Checkpoint(faultinject.SiteCorePath); err != nil {
 			return nil, err
 		}
+		out.AppendSlab(ps.slab)
+		ps.slab = ps.slab[:0]
 		if err := c.checkBudget(out); err != nil {
 			return nil, err
 		}
-		src, ok := nodeOf(row[leftVar])
+		row := tbl.RowAt(ri)
+		src, ok := nodeOf(ex.left(row))
 		if !ok {
 			continue
 		}
-		if pp.Mode == ast.PathReach {
-			// Reachability: union the destinations over all automata
-			// (both orientations for an undirected pattern) before
-			// emitting, so each (row, dst) appears once — Ω is a set.
-			dstSet := map[ppg.NodeID]bool{}
-			for ni, nfa := range nfas {
-				key := searchKey{src, ni}
-				dsts, ok := reachCache[key]
-				if !ok {
-					var err error
-					dsts, err = eng.Reachable(src, nfa)
-					if err != nil {
-						return nil, rpqErr(err)
-					}
-					reachCache[key] = dsts
-				}
-				for _, d := range dsts {
-					dstSet[d] = true
-				}
-			}
-			ordered := make([]ppg.NodeID, 0, len(dstSet))
-			for d := range dstSet {
-				ordered = append(ordered, d)
-			}
-			sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-			for _, dst := range ordered {
-				if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, nil); err != nil {
-					return nil, err
-				}
-			}
-			continue
+		var err error
+		switch {
+		case pp.Stored:
+			err = ps.storedRows(row, src, storedNFA)
+		case pp.Mode == ast.PathReach:
+			err = ps.reachRows(sc, row, src)
+		case pp.Mode == ast.PathShortest:
+			err = ps.shortestRows(sc, row, src)
+		default:
+			err = ps.allRows(sc, row, src)
 		}
-		if pp.Mode == ast.PathShortest {
-			// Gather candidates from every automaton (one per
-			// orientation for undirected patterns), keep the k
-			// cheapest distinct walks per destination.
-			type cand struct {
-				pr  rpq.PathResult
-				rev bool
-			}
-			byDst := map[ppg.NodeID][]cand{}
-			for ni, nfa := range nfas {
-				key := searchKey{src, ni}
-				res, ok := shortCache[key]
-				if !ok {
-					var err error
-					res, err = eng.ShortestPaths(src, nfa, pp.K)
-					if err != nil {
-						return nil, rpqErr(err)
-					}
-					shortCache[key] = res
-				}
-				rev := pp.Dir == ast.DirIn || (pp.Dir == ast.DirBoth && ni == 1)
-				for d, prs := range res {
-					for _, pr := range prs {
-						byDst[d] = append(byDst[d], cand{pr: pr, rev: rev})
-					}
-				}
-			}
-			dsts := make([]ppg.NodeID, 0, len(byDst))
-			for d := range byDst {
-				dsts = append(dsts, d)
-			}
-			sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-			for _, dst := range dsts {
-				cands := byDst[dst]
-				sort.SliceStable(cands, func(i, j int) bool {
-					if cands[i].pr.Cost != cands[j].pr.Cost {
-						return cands[i].pr.Cost < cands[j].pr.Cost
-					}
-					return cands[i].pr.Hops < cands[j].pr.Hops
-				})
-				taken := 0
-				seenWalks := map[rpq.WalkSig]bool{}
-				for _, cd := range cands {
-					if taken >= pp.K {
-						break
-					}
-					pid := c.ev.cat.IDs().NextPath()
-					path := &ppg.Path{ID: pid, Nodes: cd.pr.Nodes, Edges: cd.pr.Edges}
-					if cd.rev {
-						// The search ran against the arrow (from the
-						// pattern's left node with a reversed regex);
-						// store δ(w) in the arrow's direction, from
-						// µ(x) to µ(y).
-						path = reversePath(path)
-					}
-					sig := walkSignature(path)
-					if seenWalks[sig] {
-						continue
-					}
-					seenWalks[sig] = true
-					taken++
-					c.tempPaths[pid] = &tempPath{path: path, src: g, cost: cd.pr.Cost}
-					extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
-					if pp.CostVar != "" {
-						if hasViews {
-							extra[pp.CostVar] = value.Float(cd.pr.Cost)
-						} else {
-							extra[pp.CostVar] = value.Int(int64(cd.pr.Hops))
-						}
-					}
-					if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, extra); err != nil {
-						return nil, err
-					}
-				}
-			}
-			continue
-		}
-		for ni, nfa := range nfas {
-			key := searchKey{src, ni}
-			switch pp.Mode {
-			case ast.PathAll:
-				ap, ok := allCache[key]
-				if !ok {
-					var err error
-					ap, err = eng.AllPaths(src, nfa)
-					if err != nil {
-						return nil, rpqErr(err)
-					}
-					allCache[key] = ap
-				}
-				for _, dst := range ap.Destinations() {
-					nodes, edges, ok := ap.Projection(dst)
-					if !ok {
-						continue
-					}
-					pid := c.ev.cat.IDs().NextPath()
-					c.tempPaths[pid] = &tempPath{
-						path:       &ppg.Path{ID: pid, Nodes: nodes, Edges: edges},
-						src:        g,
-						projection: true,
-					}
-					extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
-					if err := c.emitPathRow(g, out, row, rightNp, rightVar, dst, extra); err != nil {
-						return nil, err
-					}
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
+	out.AppendSlab(ps.slab)
+	c.col.PropColEvent(ps.colHits, 0)
 	return out, nil
 }
 
-// walkSignature identifies a walk by its oriented node/edge sequence
-// so that equal walks found via different orientations collapse.
-func walkSignature(p *ppg.Path) rpq.WalkSig {
-	return rpq.SignatureOf(p.Nodes, p.Edges)
-}
-
-func reversePath(p *ppg.Path) *ppg.Path {
-	rn := make([]ppg.NodeID, len(p.Nodes))
-	for i, n := range p.Nodes {
-		rn[len(p.Nodes)-1-i] = n
+// pathSearches compiles a computed path pattern's automata — one per
+// orientation, two for an undirected pattern — and the engine its
+// searches run on.
+func (c *evalCtx) pathSearches(s *scope, g *ppg.Graph, snap *csr.Snapshot, pp *ast.PathPattern) (*searches, error) {
+	rx := pp.Regex
+	if rx == nil {
+		rx = defaultRegex()
 	}
-	re := make([]ppg.EdgeID, len(p.Edges))
-	for i, e := range p.Edges {
-		re[len(p.Edges)-1-i] = e
+	var orients []bool // reversed, per automaton
+	switch pp.Dir {
+	case ast.DirOut:
+		orients = []bool{false}
+	case ast.DirIn:
+		orients = []bool{true}
+	case ast.DirBoth:
+		orients = []bool{false, true}
 	}
-	return &ppg.Path{ID: p.ID, Nodes: rn, Edges: re}
-}
-
-// emitPathRow finishes one path-pattern match: checks and binds the
-// right endpoint, merges extra bindings, and adds the row.
-func (c *evalCtx) emitPathRow(g *ppg.Graph, out *bindings.Table, row bindings.Binding, rightNp *ast.NodePattern, rightVar string, dst ppg.NodeID, extra bindings.Binding) error {
-	if prev, bound := row[rightVar]; bound {
-		if pid, isNode := nodeOf(prev); !isNode || pid != dst {
-			return nil
+	sc := &searches{
+		k:     pp.K,
+		reach: map[searchKey][]ppg.NodeID{},
+		short: map[searchKey]*rpq.Shortest{},
+		all:   map[searchKey]*rpq.AllPaths{},
+	}
+	for _, rev := range orients {
+		n, err := c.compiledNFA(rx, rev)
+		if err != nil {
+			return nil, err
 		}
+		sc.nfas = append(sc.nfas, n)
 	}
-	dn, ok := g.Node(dst)
-	if !ok {
-		return nil
-	}
-	if ok, err := c.nodeMatches(g, dn, rightNp); err != nil || !ok {
-		return err
-	}
-	base := row.Clone()
-	base[rightVar] = value.NodeRef(uint64(dst))
-	for k, v := range extra {
-		base[k] = v
-	}
-	for _, r := range bindProps(dn.Props, rightNp.Props, base) {
-		out.Add(r)
-	}
-	return nil
+	sc.eng = rpq.NewEngineOn(g, snap, &viewAdapter{c: c, s: s, g: g})
+	sc.eng.SetGovernor(c.gov)
+	sc.eng.SetCollector(c.col)
+	return sc, nil
 }
 
-// extendStoredPath matches the stored paths of g (the @p case).
-func (c *evalCtx) extendStoredPath(g *ppg.Graph, tbl *bindings.Table, leftVar string, pp *ast.PathPattern, pathVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
-	vars := append(tbl.Vars(), pathVar, rightVar)
-	if pp.CostVar != "" {
-		vars = append(vars, pp.CostVar)
-	}
-	for _, ps := range pp.Props {
+// appendBindVars appends the variables a pattern element's {k = v}
+// entries bind.
+func appendBindVars(vars []string, specs []*ast.PropSpec) []string {
+	for _, ps := range specs {
 		if ps.Mode == ast.PropBind {
 			vars = append(vars, ps.Var)
 		}
 	}
-	out := bindings.EmptyTable(vars...)
+	return vars
+}
 
-	var nfa *rpq.NFA
-	if pp.Regex != nil {
-		n, err := c.compiledNFA(pp.Regex, false)
-		if err != nil {
-			return nil, err
-		}
-		nfa = n
+// pathStep is the state of one extendPath call: the slot plan, what
+// the destination gate tests, and the scratch the rows are built in.
+type pathStep struct {
+	c        *evalCtx
+	g        *ppg.Graph
+	snap     *csr.Snapshot
+	pp       *ast.PathPattern
+	ex       extendPlan
+	rightNp  *ast.NodePattern
+	labels   resolvedSpec // the right node pattern's, interned
+	preds    []*boundPred // WHERE conjuncts consumed by the gate
+	colHits  int64        // their tests, for the prop-column counters
+	costOut  int          // output slot of the COST variable, -1 without one
+	hasViews bool         // COST binds the summed view cost, not the hop count
+
+	scratch []value.Value
+	combos  []propCombo
+	slab    []value.Value // rows of the current input row
+	cands   []walkRef     // k-shortest candidates of one destination
+	taken   []walkRef     // the distinct ones among them
+}
+
+// gate is the destination gate: it decides on its ordinal whether
+// destination u may end a row of row, before anything per destination
+// is built. A pre-bound right variable must name u, and u must carry
+// the right node pattern's labels, pass the WHERE conjuncts on the
+// right variable that compile to column predicates and may run this
+// early (prefilterConjuncts' rule), and pass the pattern's filter
+// entries. Only the filter entries evaluate expressions and can raise —
+// and a pattern that has them gives the gate no conjuncts, so the gate
+// raises exactly where building the row used to.
+func (ps *pathStep) gate(row []value.Value, u int32) (bool, error) {
+	if !ps.ex.rightAgrees(row, ps.snap.NodeID(u)) || !ps.labels.matchesNode(ps.snap, u) {
+		return false, nil
 	}
-	for _, row := range tbl.Rows() {
-		if err := c.gov.Checkpoint(faultinject.SiteCorePath); err != nil {
-			return nil, err
+	for _, pr := range ps.preds {
+		ps.colHits++
+		if !pr.node.test(u, pr.p) {
+			return false, nil
 		}
-		if err := c.checkBudget(out); err != nil {
-			return nil, err
+	}
+	return ps.c.propsMatch(ps.g, ps.snap.Node(u).Props, ps.rightNp.Props)
+}
+
+// emit appends the rows of one destination u that passed the gate: the
+// input row extended by link (the path reference; Absent for a
+// reachability test), the destination, cost unless Absent, and one row
+// per combination of the destination's {k = v} bindings.
+func (ps *pathStep) emit(row []value.Value, link value.Value, u int32, cost value.Value) {
+	ps.combos = ps.ex.fill(ps.scratch, row, link, uint64(ps.snap.NodeID(u)), nil, ps.snap.Node(u).Props, ps.combos)
+	if ps.costOut >= 0 && !cost.IsAbsent() {
+		ps.scratch[ps.costOut] = cost
+	}
+	ps.slab = appendCombos(ps.slab, ps.scratch, ps.combos)
+}
+
+// reachRows emits the reachability rows of one input row. The
+// destinations are unioned over all automata (both orientations for an
+// undirected pattern) first, so each (row, dst) appears once — Ω is a
+// set.
+func (ps *pathStep) reachRows(sc *searches, row []value.Value, src ppg.NodeID) error {
+	dsts, err := memo(sc.reach, searchKey{src, 0}, sc.runReach)
+	if err != nil {
+		return err
+	}
+	if len(sc.nfas) == 2 {
+		bwd, err := memo(sc.reach, searchKey{src, 1}, sc.runReach)
+		if err != nil {
+			return err
 		}
-		src, ok := nodeOf(row[leftVar])
+		both := append(append(make([]ppg.NodeID, 0, len(dsts)+len(bwd)), dsts...), bwd...)
+		slices.Sort(both)
+		dsts = slices.Compact(both)
+	}
+	for _, dst := range dsts {
+		u, ok := ps.snap.Ord(dst)
 		if !ok {
 			continue
 		}
-		for _, pid := range g.PathIDs() {
-			p, _ := g.Path(pid)
-			if !labelSpecMatches(pp.Labels, p.Labels) {
-				continue
-			}
-			if ok, err := c.propsMatch(g, p.Props, pp.Props); err != nil {
-				return nil, err
-			} else if !ok {
-				continue
-			}
-			if prev, bound := row[pathVar]; bound && !value.Equal(prev, value.PathRef(uint64(pid))) {
-				continue
-			}
-			if len(p.Nodes) == 0 {
-				continue
-			}
-			// Orientation: the pattern's left node must be one end.
-			type orient struct {
-				start, end ppg.NodeID
-				rev        bool
-			}
-			var tries []orient
-			first, last := p.Nodes[0], p.Nodes[len(p.Nodes)-1]
-			switch pp.Dir {
-			case ast.DirOut:
-				tries = []orient{{first, last, false}}
-			case ast.DirIn:
-				tries = []orient{{last, first, true}}
-			case ast.DirBoth:
-				tries = []orient{{first, last, false}}
-				if first != last {
-					tries = append(tries, orient{last, first, true})
-				}
-			}
-			for _, o := range tries {
-				if o.start != src {
-					continue
-				}
-				if nfa != nil && !storedPathConforms(g, p, nfa, o.rev) {
-					continue
-				}
-				extra := bindings.Binding{pathVar: value.PathRef(uint64(pid))}
-				if pp.CostVar != "" {
-					extra[pp.CostVar] = value.Int(int64(p.Length()))
-				}
-				base := row.Clone()
-				for _, r := range bindProps(p.Props, pp.Props, base) {
-					merged := r.Clone()
-					for k, v := range extra {
-						merged[k] = v
-					}
-					if err := c.emitPathRow(g, out, merged, rightNp, rightVar, o.end, nil); err != nil {
-						return nil, err
-					}
+		pass, err := ps.gate(row, u)
+		if err != nil {
+			return err
+		}
+		if pass {
+			ps.emit(row, value.Absent, u, value.Absent)
+		}
+	}
+	return nil
+}
+
+// walkRef names one kept walk: the automaton (orientation) whose
+// search found it and its accepted arrival there.
+type walkRef struct {
+	ni  int
+	arr int32
+}
+
+// reversed reports whether automaton ni ran against the arrow: its
+// walks are stored read backwards, from µ(x) to µ(y) along the arrow.
+func (ps *pathStep) reversed(ni int) bool {
+	return ps.pp.Dir == ast.DirIn || ps.pp.Dir == ast.DirBoth && ni == 1
+}
+
+// shortestRows emits the k-shortest rows of one input row: per
+// destination, ascending, the k cheapest distinct walks over all
+// automata.
+func (ps *pathStep) shortestRows(sc *searches, row []value.Value, src ppg.NodeID) error {
+	var res [2]*rpq.Shortest
+	for ni := range sc.nfas {
+		r, err := memo(sc.short, searchKey{src, ni}, sc.runShortest)
+		if err != nil {
+			return err
+		}
+		res[ni] = r
+	}
+	var next [2]int // per automaton, its next destination
+	for {
+		u := int32(-1)
+		for ni := range sc.nfas {
+			if next[ni] < res[ni].Len() {
+				if d, _ := res[ni].Dest(next[ni]); u < 0 || d < u {
+					u = d
 				}
 			}
 		}
+		if u < 0 {
+			return nil
+		}
+		var lists [2][]int32
+		for ni := range sc.nfas {
+			if next[ni] < res[ni].Len() {
+				if d, _ := res[ni].Dest(next[ni]); d == u {
+					lists[ni] = res[ni].Arrivals(next[ni])
+					next[ni]++
+				}
+			}
+		}
+		if err := ps.destWalks(res, lists, row, u); err != nil {
+			return err
+		}
 	}
-	return out, nil
+}
+
+// destWalks emits the rows of destination u from its candidate walks
+// per automaton, each list cheapest first. The lists merge by (cost,
+// hops), the first automaton's walk first among equals, and the first
+// k distinct walks are taken: two orientations can find one walk (an
+// empty or closed walk, read in the arrow's direction), which is kept
+// once. Every candidate examined draws a path identifier.
+func (ps *pathStep) destWalks(res [2]*rpq.Shortest, lists [2][]int32, row []value.Value, u int32) error {
+	ps.cands = ps.cands[:0]
+	a, b := lists[0], lists[1]
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && !walkBefore(res[1], b[0], res[0], a[0]) {
+			ps.cands, a = append(ps.cands, walkRef{0, a[0]}), a[1:]
+		} else {
+			ps.cands, b = append(ps.cands, walkRef{1, b[0]}), b[1:]
+		}
+	}
+	ps.taken = ps.taken[:0]
+	pass := false
+	for ci, cd := range ps.cands {
+		if len(ps.taken) >= ps.pp.K {
+			break
+		}
+		pid := ps.c.ev.cat.IDs().NextPath()
+		if ci == 0 {
+			var err error
+			if pass, err = ps.gate(row, u); err != nil {
+				return err
+			}
+		}
+		if ps.seenWalk(res, cd) {
+			continue
+		}
+		ps.taken = append(ps.taken, cd)
+		if !pass {
+			continue
+		}
+		r := res[cd.ni]
+		tp := &tempPath{id: pid, src: ps.g, cost: r.Cost(cd.arr), length: r.Hops(cd.arr),
+			res: r, arr: cd.arr, reversed: ps.reversed(cd.ni), col: ps.c.col}
+		ps.c.tempPaths[pid] = tp
+		cost := value.Int(int64(tp.length))
+		if ps.hasViews {
+			cost = value.Float(tp.cost)
+		}
+		ps.emit(row, value.PathRef(uint64(pid)), u, cost)
+	}
+	return nil
+}
+
+// walkBefore orders candidate walks by (cost, hops).
+func walkBefore(r *rpq.Shortest, a int32, o *rpq.Shortest, b int32) bool {
+	if r.Cost(a) != o.Cost(b) {
+		return r.Cost(a) < o.Cost(b)
+	}
+	return r.Hops(a) < o.Hops(b)
+}
+
+// seenWalk reports whether cd spells, in the arrow's direction, a walk
+// already taken. Walks of one search are distinct by construction, so
+// only the other orientation's are compared — on their arrival chains.
+func (ps *pathStep) seenWalk(res [2]*rpq.Shortest, cd walkRef) bool {
+	for _, t := range ps.taken {
+		if t.ni != cd.ni && res[cd.ni].SameWalk(cd.arr, res[t.ni], t.arr, ps.reversed(cd.ni) != ps.reversed(t.ni)) {
+			return true
+		}
+	}
+	return false
+}
+
+// allRows emits the ALL-paths rows of one input row: per automaton, one
+// projection per destination under a fresh path identifier.
+func (ps *pathStep) allRows(sc *searches, row []value.Value, src ppg.NodeID) error {
+	for ni := range sc.nfas {
+		ap, err := memo(sc.all, searchKey{src, ni}, sc.runAll)
+		if err != nil {
+			return err
+		}
+		for _, dst := range ap.Destinations() {
+			u, ok := ps.snap.Ord(dst)
+			if !ok {
+				continue
+			}
+			pid := ps.c.ev.cat.IDs().NextPath()
+			pass, err := ps.gate(row, u)
+			if err != nil {
+				return err
+			}
+			if !pass {
+				continue
+			}
+			// Destinations are exactly the nodes Projection answers
+			// for; only the ones past the gate pay its backward sweep.
+			nodes, edges, _ := ap.Projection(dst)
+			ps.c.tempPaths[pid] = &tempPath{id: pid, src: ps.g, projection: true, length: len(edges),
+				path: &ppg.Path{ID: pid, Nodes: nodes, Edges: edges}}
+			ps.emit(row, value.PathRef(uint64(pid)), u, value.Absent)
+		}
+	}
+	return nil
+}
+
+// storedRows emits the rows of one input row over the stored paths of
+// the graph (the @p case): every path matching the pattern's labels and
+// property entries whose conforming orientation starts at the row's
+// left node.
+func (ps *pathStep) storedRows(row []value.Value, src ppg.NodeID, nfa *rpq.NFA) error {
+	pp := ps.pp
+	for _, pid := range ps.g.PathIDs() {
+		p, _ := ps.g.Path(pid)
+		if !labelSpecMatches(pp.Labels, p.Labels) {
+			continue
+		}
+		if ok, err := ps.c.propsMatch(ps.g, p.Props, pp.Props); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		ref := value.PathRef(uint64(pid))
+		if !ps.ex.linkAgrees(row, ref) || len(p.Nodes) == 0 {
+			continue
+		}
+		// Orientation: the pattern's left node must be one end.
+		first, last := p.Nodes[0], p.Nodes[len(p.Nodes)-1]
+		orients := [2]bool{false, true}
+		tries := orients[:]
+		switch {
+		case pp.Dir == ast.DirOut, pp.Dir == ast.DirBoth && first == last:
+			tries = orients[:1]
+		case pp.Dir == ast.DirIn:
+			tries = orients[1:]
+		}
+		for _, rev := range tries {
+			start, end := first, last
+			if rev {
+				start, end = last, first
+			}
+			if start != src || nfa != nil && !storedPathConforms(ps.g, p, nfa, rev) {
+				continue
+			}
+			u, ok := ps.snap.Ord(end)
+			if !ok {
+				continue
+			}
+			ps.combos = ps.ex.fill(ps.scratch, row, ref, uint64(end), p.Props, ps.snap.Node(u).Props, ps.combos)
+			if ps.costOut >= 0 {
+				ps.scratch[ps.costOut] = value.Int(int64(p.Length()))
+			}
+			// The path's own {k = v} bindings expand first: a path
+			// they drop entirely never reaches the gate.
+			if !hasCombo(ps.scratch, ps.combos[:len(ps.ex.linkBind.specs)]) {
+				continue
+			}
+			pass, err := ps.gate(row, u)
+			if err != nil {
+				return err
+			}
+			if pass {
+				ps.slab = appendCombos(ps.slab, ps.scratch, ps.combos)
+			}
+		}
+	}
+	return nil
 }
 
 // storedPathConforms checks δ(p) against a regular expression by
 // simulating the automaton over the path's symbol word.
 func storedPathConforms(g *ppg.Graph, p *ppg.Path, nfa *rpq.NFA, reversed bool) bool {
-	nodes := p.Nodes
-	edges := p.Edges
+	nodes, edges := p.Nodes, p.Edges
 	if reversed {
-		rp := reversePath(p)
-		nodes, edges = rp.Nodes, rp.Edges
+		nodes, edges = slices.Clone(nodes), slices.Clone(edges)
+		slices.Reverse(nodes)
+		slices.Reverse(edges)
 	}
 	var word []rpq.Sym
 	for i, nid := range nodes {

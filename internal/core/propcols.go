@@ -424,22 +424,24 @@ func boolEval(col *csr.PropCol, op ast.BinaryOp, l bool) func(int32) bool {
 	return nil
 }
 
-// prefilterConjuncts selects the WHERE conjuncts a node scan may
-// evaluate directly on candidate ordinals, before any row is
-// materialised, paired with their compiled forms (compiled supplies
-// them: the execution's, or EXPLAIN's static view). Consuming a
-// conjunct there is safe only when no evaluation the interpreter would
-// have run EARLIER on a dropped row can raise an error; the gates are
-// therefore:
+// prefilterConjuncts selects the WHERE conjuncts that may be evaluated
+// directly on the ordinal of the node varName binds, before any row
+// carrying it is materialised — by a node scan on its candidates, by a
+// path step on its destinations — paired with their compiled forms
+// (compiled supplies them: the execution's, or EXPLAIN's static view).
+// schema reports the variables bound once the step's rows exist.
+// Consuming a conjunct there is safe only when no evaluation the
+// interpreter would have run EARLIER on a dropped row can raise an
+// error; the gates are therefore:
 //
 //   - the pattern has no {key = expr} filter specs (their expressions
 //     are evaluated per candidate and may error),
-//   - walking the conjuncts that the post-scan applyReady would find
-//     ready, in order: compiled conjuncts on the scan variable are
-//     selected, compiled conjuncts on bind variables and label tests
-//     (both error-free) are left to applyReady, and the first conjunct
-//     that may error stops the walk — nothing after it pre-filters.
-func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, conjs []*conjunct, compiled func(*conjunct) *colPred) (picked []*conjunct, preds []*colPred) {
+//   - walking the conjuncts that the applyReady after the step would
+//     find ready, in order: compiled conjuncts on varName alone are
+//     selected, other compiled conjuncts and label tests (both
+//     error-free) are left to applyReady, and the first conjunct that
+//     may error stops the walk — nothing after it pre-filters.
+func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct, compiled func(*conjunct) *colPred) (picked []*conjunct, preds []*colPred) {
 	if ab.NoPropColumns || ab.NoPushdown || len(conjs) == 0 {
 		return nil, nil
 	}
@@ -448,19 +450,13 @@ func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, conjs 
 			return nil, nil
 		}
 	}
-	schema := map[string]bool{varName: true}
-	for _, ps := range np.Props {
-		if ps.Mode == ast.PropBind {
-			schema[ps.Var] = true
-		}
-	}
 	for _, cj := range conjs {
 		if cj.applied || !cj.pushable {
 			continue
 		}
 		ready := true
 		for _, v := range cj.vars {
-			if !schema[v] {
+			if !schema(v) {
 				ready = false
 				break
 			}
@@ -481,16 +477,16 @@ func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, conjs 
 			picked = append(picked, cj)
 			preds = append(preds, p)
 		}
-		// Compiled conjuncts on bind variables are error-free too;
+		// Compiled conjuncts on other variables are error-free too;
 		// leave them to applyReady and keep walking.
 	}
 	return picked, preds
 }
 
-// scanPrefilter binds the scan's prefilter conjuncts to the snapshot
-// and marks them applied.
-func (c *evalCtx) scanPrefilter(snap *csr.Snapshot, np *ast.NodePattern, varName string, conjs []*conjunct) []*boundPred {
-	picked, ps := prefilterConjuncts(c.ev.ablation, np, varName, conjs,
+// prefilterPreds binds the prefilter conjuncts of varName's node to the
+// snapshot and marks them applied.
+func (c *evalCtx) prefilterPreds(snap *csr.Snapshot, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct) []*boundPred {
+	picked, ps := prefilterConjuncts(c.ev.ablation, np, varName, schema, conjs,
 		func(cj *conjunct) *colPred { return cj.colPred(c.params) })
 	preds := make([]*boundPred, len(ps))
 	for i, p := range ps {

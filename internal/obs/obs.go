@@ -139,6 +139,8 @@ type Collector struct {
 	propColFalls atomic.Int64
 	propIdxSeeks atomic.Int64
 	propIdxBuild atomic.Int64
+	walksFound   atomic.Int64
+	walksBuilt   atomic.Int64
 
 	planHits      atomic.Int64
 	planMisses    atomic.Int64
@@ -180,6 +182,8 @@ func (c *Collector) Reset(h TraceHandler) {
 	c.propColFalls.Store(0)
 	c.propIdxSeeks.Store(0)
 	c.propIdxBuild.Store(0)
+	c.walksFound.Store(0)
+	c.walksBuilt.Store(0)
 	c.planHits.Store(0)
 	c.planMisses.Store(0)
 	c.planCompileNS.Store(0)
@@ -308,6 +312,25 @@ func (c *Collector) PropIndexEvent(seek bool, builds int64) {
 	if builds != 0 {
 		c.propIdxBuild.Add(builds)
 	}
+}
+
+// WalksFound records the walks one k-shortest kernel run kept: the
+// walks its result represents, whether or not anything builds them.
+func (c *Collector) WalksFound(n int64) {
+	if c == nil {
+		return
+	}
+	c.walksFound.Add(n)
+}
+
+// WalkBuilt records one kept walk materialised as a graph-level node
+// and edge sequence — a query dereferenced the path variable bound to
+// it.
+func (c *Collector) WalkBuilt() {
+	if c == nil {
+		return
+	}
+	c.walksBuilt.Add(1)
 }
 
 // RecordBudget adds the governor's consumed budget for one statement.
@@ -454,6 +477,8 @@ type Mark struct {
 	propFalls int64
 	idxSeeks  int64
 	idxBuilds int64
+	walksFnd  int64
+	walksBlt  int64
 
 	planHits    int64
 	planMisses  int64
@@ -487,6 +512,8 @@ func (c *Collector) Mark() Mark {
 		propFalls:   c.propColFalls.Load(),
 		idxSeeks:    c.propIdxSeeks.Load(),
 		idxBuilds:   c.propIdxBuild.Load(),
+		walksFnd:    c.walksFound.Load(),
+		walksBlt:    c.walksBuilt.Load(),
 		planHits:    c.planHits.Load(),
 		planMisses:  c.planMisses.Load(),
 		planCompile: c.planCompileNS.Load(),
@@ -550,6 +577,11 @@ type Stats struct {
 	PropIndexSeeks  int64
 	PropIndexBuilds int64
 
+	// k-shortest walks: kept by the kernels, and materialised because a
+	// query dereferenced them.
+	WalksFound int64
+	WalksBuilt int64
+
 	PlanCacheHits    int64
 	PlanCacheMisses  int64
 	PlanCacheCompile time.Duration
@@ -595,6 +627,8 @@ func (c *Collector) Since(m Mark) Stats {
 	st.PropColFallbacks = c.propColFalls.Load() - m.propFalls
 	st.PropIndexSeeks = c.propIdxSeeks.Load() - m.idxSeeks
 	st.PropIndexBuilds = c.propIdxBuild.Load() - m.idxBuilds
+	st.WalksFound = c.walksFound.Load() - m.walksFnd
+	st.WalksBuilt = c.walksBuilt.Load() - m.walksBlt
 	st.PlanCacheHits = c.planHits.Load() - m.planHits
 	st.PlanCacheMisses = c.planMisses.Load() - m.planMisses
 	st.PlanCacheCompile = time.Duration(c.planCompileNS.Load() - m.planCompile)

@@ -22,6 +22,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.CSREvent(false)
 	c.RecordBudget(1, 2)
 	c.PropIndexEvent(true, 1)
+	c.WalksFound(3)
+	c.WalkBuilt()
 	c.EnterSub()
 	c.ExitSub()
 	c.SetHandler(nil)
@@ -85,6 +87,8 @@ func TestMarkSinceWindows(t *testing.T) {
 	c.RecordBudget(100, 9)
 	c.PropIndexEvent(true, 0)
 	c.PropIndexEvent(false, 2)
+	c.WalksFound(4)
+	c.WalkBuilt()
 
 	st := c.Since(m)
 	if st.Op(OpScan).Count != 1 || st.Op(OpScan).RowsOut != 3 {
@@ -98,6 +102,9 @@ func TestMarkSinceWindows(t *testing.T) {
 	}
 	if st.PropIndexSeeks != 1 || st.PropIndexBuilds != 2 {
 		t.Fatalf("windowed index stats = %d seeks, %d builds", st.PropIndexSeeks, st.PropIndexBuilds)
+	}
+	if st.WalksFound != 4 || st.WalksBuilt != 1 {
+		t.Fatalf("windowed walks = %d found, %d built", st.WalksFound, st.WalksBuilt)
 	}
 	if got := len(c.SpansSince(m)); got != 1 {
 		t.Fatalf("SpansSince = %d spans, want 1", got)
@@ -114,12 +121,14 @@ func TestResetClearsEverything(t *testing.T) {
 	c.Start(OpJoin).Rows(4, 2).End()
 	c.NFAEvent(true)
 	c.PropIndexEvent(true, 1)
+	c.WalksFound(2)
+	c.WalkBuilt()
 	c.EnterSub()
 	c.Reset(nil)
 	if c.verbose.Load() {
 		t.Fatal("Reset(nil) should disable verbose")
 	}
-	if st := c.Stats(); st.Op(OpJoin).Count != 0 || st.NFAHits != 0 || st.PropIndexSeeks != 0 || st.PropIndexBuilds != 0 {
+	if st := c.Stats(); st.Op(OpJoin).Count != 0 || st.NFAHits != 0 || st.PropIndexSeeks != 0 || st.PropIndexBuilds != 0 || st.WalksFound != 0 || st.WalksBuilt != 0 {
 		t.Fatalf("stats after reset = %+v", st)
 	}
 	if c.Start(OpScan).Verbose() {
@@ -217,6 +226,8 @@ func TestRegistryObserveSnapshot(t *testing.T) {
 	c.NFAEvent(false)
 	c.PropIndexEvent(true, 1)
 	c.PropIndexEvent(true, 0)
+	c.WalksFound(7)
+	c.WalkBuilt()
 	r.Observe(c.Stats(), nil)
 	r.Observe(Stats{}, errors.New("boom"))
 
@@ -237,6 +248,9 @@ func TestRegistryObserveSnapshot(t *testing.T) {
 	}
 	if m.PropIndexSeeks != 2 || m.PropIndexBuilds != 1 {
 		t.Fatalf("index seeks/builds = %d/%d", m.PropIndexSeeks, m.PropIndexBuilds)
+	}
+	if m.RPQWalksFound != 7 || m.RPQWalksBuilt != 1 {
+		t.Fatalf("walks found/built = %d/%d", m.RPQWalksFound, m.RPQWalksBuilt)
 	}
 	if _, present := m.Operators["join"]; present {
 		t.Fatal("zero-count operator exported")

@@ -28,6 +28,8 @@ type Registry struct {
 	resultsUsed  atomic.Int64
 	propIdxSeeks atomic.Int64
 	propIdxBuild atomic.Int64
+	walksFound   atomic.Int64
+	walksBuilt   atomic.Int64
 }
 
 type opCounters struct {
@@ -78,6 +80,8 @@ func (r *Registry) Observe(st Stats, err error) {
 	r.resultsUsed.Add(st.ResultsUsed)
 	r.propIdxSeeks.Add(st.PropIndexSeeks)
 	r.propIdxBuild.Add(st.PropIndexBuilds)
+	r.walksFound.Add(st.WalksFound)
+	r.walksBuilt.Add(st.WalksBuilt)
 }
 
 // OpMetrics is the exported aggregate for one operator class.
@@ -128,6 +132,11 @@ type Metrics struct {
 	// sought column per snapshot version that rewrote it).
 	PropIndexSeeks  int64 `json:"prop_index_seeks"`
 	PropIndexBuilds int64 `json:"prop_index_builds"`
+
+	// k-shortest walks the kernels kept, and how many of them queries
+	// dereferenced and therefore built.
+	RPQWalksFound int64 `json:"rpq_walks_found"`
+	RPQWalksBuilt int64 `json:"rpq_walks_built"`
 
 	// Plan-cache lifetime counters. These are not fed through Observe:
 	// the cache outlives statements, so the engine fills them from the
@@ -191,5 +200,7 @@ func (r *Registry) Snapshot() Metrics {
 	m.ResultsUsed = r.resultsUsed.Load()
 	m.PropIndexSeeks = r.propIdxSeeks.Load()
 	m.PropIndexBuilds = r.propIdxBuild.Load()
+	m.RPQWalksFound = r.walksFound.Load()
+	m.RPQWalksBuilt = r.walksBuilt.Load()
 	return m
 }

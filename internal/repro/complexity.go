@@ -198,7 +198,7 @@ func AblationSimplePath(widths []int, maxVisits int) ([]AblationPoint, error) {
 			return nil, err
 		}
 		pt.WalkDuration = time.Since(start)
-		pt.WalkOK = len(res[dst]) == 1 && res[dst][0].Hops == 2*(w-1)
+		pt.WalkOK = cornerWalk(res, dst, w)
 
 		count, visits, err := eng.CountSimplePaths(src, dst, nfa, maxVisits)
 		if err != nil {
@@ -250,7 +250,19 @@ func AblationWalkOnly(w int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return len(res[dst]) == 1 && res[dst][0].Hops == 2*(w-1), nil
+	return cornerWalk(res, dst, w), nil
+}
+
+// cornerWalk reports whether a 1-shortest search over a w×w grid found
+// the one walk to the far corner dst, of 2(w−1) hops.
+func cornerWalk(res *rpq.Shortest, dst ppg.NodeID, w int) bool {
+	for i := 0; i < res.Len(); i++ {
+		if _, id := res.Dest(i); id == dst {
+			a := res.Arrivals(i)
+			return len(a) == 1 && res.Hops(a[0]) == 2*(w-1)
+		}
+	}
+	return false
 }
 
 // AblationSimpleOnly runs just the NP-hard simple-path baseline on a

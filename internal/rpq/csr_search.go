@@ -2,6 +2,7 @@ package rpq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gcore/internal/csr"
@@ -82,7 +83,8 @@ func (e *Engine) resolve(nfa *NFA) [][]rtrans {
 // ccfg is a product configuration over ordinals.
 type ccfg struct{ u, q int32 }
 
-// stateTab counts visits per product configuration: a flat dense
+// stateTab holds one int32 per product configuration (visit counts,
+// or with one state per node, a per-node slot): a flat dense
 // array when |V|·|Q| is small enough, a map otherwise — the frontier
 // loop never probes a Go map on graphs of ordinary size.
 type stateTab struct {
@@ -110,6 +112,14 @@ func (t *stateTab) get(u, q int32) int32 {
 		return t.dense[int(u)*int(t.states)+int(q)]
 	}
 	return t.sparse[int64(u)*int64(t.states)+int64(q)]
+}
+
+func (t *stateTab) set(u, q, v int32) {
+	if t.dense != nil {
+		t.dense[int(u)*int(t.states)+int(q)] = v
+		return
+	}
+	t.sparse[int64(u)*int64(t.states)+int64(q)] = v
 }
 
 func (t *stateTab) inc(u, q int32) {
@@ -183,16 +193,16 @@ func (e *Engine) expandOrdinal(rts []rtrans, u int32,
 }
 
 // carrival is one discovered way of reaching a configuration, in
-// ordinal terms. A regular edge step is encoded in-place (viaEdge ≥ 0,
-// the step's node being u); only view steps carry slices.
+// ordinal terms: 32 bytes, so the arena a Shortest retains costs less
+// than the walks it stands for. A regular edge step is encoded in place
+// (via ≥ 0, the step's node being u); a view step's expansion lives in
+// the search's side table (via = viewCode(i)).
 type carrival struct {
-	u, q     int32
-	hops     int32
-	viaEdge  int32
-	parent   int32
-	cost     float64
-	viaNodes []ppg.NodeID
-	viaEdges []ppg.EdgeID
+	u, q   int32
+	hops   int32
+	via    int32
+	parent int32
+	cost   float64
 }
 
 // cheap is a typed binary min-heap of pqItems in (cost, hops, seq)
@@ -258,39 +268,67 @@ type shortestState struct {
 	seq      int
 	pops     *stateTab
 	arrivals []carrival
+	views    []viewStep
 	h        cheap
+
+	// Accepted walks: keep[i] is an accepted arrival and the keep index
+	// of the previous walk accepted for the same destination (-1 for the
+	// first); last holds, per destination ordinal, 1 + the keep index of
+	// its latest walk (0: none yet). dsts lists destinations in order of
+	// first acceptance.
+	keep []kept
+	last *stateTab
+	dsts []int32
 }
+
+type kept struct{ arr, prev int32 }
 
 // relax records one new arrival unless its configuration is already
 // settled k times.
-func (st *shortestState) relax(parent int, base *carrival, u, q int32, cost float64, hops int32, viaEdge int32, viaNodes []ppg.NodeID, viaEdges []ppg.EdgeID) {
+func (st *shortestState) relax(parent int, base *carrival, u, q int32, cost float64, hops, via int32) {
 	if st.pops.get(u, q) >= st.k {
 		return
 	}
 	c := base.cost + cost
 	hp := base.hops + hops
-	st.arrivals = append(st.arrivals, carrival{
-		u: u, q: q, cost: c, hops: hp,
-		parent: int32(parent), viaEdge: viaEdge, viaNodes: viaNodes, viaEdges: viaEdges,
-	})
+	st.arrivals = append(st.arrivals, carrival{u: u, q: q, cost: c, hops: hp, parent: int32(parent), via: via})
 	st.h.push(pqItem{cost: c, hops: int(hp), seq: st.seq, idx: len(st.arrivals) - 1})
 	st.seq++
 }
 
+// accept keeps arrival idx as a walk to its destination u unless one
+// of u's walks so far is the same graph-level walk — different product
+// paths can spell one walk when the automaton is ambiguous. The
+// comparison runs on the arrival chains themselves. At most k pops
+// reach (u, accept), so u never collects more than k walks.
+func (st *shortestState) accept(res *Shortest, u int32, idx int) {
+	head := st.last.get(u, 0) - 1
+	for i := head; i >= 0; i = st.keep[i].prev {
+		if res.SameWalk(int32(idx), res, st.keep[i].arr, false) {
+			return
+		}
+	}
+	if head < 0 {
+		st.dsts = append(st.dsts, u)
+	}
+	st.keep = append(st.keep, kept{arr: int32(idx), prev: head})
+	st.last.set(u, 0, int32(len(st.keep)))
+}
+
 // ShortestPaths runs the deterministic k-shortest search from src and
-// returns up to k cheapest conforming paths per destination, cheapest
-// first. k must be ≥ 1. Paths are walks (arbitrary-path semantics,
-// §A.1): nodes and edges may repeat, which is what keeps the search
-// polynomial per destination. The search is Dijkstra over the product
-// with a dense pop table, a typed heap and allocation-free edge
-// relaxation.
-func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID][]PathResult, error) {
+// returns up to k cheapest conforming walks per destination, cheapest
+// first, as accepted arrivals of the search's arena (see Shortest).
+// k must be ≥ 1. Paths are walks (arbitrary-path semantics, §A.1):
+// nodes and edges may repeat, which is what keeps the search polynomial
+// per destination. The search is Dijkstra over the product with a
+// dense pop table, a typed heap and allocation-free edge relaxation.
+func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("rpq: k must be at least 1, got %d", k)
 	}
 	srcOrd, ok := e.snap.Ord(src)
 	if !ok {
-		return map[ppg.NodeID][]PathResult{}, nil
+		return &Shortest{}, nil
 	}
 	snap := e.snap
 	trans := e.resolve(nfa)
@@ -298,20 +336,21 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 		k:        int32(k),
 		seq:      1,
 		pops:     newStateTab(snap.NumNodes(), nfa.NumStates()),
-		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, viaEdge: -1}},
+		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, via: noStep}},
 		h:        cheap{{idx: 0}},
+		last:     newStateTab(snap.NumNodes(), 1),
 	}
+	res := &Shortest{snap: snap}
 	accept := int32(nfa.accept)
-	results := map[ppg.NodeID][]PathResult{}
-	sigs := map[ppg.NodeID]map[WalkSig]bool{}
 
-	steps, pushed, found := 0, 0, 0
+	steps, pushed := 0, 0
 	if sp := e.col.Start(obs.OpShortest); sp != nil {
 		if sp.Verbose() {
 			sp.SetLabel("k-shortest product search")
 		}
 		defer func() {
-			sp.Frontier(int64(steps), int64(pushed)).Rows(0, int64(found)).End()
+			sp.Frontier(int64(steps), int64(pushed)).Rows(0, int64(len(st.keep))).End()
+			e.col.WalksFound(int64(len(st.keep)))
 		}()
 	}
 	for len(st.h) > 0 {
@@ -328,18 +367,8 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 		}
 		st.pops.inc(a.u, a.q)
 		if a.q == accept {
-			dst := snap.NodeID(a.u)
-			if len(results[dst]) < k {
-				res := e.reconstruct(src, st.arrivals, int32(it.idx))
-				sig := res.Signature()
-				if sigs[dst] == nil {
-					sigs[dst] = map[WalkSig]bool{}
-				}
-				if !sigs[dst][sig] {
-					sigs[dst][sig] = true
-					results[dst] = append(results[dst], res)
-				}
-			}
+			res.arrivals, res.views = st.arrivals, st.views // the arena as it stands, for SameWalk
+			st.accept(res, a.u, it.idx)
 		}
 		// Expansion inlined (same transition order as expandOrdinal):
 		// relaxation must not allocate, and a capture-free loop keeps
@@ -349,10 +378,10 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 		for _, rt := range trans[a.q] {
 			switch rt.kind {
 			case tEps:
-				st.relax(it.idx, &base, a.u, rt.to, 0, 0, -1, nil, nil)
+				st.relax(it.idx, &base, a.u, rt.to, 0, 0, noStep)
 			case tNode:
 				if rt.lid >= 0 && snap.NodeHasLabel(a.u, rt.lid) {
-					st.relax(it.idx, &base, a.u, rt.to, 0, 0, -1, nil, nil)
+					st.relax(it.idx, &base, a.u, rt.to, 0, 0, noStep)
 				}
 			case tEdge:
 				if rt.lid == deadLabel {
@@ -361,13 +390,13 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 				if rt.inverse {
 					for _, eo := range snap.In(a.u) {
 						if rt.lid == wildcardLabel || snap.EdgeHasLabel(eo, rt.lid) {
-							st.relax(it.idx, &base, snap.Src(eo), rt.to, 1, 1, eo, nil, nil)
+							st.relax(it.idx, &base, snap.Src(eo), rt.to, 1, 1, eo)
 						}
 					}
 				} else {
 					for _, eo := range snap.Out(a.u) {
 						if rt.lid == wildcardLabel || snap.EdgeHasLabel(eo, rt.lid) {
-							st.relax(it.idx, &base, snap.Dst(eo), rt.to, 1, 1, eo, nil, nil)
+							st.relax(it.idx, &base, snap.Dst(eo), rt.to, 1, 1, eo)
 						}
 					}
 				}
@@ -384,14 +413,15 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 						return nil, fmt.Errorf("rpq: path view %q produced non-positive cost %g (COST must be larger than zero)", rt.view, s.Cost)
 					}
 					to, ok := snap.Ord(s.To)
-					if !ok {
+					if !ok || st.pops.get(to, rt.to) >= st.k {
 						continue
 					}
 					via := s.Nodes
 					if len(via) > 0 && via[0] == snap.NodeID(a.u) {
 						via = via[1:]
 					}
-					st.relax(it.idx, &base, to, rt.to, s.Cost, int32(len(s.Edges)), -1, via, s.Edges)
+					st.views = append(st.views, viewStep{nodes: via, edges: s.Edges})
+					st.relax(it.idx, &base, to, rt.to, s.Cost, int32(len(s.Edges)), viewCode(len(st.views)-1))
 				}
 			}
 		}
@@ -400,37 +430,62 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (map[ppg.NodeID]
 			return nil, err
 		}
 	}
-	for _, prs := range results {
-		found += len(prs)
-	}
-	return results, nil
+	res.finish(st)
+	return res, nil
 }
 
-// reconstruct rebuilds the graph-level path of an arrival chain,
-// translating ordinals back to identifiers — the only point of the
-// search where graph identifiers appear.
-func (e *Engine) reconstruct(src ppg.NodeID, arrivals []carrival, idx int32) PathResult {
-	var chain []int32
-	for i := idx; i >= 0; i = arrivals[i].parent {
-		chain = append(chain, i)
-	}
-	res := PathResult{Src: src, Nodes: []ppg.NodeID{src}}
-	for i := len(chain) - 1; i >= 0; i-- {
-		a := arrivals[chain[i]]
-		switch {
-		case a.viaNodes != nil || a.viaEdges != nil: // view step
-			res.Nodes = append(res.Nodes, a.viaNodes...)
-			res.Edges = append(res.Edges, a.viaEdges...)
-		case a.viaEdge >= 0: // edge step: the step's node is the arrival's own
-			res.Nodes = append(res.Nodes, e.snap.NodeID(a.u))
-			res.Edges = append(res.Edges, e.snap.EdgeID(a.viaEdge))
+// finish keeps of the search what its accepted walks need — their
+// arrival chains, renumbered in order into a compact arena, and the
+// view steps on them — and lays the walks out per destination:
+// destinations ascending, each destination's walks in acceptance
+// order. The rest of the arena, most of it, is garbage once the search
+// returns, so a result held while the query runs costs less than the
+// walks it stands for.
+func (r *Shortest) finish(st *shortestState) {
+	// need[a] marks arrival a as on a kept chain, then holds its new
+	// index + 1; parents precede children, so one ascending pass
+	// renumbers.
+	need := make([]int32, len(st.arrivals))
+	n := 0
+	for _, kp := range st.keep {
+		for a := kp.arr; a >= 0 && need[a] == 0; a = st.arrivals[a].parent {
+			need[a] = 1
+			n++
 		}
 	}
-	last := arrivals[idx]
-	res.Dst = e.snap.NodeID(last.u)
-	res.Cost = last.cost
-	res.Hops = int(last.hops)
-	return res
+	r.arrivals = make([]carrival, 0, n)
+	for old := range need {
+		if need[old] == 0 {
+			continue
+		}
+		a := st.arrivals[old]
+		if a.parent >= 0 {
+			a.parent = need[a.parent] - 1
+		}
+		if isViewStep(a.via) {
+			r.views = append(r.views, st.views[viewIndex(a.via)])
+			a.via = viewCode(len(r.views) - 1)
+		}
+		r.arrivals = append(r.arrivals, a)
+		need[old] = int32(len(r.arrivals))
+	}
+	r.dsts = st.dsts
+	slices.Sort(r.dsts)
+	r.off = make([]int32, len(r.dsts)+1)
+	r.kept = make([]int32, len(st.keep))
+	pos := 0
+	for i, u := range r.dsts {
+		start := pos
+		for j := st.last.get(u, 0) - 1; j >= 0; j = st.keep[j].prev {
+			pos++
+		}
+		w := pos
+		for j := st.last.get(u, 0) - 1; j >= 0; j = st.keep[j].prev {
+			w--
+			r.kept[w] = need[st.keep[j].arr] - 1
+		}
+		r.off[i], r.off[i+1] = int32(start), int32(pos)
+	}
 }
 
 // Reachable returns, ascending, the nodes m such that some path from

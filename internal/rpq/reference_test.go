@@ -113,7 +113,7 @@ func TestQuickEngineMatchesExplicitProduct(t *testing.T) {
 			return false
 		}
 		eng := NewEngine(g, nil)
-		got, err := eng.ShortestPaths(1, nfa, 1)
+		got, err := walks(eng.ShortestPaths(1, nfa, 1))
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestQuickKShortestMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := NewEngine(g, nil).ShortestPaths(1, nfa, 4)
+		res, err := walks(NewEngine(g, nil).ShortestPaths(1, nfa, 4))
 		if err != nil {
 			return false
 		}
@@ -221,7 +221,7 @@ func TestQuickNodeTestRegexProduct(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randLabelledGraph(r, 6)
 		eng := NewEngine(g, nil)
-		got, err := eng.ShortestPaths(1, nfa, 1)
+		got, err := walks(eng.ShortestPaths(1, nfa, 1))
 		if err != nil {
 			return false
 		}
@@ -292,6 +292,34 @@ func refReach(adj map[int][]refEdge, start int) map[int]bool {
 	return seen
 }
 
+// walks reconstructs every kept walk of a k-shortest result, keyed by
+// destination, cheapest first: the map form tests compare against.
+func walks(s *Shortest, err error) (map[ppg.NodeID][]PathResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := map[ppg.NodeID][]PathResult{}
+	for i := 0; i < s.Len(); i++ {
+		_, dst := s.Dest(i)
+		for _, a := range s.Arrivals(i) {
+			out[dst] = append(out[dst], s.Walk(a))
+		}
+	}
+	return out, nil
+}
+
+// reverseWalk is p read from its last node to its first.
+func reverseWalk(p PathResult) PathResult {
+	r := PathResult{Src: p.Dst, Dst: p.Src, Cost: p.Cost, Hops: p.Hops}
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		r.Nodes = append(r.Nodes, p.Nodes[i])
+	}
+	for i := len(p.Edges) - 1; i >= 0; i-- {
+		r.Edges = append(r.Edges, p.Edges[i])
+	}
+	return r
+}
+
 // conforms replays a returned path against the graph and the
 // automaton: consecutive nodes must be joined by the listed edges,
 // traversed in a direction some transition allows, and the automaton
@@ -343,8 +371,10 @@ func conforms(g *ppg.Graph, nfa *NFA, p PathResult) bool {
 // explicit product on random labelled graphs, over regexes covering
 // labels, inverses, node tests, wildcards, unknown labels,
 // alternation, closure and concatenation: the k cheapest walk costs
-// per destination for k ∈ {1,2,3} (each returned walk replayed against
-// graph and automaton), the Reachable set, AllPaths.Destinations, and
+// per destination for k ∈ {1,2,3} (each kept arrival's walk replayed
+// against graph and automaton, and the kernel's exact walk comparison
+// checked against the WalkSig reference), the Reachable set,
+// AllPaths.Destinations, and
 // every Projection — the graph nodes and edges of the product edges
 // lying on some walk from the start to the accepting configuration.
 func TestEngineMatchesExplicitProduct(t *testing.T) {
@@ -378,20 +408,33 @@ func TestEngineMatchesExplicitProduct(t *testing.T) {
 						t.Fatalf("trial %d regex %d: shortest: %v", trial, ni, err)
 					}
 					kbest := refKBest(adj, start, k)
-					if len(got) != len(wantDst) {
-						t.Fatalf("trial %d regex %d src %d k=%d: %d destinations, reference has %d", trial, ni, src, k, len(got), len(wantDst))
+					if got.Len() != len(wantDst) {
+						t.Fatalf("trial %d regex %d src %d k=%d: %d destinations, reference has %d", trial, ni, src, k, got.Len(), len(wantDst))
 					}
-					for _, dst := range wantDst {
+					for i, dst := range wantDst {
+						if _, id := got.Dest(i); id != dst {
+							t.Fatalf("trial %d regex %d src %d k=%d: destination %d is %d, reference %d", trial, ni, src, k, i, id, dst)
+						}
 						var costs []float64
-						seen := map[WalkSig]bool{}
-						for _, p := range got[dst] {
-							if !conforms(g, nfa, p) || p.Cost != float64(p.Hops) || p.Hops != len(p.Edges) {
+						kept := got.Arrivals(i)
+						for ai, a := range kept {
+							p := got.Walk(a)
+							if !conforms(g, nfa, p) || p.Cost != float64(p.Hops) || p.Hops != len(p.Edges) ||
+								p.Cost != got.Cost(a) || p.Hops != got.Hops(a) {
 								t.Fatalf("trial %d regex %d src %d k=%d: path %+v does not conform", trial, ni, src, k, p)
 							}
-							if seen[p.Signature()] {
-								t.Fatalf("trial %d regex %d src %d k=%d: walk returned twice: %+v", trial, ni, src, k, p)
+							// The exact chain comparison must agree with the
+							// signature reference, read forwards and backwards,
+							// against every walk kept for the destination.
+							for _, b := range kept[:ai+1] {
+								q := got.Walk(b)
+								if same, want := got.SameWalk(a, got, b, false), p.Signature() == q.Signature(); same != want || (a == b) != same {
+									t.Fatalf("trial %d regex %d src %d k=%d: SameWalk(%v, %v) = %v, signatures say %v", trial, ni, src, k, p, q, same, want)
+								}
+								if same, want := got.SameWalk(a, got, b, true), p.Signature() == reverseWalk(q).Signature(); same != want {
+									t.Fatalf("trial %d regex %d src %d k=%d: reversed SameWalk(%v, %v) = %v, signatures say %v", trial, ni, src, k, p, q, same, want)
+								}
 							}
-							seen[p.Signature()] = true
 							costs = append(costs, p.Cost)
 						}
 						if want := kbest[cfgID(dst, nfa.accept)]; !reflect.DeepEqual(costs, want) {

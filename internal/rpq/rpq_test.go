@@ -64,7 +64,7 @@ func TestShortestPathsLine(t *testing.T) {
 	g := lineGraph(t, 5)
 	e := NewEngine(g, nil)
 	nfa := mustCompile(t, rxStar(rxLabel("a")))
-	res, err := e.ShortestPaths(1, nfa, 1)
+	res, err := walks(e.ShortestPaths(1, nfa, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestShortestPrefersFewerHops(t *testing.T) {
 	e := NewEngine(g, nil)
 	// (a|b)*: the b shortcut reaches node 5 in one hop.
 	nfa := mustCompile(t, rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
-	res, err := e.ShortestPaths(1, nfa, 1)
+	res, err := walks(e.ShortestPaths(1, nfa, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestKShortest(t *testing.T) {
 	g := lineGraph(t, 5)
 	e := NewEngine(g, nil)
 	nfa := mustCompile(t, rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
-	res, err := e.ShortestPaths(1, nfa, 3)
+	res, err := walks(e.ShortestPaths(1, nfa, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestInverseEdges(t *testing.T) {
 	e := NewEngine(g, nil)
 	// From node 3 backwards over a⁻.
 	nfa := mustCompile(t, rxStar(rxInv("a")))
-	res, err := e.ShortestPaths(3, nfa, 1)
+	res, err := walks(e.ShortestPaths(3, nfa, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestNodeLabelTest(t *testing.T) {
 	e := NewEngine(g, nil)
 	// e !B e: middle node must carry label B.
 	ok := mustCompile(t, rxCat(rxLabel("e"), rxNode("B"), rxLabel("e")))
-	res, err := e.ShortestPaths(1, ok, 1)
+	res, err := walks(e.ShortestPaths(1, ok, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestNodeLabelTest(t *testing.T) {
 	}
 	// e !A e: middle node lacks label A → no path.
 	bad := mustCompile(t, rxCat(rxLabel("e"), rxNode("A"), rxLabel("e")))
-	res, err = e.ShortestPaths(1, bad, 1)
+	res, err = walks(e.ShortestPaths(1, bad, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestWeightedViewSearch(t *testing.T) {
 	})
 	e := NewEngine(g, views)
 	nfa := mustCompile(t, rxStar(&ast.Regex{Op: ast.RxView, Label: "w"}))
-	res, err := e.ShortestPaths(1, nfa, 1)
+	res, err := walks(e.ShortestPaths(1, nfa, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestQuickDijkstraMatchesBellmanFord(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := e.ShortestPaths(1, nfa, 1)
+		res, err := walks(e.ShortestPaths(1, nfa, 1))
 		if err != nil {
 			return false
 		}
@@ -565,7 +565,7 @@ func TestQuickPathsAreValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := e.ShortestPaths(1, nfa, 2)
+		res, err := walks(e.ShortestPaths(1, nfa, 2))
 		if err != nil {
 			return false
 		}

@@ -67,7 +67,7 @@ func TestTrailsVsSimplePaths(t *testing.T) {
 	}
 	// Walks are unbounded; the k-shortest search still terminates and
 	// finds the 2-hop walk first.
-	res, err := e.ShortestPaths(1, nfa, 3)
+	res, err := walks(e.ShortestPaths(1, nfa, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
