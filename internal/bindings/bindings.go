@@ -11,9 +11,8 @@
 // and row copies are slice copies, and the join family buckets rows by
 // a uint64 hash of the shared slots (value.Value.Hash, consistent with
 // value.Equal) with slot-wise equality confirmation on probe — no
-// per-row maps, no string key building. The map-based Binding type
-// remains the boundary representation: Add accepts it, Rows/RowBinding
-// materialise it, so callers that want µ as a map still get one.
+// per-row maps, no string key building. A binding is always a row of a
+// table, addressed as (table, row index); there is no map form of µ.
 package bindings
 
 import (
@@ -23,97 +22,6 @@ import (
 
 	"gcore/internal/value"
 )
-
-// Binding is a binding µ: a partial function from variable names to
-// values (node/edge/path references or literals). A variable that is
-// absent from the map is unbound.
-type Binding map[string]value.Value
-
-// Empty is the binding µ∅ with empty domain; it is compatible with
-// every binding and is the unit of the join.
-func Empty() Binding { return Binding{} }
-
-// Clone returns an independent copy of the binding.
-func (b Binding) Clone() Binding {
-	cp := make(Binding, len(b))
-	for k, v := range b {
-		cp[k] = v
-	}
-	return cp
-}
-
-// Vars returns the bound variable names (dom µ) in sorted order.
-func (b Binding) Vars() []string {
-	vs := make([]string, 0, len(b))
-	for v := range b {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
-}
-
-// Compatible reports µ1 ∼ µ2: agreement on every shared variable.
-func Compatible(a, b Binding) bool {
-	// Probe the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; ok && !value.Equal(va, vb) {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns µ1 ∪ µ2 for compatible bindings.
-func Merge(a, b Binding) Binding {
-	out := make(Binding, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// Key returns a canonical string for the binding restricted to vars;
-// unbound variables contribute a distinguished marker. Equal
-// restrictions yield equal keys, and distinct restrictions yield
-// distinct keys: every fragment is length-prefixed, so a string value
-// containing the separator characters cannot collide across slots.
-func (b Binding) Key(vars []string) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		if val, ok := b[v]; ok {
-			frag := val.Key()
-			sb.WriteString(strconv.Itoa(len(frag)))
-			sb.WriteByte(':')
-			sb.WriteString(frag)
-		} else {
-			sb.WriteByte('?')
-		}
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
-// String renders the binding as {x↦v, ...} in variable order.
-func (b Binding) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, v := range b.Vars() {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(v)
-		sb.WriteString("->")
-		sb.WriteString(b[v].String())
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
 
 // Table is a binding table Ω: a set of bindings together with the
 // variables that may occur in them (its schema). The schema is the
@@ -131,18 +39,17 @@ type Table struct {
 	n    int
 }
 
-// NewTable creates a table with the given schema and rows.
-func NewTable(vars []string, rows ...Binding) *Table {
-	t := &Table{vars: normVars(vars)}
-	for _, b := range rows {
-		t.Add(b)
-	}
-	return t
-}
-
 // Unit returns the table {µ∅}: one row binding nothing. It is the
 // starting Ω′ of a top-level MATCH (§A.5).
-func Unit() *Table { return &Table{n: 1} }
+func Unit() *Table { return Blank(1) }
+
+// Blank returns a table of n rows over vars that bind nothing; Set
+// fills them in.
+func Blank(n int, vars ...string) *Table {
+	t := &Table{vars: normVars(vars), n: n}
+	t.data = absentTemplate(n * len(t.vars))
+	return t
+}
 
 // EmptyTable returns a table with no rows.
 func EmptyTable(vars ...string) *Table { return &Table{vars: normVars(vars)} }
@@ -201,17 +108,28 @@ func (t *Table) Value(i int, name string) (value.Value, bool) {
 	return v, true
 }
 
-// RowBinding materialises row i as a map binding (unbound slots are
-// simply absent from the map).
-func (t *Table) RowBinding(i int) Binding {
-	b := make(Binding, len(t.vars))
-	base := i * len(t.vars)
-	for s, v := range t.vars {
-		if val := t.data[base+s]; !val.IsAbsent() {
-			b[v] = val
+// Set binds slot of row i to v.
+func (t *Table) Set(i, slot int, v value.Value) { t.data[i*len(t.vars)+slot] = v }
+
+// RowKey returns a string that is equal for two rows exactly when
+// they agree, slot by slot, on bound-ness and value. Every bound slot
+// contributes its length-prefixed value.Key fragment and every unbound
+// slot a '?', each followed by '|'; the length prefix keeps a string
+// value containing those bytes from colliding across slots.
+func (t *Table) RowKey(i int) string {
+	var sb strings.Builder
+	for _, v := range t.RowAt(i) {
+		if v.IsAbsent() {
+			sb.WriteByte('?')
+		} else {
+			frag := v.Key()
+			sb.WriteString(strconv.Itoa(len(frag)))
+			sb.WriteByte(':')
+			sb.WriteString(frag)
 		}
+		sb.WriteByte('|')
 	}
-	return b
+	return sb.String()
 }
 
 // RowTable returns a one-row table holding exactly the bound variables
@@ -233,29 +151,6 @@ func (t *Table) RowTable(i int) *Table {
 	}
 	out.n = 1
 	return out
-}
-
-// Rows materialises every row as a map binding. Each call builds fresh
-// maps; callers iterating large tables should prefer RowAt/Value.
-func (t *Table) Rows() []Binding {
-	out := make([]Binding, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.RowBinding(i)
-	}
-	return out
-}
-
-// Add appends a row given as a map binding. Variables outside the
-// schema are dropped (the schema is fixed at table creation).
-func (t *Table) Add(b Binding) {
-	for _, v := range t.vars {
-		if val, ok := b[v]; ok {
-			t.data = append(t.data, val)
-		} else {
-			t.data = append(t.data, value.Absent)
-		}
-	}
-	t.n++
 }
 
 // AppendRow appends one dense row given in slot order (value.Absent
@@ -422,7 +317,7 @@ func (t *Table) rowHash(i int, slots []int) uint64 {
 
 // rowsEqualOn reports slot-wise equality (Absent equals only Absent) —
 // the confirmation step after a hash bucket hit, and row identity for
-// Union/Distinct/GroupBy.
+// Distinct.
 func rowsEqualOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []int) bool {
 	ab, bb := i*len(a.vars), j*len(b.vars)
 	for k := range aSlots {
@@ -449,26 +344,22 @@ func rowsCompatibleOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []i
 	return true
 }
 
-// appendLegacyOrderKey appends the pre-columnar Binding.Key encoding
-// of the listed slots: value.Key fragments (or '?') joined by '|'.
-// It is NOT collision-free and is used only for ordering — Sorted and
-// group ordering must keep producing byte-identical output, and the
-// historical order is the lexicographic order of exactly this string.
-func (t *Table) appendLegacyOrderKey(sb *strings.Builder, i int, slots []int) {
+// legacyOrderKey returns the listed slots of row i as value.Key
+// fragments (or '?') joined by '|'. It is NOT collision-free and is
+// used only for ordering — Sorted and the join's unbound-probe order
+// must keep producing byte-identical output, and the historical order
+// is the lexicographic order of exactly this string.
+func (t *Table) legacyOrderKey(i int, slots []int) string {
+	var sb strings.Builder
 	base := i * len(t.vars)
 	for _, s := range slots {
 		if v := t.data[base+s]; v.IsAbsent() {
 			sb.WriteByte('?')
 		} else {
-			v.AppendKeyTo(sb)
+			v.AppendKeyTo(&sb)
 		}
 		sb.WriteByte('|')
 	}
-}
-
-func (t *Table) legacyOrderKey(i int, slots []int) string {
-	var sb strings.Builder
-	t.appendLegacyOrderKey(&sb, i, slots)
 	return sb.String()
 }
 
@@ -744,22 +635,26 @@ func semi(a, b *Table, keepMatched bool) *Table {
 	return out
 }
 
-// Filter keeps the rows for which pred returns true; the first error
-// aborts. The predicate receives each row materialised as a map.
-func (t *Table) Filter(pred func(Binding) (bool, error)) (*Table, error) {
-	out := &Table{vars: t.vars}
-	w := len(t.vars)
+// Overlay returns the row-aligned merge of t and o, which must have
+// the same number of rows: row i binds what row i of t binds, except
+// that every variable bound in row i of o takes o's value.
+func (t *Table) Overlay(o *Table) *Table {
+	out := &Table{vars: unionVars(t, o), n: t.n}
+	w := len(out.vars)
+	out.data = absentTemplate(t.n * w)
+	tMap, oMap := slotMapping(t.vars, out.vars), slotMapping(o.vars, out.vars)
 	for i := 0; i < t.n; i++ {
-		ok, err := pred(t.RowBinding(i))
-		if err != nil {
-			return nil, err
+		row := out.data[i*w : (i+1)*w]
+		for s, v := range t.RowAt(i) {
+			row[tMap[s]] = v
 		}
-		if ok {
-			out.data = append(out.data, t.data[i*w:(i+1)*w]...)
-			out.n++
+		for s, v := range o.RowAt(i) {
+			if !v.IsAbsent() {
+				row[oMap[s]] = v
+			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Project restricts every row (and the schema) to vars.
@@ -832,116 +727,6 @@ func (t *Table) Sorted() *Table {
 	}
 	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
 	return t.Pick(perm)
-}
-
-// Group is one equivalence class of grp(Ω, g) (§A.3): the rows of Ω
-// that agree on the grouping variables, with Key the projection
-// Ω′(Γ).
-type Group struct {
-	Key  Binding
-	Rows []Binding
-}
-
-// GroupBy partitions the table by the grouping set Γ. Groups are
-// returned in canonical key order. Rows that leave a grouping variable
-// unbound group under the unbound marker, mirroring how Ω′(x) may be
-// undefined in §A.3.
-func (t *Table) GroupBy(gamma []string) []Group {
-	gs := normVars(gamma)
-	slots := make([]int, 0, len(gs))
-	missing := 0
-	for _, v := range gs {
-		if s := t.SlotOf(v); s >= 0 {
-			slots = append(slots, s)
-		} else {
-			missing++ // grouping var outside the schema: always unbound
-		}
-	}
-	type grp struct {
-		rep  int
-		rows []int
-	}
-	var groups []grp
-	idx := map[uint64][]int{}
-	for i := 0; i < t.n; i++ {
-		h := t.rowHash(i, slots)
-		gi := -1
-		for _, j := range idx[h] {
-			if rowsEqualOn(t, i, slots, t, groups[j].rep, slots) {
-				gi = j
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			idx[h] = append(idx[h], gi)
-			groups = append(groups, grp{rep: i})
-		}
-		groups[gi].rows = append(groups[gi].rows, i)
-	}
-	// Order groups by the legacy key of the representative restricted
-	// to Γ (missing grouping vars contribute the unbound marker), the
-	// historical canonical order.
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		var sb strings.Builder
-		t.appendLegacyOrderKey(&sb, g.rep, slots)
-		for k := 0; k < missing; k++ {
-			sb.WriteString("?|")
-		}
-		keys[i] = sb.String()
-	}
-	perm := make([]int, len(groups))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
-	out := make([]Group, len(groups))
-	for oi, pi := range perm {
-		g := groups[pi]
-		key := Binding{}
-		base := g.rep * len(t.vars)
-		for k, v := range gs {
-			_ = k
-			if s := t.SlotOf(v); s >= 0 {
-				if val := t.data[base+s]; !val.IsAbsent() {
-					key[v] = val
-				}
-			}
-		}
-		rows := make([]Binding, len(g.rows))
-		for k, ri := range g.rows {
-			rows[k] = t.RowBinding(ri)
-		}
-		out[oi] = Group{Key: key, Rows: rows}
-	}
-	return out
-}
-
-// AddVars widens the schema (used when the evaluator introduces
-// variables such as construct variables); existing rows leave the new
-// variables unbound.
-func (t *Table) AddVars(vars ...string) {
-	nv := normVars(append(append([]string(nil), t.vars...), vars...))
-	if len(nv) == len(t.vars) {
-		t.vars = nv
-		return
-	}
-	mapTo := slotMapping(t.vars, nv)
-	nw := len(nv)
-	nd := make([]value.Value, t.n*nw)
-	for i := range nd {
-		nd[i] = value.Absent
-	}
-	w := len(t.vars)
-	for i := 0; i < t.n; i++ {
-		src := t.data[i*w : (i+1)*w]
-		dst := nd[i*nw : (i+1)*nw]
-		for s, v := range src {
-			dst[mapTo[s]] = v
-		}
-	}
-	t.vars, t.data = nv, nd
 }
 
 // String renders the table for diagnostics: header then rows in

@@ -9,62 +9,114 @@ import (
 	"gcore/internal/value"
 )
 
-func row(kv ...any) Binding {
-	b := Binding{}
+// refRow is a binding µ written as a map from variable to value: the
+// representation the tests build tables from and the reference
+// operators in columnar_test.go are written in. Production code has
+// only table rows.
+type refRow map[string]value.Value
+
+func row(kv ...any) refRow {
+	b := refRow{}
 	for i := 0; i < len(kv); i += 2 {
 		b[kv[i].(string)] = kv[i+1].(value.Value)
 	}
 	return b
 }
 
+// appendRef appends r to t; variables outside t's schema are dropped.
+func appendRef(t *Table, r refRow) {
+	dense := make([]value.Value, t.Width())
+	for s, v := range t.Vars() {
+		if val, ok := r[v]; ok {
+			dense[s] = val
+		} else {
+			dense[s] = value.Absent
+		}
+	}
+	t.AppendRow(dense)
+}
+
+func tableOf(vars []string, rows ...refRow) *Table {
+	t := EmptyTable(vars...)
+	for _, r := range rows {
+		appendRef(t, r)
+	}
+	return t
+}
+
+// refRowAt returns row i of t as a map holding its bound variables.
+func refRowAt(t *Table, i int) refRow {
+	b := refRow{}
+	for s, v := range t.Vars() {
+		if val := t.RowAt(i)[s]; !val.IsAbsent() {
+			b[v] = val
+		}
+	}
+	return b
+}
+
+func refRows(t *Table) []refRow {
+	out := make([]refRow, t.Len())
+	for i := range out {
+		out[i] = refRowAt(t, i)
+	}
+	return out
+}
+
+// TestCompatibleAndMerge: a one-row join is µ1 ∪ µ2 when µ1 ∼ µ2 and
+// empty otherwise; Overlay merges row-aligned with the right side
+// winning; Blank rows bind nothing until Set.
 func TestCompatibleAndMerge(t *testing.T) {
-	a := row("x", value.NodeRef(1), "y", value.Int(2))
-	b := row("y", value.Int(2), "z", value.Str("s"))
-	c := row("y", value.Int(3))
-	if !Compatible(a, b) || Compatible(a, c) {
+	a := tableOf([]string{"x", "y"}, row("x", value.NodeRef(1), "y", value.Int(2)))
+	b := tableOf([]string{"y", "z"}, row("y", value.Int(2), "z", value.Str("s")))
+	c := tableOf([]string{"y"}, row("y", value.Int(3)))
+	if Join(a, b).Len() != 1 || Join(a, c).Len() != 0 {
 		t.Fatal("compatibility misjudged")
 	}
-	if !Compatible(a, Empty()) || !Compatible(Empty(), a) {
+	if Join(a, Unit()).Len() != 1 || Join(Unit(), a).Len() != 1 {
 		t.Fatal("µ∅ is compatible with everything")
 	}
-	m := Merge(a, b)
+	m := refRowAt(Join(a, b), 0)
 	if len(m) != 3 || !value.Equal(m["z"], value.Str("s")) {
 		t.Fatalf("merge = %v", m)
 	}
-	cl := a.Clone()
-	cl["x"] = value.NodeRef(9)
-	if value.Equal(a["x"], cl["x"]) {
-		t.Error("Clone must be independent")
+	o := Blank(1, "y", "w")
+	if o.Len() != 1 || len(refRowAt(o, 0)) != 0 {
+		t.Fatalf("Blank row binds %v", refRowAt(o, 0))
 	}
-	if got := a.Vars(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Errorf("Vars = %v", got)
+	o.Set(0, o.SlotOf("y"), value.Int(9))
+	ov := refRowAt(a.Overlay(o), 0)
+	if len(ov) != 2 || !value.Equal(ov["y"], value.Int(9)) || !value.Equal(ov["x"], value.NodeRef(1)) {
+		t.Fatalf("overlay = %v", ov)
 	}
 }
 
 func TestBindingKeyAndString(t *testing.T) {
-	a := row("x", value.Int(1))
-	b := row("x", value.Int(1), "y", value.Int(2))
-	if a.Key([]string{"x"}) != b.Key([]string{"x"}) {
-		t.Error("keys over same restriction must agree")
+	tbl := tableOf([]string{"x", "y"},
+		row("x", value.Int(1)),
+		row("x", value.Int(1), "y", value.Int(2)),
+		row("x", value.Int(1)))
+	if tbl.RowKey(0) != tbl.RowKey(2) {
+		t.Error("equal rows must have equal keys")
 	}
-	if a.Key([]string{"x", "y"}) == b.Key([]string{"x", "y"}) {
+	if tbl.RowKey(0) == tbl.RowKey(1) {
 		t.Error("unbound var must be distinguished in key")
 	}
-	if !strings.Contains(b.String(), "y->2") {
-		t.Errorf("String = %q", b.String())
+	if !strings.Contains(tbl.String(), "1\t2") {
+		t.Errorf("String = %q", tbl.String())
 	}
 }
 
 // The worked example of §A.2: three pattern tables joined to a single
 // binding {x↦105, y↦102, w↦106, z↦301}.
 func TestJoinPaperExample(t *testing.T) {
-	t1 := NewTable([]string{"x", "w"},
+	t1 := tableOf([]string{"x", "w"},
 		row("x", value.NodeRef(105), "w", value.NodeRef(106)),
 		row("x", value.NodeRef(102), "w", value.NodeRef(106)))
-	t2 := NewTable([]string{"y", "w"},
+	t2 := tableOf([]string{"y", "w"},
 		row("y", value.NodeRef(102), "w", value.NodeRef(106)),
 		row("y", value.NodeRef(105), "w", value.NodeRef(106)))
-	t3 := NewTable([]string{"z", "x", "y"},
+	t3 := tableOf([]string{"z", "x", "y"},
 		row("z", value.PathRef(301), "x", value.NodeRef(105), "y", value.NodeRef(102)))
 
 	j12 := Join(t1, t2)
@@ -75,16 +127,16 @@ func TestJoinPaperExample(t *testing.T) {
 	if j.Len() != 1 {
 		t.Fatalf("final join has %d rows, want 1", j.Len())
 	}
-	got := j.Rows()[0]
+	got := refRowAt(j, 0)
 	want := row("x", value.NodeRef(105), "y", value.NodeRef(102), "w", value.NodeRef(106), "z", value.PathRef(301))
-	if !Compatible(got, want) || len(got) != 4 {
+	if !refCompatible(got, want) || len(got) != 4 {
 		t.Fatalf("join row = %v", got)
 	}
 }
 
 func TestJoinDisjointIsCartesian(t *testing.T) {
-	a := NewTable([]string{"a"}, row("a", value.Int(1)), row("a", value.Int(2)))
-	b := NewTable([]string{"b"}, row("b", value.Int(3)), row("b", value.Int(4)))
+	a := tableOf([]string{"a"}, row("a", value.Int(1)), row("a", value.Int(2)))
+	b := tableOf([]string{"b"}, row("b", value.Int(3)), row("b", value.Int(4)))
 	j := Join(a, b)
 	if j.Len() != 4 {
 		t.Fatalf("cartesian product has %d rows", j.Len())
@@ -92,8 +144,8 @@ func TestJoinDisjointIsCartesian(t *testing.T) {
 }
 
 func TestUnionDedups(t *testing.T) {
-	a := NewTable([]string{"x"}, row("x", value.Int(1)))
-	b := NewTable([]string{"x"}, row("x", value.Int(1)), row("x", value.Int(2)))
+	a := tableOf([]string{"x"}, row("x", value.Int(1)))
+	b := tableOf([]string{"x"}, row("x", value.Int(1)), row("x", value.Int(2)))
 	u := Union(a, b)
 	if u.Len() != 2 {
 		t.Fatalf("union has %d rows", u.Len())
@@ -101,9 +153,9 @@ func TestUnionDedups(t *testing.T) {
 }
 
 func TestSemiAntiLeftJoin(t *testing.T) {
-	people := NewTable([]string{"n"},
+	people := tableOf([]string{"n"},
 		row("n", value.NodeRef(1)), row("n", value.NodeRef(2)), row("n", value.NodeRef(3)))
-	works := NewTable([]string{"n", "c"},
+	works := tableOf([]string{"n", "c"},
 		row("n", value.NodeRef(1), "c", value.Str("Acme")),
 		row("n", value.NodeRef(1), "c", value.Str("HAL")),
 		row("n", value.NodeRef(2), "c", value.Str("CWI")))
@@ -112,8 +164,8 @@ func TestSemiAntiLeftJoin(t *testing.T) {
 		t.Errorf("semijoin = %d rows", got.Len())
 	}
 	anti := AntiJoin(people, works)
-	if anti.Len() != 1 || !value.Equal(anti.Rows()[0]["n"], value.NodeRef(3)) {
-		t.Errorf("antijoin = %v", anti.Rows())
+	if anti.Len() != 1 || !value.Equal(refRowAt(anti, 0)["n"], value.NodeRef(3)) {
+		t.Errorf("antijoin = %v", refRows(anti))
 	}
 	lj := LeftJoin(people, works)
 	if lj.Len() != 4 {
@@ -121,7 +173,7 @@ func TestSemiAntiLeftJoin(t *testing.T) {
 	}
 	// Node 3 keeps a row with c unbound.
 	found := false
-	for _, r := range lj.Rows() {
+	for _, r := range refRows(lj) {
 		if value.Equal(r["n"], value.NodeRef(3)) {
 			if _, bound := r["c"]; bound {
 				t.Error("unmatched row must leave optional var unbound")
@@ -137,8 +189,8 @@ func TestSemiAntiLeftJoin(t *testing.T) {
 // OPTIONAL semantics corner case: a right row that leaves a shared
 // variable unbound is compatible with every left row.
 func TestJoinWithUnboundSharedVars(t *testing.T) {
-	a := NewTable([]string{"x"}, row("x", value.Int(1)), row("x", value.Int(2)))
-	b := NewTable([]string{"x", "y"},
+	a := tableOf([]string{"x"}, row("x", value.Int(1)), row("x", value.Int(2)))
+	b := tableOf([]string{"x", "y"},
 		row("y", value.Int(10)),                    // x unbound: compatible with both
 		row("x", value.Int(1), "y", value.Int(20))) // only with x=1
 	j := Join(a, b)
@@ -153,16 +205,19 @@ func TestJoinWithUnboundSharedVars(t *testing.T) {
 }
 
 func TestFilterProjectDistinctSorted(t *testing.T) {
-	tbl := NewTable([]string{"x", "y"},
+	tbl := tableOf([]string{"x", "y"},
 		row("x", value.Int(2), "y", value.Str("b")),
 		row("x", value.Int(1), "y", value.Str("a")),
 		row("x", value.Int(2), "y", value.Str("c")))
-	f, err := tbl.Filter(func(b Binding) (bool, error) {
-		i, _ := b["x"].AsInt()
-		return i == 2, nil
-	})
-	if err != nil || f.Len() != 2 {
-		t.Fatalf("filter = %v, %v", f, err)
+	var keep []int
+	for i := 0; i < tbl.Len(); i++ {
+		if v, _ := tbl.Value(i, "x"); value.Equal(v, value.Int(2)) {
+			keep = append(keep, i)
+		}
+	}
+	f := tbl.Pick(keep)
+	if f.Len() != 2 {
+		t.Fatalf("filter = %v", f)
 	}
 	p := f.Project([]string{"x"})
 	if p.Len() != 2 || len(p.Vars()) != 1 {
@@ -173,7 +228,7 @@ func TestFilterProjectDistinctSorted(t *testing.T) {
 		t.Fatalf("distinct = %d rows", d.Len())
 	}
 	s := tbl.Sorted()
-	if i, _ := s.Rows()[0]["x"].AsInt(); i != 1 {
+	if v, _ := s.Value(0, "x"); !value.Equal(v, value.Int(1)) {
 		t.Error("sorted order wrong")
 	}
 	if !tbl.HasVar("x") || tbl.HasVar("z") {
@@ -181,48 +236,9 @@ func TestFilterProjectDistinctSorted(t *testing.T) {
 	}
 }
 
-func TestFilterError(t *testing.T) {
-	tbl := NewTable([]string{"x"}, row("x", value.Int(1)))
-	_, err := tbl.Filter(func(Binding) (bool, error) { return false, errBoom })
-	if err == nil {
-		t.Error("filter must propagate errors")
-	}
-}
-
-var errBoom = &value.TypeError{Op: "boom", Kind: value.KindBool}
-
-func TestGroupBy(t *testing.T) {
-	tbl := NewTable([]string{"e", "n"},
-		row("e", value.Str("MIT"), "n", value.NodeRef(1)),
-		row("e", value.Str("CWI"), "n", value.NodeRef(1)),
-		row("e", value.Str("MIT"), "n", value.NodeRef(2)),
-		row("n", value.NodeRef(3))) // e unbound
-	gs := tbl.GroupBy([]string{"e"})
-	if len(gs) != 3 {
-		t.Fatalf("groups = %d, want 3 (MIT, CWI, unbound)", len(gs))
-	}
-	sizes := map[string]int{}
-	for _, g := range gs {
-		if v, ok := g.Key["e"]; ok {
-			s, _ := v.AsString()
-			sizes[s] = len(g.Rows)
-		} else {
-			sizes["<unbound>"] = len(g.Rows)
-		}
-	}
-	if sizes["MIT"] != 2 || sizes["CWI"] != 1 || sizes["<unbound>"] != 1 {
-		t.Errorf("group sizes = %v", sizes)
-	}
-	// Grouping by nothing puts every row in one group.
-	all := tbl.GroupBy(nil)
-	if len(all) != 1 || len(all[0].Rows) != 4 {
-		t.Errorf("group by ∅ = %v", all)
-	}
-}
-
 func TestUnitAndEmpty(t *testing.T) {
 	u := Unit()
-	if u.Len() != 1 || len(u.Rows()[0]) != 0 {
+	if u.Len() != 1 || len(refRowAt(u, 0)) != 0 {
 		t.Error("Unit must hold exactly µ∅")
 	}
 	e := EmptyTable("x")
@@ -230,7 +246,7 @@ func TestUnitAndEmpty(t *testing.T) {
 		t.Error("EmptyTable misbehaves")
 	}
 	// Joining with Unit is the identity on rows.
-	tbl := NewTable([]string{"x"}, row("x", value.Int(1)))
+	tbl := tableOf([]string{"x"}, row("x", value.Int(1)))
 	if j := Join(u, tbl); j.Len() != 1 {
 		t.Error("Unit ⋈ Ω must equal Ω")
 	}
@@ -244,7 +260,7 @@ func TestUnitAndEmpty(t *testing.T) {
 }
 
 func TestTableString(t *testing.T) {
-	tbl := NewTable([]string{"x", "y"}, row("x", value.Int(1)))
+	tbl := tableOf([]string{"x", "y"}, row("x", value.Int(1)))
 	s := tbl.String()
 	if !strings.Contains(s, "x\ty") || !strings.Contains(s, "·") {
 		t.Errorf("String = %q", s)
@@ -257,7 +273,7 @@ func randTable(r *rand.Rand, vars []string) *Table {
 	t := EmptyTable(vars...)
 	n := r.Intn(8)
 	for i := 0; i < n; i++ {
-		b := Binding{}
+		b := refRow{}
 		for _, v := range vars {
 			switch r.Intn(3) {
 			case 0:
@@ -267,7 +283,7 @@ func randTable(r *rand.Rand, vars []string) *Table {
 			}
 			// case 2: leave unbound
 		}
-		t.Add(b)
+		appendRef(t, b)
 	}
 	return t
 }
@@ -317,10 +333,10 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 		a := randTable(r, []string{"x", "y"})
 		b := randTable(r, []string{"y", "z"})
 		naive := EmptyTable("x", "y", "z")
-		for _, l := range a.Rows() {
-			for _, rr := range b.Rows() {
-				if Compatible(l, rr) {
-					naive.Add(Merge(l, rr))
+		for _, l := range refRows(a) {
+			for _, rr := range refRows(b) {
+				if refCompatible(l, rr) {
+					appendRef(naive, refMerge(l, rr))
 				}
 			}
 		}
@@ -335,8 +351,8 @@ func TestJoinLimited(t *testing.T) {
 	a := EmptyTable("x")
 	b := EmptyTable("y")
 	for i := 0; i < 50; i++ {
-		a.Add(Binding{"x": value.Int(int64(i))})
-		b.Add(Binding{"y": value.Int(int64(i))})
+		appendRef(a, row("x", value.Int(int64(i))))
+		appendRef(b, row("y", value.Int(int64(i))))
 	}
 	// Cartesian would be 2500 rows; the limit aborts early.
 	out, over := JoinLimited(a, b, 100)

@@ -10,8 +10,8 @@ import (
 	"gcore/internal/value"
 )
 
-// Tests for the columnar table layout: Key injectivity (the '|'-join
-// collision hazard), hash/key consistency, and exact-sequence
+// Tests for the columnar table layout: RowKey injectivity (the
+// '|'-join collision hazard), hash/key consistency, and exact-sequence
 // agreement of the hashed operators with a naive reference that
 // replays the legacy nested-loop algorithm, over randomized tables
 // with unbound slots and adversarial string values.
@@ -39,53 +39,45 @@ var adversarialVals = []value.Value{
 	value.List(value.Int(1), value.Str("|")),
 }
 
-// TestKeyInjectiveAdversarial: two bindings have the same Key over
-// vars iff they agree (bound-ness and value) on every var. The old
-// encoding joined raw fragments with '|' and wrote a bare '?' for
-// unbound vars, so fragments containing those bytes could collide
-// across variable boundaries; the length prefix makes the encoding
-// injective for arbitrary fragments.
+// TestKeyInjectiveAdversarial: two rows have the same RowKey iff they
+// agree (bound-ness and value) on every slot. Joining raw fragments
+// with '|' and writing a bare '?' for unbound slots would let
+// fragments containing those bytes collide across slot boundaries;
+// the length prefix makes the encoding injective for arbitrary
+// fragments.
 func TestKeyInjectiveAdversarial(t *testing.T) {
 	vars := []string{"x", "y", "z"}
-	// All bindings over vars with each slot unbound or any adversarial
+	// All rows over vars with each slot unbound or any adversarial
 	// value would be 18^3; sample instead, plus a few crafted pairs.
-	gen := func(r *rand.Rand) Binding {
-		b := Binding{}
-		for _, v := range vars {
-			if i := r.Intn(len(adversarialVals) + 1); i > 0 {
-				b[v] = adversarialVals[i-1]
-			}
-		}
-		return b
-	}
-	sameOn := func(a, b Binding) bool {
-		for _, v := range vars {
-			av, aok := a[v]
-			bv, bok := b[v]
-			if aok != bok || (aok && !value.Equal(av, bv)) {
-				return false
-			}
-		}
-		return true
-	}
+	tbl := EmptyTable(vars...)
 	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		a, b := gen(r), gen(r)
-		if (a.Key(vars) == b.Key(vars)) != sameOn(a, b) {
-			t.Fatalf("Key collision or miss:\na=%v key=%q\nb=%v key=%q", a, a.Key(vars), b, b.Key(vars))
+	for i := 0; i < 10000; i++ {
+		b := refRow{}
+		for _, v := range vars {
+			if j := r.Intn(len(adversarialVals) + 1); j > 0 {
+				b[v] = adversarialVals[j-1]
+			}
+		}
+		appendRef(tbl, b)
+	}
+	for i := 0; i < tbl.Len(); i += 2 {
+		a, b := refRowAt(tbl, i), refRowAt(tbl, i+1)
+		if (tbl.RowKey(i) == tbl.RowKey(i+1)) != refEqualOn(a, b, vars) {
+			t.Fatalf("RowKey collision or miss:\na=%v key=%q\nb=%v key=%q", a, tbl.RowKey(i), b, tbl.RowKey(i+1))
 		}
 	}
-	// The historical hazard, spelled out: moving a separator across a
-	// variable boundary must change the key.
-	p1 := Binding{"x": value.Str("a|b"), "y": value.Str("c")}
-	p2 := Binding{"x": value.Str("a"), "y": value.Str("b|c")}
-	if p1.Key(vars) == p2.Key(vars) {
+	crafted := tableOf(vars,
+		// The historical hazard, spelled out: moving a separator
+		// across a variable boundary must change the key.
+		row("x", value.Str("a|b"), "y", value.Str("c")),
+		row("x", value.Str("a"), "y", value.Str("b|c")),
+		// A bound '?'-like string must not collide with an unbound slot.
+		row("x", value.Str("?")),
+		row())
+	if crafted.RowKey(0) == crafted.RowKey(1) {
 		t.Fatal("separator smuggled across variable boundary")
 	}
-	// A bound '?'-like string must not collide with an unbound slot.
-	q1 := Binding{"x": value.Str("?")}
-	q2 := Binding{}
-	if q1.Key(vars) == q2.Key(vars) {
+	if crafted.RowKey(2) == crafted.RowKey(3) {
 		t.Fatal("bound \"?\" collides with unbound slot")
 	}
 }
@@ -96,11 +88,11 @@ func FuzzKeyInjective(f *testing.F) {
 	f.Add("?", "x", "", "?|x")
 	f.Add("2:ab", "", "2", ":ab")
 	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 string) {
-		vars := []string{"x", "y"}
-		a := Binding{"x": value.Str(x1), "y": value.Str(y1)}
-		b := Binding{"x": value.Str(x2), "y": value.Str(y2)}
+		tbl := tableOf([]string{"x", "y"},
+			row("x", value.Str(x1), "y", value.Str(y1)),
+			row("x", value.Str(x2), "y", value.Str(y2)))
 		same := x1 == x2 && y1 == y2
-		if (a.Key(vars) == b.Key(vars)) != same {
+		if (tbl.RowKey(0) == tbl.RowKey(1)) != same {
 			t.Fatalf("injectivity broken: %q/%q vs %q/%q", x1, y1, x2, y2)
 		}
 	})
@@ -133,7 +125,7 @@ func TestHashMatchesKey(t *testing.T) {
 
 // --- naive reference: the legacy nested-loop operators ---------------
 
-func refLegacyKey(b Binding, vars []string) string {
+func refLegacyKey(b refRow, vars []string) string {
 	var sb strings.Builder
 	for _, v := range vars {
 		if val, ok := b[v]; ok {
@@ -146,7 +138,7 @@ func refLegacyKey(b Binding, vars []string) string {
 	return sb.String()
 }
 
-func refBoundAll(b Binding, vars []string) bool {
+func refBoundAll(b refRow, vars []string) bool {
 	for _, v := range vars {
 		if _, ok := b[v]; !ok {
 			return false
@@ -155,7 +147,7 @@ func refBoundAll(b Binding, vars []string) bool {
 	return true
 }
 
-func refEqualOn(a, b Binding, vars []string) bool {
+func refEqualOn(a, b refRow, vars []string) bool {
 	for _, v := range vars {
 		av, aok := a[v]
 		bv, bok := b[v]
@@ -164,6 +156,47 @@ func refEqualOn(a, b Binding, vars []string) bool {
 		}
 	}
 	return true
+}
+
+// refCompatible reports µ1 ∼ µ2: agreement on every shared variable.
+func refCompatible(a, b refRow) bool {
+	for k, va := range a {
+		if vb, ok := b[k]; ok && !value.Equal(va, vb) {
+			return false
+		}
+	}
+	return true
+}
+
+// refMerge returns µ1 ∪ µ2, b's values winning on shared variables.
+func refMerge(a, b refRow) refRow {
+	out := make(refRow, len(a)+len(b))
+	for k, v := range a {
+		out[k] = v
+	}
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
+// String renders the row as {x->v, ...} in variable order.
+func (b refRow) String() string {
+	vs := make([]string, 0, len(b))
+	for v := range b {
+		vs = append(vs, v)
+	}
+	sort.Strings(vs)
+	var sb strings.Builder
+	sb.WriteByte('{')
+	for i, v := range vs {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(v + "->" + b[v].String())
+	}
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 func refShared(a, b *Table) []string {
@@ -180,26 +213,26 @@ func refShared(a, b *Table) []string {
 // a probe bound on all shared vars sees the matching dense rows in
 // insertion order then the loose rows; an unbound probe sees the
 // loose rows then every dense row in canonical key order.
-func refJoinRows(a, b *Table, left bool) []Binding {
+func refJoinRows(a, b *Table, left bool) []refRow {
 	shared := refShared(a, b)
-	var dense, loose []Binding
-	for _, r := range b.Rows() {
+	var dense, loose []refRow
+	for _, r := range refRows(b) {
 		if refBoundAll(r, shared) {
 			dense = append(dense, r)
 		} else {
 			loose = append(loose, r)
 		}
 	}
-	denseSorted := append([]Binding(nil), dense...)
+	denseSorted := append([]refRow(nil), dense...)
 	sort.SliceStable(denseSorted, func(i, j int) bool {
 		return refLegacyKey(denseSorted[i], shared) < refLegacyKey(denseSorted[j], shared)
 	})
-	var out []Binding
-	for _, l := range a.Rows() {
+	var out []refRow
+	for _, l := range refRows(a) {
 		matched := false
-		emit := func(r Binding) {
+		emit := func(r refRow) {
 			matched = true
-			out = append(out, Merge(l, r))
+			out = append(out, refMerge(l, r))
 		}
 		if refBoundAll(l, shared) {
 			for _, r := range dense {
@@ -208,32 +241,32 @@ func refJoinRows(a, b *Table, left bool) []Binding {
 				}
 			}
 			for _, r := range loose {
-				if Compatible(l, r) {
+				if refCompatible(l, r) {
 					emit(r)
 				}
 			}
 		} else {
 			for _, r := range loose {
-				if Compatible(l, r) {
+				if refCompatible(l, r) {
 					emit(r)
 				}
 			}
 			for _, r := range denseSorted {
-				if Compatible(l, r) {
+				if refCompatible(l, r) {
 					emit(r)
 				}
 			}
 		}
 		if left && !matched {
-			out = append(out, l.Clone())
+			out = append(out, l)
 		}
 	}
 	return out
 }
 
-func refDistinctRows(t *Table) []Binding {
-	var out []Binding
-	for _, r := range t.Rows() {
+func refDistinctRows(t *Table) []refRow {
+	var out []refRow
+	for _, r := range refRows(t) {
 		dup := false
 		for _, s := range out {
 			if refEqualOn(r, s, t.Vars()) {
@@ -248,10 +281,10 @@ func refDistinctRows(t *Table) []Binding {
 	return out
 }
 
-func refUnionRows(a, b *Table, vars []string) []Binding {
-	var out []Binding
+func refUnionRows(a, b *Table, vars []string) []refRow {
+	var out []refRow
 	for _, t := range []*Table{a, b} {
-		for _, r := range t.Rows() {
+		for _, r := range refRows(t) {
 			dup := false
 			for _, s := range out {
 				if refEqualOn(r, s, vars) {
@@ -265,32 +298,6 @@ func refUnionRows(a, b *Table, vars []string) []Binding {
 		}
 	}
 	return out
-}
-
-type refGroup struct {
-	rep  Binding
-	rows []Binding
-}
-
-func refGroupBy(t *Table, gamma []string) []refGroup {
-	var groups []refGroup
-	for _, r := range t.Rows() {
-		found := false
-		for i := range groups {
-			if refEqualOn(groups[i].rep, r, gamma) {
-				groups[i].rows = append(groups[i].rows, r)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, refGroup{rep: r, rows: []Binding{r}})
-		}
-	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		return refLegacyKey(groups[i].rep, gamma) < refLegacyKey(groups[j].rep, gamma)
-	})
-	return groups
 }
 
 // --- generators ------------------------------------------------------
@@ -314,31 +321,31 @@ func propTable(r *rand.Rand, vars []string) *Table {
 	t := EmptyTable(vars...)
 	n := r.Intn(7)
 	for i := 0; i < n; i++ {
-		b := Binding{}
+		b := refRow{}
 		for _, v := range vars {
 			if j := r.Intn(len(adversarialVals) + 4); j < len(adversarialVals) {
 				b[v] = adversarialVals[j]
 			}
 			// else: leave the slot unbound
 		}
-		t.Add(b)
+		appendRef(t, b)
 	}
 	return t
 }
 
-func sameRows(got *Table, want []Binding, vars []string) bool {
+func sameRows(got *Table, want []refRow, vars []string) bool {
 	if got.Len() != len(want) {
 		return false
 	}
 	for i := 0; i < got.Len(); i++ {
-		if !refEqualOn(got.RowBinding(i), want[i], vars) {
+		if !refEqualOn(refRowAt(got, i), want[i], vars) {
 			return false
 		}
 	}
 	return true
 }
 
-func dumpRows(rows []Binding) string {
+func dumpRows(rows []refRow) string {
 	var sb strings.Builder
 	for _, r := range rows {
 		sb.WriteString(r.String())
@@ -350,7 +357,7 @@ func dumpRows(rows []Binding) string {
 func dumpTable(t *Table) string {
 	var sb strings.Builder
 	for i := 0; i < t.Len(); i++ {
-		sb.WriteString(t.RowBinding(i).String())
+		sb.WriteString(refRowAt(t, i).String())
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -382,11 +389,11 @@ func TestColumnarSemiAntiMatchReference(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := propTable(r, propVars(r))
 		b := propTable(r, propVars(r))
-		var wantSemi, wantAnti []Binding
-		for _, l := range a.Rows() {
+		var wantSemi, wantAnti []refRow
+		for _, l := range refRows(a) {
 			matched := false
-			for _, rr := range b.Rows() {
-				if Compatible(l, rr) {
+			for _, rr := range refRows(b) {
+				if refCompatible(l, rr) {
 					matched = true
 					break
 				}
@@ -423,41 +430,6 @@ func TestColumnarDistinctUnionMatchReference(t *testing.T) {
 	}
 }
 
-// TestColumnarGroupByMatchesReference: group identity, group order and
-// within-group row order all match the reference.
-func TestColumnarGroupByMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for i := 0; i < 400; i++ {
-		vars := propVars(r)
-		a := propTable(r, vars)
-		gamma := vars[:r.Intn(len(vars)+1)]
-		got := a.GroupBy(gamma)
-		want := refGroupBy(a, normVars(gamma))
-		if len(got) != len(want) {
-			t.Fatalf("case %d: %d groups, want %d", i, len(got), len(want))
-		}
-		for gi := range got {
-			wantKey := Binding{}
-			for _, v := range normVars(gamma) {
-				if val, ok := want[gi].rep[v]; ok {
-					wantKey[v] = val
-				}
-			}
-			if !refEqualOn(got[gi].Key, wantKey, normVars(gamma)) {
-				t.Fatalf("case %d group %d: key %v, want %v", i, gi, got[gi].Key, wantKey)
-			}
-			if len(got[gi].Rows) != len(want[gi].rows) {
-				t.Fatalf("case %d group %d: %d rows, want %d", i, gi, len(got[gi].Rows), len(want[gi].rows))
-			}
-			for ri := range got[gi].Rows {
-				if !refEqualOn(got[gi].Rows[ri], want[gi].rows[ri], vars) {
-					t.Fatalf("case %d group %d row %d diverged", i, gi, ri)
-				}
-			}
-		}
-	}
-}
-
 // TestQuickSortedCanonicalOrder: Sorted orders rows by the canonical
 // '|'-joined key the legacy code used, so serialized output (which is
 // what the differential suites pin) is unchanged.
@@ -467,7 +439,7 @@ func TestQuickSortedCanonicalOrder(t *testing.T) {
 		a := propTable(r, propVars(r))
 		s := a.Sorted()
 		for i := 1; i < s.Len(); i++ {
-			if refLegacyKey(s.RowBinding(i-1), a.Vars()) > refLegacyKey(s.RowBinding(i), a.Vars()) {
+			if refLegacyKey(refRowAt(s, i-1), a.Vars()) > refLegacyKey(refRowAt(s, i), a.Vars()) {
 				return false
 			}
 		}

@@ -140,27 +140,3 @@ func TestTableAsGraph(t *testing.T) {
 		t.Error("Resolve should find the table graph")
 	}
 }
-
-func TestBindingTable(t *testing.T) {
-	c := New()
-	tb := table.New("t", "x", "y")
-	if err := tb.AddRow(value.Int(1), value.Null); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	rows, cols, err := c.BindingTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || len(rows) != 1 {
-		t.Fatalf("binding table = %v, %v", cols, rows)
-	}
-	if _, bound := rows[0]["y"]; bound {
-		t.Error("null cell must be unbound")
-	}
-	if _, _, err := c.BindingTable("missing"); err == nil {
-		t.Error("unknown binding table must fail")
-	}
-}

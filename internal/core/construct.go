@@ -52,6 +52,9 @@ func (c *evalCtx) evalConstruct(s *scope, cc *ast.ConstructClause, tbl *bindings
 		if err != nil {
 			return nil, err
 		}
+		if result.IsEmpty() {
+			return g, nil // freshly built and unshared: no copy needed
+		}
 		result = ppg.Union("", result, g)
 	}
 	return result, nil
@@ -59,10 +62,9 @@ func (c *evalCtx) evalConstruct(s *scope, cc *ast.ConstructClause, tbl *bindings
 
 // builtObj records one constructed object for the WHEN phase.
 type builtObj struct {
-	sort    varSort
-	id      uint64
-	varName string
-	rows    []int // indexes into the binding rows of the group
+	sort varSort
+	id   uint64
+	rows []int // the group's rows of the match table
 }
 
 // assignments collected for one construct variable.
@@ -81,21 +83,12 @@ type itemCtx struct {
 }
 
 func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *bindings.Table, graphs []*ppg.Graph) (*ppg.Graph, error) {
-	rows := tbl.Rows()
-	schema := tbl.Vars()
 	out := ppg.New("")
+	// Phases 1–2 evaluate expressions on the match table.
 	env := c.newEnv(s, graphs, nil)
 	env.constructed = out
-	env.groupSchema = schema
-
-	// rowBind maps each row index to the construct-variable bindings
-	// produced for it (node, edge and path identities); it is shared
-	// by all pattern items so repeated construct variables denote the
-	// same identities.
-	rowBind := make([]bindings.Binding, len(rows))
-	for i := range rowBind {
-		rowBind[i] = bindings.Binding{}
-	}
+	env.rowTab = tbl
+	env.groupSchema = tbl.Vars()
 
 	ics := make([]*itemCtx, len(items))
 	for i, item := range items {
@@ -122,15 +115,28 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		ics[i] = ic
 	}
 
+	// cons holds, row-aligned with tbl, the construct-variable
+	// identities (node, edge and path) made for each row; it is shared
+	// by all pattern items so repeated construct variables denote the
+	// same identities. It is kept apart from tbl because a construct
+	// variable may carry a match variable's name ((=n), [=e], bound (n)):
+	// phases 1–2 read the matched value, WHEN the constructed one.
+	var consVars []string
+	for _, ic := range ics {
+		consVars = append(append(consVars, ic.names.node...), ic.names.link...)
+	}
+	cons := bindings.Blank(tbl.Len(), consVars...)
+
 	// ---- phase 1: node constructs across all items ----
 	for _, ic := range ics {
 		gp := ic.item.Pattern
 		for ni, np := range gp.Nodes {
 			varName := ic.names.node[ni]
-			if rowBindHasVar(rowBind, varName) {
+			slot := cons.SlotOf(varName)
+			if anyRowBinds(cons, slot) {
 				continue // defined by an earlier occurrence: reference
 			}
-			groups, err := c.groupFor(env, rows, np.Var, np.Group, schema, tbl)
+			groups, err := c.groupFor(env, tbl, np.Var, np.Group)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +144,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 					return nil, err
 				}
-				rep := rows[grp.rows[0]]
+				rep := grp.rows[0]
 				var (
 					id     ppg.NodeID
 					labels ppg.Labels
@@ -147,7 +153,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				bound := np.Var != "" && tbl.HasVar(np.Var)
 				switch {
 				case bound && !np.Copy:
-					ref, ok := rep[np.Var]
+					ref, ok := tbl.Value(rep, np.Var)
 					if !ok {
 						continue // Ω′(x) undefined → G∅ for this group
 					}
@@ -163,7 +169,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 						labels, props = ppg.Labels{}, ppg.Properties{}
 					}
 				case np.Copy:
-					ref, ok := rep[np.Var]
+					ref, ok := tbl.Value(rep, np.Var)
 					if !ok {
 						continue
 					}
@@ -182,16 +188,16 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					labels, props = ppg.Labels{}, ppg.Properties{}
 				}
 				labels = addPatternLabels(labels, np.Labels)
-				if err := c.applyAssignments(env, rows, grp.rows, varName, &labels, props, np.Props, ic.extra[varName]); err != nil {
+				if err := c.applyAssignments(env, grp.rows, &labels, props, np.Props, ic.extra[varName]); err != nil {
 					return nil, err
 				}
 				if err := c.gov.AddResults(1); err != nil {
 					return nil, err
 				}
 				ensureNode(out, &ppg.Node{ID: id, Labels: labels, Props: props})
-				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), varName: varName, rows: grp.rows})
+				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), rows: grp.rows})
 				for _, ri := range grp.rows {
-					rowBind[ri][varName] = value.NodeRef(uint64(id))
+					cons.Set(ri, slot, value.NodeRef(uint64(id)))
 				}
 			}
 		}
@@ -202,11 +208,11 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		for li, link := range ic.item.Pattern.Links {
 			switch ep := link.(type) {
 			case *ast.EdgePattern:
-				if err := c.constructEdge(env, out, ep, ic.names, li, rows, rowBind, tbl, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructEdge(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
 					return nil, err
 				}
 			case *ast.PathPattern:
-				if err := c.constructPath(env, out, ep, ic.names, li, rows, rowBind, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructPath(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
 					return nil, err
 				}
 			}
@@ -220,8 +226,11 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		if ic.item.When == nil {
 			continue
 		}
-		anyWhen = true
-		if err := c.whenDrops(env, ic.item.When, ic.objects, rows, rowBind, schema, dropped); err != nil {
+		if !anyWhen {
+			anyWhen = true
+			env.rowTab = tbl.Overlay(cons)
+		}
+		if err := c.whenDrops(env, ic.item.When, ic.objects, dropped); err != nil {
 			return nil, err
 		}
 	}
@@ -231,60 +240,60 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 	return out, nil
 }
 
-func rowBindHasVar(rowBind []bindings.Binding, v string) bool {
-	for _, b := range rowBind {
-		if _, ok := b[v]; ok {
+// anyRowBinds reports whether some row of t binds slot.
+func anyRowBinds(t *bindings.Table, slot int) bool {
+	for i := 0; i < t.Len(); i++ {
+		if !t.RowAt(i)[slot].IsAbsent() {
 			return true
 		}
 	}
 	return false
 }
 
-// objGroup is one grouped equivalence class (indexes into rows).
+// objGroup is one grouped equivalence class (row indexes).
 type objGroup struct {
 	key  string
 	rows []int
 }
 
-// groupFor computes grp(Ω, g) for a construct element: identity
-// grouping for bound variables, explicit GROUP expressions, or
-// per-binding grouping for unbound variables.
-func (c *evalCtx) groupFor(env *env, rows []bindings.Binding, varName string, groupExprs []ast.Expr, schema []string, tbl *bindings.Table) ([]objGroup, error) {
-	keyFn := func(b bindings.Binding) (string, bool, error) {
+// groupFor computes grp(Ω, g) for a construct element over the rows
+// of tbl, which must be env's table: identity grouping for bound
+// variables, explicit GROUP expressions, or per-binding grouping for
+// unbound variables.
+func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupExprs []ast.Expr) ([]objGroup, error) {
+	return groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
 		switch {
 		case len(groupExprs) > 0:
 			var sb strings.Builder
-			saved := env.row
-			env.row = b
+			env.rowIdx = ri
 			for _, ge := range groupExprs {
 				v, err := env.eval(ge)
 				if err != nil {
-					env.row = saved
 					return "", false, err
 				}
 				sb.WriteString(v.Key())
 				sb.WriteByte('|')
 			}
-			env.row = saved
 			return sb.String(), true, nil
 		case varName != "" && tbl.HasVar(varName):
-			v, ok := b[varName]
+			v, ok := tbl.Value(ri, varName)
 			if !ok {
 				return "", false, nil // undefined identity: skip row
 			}
 			return v.Key(), true, nil
 		default:
-			return b.Key(schema), true, nil
+			return tbl.RowKey(ri), true, nil
 		}
-	}
-	return groupIndexes(rows, keyFn)
+	})
 }
 
-func groupIndexes(rows []bindings.Binding, keyFn func(bindings.Binding) (string, bool, error)) ([]objGroup, error) {
+// groupIndexes groups rows 0..n-1 by keyFn (ok=false skips a row) and
+// returns the groups in key order, rows in input order within each.
+func groupIndexes(n int, keyFn func(int) (string, bool, error)) ([]objGroup, error) {
 	idx := map[string]int{}
 	var groups []objGroup
-	for i, r := range rows {
-		k, ok, err := keyFn(r)
+	for i := 0; i < n; i++ {
+		k, ok, err := keyFn(i)
 		if err != nil {
 			return nil, err
 		}
@@ -313,20 +322,11 @@ func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
 }
 
 // applyAssignments evaluates {k := e}, SET and REMOVE for one
-// constructed object over its group.
-func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []int, varName string, labels *ppg.Labels, props ppg.Properties, inline []*ast.PropSpec, a *assignSet) error {
-	groupRows := make([]bindings.Binding, len(grpRows))
-	for i, ri := range grpRows {
-		groupRows[i] = rows[ri]
-	}
-	savedRows, savedRow := env.groupRows, env.row
-	env.groupRows = groupRows
-	if len(groupRows) > 0 {
-		env.row = groupRows[0]
-	} else {
-		env.row = bindings.Empty()
-	}
-	defer func() { env.groupRows, env.row = savedRows, savedRow }()
+// constructed object over its group (rows of env's table), with µ its
+// first row.
+func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, props ppg.Properties, inline []*ast.PropSpec, a *assignSet) error {
+	env.groupRows, env.rowIdx = grpRows, grpRows[0]
+	defer func() { env.groupRows = nil }()
 
 	evalTo := func(key string, e ast.Expr) error {
 		v, err := env.eval(e)
@@ -350,7 +350,7 @@ func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []
 			}
 		case ast.PropBind:
 			// {k = v} with a variable: assign the variable's value.
-			if v, ok := env.row[ps.Var]; ok {
+			if v, ok := env.lookup(ps.Var); ok {
 				props.Set(ps.Key, v)
 			}
 		}
@@ -373,7 +373,6 @@ func (c *evalCtx) applyAssignments(env *env, rows []bindings.Binding, grpRows []
 			}
 		}
 	}
-	_ = varName
 	return nil
 }
 
@@ -472,7 +471,7 @@ func ensurePath(g *ppg.Graph, p *ppg.Path) error {
 }
 
 // constructEdge builds the edges of one edge pattern.
-func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, names patternNames, li int, rows []bindings.Binding, rowBind []bindings.Binding, tbl *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
+func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, names patternNames, li int, tbl, cons *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
 	if ep.Dir == ast.DirBoth {
 		return errf("constructed edges need a direction: use -[...]-> or <-[...]-")
 	}
@@ -483,63 +482,43 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 	// Group: bound edges by identity; otherwise by the constructed
 	// endpoint pair (which subsumes Γx ∪ Γy ∪ {x,y}) plus explicit
 	// GROUP expressions.
-	keyFn := func(ri int) (string, bool, error) {
-		b := rows[ri]
+	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
 		if bound {
-			v, ok := b[ep.Var]
+			v, ok := tbl.Value(ri, ep.Var)
 			if !ok {
 				return "", false, nil
 			}
 			return v.Key(), true, nil
 		}
-		sv, ok1 := rowBind[ri][leftVar]
-		dv, ok2 := rowBind[ri][rightVar]
+		sv, ok1 := cons.Value(ri, leftVar)
+		dv, ok2 := cons.Value(ri, rightVar)
 		if !ok1 || !ok2 {
 			return "", false, nil // dangling prevention
 		}
 		key := sv.Key() + ">" + dv.Key()
 		if len(ep.Group) > 0 {
-			saved := env.row
-			env.row = b
+			env.rowIdx = ri
 			for _, ge := range ep.Group {
 				v, err := env.eval(ge)
 				if err != nil {
-					env.row = saved
 					return "", false, err
 				}
 				key += "|" + v.Key()
 			}
-			env.row = saved
 		}
 		return key, true, nil
+	})
+	if err != nil {
+		return err
 	}
-	idx := map[string]int{}
-	var groups []objGroup
-	for ri := range rows {
-		k, ok, err := keyFn(ri)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		gi, seen := idx[k]
-		if !seen {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, objGroup{key: k})
-		}
-		groups[gi].rows = append(groups[gi].rows, ri)
-	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 
 	for _, grp := range groups {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
 		rep := grp.rows[0]
-		sv, ok1 := rowBind[rep][leftVar]
-		dv, ok2 := rowBind[rep][rightVar]
+		sv, ok1 := cons.Value(rep, leftVar)
+		dv, ok2 := cons.Value(rep, rightVar)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -556,7 +535,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		)
 		switch {
 		case bound:
-			ref := rows[rep][ep.Var]
+			ref, _ := tbl.Value(rep, ep.Var)
 			if ref.Kind() != value.KindEdge {
 				return errf("construct variable %q must be an edge, got %s", ep.Var, ref.Kind())
 			}
@@ -574,7 +553,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			}
 			labels, props = srcEdge.Labels.Clone(), srcEdge.Props.Clone()
 		case ep.Copy:
-			ref, ok := rows[rep][ep.Var]
+			ref, ok := tbl.Value(rep, ep.Var)
 			if !ok {
 				continue
 			}
@@ -589,7 +568,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			labels, props = ppg.Labels{}, ppg.Properties{}
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		if err := c.applyAssignments(env, rows, grp.rows, edgeVar, &labels, props, ep.Props, extra[edgeVar]); err != nil {
+		if err := c.applyAssignments(env, grp.rows, &labels, props, ep.Props, extra[edgeVar]); err != nil {
 			return err
 		}
 		// Endpoint nodes must exist in the item graph: bound-identity
@@ -606,9 +585,10 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		if err := ensureEdge(out, &ppg.Edge{ID: id, Src: src, Dst: dst, Labels: labels, Props: props}); err != nil {
 			return err
 		}
-		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), varName: edgeVar, rows: grp.rows})
+		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), rows: grp.rows})
+		slot := cons.SlotOf(edgeVar)
 		for _, ri := range grp.rows {
-			rowBind[ri][edgeVar] = value.EdgeRef(uint64(id))
+			cons.Set(ri, slot, value.EdgeRef(uint64(id)))
 		}
 	}
 	return nil
@@ -616,7 +596,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 
 // constructPath builds stored paths (-/@p:label{...}/->) and graph
 // projections (-/p/->) in CONSTRUCT position.
-func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, names patternNames, li int, rows []bindings.Binding, rowBind []bindings.Binding, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
+func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, names patternNames, li int, tbl, cons *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
 	pathVar := names.link[li]
 	if pp.Var == "" {
 		return errf("a path in CONSTRUCT position needs a bound path variable")
@@ -625,8 +605,8 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		return errf("regular expressions are not allowed in CONSTRUCT path patterns")
 	}
 	// Group by path identity.
-	groups, err := groupIndexes(rows, func(b bindings.Binding) (string, bool, error) {
-		v, ok := b[pp.Var]
+	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
+		v, ok := tbl.Value(ri, pp.Var)
 		if !ok {
 			return "", false, nil
 		}
@@ -639,8 +619,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
-		rep := rows[grp.rows[0]]
-		ref := rep[pp.Var]
+		ref, _ := tbl.Value(grp.rows[0], pp.Var)
 		if ref.Kind() != value.KindPath {
 			return errf("construct variable %q must be a path, got %s", pp.Var, ref.Kind())
 		}
@@ -708,7 +687,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			labels, props = pobj.Labels.Clone(), pobj.Props.Clone()
 		}
 		labels = addPatternLabels(labels, pp.Labels)
-		if err := c.applyAssignments(env, rows, grp.rows, pathVar, &labels, props, pp.Props, extra[pathVar]); err != nil {
+		if err := c.applyAssignments(env, grp.rows, &labels, props, pp.Props, extra[pathVar]); err != nil {
 			return err
 		}
 		stored := &ppg.Path{
@@ -724,9 +703,10 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if err := ensurePath(out, stored); err != nil {
 			return err
 		}
-		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, varName: pathVar, rows: grp.rows})
+		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, rows: grp.rows})
+		slot := cons.SlotOf(pathVar)
 		for _, ri := range grp.rows {
-			rowBind[ri][pathVar] = value.PathRef(pid)
+			cons.Set(ri, slot, value.PathRef(pid))
 		}
 	}
 	return nil
@@ -737,24 +717,12 @@ func dropKey(s varSort, id uint64) string {
 }
 
 // whenDrops evaluates a WHEN condition per constructed object of one
-// item, over the object's group extended with all construct bindings,
-// and records failing objects.
-func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, rows []bindings.Binding, rowBind []bindings.Binding, schema []string, dropped map[string]bool) error {
-	savedRows, savedRow, savedSchema := env.groupRows, env.row, env.groupSchema
-	defer func() { env.groupRows, env.row, env.groupSchema = savedRows, savedRow, savedSchema }()
-
+// item, over the object's group of env's table (the match rows with
+// all construct identities), and records failing objects.
+func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, dropped map[string]bool) error {
+	defer func() { env.groupRows = nil }()
 	for _, obj := range objects {
-		groupRows := make([]bindings.Binding, len(obj.rows))
-		for i, ri := range obj.rows {
-			groupRows[i] = bindings.Merge(rows[ri], rowBind[ri])
-		}
-		env.groupRows = groupRows
-		env.groupSchema = schema
-		if len(groupRows) > 0 {
-			env.row = groupRows[0]
-		} else {
-			env.row = bindings.Empty()
-		}
+		env.groupRows, env.rowIdx = obj.rows, obj.rows[0]
 		v, err := env.eval(when)
 		if err != nil {
 			return err

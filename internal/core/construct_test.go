@@ -11,8 +11,160 @@ import (
 	"gcore/internal/parser"
 	"gcore/internal/ppg"
 	"gcore/internal/snb"
+	"gcore/internal/table"
 	"gcore/internal/value"
 )
+
+// TestConstructBindingSemantics pins which µ each CONSTRUCT phase
+// reads: property assignments see the matched binding, WHEN sees the
+// construct identities overriding it, COUNT(*) counts only rows that
+// bind every match variable, and group order (hence identifier order)
+// follows the group keys.
+func TestConstructBindingSemantics(t *testing.T) {
+	cat := catalog.New()
+	ds := snb.Generate(snb.Config{Persons: 30, Seed: 1}, cat.IDs())
+	if err := cat.RegisterGraph(ds.Social); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.SetDefault(ds.Social.Name()); err != nil {
+		t.Fatal(err)
+	}
+	adv := table.New("adv", "x", "y")
+	for _, r := range [][2]value.Value{
+		{value.Str("a|b"), value.Str("c")},
+		{value.Str("a"), value.Str("b|c")},
+		{value.Str("?"), value.Null},
+		{value.Str("2:ab"), value.Str("?")},
+	} {
+		if err := adv.AddRow(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.RegisterTable(adv); err != nil {
+		t.Fatal(err)
+	}
+	ev := core.New(cat)
+
+	knows := 0
+	lastNames := map[string]bool{}
+	for _, id := range ds.Social.EdgeIDs() {
+		if e, _ := ds.Social.Edge(id); e.Labels.Has("knows") {
+			knows++
+		}
+	}
+	for _, id := range ds.Persons {
+		n, _ := ds.Social.Node(id)
+		s, _ := n.Props.Get("lastName").Scalarize().AsString()
+		lastNames[s] = true
+	}
+	// props lists one property of every node in identifier order.
+	props := func(g *ppg.Graph, key string) []value.Value {
+		var out []value.Value
+		for _, id := range g.NodeIDs() {
+			n, _ := g.Node(id)
+			out = append(out, n.Props.Get(key).Scalarize())
+		}
+		return out
+	}
+
+	cases := []struct {
+		name  string
+		query string
+		check func(t *testing.T, g *ppg.Graph)
+	}{
+		{"node copy kept by WHEN on its identity",
+			`CONSTRUCT (=n :Copy {x := 1}) WHEN n.x = 1 MATCH (n:Person)`,
+			func(t *testing.T, g *ppg.Graph) {
+				if g.NumNodes() != 30 {
+					t.Errorf("nodes = %d, want 30", g.NumNodes())
+				}
+			}},
+		{"node copy dropped by WHEN on its identity",
+			`CONSTRUCT (=n :Copy {x := 1}) WHEN n.x = 2 MATCH (n:Person)`,
+			func(t *testing.T, g *ppg.Graph) {
+				if g.NumNodes() != 0 {
+					t.Errorf("nodes = %d, want 0", g.NumNodes())
+				}
+			}},
+		{"edge copy kept by WHEN on its identity",
+			`CONSTRUCT (n)-[=e :Copy {x := 1}]->(m) WHEN e.x = 1 MATCH (n:Person)-[e:knows]->(m:Person)`,
+			func(t *testing.T, g *ppg.Graph) {
+				if g.NumEdges() != knows || g.NumNodes() != 30 {
+					t.Errorf("graph = %d nodes, %d edges; want 30, %d", g.NumNodes(), g.NumEdges(), knows)
+				}
+			}},
+		{"edge copy dropped by WHEN on its identity",
+			`CONSTRUCT (n)-[=e :Copy {x := 1}]->(m) WHEN e.x = 2 MATCH (n:Person)-[e:knows]->(m:Person)`,
+			func(t *testing.T, g *ppg.Graph) {
+				if !g.IsEmpty() {
+					t.Errorf("graph = %d nodes, %d edges; want empty", g.NumNodes(), g.NumEdges())
+				}
+			}},
+		{"COUNT(*) skips rows of an unmatched OPTIONAL",
+			`CONSTRUCT (n {c := COUNT(*)}) MATCH (n:Person) OPTIONAL (n)-[:nosuch]->(m)`,
+			func(t *testing.T, g *ppg.Graph) {
+				cs := props(g, "c")
+				if len(cs) != 30 {
+					t.Fatalf("nodes = %d, want 30", len(cs))
+				}
+				for _, c := range cs {
+					if !value.Equal(c, value.Int(0)) {
+						t.Fatalf("c = %v, want 0", c)
+					}
+				}
+			}},
+		{"GROUP expression",
+			`CONSTRUCT (x GROUP n.lastName :Family {name := n.lastName, size := COUNT(*)}) MATCH (n:Person)`,
+			func(t *testing.T, g *ppg.Graph) {
+				names, sizes := props(g, "name"), props(g, "size")
+				if len(names) != len(lastNames) {
+					t.Fatalf("families = %d, want %d", len(names), len(lastNames))
+				}
+				total := int64(0)
+				for i, n := range names {
+					if i > 0 && value.Compare(names[i-1], n) >= 0 {
+						t.Errorf("families out of key order: %v", names)
+					}
+					s, _ := sizes[i].AsInt()
+					total += s
+				}
+				if total != 30 {
+					t.Errorf("family sizes sum to %d, want 30", total)
+				}
+			}},
+		{"ungrouped rows with separator-like strings",
+			`CONSTRUCT (r :Row {x := x}) FROM adv`,
+			func(t *testing.T, g *ppg.Graph) {
+				// Identifiers follow the length-prefixed row key order.
+				want := []value.Value{value.Str("?"), value.Str("a"), value.Str("a|b"), value.Str("2:ab")}
+				got := props(g, "x")
+				if len(got) != len(want) {
+					t.Fatalf("rows = %v, want %v", got, want)
+				}
+				for i := range want {
+					if !value.Equal(got[i], want[i]) {
+						t.Fatalf("identifier order = %v, want %v", got, want)
+					}
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stmt, err := parser.Parse(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ev.EvalStatement(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Graph.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, res.Graph)
+		})
+	}
+}
 
 // CONSTRUCT corner cases beyond the guided tour.
 

@@ -698,18 +698,21 @@ func (c *evalCtx) resolveGraphName(s *scope, name string) (*ppg.Graph, error) {
 }
 
 // fromTable imports a binding table for the FROM clause (§5).
+// Column names become variables; a NULL cell leaves its variable
+// unbound in that row.
 func (c *evalCtx) fromTable(name string) (*bindings.Table, error) {
-	rows, cols, err := c.ev.cat.BindingTable(name)
-	if err != nil {
-		return nil, errf("%v", err)
+	t, ok := c.ev.cat.Table(name)
+	if !ok {
+		return nil, errf("catalog: unknown binding table %q", name)
 	}
-	tbl := bindings.EmptyTable(cols...)
-	for _, r := range rows {
-		b := bindings.Binding{}
-		for k, v := range r {
-			b[k] = v
+	tbl := bindings.Blank(len(t.Rows), t.Cols...)
+	for ci, col := range t.Cols {
+		slot := tbl.SlotOf(col)
+		for ri, row := range t.Rows {
+			if v := row[ci]; !v.IsNull() {
+				tbl.Set(ri, slot, v)
+			}
 		}
-		tbl.Add(b)
 	}
 	return tbl, nil
 }

@@ -794,6 +794,8 @@ func TestEvalErrors(t *testing.T) {
 		`CONSTRUCT (n) MATCH (n:Person)-/p<~nosuch*>/->(m)`,           // unknown path view
 		`CONSTRUCT (x GROUP e) MATCH (n:Person {employer=e}) WHERE 1`, // WHERE not boolean
 		`CONSTRUCT (n) FROM nosuchtable`,                              // unknown table
+		`PATH kk = (a)-[e:knows]->(b) WHERE 1
+CONSTRUCT (n) MATCH (n:Person)-/<~kk*>/->(m)`, // PATH WHERE not boolean
 	}
 	for _, src := range cases {
 		stmt, err := parser.Parse(src)

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"gcore/internal/catalog"
+	"gcore/internal/core"
 	"gcore/internal/snb"
+	"gcore/internal/table"
 	"gcore/internal/value"
 )
 
@@ -201,6 +204,35 @@ func TestSelectOverFrom(t *testing.T) {
 	first, _ := res.Table.Rows[0][0].AsString()
 	if first != "Ada" {
 		t.Errorf("first = %q", first)
+	}
+}
+
+// TestFromNullCellIsUnbound: FROM turns a NULL cell into an unbound
+// variable, so COUNT(*) (which counts rows binding every variable)
+// skips that row; an unknown table is an error.
+func TestFromNullCellIsUnbound(t *testing.T) {
+	cat := catalog.New()
+	tb := table.New("t", "x", "y")
+	if err := tb.AddRow(value.Int(1), value.Null); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AddRow(value.Int(2), value.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	ev := core.New(cat)
+	res := run(t, ev, `SELECT COUNT(*) AS c, COUNT(x) AS n FROM t`)
+	if c, _ := res.Table.Rows[0][0].AsInt(); c != 1 {
+		t.Errorf("COUNT(*) = %d, want 1 (the NULL cell leaves y unbound)", c)
+	}
+	if n, _ := res.Table.Rows[0][1].AsInt(); n != 2 {
+		t.Errorf("COUNT(x) = %d, want 2", n)
+	}
+	err := runErr(t, ev, `SELECT x FROM missing`)
+	if want := `catalog: unknown binding table "missing"`; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want %s", err, want)
 	}
 }
 

@@ -14,26 +14,24 @@ import (
 
 // env is the evaluation environment of an expression (§A.1): the
 // current binding µ, the graphs whose σ and λ resolve element
-// references, the computed temp paths, and — inside CONSTRUCT — the
-// group rows for aggregation and the under-construction graph for
-// WHEN conditions that inspect just-assigned properties.
+// references, the computed temp paths, and — inside CONSTRUCT and an
+// aggregating SELECT — the group for aggregation and the
+// under-construction graph for WHEN conditions that inspect
+// just-assigned properties.
 type env struct {
 	c            *evalCtx
 	s            *scope
 	graphs       []*ppg.Graph
 	patternGraph *ppg.Graph
-	row          bindings.Binding
 
-	// Columnar row dispatch: when rowTab is non-nil the current µ is
-	// row rowIdx of rowTab and variable reads go through the slot
-	// table instead of materialising a map per row (the hot filter
-	// paths). Code that installs a map row into row must leave rowTab
-	// nil (or clear it) so lookup sees the right µ.
+	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅.
 	rowTab *bindings.Table
 	rowIdx int
 
-	// Aggregation context (CONSTRUCT property assignments, SET, WHEN).
-	groupRows   []bindings.Binding
+	// Aggregation context: the group is rows groupRows of rowTab (nil
+	// outside a grouped context, empty for the empty group). COUNT(*)
+	// counts the group rows that bind every variable of groupSchema.
+	groupRows   []int
 	groupSchema []string
 
 	// The graph being constructed, consulted first for property and
@@ -51,20 +49,19 @@ func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph)
 
 // lookup resolves a variable in the current binding µ.
 func (e *env) lookup(name string) (value.Value, bool) {
-	if e.rowTab != nil {
-		return e.rowTab.Value(e.rowIdx, name)
+	if e.rowTab == nil {
+		return value.Null, false
 	}
-	v, ok := e.row[name]
-	return v, ok
+	return e.rowTab.Value(e.rowIdx, name)
 }
 
 // outerRowTable materialises the current µ as a one-row table — the
 // outer table Ω′ of a correlated subquery.
 func (e *env) outerRowTable() *bindings.Table {
-	if e.rowTab != nil {
-		return e.rowTab.RowTable(e.rowIdx)
+	if e.rowTab == nil {
+		return bindings.Unit()
 	}
-	return bindings.NewTable(e.row.Vars(), e.row)
+	return e.rowTab.RowTable(e.rowIdx)
 }
 
 // allGraphs yields the graphs to consult for element lookups, nearest
@@ -606,7 +603,7 @@ func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, e
 		for _, r := range e.groupRows {
 			full := true
 			for _, v := range e.groupSchema {
-				if _, ok := r[v]; !ok {
+				if _, ok := e.rowTab.Value(r, v); !ok {
 					full = false
 					break
 				}
@@ -620,12 +617,11 @@ func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, e
 	if len(n.Args) != 1 {
 		return value.Null, errf("%s expects exactly one argument", strings.ToUpper(n.Name))
 	}
-	saved, savedTab := e.row, e.rowTab
-	e.rowTab = nil // group rows are map bindings; lookup must read them
-	defer func() { e.row, e.rowTab = saved, savedTab }()
+	saved := e.rowIdx
+	defer func() { e.rowIdx = saved }()
 	var vals []value.Value
 	for _, r := range e.groupRows {
-		e.row = r
+		e.rowIdx = r
 		v, err := e.eval(n.Args[0])
 		if err != nil {
 			return value.Null, err

@@ -390,7 +390,6 @@ func (c *evalCtx) propsMatch(g *ppg.Graph, props ppg.Properties, specs []*ast.Pr
 			continue
 		}
 		env := c.newEnv(nil, []*ppg.Graph{g}, g)
-		env.row = bindings.Empty()
 		v, err := env.eval(ps.Expr)
 		if err != nil {
 			return false, err

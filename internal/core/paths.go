@@ -93,32 +93,43 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 		tbl = bindings.Join(tbl, t)
 	}
 	env := c.newEnv(s, []*ppg.Graph{g}, g)
+	env.rowTab = tbl
 	if pc.Where != nil {
-		tbl, err = tbl.Filter(func(b bindings.Binding) (bool, error) {
-			env.row = b
+		var keep []int
+		for ri := 0; ri < tbl.Len(); ri++ {
+			env.rowIdx = ri
 			v, err := env.eval(pc.Where)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			return value.Truth(v)
-		})
-		if err != nil {
-			return nil, err
+			ok, err := value.Truth(v)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				keep = append(keep, ri)
+			}
 		}
+		tbl = tbl.Pick(keep)
+		env.rowTab = tbl
+	}
+	row := func(name string) value.Value {
+		v, _ := env.lookup(name)
+		return v
 	}
 	out := map[ppg.NodeID][]rpq.Segment{}
-	for _, row := range tbl.Rows() {
-		from, ok := nodeOf(row[names.node[0]])
+	for ri := 0; ri < tbl.Len(); ri++ {
+		env.rowIdx = ri
+		from, ok := nodeOf(row(names.node[0]))
 		if !ok {
 			continue
 		}
-		to, ok := nodeOf(row[names.node[len(names.node)-1]])
+		to, ok := nodeOf(row(names.node[len(names.node)-1]))
 		if !ok {
 			continue
 		}
 		cost := 1.0
 		if pc.Cost != nil {
-			env.row = row
 			v, err := env.eval(pc.Cost)
 			if err != nil {
 				return nil, err
@@ -139,16 +150,16 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 		for i := range walk.Links {
 			switch walk.Links[i].(type) {
 			case *ast.EdgePattern:
-				ev, ok := row[names.link[i]]
-				if !ok || ev.Kind() != value.KindEdge {
+				ev := row(names.link[i])
+				if ev.Kind() != value.KindEdge {
 					valid = false
 					break
 				}
 				id, _ := ev.RefID()
 				seg.Edges = append(seg.Edges, ppg.EdgeID(id))
 			case *ast.PathPattern:
-				pv, ok := row[names.link[i]]
-				if !ok || pv.Kind() != value.KindPath {
+				pv := row(names.link[i])
+				if pv.Kind() != value.KindPath {
 					valid = false
 					break
 				}
@@ -163,7 +174,7 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 					seg.Nodes = append(seg.Nodes, n)
 				}
 			}
-			nid, ok := nodeOf(row[names.node[i+1]])
+			nid, ok := nodeOf(row(names.node[i+1]))
 			if !ok {
 				valid = false
 				break

@@ -76,38 +76,28 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	}
 
 	sorted := tbl.Sorted()
+	env.rowTab = sorted
 	var rows []projRow
 	if !hasAgg {
-		// No aggregates: one output row per binding. Rows dispatch
-		// through the slot table (and property reads through the
-		// snapshot columns) instead of materialising a map per row.
-		env.rowTab = sorted
+		// No aggregates: one output row per binding.
 		for ri := 0; ri < sorted.Len(); ri++ {
 			env.rowIdx = ri
 			r, err := evalRow()
 			if err != nil {
-				env.rowTab = nil
 				return nil, err
 			}
 			rows = append(rows, r)
 		}
-		env.rowTab = nil
 		return finishSelect(out, sc, rows)
 	}
 
-	// Aggregating: one output row per group — a representative binding
-	// and the group's rows, grouped by the evaluated values of the
-	// non-aggregate items (the implicit GROUP BY of SQL-style
-	// aggregation).
-	type outGroup struct {
-		rep  bindings.Binding
-		rows []bindings.Binding
-	}
-	var groups []outGroup
-	sortedRows := sorted.Rows()
+	// Aggregating: one output row per group of sorted rows, grouped by
+	// the evaluated values of the non-aggregate items (the implicit
+	// GROUP BY of SQL-style aggregation) and evaluated on its first row.
+	var groups [][]int
 	idx := map[string]int{}
-	for _, b := range sortedRows {
-		env.row = b
+	for ri := 0; ri < sorted.Len(); ri++ {
+		env.rowIdx = ri
 		key := ""
 		for i, it := range sc.Items {
 			if aggItem[i] {
@@ -123,26 +113,28 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		if !ok {
 			gi = len(groups)
 			idx[key] = gi
-			groups = append(groups, outGroup{rep: b})
+			groups = append(groups, nil)
 		}
-		groups[gi].rows = append(groups[gi].rows, b)
+		groups[gi] = append(groups[gi], ri)
 	}
-	if len(sortedRows) == 0 && allAggregates(aggItem) {
+	if sorted.Len() == 0 && allAggregates(aggItem) {
 		// SELECT COUNT(*) over an empty match still yields one row
-		// (the aggregate of the empty group).
-		groups = append(groups, outGroup{rep: bindings.Empty(), rows: []bindings.Binding{}})
+		// (the aggregate of the empty group, evaluated on µ∅).
+		env.rowTab = nil
+		groups = append(groups, []int{})
 	}
 
 	for _, g := range groups {
-		env.row = g.rep
-		env.groupRows = g.rows
+		if len(g) > 0 {
+			env.rowIdx = g[0]
+		}
+		env.groupRows = g
 		r, err := evalRow()
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, r)
 	}
-	env.groupRows = nil
 	return finishSelect(out, sc, rows)
 }
 
