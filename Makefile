@@ -4,9 +4,9 @@
 
 # Packages with guarded hot-path benchmarks: the root suite (MATCH,
 # paths, construction), the binding-table operators, the CSR snapshot
-# maintenance path, the path-search kernels, and the write-ahead log
-# append path.
-BENCH_PKGS := . ./internal/bindings ./internal/csr ./internal/obs ./internal/rpq ./internal/wal
+# maintenance path, the path-search kernels, the write-ahead log
+# append path, and whole requests through the HTTP handler.
+BENCH_PKGS := . ./internal/bindings ./internal/csr ./internal/obs ./internal/rpq ./internal/wal ./internal/server
 
 all: build test
 
@@ -51,11 +51,12 @@ benchcmp:
 # beyond 20% on the guarded hot-path benchmarks (joins, parallel
 # match, columnar scans, plan-cache and prepared-eval paths, prepared
 # point lookups, path patterns and the k-shortest kernel, incremental
-# snapshot maintenance, WAL append and group commit) fail,
+# snapshot maintenance, WAL append and group commit, whole HTTP
+# requests) fail,
 # timing regressions warn (allocs/op is machine-independent, ns/op is
 # not). CI calls this target, so the list lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:
@@ -72,6 +73,7 @@ fuzz:
 	go test -fuzz=FuzzIncrementalSnapshot -fuzztime=60s -run '^$$' .
 	go test -fuzz=FuzzPropColumns -fuzztime=60s -run '^$$' ./internal/csr
 	go test -fuzz=FuzzKeyInjective -fuzztime=60s -run '^$$' ./internal/bindings
+	go test -fuzz=FuzzValueJSON -fuzztime=60s -run '^$$' ./internal/value
 
 cover:
 	go test -coverprofile=cover.out ./...

@@ -649,7 +649,7 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 // than time-sliced ones.
 func BenchmarkConcurrentRead(b *testing.B) {
 	for _, readers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("readers-%d", readers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
 			eng := gcore.NewEngine(gcore.WithParallelism(1))
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {

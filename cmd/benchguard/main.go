@@ -50,7 +50,10 @@ func main() {
 	// BenchmarkConcurrentRead guards the reader path under the
 	// engine's read/write lock split: an allocation jump there means
 	// concurrent readers stopped sharing snapshots.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit", "comma-separated benchmark name prefixes to guard")
+	// BenchmarkReply guards whole requests through the HTTP handler:
+	// a reply encoded more than once, or through reflection, shows up
+	// as an allocation jump on its path and point cases.
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

@@ -11,6 +11,9 @@ func TestStripProcSuffix(t *testing.T) {
 		"BenchmarkJoin/rows=100":   "BenchmarkJoin/rows=100",
 		"BenchmarkX-foo":           "BenchmarkX-foo",
 		"BenchmarkParse-16":        "BenchmarkParse",
+		// The reader count is part of the name, not a GOMAXPROCS suffix.
+		"BenchmarkConcurrentRead/readers=4-2": "BenchmarkConcurrentRead/readers=4",
+		"BenchmarkConcurrentRead/readers=4":   "BenchmarkConcurrentRead/readers=4",
 	}
 	for in, want := range cases {
 		if got := stripProcSuffix(in); got != want {

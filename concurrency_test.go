@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gcore"
+	"gcore/internal/faultinject"
 )
 
 // counters snapshots the engine's read/write dispatch counters.
@@ -467,5 +468,151 @@ GRAPH VIEW pair_b AS (CONSTRUCT (n) MATCH (n) ON pair_a)`
 	}
 	if _, ok := eng.Graph("pair_b"); !ok {
 		t.Fatal("pair_b missing after script")
+	}
+}
+
+// TestConcurrentWriterHandOff: a write holds the exclusive lock only
+// to publish. A GRAPH VIEW writer parked mid-evaluation or mid-fsync,
+// and a checkpoint parked while it stages its files (with a view
+// writer queued behind it), must not keep a concurrent read from
+// completing, and the read must not see the staged view; once
+// released, the view is visible. The probes park on channels, so the
+// test involves no sleeps; every wait is bounded.
+func TestConcurrentWriterHandOff(t *testing.T) {
+	const (
+		wait = 10 * time.Second
+		view = "GRAPH VIEW handoff AS (CONSTRUCT (n) MATCH (n:Person) ON social_graph)"
+		base = "SELECT n.firstName AS f MATCH (n:Person) ON social_graph"
+		onv  = "SELECT n.firstName AS f MATCH (n) ON handoff"
+	)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, site string
+		checkpoint bool
+	}{
+		{"evaluating", faultinject.SiteCoreConstruct, false},
+		{"fsyncing", faultinject.SiteWALSync, false},
+		{"checkpointing", faultinject.SiteWALCheckpointWrite, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dur, err := gcore.OpenDurable(t.TempDir(), gcore.WithSyncPolicy(gcore.SyncAlways))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dur.Close()
+			if err := dur.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+				t.Fatal(err)
+			}
+
+			parked, release := make(chan struct{}), make(chan struct{})
+			var park, free sync.Once
+			unpark := func() { free.Do(func() { close(release) }) }
+			defer unpark() // never leave a writer parked, even on failure
+			faultinject.Arm()
+			defer faultinject.Disarm()
+			faultinject.Set(tc.site, faultinject.Action{Fn: func() {
+				park.Do(func() { close(parked); <-release })
+			}})
+
+			await := func(what string, ch <-chan error) error {
+				t.Helper()
+				select {
+				case err := <-ch:
+					return err
+				case <-time.After(wait):
+					t.Fatalf("%s did not finish within %v", what, wait)
+					return nil
+				}
+			}
+			// within runs fn on its own goroutine and awaits it.
+			within := func(what string, fn func() error) error {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() { done <- fn() }()
+				return await(what, done)
+			}
+
+			writes := make(chan error, 2)
+			writeView := func() {
+				_, err := dur.EvalContext(ctx, view)
+				writes <- err
+			}
+			if tc.checkpoint {
+				go func() { writes <- dur.Checkpoint() }()
+			} else {
+				go writeView()
+			}
+			select {
+			case <-parked:
+			case <-time.After(wait):
+				t.Fatalf("nothing reached %s within %v", tc.site, wait)
+			}
+			if tc.checkpoint {
+				go writeView() // queues behind the checkpoint's writer mutex
+			}
+
+			if err := within("a read beside the parked writer", func() error {
+				_, err := dur.EvalContext(ctx, base)
+				return err
+			}); err != nil {
+				t.Fatalf("read beside the parked writer: %v", err)
+			}
+			if err := within("a read of the staged view", func() error {
+				_, err := dur.EvalContext(ctx, onv)
+				return err
+			}); err == nil {
+				t.Fatal("a concurrent read saw the view before it was published")
+			}
+
+			unpark()
+			pending := 1
+			if tc.checkpoint {
+				pending = 2
+			}
+			for ; pending > 0; pending-- {
+				if err := await("the released writer", writes); err != nil {
+					t.Fatalf("released writer: %v", err)
+				}
+			}
+			res, err := dur.EvalContext(ctx, onv)
+			if err != nil {
+				t.Fatalf("view not visible after release: %v", err)
+			}
+			if res.Table.Len() == 0 {
+				t.Fatal("published view is empty")
+			}
+		})
+	}
+}
+
+// TestScriptStagedViews: a script's later statements see the views its
+// earlier statements staged exactly as if they were registered — as
+// the default graph of a catalog that had none, and in element lookups
+// of a correlated subquery over another graph — although no other
+// session sees them until the script publishes.
+func TestScriptStagedViews(t *testing.T) {
+	ctx := context.Background()
+	empty := gcore.NewEngine()
+	res, err := empty.EvalScriptContext(ctx, `GRAPH VIEW v AS (CONSTRUCT (x:X {k := 1}));
+CONSTRUCT (n) MATCH (n:X)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[1].Graph.NumNodes(); got != 1 {
+		t.Fatalf("the staged view as default graph: %d nodes, want 1", got)
+	}
+
+	eng := gcore.NewEngine()
+	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+		t.Fatal(err)
+	}
+	res, err = eng.EvalScriptContext(ctx, `GRAPH VIEW v AS (CONSTRUCT (x:X {k := 1}));
+SELECT n.k AS k MATCH (n) ON v
+WHERE EXISTS (CONSTRUCT () MATCH (m:Person) ON social_graph WHERE 'X' IN labels(n))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[1].Table.Len(); got != 1 {
+		t.Fatalf("labels of a staged view's node in a correlated subquery: %d rows, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package gcore_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -896,5 +897,53 @@ func TestDurabilityTornTailMetric(t *testing.T) {
 	want := renderState(oracle(t, ops, len(ops)))
 	if got := renderState(rec); got != want {
 		t.Fatalf("state diverged after torn-tail truncation\n%s", got)
+	}
+}
+
+// TestDurabilityIndentedCheckpoint: checkpoints are written compact,
+// but a checkpoint in the earlier, indented layout still recovers to
+// the same state.
+func TestDurabilityIndentedCheckpoint(t *testing.T) {
+	ops := durabilityScript()
+	dir := t.TempDir()
+	d, err := gcore.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, d, ops, 0, len(ops)-2)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, d, ops, len(ops)-2, len(ops))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*", "*_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checkpoint files (%v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("\n")) {
+			t.Fatalf("%s is not compact", f)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, data, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, indented.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := gcore.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got, want := renderState(rec), renderState(oracle(t, ops, len(ops))); got != want {
+		t.Fatalf("indented checkpoint recovered a different state\n%s", got)
 	}
 }

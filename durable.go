@@ -1,11 +1,10 @@
 package gcore
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"gcore/internal/faultinject"
 	"gcore/internal/ppg"
 	"gcore/internal/table"
+	"gcore/internal/value"
 	"gcore/internal/wal"
 )
 
@@ -98,10 +98,11 @@ func WithSegmentSize(n int64) DurOption {
 }
 
 // WithCheckpointEvery makes the engine take a checkpoint automatically
-// once n records have been appended since the last one (checked at
-// statement boundaries, so one statement's mutations are never split
-// across a checkpoint). Zero (the default) disables automatic
-// checkpoints; Checkpoint can always be called explicitly.
+// once n records have been appended since the last one (checked at the
+// end of every write — statement, script, registration or MutateGraph
+// — so one write's records are never split across a checkpoint). Zero
+// (the default) disables automatic checkpoints; Checkpoint can always
+// be called explicitly.
 func WithCheckpointEvery(n int64) DurOption {
 	return func(c *durConfig) { c.checkpointEvery = n }
 }
@@ -170,6 +171,40 @@ type walRecord struct {
 	// Data is the element / graph / table / properties document in the
 	// interchange encoding.
 	Data json.RawMessage `json:"data,omitempty"`
+
+	// appendData, when set, writes Data straight into the payload as the
+	// record is encoded (see encode); decoding fills Data instead.
+	appendData func([]byte) ([]byte, error)
+}
+
+// encode returns the record's payload, written in one pass: the bytes
+// json.Marshal writes for the record whose Data is what appendData
+// appends (Data comes last, so the document is appended in place).
+func (r walRecord) encode() ([]byte, error) {
+	dst := value.AppendJSONString(append(make([]byte, 0, 64), `{"op":`...), r.Op)
+	if r.Name != "" {
+		dst = value.AppendJSONString(append(dst, `,"name":`...), r.Name)
+	}
+	if r.ID != 0 {
+		dst = strconv.AppendUint(append(dst, `,"id":`...), r.ID, 10)
+	}
+	if len(r.Labels) > 0 {
+		dst = append(dst, `,"labels":[`...)
+		for i, l := range r.Labels {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = value.AppendJSONString(dst, l)
+		}
+		dst = append(dst, ']')
+	}
+	if r.appendData != nil {
+		var err error
+		if dst, err = r.appendData(append(dst, `,"data":`...)); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, '}'), nil
 }
 
 // OpenDurable opens (creating if needed) a durable engine rooted at
@@ -193,6 +228,9 @@ func OpenDurable(dir string, opts ...DurOption) (*DurableEngine, error) {
 		return nil, err
 	}
 	d.installHooks()
+	if cfg.checkpointEvery > 0 {
+		d.Engine.checkpoint = d.maybeCheckpoint
+	}
 	return d, nil
 }
 
@@ -349,22 +387,15 @@ func (d *DurableEngine) installHooks() {
 // catalogChange logs a catalog mutation before the catalog applies it.
 // Newly registered graphs get the mutation hook here, so a graph is
 // hooked from the instant it is durable — including the materialised
-// graphs GRAPH VIEW registers directly against the catalog.
+// graphs GRAPH VIEW stages against the catalog, which a write logs and
+// fsyncs under the shared lock and publishes only afterwards.
 func (d *DurableEngine) catalogChange(ch catalog.Change) error {
-	rec := walRecord{}
+	var rec walRecord
 	switch ch.Op {
 	case "register_graph":
-		data, err := ch.Graph.MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("gcore: encoding graph %s for wal: %w", ch.Graph.Name(), err)
-		}
-		rec = walRecord{Op: "register_graph", Name: ch.Graph.Name(), Data: data}
+		rec = walRecord{Op: "register_graph", Name: ch.Graph.Name(), appendData: ch.Graph.AppendJSON}
 	case "register_table":
-		data, err := ch.Table.MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("gcore: encoding table %s for wal: %w", ch.Table.Name, err)
-		}
-		rec = walRecord{Op: "register_table", Name: ch.Table.Name, Data: data}
+		rec = walRecord{Op: "register_table", Name: ch.Table.Name, appendData: ch.Table.AppendJSON}
 	case "set_default":
 		rec = walRecord{Op: "set_default", Name: ch.Name}
 	default:
@@ -383,66 +414,38 @@ func (d *DurableEngine) catalogChange(ch catalog.Change) error {
 // before the graph applies it.
 func (d *DurableEngine) graphMutation(g *ppg.Graph, m ppg.Mutation) error {
 	rec := walRecord{Name: g.Name()}
+	props := func(p ppg.Properties) func([]byte) ([]byte, error) {
+		return func(dst []byte) ([]byte, error) { return ppg.AppendProperties(dst, p) }
+	}
 	switch m.Op {
 	case ppg.MutAddNode:
-		data, err := ppg.EncodeNode(m.Node)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.Data = "add_node", data
+		rec.Op, rec.appendData = "add_node", func(dst []byte) ([]byte, error) { return ppg.AppendNode(dst, m.Node) }
 	case ppg.MutAddEdge:
-		data, err := ppg.EncodeEdge(m.Edge)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.Data = "add_edge", data
+		rec.Op, rec.appendData = "add_edge", func(dst []byte) ([]byte, error) { return ppg.AppendEdge(dst, m.Edge) }
 	case ppg.MutAddPath:
-		data, err := ppg.EncodePath(m.Path)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.Data = "add_path", data
+		rec.Op, rec.appendData = "add_path", func(dst []byte) ([]byte, error) { return ppg.AppendPath(dst, m.Path) }
 	case ppg.MutSetNodeLabels:
 		rec.Op, rec.ID, rec.Labels = "set_node_labels", uint64(m.NodeID), m.Labels
 	case ppg.MutSetEdgeLabels:
 		rec.Op, rec.ID, rec.Labels = "set_edge_labels", uint64(m.EdgeID), m.Labels
 	case ppg.MutSetNodeProps:
-		data, err := ppg.EncodeProperties(m.Props)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.ID, rec.Data = "set_node_props", uint64(m.NodeID), data
+		rec.Op, rec.ID, rec.appendData = "set_node_props", uint64(m.NodeID), props(m.Props)
 	case ppg.MutSetEdgeProps:
-		data, err := ppg.EncodeProperties(m.Props)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.ID, rec.Data = "set_edge_props", uint64(m.EdgeID), data
+		rec.Op, rec.ID, rec.appendData = "set_edge_props", uint64(m.EdgeID), props(m.Props)
 	case ppg.MutSetPathProps:
-		data, err := ppg.EncodeProperties(m.Props)
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.ID, rec.Data = "set_path_props", uint64(m.PathID), data
+		rec.Op, rec.ID, rec.appendData = "set_path_props", uint64(m.PathID), props(m.Props)
 	case ppg.MutReplace:
 		// The whole-graph swap (UnmarshalJSON / ReplaceWith): log the
 		// new contents. The record's Name is the graph's current
 		// (registered) name; replay resolves the graph by it and swaps.
-		data, err := m.Snapshot.MarshalJSON()
-		if err != nil {
-			return err
-		}
-		rec.Op, rec.Data = "graph_snapshot", data
+		rec.Op, rec.appendData = "graph_snapshot", m.Snapshot.AppendJSON
 	case ppg.MutTouchProps:
 		// An untracked in-place property write: the state already
 		// changed, so this record cannot be rejected. Log the full
 		// graph; if even that fails, the log is behind memory — poison
 		// the engine so the divergence cannot be checkpointed.
-		data, err := g.MarshalJSON()
-		if err == nil {
-			err = d.appendRecord(walRecord{Op: "graph_snapshot", Name: g.Name(), Data: data})
-		}
-		if err != nil {
+		rec.Op, rec.appendData = "graph_snapshot", g.AppendJSON
+		if err := d.appendRecord(rec); err != nil {
 			return d.poison(fmt.Errorf("gcore: unloggable in-place property write on %s: %w", g.Name(), err))
 		}
 		return nil
@@ -453,15 +456,15 @@ func (d *DurableEngine) graphMutation(g *ppg.Graph, m ppg.Mutation) error {
 }
 
 // appendRecord encodes and appends one logical record. The caller is
-// inside a mutation (holding e.mu via the mutating entry point), so
-// this must not checkpoint; it only counts.
+// inside a mutation (an engine write, or a direct mutation of a
+// registered graph), so this must not checkpoint; it only counts.
 func (d *DurableEngine) appendRecord(rec walRecord) error {
 	if err := d.poisonedErr(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := rec.encode()
 	if err != nil {
-		return err
+		return fmt.Errorf("gcore: encoding %s %s for wal: %w", rec.Op, rec.Name, err)
 	}
 	if _, err := d.log.Append(payload); err != nil {
 		return err
@@ -474,13 +477,17 @@ func (d *DurableEngine) appendRecord(rec walRecord) error {
 // SaveCatalog layout into a staging directory and committed with the
 // current log watermark; superseded segments and checkpoints are
 // deleted. Recovery cost is proportional to the records appended
-// since the last checkpoint.
+// since the last checkpoint. A checkpoint holds the writer mutex, so
+// the catalog it saves is exactly what the log holds up to the
+// watermark, and the shared lock, so readers keep running meanwhile.
 func (d *DurableEngine) Checkpoint() error {
-	d.Engine.mu.Lock()
-	defer d.Engine.mu.Unlock()
-	return d.checkpointLocked()
+	d.Engine.wmu.Lock()
+	defer d.Engine.wmu.Unlock()
+	return d.Engine.shared(d.checkpointLocked)
 }
 
+// checkpointLocked takes a checkpoint; the caller holds the writer
+// mutex and the shared lock.
 func (d *DurableEngine) checkpointLocked() error {
 	if err := d.poisonedErr(); err != nil {
 		return err
@@ -506,16 +513,15 @@ func (d *DurableEngine) checkpointLocked() error {
 	return nil
 }
 
-// maybeCheckpoint runs at statement boundaries (never mid-mutation)
-// and checkpoints when the WithCheckpointEvery budget is spent.
+// maybeCheckpoint ends every write (Engine.endWrite: writer mutex and
+// shared lock held, nothing half logged) and checkpoints when the
+// WithCheckpointEvery budget is spent.
 func (d *DurableEngine) maybeCheckpoint() {
-	if d.cfg.checkpointEvery <= 0 || d.sinceCkpt.Load() < d.cfg.checkpointEvery {
+	if d.sinceCkpt.Load() < d.cfg.checkpointEvery {
 		return
 	}
-	d.Engine.mu.Lock()
-	defer d.Engine.mu.Unlock()
 	// Automatic checkpoints are best-effort: a failure leaves the log
-	// as the recovery source and the next boundary retries.
+	// as the recovery source and the next write retries.
 	_ = d.checkpointLocked()
 }
 
@@ -545,106 +551,16 @@ func (d *DurableEngine) Metrics() Metrics {
 // detaches the durability hooks. The embedded Engine remains usable
 // in memory; further mutations are no longer logged.
 func (d *DurableEngine) Close() error {
-	d.Engine.mu.Lock()
-	d.Engine.cat.SetChangeHook(nil)
-	for _, name := range d.Engine.cat.GraphNames() {
-		g, _ := d.Engine.cat.Graph(name)
+	e := d.Engine
+	e.wmu.Lock()
+	e.mu.Lock()
+	e.cat.SetChangeHook(nil)
+	for _, name := range e.cat.GraphNames() {
+		g, _ := e.cat.Graph(name)
 		g.SetMutationHook(nil)
 	}
-	d.Engine.mu.Unlock()
+	e.checkpoint = nil
+	e.mu.Unlock()
+	e.wmu.Unlock()
 	return d.log.Close()
-}
-
-// The mutating and statement entry points, overridden to drive
-// automatic checkpoints at safe boundaries. Logging itself happens in
-// the hooks, not here.
-
-// Eval parses and evaluates one statement (see Engine.Eval).
-func (d *DurableEngine) Eval(src string) (*Result, error) {
-	res, err := d.Engine.Eval(src)
-	d.maybeCheckpoint()
-	return res, err
-}
-
-// EvalContext parses and evaluates one statement under ctx (see
-// Engine.EvalContext).
-func (d *DurableEngine) EvalContext(ctx context.Context, src string) (*Result, error) {
-	res, err := d.Engine.EvalContext(ctx, src)
-	d.maybeCheckpoint()
-	return res, err
-}
-
-// EvalStatementContext evaluates an already-parsed statement under
-// ctx (see Engine.EvalStatementContext).
-func (d *DurableEngine) EvalStatementContext(ctx context.Context, stmt *Statement) (*Result, error) {
-	res, err := d.Engine.EvalStatementContext(ctx, stmt)
-	d.maybeCheckpoint()
-	return res, err
-}
-
-// ExplainAnalyzeContext executes the statement and renders the
-// annotated plan (see Engine.ExplainAnalyzeContext); its execution
-// leg is a statement like any other.
-func (d *DurableEngine) ExplainAnalyzeContext(ctx context.Context, src string) (string, error) {
-	plan, err := d.Engine.ExplainAnalyzeContext(ctx, src)
-	d.maybeCheckpoint()
-	return plan, err
-}
-
-// EvalScript evaluates a script (see Engine.EvalScript).
-func (d *DurableEngine) EvalScript(src string) ([]*Result, error) {
-	res, err := d.Engine.EvalScript(src)
-	d.maybeCheckpoint()
-	return res, err
-}
-
-// EvalScriptContext evaluates a script under ctx (see
-// Engine.EvalScriptContext).
-func (d *DurableEngine) EvalScriptContext(ctx context.Context, src string) ([]*Result, error) {
-	res, err := d.Engine.EvalScriptContext(ctx, src)
-	d.maybeCheckpoint()
-	return res, err
-}
-
-// Prepare validates one statement for repeated execution (see
-// Engine.Prepare); each execution drives automatic checkpoints at its
-// boundary.
-func (d *DurableEngine) Prepare(src string) (*Prepared, error) {
-	p, err := d.Engine.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	p.after = d.maybeCheckpoint
-	return p, nil
-}
-
-// MutateGraph mutates a registered graph under the writer lock (see
-// Engine.MutateGraph); every tracked mutation fn performs is logged
-// before it applies.
-func (d *DurableEngine) MutateGraph(name string, fn func(*Graph) error) error {
-	err := d.Engine.MutateGraph(name, fn)
-	d.maybeCheckpoint()
-	return err
-}
-
-// RegisterGraph registers a graph durably (see Engine.RegisterGraph).
-func (d *DurableEngine) RegisterGraph(g *Graph) error {
-	err := d.Engine.RegisterGraph(g)
-	d.maybeCheckpoint()
-	return err
-}
-
-// RegisterTable registers a table durably (see Engine.RegisterTable).
-func (d *DurableEngine) RegisterTable(t *Table) error {
-	err := d.Engine.RegisterTable(t)
-	d.maybeCheckpoint()
-	return err
-}
-
-// LoadGraphJSON loads and registers a graph durably (see
-// Engine.LoadGraphJSON).
-func (d *DurableEngine) LoadGraphJSON(r io.Reader) (*Graph, error) {
-	g, err := d.Engine.LoadGraphJSON(r)
-	d.maybeCheckpoint()
-	return g, err
 }

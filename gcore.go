@@ -243,15 +243,22 @@ func NewCollector() *Collector { return obs.NewCollector() }
 // Engine is a G-CORE engine: a catalog of named graphs, views and
 // tables plus the evaluator. Safe for concurrent use, with a
 // read/write path split: statements are classified syntactically
-// (queries, EXPLAIN and prepared reads vs GRAPH VIEW registrations and
-// programmatic mutations), read-only statements execute concurrently
-// under a shared read lock against the current catalog version and the
-// graphs' generation-counted CSR snapshots, and mutating statements
-// take the exclusive writer lock. Readers therefore always observe a
-// consistent committed state — a write becomes visible atomically,
+// (queries, EXPLAIN and prepared reads vs GRAPH VIEW registrations),
+// and read-only statements execute concurrently under a shared lock
+// against the current catalog version and the graphs'
+// generation-counted CSR snapshots. Writers are serialised by a writer
+// mutex. A statement write evaluates under the shared lock too, beside
+// the readers, with its GRAPH VIEWs staged where no other statement
+// sees them; it logs them (on a DurableEngine: appends and fsyncs) and
+// only then takes the exclusive lock, just long enough to publish them
+// into the catalog. Programmatic mutations (MutateGraph, Register*,
+// LoadGraphJSON, LoadCatalog) change registered state in place and
+// hold the exclusive lock throughout. Readers therefore always observe
+// a consistent committed state — a write becomes visible atomically,
 // between statements, never inside one.
 type Engine struct {
-	mu  sync.RWMutex
+	wmu sync.Mutex   // serialises writers
+	mu  sync.RWMutex // shared by readers and evaluating writers; exclusive to publish
 	cat *catalog.Catalog
 	ev  *core.Evaluator
 
@@ -264,6 +271,10 @@ type Engine struct {
 	// is applied by RegisterGraph / LoadGraphJSON when the graph shows
 	// up.
 	pendingDefault string
+
+	// checkpoint, when set (a DurableEngine's automatic checkpoint),
+	// ends every write, under the writer mutex and the shared lock.
+	checkpoint func()
 }
 
 // Option configures an Engine at construction; see NewEngine.
@@ -336,20 +347,21 @@ func newEngine(ab core.Ablation, opts []Option) *Engine {
 // RegisterGraph adds a named graph to the catalog. The first
 // registered graph becomes the default graph used when MATCH omits ON.
 func (e *Engine) RegisterGraph(g *Graph) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("gcore: invalid graph: %w", err)
-	}
-	if err := e.cat.RegisterGraph(g); err != nil {
-		return err
-	}
-	e.applyPendingDefault(g.Name())
-	return nil
+	return e.mutate(func() error {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("gcore: invalid graph: %w", err)
+		}
+		if err := e.cat.RegisterGraph(g); err != nil {
+			return err
+		}
+		e.applyPendingDefault(g.Name())
+		return nil
+	})
 }
 
 // applyPendingDefault promotes a WithDefaultGraph name to the actual
-// default once the graph is registered. Callers hold e.mu.
+// default once the graph is registered. Callers hold the exclusive
+// lock.
 func (e *Engine) applyPendingDefault(name string) {
 	if e.pendingDefault != "" && e.pendingDefault == name {
 		if err := e.cat.SetDefault(name); err == nil {
@@ -361,9 +373,64 @@ func (e *Engine) applyPendingDefault(name string) {
 // RegisterTable adds a named binding table (usable with FROM and as a
 // node-graph via ON).
 func (e *Engine) RegisterTable(t *Table) error {
+	return e.mutate(func() error { return e.cat.RegisterTable(t) })
+}
+
+// mutate runs fn, a write that changes registered state in place,
+// under the writer mutex and the exclusive lock, then ends the write.
+func (e *Engine) mutate(fn func() error) error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	err := e.exclusive(fn)
+	e.endWrite()
+	return err
+}
+
+// write is the one path of statement writes. fn evaluates under the
+// writer mutex and the shared lock, so readers keep running, with its
+// GRAPH VIEWs staged in views: each is validated against the catalog
+// and logged when its statement succeeds, yet stays invisible outside
+// the write. The exclusive lock is then held only to publish every
+// staged view at once, so no reader sees part of a write. Views staged
+// before a failure are published with the error — they are in the log
+// already, and memory never lags the log.
+func (e *Engine) write(fn func(views *core.Views) error) error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	var views core.Views
+	err := e.shared(func() error { return fn(&views) })
+	if staged := views.Staged(); len(staged) > 0 {
+		e.mu.Lock()
+		for _, g := range staged {
+			e.cat.PublishGraph(g)
+		}
+		e.mu.Unlock()
+	}
+	e.endWrite()
+	return err
+}
+
+// endWrite runs the automatic checkpoint, if any, at the end of a
+// write: under the writer mutex (nothing is half logged) and the shared
+// lock (readers keep running while the catalog is saved).
+func (e *Engine) endWrite() {
+	if e.checkpoint != nil {
+		e.mu.RLock()
+		e.checkpoint()
+		e.mu.RUnlock()
+	}
+}
+
+func (e *Engine) shared(fn func() error) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return fn()
+}
+
+func (e *Engine) exclusive(fn func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cat.RegisterTable(t)
+	return fn()
 }
 
 // Limits returns the currently installed per-statement limits.
@@ -453,64 +520,69 @@ func Parse(src string) (*Statement, error) { return parser.Parse(src) }
 
 // ReadOnly reports how a statement classifies under the engine's
 // read/write path split: true means evaluating it cannot change engine
-// state (it runs under the shared read lock), false means it registers
-// a GRAPH VIEW — the one statement-level mutation — and takes the
-// exclusive writer lock. Plain EXPLAIN never executes and is always
-// read-only; EXPLAIN ANALYZE really runs and classifies by its body.
+// state (it runs under the shared lock alone), false means it
+// registers a GRAPH VIEW — the one statement-level mutation — and runs
+// as a write: serialised with other writers, evaluated beside the
+// readers, and holding the exclusive lock only to publish its views.
+// Plain EXPLAIN never executes and is always read-only; EXPLAIN
+// ANALYZE really runs and classifies by its body.
 func ReadOnly(stmt *Statement) bool { return core.ReadOnly(stmt) }
 
-// evalSrc is the engine's statement gateway: compile under the shared
-// read lock, classify, then evaluate. Read-only statements stay under
-// the read lock — any number of them run concurrently, each against
-// the committed catalog version and graph generations it pinned at
-// dispatch. Mutating statements release the read lock, take the writer
-// lock and recompile (the catalog may have moved between the locks;
-// the plan cache makes the recompile a probe).
+// evalSrc is the engine's statement gateway for source text; see
+// dispatch.
 func (e *Engine) evalSrc(ctx context.Context, src string, params map[string]Value, opts core.ExecOpts) (*Result, error) {
-	e.mu.RLock()
-	ex, err := e.ev.PrepareExec(src, params, opts)
-	if err == nil && ex.ReadOnly() {
-		defer e.mu.RUnlock()
-		e.readStmts.Add(1)
-		return e.ev.EvalExec(ctx, ex)
-	}
-	e.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ex, err = e.ev.PrepareExec(src, params, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.writeStmts.Add(1)
-	return e.ev.EvalExec(ctx, ex)
+	return e.dispatch(ctx, opts, func(o core.ExecOpts) (core.Exec, error) {
+		return e.ev.PrepareExec(src, params, o)
+	}, e.ev.EvalExec)
 }
 
 // explainAnalyzeSrc is evalSrc for the string-returning EXPLAIN
 // ANALYZE entry point: the statement really executes, so it is
 // classified and locked exactly like evalSrc.
 func (e *Engine) explainAnalyzeSrc(ctx context.Context, src string, params map[string]Value, opts core.ExecOpts) (string, error) {
+	res, err := e.dispatch(ctx, opts, func(o core.ExecOpts) (core.Exec, error) {
+		return e.ev.PrepareExec(src, params, o)
+	}, func(ctx context.Context, ex core.Exec) (*Result, error) {
+		plan, err := e.ev.ExplainAnalyzeExec(ctx, ex)
+		return &Result{Plan: plan}, err
+	})
+	if err != nil {
+		return "", err
+	}
+	return res.Plan, nil
+}
+
+// dispatch compiles one statement under the shared lock and
+// classifies it. A read-only statement runs there and then — any
+// number of them concurrently, each against the committed catalog
+// version and graph generations it pinned at dispatch. A write leaves
+// the lock and goes down the write path, recompiling there (the
+// catalog may have moved in between; the plan cache makes the
+// recompile a probe).
+func (e *Engine) dispatch(ctx context.Context, opts core.ExecOpts, prepare func(core.ExecOpts) (core.Exec, error), run func(context.Context, core.Exec) (*Result, error)) (*Result, error) {
 	e.mu.RLock()
-	ex, err := e.ev.PrepareExec(src, params, opts)
+	ex, err := prepare(opts)
 	if err == nil && ex.ReadOnly() {
 		defer e.mu.RUnlock()
 		e.readStmts.Add(1)
-		return e.ev.ExplainAnalyzeExec(ctx, ex)
+		return run(ctx, ex)
 	}
 	e.mu.RUnlock()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ex, err = e.ev.PrepareExec(src, params, opts)
-	if err != nil {
-		return "", err
-	}
-	e.writeStmts.Add(1)
-	return e.ev.ExplainAnalyzeExec(ctx, ex)
+	var res *Result
+	err = e.write(func(views *core.Views) error {
+		opts.Views = views
+		ex, err := prepare(opts)
+		if err != nil {
+			return err
+		}
+		e.writeStmts.Add(1)
+		res, err = run(ctx, ex)
+		return err
+	})
+	return res, err
 }
 
 // explainSrc renders the static plan under the read lock (nothing
@@ -526,10 +598,10 @@ func (e *Engine) explainSrc(ctx context.Context, src string, opts core.ExecOpts)
 }
 
 // evalScript evaluates a semicolon-separated script. A script whose
-// statements are all read-only runs each under the read lock; a script
-// containing any mutating statement runs entirely under the writer
-// lock — later reads may depend on earlier writes, and no other
-// session may observe (or destroy) its intermediate states.
+// statements are all read-only runs each as a read; a script
+// containing any mutating statement runs as one write — each statement
+// sees the views its predecessors staged, and no other session
+// observes an intermediate state: all of its views publish together.
 func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts) ([]*Result, error) {
 	pieces, err := parser.SplitStatements(src)
 	if err != nil {
@@ -554,31 +626,31 @@ func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts)
 		}
 	}
 	out := make([]*Result, 0, len(pieces))
-	if write {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	runAll := func(eval func(piece string) (*Result, error)) error {
 		for i, piece := range pieces {
-			ex, err := e.ev.PrepareExec(piece, nil, opts)
+			res, err := eval(piece)
 			if err != nil {
-				return out, fmt.Errorf("statement %d at %s: %w", i+1, poss[i], err)
-			}
-			e.writeStmts.Add(1)
-			res, err := e.ev.EvalExec(ctx, ex)
-			if err != nil {
-				return out, fmt.Errorf("statement %d at %s: %w", i+1, poss[i], err)
+				return fmt.Errorf("statement %d at %s: %w", i+1, poss[i], err)
 			}
 			out = append(out, res)
 		}
-		return out, nil
+		return nil
 	}
-	for i, piece := range pieces {
-		res, err := e.evalSrc(ctx, piece, nil, opts)
-		if err != nil {
-			return out, fmt.Errorf("statement %d at %s: %w", i+1, poss[i], err)
-		}
-		out = append(out, res)
+	if !write {
+		return out, runAll(func(piece string) (*Result, error) { return e.evalSrc(ctx, piece, nil, opts) })
 	}
-	return out, nil
+	err = e.write(func(views *core.Views) error {
+		opts.Views = views
+		return runAll(func(piece string) (*Result, error) {
+			ex, err := e.ev.PrepareExec(piece, nil, opts)
+			if err != nil {
+				return nil, err
+			}
+			e.writeStmts.Add(1)
+			return e.ev.EvalExec(ctx, ex)
+		})
+	})
+	return out, err
 }
 
 // EvalContext parses and evaluates one statement under ctx: cancelling
@@ -601,16 +673,9 @@ func (e *Engine) Eval(src string) (*Result, error) {
 // ctx. AST-level evaluation bypasses the plan cache; prefer the
 // source-level entry points for repeated traffic.
 func (e *Engine) EvalStatementContext(ctx context.Context, stmt *Statement) (*Result, error) {
-	if core.ReadOnly(stmt) {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		e.readStmts.Add(1)
-		return e.ev.EvalStatementContext(ctx, stmt)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.writeStmts.Add(1)
-	return e.ev.EvalStatementContext(ctx, stmt)
+	return e.dispatch(ctx, core.ExecOpts{}, func(o core.ExecOpts) (core.Exec, error) {
+		return core.StatementExec(stmt, o), nil
+	}, e.ev.EvalExec)
 }
 
 // EvalStatement is EvalStatementContext with context.Background().
@@ -641,8 +706,8 @@ func (e *Engine) Explain(src string) (string, error) {
 // followed by statement totals (path-kernel frontier work, cache
 // effectiveness, consumed budget). Like the EXPLAIN ANALYZE of SQL
 // engines the statement really runs — GRAPH VIEW definitions it
-// contains are committed on success, and such statements take the
-// writer lock. The same output is available through EvalContext by
+// contains are committed on success, and such statements run as
+// writes. The same output is available through EvalContext by
 // prefixing a statement with EXPLAIN ANALYZE.
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, src string) (string, error) {
 	return e.explainAnalyzeSrc(ctx, src, nil, core.ExecOpts{})
@@ -659,8 +724,8 @@ func (e *Engine) ExplainAnalyze(src string) (string, error) {
 // cancellation). A failing statement's error is prefixed with its
 // 1-based index and source position ("statement 2 at 3:1: …"); the
 // results of the statements before it are returned. A script
-// containing any mutating statement executes atomically under the
-// writer lock.
+// containing any mutating statement runs as one write: other sessions
+// see all of its views at once, or none.
 func (e *Engine) EvalScriptContext(ctx context.Context, src string) ([]*Result, error) {
 	return e.evalScript(ctx, src, core.ExecOpts{})
 }
@@ -670,21 +735,23 @@ func (e *Engine) EvalScript(src string) ([]*Result, error) {
 	return e.EvalScriptContext(context.Background(), src)
 }
 
-// MutateGraph runs fn with exclusive writer access to the registered
-// graph named name: no read statement runs while fn does, so readers
-// never observe its intermediate states — the mutation becomes visible
+// MutateGraph runs fn with exclusive access to the registered graph
+// named name: it takes the writer mutex and then the exclusive lock,
+// so no statement — read or write — runs while fn does, and readers
+// never observe its intermediate states; the mutation becomes visible
 // atomically when MutateGraph returns. This is the programmatic write
 // path of the concurrent engine; on a DurableEngine every tracked
-// mutation fn performs is logged as usual.
+// mutation fn performs is logged (and fsynced) inside that exclusive
+// section, and the automatic checkpoint runs after it.
 func (e *Engine) MutateGraph(name string, fn func(*Graph) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	g, ok := e.cat.Graph(name)
-	if !ok {
-		return fmt.Errorf("gcore: unknown graph %q", name)
-	}
-	e.writeStmts.Add(1)
-	return fn(g)
+	return e.mutate(func() error {
+		g, ok := e.cat.Graph(name)
+		if !ok {
+			return fmt.Errorf("gcore: unknown graph %q", name)
+		}
+		e.writeStmts.Add(1)
+		return fn(g)
+	})
 }
 
 // Prepare validates one statement for repeated execution. The source
@@ -704,9 +771,9 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 // Prepared is a statement validated once by Prepare (on an Engine, a
 // DurableEngine or a Session) and executed any number of times with
 // per-execution parameter bindings. Safe for concurrent use: read-only
-// executions run concurrently under the engine's read lock, mutating
-// ones — a prepared statement can define a GRAPH VIEW — take the
-// writer lock like any other write.
+// executions run concurrently under the engine's shared lock, mutating
+// ones — a prepared statement can define a GRAPH VIEW — run as writes
+// like any other.
 type Prepared struct {
 	eng   *Engine
 	src   string
@@ -716,9 +783,6 @@ type Prepared struct {
 	// the owning session's current default graph and limits); nil
 	// means engine defaults.
 	optsFn func() core.ExecOpts
-	// after runs at the statement boundary after each execution
-	// (durable engines drive automatic checkpoints here).
-	after func()
 }
 
 // Text returns the prepared source text.
@@ -735,12 +799,6 @@ func (p *Prepared) opts() core.ExecOpts {
 	return core.ExecOpts{}
 }
 
-func (p *Prepared) boundary() {
-	if p.after != nil {
-		p.after()
-	}
-}
-
 // Eval executes the prepared statement with the given parameter
 // bindings (nil for a statement without parameters). An execution
 // that reaches an unbound parameter fails; supplying extra bindings
@@ -751,57 +809,46 @@ func (p *Prepared) Eval(params map[string]Value) (*Result, error) {
 
 // EvalContext is Eval under the caller's context.
 func (p *Prepared) EvalContext(ctx context.Context, params map[string]Value) (*Result, error) {
-	res, err := p.eng.evalSrc(ctx, p.src, params, p.opts())
-	p.boundary()
-	return res, err
+	return p.eng.evalSrc(ctx, p.src, params, p.opts())
 }
 
 // ExplainAnalyzeContext executes the prepared statement with the given
 // bindings and renders the annotated plan (see
 // Engine.ExplainAnalyzeContext).
 func (p *Prepared) ExplainAnalyzeContext(ctx context.Context, params map[string]Value) (string, error) {
-	plan, err := p.eng.explainAnalyzeSrc(ctx, p.src, params, p.opts())
-	p.boundary()
-	return plan, err
+	return p.eng.explainAnalyzeSrc(ctx, p.src, params, p.opts())
 }
 
 // LoadGraphJSON reads a graph from its JSON interchange form and
 // registers it under the name embedded in the document.
 func (e *Engine) LoadGraphJSON(r io.Reader) (*Graph, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	g, err := ppg.ReadJSON(r, e.cat.IDs())
 	if err != nil {
 		return nil, err
 	}
-	if err := e.cat.RegisterGraph(g); err != nil {
+	err = e.mutate(func() error {
+		if err := e.cat.RegisterGraph(g); err != nil {
+			return err
+		}
+		e.applyPendingDefault(g.Name())
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	e.applyPendingDefault(g.Name())
 	return g, nil
 }
 
 // NextNodeID, NextEdgeID and NextPathID hand out engine-unique
-// identifiers for programmatic graph building.
-func (e *Engine) NextNodeID() NodeID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextNode()
-}
+// identifiers for programmatic graph building. The generator is
+// atomic, so they take no lock.
+func (e *Engine) NextNodeID() NodeID { return e.cat.IDs().NextNode() }
 
 // NextEdgeID hands out a fresh edge identifier.
-func (e *Engine) NextEdgeID() EdgeID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextEdge()
-}
+func (e *Engine) NextEdgeID() EdgeID { return e.cat.IDs().NextEdge() }
 
 // NextPathID hands out a fresh path identifier.
-func (e *Engine) NextPathID() PathID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cat.IDs().NextPath()
-}
+func (e *Engine) NextPathID() PathID { return e.cat.IDs().NextPath() }
 
 // GraphUnion, GraphIntersect and GraphMinus are the §A.5 set
 // operations on Path Property Graphs, exposed for programmatic use;

@@ -14,9 +14,9 @@ import (
 )
 
 // Catalog is the name registry of an engine. Mutations (registrations,
-// default changes) are not safe for concurrent use — engines serialise
-// them behind the writer lock — but lookups are safe to run from many
-// reader goroutines between mutations. The one lookup that populates
+// default changes) are not safe for concurrent use — engines apply
+// them under their exclusive lock — but lookups, and StageGraph, are
+// safe to run from many reader goroutines between mutations. The one lookup that populates
 // state lazily, TableAsGraph, guards its cache with an internal mutex
 // so concurrent readers over tables-as-graphs stay race-free.
 type Catalog struct {
@@ -82,8 +82,21 @@ func (c *Catalog) IDs() *ppg.IDGen { return c.ids }
 func (c *Catalog) Version() uint64 { return c.version }
 
 // RegisterGraph stores g under its name and reserves its identifiers.
-// The first registered graph becomes the default graph.
+// The first registered graph becomes the default graph. It is
+// StageGraph followed by PublishGraph.
 func (c *Catalog) RegisterGraph(g *ppg.Graph) error {
+	if err := c.StageGraph(g); err != nil {
+		return err
+	}
+	c.PublishGraph(g)
+	return nil
+}
+
+// StageGraph validates g for registration and presents it to the
+// change hook (the durability layer logs it there) without applying
+// it: the catalog is only read, so a writer can stage under the shared
+// lock, beside readers, and publish later under the exclusive one.
+func (c *Catalog) StageGraph(g *ppg.Graph) error {
 	name := g.Name()
 	if name == "" {
 		return fmt.Errorf("catalog: graph needs a name")
@@ -91,9 +104,14 @@ func (c *Catalog) RegisterGraph(g *ppg.Graph) error {
 	if _, dup := c.tables[name]; dup {
 		return fmt.Errorf("catalog: %q already names a table", name)
 	}
-	if err := c.fireHook(Change{Op: "register_graph", Graph: g}); err != nil {
-		return err
-	}
+	return c.fireHook(Change{Op: "register_graph", Graph: g})
+}
+
+// PublishGraph applies a registration StageGraph accepted. The caller
+// guarantees that no table took the name in between (engines stage and
+// publish under one writer mutex).
+func (c *Catalog) PublishGraph(g *ppg.Graph) {
+	name := g.Name()
 	c.graphs[name] = g
 	c.version++
 	for _, id := range g.NodeIDs() {
@@ -108,7 +126,6 @@ func (c *Catalog) RegisterGraph(g *ppg.Graph) error {
 	if c.defaultName == "" {
 		c.defaultName = name
 	}
-	return nil
 }
 
 // RegisterTable stores a binding table under its name.

@@ -295,6 +295,10 @@ type evalCtx struct {
 	// graphs exactly as they were (no partial mutation).
 	pendingViews []*ppg.Graph
 
+	// views stages the views of earlier statements of the same engine
+	// write (ExecOpts.Views); nil outside a staged write.
+	views *Views
+
 	// nfaCache holds automata compiled during this statement, so a
 	// regular path expression is compiled once per statement rather
 	// than once per pattern evaluation (pattern predicates in WHERE
@@ -361,11 +365,23 @@ func (c *evalCtx) freshAnon() string {
 // defaultGraph resolves the statement's implicit target: the session
 // override when set (resolved like ON <name>, so tables-as-graphs
 // work), the catalog default otherwise (nil when none is registered).
+// Views staged earlier in the same write count as registered, the
+// first of them becoming the default of a catalog without one.
 func (c *evalCtx) defaultGraph() (*ppg.Graph, error) {
-	if c.defGraph == "" {
+	name := c.defGraph
+	if name == "" {
+		if name = c.ev.cat.DefaultName(); name == "" && c.views != nil && len(c.views.staged) > 0 {
+			name = c.views.staged[0].Name()
+		}
+		if g, ok := c.views.lookup(name); ok {
+			return g, nil
+		}
 		return c.ev.cat.Default(), nil
 	}
-	g, err := c.ev.cat.Resolve(c.defGraph)
+	if g, ok := c.views.lookup(name); ok {
+		return g, nil
+	}
+	g, err := c.ev.cat.Resolve(name)
 	if err != nil {
 		return nil, errf("session default graph: %v", err)
 	}
@@ -476,6 +492,7 @@ func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Ex
 	c.params = ex.params
 	c.cached = ex.cached
 	c.defGraph = ex.opts.DefaultGraph
+	c.views = ex.opts.Views
 	if ex.probe {
 		col.PlanCacheEvent(ex.hit, ex.compile)
 	}
@@ -507,11 +524,25 @@ func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Ex
 		return nil, err
 	}
 	for _, g := range c.pendingViews {
-		if err := ev.cat.RegisterGraph(g); err != nil {
+		if err := c.commitView(g); err != nil {
 			return nil, errf("registering view %s: %v", g.Name(), err)
 		}
 	}
 	return out, nil
+}
+
+// commitView hands a view of the succeeded statement to the catalog:
+// staged in the write's Views when there is one, registered at once
+// otherwise.
+func (c *evalCtx) commitView(g *ppg.Graph) error {
+	if c.views == nil {
+		return c.ev.cat.RegisterGraph(g)
+	}
+	if err := c.ev.cat.StageGraph(g); err != nil {
+		return err
+	}
+	c.views.staged = append(c.views.staged, g)
+	return nil
 }
 
 // resultRows is the statement span's output cardinality: result table
@@ -689,6 +720,9 @@ func (c *evalCtx) resolveGraphName(s *scope, name string) (*ppg.Graph, error) {
 		if c.pendingViews[i].Name() == name {
 			return c.pendingViews[i], nil
 		}
+	}
+	if g, ok := c.views.lookup(name); ok {
+		return g, nil
 	}
 	g, err := c.ev.cat.Resolve(name)
 	if err != nil {

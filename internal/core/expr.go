@@ -66,7 +66,8 @@ func (e *env) outerRowTable() *bindings.Table {
 
 // allGraphs yields the graphs to consult for element lookups, nearest
 // first: the graph under construction, the graphs of the current
-// match, query-local GRAPH bindings, and finally every catalog graph.
+// match, query-local GRAPH bindings, views staged earlier in the same
+// write, and finally every catalog graph.
 // Identifiers are engine-unique, so the first hit is the only one —
 // the fallback matters for correlated subqueries whose outer bindings
 // reference elements of other graphs.
@@ -87,6 +88,13 @@ func (e *env) allGraphs(yield func(*ppg.Graph) bool) {
 		sort.Strings(names)
 		for _, name := range names {
 			if !yield(s.graphs[name]) {
+				return
+			}
+		}
+	}
+	if views := e.c.views; views != nil {
+		for i := len(views.staged) - 1; i >= 0; i-- {
+			if !yield(views.staged[i]) {
 				return
 			}
 		}

@@ -132,6 +132,37 @@ type ExecOpts struct {
 	// Limits overrides the evaluator's per-statement resource limits
 	// for this execution (nil = evaluator limits).
 	Limits *gov.Limits
+	// Views, when set, stages the execution's GRAPH VIEWs instead of
+	// registering them (see Views); nil registers them in the catalog
+	// when the statement succeeds.
+	Views *Views
+}
+
+// Views is the staging area of one engine write. A statement executed
+// with ExecOpts.Views set does not register its GRAPH VIEWs: when it
+// succeeds, each is staged in the catalog (validated and presented to
+// the change hook, where a durable engine logs it) and kept here, in
+// definition order. Later statements of the same write resolve staged
+// views as if registered; every other statement keeps seeing the
+// catalog. The engine publishes Staged() once the write ends.
+type Views struct {
+	staged []*ppg.Graph
+}
+
+// Staged returns the views staged so far, in definition order.
+func (v *Views) Staged() []*ppg.Graph { return v.staged }
+
+// lookup finds the latest staged view of the given name.
+func (v *Views) lookup(name string) (*ppg.Graph, bool) {
+	if v == nil {
+		return nil, false
+	}
+	for i := len(v.staged) - 1; i >= 0; i-- {
+		if v.staged[i].Name() == name {
+			return v.staged[i], true
+		}
+	}
+	return nil, false
 }
 
 // Exec is one compiled execution: the statement, its parameter
@@ -150,6 +181,10 @@ type Exec struct {
 	hit     bool
 	compile time.Duration
 }
+
+// StatementExec wraps an already-parsed statement as an execution
+// with the given overrides; it bypasses the plan cache.
+func StatementExec(stmt *ast.Statement, opts ExecOpts) Exec { return Exec{stmt: stmt, opts: opts} }
 
 // Statement returns the compiled statement.
 func (ex Exec) Statement() *ast.Statement { return ex.stmt }

@@ -101,9 +101,10 @@ type Metrics struct {
 	Queries int64 `json:"queries"`
 	Errors  int64 `json:"errors"`
 
-	// Read/write path split: statements executed under the shared read
-	// lock vs. the exclusive writer lock. Not fed through Observe — the
-	// engine counts them at dispatch and fills them when it snapshots.
+	// Read/write path split: statements executed as reads vs. as
+	// writes (serialised behind the writer mutex). Not fed through
+	// Observe — the engine counts them at dispatch and fills them when
+	// it snapshots.
 	ReadStatements  int64 `json:"read_statements"`
 	WriteStatements int64 `json:"write_statements"`
 

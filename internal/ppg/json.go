@@ -1,10 +1,13 @@
 package ppg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 
 	"gcore/internal/value"
 )
@@ -22,7 +25,8 @@ import (
 //
 // Property values use the value package's interchange encoding;
 // multi-valued properties are written with the {"set": [...]} wrapper
-// and singletons as bare scalars.
+// and singletons as bare scalars. Documents are written by AppendJSON
+// in one pass; the json* structs below only decode them.
 
 type jsonGraph struct {
 	Name  string     `json:"name"`
@@ -53,49 +57,158 @@ type jsonPath struct {
 	Props  map[string]value.Value `json:"properties,omitempty"`
 }
 
-func propsOut(p Properties) map[string]value.Value {
-	if len(p) == 0 {
-		return nil
+// MarshalJSON encodes the graph in the interchange format with
+// elements sorted by identifier, indented for reading: the indented
+// form of AppendJSON's document.
+func (g *Graph) MarshalJSON() ([]byte, error) {
+	data, err := g.AppendJSON(nil)
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[string]value.Value, len(p))
-	for _, k := range p.Keys() {
-		v := p.Get(k)
-		if s, ok := v.Singleton(); ok {
-			out[k] = s // render singletons as bare scalars
-			continue
-		}
-		out[k] = v
+	var buf bytes.Buffer
+	buf.Grow(2 * len(data))
+	if err := json.Indent(&buf, data, "", "  "); err != nil {
+		return nil, err
 	}
-	return out
+	return buf.Bytes(), nil
 }
 
-// MarshalJSON encodes the graph in the interchange format with
-// elements sorted by identifier.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	doc := jsonGraph{Name: g.name}
-	for _, id := range g.NodeIDs() {
-		n := g.nodes[id]
-		doc.Nodes = append(doc.Nodes, jsonNode{ID: uint64(id), Labels: n.Labels, Props: propsOut(n.Props)})
+// AppendJSON appends the graph's interchange document to dst in one
+// compact pass, elements in identifier order. The bytes are those
+// encoding/json writes for the document (json.Compact of MarshalJSON):
+// "nodes" and "edges" are null when empty, "paths" is omitted then,
+// and each element omits empty labels and properties, with singleton
+// property sets written as bare scalars. It fails only on a property
+// value JSON cannot hold (a NaN or infinite float).
+func (g *Graph) AppendJSON(dst []byte) ([]byte, error) {
+	dst = value.AppendJSONString(append(dst, `{"name":`...), g.name)
+	dst = append(dst, `,"nodes":`...)
+	if len(g.nodes) == 0 {
+		dst = append(dst, "null"...)
 	}
-	for _, id := range g.EdgeIDs() {
-		e := g.edges[id]
-		doc.Edges = append(doc.Edges, jsonEdge{
-			ID: uint64(id), Src: uint64(e.Src), Dst: uint64(e.Dst),
-			Labels: e.Labels, Props: propsOut(e.Props),
-		})
-	}
-	for _, id := range g.PathIDs() {
-		p := g.paths[id]
-		jp := jsonPath{ID: uint64(id), Labels: p.Labels, Props: propsOut(p.Props)}
-		for _, n := range p.Nodes {
-			jp.Nodes = append(jp.Nodes, uint64(n))
+	var err error
+	for i, id := range g.NodeIDs() {
+		if dst, err = AppendNode(appendSep(dst, i), g.nodes[id]); err != nil {
+			return dst, err
 		}
-		for _, e := range p.Edges {
-			jp.Edges = append(jp.Edges, uint64(e))
-		}
-		doc.Paths = append(doc.Paths, jp)
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	dst = append(closeArray(dst, len(g.nodes)), `,"edges":`...)
+	if len(g.edges) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i, id := range g.EdgeIDs() {
+		if dst, err = AppendEdge(appendSep(dst, i), g.edges[id]); err != nil {
+			return dst, err
+		}
+	}
+	dst = closeArray(dst, len(g.edges))
+	if len(g.paths) > 0 {
+		dst = append(dst, `,"paths":`...)
+		for i, id := range g.PathIDs() {
+			if dst, err = AppendPath(appendSep(dst, i), g.paths[id]); err != nil {
+				return dst, err
+			}
+		}
+		dst = closeArray(dst, len(g.paths))
+	}
+	return append(dst, '}'), nil
+}
+
+// appendSep opens an array before its first element and separates the
+// later ones; closeArray closes the array if anything opened it.
+func appendSep(dst []byte, i int) []byte {
+	if i == 0 {
+		return append(dst, '[')
+	}
+	return append(dst, ',')
+}
+
+func closeArray(dst []byte, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return append(dst, ']')
+}
+
+// AppendNode appends one node as an interchange JSON object, the
+// element shape of graph documents (and of node WAL records).
+func AppendNode(dst []byte, n *Node) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"id":`...), uint64(n.ID), 10)
+	return appendLabelsProps(dst, n.Labels, n.Props)
+}
+
+// AppendEdge appends one edge as an interchange JSON object.
+func AppendEdge(dst []byte, e *Edge) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"id":`...), uint64(e.ID), 10)
+	dst = strconv.AppendUint(append(dst, `,"src":`...), uint64(e.Src), 10)
+	dst = strconv.AppendUint(append(dst, `,"dst":`...), uint64(e.Dst), 10)
+	return appendLabelsProps(dst, e.Labels, e.Props)
+}
+
+// AppendPath appends one stored path as an interchange JSON object.
+func AppendPath(dst []byte, p *Path) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"id":`...), uint64(p.ID), 10)
+	dst = append(dst, `,"nodes":`...)
+	if len(p.Nodes) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i, n := range p.Nodes {
+		dst = strconv.AppendUint(appendSep(dst, i), uint64(n), 10)
+	}
+	dst = append(closeArray(dst, len(p.Nodes)), `,"edges":`...)
+	if len(p.Edges) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i, e := range p.Edges {
+		dst = strconv.AppendUint(appendSep(dst, i), uint64(e), 10)
+	}
+	return appendLabelsProps(closeArray(dst, len(p.Edges)), p.Labels, p.Props)
+}
+
+// appendLabelsProps appends an element's optional "labels" and
+// "properties" members and closes the element object.
+func appendLabelsProps(dst []byte, ls Labels, p Properties) ([]byte, error) {
+	if len(ls) > 0 {
+		dst = append(dst, `,"labels":`...)
+		for i, l := range ls {
+			dst = value.AppendJSONString(appendSep(dst, i), l)
+		}
+		dst = append(dst, ']')
+	}
+	if len(p) > 0 {
+		var err error
+		if dst, err = AppendProperties(append(dst, `,"properties":`...), p); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendProperties appends a property map as one object: keys sorted,
+// singleton sets as bare scalars, larger sets wrapped.
+func AppendProperties(dst []byte, p Properties) ([]byte, error) {
+	var buf [8]string
+	keys := buf[:0]
+	for k := range p {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(value.AppendJSONString(dst, k), ':')
+		v := p[k]
+		if s, ok := v.Singleton(); ok {
+			v = s
+		}
+		var err error
+		if dst, err = v.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
 }
 
 // UnmarshalJSON decodes the interchange format, validating every
@@ -134,17 +247,12 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	return g.replace(out)
 }
 
-// Element codecs. The durability layer logs individual mutations as
-// JSON records; these encode one element in exactly the interchange
-// shape the graph documents use, so a WAL record and a snapshot agree
-// on representation.
+// Element decoders. The durability layer logs individual mutations as
+// JSON records written by AppendNode, AppendEdge, AppendPath and
+// AppendProperties — exactly the shape graph documents use, so a WAL
+// record and a snapshot agree on representation.
 
-// EncodeNode encodes one node as an interchange JSON object.
-func EncodeNode(n *Node) ([]byte, error) {
-	return json.Marshal(jsonNode{ID: uint64(n.ID), Labels: n.Labels, Props: propsOut(n.Props)})
-}
-
-// DecodeNode decodes an EncodeNode document.
+// DecodeNode decodes an AppendNode document.
 func DecodeNode(data []byte) (*Node, error) {
 	var jn jsonNode
 	if err := json.Unmarshal(data, &jn); err != nil {
@@ -153,15 +261,7 @@ func DecodeNode(data []byte) (*Node, error) {
 	return &Node{ID: NodeID(jn.ID), Labels: NewLabels(jn.Labels...), Props: NewProperties(jn.Props)}, nil
 }
 
-// EncodeEdge encodes one edge as an interchange JSON object.
-func EncodeEdge(e *Edge) ([]byte, error) {
-	return json.Marshal(jsonEdge{
-		ID: uint64(e.ID), Src: uint64(e.Src), Dst: uint64(e.Dst),
-		Labels: e.Labels, Props: propsOut(e.Props),
-	})
-}
-
-// DecodeEdge decodes an EncodeEdge document.
+// DecodeEdge decodes an AppendEdge document.
 func DecodeEdge(data []byte) (*Edge, error) {
 	var je jsonEdge
 	if err := json.Unmarshal(data, &je); err != nil {
@@ -173,19 +273,7 @@ func DecodeEdge(data []byte) (*Edge, error) {
 	}, nil
 }
 
-// EncodePath encodes one stored path as an interchange JSON object.
-func EncodePath(p *Path) ([]byte, error) {
-	jp := jsonPath{ID: uint64(p.ID), Labels: p.Labels, Props: propsOut(p.Props)}
-	for _, n := range p.Nodes {
-		jp.Nodes = append(jp.Nodes, uint64(n))
-	}
-	for _, e := range p.Edges {
-		jp.Edges = append(jp.Edges, uint64(e))
-	}
-	return json.Marshal(jp)
-}
-
-// DecodePath decodes an EncodePath document.
+// DecodePath decodes an AppendPath document.
 func DecodePath(data []byte) (*Path, error) {
 	var jp jsonPath
 	if err := json.Unmarshal(data, &jp); err != nil {
@@ -201,17 +289,7 @@ func DecodePath(data []byte) (*Path, error) {
 	return p, nil
 }
 
-// EncodeProperties encodes a property map in the interchange value
-// encoding (singletons as bare scalars, sets wrapped).
-func EncodeProperties(p Properties) ([]byte, error) {
-	out := propsOut(p)
-	if out == nil {
-		out = map[string]value.Value{}
-	}
-	return json.Marshal(out)
-}
-
-// DecodeProperties decodes an EncodeProperties document.
+// DecodeProperties decodes an AppendProperties document.
 func DecodeProperties(data []byte) (Properties, error) {
 	var m map[string]value.Value
 	if err := json.Unmarshal(data, &m); err != nil {

@@ -2,6 +2,8 @@ package ppg
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -89,5 +91,170 @@ func TestUnmarshalRejectsInvalid(t *testing.T) {
 		if err := g.UnmarshalJSON([]byte(c)); err == nil {
 			t.Errorf("UnmarshalJSON accepted invalid document %q", c)
 		}
+	}
+}
+
+// referencePropsOut and referenceGraphJSON are the reflection encoder
+// MarshalJSON used before AppendJSON replaced it: the json* documents
+// with singleton sets unwrapped. The appender must match its compact
+// bytes exactly.
+func referencePropsOut(p Properties) map[string]value.Value {
+	if len(p) == 0 {
+		return nil
+	}
+	out := make(map[string]value.Value, len(p))
+	for _, k := range p.Keys() {
+		v := p.Get(k)
+		if s, ok := v.Singleton(); ok {
+			v = s
+		}
+		out[k] = v
+	}
+	return out
+}
+
+func referenceNode(n *Node) jsonNode {
+	return jsonNode{ID: uint64(n.ID), Labels: n.Labels, Props: referencePropsOut(n.Props)}
+}
+
+func referenceEdge(e *Edge) jsonEdge {
+	return jsonEdge{ID: uint64(e.ID), Src: uint64(e.Src), Dst: uint64(e.Dst), Labels: e.Labels, Props: referencePropsOut(e.Props)}
+}
+
+func referencePath(p *Path) jsonPath {
+	jp := jsonPath{ID: uint64(p.ID), Labels: p.Labels, Props: referencePropsOut(p.Props)}
+	for _, n := range p.Nodes {
+		jp.Nodes = append(jp.Nodes, uint64(n))
+	}
+	for _, e := range p.Edges {
+		jp.Edges = append(jp.Edges, uint64(e))
+	}
+	return jp
+}
+
+func referenceGraphJSON(g *Graph) ([]byte, error) {
+	doc := jsonGraph{Name: g.name}
+	for _, id := range g.NodeIDs() {
+		doc.Nodes = append(doc.Nodes, referenceNode(g.nodes[id]))
+	}
+	for _, id := range g.EdgeIDs() {
+		doc.Edges = append(doc.Edges, referenceEdge(g.edges[id]))
+	}
+	for _, id := range g.PathIDs() {
+		doc.Paths = append(doc.Paths, referencePath(g.paths[id]))
+	}
+	return json.Marshal(doc)
+}
+
+func TestAppendJSONMatchesReference(t *testing.T) {
+	nodesOnly := New(`quote " <tag> & ` + "\u2028 \x01 \xff")
+	mustOK(t, nodesOnly.AddNode(&Node{ID: 1, Labels: NewLabels("A<b>", "Z"), Props: NewProperties(map[string]value.Value{
+		"zeta":  value.Set(value.Str("x"), value.Str("y")),
+		"alpha": value.Float(2),
+		"<k>":   value.List(value.Int(1), value.Null),
+	})}))
+	mustOK(t, nodesOnly.AddNode(&Node{ID: 2}))
+
+	noEdgePath := New("lonely")
+	mustOK(t, noEdgePath.AddNode(&Node{ID: 7, Labels: NewLabels("P")}))
+	mustOK(t, noEdgePath.AddPath(&Path{ID: 8, Nodes: []NodeID{7}, Labels: NewLabels("empty")}))
+
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"example", buildExampleGraph(t)},
+		{"empty", New("")},
+		{"nodes_only", nodesOnly},
+		{"path_without_edges", noEdgePath},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := referenceGraphJSON(c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.g.AppendJSON([]byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got[1:]) != string(want) {
+				t.Fatalf("AppendJSON:\n%s\nreference:\n%s", got[1:], want)
+			}
+			indented, err := c.g.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, indented); err != nil {
+				t.Fatal(err)
+			}
+			if compact.String() != string(want) {
+				t.Fatalf("json.Compact(MarshalJSON) = %s, want %s", compact.Bytes(), want)
+			}
+			var refIndented bytes.Buffer
+			if err := json.Indent(&refIndented, want, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(indented, refIndented.Bytes()) {
+				t.Fatalf("MarshalJSON is not the indented reference:\n%s", indented)
+			}
+		})
+	}
+	if got, _ := New("").AppendJSON(nil); string(got) != `{"name":"","nodes":null,"edges":null}` {
+		t.Errorf("empty graph = %s", got)
+	}
+}
+
+func TestElementCodecsMatchReference(t *testing.T) {
+	g := buildExampleGraph(t)
+	for _, id := range g.NodeIDs() {
+		n, _ := g.Node(id)
+		checkCodec(t, n, referenceNode(n), func() ([]byte, error) { return AppendNode(nil, n) })
+	}
+	for _, id := range g.EdgeIDs() {
+		e, _ := g.Edge(id)
+		checkCodec(t, e, referenceEdge(e), func() ([]byte, error) { return AppendEdge(nil, e) })
+	}
+	p, _ := g.Path(301)
+	checkCodec(t, p, referencePath(p), func() ([]byte, error) { return AppendPath(nil, p) })
+	for _, props := range []Properties{nil, {}, p.Props} {
+		ref := referencePropsOut(props)
+		if ref == nil {
+			ref = map[string]value.Value{}
+		}
+		checkCodec(t, props, ref, func() ([]byte, error) { return AppendProperties(nil, props) })
+	}
+}
+
+func checkCodec(t *testing.T, what, ref any, encode func() ([]byte, error)) {
+	t.Helper()
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%v: encoded %s, reference %s", what, got, want)
+	}
+}
+
+func TestAppendJSONRefusesNaN(t *testing.T) {
+	g := New("g")
+	mustOK(t, g.AddNode(&Node{ID: 1, Props: NewProperties(map[string]value.Value{"x": value.Float(math.NaN())})}))
+	if _, err := g.AppendJSON(nil); err == nil {
+		t.Fatal("a NaN property must fail to encode")
+	}
+	if _, err := g.MarshalJSON(); err == nil {
+		t.Fatal("MarshalJSON must fail on a NaN property")
+	}
+}
+
+func mustOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,10 +26,12 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
 	"gcore"
+	"gcore/internal/value"
 )
 
 // Backend is the engine surface the server needs: session creation
@@ -159,18 +161,6 @@ type queryRequest struct {
 	// Explain selects plan output: "plan" renders the static plan,
 	// "analyze" executes and annotates it.
 	Explain string `json:"explain,omitempty"`
-}
-
-type resultJSON struct {
-	Graph json.RawMessage `json:"graph,omitempty"`
-	Table json.RawMessage `json:"table,omitempty"`
-	Plan  string          `json:"plan,omitempty"`
-}
-
-type queryResponse struct {
-	Results   []resultJSON `json:"results"`
-	ElapsedMS float64      `json:"elapsed_ms"`
-	Session   string       `json:"session,omitempty"`
 }
 
 type sessionRequest struct {
@@ -422,38 +412,53 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.backend.Metrics())
 }
 
-// writeResults encodes evaluation results: graphs and tables in their
-// interchange JSON, EXPLAIN output as the plan string.
+// writeResults encodes evaluation results as {"results": [...],
+// "elapsed_ms": …, "session": …}, each result {"graph": …},
+// {"table": …} or {"plan": "…"} ({} for a statement without one) —
+// graphs and tables in their interchange JSON — into one compact
+// buffer, and sends it in one Write with its Content-Length. A result
+// JSON cannot hold (a NaN or infinite float) fails the whole reply as a
+// 500 before any byte of it is written.
 func (s *Server) writeResults(w http.ResponseWriter, results []*gcore.Result, elapsed time.Duration, sid string) {
-	out := queryResponse{
-		Results:   make([]resultJSON, 0, len(results)),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-		Session:   sid,
+	body, err := appendResults(make([]byte, 0, 512), results, elapsed)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error(), "")
+		return
 	}
-	for _, res := range results {
-		var rj resultJSON
+	if sid != "" {
+		body = value.AppendJSONString(append(body, `,"session":`...), sid)
+	}
+	writeBody(w, http.StatusOK, append(body, "}\n"...))
+}
+
+func appendResults(dst []byte, results []*gcore.Result, elapsed time.Duration) ([]byte, error) {
+	dst = append(dst, `{"results":[`...)
+	var err error
+	for i, res := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		switch {
 		case res == nil:
+			dst = append(dst, "{}"...)
 		case res.Plan != "":
-			rj.Plan = res.Plan
+			dst = append(value.AppendJSONString(append(dst, `{"plan":`...), res.Plan), '}')
 		case res.Table != nil:
-			data, err := res.Table.MarshalJSON()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error(), "")
-				return
+			if dst, err = res.Table.AppendJSON(append(dst, `{"table":`...)); err != nil {
+				return nil, err
 			}
-			rj.Table = data
+			dst = append(dst, '}')
 		case res.Graph != nil:
-			data, err := res.Graph.MarshalJSON()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error(), "")
-				return
+			if dst, err = res.Graph.AppendJSON(append(dst, `{"graph":`...)); err != nil {
+				return nil, err
 			}
-			rj.Graph = data
+			dst = append(dst, '}')
+		default:
+			dst = append(dst, "{}"...)
 		}
-		out.Results = append(out.Results, rj)
 	}
-	writeJSON(w, http.StatusOK, out)
+	dst = append(dst, `],"elapsed_ms":`...)
+	return value.AppendJSONFloat(dst, float64(elapsed.Microseconds())/1e3)
 }
 
 func (s *Server) logSlow(query, sid string, elapsed time.Duration) {
@@ -478,12 +483,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// writeJSON sends body as one compact JSON line.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	data, err := json.Marshal(body)
+	if err != nil {
+		status, data = http.StatusInternalServerError, []byte(`{"error":"encoding the reply failed"}`)
+	}
+	writeBody(w, status, append(data, '\n'))
+}
+
+// writeBody sends a complete JSON reply in one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_, _ = w.Write(body) // a failed write means the client left; nothing to report to
 }
 
 func writeError(w http.ResponseWriter, status int, msg, kind string) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -416,5 +419,93 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReplyCompact: a query reply is one compact JSON document with
+// its Content-Length, and the graph inside is the interchange
+// encoding of the evaluated result, byte for byte.
+func TestReplyCompact(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const q = "CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m:Person) ON social_graph"
+	data, _ := json.Marshal(map[string]any{"query": q})
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+		t.Errorf("Content-Length %q for a %d-byte body", got, len(body))
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(compact.Bytes(), '\n'), body) {
+		t.Fatalf("reply is not compact JSON plus a newline:\n%s", body)
+	}
+	var doc struct {
+		Results []struct {
+			Graph json.RawMessage `json:"graph"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Results) != 1 {
+		t.Fatalf("reply %s: %v", body, err)
+	}
+	eng := gcore.NewEngine()
+	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.Graph.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Results[0].Graph, want) {
+		t.Fatalf("reply graph:\n%s\nwant:\n%s", doc.Results[0].Graph, want)
+	}
+}
+
+// TestReplyEncodeError: a result JSON cannot hold — a NaN property put
+// there through the Go API — fails the request with a 500 whose body
+// is exactly one JSON error object, not a half-written reply.
+func TestReplyEncodeError(t *testing.T) {
+	eng := gcore.NewEngine()
+	g := gcore.NewGraph("odd")
+	if err := g.AddNode(&gcore.Node{ID: 1, Labels: gcore.NewLabels("N"),
+		Props: gcore.NewProperties(map[string]gcore.Value{"x": gcore.Float(math.NaN())})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Config{})
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query",
+		strings.NewReader(`{"query": "CONSTRUCT (n) MATCH (n:N) ON odd"}`)))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", rec.Code, rec.Body.Bytes())
+	}
+	dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+	var e errorResponse
+	if err := dec.Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("body %q is not an error object: %v", rec.Body.Bytes(), err)
+	}
+	if dec.More() {
+		t.Fatalf("body %q holds more than one JSON value", rec.Body.Bytes())
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("body %q has trailing bytes", rec.Body.Bytes())
 	}
 }

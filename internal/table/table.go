@@ -4,6 +4,7 @@
 package table
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -106,13 +107,66 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// MarshalJSON encodes the table as {"name","cols","rows"}.
+// MarshalJSON encodes the table as {"name","cols","rows"}, indented
+// for reading: the indented form of AppendJSON's document.
 func (t *Table) MarshalJSON() ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Name string          `json:"name"`
-		Cols []string        `json:"cols"`
-		Rows [][]value.Value `json:"rows"`
-	}{t.Name, t.Cols, t.Rows}, "", "  ")
+	data, err := t.AppendJSON(nil)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(2 * len(data))
+	if err := json.Indent(&buf, data, "", "  "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// AppendJSON appends the table's {"name","cols","rows"} document to
+// dst in one compact pass, byte-identical to json.Compact of
+// MarshalJSON (a nil column list, row list or row is null). It fails
+// only on a value JSON cannot hold (a NaN or infinite float).
+func (t *Table) AppendJSON(dst []byte) ([]byte, error) {
+	dst = value.AppendJSONString(append(dst, `{"name":`...), t.Name)
+	dst = append(dst, `,"cols":`...)
+	if t.Cols == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range t.Cols {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = value.AppendJSONString(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"rows":`...)
+	if t.Rows == nil {
+		return append(dst, "null}"...), nil
+	}
+	dst = append(dst, '[')
+	for i, row := range t.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if row == nil {
+			dst = append(dst, "null"...)
+			continue
+		}
+		dst = append(dst, '[')
+		for j, v := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = v.AppendJSON(dst); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}"...), nil
 }
 
 // UnmarshalJSON decodes the JSON form.

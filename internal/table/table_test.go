@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -115,5 +116,44 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
 		t.Error("empty CSV must fail (no header)")
+	}
+}
+
+// TestAppendJSONMatchesReference holds the appender to the reflection
+// encoder MarshalJSON used before it: compact bytes identical, nil
+// column lists, row lists and rows written as null.
+func TestAppendJSONMatchesReference(t *testing.T) {
+	for _, tb := range []*Table{
+		sample(t),
+		New("empty"),
+		{Name: "no_cols", Cols: []string{}, Rows: [][]value.Value{}},
+		{Name: "nil_rows<&>", Cols: []string{"a"}, Rows: [][]value.Value{nil, {value.Set(value.Float(1), value.Str(" "))}}},
+	} {
+		want, err := json.Marshal(struct {
+			Name string          `json:"name"`
+			Cols []string        `json:"cols"`
+			Rows [][]value.Value `json:"rows"`
+		}{tb.Name, tb.Cols, tb.Rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tb.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendJSON %s, reference %s", tb.Name, got, want)
+		}
+		indented, err := tb.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, indented); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact.Bytes(), want) {
+			t.Errorf("%s: json.Compact(MarshalJSON) %s, reference %s", tb.Name, compact.Bytes(), want)
+		}
 	}
 }

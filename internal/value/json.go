@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"unicode/utf8"
 )
 
 // JSON interchange form for values, used by the graph (de)serialiser
@@ -21,36 +24,139 @@ import (
 //	null          absent
 
 // MarshalJSON encodes v in the interchange form.
-func (v Value) MarshalJSON() ([]byte, error) {
+func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
+
+// AppendJSON appends v's interchange form to dst. The bytes are what
+// encoding/json writes for it — compact, with <, >, &, U+2028/2029 and
+// control bytes escaped and invalid UTF-8 replaced — so documents built
+// by appending values need no re-encoding pass. A NaN or infinite float
+// has no JSON form and fails, as does an unknown kind.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	switch v.kind {
 	case KindNull:
-		return []byte("null"), nil
+		return append(dst, "null"...), nil
 	case KindBool:
-		return json.Marshal(v.b)
+		return strconv.AppendBool(dst, v.b), nil
 	case KindInt:
-		return json.Marshal(v.i)
+		return strconv.AppendInt(dst, v.i, 10), nil
 	case KindFloat:
 		if v.f == float64(int64(v.f)) {
 			// Force a fraction so the value round-trips as a float.
-			return []byte(fmt.Sprintf("%.1f", v.f)), nil
+			return strconv.AppendFloat(dst, v.f, 'f', 1, 64), nil
 		}
-		return json.Marshal(v.f)
+		return AppendJSONFloat(dst, v.f)
 	case KindString:
-		return json.Marshal(v.s)
+		return AppendJSONString(dst, v.s), nil
 	case KindDate:
-		return json.Marshal(map[string]string{"date": v.String()})
+		dst = AppendJSONString(append(dst, `{"date":`...), v.String())
+		return append(dst, '}'), nil
 	case KindList:
-		return json.Marshal(map[string][]Value{"list": v.elems})
+		return appendElems(append(dst, `{"list":`...), v.elems)
 	case KindSet:
-		return json.Marshal(map[string][]Value{"set": v.elems})
+		return appendElems(append(dst, `{"set":`...), v.elems)
 	case KindNode:
-		return json.Marshal(map[string]uint64{"node": uint64(v.i)})
+		return appendRef(dst, `{"node":`, v.i), nil
 	case KindEdge:
-		return json.Marshal(map[string]uint64{"edge": uint64(v.i)})
+		return appendRef(dst, `{"edge":`, v.i), nil
 	case KindPath:
-		return json.Marshal(map[string]uint64{"path": uint64(v.i)})
+		return appendRef(dst, `{"path":`, v.i), nil
 	}
-	return nil, fmt.Errorf("value: cannot marshal kind %v", v.kind)
+	return dst, fmt.Errorf("value: cannot marshal kind %v", v.kind)
+}
+
+// appendElems appends a wrapper's element array and closes the wrapper.
+func appendElems(dst []byte, elems []Value) ([]byte, error) {
+	if elems == nil {
+		return append(dst, "null}"...), nil
+	}
+	dst = append(dst, '[')
+	for i, e := range elems {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = e.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "]}"...), nil
+}
+
+func appendRef(dst []byte, open string, id int64) []byte {
+	dst = strconv.AppendUint(append(dst, open...), uint64(id), 10)
+	return append(dst, '}')
+}
+
+// AppendJSONFloat appends f as encoding/json writes a float64: the
+// shortest representation, in exponent form below 1e-6 and from 1e21.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("value: %v has no JSON form", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9, as encoding/json does.
+		if n := len(dst); n-start >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// AppendJSONString appends s as a JSON string the way encoding/json
+// writes one with HTML escaping on (its default).
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), '\\', 'u', 'f', 'f', 'f', 'd')
+		case c == 0x2028 || c == 0x2029: // line and paragraph separators
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // UnmarshalJSON decodes the interchange form.

@@ -1,8 +1,12 @@
 package value
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
+	"unicode/utf8"
 )
 
 func roundTripJSON(t *testing.T, v Value) Value {
@@ -146,4 +150,118 @@ func TestSubsetWithListOperands(t *testing.T) {
 	if v := Subset(Int(1), Set(Int(1))); !v.b {
 		t.Error("scalar SUBSET singleton failed")
 	}
+}
+
+// refValue routes encoding/json through referenceJSON, so nested
+// elements are encoded by the reference too.
+type refValue Value
+
+func (r refValue) MarshalJSON() ([]byte, error) { return referenceJSON(Value(r)) }
+
+func refElems(elems []Value) []refValue {
+	if elems == nil {
+		return nil
+	}
+	out := make([]refValue, len(elems))
+	for i, e := range elems {
+		out[i] = refValue(e)
+	}
+	return out
+}
+
+// referenceJSON is the reflection encoder MarshalJSON used before
+// AppendJSON replaced it, kept as the oracle AppendJSON must match byte
+// for byte.
+func referenceJSON(v Value) ([]byte, error) {
+	switch v.kind {
+	case KindNull:
+		return []byte("null"), nil
+	case KindBool:
+		return json.Marshal(v.b)
+	case KindInt:
+		return json.Marshal(v.i)
+	case KindFloat:
+		if v.f == float64(int64(v.f)) {
+			return []byte(fmt.Sprintf("%.1f", v.f)), nil
+		}
+		return json.Marshal(v.f)
+	case KindString:
+		return json.Marshal(v.s)
+	case KindDate:
+		return json.Marshal(map[string]string{"date": v.String()})
+	case KindList:
+		return json.Marshal(map[string][]refValue{"list": refElems(v.elems)})
+	case KindSet:
+		return json.Marshal(map[string][]refValue{"set": refElems(v.elems)})
+	case KindNode:
+		return json.Marshal(map[string]uint64{"node": uint64(v.i)})
+	case KindEdge:
+		return json.Marshal(map[string]uint64{"edge": uint64(v.i)})
+	case KindPath:
+		return json.Marshal(map[string]uint64{"path": uint64(v.i)})
+	}
+	return nil, fmt.Errorf("value: cannot marshal kind %v", v.kind)
+}
+
+// fuzzValue builds a value tree from the fuzz inputs: shape picks the
+// top-level form, so one corpus entry exercises scalars, wrappers and
+// nesting.
+func fuzzValue(s string, f float64, i int64, shape byte) Value {
+	date := Date(int64(uint64(i) % 2932896)) // 1/1/1970 … 31/12/9999
+	scalars := []Value{Str(s), Float(f), Int(i), date, Bool(i%2 == 0), Null}
+	switch shape % 8 {
+	case 0:
+		return Str(s)
+	case 1:
+		return Float(f)
+	case 2:
+		return List(scalars...)
+	case 3:
+		return Set(scalars...)
+	case 4:
+		id := uint64(i) & math.MaxInt64 // identifiers decode as int64
+		return List(Set(Str(s), Float(f)), List(), List(NodeRef(id), EdgeRef(id), PathRef(id)))
+	case 5:
+		return Value{kind: KindList} // nil elements: encodes, but has no decoded form
+	case 6:
+		return date
+	}
+	return Set(List(Str(s)), Set(Float(f), Int(i)), Str(s+s))
+}
+
+func FuzzValueJSON(f *testing.F) {
+	for _, s := range []string{"", "plain", "<>&", "a b c", "\xff\xfe bad \xc3", "\x00\x01\x1f\b\f\n\r\t\x7f", `"\/`, "ünïcödé 日本"} {
+		f.Add(s, 1.5, int64(7), byte(0))
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 3, -42, 1e20, 1e21, 1.5e300, 5e-324, 1e-7, 1e-6, 123456.789, 9.223372036854775807e18, -9.223372036854775808e18, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add("x", x, int64(-3), byte(1))
+	}
+	for shape := byte(2); shape < 8; shape++ {
+		f.Add("<set>", 2.0, int64(16000), shape)
+		f.Add(" ", 0.1, int64(math.MinInt64), shape)
+	}
+	f.Fuzz(func(t *testing.T, s string, x float64, i int64, shape byte) {
+		v := fuzzValue(s, x, i, shape)
+		want, wantErr := referenceJSON(v)
+		got, err := v.AppendJSON([]byte("prefix"))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%v: AppendJSON error %v, reference error %v", v, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("%v: AppendJSON wrote %q, reference %q", v, got, want)
+		}
+		if shape%8 == 5 {
+			return
+		}
+		var back Value
+		if err := back.UnmarshalJSON(want); err != nil {
+			t.Fatalf("%v: %q does not decode: %v", v, want, err)
+		}
+		if utf8.ValidString(s) && (!Equal(v, back) || v.Kind() != back.Kind()) {
+			t.Fatalf("round trip changed %v (%v) to %v (%v)", v, v.Kind(), back, back.Kind())
+		}
+	})
 }

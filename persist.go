@@ -21,7 +21,9 @@ import (
 //
 // Identifiers are preserved exactly, so saved stored paths, the
 // identity-based set operations, and cross-references keep working
-// after a reload.
+// after a reload. Graph and table files are compact JSON (AppendJSON);
+// loading accepts any JSON layout, including the indented files of
+// earlier versions.
 //
 // Every file is written to a temporary name in the same directory and
 // renamed into place, the manifest last, so a crash mid-save never
@@ -72,18 +74,20 @@ func atomicWriteFile(path string, data []byte) error {
 
 // SaveCatalog writes every registered graph and table to dir,
 // creating it if needed. Each file is written atomically and the
-// manifest is written last.
+// manifest is written last. It holds the writer mutex and the shared
+// lock: readers keep running while the files are written.
 func (e *Engine) SaveCatalog(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.saveCatalogLocked(dir)
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	return e.shared(func() error { return e.saveCatalogLocked(dir) })
 }
 
 // saveCatalogLocked writes the catalog files into dir. Callers hold
-// e.mu; the durable engine calls it to stage checkpoints.
+// the writer mutex and the shared lock; the durable engine calls it to
+// stage checkpoints.
 func (e *Engine) saveCatalogLocked(dir string) error {
 	man := catalogManifest{Default: e.cat.DefaultName()}
 	for _, name := range e.cat.GraphNames() {
@@ -91,7 +95,7 @@ func (e *Engine) saveCatalogLocked(dir string) error {
 			return err
 		}
 		g, _ := e.cat.Graph(name)
-		data, err := g.MarshalJSON()
+		data, err := g.AppendJSON(nil)
 		if err != nil {
 			return fmt.Errorf("gcore: encoding graph %s: %w", name, err)
 		}
@@ -105,7 +109,7 @@ func (e *Engine) saveCatalogLocked(dir string) error {
 			return err
 		}
 		t, _ := e.cat.Table(name)
-		data, err := t.MarshalJSON()
+		data, err := t.AppendJSON(nil)
 		if err != nil {
 			return fmt.Errorf("gcore: encoding table %s: %w", name, err)
 		}
@@ -185,8 +189,12 @@ func (e *Engine) LoadCatalog(dir string) error {
 	if man.Default != "" && !staged[man.Default] {
 		return fmt.Errorf("gcore: manifest default %q is not in the catalog", man.Default)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	return e.mutate(func() error { return e.registerLoaded(man, staged, graphs, tables) })
+}
+
+// registerLoaded registers a staged LoadCatalog; the caller holds the
+// writer mutex and the exclusive lock.
+func (e *Engine) registerLoaded(man catalogManifest, staged map[string]bool, graphs []*Graph, tables []*Table) error {
 	// Validate against the live catalog before registering anything.
 	for name := range staged {
 		if _, ok := e.cat.Graph(name); ok {

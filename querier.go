@@ -10,9 +10,10 @@ import "context"
 // limits.
 //
 // All methods are safe for concurrent use. Read-only statements run
-// concurrently under the engine's shared read lock against the
-// committed catalog version and graph snapshot generations pinned at
-// dispatch; mutating statements serialise under the writer lock (see
+// concurrently under the engine's shared lock against the committed
+// catalog version and graph snapshot generations pinned at dispatch;
+// mutating statements serialise behind the writer mutex, evaluate
+// beside the readers and take the exclusive lock only to publish (see
 // ReadOnly for the classification).
 type Querier interface {
 	// EvalContext parses and evaluates one statement under ctx.

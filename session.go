@@ -20,10 +20,10 @@ import (
 // A Session is safe for concurrent use and adds no locking of its
 // own beyond its small configuration state: its statements go through
 // the engine's read/write path split like any other, so read-only
-// statements from many sessions run concurrently.
+// statements from many sessions run concurrently, beside at most one
+// evaluating write.
 type Session struct {
 	eng       *Engine
-	after     func()         // statement boundary (durable checkpoints)
 	metricsFn func() Metrics // engine metrics source (durable fills WAL counters)
 
 	mu     sync.Mutex
@@ -40,10 +40,10 @@ func (e *Engine) NewSession() *Session {
 
 // NewSession creates a session over the durable engine. Mutations the
 // session performs are logged like any other (the write-ahead boundary
-// hooks the catalog, not the entry points), and statement boundaries
-// drive automatic checkpoints.
+// hooks the catalog, not the entry points), and its metrics carry the
+// WAL counters.
 func (d *DurableEngine) NewSession() *Session {
-	return &Session{eng: d.Engine, after: d.maybeCheckpoint, metricsFn: d.Metrics}
+	return &Session{eng: d.Engine, metricsFn: d.Metrics}
 }
 
 // SetDefaultGraph sets the graph this session's MATCH uses when ON is
@@ -116,34 +116,22 @@ func (s *Session) opts() core.ExecOpts {
 	return o
 }
 
-func (s *Session) boundary() {
-	if s.after != nil {
-		s.after()
-	}
-}
-
 // EvalContext parses and evaluates one statement under ctx with the
 // session's default graph and limits (see Engine.EvalContext).
 func (s *Session) EvalContext(ctx context.Context, src string) (*Result, error) {
-	res, err := s.eng.evalSrc(ctx, src, nil, s.opts())
-	s.boundary()
-	return res, err
+	return s.eng.evalSrc(ctx, src, nil, s.opts())
 }
 
 // EvalParamsContext is EvalContext with $name parameter bindings, the
 // one-shot form of Prepare + EvalContext.
 func (s *Session) EvalParamsContext(ctx context.Context, src string, params map[string]Value) (*Result, error) {
-	res, err := s.eng.evalSrc(ctx, src, params, s.opts())
-	s.boundary()
-	return res, err
+	return s.eng.evalSrc(ctx, src, params, s.opts())
 }
 
 // EvalScriptContext evaluates a semicolon-separated script under the
 // session configuration (see Engine.EvalScriptContext).
 func (s *Session) EvalScriptContext(ctx context.Context, src string) ([]*Result, error) {
-	res, err := s.eng.evalScript(ctx, src, s.opts())
-	s.boundary()
-	return res, err
+	return s.eng.evalScript(ctx, src, s.opts())
 }
 
 // Prepare validates one statement for repeated execution in this
@@ -162,7 +150,6 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 		src:    src,
 		names:  parser.ParamNames(src),
 		optsFn: s.opts,
-		after:  s.after,
 	}, nil
 }
 
@@ -184,9 +171,7 @@ func (s *Session) ExplainAnalyzeContext(ctx context.Context, src string) (string
 // EvalParamsContext would run, so it shows what these bindings did —
 // which scan took a value index, which conjuncts ran columnar.
 func (s *Session) ExplainAnalyzeParamsContext(ctx context.Context, src string, params map[string]Value) (string, error) {
-	plan, err := s.eng.explainAnalyzeSrc(ctx, src, params, s.opts())
-	s.boundary()
-	return plan, err
+	return s.eng.explainAnalyzeSrc(ctx, src, params, s.opts())
 }
 
 // Metrics snapshots the engine-lifetime metrics (sessions do not
