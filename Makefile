@@ -50,13 +50,14 @@ benchcmp:
 # Regression guard over the committed baseline: allocation regressions
 # beyond 20% on the guarded hot-path benchmarks (joins, parallel
 # match, columnar scans, plan-cache and prepared-eval paths, prepared
-# point lookups, path patterns and the k-shortest kernel, incremental
+# point lookups, path patterns and the k-shortest kernel, grouping
+# (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), incremental
 # snapshot maintenance, WAL append and group commit, whole HTTP
 # requests) fail,
 # timing regressions warn (allocs/op is machine-independent, ns/op is
 # not). CI calls this target, so the list lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:
@@ -72,7 +73,7 @@ fuzz:
 	go test -fuzz=FuzzParamInline -fuzztime=60s -run '^$$' .
 	go test -fuzz=FuzzIncrementalSnapshot -fuzztime=60s -run '^$$' .
 	go test -fuzz=FuzzPropColumns -fuzztime=60s -run '^$$' ./internal/csr
-	go test -fuzz=FuzzKeyInjective -fuzztime=60s -run '^$$' ./internal/bindings
+	go test -fuzz=FuzzGroupsInjective -fuzztime=60s -run '^$$' ./internal/bindings
 	go test -fuzz=FuzzValueJSON -fuzztime=60s -run '^$$' ./internal/value
 
 cover:

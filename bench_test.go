@@ -579,6 +579,32 @@ func BenchmarkPathPattern(b *testing.B) {
 	}
 }
 
+// BenchmarkGrouping measures the three statements that group binding
+// rows, on SNB-2000: an aggregating SELECT and CONSTRUCT … GROUP over
+// the employer binding of the end-to-end adhoc_match GROUP shape (every
+// Person, so each of the ~2 000 rows is grouped), and the two-hop
+// SELECT DISTINCT of point_prepared's knows2 statement. Rows are
+// grouped by Table.Groups and ordered by bindings.CompareRows; a string
+// key built per row or per value shows up as an allocation jump.
+func BenchmarkGrouping(b *testing.B) {
+	eng := gcore.NewEngine()
+	registerSNBWithPids(b, eng)
+	for _, c := range []struct{ name, query string }{
+		{"select_agg", `SELECT e AS employer, COUNT(*) AS persons MATCH (n:Person {employer=e})`},
+		{"select_distinct", `SELECT DISTINCT o.pid AS pid MATCH (n:Person)-[:knows]->(m:Person)-[:knows]->(o:Person) WHERE n.pid = 42 ORDER BY pid`},
+		{"construct_group", `CONSTRUCT (x GROUP e :Company {name:=e})<-[y:worksAt]-(n) MATCH (n:Person {employer=e})`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Eval(c.query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMutateThenRead measures the mixed read/write workload the
 // incremental snapshot maintenance targets: every iteration appends a
 // node and an edge to SNB-2000 and immediately runs a filtered scan,

@@ -3,6 +3,7 @@ package gcore_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -289,4 +290,50 @@ func TestMaxBindingsBudget(t *testing.T) {
 	if _, err := sess.EvalContext(context.Background(), `CONSTRUCT (a) MATCH (a:Tag), (b:Tag), (c:Tag), (d:Tag), (e:Tag)`); err != nil {
 		t.Fatalf("unlimited: %v", err)
 	}
+}
+
+// TestCanonicalOrderIsTyped pins the one order on binding rows where a
+// string-encoded row key would disagree with value.Compare: without
+// ORDER BY, SELECT lists rows numerically (9 before 10, -2 before -1,
+// 1 before 1.5), and CONSTRUCT … GROUP mints one identifier per group
+// in that same order.
+func TestCanonicalOrderIsTyped(t *testing.T) {
+	eng := gcore.NewEngine()
+	nums := gcore.NewTable("nums", "x")
+	for _, v := range []gcore.Value{gcore.Int(10), gcore.Int(9), gcore.Int(-1), gcore.Int(-2), gcore.Float(1.5), gcore.Int(1), gcore.Int(9)} {
+		if err := nums.AddRow(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.RegisterTable(nums); err != nil {
+		t.Fatal(err)
+	}
+	want := []gcore.Value{gcore.Int(-2), gcore.Int(-1), gcore.Int(1), gcore.Float(1.5), gcore.Int(9), gcore.Int(10)}
+	check := func(what string, got []gcore.Value) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+	}
+
+	res, err := eng.Eval(`SELECT DISTINCT x AS x FROM nums`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []gcore.Value
+	for _, r := range res.Table.Rows {
+		rows = append(rows, r[0])
+	}
+	check("SELECT row order", rows)
+
+	res, err = eng.Eval(`CONSTRUCT (g GROUP x :G {v := x}) FROM nums`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var minted []gcore.Value
+	for _, id := range res.Graph.NodeIDs() { // ascending: minting order
+		n, _ := res.Graph.Node(id)
+		minted = append(minted, n.Props.Get("v").Scalarize())
+	}
+	check("CONSTRUCT GROUP minting order", minted)
 }

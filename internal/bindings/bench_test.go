@@ -33,7 +33,7 @@ func BenchmarkJoin(b *testing.B) {
 func BenchmarkLeftJoin(b *testing.B) {
 	a, t := benchTables(1000)
 	for i := 0; i < b.N; i++ {
-		if LeftJoin(a, t).Len() == 0 {
+		if leftJoin(a, t).Len() == 0 {
 			b.Fatal("empty join")
 		}
 	}

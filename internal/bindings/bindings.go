@@ -13,11 +13,14 @@
 // value.Equal) with slot-wise equality confirmation on probe — no
 // per-row maps, no string key building. A binding is always a row of a
 // table, addressed as (table, row index); there is no map form of µ.
+// Rows have one order, CompareRows, and one grouping, Table.Groups,
+// whose equality is the order's.
 package bindings
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"gcore/internal/value"
@@ -111,27 +114,6 @@ func (t *Table) Value(i int, name string) (value.Value, bool) {
 // Set binds slot of row i to v.
 func (t *Table) Set(i, slot int, v value.Value) { t.data[i*len(t.vars)+slot] = v }
 
-// RowKey returns a string that is equal for two rows exactly when
-// they agree, slot by slot, on bound-ness and value. Every bound slot
-// contributes its length-prefixed value.Key fragment and every unbound
-// slot a '?', each followed by '|'; the length prefix keeps a string
-// value containing those bytes from colliding across slots.
-func (t *Table) RowKey(i int) string {
-	var sb strings.Builder
-	for _, v := range t.RowAt(i) {
-		if v.IsAbsent() {
-			sb.WriteByte('?')
-		} else {
-			frag := v.Key()
-			sb.WriteString(strconv.Itoa(len(frag)))
-			sb.WriteByte(':')
-			sb.WriteString(frag)
-		}
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
 // RowTable returns a one-row table holding exactly the bound variables
 // of row i — the outer table of a correlated subquery.
 func (t *Table) RowTable(i int) *Table {
@@ -151,13 +133,6 @@ func (t *Table) RowTable(i int) *Table {
 	}
 	out.n = 1
 	return out
-}
-
-// AppendRow appends one dense row given in slot order (value.Absent
-// marks unbound slots). The slice is copied.
-func (t *Table) AppendRow(row []value.Value) {
-	t.data = append(t.data, row...)
-	t.n++
 }
 
 // AppendSlab appends len(slab)/Width() rows laid out back to back in
@@ -204,32 +179,6 @@ func (t *Table) WithOrdinal(name string) *Table {
 	}
 	out.n = t.n
 	return out
-}
-
-// SortStableByVars returns a copy whose rows are stably sorted by
-// value.Compare over the listed variables, in order.
-func (t *Table) SortStableByVars(vars []string) *Table {
-	slots := make([]int, 0, len(vars))
-	for _, v := range vars {
-		if s := t.SlotOf(v); s >= 0 {
-			slots = append(slots, s)
-		}
-	}
-	perm := make([]int, t.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	w := len(t.vars)
-	sort.SliceStable(perm, func(x, y int) bool {
-		bi, bj := perm[x]*w, perm[y]*w
-		for _, s := range slots {
-			if c := value.Compare(t.data[bi+s], t.data[bj+s]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return t.Pick(perm)
 }
 
 // DropVars returns a copy of the table without the listed variables.
@@ -317,7 +266,7 @@ func (t *Table) rowHash(i int, slots []int) uint64 {
 
 // rowsEqualOn reports slot-wise equality (Absent equals only Absent) —
 // the confirmation step after a hash bucket hit, and row identity for
-// Distinct.
+// Groups.
 func rowsEqualOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []int) bool {
 	ab, bb := i*len(a.vars), j*len(b.vars)
 	for k := range aSlots {
@@ -344,23 +293,110 @@ func rowsCompatibleOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []i
 	return true
 }
 
-// legacyOrderKey returns the listed slots of row i as value.Key
-// fragments (or '?') joined by '|'. It is NOT collision-free and is
-// used only for ordering — Sorted and the join's unbound-probe order
-// must keep producing byte-identical output, and the historical order
-// is the lexicographic order of exactly this string.
-func (t *Table) legacyOrderKey(i int, slots []int) string {
-	var sb strings.Builder
-	base := i * len(t.vars)
-	for _, s := range slots {
-		if v := t.data[base+s]; v.IsAbsent() {
-			sb.WriteByte('?')
-		} else {
-			v.AppendKeyTo(&sb)
+// CompareRows is the one order on binding rows: lexicographic over the
+// slots, an unbound slot before every bound one, bound values by
+// value.Compare, and a row before any longer row it is a prefix of. It
+// is the canonical row order (Sorted), the join's unbound-probe order,
+// and the order in which CONSTRUCT mints identifiers for its groups.
+func CompareRows(a, b []value.Value) int {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		x, y := a[k], b[k]
+		switch xa, ya := x.IsAbsent(), y.IsAbsent(); {
+		case xa && ya:
+			continue
+		case xa:
+			return -1
+		case ya:
+			return 1
 		}
-		sb.WriteByte('|')
+		if c := value.Compare(x, y); c != 0 {
+			return c
+		}
 	}
-	return sb.String()
+	return cmp.Compare(len(a), len(b))
+}
+
+// order returns the row indexes of t stably sorted by CompareRows over
+// the listed slots, in the order listed, or over whole rows when slots
+// is nil.
+func (t *Table) order(slots []int) []int {
+	keys, k := t.data, len(t.vars)
+	if slots != nil {
+		k = len(slots)
+		keys = make([]value.Value, 0, t.n*k)
+		for i := 0; i < t.n; i++ {
+			row := t.RowAt(i)
+			for _, s := range slots {
+				keys = append(keys, row[s])
+			}
+		}
+	}
+	perm := make([]int, t.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(x, y int) int {
+		return CompareRows(keys[x*k:(x+1)*k], keys[y*k:(y+1)*k])
+	})
+	return perm
+}
+
+// Sorted returns a copy whose rows are stably sorted by CompareRows
+// over the listed variables, in the order listed (all must be in the
+// schema); with none listed, over whole rows, which is the canonical
+// row order of deterministic output.
+func (t *Table) Sorted(vars ...string) *Table {
+	var slots []int
+	if len(vars) > 0 {
+		slots = slotsOf(t, vars)
+	}
+	return t.Pick(t.order(slots))
+}
+
+// Groups partitions the rows of t by slot-wise equality (an unbound
+// slot equals only an unbound slot, bound values compare by
+// value.Equal) and returns each group's row indexes in input order,
+// the groups in order of first appearance. Rows meet in value.Hash
+// buckets and are confirmed slot by slot, so two rows share a group
+// exactly when they are equal.
+func (t *Table) Groups() [][]int {
+	all := make([]int, len(t.vars))
+	for i := range all {
+		all[i] = i
+	}
+	type group struct{ first, size, next int } // next: older group, same hash
+	var gs []group
+	gid := make([]int, t.n)
+	head := map[uint64]int{} // hash → newest group with that hash
+	for i := 0; i < t.n; i++ {
+		h := t.rowHash(i, all)
+		top, seen := head[h]
+		if !seen {
+			top = -1
+		}
+		g := top
+		for g >= 0 && !rowsEqualOn(t, i, all, t, gs[g].first, all) {
+			g = gs[g].next
+		}
+		if g < 0 {
+			g = len(gs)
+			gs = append(gs, group{first: i, next: top})
+			head[h] = g
+		}
+		gid[i] = g
+		gs[g].size++
+	}
+	flat := make([]int, t.n)
+	groups := make([][]int, len(gs))
+	off := 0
+	for g := range gs {
+		groups[g] = flat[off : off : off+gs[g].size]
+		off += gs[g].size
+	}
+	for i, g := range gid {
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // matcher indexes the rows of a table for compatibility probes on the
@@ -390,89 +426,34 @@ func newMatcher(t *Table, shared []string) *matcher {
 	return m
 }
 
-// denseInKeyOrder returns the fully-bound rows ordered by the legacy
-// key of their shared slots (ties in insertion order) — the candidate
-// order the pre-columnar implementation produced for a left row that
-// leaves a shared variable unbound, preserved so row emission order
-// (and therefore constructed-object identities downstream) does not
-// change.
+// denseInKeyOrder returns the fully-bound rows in CompareRows order of
+// their shared slots (ties in insertion order): the candidate order for
+// a left row that leaves a shared variable unbound.
 func (m *matcher) denseInKeyOrder() []int {
-	if m.sortedBuilt {
-		return m.denseSorted
-	}
-	m.sortedBuilt = true
-	for j := 0; j < m.t.n; j++ {
-		if m.t.rowBoundAll(j, m.slots) {
-			m.denseSorted = append(m.denseSorted, j)
+	if !m.sortedBuilt {
+		m.sortedBuilt = true
+		for _, j := range m.t.order(m.slots) {
+			if m.t.rowBoundAll(j, m.slots) {
+				m.denseSorted = append(m.denseSorted, j)
+			}
 		}
 	}
-	keys := make([]string, len(m.denseSorted))
-	for k, j := range m.denseSorted {
-		keys[k] = m.t.legacyOrderKey(j, m.slots)
-	}
-	perm := make([]int, len(m.denseSorted))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
-	sorted := make([]int, len(perm))
-	for k, pi := range perm {
-		sorted[k] = m.denseSorted[pi]
-	}
-	m.denseSorted = sorted
 	return m.denseSorted
 }
 
-// Union returns Ω1 ∪ Ω2 (duplicate rows are collapsed: Ω is a set).
+// Union returns Ω1 ∪ Ω2 (duplicate rows are collapsed: Ω is a set),
+// keeping first occurrences in order.
 func Union(a, b *Table) *Table {
-	out := &Table{vars: unionVars(a, b)}
-	w := len(out.vars)
-	tmpl := absentTemplate(w)
-	outSlots := make([]int, w)
-	for i := range outSlots {
-		outSlots[i] = i
+	vars := unionVars(a, b)
+	all, bp := a.Project(vars), b.Project(vars)
+	all.data = append(all.data, bp.data...)
+	all.n += bp.n
+	groups := all.Groups()
+	keep := make([]int, len(groups))
+	for k, g := range groups {
+		keep[k] = g[0]
 	}
-	seen := map[uint64][]int{}
-	scratch := make([]value.Value, w)
-	for _, t := range []*Table{a, b} {
-		mapTo := slotMapping(t.vars, out.vars)
-		tw := len(t.vars)
-		for i := 0; i < t.n; i++ {
-			copy(scratch, tmpl)
-			src := t.data[i*tw : (i+1)*tw]
-			for s, v := range src {
-				scratch[mapTo[s]] = v
-			}
-			h := value.HashSeed()
-			for _, v := range scratch {
-				h = v.Hash(h)
-			}
-			dup := false
-			for _, j := range seen[h] {
-				if rowScratchEqual(out, j, scratch) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[h] = append(seen[h], out.n)
-			out.data = append(out.data, scratch...)
-			out.n++
-		}
-	}
-	return out
-}
-
-func rowScratchEqual(t *Table, i int, scratch []value.Value) bool {
-	base := i * len(t.vars)
-	for s, v := range scratch {
-		if !value.Equal(t.data[base+s], v) {
-			return false
-		}
-	}
-	return true
+	return all.Pick(keep)
 }
 
 // Join returns Ω1 ⋈ Ω2 = {µ1 ∪ µ2 | µ1 ∼ µ2}.
@@ -491,25 +472,19 @@ func JoinLimited(a, b *Table, max int) (*Table, bool) {
 	return out, over
 }
 
-// LeftJoin returns Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2): the operator the
-// paper writes as the overlined join and uses for OPTIONAL.
-func LeftJoin(a, b *Table) *Table {
-	out, _ := LeftJoinLimited(a, b, 0)
-	return out
-}
-
-// LeftJoinLimited is LeftJoin with the same row budget semantics as
-// JoinLimited.
+// LeftJoinLimited returns Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), the
+// operator the paper writes as the overlined join and uses for
+// OPTIONAL, with the same row budget semantics as JoinLimited.
 func LeftJoinLimited(a, b *Table, max int) (*Table, bool) {
 	out, _, over := joinCore(a, b, max, true)
 	return out, over
 }
 
-// joinCore drives Join and LeftJoin: per left row (in order), the
-// hash-bucket candidates in right-insertion order, then the loose
+// joinCore drives Join and LeftJoinLimited: per left row (in order),
+// the hash-bucket candidates in right-insertion order, then the loose
 // rows; a left row missing a shared variable probes the loose rows
-// first and then every dense row in legacy key order — reproducing
-// the pre-columnar emission order exactly.
+// first and then every dense row in CompareRows order of the shared
+// slots.
 func joinCore(a, b *Table, max int, left bool) (*Table, int, bool) {
 	out := &Table{vars: unionVars(a, b)}
 	w := len(out.vars)
@@ -678,55 +653,6 @@ func (t *Table) Project(vars []string) *Table {
 		}
 	}
 	return out
-}
-
-// Distinct collapses duplicate rows (slot-wise equality; unbound
-// equals only unbound), keeping first occurrences in order.
-func (t *Table) Distinct() *Table {
-	out := &Table{vars: t.vars}
-	w := len(t.vars)
-	all := make([]int, w)
-	for i := range all {
-		all[i] = i
-	}
-	seen := map[uint64][]int{}
-	for i := 0; i < t.n; i++ {
-		h := t.rowHash(i, all)
-		dup := false
-		for _, j := range seen[h] {
-			if rowsEqualOn(t, i, all, t, j, all) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], i)
-		out.data = append(out.data, t.data[i*w:(i+1)*w]...)
-		out.n++
-	}
-	return out
-}
-
-// Sorted returns a copy whose rows are in canonical order — the
-// lexicographic order of the legacy row keys over the schema, which
-// is what deterministic output has always used ("N1" < "N10" < "N2").
-func (t *Table) Sorted() *Table {
-	all := make([]int, len(t.vars))
-	for i := range all {
-		all[i] = i
-	}
-	keys := make([]string, t.n)
-	for i := 0; i < t.n; i++ {
-		keys[i] = t.legacyOrderKey(i, all)
-	}
-	perm := make([]int, t.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return keys[perm[x]] < keys[perm[y]] })
-	return t.Pick(perm)
 }
 
 // String renders the table for diagnostics: header then rows in

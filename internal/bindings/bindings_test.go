@@ -33,7 +33,23 @@ func appendRef(t *Table, r refRow) {
 			dense[s] = value.Absent
 		}
 	}
-	t.AppendRow(dense)
+	t.data = append(t.data, dense...)
+	t.n++
+}
+
+// leftJoin is the unlimited Ω1 ⟕ Ω2.
+func leftJoin(a, b *Table) *Table {
+	out, _ := LeftJoinLimited(a, b, 0)
+	return out
+}
+
+// distinct keeps the first row of every group of equal rows, in order.
+func distinct(t *Table) *Table {
+	var firsts []int
+	for _, g := range t.Groups() {
+		firsts = append(firsts, g[0])
+	}
+	return t.Pick(firsts)
 }
 
 func tableOf(vars []string, rows ...refRow) *Table {
@@ -96,11 +112,9 @@ func TestBindingKeyAndString(t *testing.T) {
 		row("x", value.Int(1)),
 		row("x", value.Int(1), "y", value.Int(2)),
 		row("x", value.Int(1)))
-	if tbl.RowKey(0) != tbl.RowKey(2) {
-		t.Error("equal rows must have equal keys")
-	}
-	if tbl.RowKey(0) == tbl.RowKey(1) {
-		t.Error("unbound var must be distinguished in key")
+	groups := tbl.Groups()
+	if len(groups) != 2 || len(groups[0]) != 2 || groups[0][1] != 2 {
+		t.Errorf("groups = %v, want [[0 2] [1]]: equal rows group, an unbound var is distinguished", groups)
 	}
 	if !strings.Contains(tbl.String(), "1\t2") {
 		t.Errorf("String = %q", tbl.String())
@@ -167,7 +181,7 @@ func TestSemiAntiLeftJoin(t *testing.T) {
 	if anti.Len() != 1 || !value.Equal(refRowAt(anti, 0)["n"], value.NodeRef(3)) {
 		t.Errorf("antijoin = %v", refRows(anti))
 	}
-	lj := LeftJoin(people, works)
+	lj := leftJoin(people, works)
 	if lj.Len() != 4 {
 		t.Fatalf("leftjoin = %d rows, want 4", lj.Len())
 	}
@@ -223,7 +237,7 @@ func TestFilterProjectDistinctSorted(t *testing.T) {
 	if p.Len() != 2 || len(p.Vars()) != 1 {
 		t.Fatalf("project = %v", p)
 	}
-	d := p.Distinct()
+	d := distinct(p)
 	if d.Len() != 1 {
 		t.Fatalf("distinct = %d rows", d.Len())
 	}
@@ -296,14 +310,14 @@ func TestQuickLeftJoinDecomposition(t *testing.T) {
 		a := randTable(r, []string{"x", "y"})
 		b := randTable(r, []string{"y", "z"})
 
-		lj := LeftJoin(a, b)
+		lj := leftJoin(a, b)
 		dec := Union(Join(a, b), AntiJoin(a, b))
-		if lj.Distinct().Sorted().String() != dec.Distinct().Sorted().String() {
+		if distinct(lj).Sorted().String() != distinct(dec).Sorted().String() {
 			return false
 		}
 		// ⋉ and ∖ partition Ω1 (as sets of rows).
 		part := Union(SemiJoin(a, b), AntiJoin(a, b))
-		return part.Distinct().Sorted().String() == a.Distinct().Sorted().String()
+		return distinct(part).Sorted().String() == distinct(a).Sorted().String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -316,8 +330,8 @@ func TestQuickJoinCommutes(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randTable(r, []string{"x", "y"})
 		b := randTable(r, []string{"y", "z"})
-		ab := Join(a, b).Distinct().Sorted()
-		ba := Join(b, a).Distinct().Sorted()
+		ab := distinct(Join(a, b)).Sorted()
+		ba := distinct(Join(b, a)).Sorted()
 		return ab.String() == ba.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -340,7 +354,7 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 				}
 			}
 		}
-		return Join(a, b).Distinct().Sorted().String() == naive.Distinct().Sorted().String()
+		return distinct(Join(a, b)).Sorted().String() == distinct(naive).Sorted().String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

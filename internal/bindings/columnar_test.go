@@ -1,6 +1,7 @@
 package bindings
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,20 +11,22 @@ import (
 	"gcore/internal/value"
 )
 
-// Tests for the columnar table layout: RowKey injectivity (the
-// '|'-join collision hazard), hash/key consistency, and exact-sequence
-// agreement of the hashed operators with a naive reference that
-// replays the legacy nested-loop algorithm, over randomized tables
-// with unbound slots and adversarial string values.
+// Tests for the columnar table layout: Groups puts two rows together
+// exactly when they are equal, value.Hash agrees with value.Equal, and
+// the hashed operators emit exactly the sequence of a naive nested-loop
+// reference, over randomized tables with unbound slots and adversarial
+// string values.
 
-// adversarialVals contains values whose Key fragments contain the
-// join separator '|', the unbound marker '?', and strings shaped like
-// the length prefix itself.
+// adversarialVals contains strings holding the separator '|', the
+// unbound marker '?' and a length-prefix shape that a string-encoded
+// row key would have to escape, plus values equal across int and float.
 var adversarialVals = []value.Value{
 	value.Null,
 	value.Bool(true),
 	value.Int(0),
 	value.Int(2),
+	value.Int(10),
+	value.Float(math.NaN()),
 	value.Str(""),
 	value.Str("a"),
 	value.Str("?"),
@@ -39,16 +42,15 @@ var adversarialVals = []value.Value{
 	value.List(value.Int(1), value.Str("|")),
 }
 
-// TestKeyInjectiveAdversarial: two rows have the same RowKey iff they
-// agree (bound-ness and value) on every slot. Joining raw fragments
-// with '|' and writing a bare '?' for unbound slots would let
-// fragments containing those bytes collide across slot boundaries;
-// the length prefix makes the encoding injective for arbitrary
-// fragments.
+// TestKeyInjectiveAdversarial: Groups puts two rows in one group iff
+// they agree (bound-ness and value) on every slot — grouping by key
+// rows is injective. A string-encoded row key that joined raw
+// fragments with '|' and wrote a bare '?' for unbound slots would let
+// fragments containing those bytes collide across slot boundaries.
 func TestKeyInjectiveAdversarial(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	// All rows over vars with each slot unbound or any adversarial
-	// value would be 18^3; sample instead, plus a few crafted pairs.
+	// value would be 20^3; sample instead, plus a few crafted pairs.
 	tbl := EmptyTable(vars...)
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
@@ -60,30 +62,46 @@ func TestKeyInjectiveAdversarial(t *testing.T) {
 		}
 		appendRef(tbl, b)
 	}
+	gid := groupIDs(tbl)
 	for i := 0; i < tbl.Len(); i += 2 {
 		a, b := refRowAt(tbl, i), refRowAt(tbl, i+1)
-		if (tbl.RowKey(i) == tbl.RowKey(i+1)) != refEqualOn(a, b, vars) {
-			t.Fatalf("RowKey collision or miss:\na=%v key=%q\nb=%v key=%q", a, tbl.RowKey(i), b, tbl.RowKey(i+1))
+		if (gid[i] == gid[i+1]) != refEqualOn(a, b, vars) {
+			t.Fatalf("Groups merged unequal or split equal rows:\na=%v group %d\nb=%v group %d", a, gid[i], b, gid[i+1])
+		}
+	}
+	for _, g := range tbl.Groups() {
+		for _, i := range g {
+			if !refEqualOn(refRowAt(tbl, g[0]), refRowAt(tbl, i), vars) {
+				t.Fatalf("group %v holds unequal rows %d and %d", g, g[0], i)
+			}
 		}
 	}
 	crafted := tableOf(vars,
-		// The historical hazard, spelled out: moving a separator
-		// across a variable boundary must change the key.
+		// The string-key hazard, spelled out: moving a separator
+		// across a variable boundary must change the group.
 		row("x", value.Str("a|b"), "y", value.Str("c")),
 		row("x", value.Str("a"), "y", value.Str("b|c")),
-		// A bound '?'-like string must not collide with an unbound slot.
+		// A bound '?'-like string must not group with an unbound slot.
 		row("x", value.Str("?")),
 		row())
-	if crafted.RowKey(0) == crafted.RowKey(1) {
-		t.Fatal("separator smuggled across variable boundary")
-	}
-	if crafted.RowKey(2) == crafted.RowKey(3) {
-		t.Fatal("bound \"?\" collides with unbound slot")
+	if len(crafted.Groups()) != 4 {
+		t.Fatalf("crafted rows grouped as %v, want four singletons", crafted.Groups())
 	}
 }
 
-// FuzzKeyInjective drives the same invariant from fuzzed strings.
-func FuzzKeyInjective(f *testing.F) {
+// groupIDs returns, per row of t, the index of its group in t.Groups().
+func groupIDs(t *Table) []int {
+	gid := make([]int, t.Len())
+	for g, rows := range t.Groups() {
+		for _, i := range rows {
+			gid[i] = g
+		}
+	}
+	return gid
+}
+
+// FuzzGroupsInjective drives the same invariant from fuzzed strings.
+func FuzzGroupsInjective(f *testing.F) {
 	f.Add("a|b", "c", "a", "b|c")
 	f.Add("?", "x", "", "?|x")
 	f.Add("2:ab", "", "2", ":ab")
@@ -92,50 +110,63 @@ func FuzzKeyInjective(f *testing.F) {
 			row("x", value.Str(x1), "y", value.Str(y1)),
 			row("x", value.Str(x2), "y", value.Str(y2)))
 		same := x1 == x2 && y1 == y2
-		if (tbl.RowKey(0) == tbl.RowKey(1)) != same {
+		if (len(tbl.Groups()) == 1) != same {
 			t.Fatalf("injectivity broken: %q/%q vs %q/%q", x1, y1, x2, y2)
 		}
 	})
 }
 
-// TestHashMatchesKey: the FNV hash and the Key encoding must agree on
-// what is equal — equal keys hash equal (else hashed joins split a
-// bucket the string-keyed code would share), and unequal keys should
-// essentially never collide over the small test domain.
+// TestHashMatchesKey: the FNV hash and value.Equal, the equality of
+// grouping keys, must agree — equal values hash equal (else a hash
+// bucket would split a group), unequal values should essentially never
+// collide over the small test domain, and one-slot rows share a group
+// exactly when their values are equal.
 func TestHashMatchesKey(t *testing.T) {
 	seed := value.HashSeed()
 	for _, a := range adversarialVals {
 		for _, b := range adversarialVals {
-			ka, kb := a.Key(), b.Key()
+			eq := value.Equal(a, b)
 			ha, hb := a.Hash(seed), b.Hash(seed)
-			if ka == kb && ha != hb {
-				t.Fatalf("equal keys, unequal hashes: %s vs %s", a, b)
+			if eq && ha != hb {
+				t.Fatalf("equal values, unequal hashes: %s vs %s", a, b)
 			}
-			if ka != kb && ha == hb {
+			if !eq && ha == hb {
 				t.Fatalf("hash collision in tiny domain: %s vs %s", a, b)
+			}
+			tbl := tableOf([]string{"x"}, row("x", a), row("x", b))
+			if (len(tbl.Groups()) == 1) != eq {
+				t.Fatalf("Groups disagrees with Equal on %s vs %s", a, b)
 			}
 		}
 	}
 	// Numeric canonicalisation: 2.0 and 2 are Equal, so they must
-	// share both key and hash.
+	// share a hash.
 	if value.Float(2).Hash(seed) != value.Int(2).Hash(seed) {
 		t.Fatal("integral float must hash like the equal int")
 	}
 }
 
-// --- naive reference: the legacy nested-loop operators ---------------
+// --- naive reference: the nested-loop operators -----------------------
 
-func refLegacyKey(b refRow, vars []string) string {
-	var sb strings.Builder
+// refCompareOn is the row order written over maps: variable by
+// variable, unbound before bound, then value.Compare.
+func refCompareOn(a, b refRow, vars []string) int {
 	for _, v := range vars {
-		if val, ok := b[v]; ok {
-			sb.WriteString(val.Key())
-		} else {
-			sb.WriteByte('?')
+		av, aok := a[v]
+		bv, bok := b[v]
+		switch {
+		case !aok && !bok:
+			continue
+		case !aok:
+			return -1
+		case !bok:
+			return 1
 		}
-		sb.WriteByte('|')
+		if c := value.Compare(av, bv); c != 0 {
+			return c
+		}
 	}
-	return sb.String()
+	return 0
 }
 
 func refBoundAll(b refRow, vars []string) bool {
@@ -209,10 +240,10 @@ func refShared(a, b *Table) []string {
 	return out
 }
 
-// refJoinRows replays the legacy matcher's candidate order exactly:
-// a probe bound on all shared vars sees the matching dense rows in
-// insertion order then the loose rows; an unbound probe sees the
-// loose rows then every dense row in canonical key order.
+// refJoinRows replays the matcher's candidate order exactly: a probe
+// bound on all shared vars sees the matching dense rows in insertion
+// order then the loose rows; an unbound probe sees the loose rows then
+// every dense row in row order of the shared vars.
 func refJoinRows(a, b *Table, left bool) []refRow {
 	shared := refShared(a, b)
 	var dense, loose []refRow
@@ -225,7 +256,7 @@ func refJoinRows(a, b *Table, left bool) []refRow {
 	}
 	denseSorted := append([]refRow(nil), dense...)
 	sort.SliceStable(denseSorted, func(i, j int) bool {
-		return refLegacyKey(denseSorted[i], shared) < refLegacyKey(denseSorted[j], shared)
+		return refCompareOn(denseSorted[i], denseSorted[j], shared) < 0
 	})
 	var out []refRow
 	for _, l := range refRows(a) {
@@ -363,8 +394,9 @@ func dumpTable(t *Table) string {
 	return sb.String()
 }
 
-// TestColumnarJoinMatchesReference: Join and LeftJoin reproduce the
-// legacy emission sequence exactly — row for row, not just as sets.
+// TestColumnarJoinMatchesReference: Join and LeftJoinLimited reproduce
+// the reference emission sequence exactly — row for row, not just as
+// sets.
 func TestColumnarJoinMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 400; i++ {
@@ -375,7 +407,7 @@ func TestColumnarJoinMatchesReference(t *testing.T) {
 			t.Fatalf("case %d: Join diverged\na:\n%sb:\n%sgot:\n%swant:\n%s",
 				i, dumpTable(a), dumpTable(b), dumpTable(got), dumpRows(want))
 		}
-		if got, want := LeftJoin(a, b), refJoinRows(a, b, true); !sameRows(got, want, all) {
+		if got, want := leftJoin(a, b), refJoinRows(a, b, true); !sameRows(got, want, all) {
 			t.Fatalf("case %d: LeftJoin diverged\na:\n%sb:\n%sgot:\n%swant:\n%s",
 				i, dumpTable(a), dumpTable(b), dumpTable(got), dumpRows(want))
 		}
@@ -421,8 +453,8 @@ func TestColumnarDistinctUnionMatchReference(t *testing.T) {
 		a := propTable(r, propVars(r))
 		b := propTable(r, propVars(r))
 		all := normVars(append(append([]string(nil), a.Vars()...), b.Vars()...))
-		if got, want := a.Distinct(), refDistinctRows(a); !sameRows(got, want, a.Vars()) {
-			t.Fatalf("case %d: Distinct diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(want))
+		if got, want := distinct(a), refDistinctRows(a); !sameRows(got, want, a.Vars()) {
+			t.Fatalf("case %d: Groups diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(want))
 		}
 		if got, want := Union(a, b), refUnionRows(a, b, all); !sameRows(got, want, all) {
 			t.Fatalf("case %d: Union diverged\ngot:\n%swant:\n%s", i, dumpTable(got), dumpRows(want))
@@ -430,20 +462,34 @@ func TestColumnarDistinctUnionMatchReference(t *testing.T) {
 	}
 }
 
-// TestQuickSortedCanonicalOrder: Sorted orders rows by the canonical
-// '|'-joined key the legacy code used, so serialized output (which is
-// what the differential suites pin) is unchanged.
+// TestQuickSortedCanonicalOrder: Sorted orders rows by the typed row
+// order — slot by slot, unbound first, then value.Compare, so 9 < 10
+// and -2 < -1 — and is a stable permutation of the rows.
 func TestQuickSortedCanonicalOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := propTable(r, propVars(r))
-		s := a.Sorted()
-		for i := 1; i < s.Len(); i++ {
-			if refLegacyKey(refRowAt(s, i-1), a.Vars()) > refLegacyKey(refRowAt(s, i), a.Vars()) {
+		whole := a.Sorted()
+		for i := 1; i < whole.Len(); i++ {
+			if refCompareOn(refRowAt(whole, i-1), refRowAt(whole, i), a.Vars()) > 0 {
 				return false
 			}
 		}
-		return s.Len() == a.Len()
+		// Sorting by listed variables is stable: a position column left
+		// out of the list must come out ascending among ties.
+		tagged := EmptyTable(append([]string{"~pos"}, a.Vars()...)...)
+		for i, row := range refRows(a) {
+			row["~pos"] = value.Int(int64(i))
+			appendRef(tagged, row)
+		}
+		byVars := tagged.Sorted(a.Vars()...)
+		withPos := append(append([]string(nil), a.Vars()...), "~pos")
+		for i := 1; i < byVars.Len(); i++ {
+			if refCompareOn(refRowAt(byVars, i-1), refRowAt(byVars, i), withPos) > 0 {
+				return false
+			}
+		}
+		return whole.Len() == a.Len() && byVars.Len() == a.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
@@ -144,7 +144,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 					return nil, err
 				}
-				rep := grp.rows[0]
+				rep := grp[0]
 				var (
 					id     ppg.NodeID
 					labels ppg.Labels
@@ -188,15 +188,15 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					labels, props = ppg.Labels{}, ppg.Properties{}
 				}
 				labels = addPatternLabels(labels, np.Labels)
-				if err := c.applyAssignments(env, grp.rows, &labels, props, np.Props, ic.extra[varName]); err != nil {
+				if err := c.applyAssignments(env, grp, &labels, props, np.Props, ic.extra[varName]); err != nil {
 					return nil, err
 				}
 				if err := c.gov.AddResults(1); err != nil {
 					return nil, err
 				}
 				ensureNode(out, &ppg.Node{ID: id, Labels: labels, Props: props})
-				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), rows: grp.rows})
-				for _, ri := range grp.rows {
+				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), rows: grp})
+				for _, ri := range grp {
 					cons.Set(ri, slot, value.NodeRef(uint64(id)))
 				}
 			}
@@ -220,7 +220,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 	}
 
 	// ---- phase 3: WHEN, per item, then one rebuild ----
-	dropped := map[string]bool{}
+	dropped := map[objKey]bool{}
 	anyWhen := false
 	for _, ic := range ics {
 		if ic.item.When == nil {
@@ -250,66 +250,59 @@ func anyRowBinds(t *bindings.Table, slot int) bool {
 	return false
 }
 
-// objGroup is one grouped equivalence class (row indexes).
-type objGroup struct {
-	key  string
-	rows []int
-}
-
 // groupFor computes grp(Ω, g) for a construct element over the rows
 // of tbl, which must be env's table: identity grouping for bound
-// variables, explicit GROUP expressions, or per-binding grouping for
-// unbound variables.
-func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupExprs []ast.Expr) ([]objGroup, error) {
-	return groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
-		switch {
-		case len(groupExprs) > 0:
-			var sb strings.Builder
+// variables (rows leaving the identity undefined are skipped),
+// explicit GROUP expressions, or per-binding grouping for unbound
+// variables.
+func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupExprs []ast.Expr) ([][]int, error) {
+	switch {
+	case len(groupExprs) > 0:
+		keys := keyTable(tbl.Len(), len(groupExprs))
+		for ri := 0; ri < tbl.Len(); ri++ {
 			env.rowIdx = ri
-			for _, ge := range groupExprs {
+			for k, ge := range groupExprs {
 				v, err := env.eval(ge)
 				if err != nil {
-					return "", false, err
+					return nil, err
 				}
-				sb.WriteString(v.Key())
-				sb.WriteByte('|')
+				keys.Set(ri, k, v)
 			}
-			return sb.String(), true, nil
-		case varName != "" && tbl.HasVar(varName):
-			v, ok := tbl.Value(ri, varName)
-			if !ok {
-				return "", false, nil // undefined identity: skip row
-			}
-			return v.Key(), true, nil
-		default:
-			return tbl.RowKey(ri), true, nil
 		}
-	})
+		return orderedGroups(keys, false), nil
+	case varName != "" && tbl.HasVar(varName):
+		return orderedGroups(tbl.Project([]string{varName}), true), nil
+	default:
+		return orderedGroups(tbl, false), nil
+	}
 }
 
-// groupIndexes groups rows 0..n-1 by keyFn (ok=false skips a row) and
-// returns the groups in key order, rows in input order within each.
-func groupIndexes(n int, keyFn func(int) (string, bool, error)) ([]objGroup, error) {
-	idx := map[string]int{}
-	var groups []objGroup
-	for i := 0; i < n; i++ {
-		k, ok, err := keyFn(i)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		gi, seen := idx[k]
-		if !seen {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, objGroup{key: k})
-		}
-		groups[gi].rows = append(groups[gi].rows, i)
+// keyTable returns n rows of width unbound key slots whose slot order
+// is column order, for grouping and ordering rows by evaluated keys.
+func keyTable(n, width int) *bindings.Table {
+	vars := make([]string, width)
+	digits := len(strconv.Itoa(width))
+	for c := range vars {
+		vars[c] = fmt.Sprintf("%0*d", digits, c)
 	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	return groups, nil
+	return bindings.Blank(n, vars...)
+}
+
+// orderedGroups groups the rows of keys, a table row-aligned with the
+// match table, by slot-wise equality and returns the groups ordered by
+// CompareRows on their key rows, rows in input order within each. With
+// skipUnbound, the rows whose first key slot is unbound belong to no
+// group.
+func orderedGroups(keys *bindings.Table, skipUnbound bool) [][]int {
+	groups := keys.Groups()
+	slices.SortFunc(groups, func(g, h []int) int {
+		return bindings.CompareRows(keys.RowAt(g[0]), keys.RowAt(h[0]))
+	})
+	// Unbound sorts first: the skipped rows, all equal, lead.
+	if skipUnbound && len(groups) > 0 && keys.RowAt(groups[0][0])[0].IsAbsent() {
+		groups = groups[1:]
+	}
+	return groups
 }
 
 func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
@@ -481,42 +474,37 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 
 	// Group: bound edges by identity; otherwise by the constructed
 	// endpoint pair (which subsumes Γx ∪ Γy ∪ {x,y}) plus explicit
-	// GROUP expressions.
-	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
-		if bound {
-			v, ok := tbl.Value(ri, ep.Var)
-			if !ok {
-				return "", false, nil
+	// GROUP expressions. A row missing an endpoint keeps an unbound key
+	// and builds no edge (dangling prevention).
+	var keys *bindings.Table
+	if bound {
+		keys = tbl.Project([]string{ep.Var})
+	} else {
+		keys = keyTable(tbl.Len(), 2+len(ep.Group))
+		ls, rs := cons.SlotOf(leftVar), cons.SlotOf(rightVar)
+		for ri := 0; ri < tbl.Len(); ri++ {
+			sv, dv := cons.RowAt(ri)[ls], cons.RowAt(ri)[rs]
+			if sv.IsAbsent() || dv.IsAbsent() {
+				continue
 			}
-			return v.Key(), true, nil
-		}
-		sv, ok1 := cons.Value(ri, leftVar)
-		dv, ok2 := cons.Value(ri, rightVar)
-		if !ok1 || !ok2 {
-			return "", false, nil // dangling prevention
-		}
-		key := sv.Key() + ">" + dv.Key()
-		if len(ep.Group) > 0 {
+			keys.Set(ri, 0, sv)
+			keys.Set(ri, 1, dv)
 			env.rowIdx = ri
-			for _, ge := range ep.Group {
+			for k, ge := range ep.Group {
 				v, err := env.eval(ge)
 				if err != nil {
-					return "", false, err
+					return err
 				}
-				key += "|" + v.Key()
+				keys.Set(ri, 2+k, v)
 			}
 		}
-		return key, true, nil
-	})
-	if err != nil {
-		return err
 	}
 
-	for _, grp := range groups {
+	for _, grp := range orderedGroups(keys, true) {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
-		rep := grp.rows[0]
+		rep := grp[0]
 		sv, ok1 := cons.Value(rep, leftVar)
 		dv, ok2 := cons.Value(rep, rightVar)
 		if !ok1 || !ok2 {
@@ -568,7 +556,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			labels, props = ppg.Labels{}, ppg.Properties{}
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		if err := c.applyAssignments(env, grp.rows, &labels, props, ep.Props, extra[edgeVar]); err != nil {
+		if err := c.applyAssignments(env, grp, &labels, props, ep.Props, extra[edgeVar]); err != nil {
 			return err
 		}
 		// Endpoint nodes must exist in the item graph: bound-identity
@@ -585,9 +573,9 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		if err := ensureEdge(out, &ppg.Edge{ID: id, Src: src, Dst: dst, Labels: labels, Props: props}); err != nil {
 			return err
 		}
-		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), rows: grp.rows})
+		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), rows: grp})
 		slot := cons.SlotOf(edgeVar)
-		for _, ri := range grp.rows {
+		for _, ri := range grp {
 			cons.Set(ri, slot, value.EdgeRef(uint64(id)))
 		}
 	}
@@ -605,21 +593,11 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		return errf("regular expressions are not allowed in CONSTRUCT path patterns")
 	}
 	// Group by path identity.
-	groups, err := groupIndexes(tbl.Len(), func(ri int) (string, bool, error) {
-		v, ok := tbl.Value(ri, pp.Var)
-		if !ok {
-			return "", false, nil
-		}
-		return v.Key(), true, nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, grp := range groups {
+	for _, grp := range orderedGroups(tbl.Project([]string{pp.Var}), true) {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
-		ref, _ := tbl.Value(grp.rows[0], pp.Var)
+		ref, _ := tbl.Value(grp[0], pp.Var)
 		if ref.Kind() != value.KindPath {
 			return errf("construct variable %q must be a path, got %s", pp.Var, ref.Kind())
 		}
@@ -687,7 +665,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			labels, props = pobj.Labels.Clone(), pobj.Props.Clone()
 		}
 		labels = addPatternLabels(labels, pp.Labels)
-		if err := c.applyAssignments(env, grp.rows, &labels, props, pp.Props, extra[pathVar]); err != nil {
+		if err := c.applyAssignments(env, grp, &labels, props, pp.Props, extra[pathVar]); err != nil {
 			return err
 		}
 		stored := &ppg.Path{
@@ -703,23 +681,26 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if err := ensurePath(out, stored); err != nil {
 			return err
 		}
-		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, rows: grp.rows})
+		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, rows: grp})
 		slot := cons.SlotOf(pathVar)
-		for _, ri := range grp.rows {
+		for _, ri := range grp {
 			cons.Set(ri, slot, value.PathRef(pid))
 		}
 	}
 	return nil
 }
 
-func dropKey(s varSort, id uint64) string {
-	return fmt.Sprintf("%d:%d", s, id)
+// objKey identifies a constructed object across the node, edge and
+// path identifier spaces.
+type objKey struct {
+	sort varSort
+	id   uint64
 }
 
 // whenDrops evaluates a WHEN condition per constructed object of one
 // item, over the object's group of env's table (the match rows with
 // all construct identities), and records failing objects.
-func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, dropped map[string]bool) error {
+func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, dropped map[objKey]bool) error {
 	defer func() { env.groupRows = nil }()
 	for _, obj := range objects {
 		env.groupRows, env.rowIdx = obj.rows, obj.rows[0]
@@ -732,7 +713,7 @@ func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, droppe
 			return err
 		}
 		if !keep {
-			dropped[dropKey(obj.sort, obj.id)] = true
+			dropped[objKey{obj.sort, obj.id}] = true
 		}
 	}
 	return nil
@@ -741,17 +722,17 @@ func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, droppe
 // rebuildWithoutDropped rebuilds the constructed graph without the
 // dropped objects; edges whose endpoints vanished and paths whose
 // constituents vanished go too (no dangling elements, ever).
-func rebuildWithoutDropped(built *ppg.Graph, dropped map[string]bool) (*ppg.Graph, error) {
+func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Graph, error) {
 	out := ppg.New(built.Name())
 	for _, id := range built.NodeIDs() {
-		if dropped[dropKey(sortNode, uint64(id))] {
+		if dropped[objKey{sortNode, uint64(id)}] {
 			continue
 		}
 		n, _ := built.Node(id)
 		ensureNode(out, n.Clone())
 	}
 	for _, id := range built.EdgeIDs() {
-		if dropped[dropKey(sortEdge, uint64(id))] {
+		if dropped[objKey{sortEdge, uint64(id)}] {
 			continue
 		}
 		e, _ := built.Edge(id)
@@ -766,7 +747,7 @@ func rebuildWithoutDropped(built *ppg.Graph, dropped map[string]bool) (*ppg.Grap
 		}
 	}
 	for _, id := range built.PathIDs() {
-		if dropped[dropKey(sortPath, uint64(id))] {
+		if dropped[objKey{sortPath, uint64(id)}] {
 			continue
 		}
 		p, _ := built.Path(id)

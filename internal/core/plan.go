@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gcore/internal/ast"
@@ -231,15 +232,7 @@ func (c *evalCtx) restoreForwardOrder(tbl *bindings.Table, gp *ast.GraphPattern,
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]], keys[perm[b]]
-		for i := 0; i < len(ka) && i < len(kb); i++ {
-			if cmp := value.Compare(ka[i], kb[i]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return len(ka) < len(kb)
-	})
+	slices.SortStableFunc(perm, func(a, b int) int { return bindings.CompareRows(keys[a], keys[b]) })
 	return tbl.Pick(perm)
 }
 
@@ -279,7 +272,7 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 			return nil, err
 		}
 	}
-	return tbl.SortStableByVars(ordVars).DropVars(ordVars...), nil
+	return tbl.Sorted(ordVars...).DropVars(ordVars...), nil
 }
 
 // joinOrder returns the fold order for the conjunct-pattern tables of

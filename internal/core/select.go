@@ -93,30 +93,26 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 
 	// Aggregating: one output row per group of sorted rows, grouped by
 	// the evaluated values of the non-aggregate items (the implicit
-	// GROUP BY of SQL-style aggregation) and evaluated on its first row.
-	var groups [][]int
-	idx := map[string]int{}
+	// GROUP BY of SQL-style aggregation) in order of first appearance,
+	// and evaluated on its first row.
+	var keyExprs []ast.Expr
+	for i, it := range sc.Items {
+		if !aggItem[i] {
+			keyExprs = append(keyExprs, it.Expr)
+		}
+	}
+	keys := keyTable(sorted.Len(), len(keyExprs))
 	for ri := 0; ri < sorted.Len(); ri++ {
 		env.rowIdx = ri
-		key := ""
-		for i, it := range sc.Items {
-			if aggItem[i] {
-				continue
-			}
-			v, err := env.eval(it.Expr)
+		for k, e := range keyExprs {
+			v, err := env.eval(e)
 			if err != nil {
 				return nil, err
 			}
-			key += v.Key() + "|"
+			keys.Set(ri, k, v)
 		}
-		gi, ok := idx[key]
-		if !ok {
-			gi = len(groups)
-			idx[key] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], ri)
 	}
+	groups := keys.Groups()
 	if sorted.Len() == 0 && allAggregates(aggItem) {
 		// SELECT COUNT(*) over an empty match still yields one row
 		// (the aggregate of the empty group, evaluated on µ∅).
@@ -161,18 +157,22 @@ func finishSelect(out *table.Table, sc *ast.SelectClause, rows []projRow) (*tabl
 			return false
 		})
 	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if sc.Distinct {
-			k := ""
-			for _, v := range r.vals {
-				k += v.Key() + "|"
+	if sc.Distinct {
+		// First occurrences in order: one row per group of equal rows.
+		keys := keyTable(len(rows), len(sc.Items))
+		for ri, r := range rows {
+			for k, v := range r.vals {
+				keys.Set(ri, k, v)
 			}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
 		}
+		groups := keys.Groups()
+		distinct := make([]projRow, len(groups))
+		for k, g := range groups {
+			distinct[k] = rows[g[0]]
+		}
+		rows = distinct
+	}
+	for _, r := range rows {
 		if sc.Limit >= 0 && out.Len() >= sc.Limit {
 			break
 		}

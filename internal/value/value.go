@@ -11,9 +11,10 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -94,9 +95,9 @@ var Null = Value{}
 // of the literal domain V, it marks an unbound slot in the columnar
 // binding-table layout (a binding µ is a *partial* function, and the
 // dense row representation needs an in-band encoding of "outside
-// dom µ"). Absent must never reach Compare, Key or expression
-// evaluation; the bindings package converts it back to "not bound"
-// at its API boundary.
+// dom µ"). Absent must never reach expression evaluation; the bindings
+// package orders it before every value itself and converts it back to
+// "not bound" at its API boundary.
 const kindAbsent Kind = 0xFF
 
 // Absent is the unbound-slot sentinel for columnar binding tables.
@@ -144,7 +145,8 @@ func List(elems ...Value) Value {
 }
 
 // Set returns a set value: elements are deduplicated and kept in the
-// canonical Compare order, so equal sets are structurally identical.
+// canonical Compare order (the first of equal elements stays), so equal
+// sets are structurally identical.
 func Set(elems ...Value) Value {
 	cp := make([]Value, 0, len(elems))
 	for _, e := range elems {
@@ -153,14 +155,8 @@ func Set(elems ...Value) Value {
 		}
 		cp = append(cp, e)
 	}
-	sort.Slice(cp, func(i, j int) bool { return Compare(cp[i], cp[j]) < 0 })
-	out := cp[:0]
-	for i, e := range cp {
-		if i == 0 || Compare(cp[i-1], e) != 0 {
-			out = append(out, e)
-		}
-	}
-	return Value{kind: KindSet, elems: out}
+	slices.SortStableFunc(cp, Compare)
+	return Value{kind: KindSet, elems: slices.CompactFunc(cp, Equal)}
 }
 
 // EmptySet is the set with no elements; property lookup on an object
@@ -279,23 +275,18 @@ func (v Value) Scalarize() Value {
 // Compare imposes the fixed total order on the value domain used for
 // deterministic evaluation: by kind, then by content. It returns a
 // negative number, zero, or a positive number as a < b, a == b, a > b.
-// Integers and floats compare numerically across the two kinds.
+// Integers and floats form one numeric line and compare exactly across
+// the two kinds, never through a rounding float64 conversion; NaN sorts
+// once, before every number, and equals only NaN. Compare is a total
+// preorder, and Hash agrees with its equality.
 func Compare(a, b Value) int {
-	// Numeric cross-kind comparison.
-	if a.IsNumeric() && b.IsNumeric() && a.kind != b.kind {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		// Numerically equal integers and floats are the same value,
-		// matching Eq and the grouping Key.
-		return 0
-	}
 	if a.kind != b.kind {
+		switch {
+		case a.kind == KindInt && b.kind == KindFloat:
+			return compareIntFloat(a.i, b.f)
+		case a.kind == KindFloat && b.kind == KindInt:
+			return -compareIntFloat(b.i, a.f)
+		}
 		return int(a.kind) - int(b.kind)
 	}
 	switch a.kind {
@@ -310,31 +301,9 @@ func Compare(a, b Value) int {
 		}
 		return 1
 	case KindInt, KindDate, KindNode, KindEdge, KindPath:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.i, b.i)
 	case KindFloat:
-		switch {
-		case a.f < b.f:
-			return -1
-		case a.f > b.f:
-			return 1
-		case a.f == b.f:
-			return 0
-		}
-		// NaNs sort before everything else, equal among themselves.
-		an, bn := math.IsNaN(a.f), math.IsNaN(b.f)
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.f, b.f) // NaN first, equal only to NaN
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	case KindList, KindSet:
@@ -348,76 +317,32 @@ func Compare(a, b Value) int {
 	return 0
 }
 
+// twoTo63 is 2⁶³, the first float64 above every int64; -twoTo63 is
+// exactly the smallest int64.
+const twoTo63 = float64(1 << 63)
+
+// compareIntFloat compares an integer with a float exactly. A float at
+// or beyond ±2⁶³ lies beyond every integer; inside that range its
+// integral part converts to int64 without loss, and its fraction breaks
+// a tie. NaN lies below every number.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 1
+	case f >= twoTo63:
+		return -1
+	case f < -twoTo63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
 // Equal reports whether a and b are the same value under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// Key returns a string that is equal for equal values and distinct for
-// distinct values, suitable as a map key for grouping and hashing.
-func (v Value) Key() string {
-	var sb strings.Builder
-	v.appendKey(&sb)
-	return sb.String()
-}
-
-// AppendKeyTo appends the Key encoding to sb without the intermediate
-// string allocation; callers that concatenate many value keys (row
-// sort keys, group keys) build one buffer instead of one string per
-// value.
-func (v Value) AppendKeyTo(sb *strings.Builder) { v.appendKey(sb) }
-
-func (v Value) appendKey(sb *strings.Builder) {
-	switch v.kind {
-	case KindNull:
-		sb.WriteByte('_')
-	case KindBool:
-		if v.b {
-			sb.WriteString("b1")
-		} else {
-			sb.WriteString("b0")
-		}
-	case KindInt:
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
-	case KindFloat:
-		// Integral floats must hash like the equal integer.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e18 {
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(int64(v.f), 10))
-			return
-		}
-		sb.WriteByte('f')
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
-	case KindString:
-		sb.WriteByte('s')
-		sb.WriteString(strconv.Quote(v.s))
-	case KindDate:
-		sb.WriteByte('d')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
-	case KindList:
-		sb.WriteByte('[')
-		for _, e := range v.elems {
-			e.appendKey(sb)
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(']')
-	case KindSet:
-		sb.WriteByte('{')
-		for _, e := range v.elems {
-			e.appendKey(sb)
-			sb.WriteByte(',')
-		}
-		sb.WriteByte('}')
-	case KindNode:
-		sb.WriteByte('N')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
-	case KindEdge:
-		sb.WriteByte('E')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
-	case KindPath:
-		sb.WriteByte('P')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
-	}
-}
 
 // String renders the value in the paper's display notation: strings
 // are quoted, sets use curly braces with singleton sets unwrapped,
@@ -487,12 +412,12 @@ func hashStringInto(h uint64, s string) uint64 {
 }
 
 // Hash folds v into the FNV-1a accumulator h and returns the new
-// accumulator. It is consistent with the Key encoding: values with
-// equal Key strings produce equal hashes (in particular an integral
-// float hashes like the equal integer, and all NaNs hash alike), so a
-// hash bucket plus an Equal confirmation replaces a Key-string bucket
-// without changing which rows meet. Absent participates with its own
-// tag so whole rows of a columnar binding table can be folded directly.
+// accumulator. It agrees with Equal: equal values produce equal hashes
+// (in particular an integral float in int64 range hashes like the
+// integer it equals, and all NaNs hash alike), so a hash bucket plus an
+// Equal confirmation groups exactly the equal values. Absent
+// participates with its own tag so whole rows of a columnar binding
+// table can be folded directly.
 func (v Value) Hash(h uint64) uint64 {
 	switch v.kind {
 	case KindNull:
@@ -505,9 +430,10 @@ func (v Value) Hash(h uint64) uint64 {
 	case KindInt:
 		return hashUint64(hashByte(h, 3), uint64(v.i))
 	case KindFloat:
-		// Mirror appendKey: integral floats are the same value as the
-		// equal integer and must land in the same bucket.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e18 {
+		// An integral float in int64 range is the same value as the
+		// integer it equals and must land in the same bucket; every other
+		// float equals no integer.
+		if v.f == math.Trunc(v.f) && v.f >= -twoTo63 && v.f < twoTo63 {
 			return hashUint64(hashByte(h, 3), uint64(int64(v.f)))
 		}
 		if math.IsNaN(v.f) {

@@ -1,9 +1,8 @@
 package value
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -310,23 +309,30 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestKeyDistinguishesValues: a value is its own grouping key under
+// Compare and Hash — distinct values compare unequal and, over this
+// small domain, hash apart; equal values across int/float share both.
 func TestKeyDistinguishesValues(t *testing.T) {
 	vals := []Value{
 		Null, True, False, Int(1), Int(2), Float(1.5), Str("1"), Str("x"),
 		Date(1), List(Int(1)), Set(Int(1)), NodeRef(1), EdgeRef(1), PathRef(1),
 		List(Int(1), Int(2)), Set(Int(1), Int(2)),
 	}
-	seen := map[string]Value{}
-	for _, v := range vals {
-		k := v.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("Key collision between %v and %v: %q", prev, v, k)
+	seen := map[uint64]Value{}
+	for i, v := range vals {
+		for _, w := range vals[:i] {
+			if Equal(v, w) {
+				t.Errorf("%v and %v compare equal", w, v)
+			}
 		}
-		seen[k] = v
+		h := v.Hash(HashSeed())
+		if prev, dup := seen[h]; dup {
+			t.Errorf("Hash collision between %v and %v", prev, v)
+		}
+		seen[h] = v
 	}
-	// Equal values share keys even across int/float.
-	if Int(2).Key() != Float(2.0).Key() {
-		t.Error("2 and 2.0 must share a grouping key")
+	if !Equal(Int(2), Float(2.0)) || Int(2).Hash(HashSeed()) != Float(2.0).Hash(HashSeed()) {
+		t.Error("2 and 2.0 must be one grouping key")
 	}
 }
 
@@ -411,32 +417,47 @@ func randValue(r *rand.Rand, depth int) Value {
 	return Null
 }
 
+// TestCompareIsTotalOrder: Compare is a total preorder — reflexive,
+// antisymmetric and transitive over every triple — on random values
+// plus the numeric boundaries where a float64 detour would round
+// (2⁵³±1, 2⁶⁰, ±2⁶³, 1e18), the non-finite floats and −0.0; and Equal
+// implies equal Hash.
 func TestCompareIsTotalOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	vals := make([]Value, 60)
-	for i := range vals {
-		vals[i] = randValue(r, 2)
+	vals := []Value{
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.Copysign(0, -1)), Float(0), Int(0), Int(1), Float(1), Float(1.5),
+		Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1), Float(1 << 53),
+		Int(1 << 60), Float(1 << 60), Int(1<<60 + 1),
+		Int(math.MaxInt64), Int(math.MinInt64), Float(1 << 63), Float(-(1 << 63)),
+		Int(1e18), Float(1e18), Int(1e18 + 1),
+		Set(Int(1), Float(math.NaN())), List(Float(math.NaN()), Int(1)),
 	}
-	// Antisymmetry and consistency with Key equality.
+	for i := 0; i < 60; i++ {
+		vals = append(vals, randValue(r, 2))
+	}
 	for _, a := range vals {
+		if Compare(a, a) != 0 {
+			t.Fatalf("Compare not reflexive on %v", a)
+		}
 		for _, b := range vals {
 			ab, ba := Compare(a, b), Compare(b, a)
 			if (ab < 0) != (ba > 0) || (ab == 0) != (ba == 0) {
 				t.Fatalf("Compare not antisymmetric on %v, %v", a, b)
 			}
-			if (ab == 0) != (a.Key() == b.Key()) {
-				t.Fatalf("Compare/Key disagree on %v vs %v", a, b)
+			if ab == 0 && a.Hash(HashSeed()) != b.Hash(HashSeed()) {
+				t.Fatalf("Equal values %v and %v hash apart", a, b)
+			}
+			for _, c := range vals {
+				bc, ac := Compare(b, c), Compare(a, c)
+				if ab <= 0 && bc <= 0 && (ac > 0 || (ab < 0 || bc < 0) && ac == 0) {
+					t.Fatalf("Compare not transitive: %v ≤ %v ≤ %v but Compare(a, c) = %d", a, b, c, ac)
+				}
 			}
 		}
 	}
-	// Transitivity via sort: sorting must not panic and must be stable
-	// under re-sort.
-	sort.Slice(vals, func(i, j int) bool { return Compare(vals[i], vals[j]) < 0 })
-	once := make([]Value, len(vals))
-	copy(once, vals)
-	sort.Slice(vals, func(i, j int) bool { return Compare(vals[i], vals[j]) < 0 })
-	if !reflect.DeepEqual(once, vals) {
-		t.Error("sort by Compare is not idempotent")
+	if s := Set(Int(1), Float(math.NaN())); s.Len() != 2 {
+		t.Errorf("Set(1, NaN) = %v: NaN must stay apart from 1", s)
 	}
 }
 

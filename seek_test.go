@@ -53,7 +53,7 @@ func TestEqualitySeekKinds(t *testing.T) {
 		{"f", gcore.Float(2.5), true, 1},
 		{"f", gcore.Float(0), true, 2}, // 0 and -0
 		{"f", gcore.Float(math.Copysign(0, -1)), true, 2},
-		{"f", gcore.Int(30), false, 3}, // 30.0, and value.Compare holds an int equal to NaN
+		{"f", gcore.Int(30), false, 1}, // 30.0 only: NaN equals no number
 		{"f", nan, false, 2},           // value.Eq holds NaNs equal; == does not
 		{"b", gcore.Bool(true), true, 3},
 		{"d", value.Date(16072), true, 2},
