@@ -579,6 +579,32 @@ func BenchmarkPathPattern(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchStart measures chains whose most selective node pattern
+// sits mid-chain, on SNB-2000: the adhoc_match colocated statement,
+// whose second chain is pinned by `c.name = …` on its interior City,
+// and a two-hop knows chain pinned by `b.pid = …` on its interior
+// Person, which also binds {employer=e} there. Each chain is evaluated
+// from that interior node, extended both ways and sorted back into
+// forward emission order; a scan of every Person shows up as an
+// allocation jump.
+func BenchmarkMatchStart(b *testing.B) {
+	eng := gcore.NewEngine()
+	registerSNBWithPids(b, eng)
+	for _, c := range []struct{ name, query string }{
+		{"colocated", `CONSTRUCT (n)-[:nearby]->(m) MATCH (n:Person)-[:knows]->(m:Person), (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE n.employer = 'Company3' AND c.name = 'City7'`},
+		{"mid_bind", `SELECT a.pid AS a, e AS emp, c.pid AS c MATCH (a:Person)-[:knows]->(b:Person {employer=e})-[:knows]->(c:Person) WHERE b.pid = 42`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Eval(c.query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGrouping measures the three statements that group binding
 // rows, on SNB-2000: an aggregating SELECT and CONSTRUCT … GROUP over
 // the employer binding of the end-to-end adhoc_match GROUP shape (every

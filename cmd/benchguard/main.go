@@ -39,6 +39,9 @@ func main() {
 	// a k-shortest search that reconstructs every walk it keeps, or a
 	// path step that builds rows or walks for destinations its filter
 	// drops, multiplies their allocations.
+	// BenchmarkMatchStart guards the chain-start planner: a chain
+	// pinned on an interior node that scans a whole label partition
+	// again multiplies its allocations.
 	// BenchmarkGrouping guards the one grouping primitive: a string key
 	// built per binding row or per value again shows up as an
 	// allocation jump on its aggregate, DISTINCT and CONSTRUCT GROUP
@@ -57,7 +60,7 @@ func main() {
 	// BenchmarkReply guards whole requests through the HTTP handler:
 	// a reply encoded more than once, or through reflection, shows up
 	// as an allocation jump on its path and point cases.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

@@ -74,7 +74,9 @@ func ExampleEngine_Eval_select() {
 // its [col] mark: the comparison compiles against the snapshot's
 // property columns instead of evaluating row at a time. [seek key]
 // marks an equality the scan may answer from the key's value index
-// instead of visiting every :Person.
+// instead of visiting every :Person. The start line names the node
+// pattern the chain is evaluated from with its estimated cost, the sum
+// of the rows estimated after each step ([est N]).
 func ExampleEngine_Explain() {
 	eng := gcore.NewEngine()
 	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
@@ -91,9 +93,9 @@ func ExampleEngine_Explain() {
 	// Output:
 	// MATCH
 	//   scan pattern 1 (default graph)
-	//     start: left end, forward scan [est 5]
-	//     node scan (n :Person)  ⊳ filter: (n.firstName = 'John') [col]  [seek firstName]
-	//     reachability BFS (product automaton) -/<(:knows)*>/->(m :Person)
+	//     start: node 1 (n :Person) [est 6]
+	//     node scan (n :Person)  ⊳ filter: (n.firstName = 'John') [col]  [seek firstName]  [est 1]
+	//     reachability BFS (product automaton) -/<(:knows)*>/->(m :Person)  [est 5]
 	// CONSTRUCT (identity-respecting, §A.3)
 	//   node (m)  [by identity]
 }

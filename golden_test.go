@@ -92,12 +92,14 @@ func goldenSNB(t testing.TB, newEngine engineMaker, opts ...gcore.Option) *gcore
 // goldenSNBQueries is the SNB toy query set. The first six exercise
 // the hot kernels — indexed scans, multi-hop joins, reachability,
 // stored shortest paths, grouped construction; the next five are
-// shaped to trigger chain reversal (rare label on the right end) and
-// conjunct reordering (cheap pattern last in textual order); the last
+// shaped to start chains past their first node (rare label on the
+// right end) and to reorder conjuncts (cheap pattern last in textual
+// order); the next
 // seven put predicates over FSET(V) properties — multi-valued employer
 // sets, absent properties, typed range scans — through every branch
 // of the column-predicate compiler (the generator leaves ~10% of
-// persons without an employer and gives ~10% a two-element set).
+// persons without an employer and gives ~10% a two-element set); then
+// come the path_analytics shapes and chains started mid-way.
 var goldenSNBQueries = []string{
 	`SELECT c.name AS name MATCH (c:City) ORDER BY name`,
 	`SELECT n.firstName AS a, m.firstName AS b
@@ -158,6 +160,23 @@ MATCH (n:Person)-/<:knows*>/->(m:Person) WHERE n.anchor = TRUE ORDER BY id`,
 MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`,
 	`CONSTRUCT (n)-/@p:sp/->(m)
 MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.anchor = TRUE`,
+	// Chains whose most selective node pattern is not an end: the
+	// adhoc_match colocated shape, a {k = v} binding on an interior
+	// start, an undirected edge past an interior start, and an OPTIONAL
+	// block whose chain starts mid-way. Generated before chains could
+	// start anywhere but at their ends.
+	`CONSTRUCT (n)-[:nearby]->(m)
+MATCH (n:Person)-[:knows]->(m:Person), (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person)
+WHERE n.employer = 'Company1' AND c.name = 'City1'`,
+	`SELECT a.firstName AS a, e AS emp, c.firstName AS c
+MATCH (a:Person)-[:knows]->(b:Person {employer=e})-[:knows]->(c:Person)
+WHERE b.lastName = 'Doe'`,
+	`SELECT a.firstName AS a, b.firstName AS b, d.firstName AS d
+MATCH (a:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(b:Person)-[:knows]-(d:Person)
+WHERE c.name = 'City2'`,
+	`SELECT n.firstName AS a, m.firstName AS b
+MATCH (n:Person) WHERE n.lastName = 'Doe'
+OPTIONAL (n)-[:knows]->(x:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.name = 'City0'`,
 }
 
 // goldenBudgetCases trip a resource budget at a fixed logical point;

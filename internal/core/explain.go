@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"gcore/internal/ast"
+	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/gov"
 	"gcore/internal/obs"
@@ -16,9 +17,9 @@ import (
 
 // Explain renders the evaluation plan of a statement: head clauses,
 // the join tree of each MATCH with the points where WHERE conjuncts
-// are applied (predicate pushdown), the scan direction and join order
-// chosen by the selectivity planner, the path-search strategies, the
-// OPTIONAL left-joins, and the CONSTRUCT phases. The plan is purely
+// are applied (predicate pushdown), the chain starts, step estimates
+// and join order chosen by the selectivity planner, the path-search
+// strategies, the OPTIONAL left-joins, and the CONSTRUCT phases. The plan is purely
 // static — nothing is evaluated — and mirrors exactly what the
 // evaluator will do, because both share the conjunct analysis and the
 // planChain/joinOrder calls. The one divergence: patterns matched
@@ -40,7 +41,7 @@ func (ev *Evaluator) ExplainContext(ctx context.Context, stmt *ast.Statement) (s
 
 // ExplainOptsContext is ExplainContext with per-call overrides: the
 // plan is printed against the session's default graph (estimates and
-// scan directions can differ per graph) under the session's limits.
+// chain starts can differ per graph) under the session's limits.
 func (ev *Evaluator) ExplainOptsContext(ctx context.Context, stmt *ast.Statement, opts ExecOpts) (string, error) {
 	if err := analyzeStatement(stmt); err != nil {
 		return "", err
@@ -199,8 +200,8 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 	conjs := prepareConjuncts(mc.Where)
 	// Track which conjuncts each chain will absorb, mirroring
 	// applyReady's schema test as variables become bound. Each chain is
-	// walked in the direction the planner picks, so the step order —
-	// and therefore the pushdown points — match the evaluation.
+	// walked from the start the planner picks, so the step order — and
+	// therefore the pushdown points — match the evaluation.
 	ests := explainPatterns(ev, def, sb, mc.Patterns, conjs, indent, ann)
 	explainJoinOrder(ev, sb, ests, indent, ann)
 	var residual []string
@@ -223,11 +224,9 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 		bConjs := prepareConjuncts(ob.Where)
 		bEsts := make([]int, len(ob.Patterns))
 		for i, lp := range ob.Patterns {
-			g := ev.staticGraph(def, lp)
-			pl := planChain(lp.Pattern, g, ev.ablation.NoReorder)
+			pl := ev.staticPlan(def, lp, bConjs)
 			bEsts[i] = patternEstimate(lp, pl)
-			explainScanDirection(sb, pl, g, indent+"    ")
-			explainChain(ev, sb, pl.runGp, bConjs, indent+"    ", ann)
+			explainChain(ev, sb, lp.Pattern, pl, bConjs, indent+"    ", ann)
 		}
 		explainJoinOrder(ev, sb, bEsts, indent+"  ", ann)
 		var brest []string
@@ -261,13 +260,24 @@ func explainPatterns(ev *Evaluator, def string, sb *strings.Builder, pats []*ast
 			joiner = "hash-join with"
 		}
 		fmt.Fprintf(sb, "%s  %s pattern %d (%s)\n", indent, joiner, pi+1, loc)
-		g := ev.staticGraph(def, lp)
-		pl := planChain(lp.Pattern, g, ev.ablation.NoReorder)
+		pl := ev.staticPlan(def, lp, conjs)
 		ests[pi] = patternEstimate(lp, pl)
-		explainScanDirection(sb, pl, g, indent+"    ")
-		explainChain(ev, sb, pl.runGp, conjs, indent+"    ", ann)
+		explainChain(ev, sb, lp.Pattern, pl, conjs, indent+"    ", ann)
 	}
 	return ests
+}
+
+// staticPlan plans a located pattern's chain the way the evaluator
+// will, on the snapshot of its catalog graph; a graph only known at run
+// time plans the first node with no estimates (the runtime re-plans
+// against the materialised graph). It must run before the chain claims
+// its conjuncts, as planning does at run time.
+func (ev *Evaluator) staticPlan(def string, lp *ast.LocatedPattern, conjs []*conjunct) chainPlan {
+	var snap *csr.Snapshot
+	if g := ev.staticGraph(def, lp); g != nil {
+		snap, _ = ev.snapshot(g)
+	}
+	return planChain(ev.ablation, lp.Pattern, snap, conjs, nil)
 }
 
 // patternEstimate is the fold-order estimate of one located pattern,
@@ -277,23 +287,7 @@ func patternEstimate(lp *ast.LocatedPattern, pl chainPlan) int {
 	if lp.OnQuery != nil {
 		return math.MaxInt
 	}
-	return pl.startEstimate()
-}
-
-// explainScanDirection prints the planner's start decision for one
-// chain. Chains over graphs only known at run time print no line:
-// there is no estimate at plan time (the runtime re-plans against the
-// materialised graph).
-func explainScanDirection(sb *strings.Builder, pl chainPlan, g *ppg.Graph, indent string) {
-	if g == nil {
-		return
-	}
-	if pl.reversed {
-		fmt.Fprintf(sb, "%sstart: right end, reverse scan [est %s; forward %s], emission order restored\n",
-			indent, estString(pl.estRev), estString(pl.estFwd))
-		return
-	}
-	fmt.Fprintf(sb, "%sstart: left end, forward scan [est %s]\n", indent, estString(pl.estFwd))
+	return pl.cost
 }
 
 // explainJoinOrder prints the fold order of a multi-pattern MATCH (or
@@ -318,10 +312,20 @@ func estString(est int) string {
 	return fmt.Sprintf("%d", est)
 }
 
-// explainChain walks one pattern chain, reporting each step and the
-// conjuncts that become applicable (and marks them applied, like
-// applyReady does, so later chains don't re-claim them).
-func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conjs []*conjunct, indent string, ann *planAnnotator) {
+// explainChain walks one pattern chain from its planned start,
+// reporting the start, each step with its estimate, and the conjuncts
+// that become applicable (and marks them applied, like applyReady
+// does, so later chains don't re-claim them). Chains over graphs only
+// known at run time print no start line and no estimates.
+func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl chainPlan, conjs []*conjunct, indent string, ann *planAnnotator) {
+	start := gp.Nodes[pl.start]
+	if pl.ests != nil {
+		restored := ""
+		if pl.start > 0 {
+			restored = ", emission order restored"
+		}
+		fmt.Fprintf(sb, "%sstart: node %d %s [est %s]%s\n", indent, pl.start+1, start.String(), estString(pl.cost), restored)
+	}
 	bound := map[string]bool{}
 	claim := func() []string {
 		var out []string
@@ -350,23 +354,26 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 		}
 		return out
 	}
-	step := func(op obs.Op, desc string) {
+	step := func(i int, op obs.Op, desc string) {
 		fmt.Fprintf(sb, "%s%s", indent, desc)
 		var seek []string
 		if op == obs.OpScan {
-			seek = seekKeys(ev.ablation, gp.Nodes[0], conjs)
+			seek = seekKeys(ev.ablation, start, conjs)
 		}
 		if pushed := claim(); len(pushed) > 0 {
 			fmt.Fprintf(sb, "  ⊳ filter: %s", strings.Join(pushed, " AND "))
 		}
+		// An equality start: the scan may take its candidates from the
+		// key's value index. Whether a given execution does depends on
+		// the column and constant kinds, which only the snapshot and the
+		// bindings know — EXPLAIN ANALYZE reports it.
+		if len(seek) > 0 {
+			fmt.Fprintf(sb, "  [seek %s]", strings.Join(seek, "|"))
+		}
+		if pl.ests != nil {
+			fmt.Fprintf(sb, "  [est %s]", estString(pl.ests[i]))
+		}
 		if op == obs.OpScan {
-			// An equality start: the scan may take its candidates from
-			// the key's value index. Whether a given execution does
-			// depends on the column and constant kinds, which only the
-			// snapshot and the bindings know — EXPLAIN ANALYZE reports it.
-			if len(seek) > 0 {
-				fmt.Fprintf(sb, "  [seek %s]", strings.Join(seek, "|"))
-			}
 			sb.WriteString(ann.scanSuffix(desc))
 		} else {
 			sb.WriteString(ann.suffix(op, desc))
@@ -383,11 +390,11 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 			}
 		}
 	}
-	bindNode(gp.Nodes[0])
-	step(obs.OpScan, scanStepLabel(gp.Nodes[0]))
-	for i, link := range gp.Links {
-		next := gp.Nodes[i+1]
-		switch x := link.(type) {
+	bindNode(start)
+	step(0, obs.OpScan, scanStepLabel(start))
+	for i, st := range chainSteps(len(gp.Links), pl.start) {
+		next := gp.Nodes[st.to]
+		switch x := st.linkOf(gp).(type) {
 		case *ast.EdgePattern:
 			if x.Var != "" {
 				bound[x.Var] = true
@@ -398,7 +405,7 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 				}
 			}
 			bindNode(next)
-			step(obs.OpExpand, expandStepLabel(x, next))
+			step(i+1, obs.OpExpand, expandStepLabel(x, next))
 		case *ast.PathPattern:
 			if x.Var != "" {
 				bound[x.Var] = true
@@ -407,7 +414,7 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, conj
 				bound[x.CostVar] = true
 			}
 			bindNode(next)
-			step(obs.OpPath, pathStepLabel(x, next))
+			step(i+1, obs.OpPath, pathStepLabel(x, next))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
+	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/obs"
 	"gcore/internal/ppg"
@@ -234,21 +235,17 @@ func anyUnapplied(conjs []*conjunct) bool {
 // evalGraphPattern evaluates one basic graph pattern chain on g,
 // producing the table of all homomorphic matches.
 func (c *evalCtx) evalGraphPattern(s *scope, gp *ast.GraphPattern, g *ppg.Graph) (*bindings.Table, error) {
-	return c.evalGraphPatternWith(s, gp, g, nil)
-}
-
-// evalGraphPatternWith additionally applies pushed-down WHERE
-// conjuncts as soon as their variables are bound along the chain.
-func (c *evalCtx) evalGraphPatternWith(s *scope, gp *ast.GraphPattern, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, error) {
-	tbl, _, err := c.evalChainPlanned(s, gp, g, conjs)
+	tbl, _, err := c.evalChainPlanned(s, gp, g, nil)
 	return tbl, err
 }
 
-// evalChainPlanned evaluates one chain under the selectivity planner:
-// the scan may start from the chain's cheaper end (planChain), with
-// the rows sorted back into forward emission order afterwards. It
-// also returns the planner's estimate for the chain's start scan,
-// which evalMatch uses to order conjunct joins.
+// evalChainPlanned evaluates one chain under the selectivity planner,
+// applying pushed-down WHERE conjuncts as soon as their variables are
+// bound: the scan starts at the node pattern planChain picks, the chain
+// extends rightwards to its last node and then leftwards to its first,
+// and a chain not started at its first node has its rows sorted back
+// into forward emission order. It also returns the chain's planned
+// cost, which evalMatch uses to order conjunct joins.
 func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, int, error) {
 	// Give anonymous elements fresh internal names so positions stay
 	// independent (homomorphism semantics: no implicit sharing). Names
@@ -260,25 +257,22 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		pl, planned = c.cached.chainPlanFor(gp, g)
 	}
 	if !planned {
-		pl = planChain(gp, g, c.ev.ablation.NoReorder)
+		pl = planChain(c.ev.ablation, gp, c.snapOf(g), conjs, c.col)
 		if c.cached != nil {
 			c.cached.storeChainPlan(gp, g, pl)
 		}
-	}
-	run, runNames := gp, names
-	if pl.reversed {
-		run, runNames = pl.runGp, reverseNames(names)
 	}
 
 	// Each step span covers the operator plus the eager conjunct
 	// application riding on it, mirroring the "⊳ filter" suffix of the
 	// plan line; its label is the exact plan-line text so EXPLAIN
 	// ANALYZE can match measurements to lines.
+	start := gp.Nodes[pl.start]
 	sp := c.col.Start(obs.OpScan)
 	if sp.Verbose() {
-		sp.SetLabel(scanStepLabel(run.Nodes[0]))
+		sp.SetLabel(scanStepLabel(start))
 	}
-	tbl, stat, err := c.scanNodes(g, run.Nodes[0], runNames.node[0], conjs)
+	tbl, stat, err := c.scanNodes(g, start, names.node[pl.start], conjs)
 	if err != nil {
 		sp.Fail()
 		return nil, 0, err
@@ -288,22 +282,23 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		return nil, 0, err
 	}
 	sp.Indexed(stat.indexed).Seek(stat.seekKey).Rows(stat.examined, int64(tbl.Len())).End()
-	for i, link := range run.Links {
+	for _, st := range chainSteps(len(gp.Links), pl.start) {
 		rowsIn := int64(tbl.Len())
+		from, to, next := names.node[st.from], names.node[st.to], gp.Nodes[st.to]
 		var sp *obs.ActiveSpan
-		switch x := link.(type) {
+		switch x := st.linkOf(gp).(type) {
 		case *ast.EdgePattern:
 			sp = c.col.Start(obs.OpExpand)
 			if sp.Verbose() {
-				sp.SetLabel(expandStepLabel(x, run.Nodes[i+1]))
+				sp.SetLabel(expandStepLabel(x, next))
 			}
-			tbl, err = c.extendEdge(g, tbl, runNames.node[i], x, runNames.link[i], run.Nodes[i+1], runNames.node[i+1])
+			tbl, err = c.extendEdge(g, tbl, from, x, names.link[st.link], next, to, conjs)
 		case *ast.PathPattern:
 			sp = c.col.Start(obs.OpPath)
 			if sp.Verbose() {
-				sp.SetLabel(pathStepLabel(x, run.Nodes[i+1]))
+				sp.SetLabel(pathStepLabel(x, next))
 			}
-			tbl, err = c.extendPath(s, g, tbl, runNames.node[i], x, runNames.link[i], run.Nodes[i+1], runNames.node[i+1], conjs)
+			tbl, err = c.extendPath(s, g, tbl, from, x, names.link[st.link], next, to, conjs)
 		}
 		if err != nil {
 			sp.Fail()
@@ -319,10 +314,10 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 		}
 		sp.Rows(rowsIn, int64(tbl.Len())).End()
 	}
-	if pl.reversed {
-		tbl = c.restoreForwardOrder(tbl, gp, names, g)
+	if pl.start > 0 {
+		tbl = restoreForwardOrder(tbl, gp, names, c.snapOf(g))
 	}
-	return tbl, pl.startEstimate(), nil
+	return tbl, pl.cost, nil
 }
 
 // patternNames assigns a variable name to every element of a chain.
@@ -581,8 +576,9 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 // next node pattern. Adjacency walks the snapshot's flat CSR arrays
 // and the label tests are integer comparisons, in deterministic order
 // (out ascending, then in ascending, self-loops emitted once under
-// DirBoth).
-func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string) (*bindings.Table, error) {
+// DirBoth). An edge that passes its own tests meets the destination
+// gate (destGate) before anything of its row is built.
+func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct) (*bindings.Table, error) {
 	if ep.Copy {
 		return nil, errf("the copy form [=%s] is only allowed in CONSTRUCT", ep.Var)
 	}
@@ -590,14 +586,16 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	vars := append(tbl.Vars(), edgeVar, rightVar)
 	out := bindings.EmptyTable(appendBindVars(appendBindVars(vars, ep.Props), rightNp.Props)...)
 	eSpec := resolveSpec(snap, ep.Labels)
-	nSpec := resolveSpec(snap, rightNp.Labels)
 	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep.Props, rightNp)
+	gate := c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs)
 
 	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
 	parts, err := c.mapSlabs(tbl.Len(), safe, func(lo, hi int) ([]value.Value, error) {
 		var slab []value.Value
 		scratch := make([]value.Value, out.Width())
 		var combos []propCombo
+		var colHits int64
+		defer func() { c.col.PropColEvent(colHits, 0) }()
 		for ri := lo; ri < hi; ri++ {
 			if err := c.gov.Checkpoint(faultinject.SiteCoreExtend); err != nil {
 				return nil, err
@@ -619,20 +617,14 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 				if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
 					return err
 				}
-				// Pre-bound edge/node variables must agree.
-				other := snap.NodeID(otherOrd)
 				link := value.EdgeRef(uint64(e.ID))
-				if !ex.linkAgrees(row, link) || !ex.rightAgrees(row, other) {
+				if !ex.linkAgrees(row, link) {
 					return nil
 				}
-				if !nSpec.matchesNode(snap, otherOrd) {
-					return nil
-				}
-				on := snap.Node(otherOrd)
-				if ok, err := c.propsMatch(g, on.Props, rightNp.Props); err != nil || !ok {
+				if ok, err := gate.pass(row, otherOrd, &colHits); err != nil || !ok {
 					return err
 				}
-				combos = ex.fill(scratch, row, link, uint64(other), e.Props, on.Props, combos)
+				combos = ex.fill(scratch, row, link, uint64(snap.NodeID(otherOrd)), e.Props, snap.Node(otherOrd).Props, combos)
 				slab = appendCombos(slab, scratch, combos)
 				return nil
 			}
@@ -661,6 +653,47 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 		return nil, err
 	}
 	return c.mergeSlabs(out, parts)
+}
+
+// destGate is the destination gate of a step: it decides on its ordinal
+// whether node u may end a row extending row, before anything per
+// destination is built. A pre-bound right variable must name u, and u
+// must carry the right node pattern's labels, pass the WHERE conjuncts
+// on the right variable that compile to column predicates and may run
+// this early (prefilterConjuncts' rule), and pass the pattern's filter
+// entries. Only the filter entries evaluate expressions and can raise —
+// and a pattern that has them gives the gate no conjuncts, so the gate
+// raises exactly where building the row used to.
+type destGate struct {
+	c       *evalCtx
+	g       *ppg.Graph
+	snap    *csr.Snapshot
+	ex      extendPlan
+	rightNp *ast.NodePattern
+	labels  resolvedSpec // the right node pattern's, interned
+	preds   []*boundPred // WHERE conjuncts consumed by the gate
+}
+
+// newDestGate builds the gate of a step whose output table is out,
+// consuming its WHERE conjuncts.
+func (c *evalCtx) newDestGate(g *ppg.Graph, snap *csr.Snapshot, ex extendPlan, out *bindings.Table, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct) destGate {
+	return destGate{c: c, g: g, snap: snap, ex: ex, rightNp: rightNp,
+		labels: resolveSpec(snap, rightNp.Labels),
+		preds:  c.prefilterPreds(snap, rightNp, rightVar, out.HasVar, conjs)}
+}
+
+// pass runs the gate, counting the column tests into colHits.
+func (dg *destGate) pass(row []value.Value, u int32, colHits *int64) (bool, error) {
+	if !dg.ex.rightAgrees(row, dg.snap.NodeID(u)) || !dg.labels.matchesNode(dg.snap, u) {
+		return false, nil
+	}
+	for _, pr := range dg.preds {
+		*colHits++
+		if !pr.node.test(u, pr.p) {
+			return false, nil
+		}
+	}
+	return dg.c.propsMatch(dg.g, dg.snap.Node(u).Props, dg.rightNp.Props)
 }
 
 // extendPlan precomputes the slot arithmetic of one extension over a

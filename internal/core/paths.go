@@ -423,11 +423,10 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 	snap, _ := c.ev.snapshot(g)
 	ex := newExtendPlan(tbl, out, leftVar, pathVar, rightVar, linkProps, rightNp)
 	ps := &pathStep{
-		c: c, g: g, snap: snap, pp: pp, ex: ex, rightNp: rightNp,
-		labels:  resolveSpec(snap, rightNp.Labels),
-		preds:   c.prefilterPreds(snap, rightNp, rightVar, out.HasVar, conjs),
-		costOut: -1,
-		scratch: make([]value.Value, out.Width()),
+		destGate: c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs),
+		pp:       pp,
+		costOut:  -1,
+		scratch:  make([]value.Value, out.Width()),
 	}
 	if pp.CostVar != "" {
 		ps.costOut = out.SlotOf(pp.CostVar)
@@ -547,48 +546,20 @@ func appendBindVars(vars []string, specs []*ast.PropSpec) []string {
 	return vars
 }
 
-// pathStep is the state of one extendPath call: the slot plan, what
-// the destination gate tests, and the scratch the rows are built in.
+// pathStep is the state of one extendPath call: the slot plan, the
+// destination gate, and the scratch the rows are built in.
 type pathStep struct {
-	c        *evalCtx
-	g        *ppg.Graph
-	snap     *csr.Snapshot
+	destGate
 	pp       *ast.PathPattern
-	ex       extendPlan
-	rightNp  *ast.NodePattern
-	labels   resolvedSpec // the right node pattern's, interned
-	preds    []*boundPred // WHERE conjuncts consumed by the gate
-	colHits  int64        // their tests, for the prop-column counters
-	costOut  int          // output slot of the COST variable, -1 without one
-	hasViews bool         // COST binds the summed view cost, not the hop count
+	colHits  int64 // the gate's column tests, for the prop-column counters
+	costOut  int   // output slot of the COST variable, -1 without one
+	hasViews bool  // COST binds the summed view cost, not the hop count
 
 	scratch []value.Value
 	combos  []propCombo
 	slab    []value.Value // rows of the current input row
 	cands   []walkRef     // k-shortest candidates of one destination
 	taken   []walkRef     // the distinct ones among them
-}
-
-// gate is the destination gate: it decides on its ordinal whether
-// destination u may end a row of row, before anything per destination
-// is built. A pre-bound right variable must name u, and u must carry
-// the right node pattern's labels, pass the WHERE conjuncts on the
-// right variable that compile to column predicates and may run this
-// early (prefilterConjuncts' rule), and pass the pattern's filter
-// entries. Only the filter entries evaluate expressions and can raise —
-// and a pattern that has them gives the gate no conjuncts, so the gate
-// raises exactly where building the row used to.
-func (ps *pathStep) gate(row []value.Value, u int32) (bool, error) {
-	if !ps.ex.rightAgrees(row, ps.snap.NodeID(u)) || !ps.labels.matchesNode(ps.snap, u) {
-		return false, nil
-	}
-	for _, pr := range ps.preds {
-		ps.colHits++
-		if !pr.node.test(u, pr.p) {
-			return false, nil
-		}
-	}
-	return ps.c.propsMatch(ps.g, ps.snap.Node(u).Props, ps.rightNp.Props)
 }
 
 // emit appends the rows of one destination u that passed the gate: the
@@ -626,7 +597,7 @@ func (ps *pathStep) reachRows(sc *searches, row []value.Value, src ppg.NodeID) e
 		if !ok {
 			continue
 		}
-		pass, err := ps.gate(row, u)
+		pass, err := ps.pass(row, u, &ps.colHits)
 		if err != nil {
 			return err
 		}
@@ -715,7 +686,7 @@ func (ps *pathStep) destWalks(res [2]*rpq.Shortest, lists [2][]int32, row []valu
 		pid := ps.c.ev.cat.IDs().NextPath()
 		if ci == 0 {
 			var err error
-			if pass, err = ps.gate(row, u); err != nil {
+			if pass, err = ps.pass(row, u, &ps.colHits); err != nil {
 				return err
 			}
 		}
@@ -773,7 +744,7 @@ func (ps *pathStep) allRows(sc *searches, row []value.Value, src ppg.NodeID) err
 				continue
 			}
 			pid := ps.c.ev.cat.IDs().NextPath()
-			pass, err := ps.gate(row, u)
+			pass, err := ps.pass(row, u, &ps.colHits)
 			if err != nil {
 				return err
 			}
@@ -842,7 +813,7 @@ func (ps *pathStep) storedRows(row []value.Value, src ppg.NodeID, nfa *rpq.NFA) 
 			if !hasCombo(ps.scratch, ps.combos[:len(ps.ex.linkBind.specs)]) {
 				continue
 			}
-			pass, err := ps.gate(row, u)
+			pass, err := ps.pass(row, u, &ps.colHits)
 			if err != nil {
 				return err
 			}

@@ -8,232 +8,368 @@ import (
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
+	"gcore/internal/csr"
+	"gcore/internal/obs"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
 )
 
-// Selectivity-driven MATCH planning. Two decisions are made from the
-// label-index cardinalities of the target graph, both semantically
-// invisible (the binding table is restored to the exact row order the
-// textual plan would produce, because row order feeds CONSTRUCT's
-// fresh-identity assignment and the deterministic output order):
+// Selectivity-driven MATCH planning. A basic graph pattern is a
+// conjunctive query under homomorphism semantics (§A.2): every
+// evaluation order yields the same bindings. Two decisions are made
+// from exact statistics of the target graph's CSR snapshot, both
+// semantically invisible (the binding table is restored to the exact
+// row order the textual plan would produce, because row order feeds
+// CONSTRUCT's fresh-identity assignment and the deterministic output
+// order):
 //
-//  1. Chain direction — a pattern chain of edge patterns can be
-//     evaluated from either end; the evaluator starts at the end
-//     whose node pattern has the smaller label-index estimate and
-//     walks the chain with edge directions flipped, then sorts the
-//     rows back into forward emission order.
+//  1. Chain start — a chain of edge patterns can be evaluated from any
+//     of its node patterns: scan that node, extend rightwards to the
+//     last node, then leftwards to the first over flipped edges, and
+//     sort the rows back into forward emission order. The start with
+//     the smallest estimated cost wins (planChain).
 //  2. Conjunct join order — the comma-separated patterns of one MATCH
 //     are each evaluated (in textual order, which keeps anonymous
 //     variable numbering stable), but folded into the joined table
-//     smallest-estimate-first; hidden per-pattern row ordinals
+//     cheapest-first by the same cost; hidden per-pattern row ordinals
 //     restore the textual fold order afterwards.
 //
-// EXPLAIN surfaces both decisions (scan start/direction per chain,
-// fold order per MATCH) through the same planChain/joinOrder calls.
+// The statistics never look at a constant's value, so a literal and a
+// $param choose the same plan, a cached plan stays valid across
+// executions, and static EXPLAIN prints the start the evaluator takes.
+// EXPLAIN surfaces both decisions (start and per-step estimates per
+// chain, fold order per MATCH) through the same planChain/joinOrder
+// calls.
 
-// estimateNodeScan is the planner's cardinality estimate for scanning
-// one node pattern: the most selective label conjunct's index bucket
-// size (mirroring indexedNodeOrdinals), or the node count when the
-// pattern is unlabelled.
-func estimateNodeScan(g *ppg.Graph, np *ast.NodePattern) int {
-	if g == nil {
-		return math.MaxInt
-	}
-	if len(np.Labels) == 0 {
-		return g.NumNodes()
-	}
-	best := math.MaxInt
-	for _, disj := range np.Labels {
-		size := 0
-		for _, l := range disj {
-			size += g.NumNodesWithLabel(l)
-		}
-		if size < best {
-			best = size
-		}
-	}
-	return best
-}
-
-// chainPlan is the planner's decision for one pattern chain.
+// chainPlan is the planner's decision for one pattern chain: the node
+// pattern evaluation starts at, the estimated rows after the start scan
+// and after each step in evaluation order (nil when the graph is only
+// known at run time), and their sum, the cost that also ranks the
+// chain in its MATCH's join fold (math.MaxInt when unknown).
 type chainPlan struct {
-	reversed bool
-	estFwd   int
-	estRev   int               // math.MaxInt when the chain cannot be reversed
-	runGp    *ast.GraphPattern // the pattern to evaluate (reversed copy when reversed)
+	start int
+	ests  []int
+	cost  int
 }
 
-// startEstimate is the estimate of the scan that will actually run.
-func (pl chainPlan) startEstimate() int {
-	if pl.reversed {
-		return pl.estRev
-	}
-	return pl.estFwd
+// chainStep is one extension of a chain evaluation: over link, from
+// node pattern from to node pattern to, against the link's textual
+// direction when flip is set.
+type chainStep struct {
+	link, from, to int
+	flip           bool
 }
 
-// planChain decides the scan start of a chain. Only chains made
-// entirely of edge patterns are reversible: path patterns carry
-// orientation-dependent search semantics (cost, shortest-k) that the
-// emission-order restore does not model. textual (Ablation.NoReorder)
-// pins the forward direction.
-func planChain(gp *ast.GraphPattern, g *ppg.Graph, textual bool) chainPlan {
-	pl := chainPlan{estFwd: estimateNodeScan(g, gp.Nodes[0]), estRev: math.MaxInt, runGp: gp}
-	if textual || g == nil || len(gp.Links) == 0 {
-		return pl
+// chainSteps lists the steps of a chain of links evaluated from node
+// pattern start: rightwards to the last node, then leftwards to the
+// first.
+func chainSteps(links, start int) []chainStep {
+	steps := make([]chainStep, 0, links)
+	for i := start; i < links; i++ {
+		steps = append(steps, chainStep{link: i, from: i, to: i + 1})
 	}
-	for _, link := range gp.Links {
-		if _, ok := link.(*ast.EdgePattern); !ok {
-			return pl
+	for i := start - 1; i >= 0; i-- {
+		steps = append(steps, chainStep{link: i, from: i + 1, to: i, flip: true})
+	}
+	return steps
+}
+
+// linkOf returns the step's link as it is traversed: a flipped step
+// runs a copy of its edge pattern with the direction reversed (the
+// shared AST is never mutated).
+func (st chainStep) linkOf(gp *ast.GraphPattern) ast.Link {
+	link := gp.Links[st.link]
+	if !st.flip {
+		return link
+	}
+	cp := *link.(*ast.EdgePattern)
+	cp.Dir = flipDir(cp.Dir)
+	return &cp
+}
+
+func flipDir(d ast.Direction) ast.Direction {
+	switch d {
+	case ast.DirOut:
+		return ast.DirIn
+	case ast.DirIn:
+		return ast.DirOut
+	}
+	return d
+}
+
+// nodeEst is what the planner knows about one node pattern: the
+// interned labels of the partition a scan would take (nil for every
+// node), its size, and card, the rows the pattern is estimated to keep
+// — the partition, or the mean posting length of a seekable `=`
+// conjunct on the pattern's variable when that is smaller.
+type nodeEst struct {
+	labels []int32
+	base   float64
+	card   float64
+}
+
+// sel is the share of the partition the pattern keeps.
+func (e nodeEst) sel() float64 {
+	if e.base == 0 {
+		return 0
+	}
+	return e.card / e.base
+}
+
+// estimateNode sizes one node pattern. The partition is the one
+// scanCandidates takes: the label conjunct with the fewest nodes (the
+// sum over its disjuncts). The `=` conjuncts are those the pattern's
+// scan would consume (prefilterConjuncts over the static compiled form,
+// which ignores the constant). A column nothing has sought yet has its
+// value index built to measure it: the evaluator, passing its collector,
+// keeps the index for the scans to come and counts the build there;
+// static EXPLAIN (nil) leaves the column unindexed.
+func estimateNode(ab Ablation, snap *csr.Snapshot, np *ast.NodePattern, conjs []*conjunct, col *obs.Collector) nodeEst {
+	e := nodeEst{base: float64(snap.NumNodes())}
+	for i, disj := range resolveSpec(snap, np.Labels) {
+		size := 0
+		for _, lid := range disj {
+			size += len(snap.NodesWithLabel(lid))
+		}
+		if i == 0 || float64(size) < e.base {
+			e.labels, e.base = disj, float64(size)
 		}
 	}
-	pl.estRev = estimateNodeScan(g, gp.Nodes[len(gp.Nodes)-1])
-	if pl.estRev < pl.estFwd {
-		pl.reversed = true
-		pl.runGp = reverseChain(gp)
+	e.card = e.base
+	if np.Var == "" {
+		return e
 	}
+	schema := appendBindVars([]string{np.Var}, np.Props)
+	_, preds := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, staticColPred)
+	for _, p := range preds {
+		if p.op != ast.OpEq {
+			continue
+		}
+		post := 0.0 // no node carries the key: nothing is equal
+		if pc := snap.NodeCol(p.key); pc != nil {
+			var built bool
+			if post, built = pc.MeanPosting(col != nil); built {
+				col.PropIndexEvent(false, 1)
+			}
+		}
+		e.card = min(e.card, post)
+	}
+	return e
+}
+
+// fanOut is the average number of edges matching ep's labels that a
+// node of from's partition has in direction dir: the snapshot's degree
+// sums over the partition's labels, for the edge label conjunct with the
+// fewest such edges, divided by the partition size.
+func fanOut(snap *csr.Snapshot, from nodeEst, ep *ast.EdgePattern, dir ast.Direction) float64 {
+	if from.base == 0 {
+		return 0
+	}
+	nodeLabels := from.labels
+	if nodeLabels == nil {
+		nodeLabels = []int32{csr.AnyLabel}
+	}
+	degree := func(edgeLabels []int32, in bool) float64 {
+		var n int64
+		for _, nl := range nodeLabels {
+			for _, el := range edgeLabels {
+				n += snap.Degree(nl, el, in)
+			}
+		}
+		return float64(n)
+	}
+	edgeSpec := resolveSpec(snap, ep.Labels)
+	if len(edgeSpec) == 0 {
+		edgeSpec = resolvedSpec{{csr.AnyLabel}}
+	}
+	best := math.Inf(1)
+	for _, disj := range edgeSpec {
+		var n float64
+		if dir != ast.DirIn {
+			n += degree(disj, false)
+		}
+		if dir != ast.DirOut {
+			n += degree(disj, true)
+		}
+		best = min(best, n)
+	}
+	return best / from.base
+}
+
+// planChain decides where a chain's evaluation starts. Each start k is
+// costed as the sum of the rows estimated after its scan and after each
+// of its steps: the scan keeps the node's card, an edge step multiplies
+// by the fan-out of its edge from the node it leaves and by the share
+// of the partition the node it reaches keeps, and a path step by the
+// card of its destination (times k for a k-shortest search). The
+// cheapest start wins, the leftmost among equals. Only chains made
+// entirely of edge patterns may start past their first node: path
+// patterns carry orientation-dependent search semantics (cost,
+// shortest-k) that the emission-order restore does not model.
+// Ablation.NoReorder pins the first node. A nil snapshot (a graph
+// only known at run time) plans the first node with no estimates.
+func planChain(ab Ablation, gp *ast.GraphPattern, snap *csr.Snapshot, conjs []*conjunct, col *obs.Collector) chainPlan {
+	if snap == nil {
+		return chainPlan{cost: math.MaxInt}
+	}
+	nodes := make([]nodeEst, len(gp.Nodes))
+	for i, np := range gp.Nodes {
+		nodes[i] = estimateNode(ab, snap, np, conjs, col)
+	}
+	// Per link, the factor of a step over it: rightwards [0] and
+	// leftwards [1].
+	starts := len(gp.Nodes)
+	factors := make([][2]float64, len(gp.Links))
+	for i, link := range gp.Links {
+		switch x := link.(type) {
+		case *ast.EdgePattern:
+			factors[i][0] = fanOut(snap, nodes[i], x, x.Dir) * nodes[i+1].sel()
+			factors[i][1] = fanOut(snap, nodes[i+1], x, flipDir(x.Dir)) * nodes[i].sel()
+		case *ast.PathPattern:
+			factors[i][0] = nodes[i+1].card * float64(max(x.K, 1))
+			starts = 1
+		}
+	}
+	if ab.NoReorder {
+		starts = 1
+	}
+	var (
+		best     []float64
+		bestCost float64
+		pl       chainPlan
+	)
+	for k := 0; k < starts; k++ {
+		rows := nodes[k].card
+		ests := []float64{rows}
+		cost := rows
+		for _, st := range chainSteps(len(gp.Links), k) {
+			if st.flip {
+				rows *= factors[st.link][1]
+			} else {
+				rows *= factors[st.link][0]
+			}
+			ests = append(ests, rows)
+			cost += rows
+		}
+		if k == 0 || cost < bestCost {
+			pl.start, best, bestCost = k, ests, cost
+		}
+	}
+	pl.ests = make([]int, len(best))
+	for i, est := range best {
+		pl.ests[i] = estInt(est)
+	}
+	pl.cost = estInt(bestCost)
 	return pl
 }
 
-// reverseChain builds the mirrored pattern: nodes and links in
-// reverse order, each edge's direction flipped (DirBoth stays). The
-// shared AST is never mutated — edge patterns are shallow-copied.
-func reverseChain(gp *ast.GraphPattern) *ast.GraphPattern {
-	rev := &ast.GraphPattern{P: gp.P}
-	rev.Nodes = make([]*ast.NodePattern, len(gp.Nodes))
-	for i, np := range gp.Nodes {
-		rev.Nodes[len(gp.Nodes)-1-i] = np
+// estInt rounds an estimate for display and for the fold order; an
+// estimate past the int range saturates at math.MaxInt, the "unknown"
+// rank.
+func estInt(f float64) int {
+	if f >= math.MaxInt64 {
+		return math.MaxInt
 	}
-	rev.Links = make([]ast.Link, len(gp.Links))
-	for i, link := range gp.Links {
-		ep := link.(*ast.EdgePattern)
-		cp := *ep
-		switch ep.Dir {
-		case ast.DirOut:
-			cp.Dir = ast.DirIn
-		case ast.DirIn:
-			cp.Dir = ast.DirOut
-		}
-		rev.Links[len(gp.Links)-1-i] = &cp
-	}
-	return rev
+	return int(math.Round(f))
 }
 
-// reverseNames mirrors a patternNames assignment. Names are assigned
-// on the textual pattern first (keeping anonymous numbering identical
-// to the unplanned evaluation) and reversed alongside the chain.
-func reverseNames(pn patternNames) patternNames {
-	out := patternNames{node: make([]string, len(pn.node)), link: make([]string, len(pn.link))}
-	for i, v := range pn.node {
-		out.node[len(pn.node)-1-i] = v
-	}
-	for i, v := range pn.link {
-		out.link[len(pn.link)-1-i] = v
-	}
-	return out
-}
-
-// restoreForwardOrder sorts the rows of a reverse-evaluated chain
-// into the order the forward evaluation would have emitted them.
-// Forward evaluation is a depth-first expansion over ascending
-// iterators, so its emission order is the lexicographic order of,
-// per row: the first node's reference, its bind-value positions, and
-// per link (in forward order) the traversal pass (out before in, for
-// undirected edges), the edge reference, and the bind-value positions
-// of the edge and the right node. Bind values are keyed by their
-// index in the property's value-set iteration order, which is exactly
-// the branching order of appendCombos.
-func (c *evalCtx) restoreForwardOrder(tbl *bindings.Table, gp *ast.GraphPattern, names patternNames, g *ppg.Graph) *bindings.Table {
-	if tbl.Len() <= 1 {
+// restoreForwardOrder sorts the rows of a chain evaluated from an
+// interior or last node into the order evaluation from its first node
+// would have emitted them. That evaluation is a depth-first expansion
+// over ascending iterators, so its emission order is the lexicographic
+// order of, per row: the first node's identifier, its bind positions,
+// and per link (in forward order) the traversal pass (out before in,
+// for undirected edges), the edge identifier, and the bind positions of
+// the edge and the right node. A bind position is the index of the
+// bound value in the property's value-set iteration order, which is
+// exactly the branching order of appendCombos. The keys are laid out
+// flat, one fixed-width run of integers per row, and only elements
+// with {k = v} entries or an undirected edge are looked up in the
+// snapshot.
+func restoreForwardOrder(tbl *bindings.Table, gp *ast.GraphPattern, names patternNames, snap *csr.Snapshot) *bindings.Table {
+	n := tbl.Len()
+	if n <= 1 {
 		return tbl
 	}
 	nodeSlots := make([]int, len(gp.Nodes))
-	for i, v := range names.node {
-		nodeSlots[i] = tbl.SlotOf(v)
+	nodeBinds := make([]bindPlan, len(gp.Nodes))
+	width := 1
+	for i, np := range gp.Nodes {
+		nodeSlots[i] = tbl.SlotOf(names.node[i])
+		nodeBinds[i] = newBindPlan(tbl, np.Props)
+		width += len(nodeBinds[i].specs)
 	}
 	linkSlots := make([]int, len(gp.Links))
-	for i, v := range names.link {
-		linkSlots[i] = tbl.SlotOf(v)
-	}
-	bindSlots := func(specs []*ast.PropSpec) ([]int, []*ast.PropSpec) {
-		var slots []int
-		var binds []*ast.PropSpec
-		for _, ps := range specs {
-			if ps.Mode == ast.PropBind {
-				slots = append(slots, tbl.SlotOf(ps.Var))
-				binds = append(binds, ps)
-			}
-		}
-		return slots, binds
-	}
-	type elemBinds struct {
-		slots []int
-		specs []*ast.PropSpec
-	}
-	nodeBinds := make([]elemBinds, len(gp.Nodes))
-	for i, np := range gp.Nodes {
-		nodeBinds[i].slots, nodeBinds[i].specs = bindSlots(np.Props)
-	}
-	edgeBinds := make([]elemBinds, len(gp.Links))
+	edgeBinds := make([]bindPlan, len(gp.Links))
+	edges := make([]*ast.EdgePattern, len(gp.Links))
 	for i, link := range gp.Links {
-		ep := link.(*ast.EdgePattern)
-		edgeBinds[i].slots, edgeBinds[i].specs = bindSlots(ep.Props)
-	}
-
-	valIndex := func(props ppg.Properties, key string, v value.Value) int {
-		for i, el := range props.Get(key).Elems() {
-			if value.Equal(el, v) {
-				return i
-			}
+		edges[i] = link.(*ast.EdgePattern)
+		linkSlots[i] = tbl.SlotOf(names.link[i])
+		edgeBinds[i] = newBindPlan(tbl, edges[i].Props)
+		width += 1 + len(edgeBinds[i].specs)
+		if edges[i].Dir == ast.DirBoth {
+			width++
 		}
-		return -1
 	}
-	appendBinds := func(key []value.Value, row []value.Value, eb elemBinds, props ppg.Properties) []value.Value {
-		for i, ps := range eb.specs {
-			key = append(key, value.Int(int64(valIndex(props, ps.Key, row[eb.slots[i]]))))
-		}
-		return key
+	nodeProps := func(id ppg.NodeID) ppg.Properties {
+		u, _ := snap.Ord(id)
+		return snap.Node(u).Props
 	}
-
-	keys := make([][]value.Value, tbl.Len())
-	for ri := 0; ri < tbl.Len(); ri++ {
+	keys := make([]uint64, 0, n*width)
+	for ri := 0; ri < n; ri++ {
 		row := tbl.RowAt(ri)
-		var key []value.Value
-		curID, _ := nodeOf(row[nodeSlots[0]])
-		key = append(key, row[nodeSlots[0]])
-		if n, ok := g.Node(curID); ok {
-			key = appendBinds(key, row, nodeBinds[0], n.Props)
+		cur, _ := nodeOf(row[nodeSlots[0]])
+		keys = append(keys, uint64(cur))
+		if len(nodeBinds[0].specs) > 0 {
+			keys = nodeBinds[0].appendPositions(keys, row, nodeProps(cur))
 		}
-		for i := range gp.Links {
-			ev := row[linkSlots[i]]
-			eid, _ := ev.RefID()
-			e, okE := g.Edge(ppg.EdgeID(eid))
-			ep := gp.Links[i].(*ast.EdgePattern)
-			if ep.Dir == ast.DirBoth && okE {
-				pass := int64(1)
-				if e.Src == curID {
+		for i, ep := range edges {
+			eid, _ := row[linkSlots[i]].RefID()
+			var eo int32
+			if ep.Dir == ast.DirBoth || len(edgeBinds[i].specs) > 0 {
+				eo, _ = snap.EdgeOrd(ppg.EdgeID(eid))
+			}
+			if ep.Dir == ast.DirBoth {
+				pass := uint64(1)
+				if snap.NodeID(snap.Src(eo)) == cur {
 					pass = 0 // out pass (self-loops emit there too)
 				}
-				key = append(key, value.Int(pass))
+				keys = append(keys, pass)
 			}
-			key = append(key, ev)
-			if okE {
-				key = appendBinds(key, row, edgeBinds[i], e.Props)
+			keys = append(keys, eid)
+			if len(edgeBinds[i].specs) > 0 {
+				keys = edgeBinds[i].appendPositions(keys, row, snap.Edge(eo).Props)
 			}
-			nextID, _ := nodeOf(row[nodeSlots[i+1]])
-			if n, ok := g.Node(nextID); ok {
-				key = appendBinds(key, row, nodeBinds[i+1], n.Props)
+			cur, _ = nodeOf(row[nodeSlots[i+1]])
+			if len(nodeBinds[i+1].specs) > 0 {
+				keys = nodeBinds[i+1].appendPositions(keys, row, nodeProps(cur))
 			}
-			curID = nextID
 		}
-		keys[ri] = key
 	}
-	perm := make([]int, tbl.Len())
+	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	slices.SortStableFunc(perm, func(a, b int) int { return bindings.CompareRows(keys[a], keys[b]) })
+	slices.SortFunc(perm, func(a, b int) int {
+		return slices.Compare(keys[a*width:(a+1)*width], keys[b*width:(b+1)*width])
+	})
 	return tbl.Pick(perm)
+}
+
+// appendPositions appends, per {k = v} entry of the plan, the position
+// of the row's bound value in the element's value set for k.
+func (bp bindPlan) appendPositions(keys []uint64, row []value.Value, props ppg.Properties) []uint64 {
+	for i, ps := range bp.specs {
+		pos := 0
+		for j, el := range props.Get(ps.Key).Elems() {
+			if value.Equal(el, row[bp.slots[i]]) {
+				pos = j
+				break
+			}
+		}
+		keys = append(keys, uint64(pos))
+	}
+	return keys
 }
 
 // foldConjuncts joins the conjunct-pattern tables of one MATCH in

@@ -33,6 +33,7 @@ package csr
 
 import (
 	"sort"
+	"sync"
 
 	"gcore/internal/ppg"
 )
@@ -40,6 +41,9 @@ import (
 // NoLabel is returned by LabelID for a label no element carries: no
 // node or edge can match it in this snapshot.
 const NoLabel int32 = -1
+
+// AnyLabel stands for "no label test" where Degree takes a label.
+const AnyLabel int32 = -2
 
 // Snapshot is the CSR image of one graph at one generation.
 //
@@ -103,6 +107,21 @@ type Snapshot struct {
 	strings  *Interner
 	nodeCols map[string]*PropCol
 	edgeCols map[string]*PropCol
+
+	// Degree sums, counted on first use. A re-tagged copy of an
+	// unchanged snapshot shares them; every other version starts empty.
+	degrees *degreeSums
+}
+
+// degreeSums memoises Degree per (node label, edge label, direction).
+type degreeSums struct {
+	mu   sync.Mutex
+	sums map[degreeKey]int64
+}
+
+type degreeKey struct {
+	node, edge int32
+	in         bool
 }
 
 // Of returns the snapshot of g at its current generation: the cached
@@ -144,7 +163,7 @@ func OfCounted(g *ppg.Graph, incremental bool) (*Snapshot, BuildInfo) {
 
 // Build constructs a fresh snapshot of g, bypassing the cache.
 func Build(g *ppg.Graph) *Snapshot {
-	s := &Snapshot{gen: g.Generation()}
+	s := &Snapshot{gen: g.Generation(), degrees: &degreeSums{}}
 
 	s.nodeIDs = g.NodeIDs()
 	n := len(s.nodeIDs)
@@ -426,4 +445,48 @@ func (s *Snapshot) EdgesWithLabel(lid int32) []int32 {
 		return nil
 	}
 	return s.edgesByLabel[lid]
+}
+
+// Degree counts the edges carrying edgeLabel in the out (or, with in
+// set, the in) adjacency of the nodes carrying nodeLabel; divided by
+// the size of nodeLabel's partition it is that label's average degree
+// over edgeLabel. AnyLabel drops either test; NoLabel, which nothing
+// carries, counts 0. Sums over a node label are counted on first use
+// and kept with the snapshot.
+func (s *Snapshot) Degree(nodeLabel, edgeLabel int32, in bool) int64 {
+	switch {
+	case nodeLabel == NoLabel || edgeLabel == NoLabel:
+		return 0
+	case nodeLabel == AnyLabel && edgeLabel == AnyLabel:
+		return int64(s.NumEdges())
+	case nodeLabel == AnyLabel:
+		return int64(len(s.EdgesWithLabel(edgeLabel)))
+	}
+	key := degreeKey{nodeLabel, edgeLabel, in}
+	s.degrees.mu.Lock()
+	defer s.degrees.mu.Unlock()
+	if n, ok := s.degrees.sums[key]; ok {
+		return n
+	}
+	adj := s.outAdj
+	if in {
+		adj = s.inAdj
+	}
+	var n int64
+	for _, u := range s.NodesWithLabel(nodeLabel) {
+		if edgeLabel == AnyLabel {
+			n += int64(len(adj[u]))
+			continue
+		}
+		for _, e := range adj[u] {
+			if s.EdgeHasLabel(e, edgeLabel) {
+				n++
+			}
+		}
+	}
+	if s.degrees.sums == nil {
+		s.degrees.sums = map[degreeKey]int64{}
+	}
+	s.degrees.sums[key] = n
+	return n
 }

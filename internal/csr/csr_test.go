@@ -2,6 +2,7 @@ package csr
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gcore/internal/ppg"
@@ -232,5 +233,54 @@ func TestRandomGraphAgreement(t *testing.T) {
 				}
 			}
 		}
+		checkDegrees(t, g, s, append(labels, "absent"))
 	}
+}
+
+// checkDegrees holds Snapshot.Degree to a count over the ppg adjacency
+// for every (node label, edge label, direction), AnyLabel included,
+// asked from several goroutines at once on the fresh snapshot.
+func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
+	t.Helper()
+	lids := []int32{AnyLabel}
+	for _, l := range labels {
+		lids = append(lids, s.LabelID(l))
+	}
+	want := func(nl, el int32, in bool) int64 {
+		var n int64
+		for _, id := range g.NodeIDs() {
+			nd, _ := g.Node(id)
+			if nl != AnyLabel && (nl == NoLabel || !nd.Labels.Has(s.LabelName(nl))) {
+				continue
+			}
+			adj := g.OutEdges(id)
+			if in {
+				adj = g.InEdges(id)
+			}
+			for _, eid := range adj {
+				e, _ := g.Edge(eid)
+				if el == AnyLabel || el != NoLabel && e.Labels.Has(s.LabelName(el)) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, nl := range lids {
+				for _, el := range lids {
+					for _, in := range []bool{false, true} {
+						if got, exp := s.Degree(nl, el, in), want(nl, el, in); got != exp {
+							t.Errorf("Degree(%d, %d, in=%v) = %d, want %d", nl, el, in, got, exp)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -188,6 +188,7 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 		strings:  prev.strings,
 		nodeCols: prev.nodeCols,
 		edgeCols: prev.edgeCols,
+		degrees:  &degreeSums{},
 	}
 
 	// Node extension: ids, pointers, ordinal overlay, label runs.

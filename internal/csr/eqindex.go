@@ -42,6 +42,7 @@ import (
 //     across kinds, which neither a payload nor a hash key captures.
 type eqIndex struct {
 	ords []int32 // sorted by (seek key, ordinal)
+	keys int     // distinct seek keys among them
 }
 
 // SeekEq returns the ascending ordinals that may satisfy `prop = lit`,
@@ -57,6 +58,28 @@ func (c *PropCol) SeekEq(lit value.Value, in *Interner) (ords []int32, built, ok
 	lo := sort.Search(len(ix.ords), func(i int) bool { return c.seekKeyAt(ix.ords[i]) >= key })
 	n := sort.Search(len(ix.ords)-lo, func(i int) bool { return c.seekKeyAt(ix.ords[lo+i]) > key })
 	return ix.ords[lo : lo+n : lo+n], built, true
+}
+
+// MeanPosting is the mean length of the column's posting lists — its
+// indexed ordinals divided by its distinct seek keys, 0 for a column
+// with none. It is what a planner can know about `prop = constant`
+// before it knows the constant: the same figure for every constant,
+// literal or parameter. A column never sought is measured by building
+// its index, which is kept when keep is set (built reports that) and
+// thrown away otherwise, leaving the column as it was.
+func (c *PropCol) MeanPosting(keep bool) (mean float64, built bool) {
+	ix := c.eq.Load()
+	switch {
+	case ix != nil:
+	case keep:
+		ix, built = c.index()
+	default:
+		ix = c.buildEqIndex()
+	}
+	if ix.keys == 0 {
+		return 0, built
+	}
+	return float64(len(ix.ords)) / float64(ix.keys), built
 }
 
 // seekKeyOf maps a scalar constant to the seek key its equals carry in
@@ -200,7 +223,13 @@ func (c *PropCol) buildEqIndex() *eqIndex {
 		}
 		keys, tmpKeys, ords, tmpOrds = tmpKeys, keys, tmpOrds, ords
 	}
-	return &eqIndex{ords: ords}
+	distinct := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			distinct++
+		}
+	}
+	return &eqIndex{ords: ords, keys: distinct}
 }
 
 // checkEqIndex verifies a built index against a from-scratch build of
@@ -210,7 +239,7 @@ func (c *PropCol) checkEqIndex() error {
 	if ix == nil {
 		return nil
 	}
-	if want := c.buildEqIndex(); !slices.Equal(ix.ords, want.ords) {
+	if want := c.buildEqIndex(); !slices.Equal(ix.ords, want.ords) || ix.keys != want.keys {
 		return fmt.Errorf("equality index holds %d ordinals that differ from a rebuild (%d)", len(ix.ords), len(want.ords))
 	}
 	return nil

@@ -181,3 +181,35 @@ func TestValidateChecksBuiltIndexes(t *testing.T) {
 		t.Fatalf("Validate = %v, want an equality-index error naming the column", err)
 	}
 }
+
+// TestMeanPosting: the mean posting length is the column's seekable
+// ordinals over their distinct seek keys, with or without an index
+// already built; keep decides whether measuring leaves one behind.
+func TestMeanPosting(t *testing.T) {
+	s := Build(propGraph(t))
+	for key, c := range s.nodeCols {
+		ords, keys := 0, map[uint64]bool{}
+		for o := int32(0); o < int32(s.NumNodes()); o++ {
+			if c.Present(o) && c.seekableAt(o) {
+				ords++
+				keys[c.seekKeyAt(o)] = true
+			}
+		}
+		want := 0.0
+		if len(keys) > 0 {
+			want = float64(ords) / float64(len(keys))
+		}
+		if got, built := c.MeanPosting(false); got != want || built || c.eq.Load() != nil {
+			t.Errorf("%q measured without keeping: %v built=%v indexed=%v, want %v and no index", key, got, built, c.eq.Load() != nil, want)
+		}
+		if got, built := c.MeanPosting(true); got != want || !built {
+			t.Errorf("%q measured first: %v built=%v, want %v built", key, got, built, want)
+		}
+		if got, built := c.MeanPosting(false); got != want || built {
+			t.Errorf("%q measured on its index: %v built=%v, want %v", key, got, built, want)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

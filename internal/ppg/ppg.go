@@ -735,7 +735,7 @@ func (g *Graph) EdgesWithLabel(label string) []EdgeID {
 }
 
 // NumNodesWithLabel reports the size of a label's node bucket without
-// copying it (selectivity estimation).
+// copying it.
 func (g *Graph) NumNodesWithLabel(label string) int { return len(g.nodesByLabel[label]) }
 
 // NumEdgesWithLabel reports the size of a label's edge bucket without
