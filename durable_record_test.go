@@ -47,7 +47,10 @@ func TestWALRecordBytes(t *testing.T) {
 		must(g.SetNodeProps(5, odd))
 		must(g.SetEdgeProps(6, Properties{}))
 		must(g.SetPathProps(7, odd))
-		n, _ := g.Node(2)
+		// An in-place write is sound only on an element no other graph
+		// holds (view v shares node 2), so it goes to a fresh node.
+		n := &Node{ID: 8}
+		must(g.AddNode(n))
 		n.Props = NewProperties(map[string]Value{"touched": True})
 		g.TouchProps()
 		return g.ReplaceWith(g.Clone())

@@ -110,13 +110,19 @@ func FuzzSnapshot(f *testing.F) {
 			t.Fatalf("snapshot size mismatch: %d/%d nodes, %d/%d edges",
 				s.NumNodes(), g.NumNodes(), s.NumEdges(), g.NumEdges())
 		}
+		outs, ins := map[gcore.NodeID][]gcore.EdgeID{}, map[gcore.NodeID][]gcore.EdgeID{}
+		for _, eid := range g.EdgeIDs() {
+			e, _ := g.Edge(eid)
+			outs[e.Src] = append(outs[e.Src], eid)
+			ins[e.Dst] = append(ins[e.Dst], eid)
+		}
 		for u := int32(0); u < int32(s.NumNodes()); u++ {
 			id := s.NodeID(u)
 			back, ok := s.Ord(id)
 			if !ok || back != u {
 				t.Fatalf("ordinal %d → id %d → ordinal %d (%v): round trip broken", u, id, back, ok)
 			}
-			out := g.OutEdges(id)
+			out := outs[id]
 			if len(out) != len(s.Out(u)) {
 				t.Fatalf("out degree of #%d: csr %d, ppg %d", id, len(s.Out(u)), len(out))
 			}
@@ -125,7 +131,7 @@ func FuzzSnapshot(f *testing.F) {
 					t.Fatalf("out adjacency of #%d diverges at %d: csr #%d, ppg #%d", id, i, s.EdgeID(eo), out[i])
 				}
 			}
-			in := g.InEdges(id)
+			in := ins[id]
 			if len(in) != len(s.In(u)) {
 				t.Fatalf("in degree of #%d: csr %d, ppg %d", id, len(s.In(u)), len(in))
 			}

@@ -147,7 +147,8 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				rep := grp[0]
 				var (
 					id     ppg.NodeID
-					labels ppg.Labels
+					src    *ppg.Node // the bound node, shared while unchanged
+					labels = ppg.Labels{}
 					props  ppg.Properties
 				)
 				bound := np.Var != "" && tbl.HasVar(np.Var)
@@ -162,11 +163,8 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					}
 					nid, _ := ref.RefID()
 					id = ppg.NodeID(nid)
-					src, _ := findNode(graphs, id)
-					if src != nil {
-						labels, props = src.Labels.Clone(), src.Props.Clone()
-					} else {
-						labels, props = ppg.Labels{}, ppg.Properties{}
+					if src, _ = findNode(graphs, id); src != nil {
+						labels, props = src.Labels, src.Props
 					}
 				case np.Copy:
 					ref, ok := tbl.Value(rep, np.Var)
@@ -182,19 +180,23 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 						return nil, errf("copy form (=%s) needs a bound graph element", np.Var)
 					}
 					id = c.ev.cat.IDs().NextNode()
-					labels, props = srcLabels.Clone(), srcProps.Clone()
+					labels, props = srcLabels, srcProps
 				default:
 					id = c.ev.cat.IDs().NextNode()
-					labels, props = ppg.Labels{}, ppg.Properties{}
 				}
 				labels = addPatternLabels(labels, np.Labels)
-				if err := c.applyAssignments(env, grp, &labels, props, np.Props, ic.extra[varName]); err != nil {
+				copied, err := c.applyAssignments(env, grp, &labels, &props, np.Props, ic.extra[varName])
+				if err != nil {
 					return nil, err
 				}
 				if err := c.gov.AddResults(1); err != nil {
 					return nil, err
 				}
-				ensureNode(out, &ppg.Node{ID: id, Labels: labels, Props: props})
+				n := src
+				if n == nil || copied || !labels.Equal(src.Labels) {
+					n = &ppg.Node{ID: id, Labels: labels, Props: props}
+				}
+				ensureNode(out, n)
 				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), rows: grp})
 				for _, ri := range grp {
 					cons.Set(ri, slot, value.NodeRef(uint64(id)))
@@ -316,35 +318,43 @@ func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
 
 // applyAssignments evaluates {k := e}, SET and REMOVE for one
 // constructed object over its group (rows of env's table), with µ its
-// first row.
-func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, props ppg.Properties, inline []*ast.PropSpec, a *assignSet) error {
+// first row. *labels and *props may belong to a graph element and are
+// never written: labels change through Labels.Add and Remove, which
+// copy, and *props is replaced by a copy before the first property
+// write. It reports whether it made that copy.
+func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, props *ppg.Properties, inline []*ast.PropSpec, a *assignSet) (bool, error) {
 	env.groupRows, env.rowIdx = grpRows, grpRows[0]
 	defer func() { env.groupRows = nil }()
 
+	copied := len(inline) > 0 || a != nil && len(a.setItems)+len(a.removes) > 0
+	if copied {
+		*props = props.Clone()
+	}
+	p := *props
 	evalTo := func(key string, e ast.Expr) error {
 		v, err := env.eval(e)
 		if err != nil {
 			return err
 		}
-		props.Set(key, v)
+		p.Set(key, v)
 		return nil
 	}
 	for _, ps := range inline {
 		switch ps.Mode {
 		case ast.PropAssign:
 			if err := evalTo(ps.Key, ps.Expr); err != nil {
-				return err
+				return copied, err
 			}
 		case ast.PropFilter:
 			// {k = literal} in CONSTRUCT assigns the literal, matching
 			// the paper's permissive use of = in construct maps.
 			if err := evalTo(ps.Key, ps.Expr); err != nil {
-				return err
+				return copied, err
 			}
 		case ast.PropBind:
 			// {k = v} with a variable: assign the variable's value.
 			if v, ok := env.lookup(ps.Var); ok {
-				props.Set(ps.Key, v)
+				p.Set(ps.Key, v)
 			}
 		}
 	}
@@ -354,19 +364,19 @@ func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, 
 		}
 		for _, si := range a.setItems {
 			if err := evalTo(si.Key, si.Expr); err != nil {
-				return err
+				return copied, err
 			}
 		}
 		for _, ri := range a.removes {
 			if ri.Key != "" {
-				delete(props, ri.Key)
+				delete(p, ri.Key)
 			}
 			if ri.Label != "" {
 				*labels = labels.Remove(ri.Label)
 			}
 		}
 	}
-	return nil
+	return copied, nil
 }
 
 // findElementData fetches λ and σ of any element reference — node,
@@ -417,43 +427,57 @@ func findEdge(graphs []*ppg.Graph, id ppg.EdgeID) (*ppg.Edge, *ppg.Graph) {
 	return nil, nil
 }
 
-// ensureNode adds or merges a node in the item graph. Label merges go
-// through SetNodeLabels so the graph's label index stays consistent.
+// ensureNode adds n to the item graph, or merges it into the node
+// already there: labels are united and n's properties overwrite. A
+// merge stores a new node instead of writing the existing one, which
+// may be shared with a source graph.
 func ensureNode(g *ppg.Graph, n *ppg.Node) {
-	if existing, ok := g.Node(n.ID); ok {
-		if err := g.SetNodeLabels(n.ID, existing.Labels.Union(n.Labels)); err != nil {
-			panic("core: ensureNode: " + err.Error())
+	existing, ok := g.Node(n.ID)
+	var err error
+	switch {
+	case !ok:
+		err = g.AddNode(n)
+	case existing != n:
+		err = g.SetNodeLabels(n.ID, existing.Labels.Union(n.Labels))
+		if err == nil && len(n.Props) > 0 {
+			err = g.SetNodeProps(n.ID, overwriteProps(existing.Props, n.Props))
 		}
-		for k, v := range n.Props {
-			existing.Props[k] = v
-		}
-		if len(n.Props) > 0 {
-			g.TouchProps()
-		}
-		return
 	}
-	if err := g.AddNode(n); err != nil {
+	if err != nil {
 		panic("core: ensureNode: " + err.Error())
 	}
 }
 
 func ensureEdge(g *ppg.Graph, e *ppg.Edge) error {
-	if existing, ok := g.Edge(e.ID); ok {
-		if existing.Src != e.Src || existing.Dst != e.Dst {
-			return errf("edge #%d constructed with conflicting endpoints", e.ID)
-		}
-		if err := g.SetEdgeLabels(e.ID, existing.Labels.Union(e.Labels)); err != nil {
-			return errf("%v", err)
-		}
-		for k, v := range e.Props {
-			existing.Props[k] = v
-		}
-		if len(e.Props) > 0 {
-			g.TouchProps()
-		}
+	existing, ok := g.Edge(e.ID)
+	if !ok {
+		return g.AddEdge(e)
+	}
+	if existing == e {
 		return nil
 	}
-	return g.AddEdge(e)
+	if existing.Src != e.Src || existing.Dst != e.Dst {
+		return errf("edge #%d constructed with conflicting endpoints", e.ID)
+	}
+	if err := g.SetEdgeLabels(e.ID, existing.Labels.Union(e.Labels)); err != nil {
+		return errf("%v", err)
+	}
+	if len(e.Props) > 0 {
+		if err := g.SetEdgeProps(e.ID, overwriteProps(existing.Props, e.Props)); err != nil {
+			return errf("%v", err)
+		}
+	}
+	return nil
+}
+
+// overwriteProps returns a new map holding base's properties with
+// over's written on top.
+func overwriteProps(base, over ppg.Properties) ppg.Properties {
+	out := base.Clone()
+	for k, v := range over {
+		out[k] = v
+	}
+	return out
 }
 
 func ensurePath(g *ppg.Graph, p *ppg.Path) error {
@@ -517,9 +541,10 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			src, dst = dst, src
 		}
 		var (
-			id     ppg.EdgeID
-			labels ppg.Labels
-			props  ppg.Properties
+			id      ppg.EdgeID
+			srcEdge *ppg.Edge // the bound edge, shared while unchanged
+			labels  = ppg.Labels{}
+			props   ppg.Properties
 		)
 		switch {
 		case bound:
@@ -529,8 +554,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			}
 			eid, _ := ref.RefID()
 			id = ppg.EdgeID(eid)
-			srcEdge, _ := findEdge(graphs, id)
-			if srcEdge == nil {
+			if srcEdge, _ = findEdge(graphs, id); srcEdge == nil {
 				return errf("bound edge #%d not found in the matched graphs", eid)
 			}
 			// Identity restriction (§3): the endpoints of a bound edge
@@ -539,7 +563,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 				return errf("edge %s is bound to #%d with endpoints (#%d,#%d); constructing it between #%d and #%d would violate its identity (use [=%s] to copy instead)",
 					ep.Var, eid, srcEdge.Src, srcEdge.Dst, src, dst, ep.Var)
 			}
-			labels, props = srcEdge.Labels.Clone(), srcEdge.Props.Clone()
+			labels, props = srcEdge.Labels, srcEdge.Props
 		case ep.Copy:
 			ref, ok := tbl.Value(rep, ep.Var)
 			if !ok {
@@ -550,13 +574,13 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 				return errf("copy form [=%s] needs a bound graph element", ep.Var)
 			}
 			id = c.ev.cat.IDs().NextEdge()
-			labels, props = srcLabels.Clone(), srcProps.Clone()
+			labels, props = srcLabels, srcProps
 		default:
 			id = c.ev.cat.IDs().NextEdge()
-			labels, props = ppg.Labels{}, ppg.Properties{}
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		if err := c.applyAssignments(env, grp, &labels, props, ep.Props, extra[edgeVar]); err != nil {
+		copied, err := c.applyAssignments(env, grp, &labels, &props, ep.Props, extra[edgeVar])
+		if err != nil {
 			return err
 		}
 		// Endpoint nodes must exist in the item graph: bound-identity
@@ -570,7 +594,11 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		if err := c.gov.AddResults(1); err != nil {
 			return err
 		}
-		if err := ensureEdge(out, &ppg.Edge{ID: id, Src: src, Dst: dst, Labels: labels, Props: props}); err != nil {
+		e := srcEdge
+		if e == nil || copied || !labels.Equal(srcEdge.Labels) {
+			e = &ppg.Edge{ID: id, Src: src, Dst: dst, Labels: labels, Props: props}
+		}
+		if err := ensureEdge(out, e); err != nil {
 			return err
 		}
 		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), rows: grp})
@@ -592,6 +620,8 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 	if pp.Regex != nil {
 		return errf("regular expressions are not allowed in CONSTRUCT path patterns")
 	}
+	// λ of a stored computed path before SET/REMOVE: one slice per pattern.
+	walkLabels := addPatternLabels(ppg.Labels{}, pp.Labels)
 	// Group by path identity.
 	for _, grp := range orderedGroups(tbl.Project([]string{pp.Var}), true) {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
@@ -624,7 +654,8 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			return errf("path #%d is not visible in the matched graphs", pid)
 		}
 
-		// Copy constituents into the item graph.
+		// Add the constituents to the item graph, sharing the source's
+		// element objects.
 		for _, nid := range pobj.Nodes {
 			if _, ok := out.Node(nid); ok {
 				continue
@@ -636,7 +667,9 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			if err := c.gov.AddResults(1); err != nil {
 				return err
 			}
-			ensureNode(out, n.Clone())
+			if err := out.AddNode(n); err != nil {
+				return err
+			}
 		}
 		for _, eid := range pobj.Edges {
 			if _, ok := out.Edge(eid); ok {
@@ -649,7 +682,7 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 			if err := c.gov.AddResults(1); err != nil {
 				return err
 			}
-			if err := ensureEdge(out, e.Clone()); err != nil {
+			if err := out.AddEdge(e); err != nil {
 				return err
 			}
 		}
@@ -659,21 +692,19 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 		if projection {
 			return errf("path variable %q holds an ALL-paths projection and cannot be stored", pp.Var)
 		}
-		labels := ppg.Labels{}
-		props := ppg.Properties{}
+		labels, props := walkLabels, ppg.Properties(nil)
 		if !isTemp {
-			labels, props = pobj.Labels.Clone(), pobj.Props.Clone()
+			labels, props = addPatternLabels(pobj.Labels, pp.Labels), pobj.Props
 		}
-		labels = addPatternLabels(labels, pp.Labels)
-		if err := c.applyAssignments(env, grp, &labels, props, pp.Props, extra[pathVar]); err != nil {
+		copied, err := c.applyAssignments(env, grp, &labels, &props, pp.Props, extra[pathVar])
+		if err != nil {
 			return err
 		}
-		stored := &ppg.Path{
-			ID:     ppg.PathID(pid),
-			Nodes:  append([]ppg.NodeID(nil), pobj.Nodes...),
-			Edges:  append([]ppg.EdgeID(nil), pobj.Edges...),
-			Labels: labels,
-			Props:  props,
+		// A stored path reuses the walk's node and edge sequences, and an
+		// unchanged stored path is shared whole.
+		stored := pobj
+		if isTemp || copied || !labels.Equal(pobj.Labels) {
+			stored = &ppg.Path{ID: ppg.PathID(pid), Nodes: pobj.Nodes, Edges: pobj.Edges, Labels: labels, Props: props}
 		}
 		if err := c.gov.AddResults(1); err != nil {
 			return err
@@ -719,9 +750,10 @@ func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, droppe
 	return nil
 }
 
-// rebuildWithoutDropped rebuilds the constructed graph without the
-// dropped objects; edges whose endpoints vanished and paths whose
-// constituents vanished go too (no dangling elements, ever).
+// rebuildWithoutDropped rebuilds the constructed graph, sharing its
+// elements, without the dropped objects; edges whose endpoints vanished
+// and paths whose constituents vanished go too (no dangling elements,
+// ever).
 func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Graph, error) {
 	out := ppg.New(built.Name())
 	for _, id := range built.NodeIDs() {
@@ -729,7 +761,9 @@ func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Grap
 			continue
 		}
 		n, _ := built.Node(id)
-		ensureNode(out, n.Clone())
+		if err := out.AddNode(n); err != nil {
+			return nil, err
+		}
 	}
 	for _, id := range built.EdgeIDs() {
 		if dropped[objKey{sortEdge, uint64(id)}] {
@@ -742,7 +776,7 @@ func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Grap
 		if _, ok := out.Node(e.Dst); !ok {
 			continue
 		}
-		if err := ensureEdge(out, e.Clone()); err != nil {
+		if err := out.AddEdge(e); err != nil {
 			return nil, err
 		}
 	}
@@ -751,7 +785,7 @@ func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Grap
 			continue
 		}
 		p, _ := built.Path(id)
-		if err := ensurePath(out, p.Clone()); err != nil {
+		if err := out.AddPath(p); err != nil {
 			continue // constituents dropped: the path goes too
 		}
 	}

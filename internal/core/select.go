@@ -48,9 +48,10 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	}
 
 	// evalRow projects one µ (the current environment row) through the
-	// select items and ORDER BY keys.
+	// select items and ORDER BY keys, both carved from one allocation.
 	evalRow := func() (projRow, error) {
-		vals := make([]value.Value, len(sc.Items))
+		buf := make([]value.Value, len(sc.Items)+len(sc.OrderBy))
+		vals, keys := buf[:len(sc.Items):len(sc.Items)], buf[len(sc.Items):]
 		for i, it := range sc.Items {
 			v, err := env.eval(it.Expr)
 			if err != nil {
@@ -58,7 +59,6 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 			}
 			vals[i] = v
 		}
-		keys := make([]value.Value, len(sc.OrderBy))
 		for i, oi := range sc.OrderBy {
 			if vr, ok := oi.Expr.(*ast.VarRef); ok {
 				if col, isAlias := alias[vr.Name]; isAlias {

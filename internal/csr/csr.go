@@ -74,7 +74,7 @@ type Snapshot struct {
 	edgeDst      []int32
 
 	// Adjacency: per node ordinal the out/in edge ordinals, ascending
-	// — i.e. ascending ppg.EdgeID, matching ppg.Graph.OutEdges order.
+	// — i.e. ascending ppg.EdgeID.
 	// Build slices one flat array with capacity-clipped subslices, so
 	// a later delta apply appending to a run reallocates that run
 	// instead of clobbering its neighbour.
@@ -327,11 +327,11 @@ func (s *Snapshot) Ord(id ppg.NodeID) (int32, bool) {
 // NodeID maps a node ordinal back to its identifier.
 func (s *Snapshot) NodeID(u int32) ppg.NodeID { return s.nodeIDs[u] }
 
-// Node returns the node at an ordinal. The pointer aliases the live
-// graph; labels and properties are both frozen at build time (labels
-// in the interned label arrays, properties in the columns), and every
-// mutation — including in-place property writes — bumps the graph
-// generation and invalidates the snapshot.
+// Node returns the node at an ordinal: the graph's element object as
+// of the snapshot's generation. ppg elements are immutable once
+// inserted — a mutator stores a new object, and the next snapshot
+// points at it — so the node's labels and properties always agree with
+// the snapshot's label arrays and property columns.
 func (s *Snapshot) Node(u int32) *ppg.Node { return s.nodes[u] }
 
 // EdgeID maps an edge ordinal back to its identifier.

@@ -79,9 +79,10 @@ func TestBuildRoundTrip(t *testing.T) {
 func TestAdjacencyAgreesWithPPG(t *testing.T) {
 	g := testGraph(t)
 	s := Build(g)
+	outs, ins := adjacency(g)
 	for u := int32(0); u < int32(s.NumNodes()); u++ {
 		id := s.NodeID(u)
-		for dir, want := range map[string][]ppg.EdgeID{"out": g.OutEdges(id), "in": g.InEdges(id)} {
+		for dir, want := range map[string][]ppg.EdgeID{"out": outs[id], "in": ins[id]} {
 			var list []int32
 			if dir == "out" {
 				list = s.Out(u)
@@ -215,9 +216,10 @@ func TestRandomGraphAgreement(t *testing.T) {
 			}
 		}
 		s := Build(g)
+		outs, ins := adjacency(g)
 		for u := int32(0); u < int32(s.NumNodes()); u++ {
 			id := s.NodeID(u)
-			out := g.OutEdges(id)
+			out := outs[id]
 			if len(out) != len(s.Out(u)) {
 				t.Fatalf("trial %d: out degree mismatch at #%d", trial, id)
 			}
@@ -226,7 +228,7 @@ func TestRandomGraphAgreement(t *testing.T) {
 					t.Fatalf("trial %d: out order mismatch at #%d", trial, id)
 				}
 			}
-			in := g.InEdges(id)
+			in := ins[id]
 			for i, eo := range s.In(u) {
 				if s.EdgeID(eo) != in[i] {
 					t.Fatalf("trial %d: in order mismatch at #%d", trial, id)
@@ -246,6 +248,7 @@ func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
 	for _, l := range labels {
 		lids = append(lids, s.LabelID(l))
 	}
+	outs, ins := adjacency(g)
 	want := func(nl, el int32, in bool) int64 {
 		var n int64
 		for _, id := range g.NodeIDs() {
@@ -253,9 +256,9 @@ func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
 			if nl != AnyLabel && (nl == NoLabel || !nd.Labels.Has(s.LabelName(nl))) {
 				continue
 			}
-			adj := g.OutEdges(id)
+			adj := outs[id]
 			if in {
-				adj = g.InEdges(id)
+				adj = ins[id]
 			}
 			for _, eid := range adj {
 				e, _ := g.Edge(eid)
@@ -283,4 +286,16 @@ func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
 		}()
 	}
 	wg.Wait()
+}
+
+// adjacency returns, per node, the ascending identifiers of its out-
+// and in-edges, computed from the ppg edge set.
+func adjacency(g *ppg.Graph) (out, in map[ppg.NodeID][]ppg.EdgeID) {
+	out, in = map[ppg.NodeID][]ppg.EdgeID{}, map[ppg.NodeID][]ppg.EdgeID{}
+	for _, id := range g.EdgeIDs() {
+		e, _ := g.Edge(id)
+		out[e.Src] = append(out[e.Src], id)
+		in[e.Dst] = append(in[e.Dst], id)
+	}
+	return out, in
 }

@@ -191,6 +191,34 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 		degrees:  &degreeSums{},
 	}
 
+	// A relabelled or re-propertied element is a new object in the graph
+	// (ppg elements are immutable once inserted): re-point its slot in a
+	// copy of the pointer array, which prev's readers still hold.
+	if len(chNodeLabels)+len(chNodeProps) > 0 {
+		ns.nodes = append(make([]*ppg.Node, 0, newN), prev.nodes...)
+		for _, ids := range [][]ppg.NodeID{chNodeLabels, chNodeProps} {
+			for _, id := range ids {
+				u, ok := prev.Ord(id)
+				if !ok {
+					return nil, false
+				}
+				ns.nodes[u], _ = g.Node(id)
+			}
+		}
+	}
+	if len(chEdgeLabels)+len(chEdgeProps) > 0 {
+		ns.edges = append(make([]*ppg.Edge, 0, newM), prev.edges...)
+		for _, ids := range [][]ppg.EdgeID{chEdgeLabels, chEdgeProps} {
+			for _, id := range ids {
+				e, ok := prev.EdgeOrd(id)
+				if !ok {
+					return nil, false
+				}
+				ns.edges[e], _ = g.Edge(id)
+			}
+		}
+	}
+
 	// Node extension: ids, pointers, ordinal overlay, label runs.
 	if len(addN) > 0 {
 		ns.ordPatch = copyOrdMap(prev.ordPatch, len(addN))
@@ -842,6 +870,9 @@ func Equivalent(a, b *Snapshot) error {
 		if a.nodeIDs[u] != b.nodeIDs[u] {
 			return fmt.Errorf("node ordinal %d: id %d vs %d", u, a.nodeIDs[u], b.nodeIDs[u])
 		}
+		if a.nodes[u] != b.nodes[u] {
+			return fmt.Errorf("node ordinal %d: different element objects", u)
+		}
 		if au, ok := a.Ord(a.nodeIDs[u]); !ok || au != int32(u) {
 			return fmt.Errorf("first snapshot: Ord(%d) != %d", a.nodeIDs[u], u)
 		}
@@ -861,6 +892,9 @@ func Equivalent(a, b *Snapshot) error {
 	for e := 0; e < m; e++ {
 		if a.edgeIDs[e] != b.edgeIDs[e] {
 			return fmt.Errorf("edge ordinal %d: id %d vs %d", e, a.edgeIDs[e], b.edgeIDs[e])
+		}
+		if a.edges[e] != b.edges[e] {
+			return fmt.Errorf("edge ordinal %d: different element objects", e)
 		}
 		if ae, ok := a.EdgeOrd(a.edgeIDs[e]); !ok || ae != int32(e) {
 			return fmt.Errorf("first snapshot: EdgeOrd(%d) != %d", a.edgeIDs[e], e)

@@ -200,15 +200,17 @@ func CancelError(ctx context.Context) error {
 }
 
 // GrowFrontier charges n product-automaton states against the path
-// frontier budget; the error names the limit and the progress made.
+// frontier budget; the error names the limit. It does not report how
+// many states were explored: concurrent searches charge one counter, so
+// that count depends on how the workers interleave.
 func (g *Governor) GrowFrontier(n int) error {
 	if g == nil || g.limits.MaxPathFrontier <= 0 {
 		return nil
 	}
 	if total := g.frontier.Add(int64(n)); total > int64(g.limits.MaxPathFrontier) {
 		return &QueryError{Kind: KindBudget, Msg: fmt.Sprintf(
-			"path search exceeded the frontier limit (limit %d product states, explored %d); narrow the path pattern or raise Limits.MaxPathFrontier",
-			g.limits.MaxPathFrontier, total)}
+			"path search exceeded the frontier limit (limit %d product states); narrow the path pattern or raise Limits.MaxPathFrontier",
+			g.limits.MaxPathFrontier)}
 	}
 	return nil
 }

@@ -77,10 +77,14 @@ func TestFrontierBudget(t *testing.T) {
 	if !ok || qe.Kind != KindBudget {
 		t.Fatalf("want KindBudget, got %v", err)
 	}
-	for _, want := range []string{"frontier limit", "limit 100", "explored 101", "MaxPathFrontier"} {
+	for _, want := range []string{"frontier limit", "limit 100", "MaxPathFrontier"} {
 		if !contains(qe.Msg, want) {
 			t.Errorf("budget message %q missing %q", qe.Msg, want)
 		}
+	}
+	// The explored count races between concurrent searches; it stays out.
+	if contains(qe.Msg, "explored") {
+		t.Errorf("budget message %q reports an explored count", qe.Msg)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 
 	"gcore/internal/value"
@@ -331,7 +330,7 @@ func ReadJSON(r io.Reader, gen *IDGen) (*Graph, error) {
 		for _, id := range g.PathIDs() {
 			ids = append(ids, uint64(id))
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		if len(ids) > 0 {
 			gen.Reserve(ids[len(ids)-1])
 		}

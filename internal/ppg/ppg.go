@@ -14,6 +14,7 @@ package ppg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -181,7 +182,8 @@ func (p Properties) Equal(other Properties) bool {
 	return true
 }
 
-// Node is an element of N with its λ and σ assignments.
+// Node is an element of N with its λ and σ assignments. Once inserted
+// into a graph it is read-only, like Edge and Path (see Graph).
 type Node struct {
 	ID     NodeID
 	Labels Labels
@@ -234,22 +236,19 @@ func (p *Path) Clone() *Path {
 func (p *Path) Length() int { return len(p.Edges) }
 
 // Graph is a Path Property Graph.
+//
+// An element is immutable once inserted: the Set* mutators store a new
+// *Node, *Edge or *Path instead of writing the old one, so graphs built
+// from other graphs (CONSTRUCT results, GRAPH VIEWs, the set operations
+// of setops.go) share their sources' element objects, and an element's
+// Labels slice and Props map may be shared between elements and graphs
+// too. Everything reachable from a graph is therefore read-only; change
+// an element through the Set* mutators.
 type Graph struct {
 	name  string
 	nodes map[NodeID]*Node
 	edges map[EdgeID]*Edge
 	paths map[PathID]*Path
-
-	// Adjacency indexes: per node the identifiers of outgoing and
-	// incoming edges, kept sorted for deterministic traversal.
-	out map[NodeID][]EdgeID
-	in  map[NodeID][]EdgeID
-
-	// Secondary label indexes: per label the identifiers of the nodes
-	// and edges carrying it, kept sorted so indexed scans visit
-	// elements in the same ascending order as full scans.
-	nodesByLabel map[string][]NodeID
-	edgesByLabel map[string][]EdgeID
 
 	// gen counts structural mutations (nodes, edges, paths, labels).
 	// Derived read-only structures — the CSR snapshot of internal/csr
@@ -375,14 +374,10 @@ func (g *Graph) fireHook(m Mutation) error {
 // New creates an empty graph with the given name.
 func New(name string) *Graph {
 	return &Graph{
-		name:         name,
-		nodes:        map[NodeID]*Node{},
-		edges:        map[EdgeID]*Edge{},
-		paths:        map[PathID]*Path{},
-		out:          map[NodeID][]EdgeID{},
-		in:           map[NodeID][]EdgeID{},
-		nodesByLabel: map[string][]NodeID{},
-		edgesByLabel: map[string][]EdgeID{},
+		name:  name,
+		nodes: map[NodeID]*Node{},
+		edges: map[EdgeID]*Edge{},
+		paths: map[PathID]*Path{},
 	}
 }
 
@@ -400,11 +395,15 @@ func (g *Graph) Generation() uint64 { return g.gen }
 func (g *Graph) bump() { g.gen++ }
 
 // TouchProps records an in-place property write on an existing
-// element. Property writes do not change structure, but derived
-// structures now freeze property values too (the CSR snapshot's
-// columns), so code that mutates a Props map it did not just create
-// must invalidate them like any other mutation. Unlike the tracked
-// mutators, TouchProps fires after the write has already happened and
+// element. It is sound only for an element no other graph holds — one
+// the caller created and inserted itself: elements, their label slices
+// and their property maps are shared between graphs (CONSTRUCT results,
+// views and the set operations reuse them), so a write in place would
+// reach every graph holding them. Property writes do not change
+// structure, but derived structures freeze property values too (the
+// CSR snapshot's columns), so such a write must invalidate them like
+// any other mutation. Unlike the tracked mutators, TouchProps fires
+// after the write has already happened and
 // cannot identify the element, so the hook sees MutTouchProps with no
 // payload and cannot reject it — a durability hook that fails here
 // must poison its log rather than roll back. Prefer SetNodeProps /
@@ -438,10 +437,6 @@ func (g *Graph) replace(out *Graph) error {
 	g.nodes = out.nodes
 	g.edges = out.edges
 	g.paths = out.paths
-	g.out = out.out
-	g.in = out.in
-	g.nodesByLabel = out.nodesByLabel
-	g.edgesByLabel = out.edgesByLabel
 	g.gen = out.gen
 	g.snapGen = 0
 	g.snapVal = nil
@@ -484,9 +479,6 @@ func (g *Graph) AddNode(n *Node) error {
 		return err
 	}
 	g.nodes[n.ID] = n
-	for _, l := range n.Labels {
-		g.nodesByLabel[l] = insertSorted(g.nodesByLabel[l], n.ID)
-	}
 	g.noteAddNode(n.ID)
 	g.bump()
 	return nil
@@ -511,20 +503,14 @@ func (g *Graph) AddEdge(e *Edge) error {
 		return err
 	}
 	g.edges[e.ID] = e
-	g.out[e.Src] = insertSorted(g.out[e.Src], e.ID)
-	g.in[e.Dst] = insertSorted(g.in[e.Dst], e.ID)
-	for _, l := range e.Labels {
-		g.edgesByLabel[l] = insertSorted(g.edgesByLabel[l], e.ID)
-	}
 	g.noteAddEdge(e.ID)
 	g.bump()
 	return nil
 }
 
-// SetNodeLabels replaces λ(n) for an already-inserted node, keeping
-// the label index consistent. Mutating a node's Labels field directly
-// after insertion leaves the index stale; all engine code goes
-// through this method instead.
+// SetNodeLabels replaces λ(n) for an already-inserted node. Like every
+// Set* mutator it stores a new element object and leaves the old one,
+// which other graphs may share, as it was.
 func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 	n, ok := g.nodes[id]
 	if !ok {
@@ -533,23 +519,13 @@ func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 	if err := g.fireHook(Mutation{Op: MutSetNodeLabels, NodeID: id, Labels: ls}); err != nil {
 		return err
 	}
-	for _, l := range n.Labels {
-		g.nodesByLabel[l] = removeSorted(g.nodesByLabel[l], id)
-		if len(g.nodesByLabel[l]) == 0 {
-			delete(g.nodesByLabel, l)
-		}
-	}
-	n.Labels = ls
-	for _, l := range n.Labels {
-		g.nodesByLabel[l] = insertSorted(g.nodesByLabel[l], id)
-	}
+	g.nodes[id] = &Node{ID: id, Labels: ls, Props: n.Props}
 	g.noteNodeLabels(id)
 	g.bump()
 	return nil
 }
 
-// SetEdgeLabels replaces λ(e) for an already-inserted edge, keeping
-// the label index consistent.
+// SetEdgeLabels replaces λ(e) for an already-inserted edge.
 func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 	e, ok := g.edges[id]
 	if !ok {
@@ -558,23 +534,14 @@ func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 	if err := g.fireHook(Mutation{Op: MutSetEdgeLabels, EdgeID: id, Labels: ls}); err != nil {
 		return err
 	}
-	for _, l := range e.Labels {
-		g.edgesByLabel[l] = removeSorted(g.edgesByLabel[l], id)
-		if len(g.edgesByLabel[l]) == 0 {
-			delete(g.edgesByLabel, l)
-		}
-	}
-	e.Labels = ls
-	for _, l := range e.Labels {
-		g.edgesByLabel[l] = insertSorted(g.edgesByLabel[l], id)
-	}
+	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: ls, Props: e.Props}
 	g.noteEdgeLabels(id)
 	g.bump()
 	return nil
 }
 
 // SetNodeProps replaces σ(n) for an already-inserted node. Unlike
-// mutating the Props map in place and calling TouchProps, this is a
+// writing a Props map in place and calling TouchProps, this is a
 // tracked mutation: the hook sees the element and the new map and may
 // reject the write before it lands.
 func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
@@ -588,7 +555,7 @@ func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
 	if err := g.fireHook(Mutation{Op: MutSetNodeProps, NodeID: id, Props: p}); err != nil {
 		return err
 	}
-	n.Props = p
+	g.nodes[id] = &Node{ID: id, Labels: n.Labels, Props: p}
 	g.noteNodeProps(id)
 	g.bump()
 	return nil
@@ -606,7 +573,7 @@ func (g *Graph) SetEdgeProps(id EdgeID, p Properties) error {
 	if err := g.fireHook(Mutation{Op: MutSetEdgeProps, EdgeID: id, Props: p}); err != nil {
 		return err
 	}
-	e.Props = p
+	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: e.Labels, Props: p}
 	g.noteEdgeProps(id)
 	g.bump()
 	return nil
@@ -624,7 +591,7 @@ func (g *Graph) SetPathProps(id PathID, p Properties) error {
 	if err := g.fireHook(Mutation{Op: MutSetPathProps, PathID: id, Props: p}); err != nil {
 		return err
 	}
-	sp.Props = p
+	g.paths[id] = &Path{ID: id, Nodes: sp.Nodes, Edges: sp.Edges, Labels: sp.Labels, Props: p}
 	g.bump()
 	return nil
 }
@@ -673,13 +640,18 @@ func (g *Graph) checkPathShape(p *Path) error {
 	return nil
 }
 
-// Node returns the node with the given identifier.
+// Node returns the node with the given identifier. The node may be
+// shared with other graphs and is read-only: change it through
+// SetNodeLabels and SetNodeProps.
 func (g *Graph) Node(id NodeID) (*Node, bool) { n, ok := g.nodes[id]; return n, ok }
 
-// Edge returns the edge with the given identifier.
+// Edge returns the edge with the given identifier, shared and
+// read-only like Node's: change it through SetEdgeLabels and
+// SetEdgeProps.
 func (g *Graph) Edge(id EdgeID) (*Edge, bool) { e, ok := g.edges[id]; return e, ok }
 
-// Path returns the stored path with the given identifier.
+// Path returns the stored path with the given identifier, shared and
+// read-only like Node's: change it through SetPathProps.
 func (g *Graph) Path(id PathID) (*Path, bool) { p, ok := g.paths[id]; return p, ok }
 
 // NodeIDs returns all node identifiers in ascending order.
@@ -688,7 +660,7 @@ func (g *Graph) NodeIDs() []NodeID {
 	for id := range g.nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -698,7 +670,7 @@ func (g *Graph) EdgeIDs() []EdgeID {
 	for id := range g.edges {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -708,56 +680,47 @@ func (g *Graph) PathIDs() []PathID {
 	for id := range g.paths {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
-// OutEdges returns the identifiers of edges leaving n, ascending. The
-// slice is the caller's to keep: it is a copy, detached from the
-// adjacency index. Hot loops use the CSR snapshot (internal/csr)
-// instead, which exposes zero-copy ranges.
-func (g *Graph) OutEdges(n NodeID) []EdgeID { return append([]EdgeID(nil), g.out[n]...) }
-
-// InEdges returns the identifiers of edges entering n, ascending, as a
-// copy detached from the adjacency index.
-func (g *Graph) InEdges(n NodeID) []EdgeID { return append([]EdgeID(nil), g.in[n]...) }
-
 // NodesWithLabel returns, ascending, the identifiers of the nodes
-// carrying the label, as a copy detached from the label index.
+// carrying the label, or nil if none does. It scans every node; the
+// query path reads the CSR snapshot's label partitions instead.
 func (g *Graph) NodesWithLabel(label string) []NodeID {
-	return append([]NodeID(nil), g.nodesByLabel[label]...)
+	var ids []NodeID
+	for id, n := range g.nodes {
+		if n.Labels.Has(label) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // EdgesWithLabel returns, ascending, the identifiers of the edges
-// carrying the label, as a copy detached from the label index.
+// carrying the label, or nil if none does, scanning every edge.
 func (g *Graph) EdgesWithLabel(label string) []EdgeID {
-	return append([]EdgeID(nil), g.edgesByLabel[label]...)
+	var ids []EdgeID
+	for id, e := range g.edges {
+		if e.Labels.Has(label) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
-// NumNodesWithLabel reports the size of a label's node bucket without
-// copying it.
-func (g *Graph) NumNodesWithLabel(label string) int { return len(g.nodesByLabel[label]) }
-
-// NumEdgesWithLabel reports the size of a label's edge bucket without
-// copying it.
-func (g *Graph) NumEdgesWithLabel(label string) int { return len(g.edgesByLabel[label]) }
-
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph: every element is copied, so
+// the copy shares no element object, label slice or property map with
+// g, and an in-place write to one (TouchProps) never reaches the other.
 func (g *Graph) Clone() *Graph {
 	cp := New(g.name)
 	for id, n := range g.nodes {
 		cp.nodes[id] = n.Clone()
-		for _, l := range n.Labels {
-			cp.nodesByLabel[l] = insertSorted(cp.nodesByLabel[l], id)
-		}
 	}
 	for id, e := range g.edges {
 		cp.edges[id] = e.Clone()
-		cp.out[e.Src] = insertSorted(cp.out[e.Src], e.ID)
-		cp.in[e.Dst] = insertSorted(cp.in[e.Dst], e.ID)
-		for _, l := range e.Labels {
-			cp.edgesByLabel[l] = insertSorted(cp.edgesByLabel[l], id)
-		}
 	}
 	for id, p := range g.paths {
 		cp.paths[id] = p.Clone()
@@ -812,8 +775,9 @@ func (g *Graph) PropOf(ref value.Value, k string) (value.Value, bool) {
 }
 
 // Validate checks every invariant of Definition 2.1: endpoint
-// existence (ρ total into N×N), path well-formedness (δ), and index
-// consistency. It is used by tests and by failure-injection checks.
+// existence (ρ total into N×N), path well-formedness (δ), and that
+// every element sits under its own identifier. It is used by tests,
+// by loaders and by failure-injection checks.
 func (g *Graph) Validate() error {
 	for id, e := range g.edges {
 		if id != e.ID {
@@ -824,9 +788,6 @@ func (g *Graph) Validate() error {
 		}
 		if _, ok := g.nodes[e.Dst]; !ok {
 			return fmt.Errorf("ppg: dangling edge #%d (missing destination #%d)", e.ID, e.Dst)
-		}
-		if !containsSorted(g.out[e.Src], e.ID) || !containsSorted(g.in[e.Dst], e.ID) {
-			return fmt.Errorf("ppg: adjacency index missing edge #%d", e.ID)
 		}
 	}
 	for id, n := range g.nodes {
@@ -842,80 +803,10 @@ func (g *Graph) Validate() error {
 			return err
 		}
 	}
-	for nid, es := range g.out {
-		for _, eid := range es {
-			e, ok := g.edges[eid]
-			if !ok || e.Src != nid {
-				return fmt.Errorf("ppg: stale out-index entry #%d at node #%d", eid, nid)
-			}
-		}
-	}
-	for nid, es := range g.in {
-		for _, eid := range es {
-			e, ok := g.edges[eid]
-			if !ok || e.Dst != nid {
-				return fmt.Errorf("ppg: stale in-index entry #%d at node #%d", eid, nid)
-			}
-		}
-	}
-	for _, n := range g.nodes {
-		for _, l := range n.Labels {
-			if !containsSorted(g.nodesByLabel[l], n.ID) {
-				return fmt.Errorf("ppg: label index missing node #%d under %q", n.ID, l)
-			}
-		}
-	}
-	for l, ids := range g.nodesByLabel {
-		for _, id := range ids {
-			n, ok := g.nodes[id]
-			if !ok || !n.Labels.Has(l) {
-				return fmt.Errorf("ppg: stale label-index entry: node #%d under %q", id, l)
-			}
-		}
-	}
-	for _, e := range g.edges {
-		for _, l := range e.Labels {
-			if !containsSorted(g.edgesByLabel[l], e.ID) {
-				return fmt.Errorf("ppg: label index missing edge #%d under %q", e.ID, l)
-			}
-		}
-	}
-	for l, ids := range g.edgesByLabel {
-		for _, id := range ids {
-			e, ok := g.edges[id]
-			if !ok || !e.Labels.Has(l) {
-				return fmt.Errorf("ppg: stale label-index entry: edge #%d under %q", id, l)
-			}
-		}
-	}
 	return nil
 }
 
 // String summarises the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph %q (%d nodes, %d edges, %d paths)", g.name, len(g.nodes), len(g.edges), len(g.paths))
-}
-
-func insertSorted[T ~uint64](s []T, id T) []T {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-func removeSorted[T ~uint64](s []T, id T) []T {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
-}
-
-func containsSorted[T ~uint64](s []T, id T) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	return i < len(s) && s[i] == id
 }

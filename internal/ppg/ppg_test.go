@@ -158,15 +158,16 @@ func TestExampleGraphShape(t *testing.T) {
 
 func TestAdjacency(t *testing.T) {
 	g := buildExampleGraph(t)
-	out := g.OutEdges(102)
+	outs, ins := adjacency(g)
+	out := outs[102]
 	if len(out) != 3 || out[0] != 201 || out[1] != 203 || out[2] != 204 {
 		t.Errorf("out(102) = %v", out)
 	}
-	in := g.InEdges(106)
+	in := ins[106]
 	if len(in) != 2 || in[0] != 204 || in[1] != 206 {
 		t.Errorf("in(106) = %v", in)
 	}
-	if len(g.OutEdges(101)) != 0 {
+	if len(outs[101]) != 0 {
 		t.Error("Tag node has no out-edges")
 	}
 }

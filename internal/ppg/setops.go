@@ -7,6 +7,11 @@ import "gcore/internal/value"
 // shared edge identifier has the same endpoints (ρ1(e) = ρ2(e)) and
 // every shared path identifier has the same expansion (δ1(p) = δ2(p));
 // union and intersection of inconsistent graphs are the empty PPG.
+//
+// Elements are immutable once inserted, so the result shares every
+// element its inputs do not combine: an element present in one input
+// only, or the same object in both, is inserted as it is; only an
+// identifier carried by two different objects gets a new, merged one.
 
 // Consistent reports whether g1 and g2 agree on all shared edge and
 // path identifiers.
@@ -53,56 +58,53 @@ func Union(name string, g1, g2 *Graph) *Graph {
 	if !Consistent(g1, g2) {
 		return out
 	}
-	for _, id := range g1.NodeIDs() {
-		n := g1.nodes[id].Clone()
-		if n2, ok := g2.nodes[id]; ok {
-			mergeInto(n.Labels.Union(n2.Labels), &n.Labels, n.Props, n2.Props)
+	for id, n := range g1.nodes {
+		if n2, ok := g2.nodes[id]; ok && n2 != n {
+			n = &Node{ID: id, Labels: n.Labels.Union(n2.Labels), Props: unionProps(n.Props, n2.Props)}
 		}
 		mustAdd(out.AddNode(n))
 	}
-	for _, id := range g2.NodeIDs() {
+	for id, n := range g2.nodes {
 		if _, ok := g1.nodes[id]; !ok {
-			mustAdd(out.AddNode(g2.nodes[id].Clone()))
+			mustAdd(out.AddNode(n))
 		}
 	}
-	for _, id := range g1.EdgeIDs() {
-		e := g1.edges[id].Clone()
-		if e2, ok := g2.edges[id]; ok {
-			mergeInto(e.Labels.Union(e2.Labels), &e.Labels, e.Props, e2.Props)
+	for id, e := range g1.edges {
+		if e2, ok := g2.edges[id]; ok && e2 != e {
+			e = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: e.Labels.Union(e2.Labels), Props: unionProps(e.Props, e2.Props)}
 		}
 		mustAdd(out.AddEdge(e))
 	}
-	for _, id := range g2.EdgeIDs() {
+	for id, e := range g2.edges {
 		if _, ok := g1.edges[id]; !ok {
-			mustAdd(out.AddEdge(g2.edges[id].Clone()))
+			mustAdd(out.AddEdge(e))
 		}
 	}
-	for _, id := range g1.PathIDs() {
-		p := g1.paths[id].Clone()
-		if p2, ok := g2.paths[id]; ok {
-			mergeInto(p.Labels.Union(p2.Labels), &p.Labels, p.Props, p2.Props)
+	for id, p := range g1.paths {
+		if p2, ok := g2.paths[id]; ok && p2 != p {
+			p = &Path{ID: id, Nodes: p.Nodes, Edges: p.Edges, Labels: p.Labels.Union(p2.Labels), Props: unionProps(p.Props, p2.Props)}
 		}
 		mustAdd(out.AddPath(p))
 	}
-	for _, id := range g2.PathIDs() {
+	for id, p := range g2.paths {
 		if _, ok := g1.paths[id]; !ok {
-			mustAdd(out.AddPath(g2.paths[id].Clone()))
+			mustAdd(out.AddPath(p))
 		}
 	}
 	return out
 }
 
-// mergeInto sets *labels and unions other's property value sets into
-// props pointwise (σ(x,k) = σ1(x,k) ∪ σ2(x,k)).
-func mergeInto(merged Labels, labels *Labels, props, other Properties) {
-	*labels = merged
-	for k, v2 := range other {
-		if v1, ok := props[k]; ok {
-			props[k] = value.Set(append(append([]value.Value(nil), v1.Elems()...), v2.Elems()...)...)
+// unionProps returns a new map holding σ1(x,k) ∪ σ2(x,k) for every key.
+func unionProps(a, b Properties) Properties {
+	out := a.Clone()
+	for k, v2 := range b {
+		if v1, ok := out[k]; ok {
+			out[k] = value.Set(append(append([]value.Value(nil), v1.Elems()...), v2.Elems()...)...)
 		} else {
-			props[k] = v2
+			out[k] = v2
 		}
 	}
+	return out
 }
 
 // Intersect returns G1 ∩ G2: shared identities only; labels and
@@ -113,36 +115,36 @@ func Intersect(name string, g1, g2 *Graph) *Graph {
 	if !Consistent(g1, g2) {
 		return out
 	}
-	for _, id := range g1.NodeIDs() {
+	for id, n := range g1.nodes {
 		n2, ok := g2.nodes[id]
 		if !ok {
 			continue
 		}
-		n := g1.nodes[id].Clone()
-		n.Labels = n.Labels.Intersect(n2.Labels)
-		n.Props = intersectProps(n.Props, n2.Props)
+		if n2 != n {
+			n = &Node{ID: id, Labels: n.Labels.Intersect(n2.Labels), Props: intersectProps(n.Props, n2.Props)}
+		}
 		mustAdd(out.AddNode(n))
 	}
-	for _, id := range g1.EdgeIDs() {
+	// Shared edges have shared endpoints by consistency; the endpoints
+	// are in N1 ∩ N2 because each graph contains them.
+	for id, e := range g1.edges {
 		e2, ok := g2.edges[id]
 		if !ok {
 			continue
 		}
-		e := g1.edges[id].Clone()
-		// Shared edges have shared endpoints by consistency; the
-		// endpoints are in N1 ∩ N2 because each graph contains them.
-		e.Labels = e.Labels.Intersect(e2.Labels)
-		e.Props = intersectProps(e.Props, e2.Props)
+		if e2 != e {
+			e = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: e.Labels.Intersect(e2.Labels), Props: intersectProps(e.Props, e2.Props)}
+		}
 		mustAdd(out.AddEdge(e))
 	}
-	for _, id := range g1.PathIDs() {
+	for id, p := range g1.paths {
 		p2, ok := g2.paths[id]
 		if !ok {
 			continue
 		}
-		p := g1.paths[id].Clone()
-		p.Labels = p.Labels.Intersect(p2.Labels)
-		p.Props = intersectProps(p.Props, p2.Props)
+		if p2 != p {
+			p = &Path{ID: id, Nodes: p.Nodes, Edges: p.Edges, Labels: p.Labels.Intersect(p2.Labels), Props: intersectProps(p.Props, p2.Props)}
+		}
 		mustAdd(out.AddPath(p))
 	}
 	return out
@@ -176,31 +178,29 @@ func eqTrue(v value.Value) bool { b, _ := v.AsBool(); return b }
 // dangling edges or broken paths.
 func Minus(name string, g1, g2 *Graph) *Graph {
 	out := New(name)
-	for _, id := range g1.NodeIDs() {
+	for id, n := range g1.nodes {
 		if _, shared := g2.nodes[id]; !shared {
-			mustAdd(out.AddNode(g1.nodes[id].Clone()))
+			mustAdd(out.AddNode(n))
 		}
 	}
-	for _, id := range g1.EdgeIDs() {
+	for id, e := range g1.edges {
 		if _, shared := g2.edges[id]; shared {
 			continue
 		}
-		e := g1.edges[id]
 		if _, ok := out.nodes[e.Src]; !ok {
 			continue
 		}
 		if _, ok := out.nodes[e.Dst]; !ok {
 			continue
 		}
-		mustAdd(out.AddEdge(e.Clone()))
+		mustAdd(out.AddEdge(e))
 	}
-	for _, id := range g1.PathIDs() {
+	for id, p := range g1.paths {
 		if _, shared := g2.paths[id]; shared {
 			continue
 		}
-		p := g1.paths[id]
 		if out.checkPathShape(p) == nil {
-			mustAdd(out.AddPath(p.Clone()))
+			mustAdd(out.AddPath(p))
 		}
 	}
 	return out

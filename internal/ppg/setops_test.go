@@ -290,3 +290,85 @@ func TestQuickUnionAssociative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSetOpsShareElements: the set operations insert an input's element
+// object as it is unless they combine two different objects under one
+// identifier, and a combination never writes either input.
+func TestSetOpsShareElements(t *testing.T) {
+	g1, g2 := twoOverlappingGraphs(t)
+	n1, _ := g1.Node(1)
+	n2, _ := g1.Node(2)
+	n3, _ := g2.Node(3)
+	e11, _ := g2.Edge(11)
+	p20, _ := g1.Path(20)
+	before1, before2 := render(t, g1), render(t, g2)
+
+	u := Union("u", g1, g2)
+	if got, _ := u.Node(3); got != n3 {
+		t.Error("union copied a node only g2 holds")
+	}
+	if got, _ := u.Edge(11); got != e11 {
+		t.Error("union copied an edge only g2 holds")
+	}
+	if got, _ := u.Path(20); got != p20 {
+		t.Error("union copied a path only g1 holds")
+	}
+	if got, _ := u.Node(1); got == n1 {
+		t.Error("union merged node 1 into g1's object")
+	}
+	if got, _ := Minus("m", g1, g2).Path(20); got != nil {
+		t.Error("minus kept a path whose nodes it dropped")
+	}
+	if got, _ := Minus("m", g2, g1).Node(3); got != n3 {
+		t.Error("minus copied a surviving node")
+	}
+	self := Intersect("i", g1, g1)
+	if got, _ := self.Node(2); got != n2 {
+		t.Error("intersect copied a node both sides hold as one object")
+	}
+	if got, _ := Intersect("i", g1, g2).Node(1); got == n1 {
+		t.Error("intersect combined node 1 into g1's object")
+	}
+	if render(t, g1) != before1 || render(t, g2) != before2 {
+		t.Error("a set operation wrote its input")
+	}
+}
+
+// TestSettersReplaceElements: every Set* mutator stores a new element
+// object and leaves the old one, which another graph may share, as it
+// was.
+func TestSettersReplaceElements(t *testing.T) {
+	g1, _ := twoOverlappingGraphs(t)
+	shared := Minus("shared", g1, New("empty"))
+	before := render(t, shared)
+	props := NewProperties(map[string]value.Value{"k": value.Int(9)})
+	for _, err := range []error{
+		g1.SetNodeLabels(1, NewLabels("Z")),
+		g1.SetNodeProps(2, props),
+		g1.SetEdgeLabels(10, NewLabels("z")),
+		g1.SetEdgeProps(10, props),
+		g1.SetPathProps(20, props),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if render(t, shared) != before {
+		t.Fatalf("a setter wrote a shared element:\n%s\nwant\n%s", render(t, shared), before)
+	}
+	if n, _ := g1.Node(1); !n.Labels.Equal(NewLabels("Z")) {
+		t.Errorf("SetNodeLabels not applied: %v", n.Labels)
+	}
+	if p, _ := g1.Path(20); !value.Equal(p.Props.Get("k"), value.Set(value.Int(9))) {
+		t.Errorf("SetPathProps not applied: %v", p.Props)
+	}
+}
+
+func render(t *testing.T, g *Graph) string {
+	t.Helper()
+	data, err := g.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}

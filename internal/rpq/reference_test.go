@@ -31,6 +31,7 @@ func buildProduct(g *ppg.Graph, nfa *NFA) (adj map[int][]refEdge, cfgID func(ppg
 	}
 	q := nfa.NumStates()
 	cfgID = func(n ppg.NodeID, s int) int { return index[n]*q + s }
+	outs, ins := adjacency(g)
 	adj = map[int][]refEdge{}
 	for _, n := range nodeIDs {
 		node, _ := g.Node(n)
@@ -46,14 +47,14 @@ func buildProduct(g *ppg.Graph, nfa *NFA) (adj map[int][]refEdge, cfgID func(ppg
 					}
 				case tEdge:
 					if t.inverse {
-						for _, eid := range g.InEdges(n) {
+						for _, eid := range ins[n] {
 							e, _ := g.Edge(eid)
 							if t.label == "" || e.Labels.Has(t.label) {
 								adj[from] = append(adj[from], refEdge{cfgID(e.Src, t.to), 1, eid})
 							}
 						}
 					} else {
-						for _, eid := range g.OutEdges(n) {
+						for _, eid := range outs[n] {
 							e, _ := g.Edge(eid)
 							if t.label == "" || e.Labels.Has(t.label) {
 								adj[from] = append(adj[from], refEdge{cfgID(e.Dst, t.to), 1, eid})
@@ -511,6 +512,7 @@ func TestEdgeStepsMatchAdjacency(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g, ids := diffGraph(t, r)
 		eng := NewEngine(g, nil)
+		outs, ins := adjacency(g)
 		for _, n := range ids {
 			for _, inverse := range []bool{false, true} {
 				for _, label := range []string{"", "a", "b", "zzz-not-present"} {
@@ -521,9 +523,9 @@ func TestEdgeStepsMatchAdjacency(t *testing.T) {
 					}); err != nil {
 						t.Fatal(err)
 					}
-					list := g.OutEdges(n)
+					list := outs[n]
 					if inverse {
-						list = g.InEdges(n)
+						list = ins[n]
 					}
 					var want []step
 					for _, eid := range list {
@@ -544,4 +546,16 @@ func TestEdgeStepsMatchAdjacency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// adjacency returns, per node, the ascending identifiers of its out-
+// and in-edges, computed from the ppg edge set.
+func adjacency(g *ppg.Graph) (out, in map[ppg.NodeID][]ppg.EdgeID) {
+	out, in = map[ppg.NodeID][]ppg.EdgeID{}, map[ppg.NodeID][]ppg.EdgeID{}
+	for _, id := range g.EdgeIDs() {
+		e, _ := g.Edge(id)
+		out[e.Src] = append(out[e.Src], id)
+		in[e.Dst] = append(in[e.Dst], id)
+	}
+	return out, in
 }
