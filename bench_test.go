@@ -535,7 +535,7 @@ func BenchmarkPreparedPoint(b *testing.B) {
 // registerSNBWithPids registers SNB-2000 on eng with a dense integer
 // pid stamped on every Person in NodesWithLabel order, the single-source
 // handle of the end-to-end benchmark's dataset.
-func registerSNBWithPids(b *testing.B, eng *gcore.Engine) *gcore.Graph {
+func registerSNBWithPids(b testing.TB, eng *gcore.Engine) *gcore.Graph {
 	b.Helper()
 	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 	for pid, id := range social.NodesWithLabel("Person") {

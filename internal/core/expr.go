@@ -673,7 +673,7 @@ func (e *env) evalPatternPred(gp *ast.GraphPattern) (value.Value, error) {
 		s = newScope(nil)
 	}
 	e.c.col.EnterSub()
-	tbl, err := e.c.evalGraphPattern(s, gp, e.patternGraph)
+	tbl, _, err := e.c.evalGraphPattern(s, gp, e.patternGraph)
 	e.c.col.ExitSub()
 	if err != nil {
 		return value.Null, err

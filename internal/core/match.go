@@ -100,8 +100,13 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 		}
 	}
 	// Correlate with the outer query's bindings (Jγ0KΩ,G semantics).
-	tbl, err = c.joinBudget(tbl, outer)
-	if err != nil {
+	// A top-level MATCH correlates with {µ∅}, the join's identity: only
+	// the budget the join would apply remains.
+	if outer.Len() == 1 && outer.Width() == 0 {
+		if limit := c.gov.Limits().MaxBindings; limit > 0 && tbl.Len() > limit {
+			return nil, nil, c.gov.BindingsError(limit + 1)
+		}
+	} else if tbl, err = c.joinBudget(tbl, outer); err != nil {
 		return nil, nil, err
 	}
 
@@ -233,10 +238,12 @@ func anyUnapplied(conjs []*conjunct) bool {
 }
 
 // evalGraphPattern evaluates one basic graph pattern chain on g,
-// producing the table of all homomorphic matches.
-func (c *evalCtx) evalGraphPattern(s *scope, gp *ast.GraphPattern, g *ppg.Graph) (*bindings.Table, error) {
-	tbl, _, err := c.evalChainPlanned(s, gp, g, nil)
-	return tbl, err
+// producing the table of all homomorphic matches and the variable each
+// position is bound to (anonymous ones under their minted names).
+func (c *evalCtx) evalGraphPattern(s *scope, gp *ast.GraphPattern, g *ppg.Graph) (*bindings.Table, patternNames, error) {
+	names := c.patternVarNames(gp)
+	tbl, _, err := c.evalChainNamed(s, gp, names, g, nil)
+	return tbl, names, err
 }
 
 // evalChainPlanned evaluates one chain under the selectivity planner,
@@ -251,7 +258,12 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 	// independent (homomorphism semantics: no implicit sharing). Names
 	// are assigned on the textual pattern — independent of planning —
 	// so anonymous numbering matches the unplanned evaluation.
-	names := c.patternVarNames(gp)
+	return c.evalChainNamed(s, gp, c.patternVarNames(gp), g, conjs)
+}
+
+// evalChainNamed is evalChainPlanned with the positions' variable
+// names given.
+func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNames, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, int, error) {
 	pl, planned := chainPlan{}, false
 	if c.cached != nil {
 		pl, planned = c.cached.chainPlanFor(gp, g)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -79,14 +80,12 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 	c.col.EnterSub()
 	defer c.col.ExitSub()
 	walk := pc.Patterns[0]
-	names := c.patternVarNames(walk)
-
-	tbl, err := c.evalGraphPattern(s, walk, g)
+	tbl, names, err := c.evalGraphPattern(s, walk, g)
 	if err != nil {
 		return nil, err
 	}
 	for _, extra := range pc.Patterns[1:] {
-		t, err := c.evalGraphPattern(s, extra, g)
+		t, _, err := c.evalGraphPattern(s, extra, g)
 		if err != nil {
 			return nil, err
 		}
@@ -137,6 +136,9 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 			f, ok := v.Scalarize().AsFloat()
 			if !ok {
 				return nil, errf("PATH %s: COST must be numerical, got %s", pc.Name, v.Kind())
+			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, errf("PATH %s: COST must be a finite number, got %g", pc.Name, f)
 			}
 			if f <= 0 {
 				return nil, errf("PATH %s: COST must be larger than zero, got %g", pc.Name, f)

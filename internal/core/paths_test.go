@@ -1,8 +1,13 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"gcore/internal/core"
 	"gcore/internal/ppg"
 	"gcore/internal/snb"
 	"gcore/internal/value"
@@ -309,5 +314,50 @@ WHERE n.firstName = 'John' AND m.firstName = 'Peter'`)
 	}
 	if v, _ := res.Table.Rows[0][1].Scalarize().AsInt(); v != 1 {
 		t.Errorf("hops = %d, want 1", v)
+	}
+}
+
+func TestPathViewRejectsNonFiniteCost(t *testing.T) {
+	ev := newToy(t)
+	// A NaN or infinite COST has no place in the search's cost order:
+	// the view must fail with an evaluation error, like a COST ≤ 0.
+	for _, cost := range []string{"(1e308*10.0) - (1e308*10.0)", "1e308*10.0", "-(1e308*10.0)"} {
+		err := runErr(t, ev, `PATH w = (x)-[e:knows]->(y) COST `+cost+`
+CONSTRUCT (n) MATCH (n:Person)-/p<~w*>/->(m:Person) WHERE n.firstName = 'John'`)
+		var ee *core.Error
+		if !errors.As(err, &ee) || !strings.Contains(err.Error(), "COST must be a finite number") {
+			t.Errorf("COST %s: error %v (%T), want a finite-COST eval error", cost, err, err)
+		}
+	}
+}
+
+func TestPathViewAnonymousElements(t *testing.T) {
+	ev := newToy(t)
+	// A PATH view whose edge or endpoints are anonymous describes the
+	// same segments as its fully named form.
+	walks := func(view string) []string {
+		g := run(t, ev, view+`
+CONSTRUCT (n)-/@p:viaView/->(m)
+MATCH (n:Person)-/p<~kk*>/->(m:Person) WHERE n.firstName = 'John'`).Graph
+		var out []string
+		for _, pid := range g.PathIDs() {
+			p, _ := g.Path(pid)
+			out = append(out, fmt.Sprint(p.Nodes, p.Edges))
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := walks(`PATH kk = (a)-[e:knows]->(b)`)
+	if len(want) < 2 {
+		t.Fatalf("named view found %d walks", len(want))
+	}
+	for _, view := range []string{
+		`PATH kk = (a)-[:knows]->(b)`,
+		`PATH kk = ()-[e:knows]->()`,
+		`PATH kk = ()-[:knows]->()`,
+	} {
+		if got := walks(view); !slices.Equal(got, want) {
+			t.Errorf("%s: walks %v, want %v", view, got, want)
+		}
 	}
 }

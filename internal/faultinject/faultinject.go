@@ -40,7 +40,7 @@ const (
 	// SiteParChunk fires in the worker-pool loops before each chunk
 	// (MapChunks) or index (ForEachIdx) is claimed.
 	SiteParChunk = "par.chunk"
-	// SiteRPQShortest fires in the k-shortest heap loop.
+	// SiteRPQShortest fires in the k-shortest frontier loop.
 	SiteRPQShortest = "rpq.shortest"
 	// SiteRPQReach fires in the reachability frontier loop.
 	SiteRPQReach = "rpq.reach"

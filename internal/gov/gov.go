@@ -104,8 +104,10 @@ type Limits struct {
 	// KindBudget error instead of exhausting memory.
 	MaxBindings int
 	// MaxPathFrontier bounds the total number of product-automaton
-	// states a statement's path searches may explore (arrivals pushed
-	// across every reachability, k-shortest and ALL-paths sweep).
+	// states a statement's path searches may explore: arrivals queued
+	// across every reachability, k-shortest and ALL-paths sweep. A
+	// k-shortest search queues only arrivals that can still settle, so
+	// one it drops is not charged.
 	MaxPathFrontier int
 	// MaxResultElements bounds the number of graph elements (nodes,
 	// edges, paths) CONSTRUCT may build in one statement.

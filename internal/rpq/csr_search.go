@@ -19,7 +19,7 @@ import (
 // Expansion follows the automaton's transition order and, within one
 // edge transition, ascending edge identifiers (CSR ranges ascend
 // exactly like ppg adjacency); that order plus the (cost, hops,
-// sequence) heap order is the engine's fixed tie-break.
+// discovery) pop order is the engine's fixed tie-break.
 
 // Interned-label sentinels for resolved transitions. csr.NoLabel
 // (absent from the snapshot) is remapped to deadLabel so it cannot
@@ -83,51 +83,42 @@ func (e *Engine) resolve(nfa *NFA) [][]rtrans {
 // ccfg is a product configuration over ordinals.
 type ccfg struct{ u, q int32 }
 
-// stateTab holds one int32 per product configuration (visit counts,
-// or with one state per node, a per-node slot): a flat dense
-// array when |V|·|Q| is small enough, a map otherwise — the frontier
-// loop never probes a Go map on graphs of ordinary size.
-type stateTab struct {
+// stateTab holds one T per product configuration: a flat dense array
+// when |V|·|Q| is small enough, a map otherwise — the frontier loops
+// never probe a Go map on graphs of ordinary size.
+type stateTab[T any] struct {
 	states int32
-	dense  []int32
-	sparse map[int64]int32
+	dense  []T
+	sparse map[int64]T
 }
 
-// denseLimit bounds the dense table at 4M entries (16 MB): beyond it
-// the sparse fallback trades speed for memory.
+// denseLimit bounds the dense table at 4M entries: beyond it the
+// sparse fallback trades speed for memory.
 const denseLimit = 1 << 22
 
-func newStateTab(nodes, states int) *stateTab {
-	t := &stateTab{states: int32(states)}
+func newStateTab[T any](nodes, states int) *stateTab[T] {
+	t := &stateTab[T]{states: int32(states)}
 	if int64(nodes)*int64(states) <= denseLimit {
-		t.dense = make([]int32, nodes*states)
+		t.dense = make([]T, nodes*states)
 	} else {
-		t.sparse = make(map[int64]int32, 1024)
+		t.sparse = make(map[int64]T, 1024)
 	}
 	return t
 }
 
-func (t *stateTab) get(u, q int32) int32 {
+func (t *stateTab[T]) get(u, q int32) T {
 	if t.dense != nil {
 		return t.dense[int(u)*int(t.states)+int(q)]
 	}
 	return t.sparse[int64(u)*int64(t.states)+int64(q)]
 }
 
-func (t *stateTab) set(u, q, v int32) {
+func (t *stateTab[T]) set(u, q int32, v T) {
 	if t.dense != nil {
 		t.dense[int(u)*int(t.states)+int(q)] = v
 		return
 	}
 	t.sparse[int64(u)*int64(t.states)+int64(q)] = v
-}
-
-func (t *stateTab) inc(u, q int32) {
-	if t.dense != nil {
-		t.dense[int(u)*int(t.states)+int(q)]++
-		return
-	}
-	t.sparse[int64(u)*int64(t.states)+int64(q)]++
 }
 
 // expandOrdinal enumerates the product transitions leaving (u, q) in
@@ -174,8 +165,8 @@ func (e *Engine) expandOrdinal(rts []rtrans, u int32,
 				return err
 			}
 			for _, s := range segs {
-				if s.Cost <= 0 {
-					return fmt.Errorf("rpq: path view %q produced non-positive cost %g (COST must be larger than zero)", rt.view, s.Cost)
+				if !(s.Cost > 0) {
+					return fmt.Errorf("rpq: path view %q produced invalid cost %g (COST must be larger than zero)", rt.view, s.Cost)
 				}
 				to, ok := snap.Ord(s.To)
 				if !ok {
@@ -196,123 +187,151 @@ func (e *Engine) expandOrdinal(rts []rtrans, u int32,
 // ordinal terms: 32 bytes, so the arena a Shortest retains costs less
 // than the walks it stands for. A regular edge step is encoded in place
 // (via ≥ 0, the step's node being u); a view step's expansion lives in
-// the search's side table (via = viewCode(i)).
+// the search's side table (via = viewCode(i)). next links the arrivals
+// queued in one level.
 type carrival struct {
 	u, q   int32
 	hops   int32
 	via    int32
 	parent int32
+	next   int32
 	cost   float64
 }
 
-// cheap is a typed binary min-heap of pqItems in (cost, hops, seq)
-// order. container/heap boxes every Push and Pop through an interface
-// — one allocation per product arrival each way — which this avoids;
-// the frontier loop does not allocate.
-type cheap []pqItem
-
-func pqLess(a, b pqItem) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	if a.hops != b.hops {
-		return a.hops < b.hops
-	}
-	return a.seq < b.seq
+// keyLess orders arrivals by (cost, hops).
+func keyLess(c1 float64, h1 int32, c2 float64, h2 int32) bool {
+	return c1 < c2 || c1 == c2 && h1 < h2
 }
 
-func (h *cheap) push(it pqItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !pqLess(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
+// level is the FIFO of the queued arrivals sharing one (cost, hops)
+// key, linked head to tail through carrival.next (-1: none).
+type level struct {
+	cost       float64
+	hops       int32
+	head, tail int32
 }
 
-func (h *cheap) pop() pqItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && pqLess(s[l], s[m]) {
-			m = l
-		}
-		if r < n && pqLess(s[r], s[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
+// cfgState is the search's record of one product configuration: how
+// many of its arrivals have settled and how many are queued, the one of
+// those with the largest key, and, at an accepting configuration, 1 +
+// the keep index of the destination's latest walk (0: none yet).
+type cfgState struct {
+	settled, queued int32
+	max             int32
+	last            int32
 }
 
 // shortestState carries the k-shortest frontier so relaxation is a
-// method call, not a closure allocated per heap pop.
+// method call, not a closure allocated per pop.
+//
+// The frontier is a list of FIFO levels, one per distinct (cost, hops)
+// key, ascending; levels[lo] holds the key being popped. Popping the
+// head of the lowest non-empty level pops in (cost, hops, discovery)
+// order, because no arrival is queued below the key being popped —
+// steps cost ≥ 0 — and a level's arrivals were discovered in FIFO
+// order. A unit-cost search queues at the current or the last level,
+// so its pops and pushes take O(1); a weighted search inserts a new
+// level at its sorted position.
 type shortestState struct {
 	k        int32
-	seq      int
-	pops     *stateTab
+	acc      int32
+	cfg      *stateTab[cfgState]
 	arrivals []carrival
 	views    []viewStep
-	h        cheap
+	levels   []level
+	lo       int
 
 	// Accepted walks: keep[i] is an accepted arrival and the keep index
 	// of the previous walk accepted for the same destination (-1 for the
-	// first); last holds, per destination ordinal, 1 + the keep index of
-	// its latest walk (0: none yet). dsts lists destinations in order of
-	// first acceptance.
+	// first); cfgState.last links a destination to its latest. dsts lists
+	// destinations in order of first acceptance.
 	keep []kept
-	last *stateTab
 	dsts []int32
 }
 
 type kept struct{ arr, prev int32 }
 
-// relax records one new arrival unless its configuration is already
-// settled k times.
-func (st *shortestState) relax(parent int, base *carrival, u, q int32, cost float64, hops, via int32) {
-	if st.pops.get(u, q) >= st.k {
-		return
+// relax queues a new arrival at (u, q) unless it cannot settle: k
+// arrivals of (u, q) are already settled or queued and none has a
+// larger key, so all of them pop before it and it would only be popped
+// and skipped. It reports whether the arrival was queued.
+func (st *shortestState) relax(parent int32, base *carrival, u, q int32, cost float64, hops, via int32) bool {
+	c, hp := base.cost+cost, base.hops+hops
+	s := st.cfg.get(u, q)
+	n := s.settled + s.queued
+	if n >= st.k {
+		m := &st.arrivals[s.max]
+		if s.settled >= st.k || !keyLess(c, hp, m.cost, m.hops) {
+			return false
+		}
 	}
-	c := base.cost + cost
-	hp := base.hops + hops
-	st.arrivals = append(st.arrivals, carrival{u: u, q: q, cost: c, hops: hp, parent: int32(parent), via: via})
-	st.h.push(pqItem{cost: c, hops: int(hp), seq: st.seq, idx: len(st.arrivals) - 1})
-	st.seq++
+	idx := int32(len(st.arrivals))
+	st.arrivals = append(st.arrivals, carrival{u: u, q: q, cost: c, hops: hp, parent: parent, via: via, next: -1})
+	if m := &st.arrivals[s.max]; n == 0 || keyLess(m.cost, m.hops, c, hp) {
+		s.max = idx
+	}
+	s.queued++
+	st.cfg.set(u, q, s)
+	st.enqueue(idx)
+	return true
+}
+
+// enqueue appends arrival idx to the level of its key, creating the
+// level at its sorted position when the key is new.
+func (st *shortestState) enqueue(idx int32) {
+	a := &st.arrivals[idx]
+	i := len(st.levels)
+	for i > st.lo && keyLess(a.cost, a.hops, st.levels[i-1].cost, st.levels[i-1].hops) {
+		i--
+	}
+	if i > st.lo {
+		if l := &st.levels[i-1]; l.cost == a.cost && l.hops == a.hops {
+			if l.tail >= 0 {
+				st.arrivals[l.tail].next = idx
+			} else {
+				l.head = idx
+			}
+			l.tail = idx
+			return
+		}
+	}
+	st.levels = slices.Insert(st.levels, i, level{cost: a.cost, hops: a.hops, head: idx, tail: idx})
+}
+
+// pop dequeues the next arrival in (cost, hops, discovery) order; -1
+// once the frontier is empty.
+func (st *shortestState) pop() int32 {
+	for ; st.lo < len(st.levels); st.lo++ {
+		l := &st.levels[st.lo]
+		if idx := l.head; idx >= 0 {
+			if l.head = st.arrivals[idx].next; l.head < 0 {
+				l.tail = -1
+			}
+			return idx
+		}
+	}
+	return -1
 }
 
 // accept keeps arrival idx as a walk to its destination u unless one
 // of u's walks so far is the same graph-level walk — different product
 // paths can spell one walk when the automaton is ambiguous. The
 // comparison runs on the arrival chains themselves. At most k pops
-// reach (u, accept), so u never collects more than k walks.
-func (st *shortestState) accept(res *Shortest, u int32, idx int) {
-	head := st.last.get(u, 0) - 1
+// settle (u, accept), so u never collects more than k walks.
+func (st *shortestState) accept(res *Shortest, u int32, idx int32) {
+	s := st.cfg.get(u, st.acc)
+	head := s.last - 1
 	for i := head; i >= 0; i = st.keep[i].prev {
-		if res.SameWalk(int32(idx), res, st.keep[i].arr, false) {
+		if res.SameWalk(idx, res, st.keep[i].arr, false) {
 			return
 		}
 	}
 	if head < 0 {
 		st.dsts = append(st.dsts, u)
 	}
-	st.keep = append(st.keep, kept{arr: int32(idx), prev: head})
-	st.last.set(u, 0, int32(len(st.keep)))
+	st.keep = append(st.keep, kept{arr: idx, prev: head})
+	s.last = int32(len(st.keep))
+	st.cfg.set(u, st.acc, s)
 }
 
 // ShortestPaths runs the deterministic k-shortest search from src and
@@ -320,8 +339,10 @@ func (st *shortestState) accept(res *Shortest, u int32, idx int) {
 // first, as accepted arrivals of the search's arena (see Shortest).
 // k must be ≥ 1. Paths are walks (arbitrary-path semantics, §A.1):
 // nodes and edges may repeat, which is what keeps the search polynomial
-// per destination. The search is Dijkstra over the product with a
-// dense pop table, a typed heap and allocation-free edge relaxation.
+// per destination. The search is Dijkstra over the product with FIFO
+// levels for a queue, one dense table of per-configuration counts, and
+// allocation-free edge relaxation that queues only arrivals able to
+// settle.
 func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("rpq: k must be at least 1, got %d", k)
@@ -334,14 +355,13 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 	trans := e.resolve(nfa)
 	st := &shortestState{
 		k:        int32(k),
-		seq:      1,
-		pops:     newStateTab(snap.NumNodes(), nfa.NumStates()),
-		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, via: noStep}},
-		h:        cheap{{idx: 0}},
-		last:     newStateTab(snap.NumNodes(), 1),
+		acc:      int32(nfa.accept),
+		cfg:      newStateTab[cfgState](snap.NumNodes(), nfa.NumStates()),
+		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, via: noStep, next: -1}},
+		levels:   []level{{head: 0, tail: 0}},
 	}
+	st.cfg.set(srcOrd, int32(nfa.start), cfgState{queued: 1})
 	res := &Shortest{snap: snap}
-	accept := int32(nfa.accept)
 
 	steps, pushed := 0, 0
 	if sp := e.col.Start(obs.OpShortest); sp != nil {
@@ -353,22 +373,25 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 			e.col.WalksFound(int64(len(st.keep)))
 		}()
 	}
-	for len(st.h) > 0 {
+	for idx := st.pop(); idx >= 0; idx = st.pop() {
 		if steps&(checkStride-1) == 0 {
 			if err := e.gov.Checkpoint(faultinject.SiteRPQShortest); err != nil {
 				return nil, err
 			}
 		}
 		steps++
-		it := st.h.pop()
-		a := st.arrivals[it.idx]
-		if st.pops.get(a.u, a.q) >= st.k {
+		a := st.arrivals[idx]
+		s := st.cfg.get(a.u, a.q)
+		s.queued--
+		if s.settled >= st.k {
+			st.cfg.set(a.u, a.q, s)
 			continue
 		}
-		st.pops.inc(a.u, a.q)
-		if a.q == accept {
+		s.settled++
+		st.cfg.set(a.u, a.q, s)
+		if a.q == st.acc {
 			res.arrivals, res.views = st.arrivals, st.views // the arena as it stands, for SameWalk
-			st.accept(res, a.u, it.idx)
+			st.accept(res, a.u, idx)
 		}
 		// Expansion inlined (same transition order as expandOrdinal):
 		// relaxation must not allocate, and a capture-free loop keeps
@@ -378,10 +401,10 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 		for _, rt := range trans[a.q] {
 			switch rt.kind {
 			case tEps:
-				st.relax(it.idx, &base, a.u, rt.to, 0, 0, noStep)
+				st.relax(idx, &base, a.u, rt.to, 0, 0, noStep)
 			case tNode:
 				if rt.lid >= 0 && snap.NodeHasLabel(a.u, rt.lid) {
-					st.relax(it.idx, &base, a.u, rt.to, 0, 0, noStep)
+					st.relax(idx, &base, a.u, rt.to, 0, 0, noStep)
 				}
 			case tEdge:
 				if rt.lid == deadLabel {
@@ -390,13 +413,13 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 				if rt.inverse {
 					for _, eo := range snap.In(a.u) {
 						if rt.lid == wildcardLabel || snap.EdgeHasLabel(eo, rt.lid) {
-							st.relax(it.idx, &base, snap.Src(eo), rt.to, 1, 1, eo)
+							st.relax(idx, &base, snap.Src(eo), rt.to, 1, 1, eo)
 						}
 					}
 				} else {
 					for _, eo := range snap.Out(a.u) {
 						if rt.lid == wildcardLabel || snap.EdgeHasLabel(eo, rt.lid) {
-							st.relax(it.idx, &base, snap.Dst(eo), rt.to, 1, 1, eo)
+							st.relax(idx, &base, snap.Dst(eo), rt.to, 1, 1, eo)
 						}
 					}
 				}
@@ -409,11 +432,11 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 					return nil, err
 				}
 				for _, s := range segs {
-					if s.Cost <= 0 {
-						return nil, fmt.Errorf("rpq: path view %q produced non-positive cost %g (COST must be larger than zero)", rt.view, s.Cost)
+					if !(s.Cost > 0) {
+						return nil, fmt.Errorf("rpq: path view %q produced invalid cost %g (COST must be larger than zero)", rt.view, s.Cost)
 					}
 					to, ok := snap.Ord(s.To)
-					if !ok || st.pops.get(to, rt.to) >= st.k {
+					if !ok {
 						continue
 					}
 					via := s.Nodes
@@ -421,7 +444,9 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 						via = via[1:]
 					}
 					st.views = append(st.views, viewStep{nodes: via, edges: s.Edges})
-					st.relax(it.idx, &base, to, rt.to, s.Cost, int32(len(s.Edges)), viewCode(len(st.views)-1))
+					if !st.relax(idx, &base, to, rt.to, s.Cost, int32(len(s.Edges)), viewCode(len(st.views)-1)) {
+						st.views = st.views[:len(st.views)-1]
+					}
 				}
 			}
 		}
@@ -446,14 +471,21 @@ func (r *Shortest) finish(st *shortestState) {
 	// index + 1; parents precede children, so one ascending pass
 	// renumbers.
 	need := make([]int32, len(st.arrivals))
-	n := 0
+	n, nv := 0, 0
 	for _, kp := range st.keep {
 		for a := kp.arr; a >= 0 && need[a] == 0; a = st.arrivals[a].parent {
 			need[a] = 1
 			n++
+			if isViewStep(st.arrivals[a].via) {
+				nv++
+			}
 		}
 	}
 	r.arrivals = make([]carrival, 0, n)
+	r.views = nil
+	if nv > 0 {
+		r.views = make([]viewStep, 0, nv)
+	}
 	for old := range need {
 		if need[old] == 0 {
 			continue
@@ -476,11 +508,12 @@ func (r *Shortest) finish(st *shortestState) {
 	pos := 0
 	for i, u := range r.dsts {
 		start := pos
-		for j := st.last.get(u, 0) - 1; j >= 0; j = st.keep[j].prev {
+		last := st.cfg.get(u, st.acc).last
+		for j := last - 1; j >= 0; j = st.keep[j].prev {
 			pos++
 		}
 		w := pos
-		for j := st.last.get(u, 0) - 1; j >= 0; j = st.keep[j].prev {
+		for j := last - 1; j >= 0; j = st.keep[j].prev {
 			w--
 			r.kept[w] = need[st.keep[j].arr] - 1
 		}
@@ -500,8 +533,8 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 		return nil, nil
 	}
 	trans := e.resolve(nfa)
-	seen := newStateTab(e.snap.NumNodes(), nfa.NumStates())
-	seen.inc(srcOrd, int32(nfa.start))
+	seen := newStateTab[bool](e.snap.NumNodes(), nfa.NumStates())
+	seen.set(srcOrd, int32(nfa.start), true)
 	queue := []ccfg{{srcOrd, int32(nfa.start)}}
 	accept := int32(nfa.accept)
 	hit := make([]bool, e.snap.NumNodes())
@@ -528,8 +561,8 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 		}
 		before := len(queue)
 		err := e.expandOrdinal(trans[c.q], c.u, func(v, q int32, _ float64, _ int32, _ int32, _ []ppg.NodeID, _ []ppg.EdgeID) {
-			if seen.get(v, q) == 0 {
-				seen.inc(v, q)
+			if !seen.get(v, q) {
+				seen.set(v, q, true)
 				queue = append(queue, ccfg{v, q})
 			}
 		})

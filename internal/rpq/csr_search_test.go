@@ -68,15 +68,15 @@ func diffRegexes(t *testing.T) []*NFA {
 	return nfas
 }
 
-// TestStateTabSparseFallback forces the sparse branch and checks the
-// counting semantics match the dense branch.
+// TestStateTabSparseFallback forces the sparse branch and checks it
+// stores what the dense branch stores.
 func TestStateTabSparseFallback(t *testing.T) {
-	dense := newStateTab(8, 3)
-	sparse := &stateTab{states: 3, sparse: map[int64]int32{}}
+	dense := newStateTab[int32](8, 3)
+	sparse := &stateTab[int32]{states: 3, sparse: map[int64]int32{}}
 	for i := 0; i < 10; i++ {
 		u, q := int32(i%8), int32(i%3)
-		dense.inc(u, q)
-		sparse.inc(u, q)
+		dense.set(u, q, dense.get(u, q)+1)
+		sparse.set(u, q, sparse.get(u, q)+1)
 	}
 	for u := int32(0); u < 8; u++ {
 		for q := int32(0); q < 3; q++ {
@@ -86,8 +86,39 @@ func TestStateTabSparseFallback(t *testing.T) {
 		}
 	}
 	// Above the dense limit the constructor must pick the sparse form.
-	big := newStateTab(denseLimit, 2)
+	big := newStateTab[cfgState](denseLimit, 2)
 	if big.dense != nil {
 		t.Fatal("stateTab over the dense limit still allocated a dense table")
+	}
+}
+
+// TestShortestRetainsOnlyKeptViewSteps: a weighted result keeps the
+// view steps on its kept walks' arrival chains and none of the others
+// its search discovered.
+func TestShortestRetainsOnlyKeptViewSteps(t *testing.T) {
+	g, segs := randWeightedGraph(rand.New(rand.NewSource(5)), 8)
+	views := viewResolverFunc(func(_ string, from ppg.NodeID) ([]Segment, error) { return segs[from], nil })
+	nfa, err := Compile(rxStar(&ast.Regex{Op: ast.RxView, Label: "w"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3} {
+		res, err := NewEngine(g, views).ShortestPaths(1, nfa, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onWalks := map[int32]bool{}
+		for i := 0; i < res.Len(); i++ {
+			for _, a := range res.Arrivals(i) {
+				for ; a >= 0; a = res.arrivals[a].parent {
+					if isViewStep(res.arrivals[a].via) {
+						onWalks[a] = true
+					}
+				}
+			}
+		}
+		if len(onWalks) == 0 || len(res.views) != len(onWalks) {
+			t.Errorf("k=%d: result retains %d view steps, its kept walks take %d", k, len(res.views), len(onWalks))
+		}
 	}
 }

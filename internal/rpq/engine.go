@@ -96,17 +96,6 @@ type cfg struct {
 	q int
 }
 
-// pqItem orders arrivals by (cost, hops, insertion sequence); the
-// sequence makes ties deterministic, implementing the fixed-order
-// tie-breaking that §A.1 (footnote 4) allows an implementation to
-// choose.
-type pqItem struct {
-	cost float64
-	hops int
-	seq  int
-	idx  int
-}
-
 // AllPaths is the forward product reachability from one source,
 // recording every product transition; per-destination projections are
 // then extracted with Projection. This is the graph-projection

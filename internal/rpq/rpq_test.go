@@ -320,30 +320,29 @@ func TestSimplePathBaseline(t *testing.T) {
 	g := diamondGraph(t)
 	e := NewEngine(g, nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
-	best, visits, err := e.SimplePathSearch(1, nfa, 1_000_000)
+	count, visits, err := e.CountSimplePaths(1, 4, nfa, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if visits == 0 {
 		t.Fatal("no visits recorded")
 	}
-	if best[4].Hops != 2 {
-		t.Errorf("shortest simple path to 4 = %+v", best[4])
-	}
-	count, _, err := e.CountSimplePaths(1, 4, nfa, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if count != 2 {
 		t.Errorf("simple paths 1→4 = %d, want 2", count)
 	}
+	// Node 1 is only a source: no simple path returns to it but the
+	// empty one.
+	if self, _, err := e.CountSimplePaths(1, 1, nfa, 1_000_000); err != nil || self != 1 {
+		t.Errorf("simple paths 1→1 = %d (%v), want 1", self, err)
+	}
 	// Views unsupported in the baseline.
 	vnfa := mustCompile(t, &ast.Regex{Op: ast.RxView, Label: "w"})
-	if _, _, err := e.SimplePathSearch(1, vnfa, 10); err == nil {
-		t.Error("baseline must reject views")
-	}
 	if _, _, err := e.CountSimplePaths(1, 4, vnfa, 10); err == nil {
 		t.Error("baseline must reject views")
+	}
+	// Missing source: nothing to count.
+	if c, _, err := e.CountSimplePaths(99, 4, nfa, 10); err != nil || c != 0 {
+		t.Error("missing source must count zero")
 	}
 }
 
@@ -351,7 +350,7 @@ func TestSimplePathBudget(t *testing.T) {
 	g := diamondGraph(t)
 	e := NewEngine(g, nil)
 	nfa := mustCompile(t, rxStar(rxLabel("e")))
-	_, visits, err := e.SimplePathSearch(1, nfa, 3)
+	_, visits, err := e.CountSimplePaths(1, 4, nfa, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

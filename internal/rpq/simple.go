@@ -15,92 +15,8 @@ import (
 // Cypher 9's no-repeated-edge semantics inherits related blow-ups.
 // This file implements the avoided alternative — exhaustive
 // backtracking over simple paths — purely as a comparison baseline
-// for the complexity ablation benchmarks (DESIGN.md experiment CPLX2).
-
-// SimplePathSearch enumerates simple paths (no repeated nodes) from
-// src that conform to the automaton, in DFS order. It stops after
-// visiting at most maxVisits search states and reports whether the
-// budget was exhausted. The shortest conforming simple path per
-// destination is returned.
-//
-// The worst case is exponential in the size of the graph — that is
-// the point of the baseline.
-func (e *Engine) SimplePathSearch(src ppg.NodeID, nfa *NFA, maxVisits int) (map[ppg.NodeID]PathResult, int, error) {
-	if nfa.HasViews() {
-		return nil, 0, fmt.Errorf("rpq: simple-path baseline does not support path views")
-	}
-	if _, ok := e.g.Node(src); !ok {
-		return map[ppg.NodeID]PathResult{}, 0, nil
-	}
-	best := map[ppg.NodeID]PathResult{}
-	visits := 0
-	onPath := map[ppg.NodeID]bool{src: true}
-
-	var nodes []ppg.NodeID
-	var edges []ppg.EdgeID
-	nodes = append(nodes, src)
-
-	// epsSeen guards against ε-cycles of the Thompson construction:
-	// between two edge consumptions, every automaton state is entered
-	// at most once (safe: repeating a state without consuming an edge
-	// cannot enable new graph paths).
-	var dfs func(c cfg, epsSeen map[int]bool) error
-	dfs = func(c cfg, epsSeen map[int]bool) error {
-		if visits >= maxVisits {
-			return nil
-		}
-		visits++
-		if c.q == nfa.accept {
-			if prev, ok := best[c.n]; !ok || len(edges) < prev.Hops {
-				best[c.n] = PathResult{
-					Src: src, Dst: c.n,
-					Cost: float64(len(edges)), Hops: len(edges),
-					Nodes: append([]ppg.NodeID(nil), nodes...),
-					Edges: append([]ppg.EdgeID(nil), edges...),
-				}
-			}
-		}
-		node, _ := e.g.Node(c.n)
-		for _, t := range nfa.trans[c.q] {
-			switch t.kind {
-			case tEps, tNode:
-				if t.kind == tNode && !node.Labels.Has(t.label) {
-					continue
-				}
-				if epsSeen[t.to] {
-					continue
-				}
-				epsSeen[t.to] = true
-				if err := dfs(cfg{c.n, t.to}, epsSeen); err != nil {
-					return err
-				}
-				delete(epsSeen, t.to)
-			case tEdge:
-				err := e.eachEdgeStep(c.n, t.inverse, t.label, func(eid ppg.EdgeID, next ppg.NodeID) error {
-					if onPath[next] {
-						return nil // simple: never revisit a node
-					}
-					onPath[next] = true
-					nodes = append(nodes, next)
-					edges = append(edges, eid)
-					err := dfs(cfg{next, t.to}, map[int]bool{t.to: true})
-					onPath[next] = false
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return err
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := dfs(cfg{src, nfa.start}, map[int]bool{nfa.start: true}); err != nil {
-		return nil, visits, err
-	}
-	return best, visits, nil
-}
+// for the complexity ablation benchmarks (DESIGN.md experiment CPLX2),
+// which count the conforming simple paths between two nodes.
 
 // CountSimplePaths counts the simple paths from src to dst conforming
 // to the automaton, up to the visit budget. Used by the ablation to
@@ -114,6 +30,10 @@ func (e *Engine) CountSimplePaths(src, dst ppg.NodeID, nfa *NFA, maxVisits int) 
 		return 0, 0, nil
 	}
 	onPath := map[ppg.NodeID]bool{src: true}
+	// epsSeen guards against ε-cycles of the Thompson construction:
+	// between two edge consumptions, every automaton state is entered
+	// at most once (safe: repeating a state without consuming an edge
+	// cannot enable new graph paths).
 	var dfs func(c cfg, epsSeen map[int]bool)
 	dfs = func(c cfg, epsSeen map[int]bool) {
 		if visits >= maxVisits {

@@ -16,74 +16,6 @@ import (
 // second comparison baseline for the CPLX2 ablation. The production
 // search (ShortestPaths) never uses it.
 
-// TrailSearch enumerates trails (walks without repeated edges) from
-// src conforming to the automaton, keeping the shortest per
-// destination. It stops after maxVisits search states and reports the
-// visit count.
-func (e *Engine) TrailSearch(src ppg.NodeID, nfa *NFA, maxVisits int) (map[ppg.NodeID]PathResult, int, error) {
-	if nfa.HasViews() {
-		return nil, 0, fmt.Errorf("rpq: trail baseline does not support path views")
-	}
-	if _, ok := e.g.Node(src); !ok {
-		return map[ppg.NodeID]PathResult{}, 0, nil
-	}
-	best := map[ppg.NodeID]PathResult{}
-	visits := 0
-	onTrail := map[ppg.EdgeID]bool{}
-	var nodes []ppg.NodeID
-	var edges []ppg.EdgeID
-	nodes = append(nodes, src)
-
-	var dfs func(c cfg, epsSeen map[int]bool)
-	dfs = func(c cfg, epsSeen map[int]bool) {
-		if visits >= maxVisits {
-			return
-		}
-		visits++
-		if c.q == nfa.accept {
-			if prev, ok := best[c.n]; !ok || len(edges) < prev.Hops {
-				best[c.n] = PathResult{
-					Src: src, Dst: c.n,
-					Cost: float64(len(edges)), Hops: len(edges),
-					Nodes: append([]ppg.NodeID(nil), nodes...),
-					Edges: append([]ppg.EdgeID(nil), edges...),
-				}
-			}
-		}
-		node, _ := e.g.Node(c.n)
-		for _, t := range nfa.trans[c.q] {
-			switch t.kind {
-			case tEps, tNode:
-				if t.kind == tNode && !node.Labels.Has(t.label) {
-					continue
-				}
-				if epsSeen[t.to] {
-					continue
-				}
-				epsSeen[t.to] = true
-				dfs(cfg{c.n, t.to}, epsSeen)
-				delete(epsSeen, t.to)
-			case tEdge:
-				_ = e.eachEdgeStep(c.n, t.inverse, t.label, func(eid ppg.EdgeID, next ppg.NodeID) error {
-					if onTrail[eid] {
-						return nil // trails: never reuse an edge
-					}
-					onTrail[eid] = true
-					nodes = append(nodes, next)
-					edges = append(edges, eid)
-					dfs(cfg{next, t.to}, map[int]bool{t.to: true})
-					onTrail[eid] = false
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return nil
-				})
-			}
-		}
-	}
-	dfs(cfg{src, nfa.start}, map[int]bool{nfa.start: true})
-	return best, visits, nil
-}
-
 // CountTrails counts the conforming trails from src to dst, up to the
 // visit budget — the enumeration cost Cypher-9-style semantics pays
 // when all matches are requested.

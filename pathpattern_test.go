@@ -1,6 +1,7 @@
 package gcore_test
 
 import (
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -183,5 +184,29 @@ func TestPathPatternWalksBuiltOnDeref(t *testing.T) {
 	}
 	if !strings.Contains(res.Plan, "walks 21 built of 180)") {
 		t.Fatalf("footer does not report the built walks:\n%s", res.Plan)
+	}
+}
+
+// TestShortestArrivalCounts pins the k-shortest frontier on SNB-2000
+// from pid 42 for the path_analytics shapes: a search queues only
+// arrivals that can settle, so it pops each of the 2 000 persons' k
+// walks once — 6 000 arrivals for one shortest walk per node, 18 000
+// for three — plus the source.
+func TestShortestArrivalCounts(t *testing.T) {
+	eng := gcore.NewEngine()
+	registerSNBWithPids(t, eng)
+	footer := regexp.MustCompile(`path kernels: k-shortest ×1 \(pops (\d+), arrivals (\d+),`)
+	for _, c := range []struct{ name, query, pops, arrivals string }{
+		{"stored_path", `CONSTRUCT (n)-/@p:sp/->(m) MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.pid = 42`, "6001", "6000"},
+		{"shortest3", `CONSTRUCT (n)-/@p:sp {distance := c}/->(m) MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.pid = 42 AND m.lastName = 'Doe'`, "18001", "18000"},
+	} {
+		plan, err := eng.ExplainAnalyze(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		m := footer.FindStringSubmatch(plan)
+		if m == nil || m[1] != c.pops || m[2] != c.arrivals {
+			t.Errorf("%s: want pops %s, arrivals %s; plan:\n%s", c.name, c.pops, c.arrivals, plan)
+		}
 	}
 }
