@@ -320,33 +320,27 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 	}
 }
 
-// BenchmarkParallelMatch compares sequential and parallel evaluation
-// of the CPLX1 match query on one graph. On a multi-core machine the
-// parallel sub-benchmark should win; results are identical either way
-// (the in-order merge guarantee, tested in internal/core).
+// BenchmarkParallelMatch evaluates the CPLX1 match query on one
+// graph. The benchmark and its one sub-benchmark keep the names
+// bench.base.txt and the BENCH_*.json trajectory know them by.
 func BenchmarkParallelMatch(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 0}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			eng := gcore.NewEngine(gcore.WithParallelism(cfg.workers))
-			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
-			if err := eng.RegisterGraph(social); err != nil {
+	b.Run("sequential", func(b *testing.B) {
+		eng := gcore.NewEngine()
+		social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 400, Seed: 1})
+		if err := eng.RegisterGraph(social); err != nil {
+			b.Fatal(err)
+		}
+		stmt, err := gcore.Parse(repro.MatchQueryAt(social))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.EvalStatement(stmt); err != nil {
 				b.Fatal(err)
 			}
-			stmt, err := gcore.Parse(repro.MatchQueryAt(social))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.EvalStatement(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkCSRShortest measures the k-shortest regular-path kernel
@@ -692,8 +686,8 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 // BenchmarkConcurrentRead measures reader scaling under the engine's
 // read/write lock split: 1→8 reader goroutines run a filtered scan
 // concurrently while a background writer appends nodes at a fixed
-// rate (serialised by the writer lock). Intra-query parallelism is
-// pinned to 1 so all concurrency comes from the readers: with
+// rate (serialised by the writer lock). Each statement runs on one
+// goroutine, so all concurrency comes from the readers: with
 // snapshot-isolated reads, per-op wall time should drop with reader
 // count on multi-core hosts until the writer's exclusive sections
 // dominate. On a single-core host the expectation is flat per-op
@@ -702,7 +696,7 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 func BenchmarkConcurrentRead(b *testing.B) {
 	for _, readers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			eng := gcore.NewEngine(gcore.WithParallelism(1))
+			eng := gcore.NewEngine()
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)

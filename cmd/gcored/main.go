@@ -63,7 +63,6 @@ func run(args []string) error {
 	loadDir := fs.String("load", "", "load a saved catalog directory at startup")
 	sample := fs.Bool("sample", false, "register the paper's sample datasets")
 	defGraph := fs.String("default", "", "engine-wide default graph name")
-	workers := fs.Int("workers", 0, "intra-query parallelism (0 = GOMAXPROCS)")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on per-request timeouts; 0 uncaps")
 	idle := fs.Duration("session-idle", 5*time.Minute, "idle session expiry; negative disables")
 	slowlog := fs.Duration("slowlog", time.Second, "log queries slower than this; 0 disables")
@@ -77,9 +76,6 @@ func run(args []string) error {
 	}
 
 	var engOpts []gcore.Option
-	if *workers > 0 {
-		engOpts = append(engOpts, gcore.WithParallelism(*workers))
-	}
 	if *defGraph != "" {
 		engOpts = append(engOpts, gcore.WithDefaultGraph(*defGraph))
 	}

@@ -15,7 +15,7 @@ import (
 // rebuilds, no plan cache — select the fallbacks the optimised paths
 // keep anyway; each is a pure performance matter with no observable
 // behaviour, so every ablated engine must render the same goldens as
-// the default one (golden_test.go), sequentially and in parallel.
+// the default one (golden_test.go).
 
 // renderResult serializes a query outcome deterministically: the
 // table rendering, the graph's canonical JSON, or the error text.

@@ -25,9 +25,8 @@ import (
 // any byte offset, or left behind by any injected I/O fault —
 // recovery restores a catalog whose rendered state (canonical graph
 // JSON plus differential query results) is byte-identical to an
-// in-memory replay of the mutation prefix that survived the crash, at
-// 1 and N workers. Torn tails are truncated; replay never runs past a
-// bad checksum.
+// in-memory replay of the mutation prefix that survived the crash.
+// Torn tails are truncated; replay never runs past a bad checksum.
 
 // mutEngine is the mutation surface shared by *gcore.Engine (the
 // in-memory oracle) and *gcore.DurableEngine (the system under test):
@@ -178,9 +177,9 @@ func renderState(e mutEngine) string {
 // oracle applies the first n script operations to a fresh in-memory
 // engine. Operations whose target does not exist yet in that prefix
 // are impossible by construction (the script is linear).
-func oracle(t *testing.T, ops []scriptOp, n int, opts ...gcore.Option) *gcore.Engine {
+func oracle(t *testing.T, ops []scriptOp, n int) *gcore.Engine {
 	t.Helper()
-	e := gcore.NewEngine(opts...)
+	e := gcore.NewEngine()
 	for _, op := range ops[:n] {
 		if err := op.apply(e); err != nil {
 			t.Fatalf("oracle op %s: %v", op.name, err)
@@ -235,10 +234,22 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// openWorkers recovers dir into an engine evaluating with the given
-// intra-query worker count.
-func openWorkers(dir string, workers int, extra ...gcore.DurOption) (*gcore.DurableEngine, error) {
-	return gcore.OpenDurable(dir, append(extra, gcore.WithEngineOptions(gcore.WithParallelism(workers)))...)
+// recoverTwice recovers dir twice and requires both recoveries to
+// render want. The second open runs over what the first left behind
+// (a torn tail already truncated), so recovery must be idempotent.
+func recoverTwice(t *testing.T, dir, want, what string, opts ...gcore.DurOption) {
+	t.Helper()
+	for open := 1; open <= 2; open++ {
+		rec, err := gcore.OpenDurable(dir, opts...)
+		if err != nil {
+			t.Fatalf("%s, open %d: recovery failed: %v", what, open, err)
+		}
+		got := renderState(rec)
+		rec.Close()
+		if got != want {
+			t.Fatalf("%s, open %d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", what, open, got, want)
+		}
+	}
 }
 
 // runScript runs ops[from:to] against a durable engine.
@@ -258,7 +269,7 @@ func segPath(dir string, seq uint64) string {
 // TestDurabilityCrashAtEveryByte records the full mutation script
 // under SyncAlways, then simulates a power cut at every byte offset
 // of the log and asserts recovery equals the in-memory replay of the
-// surviving record prefix, at 1 and N workers.
+// surviving record prefix.
 func TestDurabilityCrashAtEveryByte(t *testing.T) {
 	ops := durabilityScript()
 	dir := t.TempDir()
@@ -279,12 +290,9 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expected renderings per surviving-prefix length, computed once.
-	wantByPrefix := make(map[int]map[int]string, len(ops)+1)
-	for k := 0; k <= len(ops); k++ {
-		wantByPrefix[k] = map[int]string{}
-		for _, workers := range []int{1, 0} {
-			wantByPrefix[k][workers] = renderState(oracle(t, ops, k, gcore.WithParallelism(workers)))
-		}
+	wantByPrefix := make([]string, len(ops)+1)
+	for k := range wantByPrefix {
+		wantByPrefix[k] = renderState(oracle(t, ops, k))
 	}
 	for cut := int64(0); cut <= int64(len(data)); cut++ {
 		k := 0
@@ -297,20 +305,7 @@ func TestDurabilityCrashAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The second recovery runs over what the first left behind
-		// (the torn tail already truncated): recovery is idempotent.
-		for _, workers := range []int{1, 0} {
-			rec, err := openWorkers(cutDir, workers)
-			if err != nil {
-				t.Fatalf("cut %d: recovery failed: %v", cut, err)
-			}
-			got, want := renderState(rec), wantByPrefix[k][workers]
-			rec.Close()
-			if got != want {
-				t.Fatalf("cut at byte %d (%d records survive), workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s",
-					cut, k, workers, got, want)
-			}
-		}
+		recoverTwice(t, cutDir, wantByPrefix[k], fmt.Sprintf("cut at byte %d (%d records survive)", cut, k))
 	}
 }
 
@@ -466,17 +461,7 @@ func faultSiteScenario(t *testing.T, dir, site string, boom error, extra []gcore
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 0} {
-		rec, err := openWorkers(dir, workers, extra...)
-		if err != nil {
-			t.Fatalf("recovery after fault run: %v", err)
-		}
-		got, want := renderState(rec), renderState(oracle(t, ops, len(ops), gcore.WithParallelism(workers)))
-		rec.Close()
-		if got != want {
-			t.Fatalf("recovered state diverged (workers=%d)\n--- recovered:\n%s\n--- want:\n%s", workers, got, want)
-		}
-	}
+	recoverTwice(t, dir, want, "recovery after fault run", extra...)
 }
 
 // checkpointFaultScenario: a failed checkpoint must leave the
@@ -524,7 +509,7 @@ func checkpointFaultScenario(t *testing.T, dir, site string, boom error) {
 // TestDurabilityPropertyRandom is the randomized recovery invariant:
 // for a random mutation script, crash-at-every-record followed by
 // recovery yields a catalog byte-identical to replaying the surviving
-// prefix in memory, at 1 and N workers.
+// prefix in memory.
 func TestDurabilityPropertyRandom(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		seed := seed
@@ -556,17 +541,7 @@ func TestDurabilityPropertyRandom(t *testing.T) {
 				if err := os.WriteFile(segPath(cutDir, 1), data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 0} {
-					rec, err := openWorkers(cutDir, workers)
-					if err != nil {
-						t.Fatalf("prefix %d: recovery failed: %v", k, err)
-					}
-					got, want := renderState(rec), renderState(oracle(t, ops, k, gcore.WithParallelism(workers)))
-					rec.Close()
-					if got != want {
-						t.Fatalf("prefix %d, workers=%d: recovered state diverged\n--- recovered:\n%s\n--- want:\n%s", k, workers, got, want)
-					}
-				}
+				recoverTwice(t, cutDir, renderState(oracle(t, ops, k)), fmt.Sprintf("prefix %d", k))
 			}
 		})
 	}
@@ -639,11 +614,11 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 // recoveredCopy recovers a copy of dir — a crash image: SyncAlways
 // means the directory is committed as-is, so it can be copied out
 // from under the live engine.
-func recoveredCopy(t *testing.T, dir string, workers int) *gcore.DurableEngine {
+func recoveredCopy(t *testing.T, dir string) *gcore.DurableEngine {
 	t.Helper()
 	crashDir := t.TempDir()
 	copyTree(t, dir, crashDir)
-	rec, err := openWorkers(crashDir, workers)
+	rec, err := gcore.OpenDurable(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,16 +649,14 @@ func TestDurabilityDifferentialPaper(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, workers := range []int{1, 0} {
-		src := tourEngine(t, gcore.WithParallelism(workers))
-		rec := recoveredCopy(t, dir, workers)
-		for _, key := range keys {
-			query := parser.PaperQueries[key]
-			want := renderResult(src.Eval(query))
-			got := renderResult(rec.Eval(query))
-			if got != want {
-				t.Fatalf("%s (workers=%d): recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", key, workers, got, want)
-			}
+	src := tourEngine(t)
+	rec := recoveredCopy(t, dir)
+	for _, key := range keys {
+		query := parser.PaperQueries[key]
+		want := renderResult(src.Eval(query))
+		got := renderResult(rec.Eval(query))
+		if got != want {
+			t.Fatalf("%s: recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", key, got, want)
 		}
 	}
 }
@@ -702,15 +675,13 @@ func TestDurabilityDifferentialSNB(t *testing.T) {
 	if err := d.RegisterGraph(social); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 0} {
-		live := snbEngine(t, gcore.WithParallelism(workers))
-		rec := recoveredCopy(t, dir, workers)
-		for i, query := range snbQueries() {
-			want := renderResult(live.Eval(query))
-			got := renderResult(rec.Eval(query))
-			if got != want {
-				t.Fatalf("q%d (workers=%d): recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", i, workers, got, want)
-			}
+	live := snbEngine(t)
+	rec := recoveredCopy(t, dir)
+	for i, query := range snbQueries() {
+		want := renderResult(live.Eval(query))
+		got := renderResult(rec.Eval(query))
+		if got != want {
+			t.Fatalf("q%d: recovered result diverged\n--- recovered:\n%s\n--- want:\n%s", i, got, want)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func WithCheckpointEvery(n int64) DurOption {
 }
 
 // WithEngineOptions passes construction options to the underlying
-// Engine (parallelism, limits, plan cache size, ...).
+// Engine (limits, plan cache size, ...).
 func WithEngineOptions(opts ...Option) DurOption {
 	return func(c *durConfig) { c.engineOpts = append(c.engineOpts, opts...) }
 }

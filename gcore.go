@@ -183,8 +183,8 @@ func AsQueryError(err error) (*QueryError, bool) { return gov.AsQueryError(err) 
 // TraceHandler observes every span as it opens and closes.
 type (
 	// TraceHandler receives operator span events during evaluation.
-	// Implementations must be safe for concurrent use: parallel path
-	// kernels emit spans from worker goroutines.
+	// Implementations must be safe for concurrent use: concurrent
+	// statements emit spans from their own goroutines.
 	TraceHandler = obs.TraceHandler
 	// Span is one recorded operator execution.
 	Span = obs.Span
@@ -280,13 +280,6 @@ type Engine struct {
 // Option configures an Engine at construction; see NewEngine.
 type Option func(*Engine)
 
-// WithParallelism sets the worker count for intra-query parallelism.
-// Zero (the default) uses runtime.GOMAXPROCS; one forces fully
-// sequential evaluation. Results are identical for every setting.
-func WithParallelism(n int) Option {
-	return func(e *Engine) { e.ev.SetParallelism(n) }
-}
-
 // WithLimits installs per-statement resource limits (see Limits); a
 // zero field means unlimited for that resource.
 func WithLimits(l Limits) Option {
@@ -327,7 +320,6 @@ func WithPlanCacheSize(n int) Option {
 // NewEngine creates an empty engine, configured by the given options:
 //
 //	eng := gcore.NewEngine(
-//	    gcore.WithParallelism(4),
 //	    gcore.WithLimits(gcore.Limits{Timeout: time.Second}),
 //	    gcore.WithDefaultGraph("social_graph"),
 //	)
@@ -655,9 +647,9 @@ func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts)
 
 // EvalContext parses and evaluates one statement under ctx: cancelling
 // the context (or hitting its deadline) aborts the evaluation at the
-// next checkpoint — including inside parallel workers and path-search
-// frontier loops — and returns a *QueryError of KindCanceled or
-// KindTimeout. A cancelled statement leaves the engine unmodified.
+// next checkpoint — including inside path-search frontier loops — and
+// returns a *QueryError of KindCanceled or KindTimeout. A cancelled
+// statement leaves the engine unmodified.
 // GRAPH VIEW definitions register their materialised graph in the
 // engine's catalog.
 func (e *Engine) EvalContext(ctx context.Context, src string) (*Result, error) {

@@ -181,17 +181,19 @@ OPTIONAL (n)-[:knows]->(x:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Pe
 
 // goldenBudgetCases trip a resource budget at a fixed logical point;
 // the golden is the rendered error, reached count included. The
-// budget is enforced per merged chunk, so the count depends on the
-// worker count and each case is pinned at one and at four workers.
+// binding budget is checked as each scanned candidate's or extended
+// row's output is appended, so the count is the first table size past
+// the limit. Each case's golden keeps the -w1 suffix of the files it
+// was first pinned in.
 var goldenBudgetCases = []struct {
 	name   string
 	query  string
 	limits gcore.Limits
 }{
-	// Trips inside the node-scan merge (the scan alone overflows).
+	// Trips inside the node scan (the scan alone overflows).
 	{"bindings-scan", `CONSTRUCT (n) MATCH (n)`, gcore.Limits{MaxBindings: 10}},
-	// Trips inside the edge-expansion merge (the Person scan fits, the
-	// knows expansion does not).
+	// Trips inside the edge expansion (the Person scan fits, the knows
+	// expansion does not).
 	{"bindings-extend", `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m)`, gcore.Limits{MaxBindings: 61}},
 	// Trips in the first product expansion of the ALL-paths sweep.
 	{"frontier-all", `CONSTRUCT (n)-/p/->(m)
@@ -209,8 +211,7 @@ func goldenSNBName(i int) string { return fmt.Sprintf("snb/q%02d", i) }
 type engineMaker func(...gcore.Option) *gcore.Engine
 
 // checkGoldens runs every pinned evaluation on engines built by
-// newEngine. Result cases run their statement on a fresh engine,
-// sequentially and with GOMAXPROCS workers, which must agree. With
+// newEngine. Result cases run their statement on a fresh engine. With
 // twice they run it two times — the compile and the plan-cache-hit
 // execution; the second render is pinned too where it differs (a
 // CONSTRUCT that mints identifiers draws fresh ones each time) —
@@ -229,14 +230,11 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 	}
 	result := func(name, query string, build func(testing.TB, engineMaker, ...gcore.Option) *gcore.Engine) {
 		t.Run(name, func(t *testing.T) {
-			seq := run(build(t, newEngine, gcore.WithParallelism(1)), query)
-			if par := run(build(t, newEngine, gcore.WithParallelism(0)), query); par != seq {
-				t.Fatalf("parallel result diverged from sequential\nparallel:\n%s\nsequential:\n%s", par, seq)
-			}
+			got := run(build(t, newEngine), query)
 			if twice {
-				checkGolden(t, name, seq, pin)
-			} else if want, _, _ := strings.Cut(readGolden(t, name), secondExecution); seq != want {
-				t.Fatalf("%s diverged from its golden\ngot:\n%s\nwant:\n%s", name, seq, want)
+				checkGolden(t, name, got, pin)
+			} else if want, _, _ := strings.Cut(readGolden(t, name), secondExecution); got != want {
+				t.Fatalf("%s diverged from its golden\ngot:\n%s\nwant:\n%s", name, got, want)
 			}
 		})
 	}
@@ -252,13 +250,11 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 		result(goldenSNBName(i), query, goldenSNB)
 	}
 	for _, bc := range goldenBudgetCases {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("budget/%s-w%d", bc.name, workers)
-			t.Run(name, func(t *testing.T) {
-				eng := goldenSNB(t, newEngine, gcore.WithParallelism(workers), gcore.WithLimits(bc.limits))
-				checkGolden(t, name, renderResult(eng.Eval(bc.query)), pin)
-			})
-		}
+		name := "budget/" + bc.name + "-w1"
+		t.Run(name, func(t *testing.T) {
+			eng := goldenSNB(t, newEngine, gcore.WithLimits(bc.limits))
+			checkGolden(t, name, renderResult(eng.Eval(bc.query)), pin)
+		})
 	}
 }
 

@@ -32,7 +32,7 @@ MATCH (n:Person)-/ALL p<:knows*>/->(m:Person) WHERE n.anchor = TRUE`
 )
 
 // waitForGoroutines waits for the goroutine count to settle back to
-// the pre-test level, failing the test if workers are still alive
+// the pre-test level, failing the test if goroutines are still alive
 // after a generous grace period.
 func waitForGoroutines(t *testing.T, before int) {
 	t.Helper()
@@ -86,10 +86,10 @@ func TestEvalContextCanceledBeforeStart(t *testing.T) {
 
 // TestEvalContextCancelMidFlight cancels the context from inside the
 // ALL-paths sweep of a multi-source SNB search and checks that the
-// cancellation surfaces as KindCanceled and that every worker
-// goroutine exits.
+// cancellation surfaces as KindCanceled and that no goroutine the
+// evaluation started outlives it.
 func TestEvalContextCancelMidFlight(t *testing.T) {
-	eng := snbEngine(t, gcore.WithParallelism(4))
+	eng := snbEngine(t)
 	gens := graphGenerations(eng)
 	before := runtime.NumGoroutine()
 
@@ -223,23 +223,16 @@ func TestFailedViewNotRegistered(t *testing.T) {
 // scenario table is checked against AllSites so a new checkpoint
 // cannot be added without fault coverage.
 func TestFaultInjectionAllSites(t *testing.T) {
-	type scenario struct {
-		workers int
-		query   string
-	}
-	scenarios := map[string]scenario{
-		faultinject.SiteEvalStart:     {1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreScan:      {1, `CONSTRUCT (n) MATCH (n:Person)`},
-		faultinject.SiteCoreExtend:    {1, `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`},
-		faultinject.SiteCoreFilter:    {1, `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`},
-		faultinject.SiteCorePath:      {1, snbShortestQuery},
-		faultinject.SiteCoreConstruct: {1, `CONSTRUCT (n) MATCH (n:Person)`},
-		// par.chunk needs a parallel-eligible fan-out: >1 worker and at
-		// least 64 rows (the sequential fast path has no chunk probe).
-		faultinject.SiteParChunk:    {4, `CONSTRUCT (n) MATCH (n)`},
-		faultinject.SiteRPQShortest: {1, snbShortestQuery},
-		faultinject.SiteRPQReach:    {1, snbReachQuery},
-		faultinject.SiteRPQAll:      {1, snbAllQuery},
+	scenarios := map[string]string{
+		faultinject.SiteEvalStart:     `CONSTRUCT (n) MATCH (n:Person)`,
+		faultinject.SiteCoreScan:      `CONSTRUCT (n) MATCH (n:Person)`,
+		faultinject.SiteCoreExtend:    `CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person)`,
+		faultinject.SiteCoreFilter:    `SELECT n.firstName AS a MATCH (n:Person)-[e:knows]->(m:Person) WHERE n.firstName < m.firstName`,
+		faultinject.SiteCorePath:      snbShortestQuery,
+		faultinject.SiteCoreConstruct: `CONSTRUCT (n) MATCH (n:Person)`,
+		faultinject.SiteRPQShortest:   snbShortestQuery,
+		faultinject.SiteRPQReach:      snbReachQuery,
+		faultinject.SiteRPQAll:        snbAllQuery,
 	}
 	for _, site := range faultinject.AllSites() {
 		if _, ok := scenarios[site]; !ok {
@@ -249,10 +242,10 @@ func TestFaultInjectionAllSites(t *testing.T) {
 
 	injected := errors.New("injected checkpoint failure")
 	for _, site := range faultinject.AllSites() {
-		sc := scenarios[site]
+		query := scenarios[site]
 		for _, mode := range []string{"panic", "error", "cancel"} {
 			t.Run(site+"/"+mode, func(t *testing.T) {
-				eng := snbEngine(t, gcore.WithParallelism(sc.workers))
+				eng := snbEngine(t)
 				gens := graphGenerations(eng)
 				before := runtime.NumGoroutine()
 
@@ -269,12 +262,12 @@ func TestFaultInjectionAllSites(t *testing.T) {
 					faultinject.Set(site, faultinject.Action{Fn: cancel})
 				}
 
-				_, err := eng.EvalContext(ctx, sc.query)
+				_, err := eng.EvalContext(ctx, query)
 				if err == nil {
 					t.Fatalf("site %s %s: evaluation succeeded, want failure", site, mode)
 				}
 				if faultinject.Hits(site) == 0 {
-					t.Fatalf("site %s: probe never reached by %q", site, sc.query)
+					t.Fatalf("site %s: probe never reached by %q", site, query)
 				}
 				switch mode {
 				case "panic":

@@ -254,9 +254,9 @@ func snbMutationScript(t *testing.T, g *gcore.Graph, step int) {
 // mutations, with incremental snapshots enabled or disabled, and
 // returns the concatenated transcript plus the engine's final
 // metrics.
-func runInterleaved(t *testing.T, disableInc bool, workers int) (string, gcore.Metrics) {
+func runInterleaved(t *testing.T, disableInc bool) (string, gcore.Metrics) {
 	t.Helper()
-	eng, g := mutableSNB(t, core.Ablation{NoIncrementalSnapshot: disableInc}, gcore.WithParallelism(workers))
+	eng, g := mutableSNB(t, core.Ablation{NoIncrementalSnapshot: disableInc})
 	out := ""
 	for step := 0; step < 4; step++ {
 		snbMutationScript(t, g, step)
@@ -270,25 +270,23 @@ func runInterleaved(t *testing.T, disableInc bool, workers int) (string, gcore.M
 
 // TestIncrementalDifferentialSNB: interleaved mutate/query workloads
 // render byte-identically with incremental snapshot maintenance on
-// and off, sequentially and in parallel — and the incremental run
-// actually takes the delta path.
+// and off — and the incremental run actually takes the delta path.
+// Evaluation is single-threaded, so the one subtest is workers=1.
 func TestIncrementalDifferentialSNB(t *testing.T) {
-	for _, workers := range []int{1, 0} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			want, off := runInterleaved(t, true, workers)
-			got, on := runInterleaved(t, false, workers)
-			if got != want {
-				t.Fatalf("incremental snapshots changed results\nincremental:\n%s\nfull rebuild:\n%s", got, want)
-			}
-			if off.SnapshotDeltaApplies != 0 {
-				t.Fatalf("incremental off but %d delta applies recorded", off.SnapshotDeltaApplies)
-			}
-			if on.SnapshotDeltaApplies == 0 {
-				t.Fatalf("incremental on but no delta applies recorded (full=%d fallback=%d)",
-					on.SnapshotFullBuilds, on.SnapshotFallbacks)
-			}
-		})
-	}
+	t.Run("workers=1", func(t *testing.T) {
+		want, off := runInterleaved(t, true)
+		got, on := runInterleaved(t, false)
+		if got != want {
+			t.Fatalf("incremental snapshots changed results\nincremental:\n%s\nfull rebuild:\n%s", got, want)
+		}
+		if off.SnapshotDeltaApplies != 0 {
+			t.Fatalf("incremental off but %d delta applies recorded", off.SnapshotDeltaApplies)
+		}
+		if on.SnapshotDeltaApplies == 0 {
+			t.Fatalf("incremental on but no delta applies recorded (full=%d fallback=%d)",
+				on.SnapshotFullBuilds, on.SnapshotFallbacks)
+		}
+	})
 }
 
 // TestIncrementalCloneIsolation: cloning a graph mid-chain starts a

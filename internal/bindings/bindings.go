@@ -136,7 +136,7 @@ func (t *Table) RowTable(i int) *Table {
 }
 
 // AppendSlab appends len(slab)/Width() rows laid out back to back in
-// slot order — the merge step of chunked parallel row production.
+// slot order.
 func (t *Table) AppendSlab(slab []value.Value) {
 	if len(t.vars) == 0 {
 		return

@@ -28,7 +28,6 @@ import (
 	"gcore/internal/faultinject"
 	"gcore/internal/gov"
 	"gcore/internal/obs"
-	"gcore/internal/par"
 	"gcore/internal/plancache"
 	"gcore/internal/ppg"
 	"gcore/internal/rpq"
@@ -64,7 +63,6 @@ type Evaluator struct {
 	cat      *catalog.Catalog
 	ablation Ablation
 	limits   gov.Limits // zero fields = ungoverned
-	workers  int        // 0 = GOMAXPROCS, 1 = sequential
 
 	registry *obs.Registry    // lifetime per-operator metrics
 	trace    obs.TraceHandler // user span hook; nil = no tracing
@@ -110,14 +108,6 @@ func NewAblated(cat *catalog.Catalog, ab Ablation) *Evaluator {
 
 // Catalog returns the evaluator's catalog.
 func (ev *Evaluator) Catalog() *catalog.Catalog { return ev.cat }
-
-// SetParallelism sets the worker count for intra-query parallelism
-// (node scans, edge expansion, per-source path searches). Zero (the
-// default) means runtime.GOMAXPROCS; one forces fully sequential
-// evaluation. Parallel evaluation merges partition results in input
-// order, so the produced binding tables — and therefore all query
-// results — are identical for every setting.
-func (ev *Evaluator) SetParallelism(n int) { ev.workers = n }
 
 // SetLimits installs the per-statement resource budget.
 func (ev *Evaluator) SetLimits(l gov.Limits) { ev.limits = l }
@@ -239,9 +229,8 @@ type tempPath struct {
 }
 
 // walk returns the path's node and edge sequences, building a
-// k-shortest walk on first use. Pushed-down filters evaluate row
-// chunks concurrently and several rows may hold one path, hence the
-// sync.Once.
+// k-shortest walk on first use. Several rows may hold one path; the
+// sync.Once builds its walk once for all of them.
 func (tp *tempPath) walk() *ppg.Path {
 	if tp.projection {
 		return tp.path
@@ -326,35 +315,6 @@ func (ev *Evaluator) newCtx(gv *gov.Governor) *evalCtx {
 		tempPaths: map[ppg.PathID]*tempPath{},
 		nfaCache:  map[nfaKey]*rpq.NFA{},
 	}
-}
-
-// minParallelItems is the fan-out size below which chunked jobs stay
-// sequential: goroutine + merge overhead only pays off past this.
-const minParallelItems = 64
-
-// mapSlabs runs a chunked row-production job over n items and returns
-// the per-chunk dense row slabs (rows laid out back to back in slot
-// order) in input order; appending them in that order via
-// Table.AppendSlab reproduces the sequential output exactly. The job
-// runs concurrently only when it is marked safe (its predicates are
-// free of subqueries, which may touch evaluator state) and large
-// enough to amortise the fan-out.
-func (c *evalCtx) mapSlabs(n int, safe bool, fn func(lo, hi int) ([]value.Value, error)) ([][]value.Value, error) {
-	w := par.Workers(c.ev.workers)
-	if !safe || n < minParallelItems {
-		w = 1
-	}
-	return par.MapChunks(c.gov.Context(), n, w, fn)
-}
-
-// mapIdx is mapSlabs for chunk jobs that select row indices (filters):
-// the per-chunk index slices concatenate in input order.
-func (c *evalCtx) mapIdx(n int, safe bool, fn func(lo, hi int) ([]int, error)) ([][]int, error) {
-	w := par.Workers(c.ev.workers)
-	if !safe || n < minParallelItems {
-		w = 1
-	}
-	return par.MapChunks(c.gov.Context(), n, w, fn)
 }
 
 func (c *evalCtx) freshAnon() string {

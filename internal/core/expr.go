@@ -138,8 +138,8 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 func (e *env) lookupProp(ref value.Value, key string) value.Value {
 	if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
 		if e.colSnap == nil {
-			// snapshot, not snapOf: the cache counters must stay
-			// parallelism-invariant, and environments are per-chunk.
+			// snapshot, not snapOf: the cache counters record the
+			// operators' acquisitions, not one per environment.
 			e.colSnap, _ = e.c.ev.snapshot(e.graphs[0])
 		}
 		if id, ok := ref.RefID(); ok {

@@ -18,20 +18,6 @@ import (
 // non-blocking context poll stays invisible in profiles.
 const checkStride = 256
 
-// mergeSlabs folds chunk outputs — dense row slabs — into a table in
-// input order: each slab is a block copy, with the bindings budget
-// enforced after each chunk so an overflowing materialisation aborts
-// early.
-func (c *evalCtx) mergeSlabs(tbl *bindings.Table, parts [][]value.Value) (*bindings.Table, error) {
-	for _, part := range parts {
-		tbl.AppendSlab(part)
-		if err := c.checkBudget(tbl); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
-}
-
 // evalMatch computes the binding table of a MATCH clause (§A.2):
 // located patterns are evaluated on their graphs and joined; the
 // result is correlated with the outer bindings, filtered by WHERE,
@@ -496,26 +482,6 @@ func (bp bindPlan) addCombos(combos []propCombo, props ppg.Properties) []propCom
 	return combos
 }
 
-// exprParallelSafe reports whether an expression can be evaluated
-// concurrently with other rows: it must be free of subqueries (EXISTS,
-// pattern predicates) and aggregates, which touch shared evaluator
-// state. collectExprVars already classifies exactly this ("pushable").
-func exprParallelSafe(e ast.Expr) bool {
-	return collectExprVars(e, map[string]bool{})
-}
-
-// specsParallelSafe reports whether every filter entry of a pattern's
-// property specs is parallel-safe. Bind entries never evaluate
-// expressions, so only filters matter.
-func specsParallelSafe(specs []*ast.PropSpec) bool {
-	for _, ps := range specs {
-		if ps.Mode == ast.PropFilter && !exprParallelSafe(ps.Expr) {
-			return false
-		}
-	}
-	return true
-}
-
 // scanNodes produces the binding table of a single node pattern.
 // Candidates come from the snapshot's per-label ordinal partitions
 // whenever the pattern names a label (the full ordinal range
@@ -524,8 +490,8 @@ func specsParallelSafe(specs []*ast.PropSpec) bool {
 // (scanCandidates). Label conjuncts are integer tests, WHERE conjuncts
 // compilable against the property columns run on the candidate
 // ordinals before any row is materialised (prefilterPreds), and only
-// the remaining property checks touch the live ppg structs. Candidate
-// chunks are matched concurrently and merged in input order.
+// the remaining property checks touch the live ppg structs. The
+// binding budget is checked as each candidate's rows are appended.
 func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, scanStat, error) {
 	if np.Copy {
 		return nil, scanStat{}, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
@@ -538,50 +504,47 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 	preds := c.prefilterPreds(snap, np, varName, tbl.HasVar, conjs)
 	ords, labelTests, stat := scanCandidates(snap, resolveSpec(snap, np.Labels), preds)
 	c.col.PropIndexEvent(stat.seekKey != "", stat.builds)
-	parts, err := c.mapSlabs(len(ords), specsParallelSafe(np.Props), func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, w)
-		var combos []propCombo
-		var colHits int64
-		defer func() { c.col.PropColEvent(colHits, 0) }()
-	cands:
-		for i, u := range ords[lo:hi] {
-			if i&(checkStride-1) == 0 {
-				if err := c.gov.Checkpoint(faultinject.SiteCoreScan); err != nil {
-					return nil, err
-				}
+	var slab []value.Value
+	scratch := make([]value.Value, w)
+	var combos []propCombo
+	var colHits int64
+	defer func() { c.col.PropColEvent(colHits, 0) }()
+cands:
+	for i, u := range ords {
+		if i&(checkStride-1) == 0 {
+			if err := c.gov.Checkpoint(faultinject.SiteCoreScan); err != nil {
+				return nil, stat, err
 			}
-			if !labelTests.matchesNode(snap, u) {
-				continue
-			}
-			for _, pr := range preds {
-				colHits++
-				if !pr.node.test(u, pr.p) {
-					continue cands
-				}
-			}
-			n := snap.Node(u)
-			ok, err := c.propsMatch(g, n.Props, np.Props)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			for s := range scratch {
-				scratch[s] = value.Absent
-			}
-			scratch[varSlot] = value.NodeRef(uint64(snap.NodeID(u)))
-			combos = bp.addCombos(combos[:0], n.Props)
-			slab = appendCombos(slab, scratch, combos)
 		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, stat, err
+		if !labelTests.matchesNode(snap, u) {
+			continue
+		}
+		for _, pr := range preds {
+			colHits++
+			if !pr.node.test(u, pr.p) {
+				continue cands
+			}
+		}
+		n := snap.Node(u)
+		ok, err := c.propsMatch(g, n.Props, np.Props)
+		if err != nil {
+			return nil, stat, err
+		}
+		if !ok {
+			continue
+		}
+		for s := range scratch {
+			scratch[s] = value.Absent
+		}
+		scratch[varSlot] = value.NodeRef(uint64(snap.NodeID(u)))
+		combos = bp.addCombos(combos[:0], n.Props)
+		slab = appendCombos(slab[:0], scratch, combos)
+		tbl.AppendSlab(slab)
+		if err := c.checkBudget(tbl); err != nil {
+			return nil, stat, err
+		}
 	}
-	tbl, err = c.mergeSlabs(tbl, parts)
-	return tbl, stat, err
+	return tbl, stat, nil
 }
 
 // extendEdge extends every row of tbl over one edge pattern to the
@@ -601,70 +564,67 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep.Props, rightNp)
 	gate := c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs)
 
-	safe := specsParallelSafe(ep.Props) && specsParallelSafe(rightNp.Props)
-	parts, err := c.mapSlabs(tbl.Len(), safe, func(lo, hi int) ([]value.Value, error) {
-		var slab []value.Value
-		scratch := make([]value.Value, out.Width())
-		var combos []propCombo
-		var colHits int64
-		defer func() { c.col.PropColEvent(colHits, 0) }()
-		for ri := lo; ri < hi; ri++ {
-			if err := c.gov.Checkpoint(faultinject.SiteCoreExtend); err != nil {
-				return nil, err
-			}
-			row := tbl.RowAt(ri)
-			uid, ok := nodeOf(ex.left(row))
-			if !ok {
-				continue
-			}
-			u, ok := snap.Ord(uid)
-			if !ok {
-				continue
-			}
-			emit := func(eo, otherOrd int32) error {
-				if !eSpec.matchesEdge(snap, eo) {
-					return nil
-				}
-				e := snap.Edge(eo)
-				if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
-					return err
-				}
-				link := value.EdgeRef(uint64(e.ID))
-				if !ex.linkAgrees(row, link) {
-					return nil
-				}
-				if ok, err := gate.pass(row, otherOrd, &colHits); err != nil || !ok {
-					return err
-				}
-				combos = ex.fill(scratch, row, link, uint64(snap.NodeID(otherOrd)), e.Props, snap.Node(otherOrd).Props, combos)
-				slab = appendCombos(slab, scratch, combos)
+	var slab []value.Value
+	scratch := make([]value.Value, out.Width())
+	var combos []propCombo
+	var colHits int64
+	defer func() { c.col.PropColEvent(colHits, 0) }()
+	for ri := 0; ri < tbl.Len(); ri++ {
+		if err := c.gov.Checkpoint(faultinject.SiteCoreExtend); err != nil {
+			return nil, err
+		}
+		row := tbl.RowAt(ri)
+		uid, ok := nodeOf(ex.left(row))
+		if !ok {
+			continue
+		}
+		u, ok := snap.Ord(uid)
+		if !ok {
+			continue
+		}
+		slab = slab[:0]
+		emit := func(eo, otherOrd int32) error {
+			if !eSpec.matchesEdge(snap, eo) {
 				return nil
 			}
-			var err error
-			if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
-				for _, eo := range snap.Out(u) {
-					if err = emit(eo, snap.Dst(eo)); err != nil {
-						return nil, err
-					}
-				}
+			e := snap.Edge(eo)
+			if ok, err := c.propsMatch(g, e.Props, ep.Props); err != nil || !ok {
+				return err
 			}
-			if ep.Dir == ast.DirIn || ep.Dir == ast.DirBoth {
-				for _, eo := range snap.In(u) {
-					if ep.Dir == ast.DirBoth && snap.Src(eo) == snap.Dst(eo) {
-						continue // self-loop already emitted by the out pass
-					}
-					if err = emit(eo, snap.Src(eo)); err != nil {
-						return nil, err
-					}
+			link := value.EdgeRef(uint64(e.ID))
+			if !ex.linkAgrees(row, link) {
+				return nil
+			}
+			if ok, err := gate.pass(row, otherOrd, &colHits); err != nil || !ok {
+				return err
+			}
+			combos = ex.fill(scratch, row, link, uint64(snap.NodeID(otherOrd)), e.Props, snap.Node(otherOrd).Props, combos)
+			slab = appendCombos(slab, scratch, combos)
+			return nil
+		}
+		if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
+			for _, eo := range snap.Out(u) {
+				if err := emit(eo, snap.Dst(eo)); err != nil {
+					return nil, err
 				}
 			}
 		}
-		return slab, nil
-	})
-	if err != nil {
-		return nil, err
+		if ep.Dir == ast.DirIn || ep.Dir == ast.DirBoth {
+			for _, eo := range snap.In(u) {
+				if ep.Dir == ast.DirBoth && snap.Src(eo) == snap.Dst(eo) {
+					continue // self-loop already emitted by the out pass
+				}
+				if err := emit(eo, snap.Src(eo)); err != nil {
+					return nil, err
+				}
+			}
+		}
+		out.AppendSlab(slab)
+		if err := c.checkBudget(out); err != nil {
+			return nil, err
+		}
 	}
-	return c.mergeSlabs(out, parts)
+	return out, nil
 }
 
 // destGate is the destination gate of a step: it decides on its ordinal

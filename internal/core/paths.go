@@ -10,7 +10,6 @@ import (
 	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/gov"
-	"gcore/internal/par"
 	"gcore/internal/ppg"
 	"gcore/internal/rpq"
 	"gcore/internal/value"
@@ -350,55 +349,6 @@ func memo[T any](cache map[searchKey]T, key searchKey, run func(searchKey) (T, e
 	return r, nil
 }
 
-// prefillSearches runs the path searches the row loop of extendPath
-// will need concurrently, filling the step's caches. Jobs are the
-// distinct (source, automaton) pairs in the order the sequential loop
-// first meets them; errors surface for the lowest-ordered failing job,
-// so the reported error matches sequential evaluation.
-func (c *evalCtx) prefillSearches(sc *searches, mode ast.PathMode, tbl *bindings.Table, ex extendPlan) error {
-	workers := par.Workers(c.ev.workers)
-	if workers <= 1 {
-		return nil // the row loop searches lazily
-	}
-	var jobs []searchKey
-	seen := map[ppg.NodeID]bool{}
-	for i := 0; i < tbl.Len(); i++ {
-		if s, ok := nodeOf(ex.left(tbl.RowAt(i))); ok && !seen[s] {
-			seen[s] = true
-			for ni := range sc.nfas {
-				jobs = append(jobs, searchKey{s, ni})
-			}
-		}
-	}
-	if len(jobs) < 2 {
-		return nil
-	}
-	switch mode {
-	case ast.PathReach:
-		return prefill(c, jobs, workers, sc.reach, sc.runReach)
-	case ast.PathShortest:
-		return prefill(c, jobs, workers, sc.short, sc.runShortest)
-	default:
-		return prefill(c, jobs, workers, sc.all, sc.runAll)
-	}
-}
-
-func prefill[T any](c *evalCtx, jobs []searchKey, workers int, into map[searchKey]T, run func(searchKey) (T, error)) error {
-	results := make([]T, len(jobs))
-	err := par.ForEachIdx(c.gov.Context(), len(jobs), workers, func(i int) error {
-		r, err := run(jobs[i])
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return rpqErr(err)
-	}
-	for i, job := range jobs {
-		into[job] = results[i]
-	}
-	return nil
-}
-
 // extendPath extends every row of tbl over one path pattern to the next
 // node pattern, on slot rows like extendEdge. Every destination meets
 // the destination gate before anything per destination is built, and a
@@ -453,17 +403,6 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		}
 		for _, n := range sc.nfas {
 			ps.hasViews = ps.hasViews || n.HasViews()
-		}
-		// Parallel prefill: the per-source product searches dominate
-		// path pattern cost and are pure graph reads, so they run
-		// concurrently and land in the caches before the (sequential,
-		// deterministic) row loop below. View-backed automata
-		// materialise PATH views through the evaluator context and stay
-		// sequential.
-		if !ps.hasViews {
-			if err := c.prefillSearches(sc, pp.Mode, tbl, ex); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -241,8 +241,8 @@ func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
 // cacheKey builds the plan-cache key for normalised statement text:
 // the catalog version covers registrations, the default graph's
 // generation covers mutations of the implicit target (the session
-// override when one is set), and the limits fingerprint and worker
-// count cover execution configuration. The cache belongs to one
+// override when one is set), and the limits fingerprint covers
+// execution configuration. The cache belongs to one
 // evaluator, whose Ablation never changes, so that stays out of the
 // key.
 func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
@@ -266,7 +266,6 @@ func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
 		Generation:     gen,
 		Default:        opts.DefaultGraph,
 		LimitsFP:       ev.limitsFingerprint(limits),
-		Workers:        ev.workers,
 	}
 }
 

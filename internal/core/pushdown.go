@@ -216,10 +216,6 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 			}
 		}
 	}
-	// Pushable conjuncts are subquery-free, so rows can be filtered
-	// concurrently; each chunk gets its own environment (the current
-	// row index is mutated per row) and the kept row indices merge in
-	// input order.
 	slotVal := func(ri, slot int) (value.Value, bool) {
 		if slot < 0 {
 			return value.Null, false
@@ -230,65 +226,56 @@ func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Grap
 		}
 		return v, true
 	}
-	parts, err := c.mapIdx(tbl.Len(), true, func(lo, hi int) ([]int, error) {
-		env := c.newEnv(nil, []*ppg.Graph{g}, g)
-		env.rowTab = tbl
-		var keep []int
-		var colHits, colFalls int64
-		defer func() { c.col.PropColEvent(colHits, colFalls) }()
-	next:
-		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)&(checkStride-1) == 0 {
-				if err := c.gov.Checkpoint(faultinject.SiteCoreFilter); err != nil {
-					return nil, err
-				}
+	env := c.newEnv(nil, []*ppg.Graph{g}, g)
+	env.rowTab = tbl
+	var keep []int
+	var colHits, colFalls int64
+	defer func() { c.col.PropColEvent(colHits, colFalls) }()
+next:
+	for ri := 0; ri < tbl.Len(); ri++ {
+		if ri&(checkStride-1) == 0 {
+			if err := c.gov.Checkpoint(faultinject.SiteCoreFilter); err != nil {
+				sp.Fail()
+				return nil, err
 			}
-			env.rowIdx = ri
-			for i, cj := range ready {
-				if f := accels[i].label; f != nil {
-					v, bound := slotVal(ri, accels[i].slot)
-					if pass, handled := labelTestFast(snap, f.lids, v, bound); handled {
-						if !pass {
-							continue next
-						}
-						continue
-					}
-				} else if bp := accels[i].pred; bp != nil {
-					v, bound := slotVal(ri, accels[i].slot)
-					if pass, handled := bp.evalRef(v, bound); handled {
-						colHits++
-						if !pass {
-							continue next
-						}
-						continue
-					}
-					colFalls++
-				}
-				v, err := env.eval(cj.expr)
-				if err != nil {
-					return nil, err
-				}
-				ok, err := value.Truth(v)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue next
-				}
-			}
-			keep = append(keep, ri)
 		}
-		return keep, nil
-	})
-	if err != nil {
-		sp.Fail()
-		return nil, err
+		env.rowIdx = ri
+		for i, cj := range ready {
+			if f := accels[i].label; f != nil {
+				v, bound := slotVal(ri, accels[i].slot)
+				if pass, handled := labelTestFast(snap, f.lids, v, bound); handled {
+					if !pass {
+						continue next
+					}
+					continue
+				}
+			} else if bp := accels[i].pred; bp != nil {
+				v, bound := slotVal(ri, accels[i].slot)
+				if pass, handled := bp.evalRef(v, bound); handled {
+					colHits++
+					if !pass {
+						continue next
+					}
+					continue
+				}
+				colFalls++
+			}
+			v, err := env.eval(cj.expr)
+			ok := false
+			if err == nil {
+				ok, err = value.Truth(v)
+			}
+			if err != nil {
+				sp.Fail()
+				return nil, err
+			}
+			if !ok {
+				continue next
+			}
+		}
+		keep = append(keep, ri)
 	}
-	var idx []int
-	for _, part := range parts {
-		idx = append(idx, part...)
-	}
-	out := tbl.Pick(idx)
+	out := tbl.Pick(keep)
 	for _, cj := range ready {
 		cj.applied = true
 	}

@@ -28,8 +28,8 @@ const (
 	SiteCoreScan = "core.scan"
 	// SiteCoreExtend fires per row of the edge-expansion loop.
 	SiteCoreExtend = "core.extend"
-	// SiteCoreFilter fires in the WHERE loops: pushed-down conjunct
-	// chunks and the residual filter.
+	// SiteCoreFilter fires in the WHERE loops: the pushed-down
+	// conjunct filter and the residual filter.
 	SiteCoreFilter = "core.filter"
 	// SiteCorePath fires per row of the path-pattern extension loop
 	// (computed and stored paths).
@@ -37,9 +37,6 @@ const (
 	// SiteCoreConstruct fires per constructed object group in
 	// CONSTRUCT evaluation.
 	SiteCoreConstruct = "core.construct"
-	// SiteParChunk fires in the worker-pool loops before each chunk
-	// (MapChunks) or index (ForEachIdx) is claimed.
-	SiteParChunk = "par.chunk"
 	// SiteRPQShortest fires in the k-shortest frontier loop.
 	SiteRPQShortest = "rpq.shortest"
 	// SiteRPQReach fires in the reachability frontier loop.
@@ -87,7 +84,6 @@ func AllSites() []string {
 		SiteCoreFilter,
 		SiteCorePath,
 		SiteCoreConstruct,
-		SiteParChunk,
 		SiteRPQShortest,
 		SiteRPQReach,
 		SiteRPQAll,
@@ -173,7 +169,7 @@ func Hits(site string) int {
 
 // Check is the probe. Disarmed it returns nil immediately; armed it
 // counts the hit and performs the site's action. It is safe to call
-// from concurrent worker goroutines.
+// from concurrent statements.
 func Check(site string) error {
 	if !armed.Load() {
 		return nil

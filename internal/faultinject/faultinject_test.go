@@ -40,17 +40,17 @@ func TestErrorAction(t *testing.T) {
 func TestPanicAction(t *testing.T) {
 	Arm()
 	defer Disarm()
-	Set(SiteParChunk, Action{Panic: true})
+	Set(SiteCoreScan, Action{Panic: true})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("probe did not panic")
 		}
-		if !strings.Contains(r.(string), SiteParChunk) {
+		if !strings.Contains(r.(string), SiteCoreScan) {
 			t.Fatalf("panic value %v does not name the site", r)
 		}
 	}()
-	_ = Check(SiteParChunk)
+	_ = Check(SiteCoreScan)
 }
 
 func TestHookAction(t *testing.T) {
@@ -93,7 +93,7 @@ func TestAllSitesDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if len(seen) < 10 {
-		t.Fatalf("expected at least 10 sites, got %d", len(seen))
+	if len(seen) < 9 {
+		t.Fatalf("expected at least 9 sites, got %d", len(seen))
 	}
 }

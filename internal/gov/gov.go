@@ -7,8 +7,7 @@
 // grouping. A Governor is created per statement from the caller's
 // context and the engine's Limits; every hot loop of the evaluation
 // stack (node scans, edge expansion, WHERE filters, the path-search
-// kernels, CONSTRUCT grouping, and the worker pool's chunk dispatch)
-// calls back into it at a checkpoint, so a
+// kernels, CONSTRUCT grouping) calls back into it at a checkpoint, so a
 // cancelled or expired context, or an exhausted budget, stops the
 // query within one checkpoint interval and surfaces as a typed
 // *QueryError instead of unbounded work.
@@ -119,9 +118,9 @@ type Limits struct {
 }
 
 // Governor carries one statement's context and budget counters. All
-// methods are safe for concurrent use by worker goroutines and are
-// no-ops on a nil receiver (path kernels constructed outside the
-// evaluator — tests, tools — run ungoverned).
+// methods are safe for concurrent use and are no-ops on a nil
+// receiver (path kernels constructed outside the evaluator — tests,
+// tools — run ungoverned).
 type Governor struct {
 	ctx      context.Context
 	done     <-chan struct{}
@@ -134,15 +133,6 @@ type Governor struct {
 // (callers derive the Timeout deadline before constructing it).
 func New(ctx context.Context, limits Limits) *Governor {
 	return &Governor{ctx: ctx, done: ctx.Done(), limits: limits}
-}
-
-// Context returns the governed context (context.Background on a nil
-// governor), for handing to the worker pool.
-func (g *Governor) Context() context.Context {
-	if g == nil {
-		return context.Background()
-	}
-	return g.ctx
 }
 
 // Limits returns the governing limits (zero on a nil governor).
@@ -187,24 +177,9 @@ func (g *Governor) cancelErr() *QueryError {
 	return &QueryError{Kind: KindCanceled, Msg: "evaluation canceled by the caller", Err: cause}
 }
 
-// CancelError classifies a bare context's failure state for callers
-// without a governor (the worker pool when dispatch stops). Returns
-// nil if ctx is still live.
-func CancelError(ctx context.Context) error {
-	cause := ctx.Err()
-	if cause == nil {
-		return nil
-	}
-	if errors.Is(cause, context.DeadlineExceeded) {
-		return &QueryError{Kind: KindTimeout, Msg: "evaluation exceeded its deadline", Err: cause}
-	}
-	return &QueryError{Kind: KindCanceled, Msg: "evaluation canceled by the caller", Err: cause}
-}
-
 // GrowFrontier charges n product-automaton states against the path
-// frontier budget; the error names the limit. It does not report how
-// many states were explored: concurrent searches charge one counter, so
-// that count depends on how the workers interleave.
+// frontier budget; the error names the limit, not how many states
+// were explored.
 func (g *Governor) GrowFrontier(n int) error {
 	if g == nil || g.limits.MaxPathFrontier <= 0 {
 		return nil

@@ -10,12 +10,10 @@
 //     evaluation pays one pointer test per operator, not per row.
 //  2. No per-row work. Spans record rows in/out as table lengths at
 //     operator boundaries; rpq kernels count steps locally and flush
-//     once at kernel end. This also makes row counts deterministic
-//     across parallelism levels — a chunked parallel scan and a
-//     sequential scan produce the same table, hence the same counts.
-//  3. Race-safe. The evaluator runs operators on worker goroutines
-//     and engines are used from tests concurrently; all counters are
-//     atomic and the span list is mutex-guarded.
+//     once at kernel end.
+//  3. Race-safe. Concurrent statements share the engine's sink
+//     Collector and Registry; all counters are atomic and the span
+//     list is mutex-guarded.
 //
 // A Collector accumulates; Mark/Since carve out the slice belonging
 // to one statement so a long-lived sink Collector (WithCollector) can
@@ -99,9 +97,9 @@ type Span struct {
 }
 
 // TraceHandler receives operator span events. Implementations must be
-// safe for concurrent use: operators run on worker goroutines, so
-// SpanStart/SpanEnd for different spans may interleave and event
-// order between sibling operators is not deterministic. The engine
+// safe for concurrent use: concurrent statements run on their own
+// goroutines, so SpanStart/SpanEnd of different statements may
+// interleave. The engine
 // never retains the Span past the SpanEnd call.
 type TraceHandler interface {
 	// SpanStart fires when an operator begins. The label is not yet
@@ -284,7 +282,7 @@ func (c *Collector) SnapshotBuild(delta, fallback bool, deltaOps int, bytesShare
 }
 
 // PropColEvent records columnar-predicate activity, batched per
-// filter chunk: hits counts predicate evaluations answered from the
+// operator: hits counts predicate evaluations answered from the
 // snapshot's property columns, falls those that fell back to the
 // interpreter (refs the snapshot does not know).
 func (c *Collector) PropColEvent(hits, falls int64) {

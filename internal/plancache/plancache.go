@@ -7,10 +7,9 @@
 // Keys combine the normalised statement text with everything that
 // legitimately changes the compiled form: the catalog version (graph,
 // view and table registrations), the default graph's mutation
-// generation, the resource-limit fingerprint and the parallelism
-// setting. A graph mutation or catalog change therefore never serves
-// a stale plan — the old key simply stops being produced and its
-// entry ages out of the LRU.
+// generation and the resource-limit fingerprint. A graph mutation or
+// catalog change therefore never serves a stale plan — the old key
+// simply stops being produced and its entry ages out of the LRU.
 //
 // Concurrent misses of the same key are collapsed by a singleflight:
 // the first caller compiles, the rest wait and share the result.
@@ -42,8 +41,6 @@ type Key struct {
 	Default string
 	// LimitsFP fingerprints the per-statement resource limits.
 	LimitsFP string
-	// Workers is the parallelism setting the plan was compiled under.
-	Workers int
 }
 
 // Stats is a point-in-time view of cache effectiveness.

@@ -40,7 +40,6 @@ func TestKeyComponentsSeparateEntries(t *testing.T) {
 		{Text: "q", CatalogVersion: 1},
 		{Text: "q", Generation: 1},
 		{Text: "q", LimitsFP: "x"},
-		{Text: "q", Workers: 2},
 	}
 	for _, k := range keys {
 		k := k

@@ -161,7 +161,7 @@ func TestSharedElementIsolationDurable(t *testing.T) {
 	if renderGraph(t, res) != wantRes || renderGraph(t, view) != wantView {
 		t.Fatal("a durable mutation of the base changed an earlier result or view v")
 	}
-	rec := recoveredCopy(t, dir, 0)
+	rec := recoveredCopy(t, dir)
 	recBase, _ := rec.Graph(name)
 	checkMutated(t, recBase, nid, eid)
 	recView, ok := rec.Graph("v")

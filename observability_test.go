@@ -14,44 +14,18 @@ import (
 )
 
 // Observability tests. Attaching a collector or a trace handler must
-// never change what a query returns — at any parallelism — and the
-// row/frontier totals the collector reports must themselves be
-// deterministic across worker counts (spans may arrive in any order,
-// but partitioned operators merge in input order, so the totals are a
-// function of the query alone). EXPLAIN ANALYZE is checked on every
-// paper example.
+// never change what a query returns. EXPLAIN ANALYZE is checked on
+// every paper example.
 
 // evalObserved runs one query on a fresh engine built by setup with a
-// collector attached and the given worker count; it returns the
-// rendered result and the collector's aggregate totals.
-func evalObserved(t *testing.T, setup func(*testing.T, ...gcore.Option) *gcore.Engine, query string, workers int) (string, gcore.Stats) {
+// collector attached and returns the rendered result.
+func evalObserved(t *testing.T, setup func(*testing.T, ...gcore.Option) *gcore.Engine, query string) string {
 	t.Helper()
-	col := gcore.NewCollector()
-	eng := setup(t, gcore.WithParallelism(workers), gcore.WithCollector(col))
-	res, err := eng.Eval(query)
-	return renderResult(res, err), col.Stats()
-}
-
-// statsKey renders the parallelism-invariant part of collected stats:
-// operator counts and row/frontier totals, never timings.
-func statsKey(st gcore.Stats) string {
-	var sb strings.Builder
-	for op := gcore.OpStatement; op <= gcore.OpAllPaths; op++ {
-		os := st.Op(op)
-		if os.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "%s: count=%d rows=%d→%d frontier=%d/%d\n",
-			op, os.Count, os.RowsIn, os.RowsOut, os.Pops, os.Arrivals)
-	}
-	fmt.Fprintf(&sb, "caches: nfa=%d/%d csr=%d/%d\n",
-		st.NFAHits, st.NFAMisses, st.CSRReuses, st.CSRBuilds)
-	return sb.String()
+	return renderResult(setup(t, gcore.WithCollector(gcore.NewCollector())).Eval(query))
 }
 
 // TestObservabilityDifferentialPaper: on every paper example,
-// observed runs render byte-identically to plain runs, and the
-// collected totals agree between sequential and parallel evaluation.
+// observed runs render byte-identically to plain runs.
 func TestObservabilityDifferentialPaper(t *testing.T) {
 	keys := make([]string, 0, len(parser.PaperQueries))
 	for k := range parser.PaperQueries {
@@ -61,40 +35,22 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
-			plain := renderResult(tourEngine(t, gcore.WithParallelism(1)).Eval(query))
-			seq, seqStats := evalObserved(t, tourEngine, query, 1)
-			par, parStats := evalObserved(t, tourEngine, query, 0)
-			if seq != plain {
-				t.Fatalf("observed sequential run diverged from plain run\nobserved:\n%s\nplain:\n%s", seq, plain)
-			}
-			if par != plain {
-				t.Fatalf("observed parallel run diverged from plain run\nobserved:\n%s\nplain:\n%s", par, plain)
-			}
-			if !strings.HasPrefix(plain, "ERR:") {
-				if sk, pk := statsKey(seqStats), statsKey(parStats); sk != pk {
-					t.Fatalf("collected totals depend on parallelism\nworkers=1:\n%s\nworkers=N:\n%s", sk, pk)
-				}
+			plain := renderResult(tourEngine(t).Eval(query))
+			if observed := evalObserved(t, tourEngine, query); observed != plain {
+				t.Fatalf("observed run diverged from plain run\nobserved:\n%s\nplain:\n%s", observed, plain)
 			}
 		})
 	}
 }
 
-// TestObservabilityDifferentialSNB: the same invariants on the SNB
+// TestObservabilityDifferentialSNB: the same invariant on the SNB
 // toy graph's kernel-heavy query set.
 func TestObservabilityDifferentialSNB(t *testing.T) {
 	for i, query := range snbQueries() {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			plain := renderResult(snbEngine(t, gcore.WithParallelism(1)).Eval(query))
-			seq, seqStats := evalObserved(t, snbEngine, query, 1)
-			par, parStats := evalObserved(t, snbEngine, query, 0)
-			if seq != plain {
-				t.Fatalf("observed sequential run diverged from plain run\nobserved:\n%s\nplain:\n%s", seq, plain)
-			}
-			if par != plain {
-				t.Fatalf("observed parallel run diverged from plain run\nobserved:\n%s\nplain:\n%s", par, plain)
-			}
-			if sk, pk := statsKey(seqStats), statsKey(parStats); sk != pk {
-				t.Fatalf("collected totals depend on parallelism\nworkers=1:\n%s\nworkers=N:\n%s", sk, pk)
+			plain := renderResult(snbEngine(t).Eval(query))
+			if observed := evalObserved(t, snbEngine, query); observed != plain {
+				t.Fatalf("observed run diverged from plain run\nobserved:\n%s\nplain:\n%s", observed, plain)
 			}
 		})
 	}

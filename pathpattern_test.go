@@ -91,14 +91,12 @@ func TestPathPatternGateErrorOrder(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			q := `SELECT id(m) AS id MATCH ` + c.match + ` WHERE n.anchor = TRUE AND ` + c.where
-			for _, workers := range []int{1, 4} {
-				_, err := goldenSNB(t, gcore.NewEngine, gcore.WithParallelism(workers)).Eval(q)
-				switch {
-				case c.wantErr == "" && err != nil:
-					t.Fatalf("workers=%d: unexpected error %v", workers, err)
-				case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
-					t.Fatalf("workers=%d: error %v, want %q", workers, err, c.wantErr)
-				}
+			_, err := goldenSNB(t, gcore.NewEngine).Eval(q)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("error %v, want %q", err, c.wantErr)
 			}
 		})
 	}
@@ -107,18 +105,18 @@ func TestPathPatternGateErrorOrder(t *testing.T) {
 // TestPathPatternConcurrentDeref runs one cached k-shortest statement that
 // dereferences its path variable in WHERE — once where the path is
 // bound and once after an expansion has copied each path into several
-// rows, which parallel filter chunks then read at the same time — from
-// eight goroutines on one engine. Every run must render the sequential
+// rows — from eight goroutines on one engine, which share its cached
+// plan and snapshots. Every run must render the single-goroutine
 // result. Run under -race.
 func TestPathPatternConcurrentDeref(t *testing.T) {
 	const q = `SELECT id(m) AS m, id(o) AS o, size(nodes(p)) AS len
 MATCH (n:Person)-/3 SHORTEST p<:knows*>/->(m:Person)-[:knows]->(o:Person)
 WHERE n.anchor = TRUE AND size(nodes(p)) > 2 AND o IN nodes(p) ORDER BY m, o, len`
-	want := renderResult(goldenSNB(t, gcore.NewEngine, gcore.WithParallelism(1)).Eval(q))
+	want := renderResult(goldenSNB(t, gcore.NewEngine).Eval(q))
 	if strings.HasPrefix(want, "ERR") || strings.Count(want, "\n") < 10 {
 		t.Fatalf("degenerate oracle:\n%s", want)
 	}
-	eng := goldenSNB(t, gcore.NewEngine, gcore.WithParallelism(4))
+	eng := goldenSNB(t, gcore.NewEngine)
 	var wg sync.WaitGroup
 	got := make([]string, 8)
 	for i := range got {
