@@ -287,21 +287,35 @@ func BenchmarkIndexedScan(b *testing.B) {
 // snapshot (interned-string equality and range tests over dense
 // arrays); "maps" ablates them (core.Ablation.NoPropColumns) and
 // chases the per-node property maps row at a time. The two runs must return
-// identical tables; the gap is what the columnar storage buys.
+// identical tables; the gap is what the columnar storage buys. The
+// "expression" run filters on arithmetic over a function call, which
+// no column test answers: every Person row goes through the general
+// expression evaluator after the scan.
 func BenchmarkFilteredScan(b *testing.B) {
+	const columnar = `p.firstName = 'John' AND p.lastName >= 'K'`
 	for _, mode := range []struct {
 		name     string
 		ablation core.Ablation
-	}{{"columns", core.Ablation{}}, {"maps", core.Ablation{NoPropColumns: true}}} {
+		where    string
+	}{
+		{"columns", core.Ablation{}, columnar},
+		{"maps", core.Ablation{NoPropColumns: true}, columnar},
+		{"expression", core.Ablation{}, `size(p.firstName) + p.pid % 7 > 5`},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := gcore.NewAblatedEngine(mode.ablation)
-			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
-			if err := eng.RegisterGraph(social); err != nil {
-				b.Fatal(err)
+			var social *gcore.Graph
+			if mode.where == columnar {
+				social, _ = eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
+				if err := eng.RegisterGraph(social); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				social = registerSNBWithPids(b, eng)
 			}
 			q := fmt.Sprintf(`SELECT p.lastName AS l
 MATCH (p:Person) ON %s
-WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
+WHERE %s`, social.Name(), mode.where)
 			stmt, err := gcore.Parse(q)
 			if err != nil {
 				b.Fatal(err)
@@ -605,12 +619,15 @@ func BenchmarkMatchStart(b *testing.B) {
 // Person, so each of the ~2 000 rows is grouped), and the two-hop
 // SELECT DISTINCT of point_prepared's knows2 statement. Rows are
 // grouped by Table.Groups and ordered by bindings.CompareRows; a string
-// key built per row or per value shows up as an allocation jump.
+// key built per row or per value shows up as an allocation jump. The
+// select_expr_agg case folds SUM and AVG over arithmetic and CASE
+// arguments, evaluated once per row of each employer group.
 func BenchmarkGrouping(b *testing.B) {
 	eng := gcore.NewEngine()
 	registerSNBWithPids(b, eng)
 	for _, c := range []struct{ name, query string }{
 		{"select_agg", `SELECT e AS employer, COUNT(*) AS persons MATCH (n:Person {employer=e})`},
+		{"select_expr_agg", `SELECT e AS employer, SUM(n.pid % 10 + 1) AS s, AVG(CASE WHEN n.pid % 2 = 0 THEN 1.0 ELSE 0.5 END) AS a MATCH (n:Person {employer=e})`},
 		{"select_distinct", `SELECT DISTINCT o.pid AS pid MATCH (n:Person)-[:knows]->(m:Person)-[:knows]->(o:Person) WHERE n.pid = 42 ORDER BY pid`},
 		{"construct_group", `CONSTRUCT (x GROUP e :Company {name:=e})<-[y:worksAt]-(n) MATCH (n:Person {employer=e})`},
 	} {

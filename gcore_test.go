@@ -26,6 +26,35 @@ func newEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 	return eng
 }
 
+// TestNonFiniteArithmeticIsEvalError: an expression whose arithmetic
+// overflows to ±Inf (or yields NaN), in a projection or a float
+// aggregate, fails the statement with the same kind of error as a
+// division by zero instead of returning the non-finite number.
+func TestNonFiniteArithmeticIsEvalError(t *testing.T) {
+	eng := newEngine(t)
+	_, divErr := eng.Eval(`SELECT 1 / 0 AS x MATCH (n) ON social_graph`)
+	if divErr == nil {
+		t.Fatal("1 / 0 evaluated")
+	}
+	divQE, divTyped := gcore.AsQueryError(divErr)
+	for _, q := range []string{
+		`SELECT 1e308 * 10.0 AS x MATCH (n) ON social_graph`,
+		`SELECT 1e308 + 1e308 AS x MATCH (n) ON social_graph`,
+		`SELECT n.firstName AS f, SUM(1e308) AS s MATCH (n) ON social_graph`,
+		`SELECT AVG(1.0e308 * 1.5) AS a MATCH (n) ON social_graph`,
+	} {
+		res, err := eng.Eval(q)
+		if err == nil {
+			t.Errorf("%s = %v, want an error", q, res.Table)
+			continue
+		}
+		qe, typed := gcore.AsQueryError(err)
+		if typed != divTyped || typed && qe.Kind != divQE.Kind {
+			t.Errorf("%s: error %v (%T), want the kind of division by zero's %v (%T)", q, err, err, divErr, divErr)
+		}
+	}
+}
+
 func TestEngineQuickstart(t *testing.T) {
 	eng := newEngine(t)
 	res, err := eng.Eval(`

@@ -2,6 +2,7 @@ package core
 
 import (
 	"gcore/internal/ast"
+	"gcore/internal/value"
 )
 
 // Static analysis of a statement before evaluation. It enforces the
@@ -360,7 +361,7 @@ func (a *analysis) checkExpr(e ast.Expr, aggOK bool) error {
 		}
 		return a.checkExpr(x.R, aggOK)
 	case *ast.FuncCall:
-		if _, isAgg := aggName(x.Name); isAgg && !x.Star {
+		if _, isAgg := value.ParseAggKind(x.Name); isAgg && !x.Star {
 			if !aggOK {
 				return errf("aggregation %s(...) is only allowed in CONSTRUCT property assignments, SET and WHEN", x.Name)
 			}

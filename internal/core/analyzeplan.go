@@ -44,13 +44,16 @@ func (ev *Evaluator) ExplainAnalyzeContext(ctx context.Context, stmt *ast.Statem
 // collector is fresh per call, so concurrent EXPLAIN ANALYZE runs
 // never share span state.
 func (ev *Evaluator) ExplainAnalyzeExec(ctx context.Context, ex Exec) (string, error) {
+	if err := ex.ensureCompiled(); err != nil {
+		return "", err
+	}
 	col := obs.NewCollector()
 	col.SetHandler(ev.trace)
 	if _, err := ev.evalGoverned(ctx, col, ex); err != nil {
 		return "", err
 	}
 	var sb strings.Builder
-	explainStatement(ev, ex.opts.DefaultGraph, &sb, ex.stmt, "", newPlanAnnotator(col.SpansSince(obs.Mark{})))
+	explainStatement(ev, ex.opts.DefaultGraph, ex.cached, &sb, ex.stmt, "", newPlanAnnotator(col.SpansSince(obs.Mark{})))
 	writeAnalyzeFooter(&sb, col.Stats())
 	return sb.String(), nil
 }

@@ -87,8 +87,8 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 	// Phases 1–2 evaluate expressions on the match table.
 	env := c.newEnv(s, graphs, nil)
 	env.constructed = out
-	env.rowTab = tbl
 	env.groupSchema = tbl.Vars()
+	env.setTable(tbl)
 
 	ics := make([]*itemCtx, len(items))
 	for i, item := range items {
@@ -230,7 +230,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		}
 		if !anyWhen {
 			anyWhen = true
-			env.rowTab = tbl.Overlay(cons)
+			env.setTable(tbl.Overlay(cons))
 		}
 		if err := c.whenDrops(env, ic.item.When, ic.objects, dropped); err != nil {
 			return nil, err
@@ -261,10 +261,11 @@ func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupE
 	switch {
 	case len(groupExprs) > 0:
 		keys := keyTable(tbl.Len(), len(groupExprs))
+		exprs := c.exprs(groupExprs)
 		for ri := 0; ri < tbl.Len(); ri++ {
 			env.rowIdx = ri
-			for k, ge := range groupExprs {
-				v, err := env.eval(ge)
+			for k, ge := range exprs {
+				v, err := ge.eval(env)
 				if err != nil {
 					return nil, err
 				}
@@ -332,7 +333,7 @@ func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, 
 	}
 	p := *props
 	evalTo := func(key string, e ast.Expr) error {
-		v, err := env.eval(e)
+		v, err := c.expr(e).eval(env)
 		if err != nil {
 			return err
 		}
@@ -505,6 +506,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		keys = tbl.Project([]string{ep.Var})
 	} else {
 		keys = keyTable(tbl.Len(), 2+len(ep.Group))
+		group := c.exprs(ep.Group)
 		ls, rs := cons.SlotOf(leftVar), cons.SlotOf(rightVar)
 		for ri := 0; ri < tbl.Len(); ri++ {
 			sv, dv := cons.RowAt(ri)[ls], cons.RowAt(ri)[rs]
@@ -514,8 +516,8 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			keys.Set(ri, 0, sv)
 			keys.Set(ri, 1, dv)
 			env.rowIdx = ri
-			for k, ge := range ep.Group {
-				v, err := env.eval(ge)
+			for k, ge := range group {
+				v, err := ge.eval(env)
 				if err != nil {
 					return err
 				}
@@ -733,9 +735,10 @@ type objKey struct {
 // all construct identities), and records failing objects.
 func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, dropped map[objKey]bool) error {
 	defer func() { env.groupRows = nil }()
+	cond := c.expr(when)
 	for _, obj := range objects {
 		env.groupRows, env.rowIdx = obj.rows, obj.rows[0]
-		v, err := env.eval(when)
+		v, err := cond.eval(env)
 		if err != nil {
 			return err
 		}

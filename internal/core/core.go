@@ -124,9 +124,6 @@ func (ev *Evaluator) SetTraceHandler(h obs.TraceHandler) { ev.trace = h }
 // scratch collector.
 func (ev *Evaluator) SetCollector(col *obs.Collector) { ev.sink = col }
 
-// Registry returns the evaluator's lifetime metrics registry.
-func (ev *Evaluator) Registry() *obs.Registry { return ev.registry }
-
 // checkBudget enforces the binding-table bound.
 func (c *evalCtx) checkBudget(tbl *bindings.Table) error {
 	if limit := c.gov.Limits().MaxBindings; limit > 0 && tbl.Len() > limit {
@@ -288,23 +285,17 @@ type evalCtx struct {
 	// write (ExecOpts.Views); nil outside a staged write.
 	views *Views
 
-	// nfaCache holds automata compiled during this statement, so a
-	// regular path expression is compiled once per statement rather
-	// than once per pattern evaluation (pattern predicates in WHERE
-	// re-evaluate their pattern per row, which would otherwise
-	// recompile the same regex per row).
-	nfaCache map[nfaKey]*rpq.NFA
-
-	// params are this execution's $name bindings (prepared statements).
-	params map[string]value.Value
+	// params are this execution's $name bindings, by the cache entry's
+	// parameter ids (CachedStatement.bind).
+	params []value.Value
 
 	// defGraph is this execution's session default-graph override
 	// ("" = catalog default); see ExecOpts.DefaultGraph.
 	defGraph string
 
-	// cached is the plan-cache entry this execution runs under, or nil:
-	// compiledNFA and evalChainPlanned consult it before recomputing,
-	// and publish what they compile for later executions.
+	// cached is the cache entry this execution runs under: its compiled
+	// expressions, and the NFAs and chain plans that compiledNFA and
+	// evalChainNamed look up before computing and publish after.
 	cached *CachedStatement
 }
 
@@ -313,7 +304,6 @@ func (ev *Evaluator) newCtx(gv *gov.Governor) *evalCtx {
 		ev:        ev,
 		gov:       gv,
 		tempPaths: map[ppg.PathID]*tempPath{},
-		nfaCache:  map[nfaKey]*rpq.NFA{},
 	}
 }
 
@@ -390,9 +380,12 @@ func (ev *Evaluator) EvalStatementContext(ctx context.Context, stmt *ast.Stateme
 // outcome) threaded through; every source-level and AST-level entry
 // point lands here.
 func (ev *Evaluator) EvalExec(ctx context.Context, ex Exec) (*Result, error) {
+	if err := ex.ensureCompiled(); err != nil {
+		return nil, err
+	}
 	switch ex.stmt.Explain {
 	case ast.ExplainPlan:
-		plan, err := ev.ExplainOptsContext(ctx, ex.stmt, ex.opts)
+		plan, err := ev.explainExec(ctx, ex)
 		if err != nil {
 			return nil, err
 		}
@@ -422,19 +415,13 @@ func (ev *Evaluator) EvalExec(ctx context.Context, ex Exec) (*Result, error) {
 	return res, err
 }
 
-// evalGoverned runs one statement under governance with col
+// evalGoverned runs one compiled statement under governance with col
 // collecting operator spans; every statement — plain, traced, or the
 // execution leg of EXPLAIN ANALYZE — goes through here, so all three
 // share one cancellation/budget/containment path. The statement's
 // aggregate stats are folded into the evaluator's registry.
 func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Exec) (res *Result, err error) {
 	stmt := ex.stmt
-	if ex.cached == nil {
-		// Cached statements were analyzed once at compile time.
-		if err := analyzeStatement(stmt); err != nil {
-			return nil, err
-		}
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -449,7 +436,7 @@ func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Ex
 	}
 	c := ev.newCtx(gov.New(ctx, limits))
 	c.col = col
-	c.params = ex.params
+	c.params = ex.cached.bind(ex.params)
 	c.cached = ex.cached
 	c.defGraph = ex.opts.DefaultGraph
 	c.views = ex.opts.Views

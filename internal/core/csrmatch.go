@@ -137,7 +137,7 @@ type scanStat struct {
 // exactly the nodes satisfying the conjunct it was taken from, so its
 // candidates skip that conjunct's test; seek postings know nothing
 // about labels and test them all.
-func scanCandidates(snap *csr.Snapshot, rs resolvedSpec, preds []*boundPred) (ords []int32, labelTests resolvedSpec, stat scanStat) {
+func scanCandidates(snap *csr.Snapshot, rs resolvedSpec, preds []*colBind) (ords []int32, labelTests resolvedSpec, stat scanStat) {
 	part, by := indexedNodeOrdinals(snap, rs)
 	partSize := snap.NumNodes()
 	if by >= 0 {
@@ -160,17 +160,11 @@ func scanCandidates(snap *csr.Snapshot, rs resolvedSpec, preds []*boundPred) (or
 	return ords, labelTests, stat
 }
 
-// labelTestFast answers a pushed-down label test (x:A|B) on one row
-// through the snapshot when the referenced element belongs to the
-// pattern graph: an interned-label membership probe instead of a full
-// expression evaluation. handled is false when the row's value is a
-// ref the snapshot does not know (another graph's element, a path) —
-// the caller falls back to the interpreter, which searches all graphs
-// in scope.
-func labelTestFast(snap *csr.Snapshot, lids []int32, v value.Value, bound bool) (pass, handled bool) {
-	if !bound || !v.IsRef() {
-		return false, true // unbound or non-ref: the interpreter yields FALSE
-	}
+// labelTestFast answers a label test (x:A|B) on a bound ref through the
+// snapshot: an interned-label membership probe. handled is false when
+// the ref is not the snapshot's (another graph's element, a path) —
+// the caller then searches all graphs in scope.
+func labelTestFast(snap *csr.Snapshot, lids []int32, v value.Value) (pass, handled bool) {
 	id, _ := v.RefID()
 	switch v.Kind() {
 	case value.KindNode:

@@ -43,15 +43,20 @@ func (ev *Evaluator) ExplainContext(ctx context.Context, stmt *ast.Statement) (s
 // plan is printed against the session's default graph (estimates and
 // chain starts can differ per graph) under the session's limits.
 func (ev *Evaluator) ExplainOptsContext(ctx context.Context, stmt *ast.Statement, opts ExecOpts) (string, error) {
-	if err := analyzeStatement(stmt); err != nil {
+	return ev.explainExec(ctx, Exec{stmt: stmt, opts: opts})
+}
+
+// explainExec renders the static plan of one execution.
+func (ev *Evaluator) explainExec(ctx context.Context, ex Exec) (string, error) {
+	if err := ex.ensureCompiled(); err != nil {
 		return "", err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	limits := ev.limits
-	if opts.Limits != nil {
-		limits = *opts.Limits
+	if ex.opts.Limits != nil {
+		limits = *ex.opts.Limits
 	}
 	if limits.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -62,7 +67,7 @@ func (ev *Evaluator) ExplainOptsContext(ctx context.Context, stmt *ast.Statement
 		return "", err
 	}
 	var sb strings.Builder
-	explainStatement(ev, opts.DefaultGraph, &sb, stmt, "", nil)
+	explainStatement(ev, ex.opts.DefaultGraph, ex.cached, &sb, ex.stmt, "", nil)
 	return sb.String(), nil
 }
 
@@ -114,7 +119,7 @@ func selectLabel(sc *ast.SelectClause) string {
 	return fmt.Sprintf("SELECT %d column(s) → table", len(sc.Items))
 }
 
-func explainStatement(ev *Evaluator, def string, sb *strings.Builder, stmt *ast.Statement, indent string, ann *planAnnotator) {
+func explainStatement(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, stmt *ast.Statement, indent string, ann *planAnnotator) {
 	for _, pc := range stmt.Paths {
 		fmt.Fprintf(sb, "%sPATH VIEW %s\n", indent, pc.Name)
 		fmt.Fprintf(sb, "%s  segment: %s", indent, pc.Patterns[0].String())
@@ -137,25 +142,25 @@ func explainStatement(ev *Evaluator, def string, sb *strings.Builder, stmt *ast.
 			kind = "GRAPH VIEW (registered in the catalog)"
 		}
 		fmt.Fprintf(sb, "%s%s %s\n", indent, kind, gc.Name)
-		explainStatement(ev, def, sb, gc.Body, indent+"  ", ann)
+		explainStatement(ev, def, cs, sb, gc.Body, indent+"  ", ann)
 	}
 	if stmt.Query != nil {
-		explainQuery(ev, def, sb, stmt.Query, indent, ann)
+		explainQuery(ev, def, cs, sb, stmt.Query, indent, ann)
 	}
 }
 
-func explainQuery(ev *Evaluator, def string, sb *strings.Builder, q ast.Query, indent string, ann *planAnnotator) {
+func explainQuery(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, q ast.Query, indent string, ann *planAnnotator) {
 	switch x := q.(type) {
 	case *ast.SetQuery:
 		fmt.Fprintf(sb, "%sGRAPH %s (identity-wise, §A.5)\n", indent, x.Op)
-		explainQuery(ev, def, sb, x.Left, indent+"  ", ann)
-		explainQuery(ev, def, sb, x.Right, indent+"  ", ann)
+		explainQuery(ev, def, cs, sb, x.Left, indent+"  ", ann)
+		explainQuery(ev, def, cs, sb, x.Right, indent+"  ", ann)
 	case *ast.BasicQuery:
-		explainBasic(ev, def, sb, x, indent, ann)
+		explainBasic(ev, def, cs, sb, x, indent, ann)
 	}
 }
 
-func explainBasic(ev *Evaluator, def string, sb *strings.Builder, bq *ast.BasicQuery, indent string, ann *planAnnotator) {
+func explainBasic(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, bq *ast.BasicQuery, indent string, ann *planAnnotator) {
 	boundVars := map[string]bool{}
 	boundKnown := true
 	switch {
@@ -163,7 +168,7 @@ func explainBasic(ev *Evaluator, def string, sb *strings.Builder, bq *ast.BasicQ
 		fmt.Fprintf(sb, "%sFROM %s (import binding table)\n", indent, bq.From)
 		boundKnown = false // columns are only known at run time
 	case bq.Match != nil:
-		explainMatch(ev, def, sb, bq.Match, indent, ann)
+		explainMatch(ev, def, cs, sb, bq.Match, indent, ann)
 		for _, lp := range bq.Match.Patterns {
 			collectVars(lp.Pattern, boundVars)
 		}
@@ -195,9 +200,9 @@ func explainBasic(ev *Evaluator, def string, sb *strings.Builder, bq *ast.BasicQ
 	}
 }
 
-func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchClause, indent string, ann *planAnnotator) {
+func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, mc *ast.MatchClause, indent string, ann *planAnnotator) {
 	fmt.Fprintf(sb, "%sMATCH\n", indent)
-	conjs := prepareConjuncts(mc.Where)
+	conjs := cs.conjuncts(mc.Where)
 	// Track which conjuncts each chain will absorb, mirroring
 	// applyReady's schema test as variables become bound. Each chain is
 	// walked from the start the planner picks, so the step order — and
@@ -211,7 +216,7 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 			if !cj.pushable {
 				kind = " [subquery]"
 			}
-			residual = append(residual, ast.ExprString(cj.expr)+kind)
+			residual = append(residual, ast.ExprString(cj.src)+kind)
 		}
 	}
 	if len(residual) > 0 {
@@ -221,7 +226,7 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 	for oi, ob := range mc.Optionals {
 		fmt.Fprintf(sb, "%s  left-outer-join OPTIONAL block %d%s\n", indent, oi+1,
 			ann.suffix(obs.OpLeftJoin, ""))
-		bConjs := prepareConjuncts(ob.Where)
+		bConjs := cs.conjuncts(ob.Where)
 		bEsts := make([]int, len(ob.Patterns))
 		for i, lp := range ob.Patterns {
 			pl := ev.staticPlan(def, lp, bConjs)
@@ -232,7 +237,7 @@ func explainMatch(ev *Evaluator, def string, sb *strings.Builder, mc *ast.MatchC
 		var brest []string
 		for _, cj := range bConjs {
 			if !cj.applied {
-				brest = append(brest, ast.ExprString(cj.expr))
+				brest = append(brest, ast.ExprString(cj.src))
 			}
 		}
 		if len(brest) > 0 {
@@ -342,11 +347,10 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl c
 			}
 			if ok {
 				cj.applied = true
-				desc := ast.ExprString(cj.expr)
-				// The index-vs-column decision: conjuncts compilable
-				// against the snapshot's property columns are marked,
-				// the rest evaluate row-at-a-time.
-				if !ev.ablation.NoPropColumns && staticColPred(cj) != nil {
+				desc := ast.ExprString(cj.src)
+				// The index-vs-column decision: column leaves are
+				// marked, the rest evaluate row-at-a-time.
+				if _, isLeaf := cj.ev.(*colLeaf); isLeaf && !ev.ablation.NoPropColumns {
 					desc += " [col]"
 				}
 				out = append(out, desc)
@@ -419,10 +423,6 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl c
 	}
 }
 
-// staticColPred is EXPLAIN's view of a conjunct's compiled form: the
-// shape alone, every parameter counting as bound.
-func staticColPred(cj *conjunct) *colPred { return compileColPred(cj.expr, nil, true) }
-
 // seekKeys lists the property keys a chain's start scan may seek on:
 // the `=` conjuncts its prefilter would consume (the evaluator's own
 // gate walk), in WHERE order. It must run before the step claims its
@@ -432,11 +432,11 @@ func seekKeys(ab Ablation, np *ast.NodePattern, conjs []*conjunct) []string {
 		return nil
 	}
 	schema := appendBindVars([]string{np.Var}, np.Props)
-	_, preds := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, staticColPred)
+	_, leaves := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
 	var keys []string
-	for _, p := range preds {
-		if p.op == ast.OpEq {
-			keys = append(keys, p.key)
+	for _, l := range leaves {
+		if l.op == ast.OpEq {
+			keys = append(keys, l.key)
 		}
 	}
 	return keys

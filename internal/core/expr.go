@@ -12,6 +12,21 @@ import (
 	"gcore/internal/value"
 )
 
+// Expressions (§A.1) are compiled once per cache entry (compile.go)
+// into trees of immutable evaluator nodes: variables become
+// statement-wide ids, parameters execution-bound slots, operators and
+// builtins the functions that implement them, and `x.k OP constant`
+// comparisons column leaves (propcols.go). A tree evaluates over an
+// env, which holds what one execution adds: the current binding µ and
+// the slots its variables resolve to, the group of an aggregation, the
+// graph under construction, and the leaves' snapshot bindings. Nodes
+// hold no execution state, so concurrent executions share them.
+
+// evaluator is one compiled expression node.
+type evaluator interface {
+	eval(e *env) (value.Value, error)
+}
+
 // env is the evaluation environment of an expression (§A.1): the
 // current binding µ, the graphs whose σ and λ resolve element
 // references, the computed temp paths, and — inside CONSTRUCT and an
@@ -24,35 +39,132 @@ type env struct {
 	graphs       []*ppg.Graph
 	patternGraph *ppg.Graph
 
-	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅.
+	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅. slots
+	// maps the statement's variable ids to rowTab's slots, each
+	// resolved on first use (setTable).
 	rowTab *bindings.Table
 	rowIdx int
+	slots  []int
 
 	// Aggregation context: the group is rows groupRows of rowTab (nil
 	// outside a grouped context, empty for the empty group). COUNT(*)
-	// counts the group rows that bind every variable of groupSchema.
+	// counts the group rows that bind every variable of groupSchema,
+	// whose slots groupSlots caches.
 	groupRows   []int
 	groupSchema []string
+	groupSlots  []int
 
 	// The graph being constructed, consulted first for property and
 	// label lookups so WHEN can see fresh assignments.
 	constructed *ppg.Graph
 
-	// Cached CSR snapshot of graphs[0] for columnar property reads
-	// (lookupProp); resolved lazily on the first property access.
-	colSnap *csr.Snapshot
+	// snap is the snapshot of graphs[0] that property reads, label
+	// tests and column leaves answer from (fast), and leaves holds the
+	// leaves' bindings to it; colHits and colFalls count the column
+	// leaf rows it answered and the ones that fell back.
+	snap              *csr.Snapshot
+	snapDone          bool
+	leaves            []leafBind
+	colHits, colFalls int64
+
+	args    []value.Value // the argument stack of builtin calls
+	aggVals []value.Value // an aggregate's inputs
 }
+
+// leafBind is one leaf bound to the env's snapshot: a column leaf's
+// column, or a label test's interned labels.
+type leafBind struct {
+	col  *colBind
+	lids []int32
+}
+
+const unresolved = -2
 
 func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph) *env {
 	return &env{c: c, s: s, graphs: graphs, patternGraph: patternGraph}
 }
 
-// lookup resolves a variable in the current binding µ.
+// setTable makes the rows of t the bindings the env evaluates over (nil
+// for µ∅). The variable slots of a new schema resolve lazily; a table
+// sharing the previous one's schema keeps them.
+func (e *env) setTable(t *bindings.Table) {
+	prev := e.rowTab
+	e.rowTab = t
+	if t == nil || prev != nil && e.slots != nil && sameSchema(prev.Vars(), t.Vars()) {
+		return
+	}
+	if e.slots == nil {
+		e.slots = make([]int, len(e.c.cached.vars))
+	}
+	for i := range e.slots {
+		e.slots[i] = unresolved
+	}
+	e.groupSlots = nil
+}
+
+func sameSchema(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// value resolves variable id in the current binding µ.
+func (e *env) value(id int) (value.Value, bool) {
+	if e.rowTab == nil {
+		return value.Null, false
+	}
+	s := e.slots[id]
+	if s == unresolved {
+		s = e.rowTab.SlotOf(e.c.cached.vars[id])
+		e.slots[id] = s
+	}
+	if s < 0 {
+		return value.Null, false
+	}
+	if v := e.rowTab.RowAt(e.rowIdx)[s]; !v.IsAbsent() {
+		return v, true
+	}
+	return value.Null, false
+}
+
+// lookup resolves a variable by name in the current binding µ.
 func (e *env) lookup(name string) (value.Value, bool) {
 	if e.rowTab == nil {
 		return value.Null, false
 	}
 	return e.rowTab.Value(e.rowIdx, name)
+}
+
+// fast returns the snapshot the leaves and property reads answer from:
+// graphs[0]'s, which resolves every ref it knows exactly like the walk
+// of allGraphs (the first LabelsOf hit wins, and the columns mirror
+// Properties.Get), or nil when a graph is under construction (it is
+// consulted first) or the property columns are ablated.
+func (e *env) fast() *csr.Snapshot {
+	if !e.snapDone {
+		e.snapDone = true
+		if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
+			// snapshot, not snapOf: the cache counters record the
+			// operators' acquisitions, not one per environment.
+			e.snap, _ = e.c.ev.snapshot(e.graphs[0])
+		}
+	}
+	return e.snap
+}
+
+// leaf returns the env's binding of leaf id.
+func (e *env) leaf(id int) *leafBind {
+	if e.leaves == nil {
+		e.leaves = make([]leafBind, e.c.cached.leaves)
+	}
+	return &e.leaves[id]
+}
+
+// scope is the env's scope, or a fresh one for a subquery of a
+// scopeless env.
+func (e *env) scope() *scope {
+	if e.s == nil {
+		return newScope(nil)
+	}
+	return e.s
 }
 
 // outerRowTable materialises the current µ as a one-row table — the
@@ -128,29 +240,19 @@ func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
 	return nil, false
 }
 
-// lookupProp resolves σ(x, k) across the graphs in scope. When the
-// ref belongs to the first graph consulted — no graph is under
-// construction and the element is in graphs[0]'s snapshot — the read
-// comes from the frozen property columns, which resolve identically
-// to the interpreter walk (the first LabelsOf hit wins, and the
-// columns mirror Properties.Get exactly); any other ref falls through
-// to the walk.
+// lookupProp resolves σ(x, k) across the graphs in scope, from the
+// snapshot's property columns when fast knows the ref.
 func (e *env) lookupProp(ref value.Value, key string) value.Value {
-	if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
-		if e.colSnap == nil {
-			// snapshot, not snapOf: the cache counters record the
-			// operators' acquisitions, not one per environment.
-			e.colSnap, _ = e.c.ev.snapshot(e.graphs[0])
-		}
+	if snap := e.fast(); snap != nil {
 		if id, ok := ref.RefID(); ok {
 			switch ref.Kind() {
 			case value.KindNode:
-				if u, ok := e.colSnap.Ord(ppg.NodeID(id)); ok {
-					return e.colSnap.NodeProp(u, key)
+				if u, ok := snap.Ord(ppg.NodeID(id)); ok {
+					return snap.NodeProp(u, key)
 				}
 			case value.KindEdge:
-				if ed, ok := e.colSnap.EdgeOrd(ppg.EdgeID(id)); ok {
-					return e.colSnap.EdgeProp(ed, key)
+				if ed, ok := snap.EdgeOrd(ppg.EdgeID(id)); ok {
+					return snap.EdgeProp(ed, key)
 				}
 			}
 		}
@@ -192,465 +294,298 @@ func (e *env) lookupPath(ref value.Value) (*ppg.Path, *tempPath) {
 	return nil, e.c.tempPathOf(ref)
 }
 
-// lookupPathElements resolves nodes()/edges() for stored and computed
-// paths — the point where a computed walk gets built.
-func (e *env) lookupPathElements(ref value.Value) (*ppg.Path, bool) {
-	p, tp := e.lookupPath(ref)
-	if tp != nil {
-		p = tp.walk()
-	}
-	return p, p != nil
+// The nodes. Unbound variables and missing properties evaluate to the
+// absent value, so WHERE silently filters incomplete bindings (§3).
+
+// litNode is the AST literal itself, so a constant costs no node.
+type litNode ast.Literal
+
+var nullNode = &litNode{Val: value.Null}
+
+func (n *litNode) eval(*env) (value.Value, error) { return n.Val, nil }
+
+type errNode struct{ err error }
+
+func (n *errNode) eval(*env) (value.Value, error) { return value.Null, n.err }
+
+// paramNode reads $name from the execution's bindings (evalCtx.params,
+// value.Absent when unbound).
+type paramNode struct {
+	id   int
+	name string
 }
 
-// eval evaluates an expression under the environment. Unbound
-// variables and missing properties evaluate to the absent value, so
-// WHERE silently filters incomplete bindings (§3).
-func (e *env) eval(x ast.Expr) (value.Value, error) {
-	switch n := x.(type) {
-	case nil:
+func (n *paramNode) eval(e *env) (value.Value, error) {
+	if v := e.c.params[n.id]; !v.IsAbsent() {
+		return v, nil
+	}
+	return value.Null, errf("unbound parameter $%s", n.name)
+}
+
+// varNode is a variable's id: a value, which an evaluator holds
+// without an allocation.
+type varNode int
+
+func (n varNode) eval(e *env) (value.Value, error) {
+	v, _ := e.value(int(n))
+	return v, nil
+}
+
+type propNode struct {
+	v   int
+	key string
+}
+
+func (n *propNode) eval(e *env) (value.Value, error) {
+	ref, ok := e.value(n.v)
+	if !ok || !ref.IsRef() {
 		return value.Null, nil
-	case *ast.Literal:
-		return n.Val, nil
-	case *ast.Param:
-		if v, ok := e.c.params[n.Name]; ok {
-			return v, nil
-		}
-		return value.Null, errf("unbound parameter $%s", n.Name)
-	case *ast.VarRef:
-		if v, ok := e.lookup(n.Name); ok {
-			return v, nil
-		}
-		return value.Null, nil
-	case *ast.PropAccess:
-		ref, ok := e.lookup(n.Var)
-		if !ok {
-			return value.Null, nil
-		}
-		if !ref.IsRef() {
-			return value.Null, nil
-		}
-		return e.lookupProp(ref, n.Key), nil
-	case *ast.LabelTest:
-		ref, ok := e.lookup(n.Var)
-		if !ok || !ref.IsRef() {
-			return value.False, nil
-		}
-		ls, ok := e.lookupLabels(ref)
-		if !ok {
-			return value.False, nil
-		}
-		for _, l := range n.Labels {
-			if ls.Has(l) {
-				return value.True, nil
+	}
+	return e.lookupProp(ref, n.key), nil
+}
+
+// labelNode is x:A|B. Over fast's snapshot it is an interned-label
+// probe; refs the snapshot does not know search the graphs in scope.
+type labelNode struct {
+	v, leaf int
+	labels  []string
+}
+
+func (n *labelNode) eval(e *env) (value.Value, error) {
+	ref, ok := e.value(n.v)
+	if !ok || !ref.IsRef() {
+		return value.False, nil
+	}
+	if snap := e.fast(); snap != nil {
+		lb := e.leaf(n.leaf)
+		if lb.lids == nil {
+			lb.lids = make([]int32, len(n.labels))
+			for i, l := range n.labels {
+				lb.lids[i] = snap.LabelID(l)
 			}
 		}
+		if pass, handled := labelTestFast(snap, lb.lids, ref); handled {
+			return value.Bool(pass), nil
+		}
+	}
+	ls, ok := e.lookupLabels(ref)
+	if !ok {
 		return value.False, nil
-	case *ast.Unary:
-		v, err := e.eval(n.X)
-		if err != nil {
-			return value.Null, err
-		}
-		if n.Op == ast.OpNot {
-			return value.Not(v)
-		}
-		return value.Neg(v)
-	case *ast.Binary:
-		return e.evalBinary(n)
-	case *ast.FuncCall:
-		return e.evalFunc(n)
-	case *ast.Index:
-		base, err := e.eval(n.Base)
-		if err != nil {
-			return value.Null, err
-		}
-		idx, err := e.eval(n.Idx)
-		if err != nil {
-			return value.Null, err
-		}
-		i, ok := idx.Scalarize().AsInt()
-		if !ok {
-			return value.Null, errf("index must be an integer, got %s", idx.Kind())
-		}
-		return base.Index(int(i)), nil
-	case *ast.Case:
-		return e.evalCase(n)
-	case *ast.Exists:
-		return e.evalExists(n.Query)
-	case *ast.PatternPred:
-		return e.evalPatternPred(n.Pattern)
 	}
-	return value.Null, errf("unknown expression node %T", x)
+	for _, l := range n.labels {
+		if ls.Has(l) {
+			return value.True, nil
+		}
+	}
+	return value.False, nil
 }
 
-func (e *env) evalBinary(n *ast.Binary) (value.Value, error) {
-	l, err := e.eval(n.L)
+type unaryNode struct {
+	x  evaluator
+	op func(value.Value) (value.Value, error)
+}
+
+func (n *unaryNode) eval(e *env) (value.Value, error) {
+	v, err := n.x.eval(e)
 	if err != nil {
 		return value.Null, err
 	}
-	// AND/OR evaluate both sides (no short-circuit needed: the
-	// language is side-effect free), but keep errors precise.
-	r, err := e.eval(n.R)
+	return n.op(v)
+}
+
+// binaryNode evaluates both operands, AND and OR included (no
+// short-circuit is needed: the language is side-effect free), so
+// errors stay precise.
+type binaryNode struct {
+	l, r evaluator
+	op   func(a, b value.Value) (value.Value, error)
+}
+
+func (n *binaryNode) eval(e *env) (value.Value, error) {
+	l, err := n.l.eval(e)
 	if err != nil {
 		return value.Null, err
 	}
-	switch n.Op {
-	case ast.OpOr:
-		return value.Or(l, r)
-	case ast.OpAnd:
-		return value.And(l, r)
-	case ast.OpEq:
-		return value.Eq(l, r), nil
-	case ast.OpNeq:
-		return value.Neq(l, r), nil
-	case ast.OpLt:
-		return value.Lt(l, r), nil
-	case ast.OpLe:
-		return value.Le(l, r), nil
-	case ast.OpGt:
-		return value.Gt(l, r), nil
-	case ast.OpGe:
-		return value.Ge(l, r), nil
-	case ast.OpIn:
-		return value.In(l, r), nil
-	case ast.OpSubset:
-		return value.Subset(l, r), nil
-	case ast.OpAdd:
-		return value.Add(l, r)
-	case ast.OpSub:
-		return value.Sub(l, r)
-	case ast.OpMul:
-		return value.Mul(l, r)
-	case ast.OpDiv:
-		return value.Div(l, r)
-	case ast.OpMod:
-		return value.Mod(l, r)
+	r, err := n.r.eval(e)
+	if err != nil {
+		return value.Null, err
 	}
-	return value.Null, errf("unknown binary operator %v", n.Op)
+	return n.op(l, r)
 }
 
-func (e *env) evalCase(n *ast.Case) (value.Value, error) {
+// comparisons are the operators that never raise and always yield a
+// boolean; the column leaves are made of them.
+var comparisons = map[ast.BinaryOp]func(a, b value.Value) value.Value{
+	ast.OpEq: value.Eq, ast.OpNeq: value.Neq,
+	ast.OpLt: value.Lt, ast.OpLe: value.Le, ast.OpGt: value.Gt, ast.OpGe: value.Ge,
+	ast.OpIn: value.In, ast.OpSubset: value.Subset,
+}
+
+var binaryOps = map[ast.BinaryOp]func(a, b value.Value) (value.Value, error){
+	ast.OpOr: value.Or, ast.OpAnd: value.And,
+	ast.OpAdd: value.Add, ast.OpSub: value.Sub, ast.OpMul: value.Mul,
+	ast.OpDiv: value.Div, ast.OpMod: value.Mod,
+}
+
+func init() {
+	for op, f := range comparisons {
+		binaryOps[op] = func(a, b value.Value) (value.Value, error) { return f(a, b), nil }
+	}
+}
+
+// index is base[i].
+func index(base, idx value.Value) (value.Value, error) {
+	i, ok := idx.Scalarize().AsInt()
+	if !ok {
+		return value.Null, errf("index must be an integer, got %s", idx.Kind())
+	}
+	return base.Index(int(i)), nil
+}
+
+type caseArm struct{ cond, then evaluator }
+
+// caseNode is CASE: with an operand (nil for a searched CASE) the arms
+// compare for equality, else they test their conditions; a nil els is
+// ELSE NULL.
+type caseNode struct {
+	operand evaluator
+	arms    []caseArm
+	els     evaluator
+}
+
+func (n *caseNode) eval(e *env) (value.Value, error) {
 	var operand value.Value
-	if n.Operand != nil {
-		v, err := e.eval(n.Operand)
+	if n.operand != nil {
+		v, err := n.operand.eval(e)
 		if err != nil {
 			return value.Null, err
 		}
 		operand = v
 	}
-	for _, w := range n.Whens {
-		cond, err := e.eval(w.Cond)
+	for _, arm := range n.arms {
+		cond, err := arm.cond.eval(e)
 		if err != nil {
 			return value.Null, err
 		}
 		var hit bool
-		if n.Operand != nil {
+		if n.operand != nil {
 			hit, _ = value.Eq(operand, cond).AsBool()
-		} else {
-			hit, err = value.Truth(cond)
-			if err != nil {
-				return value.Null, err
-			}
+		} else if hit, err = value.Truth(cond); err != nil {
+			return value.Null, err
 		}
 		if hit {
-			return e.eval(w.Then)
+			return arm.then.eval(e)
 		}
 	}
-	if n.Else != nil {
-		return e.eval(n.Else)
+	if n.els != nil {
+		return n.els.eval(e)
 	}
 	return value.Null, nil
 }
 
-// aggName resolves an aggregation function name.
-func aggName(name string) (value.AggKind, bool) {
-	return value.ParseAggKind(name)
+// funcNode applies a builtin; fn is nil for an unknown name, which
+// raises once the arguments are evaluated. Arguments go on the env's
+// stack, so a call allocates nothing.
+type funcNode struct {
+	name string
+	args []evaluator
+	fn   *builtin
 }
 
-func (e *env) evalFunc(n *ast.FuncCall) (value.Value, error) {
-	if kind, isAgg := aggName(n.Name); isAgg {
-		return e.evalAggregate(n, kind)
-	}
-	args := make([]value.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := e.eval(a)
+func (n *funcNode) eval(e *env) (value.Value, error) {
+	base := len(e.args)
+	defer func() { e.args = e.args[:base] }()
+	for _, a := range n.args {
+		v, err := a.eval(e)
 		if err != nil {
 			return value.Null, err
 		}
-		args[i] = v
+		e.args = append(e.args, v)
 	}
-	need := func(k int) error {
-		if len(args) != k {
-			return errf("%s expects %d argument(s), got %d", n.Name, k, len(args))
-		}
-		return nil
+	args := e.args[base:]
+	switch {
+	case n.fn == nil:
+		return value.Null, errf("unknown function %s", n.name)
+	case n.fn.arity >= 0 && len(args) != n.fn.arity:
+		return value.Null, errf("%s expects %d argument(s), got %d", n.name, n.fn.arity, len(args))
 	}
-	switch n.Name {
-	case "labels":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		ls, ok := e.lookupLabels(args[0])
-		if !ok {
-			return value.Null, nil
-		}
-		vals := make([]value.Value, len(ls))
-		for i, l := range ls {
-			vals[i] = value.Str(l)
-		}
-		return value.Set(vals...), nil
-	case "nodes", "edges":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		p, ok := e.lookupPathElements(args[0])
-		if !ok {
-			return value.Null, nil
-		}
-		var vals []value.Value
-		if n.Name == "nodes" {
-			for _, id := range p.Nodes {
-				vals = append(vals, value.NodeRef(uint64(id)))
-			}
-		} else {
-			for _, id := range p.Edges {
-				vals = append(vals, value.EdgeRef(uint64(id)))
-			}
-		}
-		return value.List(vals...), nil
-	case "size", "length":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		if args[0].Kind() == value.KindPath {
-			switch p, tp := e.lookupPath(args[0]); {
-			case p != nil:
-				return value.Int(int64(p.Length())), nil
-			case tp != nil:
-				return value.Int(int64(tp.length)), nil
-			}
-		}
-		if l := args[0].Len(); l >= 0 {
-			return value.Int(int64(l)), nil
-		}
-		return value.Null, errf("%s is not defined for %s", n.Name, args[0].Kind())
-	case "cost":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		if args[0].Kind() != value.KindPath {
-			return value.Null, errf("cost expects a path")
-		}
-		if tp := e.c.tempPathOf(args[0]); tp != nil {
-			return value.Float(tp.cost), nil
-		}
-		if p, _ := e.lookupPath(args[0]); p != nil {
-			return value.Int(int64(p.Length())), nil
-		}
-		return value.Null, nil
-	case "id":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		id, ok := args[0].RefID()
-		if !ok {
-			return value.Null, errf("id expects a graph element")
-		}
-		return value.Int(int64(id)), nil
-	case "tostring":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		v := args[0].Scalarize()
-		if s, ok := v.AsString(); ok {
-			return value.Str(s), nil
-		}
-		return value.Str(v.String()), nil
-	case "tointeger":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		v := args[0].Scalarize()
-		if i, ok := v.AsInt(); ok {
-			return value.Int(i), nil
-		}
-		if f, ok := v.AsFloat(); ok {
-			return value.Int(int64(f)), nil
-		}
-		return value.Null, nil
-	case "tofloat":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		if f, ok := args[0].Scalarize().AsFloat(); ok {
-			return value.Float(f), nil
-		}
-		return value.Null, nil
-	case "upper", "lower", "trim":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		s, ok := args[0].Scalarize().AsString()
-		if !ok {
-			return value.Null, nil
-		}
-		switch n.Name {
-		case "upper":
-			return value.Str(strings.ToUpper(s)), nil
-		case "lower":
-			return value.Str(strings.ToLower(s)), nil
-		default:
-			return value.Str(strings.TrimSpace(s)), nil
-		}
-	case "contains", "startswith", "endswith":
-		if err := need(2); err != nil {
-			return value.Null, err
-		}
-		s, ok1 := args[0].Scalarize().AsString()
-		sub, ok2 := args[1].Scalarize().AsString()
-		if !ok1 || !ok2 {
-			return value.Null, nil
-		}
-		switch n.Name {
-		case "contains":
-			return value.Bool(strings.Contains(s, sub)), nil
-		case "startswith":
-			return value.Bool(strings.HasPrefix(s, sub)), nil
-		default:
-			return value.Bool(strings.HasSuffix(s, sub)), nil
-		}
-	case "replace":
-		if err := need(3); err != nil {
-			return value.Null, err
-		}
-		s, ok1 := args[0].Scalarize().AsString()
-		old, ok2 := args[1].Scalarize().AsString()
-		nw, ok3 := args[2].Scalarize().AsString()
-		if !ok1 || !ok2 || !ok3 {
-			return value.Null, nil
-		}
-		return value.Str(strings.ReplaceAll(s, old, nw)), nil
-	case "substring":
-		// substring(s, start [, length]) with 0-based start.
-		if len(args) != 2 && len(args) != 3 {
-			return value.Null, errf("substring expects 2 or 3 arguments, got %d", len(args))
-		}
-		s, ok := args[0].Scalarize().AsString()
-		if !ok {
-			return value.Null, nil
-		}
-		start, ok := args[1].Scalarize().AsInt()
-		if !ok || start < 0 {
-			return value.Null, errf("substring start must be a non-negative integer")
-		}
-		if start > int64(len(s)) {
-			return value.Str(""), nil
-		}
-		rest := s[start:]
-		if len(args) == 3 {
-			ln, ok := args[2].Scalarize().AsInt()
-			if !ok || ln < 0 {
-				return value.Null, errf("substring length must be a non-negative integer")
-			}
-			if ln < int64(len(rest)) {
-				rest = rest[:ln]
-			}
-		}
-		return value.Str(rest), nil
-	case "abs", "floor", "ceil", "round", "sqrt":
-		if err := need(1); err != nil {
-			return value.Null, err
-		}
-		v := args[0].Scalarize()
-		if v.IsNull() {
-			return value.Null, nil
-		}
-		if i, ok := v.AsInt(); ok && n.Name == "abs" {
-			if i < 0 {
-				return value.Int(-i), nil
-			}
-			return value.Int(i), nil
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return value.Null, errf("%s expects a number, got %s", n.Name, v.Kind())
-		}
-		switch n.Name {
-		case "abs":
-			return value.Float(math.Abs(f)), nil
-		case "floor":
-			return value.Int(int64(math.Floor(f))), nil
-		case "ceil":
-			return value.Int(int64(math.Ceil(f))), nil
-		case "round":
-			return value.Int(int64(math.Round(f))), nil
-		default:
-			if f < 0 {
-				return value.Null, errf("sqrt of a negative number")
-			}
-			return value.Float(math.Sqrt(f)), nil
-		}
-	}
-	return value.Null, errf("unknown function %s", n.Name)
+	return n.fn.fn(e, n.name, args)
 }
 
-// evalAggregate folds over the group rows (§A.3). COUNT(*) counts the
-// bindings of the group that bind every variable of the match schema:
-// a row produced by an unmatched OPTIONAL block leaves the optional
-// variables unbound and therefore does not count — which is how the
-// paper's nr_messages comes out 0 for people who never exchanged a
-// message (§3, Fig. 5).
-func (e *env) evalAggregate(n *ast.FuncCall, kind value.AggKind) (value.Value, error) {
+// aggNode folds its argument over the group rows (§A.3). COUNT(*)
+// counts the bindings of the group that bind every variable of the
+// match schema: a row produced by an unmatched OPTIONAL block leaves
+// the optional variables unbound and therefore does not count — which
+// is how the paper's nr_messages comes out 0 for people who never
+// exchanged a message (§3, Fig. 5).
+type aggNode struct {
+	name string
+	kind value.AggKind
+	star bool
+	args []evaluator
+}
+
+func (n *aggNode) eval(e *env) (value.Value, error) {
 	if e.groupRows == nil {
-		return value.Null, errf("aggregation %s used outside a grouped CONSTRUCT context", strings.ToUpper(n.Name))
+		return value.Null, errf("aggregation %s used outside a grouped CONSTRUCT context", strings.ToUpper(n.name))
 	}
-	if n.Star {
-		if kind != value.AggCount {
+	if n.star {
+		if n.kind != value.AggCount {
 			return value.Null, errf("only COUNT accepts *")
 		}
-		count := int64(0)
-		for _, r := range e.groupRows {
-			full := true
-			for _, v := range e.groupSchema {
-				if _, ok := e.rowTab.Value(r, v); !ok {
-					full = false
-					break
-				}
-			}
-			if full {
-				count++
-			}
-		}
-		return value.Int(count), nil
+		return value.Int(e.countBound()), nil
 	}
-	if len(n.Args) != 1 {
-		return value.Null, errf("%s expects exactly one argument", strings.ToUpper(n.Name))
+	if len(n.args) != 1 {
+		return value.Null, errf("%s expects exactly one argument", strings.ToUpper(n.name))
 	}
-	saved := e.rowIdx
-	defer func() { e.rowIdx = saved }()
-	var vals []value.Value
+	saved, vals := e.rowIdx, e.aggVals[:0] // arguments hold no aggregate (analyzeStatement)
+	defer func() { e.rowIdx, e.aggVals = saved, vals[:0] }()
 	for _, r := range e.groupRows {
 		e.rowIdx = r
-		v, err := e.eval(n.Args[0])
+		v, err := n.args[0].eval(e)
 		if err != nil {
 			return value.Null, err
 		}
 		vals = append(vals, v)
 	}
-	return value.Aggregate(kind, vals)
+	return value.Aggregate(n.kind, vals)
 }
 
-// evalExists evaluates EXISTS (query): true iff the subquery's graph
-// is non-empty, with the current row as correlated outer bindings.
-func (e *env) evalExists(q ast.Query) (value.Value, error) {
-	s := e.s
-	if s == nil {
-		s = newScope(nil)
+// countBound counts the group rows binding every groupSchema variable.
+func (e *env) countBound() int64 {
+	if len(e.groupRows) == 0 {
+		return 0
 	}
+	if e.groupSlots == nil {
+		e.groupSlots = make([]int, len(e.groupSchema))
+		for i, v := range e.groupSchema {
+			e.groupSlots[i] = e.rowTab.SlotOf(v)
+		}
+	}
+	count := int64(0)
+rows:
+	for _, r := range e.groupRows {
+		row := e.rowTab.RowAt(r)
+		for _, s := range e.groupSlots {
+			if s < 0 || row[s].IsAbsent() {
+				continue rows
+			}
+		}
+		count++
+	}
+	return count
+}
+
+// existsNode is EXISTS (query): true iff the subquery's graph is
+// non-empty, with the current row as correlated outer bindings.
+type existsNode struct{ q ast.Query }
+
+func (n *existsNode) eval(e *env) (value.Value, error) {
 	outer := e.outerRowTable()
 	// Subquery operators record one level down (they run per row and
 	// would otherwise swamp the top-level plan annotation).
 	e.c.col.EnterSub()
-	res, err := e.c.evalQuery(s, q, outer)
+	res, err := e.c.evalQuery(e.scope(), n.q, outer)
 	e.c.col.ExitSub()
 	if err != nil {
 		return value.Null, err
@@ -661,24 +596,207 @@ func (e *env) evalExists(q ast.Query) (value.Value, error) {
 	return value.Bool(!res.Graph.IsEmpty()), nil
 }
 
-// evalPatternPred evaluates an implicit existential pattern in WHERE
-// (§3): the pattern is matched on the enclosing pattern's graph,
-// correlated with the current row.
-func (e *env) evalPatternPred(gp *ast.GraphPattern) (value.Value, error) {
+// patternNode is an implicit existential pattern in WHERE (§3): the
+// pattern is matched on the enclosing pattern's graph, correlated with
+// the current row.
+type patternNode struct{ gp *ast.GraphPattern }
+
+func (n *patternNode) eval(e *env) (value.Value, error) {
 	if e.patternGraph == nil {
 		return value.Null, errf("no graph in scope for pattern predicate")
 	}
-	s := e.s
-	if s == nil {
-		s = newScope(nil)
-	}
 	e.c.col.EnterSub()
-	tbl, _, err := e.c.evalGraphPattern(s, gp, e.patternGraph)
+	tbl, _, err := e.c.evalGraphPattern(e.scope(), n.gp, e.patternGraph)
 	e.c.col.ExitSub()
 	if err != nil {
 		return value.Null, err
 	}
-	outer := e.outerRowTable()
-	joined := bindings.Join(tbl, outer)
+	joined := bindings.Join(tbl, e.outerRowTable())
 	return value.Bool(joined.Len() > 0), nil
+}
+
+// builtin is a scalar function of arity arguments (-1: fn checks),
+// called with its evaluated arguments, which it must not retain.
+type builtin struct {
+	arity int
+	fn    func(e *env, name string, args []value.Value) (value.Value, error)
+}
+
+var builtins = map[string]*builtin{
+	"labels": {1, func(e *env, _ string, a []value.Value) (value.Value, error) {
+		ls, ok := e.lookupLabels(a[0])
+		if !ok {
+			return value.Null, nil
+		}
+		vals := make([]value.Value, len(ls))
+		for i, l := range ls {
+			vals[i] = value.Str(l)
+		}
+		return value.Set(vals...), nil
+	}},
+	"nodes":  {1, pathElements},
+	"edges":  {1, pathElements},
+	"size":   {1, size},
+	"length": {1, size},
+	"cost": {1, func(e *env, _ string, a []value.Value) (value.Value, error) {
+		if a[0].Kind() != value.KindPath {
+			return value.Null, errf("cost expects a path")
+		}
+		if tp := e.c.tempPathOf(a[0]); tp != nil {
+			return value.Float(tp.cost), nil
+		}
+		if p, _ := e.lookupPath(a[0]); p != nil {
+			return value.Int(int64(p.Length())), nil
+		}
+		return value.Null, nil
+	}},
+	"id": {1, func(_ *env, _ string, a []value.Value) (value.Value, error) {
+		if id, ok := a[0].RefID(); ok {
+			return value.Int(int64(id)), nil
+		}
+		return value.Null, errf("id expects a graph element")
+	}},
+	"tostring": {1, func(_ *env, _ string, a []value.Value) (value.Value, error) {
+		v := a[0].Scalarize()
+		if s, ok := v.AsString(); ok {
+			return value.Str(s), nil
+		}
+		return value.Str(v.String()), nil
+	}},
+	"tointeger": {1, func(_ *env, _ string, a []value.Value) (value.Value, error) {
+		v := a[0].Scalarize()
+		if i, ok := v.AsInt(); ok {
+			return value.Int(i), nil
+		}
+		if f, ok := v.AsFloat(); ok {
+			return value.Int(int64(f)), nil
+		}
+		return value.Null, nil
+	}},
+	"tofloat": {1, func(_ *env, _ string, a []value.Value) (value.Value, error) {
+		if f, ok := a[0].Scalarize().AsFloat(); ok {
+			return value.Float(f), nil
+		}
+		return value.Null, nil
+	}},
+	"upper":      strFunc(1, func(s, _, _ string) value.Value { return value.Str(strings.ToUpper(s)) }),
+	"lower":      strFunc(1, func(s, _, _ string) value.Value { return value.Str(strings.ToLower(s)) }),
+	"trim":       strFunc(1, func(s, _, _ string) value.Value { return value.Str(strings.TrimSpace(s)) }),
+	"contains":   strFunc(2, func(s, sub, _ string) value.Value { return value.Bool(strings.Contains(s, sub)) }),
+	"startswith": strFunc(2, func(s, sub, _ string) value.Value { return value.Bool(strings.HasPrefix(s, sub)) }),
+	"endswith":   strFunc(2, func(s, sub, _ string) value.Value { return value.Bool(strings.HasSuffix(s, sub)) }),
+	"replace":    strFunc(3, func(s, old, nw string) value.Value { return value.Str(strings.ReplaceAll(s, old, nw)) }),
+	"substring":  {-1, substring},
+	"abs":        numFunc(func(f float64) (value.Value, error) { return value.Float(math.Abs(f)), nil }),
+	"floor":      numFunc(func(f float64) (value.Value, error) { return value.Int(int64(math.Floor(f))), nil }),
+	"ceil":       numFunc(func(f float64) (value.Value, error) { return value.Int(int64(math.Ceil(f))), nil }),
+	"round":      numFunc(func(f float64) (value.Value, error) { return value.Int(int64(math.Round(f))), nil }),
+	"sqrt": numFunc(func(f float64) (value.Value, error) {
+		if f < 0 {
+			return value.Null, errf("sqrt of a negative number")
+		}
+		return value.Float(math.Sqrt(f)), nil
+	}),
+}
+
+// pathElements is nodes() and edges(), for stored and computed paths —
+// the point where a computed walk gets built.
+func pathElements(e *env, name string, a []value.Value) (value.Value, error) {
+	p, tp := e.lookupPath(a[0])
+	if tp != nil {
+		p = tp.walk()
+	}
+	if p == nil {
+		return value.Null, nil
+	}
+	var vals []value.Value
+	if name == "nodes" {
+		for _, id := range p.Nodes {
+			vals = append(vals, value.NodeRef(uint64(id)))
+		}
+	} else {
+		for _, id := range p.Edges {
+			vals = append(vals, value.EdgeRef(uint64(id)))
+		}
+	}
+	return value.List(vals...), nil
+}
+
+func size(e *env, name string, a []value.Value) (value.Value, error) {
+	if a[0].Kind() == value.KindPath {
+		switch p, tp := e.lookupPath(a[0]); {
+		case p != nil:
+			return value.Int(int64(p.Length())), nil
+		case tp != nil:
+			return value.Int(int64(tp.length)), nil
+		}
+	}
+	if l := a[0].Len(); l >= 0 {
+		return value.Int(int64(l)), nil
+	}
+	return value.Null, errf("%s is not defined for %s", name, a[0].Kind())
+}
+
+// strFunc is a builtin of k ≤ 3 strings; an argument that is not a
+// string makes it NULL.
+func strFunc(k int, f func(a, b, c string) value.Value) *builtin {
+	return &builtin{k, func(_ *env, _ string, args []value.Value) (value.Value, error) {
+		var s [3]string
+		for i, a := range args {
+			str, ok := a.Scalarize().AsString()
+			if !ok {
+				return value.Null, nil
+			}
+			s[i] = str
+		}
+		return f(s[0], s[1], s[2]), nil
+	}}
+}
+
+// substring(s, start [, length]) with 0-based start.
+func substring(_ *env, _ string, args []value.Value) (value.Value, error) {
+	if len(args) != 2 && len(args) != 3 {
+		return value.Null, errf("substring expects 2 or 3 arguments, got %d", len(args))
+	}
+	s, ok := args[0].Scalarize().AsString()
+	if !ok {
+		return value.Null, nil
+	}
+	start, ok := args[1].Scalarize().AsInt()
+	if !ok || start < 0 {
+		return value.Null, errf("substring start must be a non-negative integer")
+	}
+	if start > int64(len(s)) {
+		return value.Str(""), nil
+	}
+	rest := s[start:]
+	if len(args) == 3 {
+		ln, ok := args[2].Scalarize().AsInt()
+		if !ok || ln < 0 {
+			return value.Null, errf("substring length must be a non-negative integer")
+		}
+		if ln < int64(len(rest)) {
+			rest = rest[:ln]
+		}
+	}
+	return value.Str(rest), nil
+}
+
+// numFunc is a builtin of one number: NULL stays NULL, abs keeps an
+// integer an integer, anything else goes through f as a float.
+func numFunc(f func(float64) (value.Value, error)) *builtin {
+	return &builtin{1, func(_ *env, name string, a []value.Value) (value.Value, error) {
+		v := a[0].Scalarize()
+		if v.IsNull() {
+			return value.Null, nil
+		}
+		if i, ok := v.AsInt(); ok && name == "abs" {
+			return value.Int(max(i, -i)), nil
+		}
+		x, ok := v.AsFloat()
+		if !ok {
+			return value.Null, errf("%s expects a number, got %s", name, v.Kind())
+		}
+		return f(x)
+	}}
 }

@@ -25,25 +25,72 @@ const checkStride = 256
 // It returns the table together with the graphs involved (used to
 // resolve element labels and properties in later expressions).
 func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table) (*bindings.Table, []*ppg.Graph, error) {
-	var (
-		tbl    *bindings.Table
-		graphs []*ppg.Graph
-	)
 	// Pure conjuncts of WHERE are pushed into the pattern chains and
 	// applied as soon as their variables are bound — before expensive
 	// path searches — which is semantically transparent (§A.2: the
 	// filter is a per-row predicate over its own variables).
-	conjs := c.prepareConjunctsCached(mc.Where)
-	// Evaluate every conjunct pattern in textual order (stable
-	// anonymous numbering), then fold the joins smallest estimate
-	// first — hidden row ordinals restore the textual fold order so
-	// downstream row-order-sensitive stages (CONSTRUCT identity
-	// assignment, canonical output order) see identical tables.
+	conjs := c.cached.conjuncts(mc.Where)
+	tbl, graphs, err := c.evalPatterns(s, mc.Patterns, conjs)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Correlate with the outer query's bindings (Jγ0KΩ,G semantics).
+	// A top-level MATCH correlates with {µ∅}, the join's identity: only
+	// the budget the join would apply remains.
+	if outer.Len() == 1 && outer.Width() == 0 {
+		if limit := c.gov.Limits().MaxBindings; limit > 0 && tbl.Len() > limit {
+			return nil, nil, c.gov.BindingsError(limit + 1)
+		}
+	} else if tbl, err = c.joinBudget(tbl, outer); err != nil {
+		return nil, nil, err
+	}
+
+	patternGraph := firstGraph(graphs, c.defaultGraphOrNil())
+	env := c.newEnv(s, graphs, patternGraph)
+	if tbl, err = c.residualFilter("residual filter", conjs, tbl, env); err != nil {
+		return nil, nil, err
+	}
+	for _, ob := range mc.Optionals {
+		// The left-join span brackets the whole block: its chains,
+		// fold, block filter and the outer join itself.
+		osp := c.col.Start(obs.OpLeftJoin)
+		if osp.Verbose() {
+			osp.SetLabel("OPTIONAL left join")
+		}
+		rowsIn := int64(tbl.Len())
+		bConjs := c.cached.conjuncts(ob.Where)
+		bt, bGraphs, err := c.evalPatterns(s, ob.Patterns, bConjs)
+		if err == nil {
+			env := c.newEnv(s, append(append([]*ppg.Graph{}, graphs...), bGraphs...), firstGraph(bGraphs, patternGraph))
+			bt, err = c.residualFilter("block filter", bConjs, bt, env)
+		}
+		if err == nil {
+			graphs = append(graphs, bGraphs...)
+			tbl, err = c.leftJoinBudget(tbl, bt)
+		}
+		if err != nil {
+			osp.Fail()
+			return nil, nil, err
+		}
+		osp.Rows(rowsIn, int64(tbl.Len())).End()
+	}
+	return tbl, graphs, nil
+}
+
+// evalPatterns evaluates the located patterns of a MATCH or OPTIONAL
+// block on their graphs and joins them, returning the graphs too. Every
+// conjunct pattern is evaluated in textual order (stable anonymous
+// numbering), then the joins fold smallest estimate first — hidden row
+// ordinals restore the textual fold order so downstream
+// row-order-sensitive stages (CONSTRUCT identity assignment, canonical
+// output order) see identical tables.
+func (c *evalCtx) evalPatterns(s *scope, lps []*ast.LocatedPattern, conjs []*conjunct) (*bindings.Table, []*ppg.Graph, error) {
 	var (
+		graphs []*ppg.Graph
 		tables []*bindings.Table
 		ests   []int
 	)
-	for _, lp := range mc.Patterns {
+	for _, lp := range lps {
 		g, err := c.resolveLocation(s, lp)
 		if err != nil {
 			return nil, nil, err
@@ -61,166 +108,27 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 		tables = append(tables, t)
 		ests = append(ests, est)
 	}
-	var err error
-	if len(tables) > 1 {
-		// The join span covers only multi-pattern folds, matching the
-		// one "join order" line EXPLAIN prints in that case.
-		jsp := c.col.Start(obs.OpJoin)
-		if jsp.Verbose() {
-			jsp.SetLabel("conjunct join fold")
-		}
-		var rowsIn int64
-		for _, t := range tables {
-			rowsIn += int64(t.Len())
-		}
-		tbl, err = c.foldConjuncts(tables, ests)
-		if err != nil {
-			jsp.Fail()
-			return nil, nil, err
-		}
-		jsp.Rows(rowsIn, int64(tbl.Len())).End()
-	} else {
-		tbl, err = c.foldConjuncts(tables, ests)
-		if err != nil {
-			return nil, nil, err
-		}
+	if len(tables) < 2 {
+		tbl, err := c.foldConjuncts(tables, ests)
+		return tbl, graphs, err
 	}
-	// Correlate with the outer query's bindings (Jγ0KΩ,G semantics).
-	// A top-level MATCH correlates with {µ∅}, the join's identity: only
-	// the budget the join would apply remains.
-	if outer.Len() == 1 && outer.Width() == 0 {
-		if limit := c.gov.Limits().MaxBindings; limit > 0 && tbl.Len() > limit {
-			return nil, nil, c.gov.BindingsError(limit + 1)
-		}
-	} else if tbl, err = c.joinBudget(tbl, outer); err != nil {
+	// The join span covers only multi-pattern folds, matching the one
+	// "join order" line EXPLAIN prints in that case.
+	jsp := c.col.Start(obs.OpJoin)
+	if jsp.Verbose() {
+		jsp.SetLabel("conjunct join fold")
+	}
+	var rowsIn int64
+	for _, t := range tables {
+		rowsIn += int64(t.Len())
+	}
+	tbl, err := c.foldConjuncts(tables, ests)
+	if err != nil {
+		jsp.Fail()
 		return nil, nil, err
 	}
-
-	patternGraph := c.defaultGraphOrNil()
-	if len(graphs) > 0 {
-		patternGraph = graphs[0]
-	}
-	if mc.Where != nil {
-		env := c.newEnv(s, graphs, patternGraph)
-		// Span only when conjuncts remain, matching the one "residual
-		// filter" line EXPLAIN prints in that case.
-		var rsp *obs.ActiveSpan
-		if anyUnapplied(conjs) {
-			rsp = c.col.Start(obs.OpResidual)
-			if rsp.Verbose() {
-				rsp.SetLabel("residual filter")
-			}
-		}
-		rowsIn := int64(tbl.Len())
-		filtered, err := c.residualFilter(conjs, tbl, env)
-		if err != nil {
-			rsp.Fail()
-			return nil, nil, err
-		}
-		rsp.Rows(rowsIn, int64(filtered.Len())).End()
-		tbl = filtered
-	}
-	for _, ob := range mc.Optionals {
-		// The left-join span brackets the whole block: its chains,
-		// fold, block filter and the outer join itself.
-		osp := c.col.Start(obs.OpLeftJoin)
-		if osp.Verbose() {
-			osp.SetLabel("OPTIONAL left join")
-		}
-		rowsIn := int64(tbl.Len())
-		bGraphs := []*ppg.Graph{}
-		bConjs := c.prepareConjunctsCached(ob.Where)
-		var (
-			bTables []*bindings.Table
-			bEsts   []int
-		)
-		for _, lp := range ob.Patterns {
-			g, err := c.resolveLocation(s, lp)
-			if err != nil {
-				osp.Fail()
-				return nil, nil, err
-			}
-			bGraphs = append(bGraphs, g)
-			t, est, err := c.evalChainPlanned(s, lp.Pattern, g, bConjs)
-			if err != nil {
-				osp.Fail()
-				return nil, nil, err
-			}
-			if lp.OnQuery != nil {
-				est = math.MaxInt
-			}
-			bTables = append(bTables, t)
-			bEsts = append(bEsts, est)
-		}
-		var bt *bindings.Table
-		var err error
-		if len(bTables) > 1 {
-			jsp := c.col.Start(obs.OpJoin)
-			if jsp.Verbose() {
-				jsp.SetLabel("conjunct join fold")
-			}
-			var jIn int64
-			for _, t := range bTables {
-				jIn += int64(t.Len())
-			}
-			bt, err = c.foldConjuncts(bTables, bEsts)
-			if err != nil {
-				jsp.Fail()
-				osp.Fail()
-				return nil, nil, err
-			}
-			jsp.Rows(jIn, int64(bt.Len())).End()
-		} else {
-			bt, err = c.foldConjuncts(bTables, bEsts)
-			if err != nil {
-				osp.Fail()
-				return nil, nil, err
-			}
-		}
-		if ob.Where != nil {
-			bg := patternGraph
-			if len(bGraphs) > 0 {
-				bg = bGraphs[0]
-			}
-			env := c.newEnv(s, append(append([]*ppg.Graph{}, graphs...), bGraphs...), bg)
-			var rsp *obs.ActiveSpan
-			if anyUnapplied(bConjs) {
-				rsp = c.col.Start(obs.OpResidual)
-				if rsp.Verbose() {
-					rsp.SetLabel("block filter")
-				}
-			}
-			fIn := int64(bt.Len())
-			filtered, err := c.residualFilter(bConjs, bt, env)
-			if err != nil {
-				rsp.Fail()
-				osp.Fail()
-				return nil, nil, err
-			}
-			rsp.Rows(fIn, int64(filtered.Len())).End()
-			bt = filtered
-		}
-		graphs = append(graphs, bGraphs...)
-		tbl, err = c.leftJoinBudget(tbl, bt)
-		if err != nil {
-			osp.Fail()
-			return nil, nil, err
-		}
-		osp.Rows(rowsIn, int64(tbl.Len())).End()
-	}
+	jsp.Rows(rowsIn, int64(tbl.Len())).End()
 	return tbl, graphs, nil
-}
-
-// anyUnapplied reports whether a WHERE conjunct is still pending at
-// the residual-filter point; it gates the residual span so spans line
-// up one-to-one with the residual lines EXPLAIN prints.
-func anyUnapplied(conjs []*conjunct) bool {
-	for _, cj := range conjs {
-		if !cj.applied {
-			return true
-		}
-	}
-	return false
 }
 
 // evalGraphPattern evaluates one basic graph pattern chain on g,
@@ -250,15 +158,10 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 // evalChainNamed is evalChainPlanned with the positions' variable
 // names given.
 func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNames, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, int, error) {
-	pl, planned := chainPlan{}, false
-	if c.cached != nil {
-		pl, planned = c.cached.chainPlanFor(gp, g)
-	}
+	pl, planned := c.cached.chainPlanFor(gp, g)
 	if !planned {
 		pl = planChain(c.ev.ablation, gp, c.snapOf(g), conjs, c.col)
-		if c.cached != nil {
-			c.cached.storeChainPlan(gp, g, pl)
-		}
+		c.cached.storeChainPlan(gp, g, pl)
 	}
 
 	// Each step span covers the operator plus the eager conjunct
@@ -349,14 +252,6 @@ func (c *evalCtx) patternVarNames(gp *ast.GraphPattern) patternNames {
 	return pn
 }
 
-// nodeMatches checks labels and filter properties of a node pattern.
-func (c *evalCtx) nodeMatches(g *ppg.Graph, n *ppg.Node, np *ast.NodePattern) (bool, error) {
-	if !labelSpecMatches(np.Labels, n.Labels) {
-		return false, nil
-	}
-	return c.propsMatch(g, n.Props, np.Props)
-}
-
 // labelSpecMatches: every conjunct needs at least one matching
 // disjunct (":Post|Comment" matches either label).
 func labelSpecMatches(spec ast.LabelSpec, ls ppg.Labels) bool {
@@ -378,12 +273,15 @@ func labelSpecMatches(spec ast.LabelSpec, ls ppg.Labels) bool {
 // propsMatch checks filter entries ({name='Wagner'}): the value must
 // be a member of the property's value set.
 func (c *evalCtx) propsMatch(g *ppg.Graph, props ppg.Properties, specs []*ast.PropSpec) (bool, error) {
+	var env *env
 	for _, ps := range specs {
 		if ps.Mode != ast.PropFilter {
 			continue
 		}
-		env := c.newEnv(nil, []*ppg.Graph{g}, g)
-		v, err := env.eval(ps.Expr)
+		if env == nil {
+			env = c.newEnv(nil, []*ppg.Graph{g}, g)
+		}
+		v, err := c.expr(ps.Expr).eval(env)
 		if err != nil {
 			return false, err
 		}
@@ -488,10 +386,10 @@ func (bp bindPlan) addCombos(combos []propCombo, props ppg.Properties) []propCom
 // otherwise) — or, when a pushed-down `x.key = constant` conjunct can
 // seek its column's equality index to a shorter list, from that
 // (scanCandidates). Label conjuncts are integer tests, WHERE conjuncts
-// compilable against the property columns run on the candidate
-// ordinals before any row is materialised (prefilterPreds), and only
-// the remaining property checks touch the live ppg structs. The
-// binding budget is checked as each candidate's rows are appended.
+// that are column leaves run on the candidate ordinals before any row
+// is materialised (prefilterPreds), and only the remaining property
+// checks touch the live ppg structs. The binding budget is checked as
+// each candidate's rows are appended.
 func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, scanStat, error) {
 	if np.Copy {
 		return nil, scanStat{}, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
@@ -521,7 +419,7 @@ cands:
 		}
 		for _, pr := range preds {
 			colHits++
-			if !pr.node.test(u, pr.p) {
+			if !pr.node.test(u, pr) {
 				continue cands
 			}
 		}
@@ -631,8 +529,8 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 // whether node u may end a row extending row, before anything per
 // destination is built. A pre-bound right variable must name u, and u
 // must carry the right node pattern's labels, pass the WHERE conjuncts
-// on the right variable that compile to column predicates and may run
-// this early (prefilterConjuncts' rule), and pass the pattern's filter
+// on the right variable that are column leaves and may run this early
+// (prefilterConjuncts' rule), and pass the pattern's filter
 // entries. Only the filter entries evaluate expressions and can raise —
 // and a pattern that has them gives the gate no conjuncts, so the gate
 // raises exactly where building the row used to.
@@ -643,7 +541,7 @@ type destGate struct {
 	ex      extendPlan
 	rightNp *ast.NodePattern
 	labels  resolvedSpec // the right node pattern's, interned
-	preds   []*boundPred // WHERE conjuncts consumed by the gate
+	preds   []*colBind   // WHERE conjuncts consumed by the gate
 }
 
 // newDestGate builds the gate of a step whose output table is out,
@@ -661,7 +559,7 @@ func (dg *destGate) pass(row []value.Value, u int32, colHits *int64) (bool, erro
 	}
 	for _, pr := range dg.preds {
 		*colHits++
-		if !pr.node.test(u, pr.p) {
+		if !pr.node.test(u, pr) {
 			return false, nil
 		}
 	}

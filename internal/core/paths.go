@@ -91,26 +91,12 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 		tbl = bindings.Join(tbl, t)
 	}
 	env := c.newEnv(s, []*ppg.Graph{g}, g)
-	env.rowTab = tbl
 	if pc.Where != nil {
-		var keep []int
-		for ri := 0; ri < tbl.Len(); ri++ {
-			env.rowIdx = ri
-			v, err := env.eval(pc.Where)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := value.Truth(v)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				keep = append(keep, ri)
-			}
+		if tbl, err = c.filter(env, []*conjunct{{cexpr: c.expr(pc.Where)}}, tbl); err != nil {
+			return nil, err
 		}
-		tbl = tbl.Pick(keep)
-		env.rowTab = tbl
 	}
+	env.setTable(tbl)
 	row := func(name string) value.Value {
 		v, _ := env.lookup(name)
 		return v
@@ -128,7 +114,7 @@ func (c *evalCtx) materializePathView(s *scope, pc *ast.PathClause, g *ppg.Graph
 		}
 		cost := 1.0
 		if pc.Cost != nil {
-			v, err := env.eval(pc.Cost)
+			v, err := c.expr(pc.Cost).eval(env)
 			if err != nil {
 				return nil, err
 			}
@@ -260,31 +246,22 @@ func reverseRegex(rx *ast.Regex) (*ast.Regex, error) {
 
 // anyStarRegex is the expression used when a path pattern omits the
 // angle brackets: any-edge Kleene star. It is a shared immutable
-// singleton so the per-statement NFA cache (keyed by regex pointer)
+// singleton so the NFA cache (keyed by regex pointer)
 // hits for every bare path pattern.
 var anyStarRegex = &ast.Regex{Op: ast.RxStar, Subs: []*ast.Regex{{Op: ast.RxAnyEdge}}}
 
 func defaultRegex() *ast.Regex { return anyStarRegex }
 
 // compiledNFA compiles a regular path expression — reversed first when
-// the pattern is traversed against the arrow — memoising per statement
-// in the evalCtx cache.
+// the pattern is traversed against the arrow — memoising it in the
+// statement's cache entry. NFAs are read-only after compilation and
+// independent of graph state, so every later use — in this execution
+// or another of the entry — is sound.
 func (c *evalCtx) compiledNFA(rx *ast.Regex, reversed bool) (*rpq.NFA, error) {
 	key := nfaKey{rx: rx, reversed: reversed}
-	if n, ok := c.nfaCache[key]; ok {
+	if n, ok := c.cached.nfa(key); ok {
 		c.col.NFAEvent(true)
 		return n, nil
-	}
-	// Automata compiled by earlier executions of a cached statement
-	// survive in its plan-cache entry; NFAs are read-only after
-	// compilation and independent of graph state, so cross-statement
-	// reuse is always sound.
-	if c.cached != nil {
-		if n, ok := c.cached.nfa(key); ok {
-			c.col.NFAEvent(true)
-			c.nfaCache[key] = n
-			return n, nil
-		}
 	}
 	c.col.NFAEvent(false)
 	use := rx
@@ -299,10 +276,7 @@ func (c *evalCtx) compiledNFA(rx *ast.Regex, reversed bool) (*rpq.NFA, error) {
 	if err != nil {
 		return nil, errf("%v", err)
 	}
-	c.nfaCache[key] = n
-	if c.cached != nil {
-		c.cached.storeNFA(key, n)
-	}
+	c.cached.storeNFA(key, n)
 	return n, nil
 }
 

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -321,12 +323,25 @@ func TestPathViewRejectsNonFiniteCost(t *testing.T) {
 	ev := newToy(t)
 	// A NaN or infinite COST has no place in the search's cost order:
 	// the view must fail with an evaluation error, like a COST ≤ 0.
-	for _, cost := range []string{"(1e308*10.0) - (1e308*10.0)", "1e308*10.0", "-(1e308*10.0)"} {
-		err := runErr(t, ev, `PATH w = (x)-[e:knows]->(y) COST `+cost+`
-CONSTRUCT (n) MATCH (n:Person)-/p<~w*>/->(m:Person) WHERE n.firstName = 'John'`)
+	// Arithmetic refuses to overflow; a parameter can still carry one.
+	const view = `PATH w = (x)-[e:knows]->(y) COST %s
+CONSTRUCT (n) MATCH (n:Person)-/p<~w*>/->(m:Person) WHERE n.firstName = 'John'`
+	for _, c := range []struct {
+		cost, want string
+		param      value.Value
+	}{
+		{"1e308*10.0", "* has no finite result", value.Null},
+		{"-(1e308*10.0)", "* has no finite result", value.Null},
+		{"$c", "COST must be a finite number", value.Float(math.NaN())},
+		{"$c", "COST must be a finite number", value.Float(math.Inf(1))},
+	} {
+		ex, err := ev.PrepareExec(fmt.Sprintf(view, c.cost), map[string]value.Value{"c": c.param}, core.ExecOpts{})
+		if err == nil {
+			_, err = ev.EvalExec(context.Background(), ex)
+		}
 		var ee *core.Error
-		if !errors.As(err, &ee) || !strings.Contains(err.Error(), "COST must be a finite number") {
-			t.Errorf("COST %s: error %v (%T), want a finite-COST eval error", cost, err, err)
+		if !errors.As(err, &ee) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("COST %s = %v: error %v (%T), want an eval error naming %q", c.cost, c.param, err, err, c.want)
 		}
 	}
 }

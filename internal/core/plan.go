@@ -119,8 +119,8 @@ func (e nodeEst) sel() float64 {
 // estimateNode sizes one node pattern. The partition is the one
 // scanCandidates takes: the label conjunct with the fewest nodes (the
 // sum over its disjuncts). The `=` conjuncts are those the pattern's
-// scan would consume (prefilterConjuncts over the static compiled form,
-// which ignores the constant). A column nothing has sought yet has its
+// scan would consume (prefilterConjuncts on the leaves' shape, which
+// ignores the constant). A column nothing has sought yet has its
 // value index built to measure it: the evaluator, passing its collector,
 // keeps the index for the scans to come and counts the build there;
 // static EXPLAIN (nil) leaves the column unindexed.
@@ -140,13 +140,13 @@ func estimateNode(ab Ablation, snap *csr.Snapshot, np *ast.NodePattern, conjs []
 		return e
 	}
 	schema := appendBindVars([]string{np.Var}, np.Props)
-	_, preds := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, staticColPred)
-	for _, p := range preds {
-		if p.op != ast.OpEq {
+	_, leaves := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
+	for _, l := range leaves {
+		if l.op != ast.OpEq {
 			continue
 		}
 		post := 0.0 // no node carries the key: nothing is equal
-		if pc := snap.NodeCol(p.key); pc != nil {
+		if pc := snap.NodeCol(l.key); pc != nil {
 			var built bool
 			if post, built = pc.MeanPosting(col != nil); built {
 				col.PropIndexEvent(false, 1)

@@ -79,7 +79,7 @@ func matchOf(t *testing.T, q string) (*ast.GraphPattern, []*conjunct) {
 		t.Fatalf("parse %q: %v", q, err)
 	}
 	mc := stmt.Query.(*ast.BasicQuery).Match
-	return mc.Patterns[0].Pattern, prepareConjuncts(mc.Where)
+	return mc.Patterns[0].Pattern, newCachedStatement(stmt).conjuncts(mc.Where)
 }
 
 func TestNodeEstimate(t *testing.T) {
@@ -249,9 +249,9 @@ func matchTable(t *testing.T, ev *Evaluator, q string, start int) (string, error
 		t.Fatal(err)
 	}
 	c := ev.newCtx(gov.New(context.Background(), gov.Limits{}))
+	c.cached = newCachedStatement(stmt)
 	mc := stmt.Query.(*ast.BasicQuery).Match
 	if start >= 0 {
-		c.cached = newCachedStatement(stmt)
 		pats := mc.Patterns
 		for _, ob := range mc.Optionals {
 			pats = append(pats, ob.Patterns...)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -16,38 +15,33 @@ import (
 	"gcore/internal/value"
 )
 
-// Engine-level statement caching. The statement-scoped nfaCache of
-// evalCtx dies with each evaluation; a CachedStatement outlives it,
-// so repeated traffic of the same shape skips lex/parse/analyze, NFA
-// compilation and the selectivity planner. The cache key (built in
-// cacheKey) carries everything that legitimately changes the compiled
-// form; per-entry chain plans additionally self-validate against the
-// graph pointer and mutation generation they were computed for, so a
-// stale plan is never served even for graphs reached via ON.
+// Engine-level statement caching. Every execution runs under a
+// CachedStatement; one kept in the plan cache outlives its execution,
+// so repeated traffic of the same shape skips lex/parse/analyze,
+// expression compilation, NFA compilation and the selectivity planner.
+// The cache key (built in cacheKey) carries everything that
+// legitimately changes the compiled form; per-entry chain plans
+// additionally self-validate against the graph pointer and mutation
+// generation they were computed for, so a stale plan is never served
+// even for graphs reached via ON.
 
-// CachedStatement is one plan-cache entry: the parsed and analyzed
-// statement plus the compiled artifacts accumulated by executions —
-// path-expression NFAs and selectivity-planner decisions. The AST is
-// immutable during evaluation, so one entry serves any number of
-// executions (with different parameter bindings).
+// CachedStatement is one compiled statement: the parsed and analyzed
+// statement, its compiled expressions (compile.go), and the artifacts
+// its executions accumulate — path-expression NFAs and
+// selectivity-planner decisions. The AST and the expressions are
+// immutable, so one entry serves any number of concurrent executions
+// (with different parameter bindings).
 type CachedStatement struct {
 	stmt *ast.Statement
+
+	exprs  map[ast.Expr]*cexpr // every expression, and every WHERE as its AND-factors
+	vars   []string            // variable names by id
+	params []string            // parameter names by id
+	leaves int                 // column and label leaves, by id
 
 	mu    sync.Mutex
 	nfas  map[nfaKey]*rpq.NFA
 	plans map[*ast.GraphPattern]cachedChainPlan
-	conjs map[ast.Expr][]conjunctProto
-}
-
-// conjunctProto is the immutable skeleton of one WHERE conjunct: the
-// AND-split and free-variable analysis are pure functions of the AST,
-// so they are computed once per cached statement. Each evaluation
-// clones fresh *conjunct values around the shared skeleton (the
-// applied/columnar fields are per-execution state).
-type conjunctProto struct {
-	expr     ast.Expr
-	vars     []string
-	pushable bool
 }
 
 // cachedChainPlan remembers which graph state a chain plan was
@@ -60,17 +54,12 @@ type cachedChainPlan struct {
 	gen  uint64
 }
 
+// newCachedStatement compiles an analyzed statement.
 func newCachedStatement(stmt *ast.Statement) *CachedStatement {
-	return &CachedStatement{
-		stmt:  stmt,
-		nfas:  map[nfaKey]*rpq.NFA{},
-		plans: map[*ast.GraphPattern]cachedChainPlan{},
-		conjs: map[ast.Expr][]conjunctProto{},
-	}
+	cs := &CachedStatement{stmt: stmt, exprs: map[ast.Expr]*cexpr{}}
+	cs.compile()
+	return cs
 }
-
-// Statement returns the cached parse tree.
-func (cs *CachedStatement) Statement() *ast.Statement { return cs.stmt }
 
 func (cs *CachedStatement) nfa(k nfaKey) (*rpq.NFA, bool) {
 	cs.mu.Lock()
@@ -82,20 +71,10 @@ func (cs *CachedStatement) nfa(k nfaKey) (*rpq.NFA, bool) {
 func (cs *CachedStatement) storeNFA(k nfaKey, n *rpq.NFA) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	if cs.nfas == nil {
+		cs.nfas = map[nfaKey]*rpq.NFA{}
+	}
 	cs.nfas[k] = n
-}
-
-func (cs *CachedStatement) conjuncts(e ast.Expr) ([]conjunctProto, bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ps, ok := cs.conjs[e]
-	return ps, ok
-}
-
-func (cs *CachedStatement) storeConjuncts(e ast.Expr, ps []conjunctProto) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.conjs[e] = ps
 }
 
 func (cs *CachedStatement) chainPlanFor(gp *ast.GraphPattern, g *ppg.Graph) (chainPlan, bool) {
@@ -117,6 +96,9 @@ func (cs *CachedStatement) storeChainPlan(gp *ast.GraphPattern, g *ppg.Graph, pl
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	if cs.plans == nil {
+		cs.plans = map[*ast.GraphPattern]cachedChainPlan{}
+	}
 	cs.plans[gp] = cachedChainPlan{plan: pl, g: g, gen: g.Generation()}
 }
 
@@ -174,7 +156,7 @@ func (v *Views) lookup(name string) (*ppg.Graph, bool) {
 // under.
 type Exec struct {
 	stmt    *ast.Statement
-	cached  *CachedStatement // nil on the uncached fallback path
+	cached  *CachedStatement // nil until compile
 	params  map[string]value.Value
 	opts    ExecOpts
 	probe   bool // a plan-cache probe happened
@@ -186,8 +168,18 @@ type Exec struct {
 // with the given overrides; it bypasses the plan cache.
 func StatementExec(stmt *ast.Statement, opts ExecOpts) Exec { return Exec{stmt: stmt, opts: opts} }
 
-// Statement returns the compiled statement.
-func (ex Exec) Statement() *ast.Statement { return ex.stmt }
+// compile gives an execution that bypassed the plan cache (AST-level
+// entry points, caching disabled) a throwaway cache entry, so every
+// execution runs compiled expressions and finds its artifacts one way.
+func (ex *Exec) ensureCompiled() error {
+	if ex.cached == nil {
+		if err := analyzeStatement(ex.stmt); err != nil {
+			return err
+		}
+		ex.cached = newCachedStatement(ex.stmt)
+	}
+	return nil
+}
 
 // ReadOnly reports whether this execution is classified read-only
 // (see the package-level ReadOnly).
@@ -355,32 +347,4 @@ func (ev *Evaluator) CheckSrc(src string, opts ExecOpts) error {
 	}
 	_, err := ev.PrepareExec(src, nil, opts)
 	return err
-}
-
-// EvalSrc evaluates one statement from source through the plan cache.
-func (ev *Evaluator) EvalSrc(src string, params map[string]value.Value) (*Result, error) {
-	return ev.EvalSrcContext(context.Background(), src, params)
-}
-
-// EvalSrcContext is the source-level evaluation entry point: repeated
-// statements hit the plan cache and skip lex/parse/analyze, NFA
-// compilation and chain planning. params supplies $name bindings
-// (nil for statements without parameters); an execution that reaches
-// an unbound parameter fails.
-func (ev *Evaluator) EvalSrcContext(ctx context.Context, src string, params map[string]value.Value) (*Result, error) {
-	ex, err := ev.PrepareExec(src, params, ExecOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return ev.EvalExec(ctx, ex)
-}
-
-// ExplainAnalyzeSrcContext is ExplainAnalyzeContext from source text,
-// consulting the plan cache so the rendered footer reports the probe.
-func (ev *Evaluator) ExplainAnalyzeSrcContext(ctx context.Context, src string, params map[string]value.Value) (string, error) {
-	ex, err := ev.PrepareExec(src, params, ExecOpts{})
-	if err != nil {
-		return "", err
-	}
-	return ev.ExplainAnalyzeExec(ctx, ex)
 }

@@ -9,204 +9,156 @@ import (
 	"gcore/internal/value"
 )
 
-// Columnar predicate compilation. A WHERE conjunct of the shape
+// Column leaves. A comparison of the shape
 //
 //	x.key OP constant        or        constant OP x.key
 //
 // with OP one of = <> < <= > >= IN SUBSET, where a constant is a
-// literal or a $name parameter the execution binds, depends on nothing
-// but one property of one bound element, so it can be answered straight
-// from the snapshot's property columns (csr/props.go): presence bit,
-// typed payload array, interned-string bound — no environment, no map
-// probes, no per-row evaluation tree walk. The compiled form is
-// error-free by construction (the comparison operators of value/ops.go
-// return FALSE for nulls and unordered kinds instead of raising), so
-// replacing the interpreter evaluation of such a conjunct can never
-// change error behaviour, and pre-filtering scan candidates with a
-// prefix of error-free conjuncts can never suppress an error another
-// conjunct would have raised. A parameter the execution does NOT bind
-// is the one operand that raises ("unbound parameter $x"): such a
-// conjunct does not compile and reaches the interpreter where it
-// always did.
+// literal or a $name parameter, compiles (compile.go) into a colLeaf:
+// it depends on nothing but one property of one bound element, so over
+// a snapshot it is answered straight from the property columns
+// (csr/props.go): presence bit, typed payload array, interned-string
+// bound — no map probes, no property value built. The comparison
+// operators of value/ops.go return FALSE for nulls and unordered kinds
+// instead of raising, so a leaf whose constant is bound never raises,
+// and a scan may test it on candidate ordinals before any row exists
+// (prefilterConjuncts) without suppressing an error another conjunct
+// would have raised. An unbound parameter is the one operand that
+// raises ("unbound parameter $x"): such a leaf stays in the filter
+// loop and raises on its first row.
 //
-// The compiled form carries the bound value, so it lives on the
-// per-execution conjunct clone (prepareConjunctsCached) and never on
-// the cached statement: concurrent executions of one plan-cache entry
-// with different bindings each compile their own.
+// A leaf binds its snapshot and constant per env (or per scan), never
+// on the compiled tree: concurrent executions of one plan-cache entry
+// with different bindings each bind their own.
 //
-// Every answer the compiled form produces is defined to be what the
-// interpreter produces: typed fast paths exist only where the Go
+// Every answer the bound form produces is defined to be what the
+// operators produce: typed fast paths exist only where the Go
 // comparison provably agrees with value.Compare (same-kind payloads,
-// non-NaN float constants), and everything else falls back first to the
-// mirrored FSET(V) sets and ultimately to the interpreter itself (refs
-// the snapshot does not know). The golden suite and FuzzPropColumns
-// enforce the equivalence against Ablation.NoPropColumns, under which
-// pushdown filters, residual filters and property lookups fall back to
-// the row-at-a-time ppg.Properties map reads and node scans never seek
-// the columns' value indexes (snapshots still build their columns: the
+// non-NaN float constants), and everything else falls back first to
+// the mirrored FSET(V) sets and ultimately to the generic property
+// read (refs the snapshot does not know). The golden suite,
+// FuzzParamInline and TestExpressionOracle enforce the equivalence
+// against Ablation.NoPropColumns, under which leaves, label tests and property
+// reads go to the ppg.Properties maps and node scans never seek the
+// columns' value indexes (snapshots still build their columns: the
 // ablation gates use, not construction).
 
-// colPred is the compiled, snapshot-independent form of one conjunct.
-type colPred struct {
-	v        string       // the single free variable
+// colLeaf is the compiled column leaf.
+type colLeaf struct {
+	v, leaf  int          // the variable's id, the leaf's id
 	key      string       // the property key
 	op       ast.BinaryOp // Eq..Ge, In, Subset
 	propLeft bool         // the property is the left operand
-	lit      value.Value  // the constant operand: a literal or a bound parameter's value
-	// absentKeep is the conjunct's value when the property resolves to
-	// the empty set (absent property, unbound or non-ref variable):
-	// FALSE for every comparison and IN, but TRUE for `x.k SUBSET s`
-	// (the empty set is a subset of everything) — absent rows are KEPT
-	// by such a filter, which is why this is precomputed rather than
-	// assumed false.
-	absentKeep bool
+	k        evaluator    // the constant: a *litNode or a *paramNode
+	cmp      func(a, b value.Value) value.Value
 }
 
-// compileColPred recognises the compilable conjunct shape, or nil.
-// params are the execution's bindings; static is EXPLAIN's view, which
-// has no bindings and asks only about the shape — every parameter then
-// counts as bound (to Null, never evaluated).
-func compileColPred(e ast.Expr, params map[string]value.Value, static bool) *colPred {
-	b, ok := e.(*ast.Binary)
+// constant returns the constant's value in one execution; ok is false
+// for an unbound parameter.
+func (l *colLeaf) constant(c *evalCtx) (v value.Value, ok bool) {
+	if p, isParam := l.k.(*paramNode); isParam {
+		v = c.params[p.id]
+		return v, !v.IsAbsent()
+	}
+	return l.k.(*litNode).Val, true
+}
+
+func (l *colLeaf) eval(e *env) (value.Value, error) {
+	lit, ok := l.constant(e.c)
 	if !ok {
-		return nil
+		return l.k.eval(e) // raises
 	}
-	switch b.Op {
-	case ast.OpEq, ast.OpNeq, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe, ast.OpIn, ast.OpSubset:
-	default:
-		return nil
-	}
-	constant := func(x ast.Expr) (value.Value, bool) {
-		switch c := x.(type) {
-		case *ast.Literal:
-			return c.Val, true
-		case *ast.Param:
-			if static {
-				return value.Null, true
-			}
-			v, bound := params[c.Name]
-			return v, bound
+	ref, bound := e.value(l.v)
+	if snap := e.fast(); snap != nil {
+		lb := e.leaf(l.leaf)
+		if lb.col == nil {
+			lb.col = l.bind(snap, lit)
 		}
-		return value.Null, false
-	}
-	if pa, ok := b.L.(*ast.PropAccess); ok {
-		if v, ok := constant(b.R); ok {
-			return newColPred(pa, b.Op, v, true)
+		if pass, handled := lb.col.evalRef(ref, bound); handled {
+			e.colHits++
+			return value.Bool(pass), nil
 		}
-		return nil
+		e.colFalls++
 	}
-	if pa, ok := b.R.(*ast.PropAccess); ok {
-		if v, ok := constant(b.L); ok {
-			return newColPred(pa, b.Op, v, false)
-		}
+	prop := value.Null
+	if bound && ref.IsRef() {
+		prop = e.lookupProp(ref, l.key)
 	}
-	return nil
+	return value.Bool(l.apply(prop, lit)), nil
 }
 
-func newColPred(pa *ast.PropAccess, op ast.BinaryOp, lit value.Value, propLeft bool) *colPred {
-	p := &colPred{v: pa.Var, key: pa.Key, op: op, propLeft: propLeft, lit: lit}
-	p.absentKeep = p.apply(value.EmptySet)
-	return p
-}
-
-// apply evaluates the conjunct on a property value through the exact
-// value/ops.go operators — the generic, always-correct path. The
-// comparison operators, IN and SUBSET never return an error and always
-// yield a boolean.
-func (p *colPred) apply(prop value.Value) bool {
-	a, b := prop, p.lit
-	if !p.propLeft {
-		a, b = p.lit, prop
+// apply evaluates the comparison on a property value through the exact
+// value/ops.go operator — the generic, always-correct path.
+func (l *colLeaf) apply(prop, lit value.Value) bool {
+	a, b := prop, lit
+	if !l.propLeft {
+		a, b = lit, prop
 	}
-	var res value.Value
-	switch p.op {
-	case ast.OpEq:
-		res = value.Eq(a, b)
-	case ast.OpNeq:
-		res = value.Neq(a, b)
-	case ast.OpLt:
-		res = value.Lt(a, b)
-	case ast.OpLe:
-		res = value.Le(a, b)
-	case ast.OpGt:
-		res = value.Gt(a, b)
-	case ast.OpGe:
-		res = value.Ge(a, b)
-	case ast.OpIn:
-		res = value.In(a, b)
-	case ast.OpSubset:
-		res = value.Subset(a, b)
-	}
-	ok, _ := res.AsBool()
+	ok, _ := l.cmp(a, b).AsBool()
 	return ok
 }
 
-// colPred returns the conjunct's compiled form under the execution's
-// parameter bindings, caching the (possibly nil) result after the first
-// attempt — a conjunct belongs to one execution, whose bindings are
-// fixed.
-func (cj *conjunct) colPred(params map[string]value.Value) *colPred {
-	if !cj.colTried {
-		cj.colTried = true
-		cj.col = compileColPred(cj.expr, params, false)
-	}
-	return cj.col
+// colBind is a leaf bound to one snapshot and constant.
+type colBind struct {
+	l          *colLeaf
+	lit        value.Value
+	snap       *csr.Snapshot
+	node, edge colEval
+	// absentKeep is the leaf's value when the property resolves to the
+	// empty set (absent property, unbound or non-ref variable): FALSE
+	// for every comparison and IN, but TRUE for `x.k SUBSET s` (the
+	// empty set is a subset of everything) — absent rows are KEPT by
+	// such a filter, which is why this is computed rather than assumed
+	// false.
+	absentKeep bool
 }
 
-// colEval is one side (node or edge) of a predicate bound to a
-// snapshot: the key's column and, when the column's typed array and
-// the literal's kind line up, a specialised test over the payloads.
+// colEval is one side (node or edge) of a bound leaf: the key's column
+// and, when the column's typed array and the constant's kind line up, a
+// specialised test over the payloads.
 type colEval struct {
 	col  *csr.PropCol
 	fast func(ord int32) bool
 }
 
-func (ce *colEval) test(ord int32, p *colPred) bool {
+func (l *colLeaf) bind(snap *csr.Snapshot, lit value.Value) *colBind {
+	b := &colBind{l: l, lit: lit, snap: snap, absentKeep: l.apply(value.EmptySet, lit)}
+	b.node.col = snap.NodeCol(l.key)
+	b.edge.col = snap.EdgeCol(l.key)
+	b.node.fast = typedEval(snap, b.node.col, l, lit)
+	b.edge.fast = typedEval(snap, b.edge.col, l, lit)
+	return b
+}
+
+func (ce *colEval) test(ord int32, b *colBind) bool {
 	if ce.col == nil || !ce.col.Present(ord) {
-		return p.absentKeep
+		return b.absentKeep
 	}
 	if ce.fast != nil {
 		return ce.fast(ord)
 	}
-	return p.apply(ce.col.SetAt(ord))
+	return b.l.apply(ce.col.SetAt(ord), b.lit)
 }
 
-// boundPred is a colPred bound to one snapshot.
-type boundPred struct {
-	p    *colPred
-	snap *csr.Snapshot
-	node colEval
-	edge colEval
-}
-
-func bindColPred(snap *csr.Snapshot, p *colPred) *boundPred {
-	bp := &boundPred{p: p, snap: snap}
-	bp.node.col = snap.NodeCol(p.key)
-	bp.edge.col = snap.EdgeCol(p.key)
-	bp.node.fast = typedEval(snap, bp.node.col, p)
-	bp.edge.fast = typedEval(snap, bp.edge.col, p)
-	return bp
-}
-
-// evalRef answers the conjunct for one row value of the variable.
-// handled is false when the value is a ref the snapshot does not know
-// (another graph's element, a path): the caller falls back to the
-// interpreter, which searches all graphs in scope. Unbound and
-// non-ref values resolve the property access to Null, which for every
-// compilable operator behaves exactly like the empty set.
-func (bp *boundPred) evalRef(v value.Value, bound bool) (pass, handled bool) {
+// evalRef answers the leaf for one row value of the variable. handled
+// is false when the value is a ref the snapshot does not know (another
+// graph's element, a path): the caller falls back to the generic read,
+// which searches all graphs in scope. Unbound and non-ref values
+// resolve the property access to Null, which for every leaf operator
+// behaves exactly like the empty set.
+func (b *colBind) evalRef(v value.Value, bound bool) (pass, handled bool) {
 	if !bound || !v.IsRef() {
-		return bp.p.absentKeep, true
+		return b.absentKeep, true
 	}
 	id, _ := v.RefID()
 	switch v.Kind() {
 	case value.KindNode:
-		if u, ok := bp.snap.Ord(ppg.NodeID(id)); ok {
-			return bp.node.test(u, bp.p), true
+		if u, ok := b.snap.Ord(ppg.NodeID(id)); ok {
+			return b.node.test(u, b), true
 		}
 	case value.KindEdge:
-		if e, ok := bp.snap.EdgeOrd(ppg.EdgeID(id)); ok {
-			return bp.edge.test(e, bp.p), true
+		if e, ok := b.snap.EdgeOrd(ppg.EdgeID(id)); ok {
+			return b.edge.test(e, b), true
 		}
 	}
 	return false, false
@@ -223,17 +175,17 @@ func (bp *boundPred) evalRef(v value.Value, bound bool) (pass, handled bool) {
 //     NaNs before everything and equal to each other, which `<` on
 //     float64 does not),
 //   - IN and SUBSET always use the set mirrors.
-func typedEval(snap *csr.Snapshot, col *csr.PropCol, p *colPred) func(int32) bool {
+func typedEval(snap *csr.Snapshot, col *csr.PropCol, l *colLeaf, lit value.Value) func(int32) bool {
 	if col == nil || col.Kind() == csr.ColOverflow {
 		return nil
 	}
 	// Normalise to "prop OP lit" by flipping the comparison when the
 	// property is the right operand; IN and SUBSET are not symmetric.
-	op := p.op
+	op := l.op
 	if op == ast.OpIn || op == ast.OpSubset {
 		return nil
 	}
-	if !p.propLeft {
+	if !l.propLeft {
 		switch op {
 		case ast.OpLt:
 			op = ast.OpGt
@@ -245,7 +197,7 @@ func typedEval(snap *csr.Snapshot, col *csr.PropCol, p *colPred) func(int32) boo
 			op = ast.OpLe
 		}
 	}
-	lit := p.lit.Scalarize()
+	lit = lit.Scalarize()
 	switch col.Kind() {
 	case csr.ColInt:
 		l, ok := lit.AsInt()
@@ -427,21 +379,22 @@ func boolEval(col *csr.PropCol, op ast.BinaryOp, l bool) func(int32) bool {
 // prefilterConjuncts selects the WHERE conjuncts that may be evaluated
 // directly on the ordinal of the node varName binds, before any row
 // carrying it is materialised — by a node scan on its candidates, by a
-// path step on its destinations — paired with their compiled forms
-// (compiled supplies them: the execution's, or EXPLAIN's static view).
-// schema reports the variables bound once the step's rows exist.
-// Consuming a conjunct there is safe only when no evaluation the
-// interpreter would have run EARLIER on a dropped row can raise an
-// error; the gates are therefore:
+// path step on its destinations — with their column leaves. usable says
+// whether a leaf's constant is bound: the execution's bindings, or
+// EXPLAIN's static view, where every parameter counts as bound. schema
+// reports the variables bound once the step's rows exist. Consuming a
+// conjunct there is safe only when no evaluation the filter loop would
+// have run EARLIER on a dropped row can raise an error; the gates are
+// therefore:
 //
 //   - the pattern has no {key = expr} filter specs (their expressions
 //     are evaluated per candidate and may error),
 //   - walking the conjuncts that the applyReady after the step would
-//     find ready, in order: compiled conjuncts on varName alone are
-//     selected, other compiled conjuncts and label tests (both
-//     error-free) are left to applyReady, and the first conjunct that
-//     may error stops the walk — nothing after it pre-filters.
-func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct, compiled func(*conjunct) *colPred) (picked []*conjunct, preds []*colPred) {
+//     find ready, in order: usable leaves on varName alone are
+//     selected, other usable leaves and label tests (both error-free)
+//     are left to applyReady, and the first conjunct that may error
+//     stops the walk — nothing after it pre-filters.
+func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct, usable func(*colLeaf) bool) (picked []*conjunct, leaves []*colLeaf) {
 	if ab.NoPropColumns || ab.NoPushdown || len(conjs) == 0 {
 		return nil, nil
 	}
@@ -451,71 +404,75 @@ func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, schema
 		}
 	}
 	for _, cj := range conjs {
-		if cj.applied || !cj.pushable {
-			continue
-		}
-		ready := true
-		for _, v := range cj.vars {
-			if !schema(v) {
-				ready = false
-				break
-			}
-		}
-		if !ready {
+		if cj.applied || !cj.pushable || !allBound(cj.vars, schema) {
 			// Not evaluated at this step at all — irrelevant to the
 			// per-row evaluation order here.
 			continue
 		}
-		if _, isLabel := cj.expr.(*ast.LabelTest); isLabel {
+		if _, isLabel := cj.ev.(*labelNode); isLabel {
 			continue // error-free; commutes with the prefilter
 		}
-		p := compiled(cj)
-		if p == nil {
+		l, isLeaf := cj.ev.(*colLeaf)
+		if !isLeaf || !usable(l) {
 			break // may error: nothing after it may filter earlier
 		}
-		if p.v == varName && len(cj.vars) == 1 {
+		if cj.vars[0] == varName {
 			picked = append(picked, cj)
-			preds = append(preds, p)
+			leaves = append(leaves, l)
 		}
-		// Compiled conjuncts on other variables are error-free too;
-		// leave them to applyReady and keep walking.
+		// Leaves on other variables are error-free too; leave them to
+		// applyReady and keep walking.
 	}
-	return picked, preds
+	return picked, leaves
 }
+
+func allBound(vars []string, schema func(string) bool) bool {
+	for _, v := range vars {
+		if !schema(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// shapeOnly is the planner's and EXPLAIN's view of a leaf: the shape
+// alone, every parameter counting as bound.
+func shapeOnly(*colLeaf) bool { return true }
 
 // prefilterPreds binds the prefilter conjuncts of varName's node to the
 // snapshot and marks them applied.
-func (c *evalCtx) prefilterPreds(snap *csr.Snapshot, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct) []*boundPred {
-	picked, ps := prefilterConjuncts(c.ev.ablation, np, varName, schema, conjs,
-		func(cj *conjunct) *colPred { return cj.colPred(c.params) })
-	preds := make([]*boundPred, len(ps))
-	for i, p := range ps {
-		preds[i] = bindColPred(snap, p)
+func (c *evalCtx) prefilterPreds(snap *csr.Snapshot, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct) []*colBind {
+	bound := func(l *colLeaf) bool { _, ok := l.constant(c); return ok }
+	picked, leaves := prefilterConjuncts(c.ev.ablation, np, varName, schema, conjs, bound)
+	binds := make([]*colBind, len(leaves))
+	for i, l := range leaves {
+		lit, _ := l.constant(c)
+		binds[i] = l.bind(snap, lit)
 		picked[i].applied = true
 	}
-	return preds
+	return binds
 }
 
 // seekCandidates narrows a node scan through the columns' equality
-// indexes: among the prefilter's `=` predicates it returns the shortest
-// posting list and that predicate's property key, or ok=false when no
-// predicate can seek (csr.PropCol.SeekEq decides, from the column and
-// constant kinds alone); builds counts the indexes this call had to
-// build. Postings are a superset of the ordinals the predicate accepts,
-// ascending like the label partitions, so a scan that takes them as its
+// indexes: among the prefilter's `=` leaves it returns the shortest
+// posting list and that leaf's property key, or ok=false when no leaf
+// can seek (csr.PropCol.SeekEq decides, from the column and constant
+// kinds alone); builds counts the indexes this call had to build.
+// Postings are a superset of the ordinals the leaf accepts, ascending
+// like the label partitions, so a scan that takes them as its
 // candidates and still applies every test emits exactly the rows, in
 // exactly the order, of the scan it replaces.
-func seekCandidates(snap *csr.Snapshot, preds []*boundPred) (ords []int32, key string, builds int64, ok bool) {
-	for _, pr := range preds {
-		if pr.p.op != ast.OpEq || pr.node.col == nil {
+func seekCandidates(snap *csr.Snapshot, binds []*colBind) (ords []int32, key string, builds int64, ok bool) {
+	for _, b := range binds {
+		if b.l.op != ast.OpEq || b.node.col == nil {
 			continue
 		}
-		post, built, seekable := pr.node.col.SeekEq(pr.p.lit, snap.Strings())
+		post, built, seekable := b.node.col.SeekEq(b.lit, snap.Strings())
 		if built {
 			builds++
 		}
 		if seekable && (!ok || len(post) < len(ords)) {
-			ords, key, ok = post, pr.p.key, true
+			ords, key, ok = post, b.l.key, true
 		}
 	}
 	return ords, key, builds, ok

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"gcore/internal/ast"
@@ -40,11 +41,17 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		}
 	}
 
+	items := make([]*cexpr, len(sc.Items))
 	aggItem := make([]bool, len(sc.Items))
 	hasAgg := false
 	for i, it := range sc.Items {
-		aggItem[i] = exprHasAggregate(it.Expr)
+		items[i] = c.expr(it.Expr)
+		aggItem[i] = items[i].agg
 		hasAgg = hasAgg || aggItem[i]
+	}
+	orderKeys := make([]*cexpr, len(sc.OrderBy))
+	for i, oi := range sc.OrderBy {
+		orderKeys[i] = c.expr(oi.Expr)
 	}
 
 	// evalRow projects one µ (the current environment row) through the
@@ -52,8 +59,8 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	evalRow := func() (projRow, error) {
 		buf := make([]value.Value, len(sc.Items)+len(sc.OrderBy))
 		vals, keys := buf[:len(sc.Items):len(sc.Items)], buf[len(sc.Items):]
-		for i, it := range sc.Items {
-			v, err := env.eval(it.Expr)
+		for i, it := range items {
+			v, err := it.eval(env)
 			if err != nil {
 				return projRow{}, err
 			}
@@ -66,7 +73,7 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 					continue
 				}
 			}
-			v, err := env.eval(oi.Expr)
+			v, err := orderKeys[i].eval(env)
 			if err != nil {
 				return projRow{}, err
 			}
@@ -76,7 +83,7 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	}
 
 	sorted := tbl.Sorted()
-	env.rowTab = sorted
+	env.setTable(sorted)
 	var rows []projRow
 	if !hasAgg {
 		// No aggregates: one output row per binding.
@@ -95,17 +102,17 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	// the evaluated values of the non-aggregate items (the implicit
 	// GROUP BY of SQL-style aggregation) in order of first appearance,
 	// and evaluated on its first row.
-	var keyExprs []ast.Expr
-	for i, it := range sc.Items {
+	var keyExprs []*cexpr
+	for i, it := range items {
 		if !aggItem[i] {
-			keyExprs = append(keyExprs, it.Expr)
+			keyExprs = append(keyExprs, it)
 		}
 	}
 	keys := keyTable(sorted.Len(), len(keyExprs))
 	for ri := 0; ri < sorted.Len(); ri++ {
 		env.rowIdx = ri
 		for k, e := range keyExprs {
-			v, err := env.eval(e)
+			v, err := e.eval(env)
 			if err != nil {
 				return nil, err
 			}
@@ -113,10 +120,10 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		}
 	}
 	groups := keys.Groups()
-	if sorted.Len() == 0 && allAggregates(aggItem) {
+	if sorted.Len() == 0 && !slices.Contains(aggItem, false) {
 		// SELECT COUNT(*) over an empty match still yields one row
 		// (the aggregate of the empty group, evaluated on µ∅).
-		env.rowTab = nil
+		env.setTable(nil)
 		groups = append(groups, []int{})
 	}
 
@@ -181,52 +188,6 @@ func finishSelect(out *table.Table, sc *ast.SelectClause, rows []projRow) (*tabl
 		}
 	}
 	return out, nil
-}
-
-func allAggregates(aggItem []bool) bool {
-	for _, a := range aggItem {
-		if !a {
-			return false
-		}
-	}
-	return true
-}
-
-// exprHasAggregate reports whether an expression contains an
-// aggregation function call.
-func exprHasAggregate(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Unary:
-		return exprHasAggregate(x.X)
-	case *ast.Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *ast.FuncCall:
-		if x.Star {
-			return true
-		}
-		if _, ok := aggName(x.Name); ok {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *ast.Index:
-		return exprHasAggregate(x.Base) || exprHasAggregate(x.Idx)
-	case *ast.Case:
-		if exprHasAggregate(x.Operand) || exprHasAggregate(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if exprHasAggregate(w.Cond) || exprHasAggregate(w.Then) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
 }
 
 func firstGraph(graphs []*ppg.Graph, fallback *ppg.Graph) *ppg.Graph {

@@ -112,6 +112,22 @@ func TestQueryEvalError(t *testing.T) {
 	}
 }
 
+// TestQueryNonFiniteArithmetic: a projection that overflows to +Inf is
+// an evaluation error answered like a division by zero (400), not a
+// reply that fails to encode (500).
+func TestQueryNonFiniteArithmetic(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	divResp, divOut := postJSON(t, ts.URL+"/query", map[string]any{
+		"query": "SELECT 1 / 0 AS x MATCH (n) ON social_graph",
+	})
+	resp, out := postJSON(t, ts.URL+"/query", map[string]any{
+		"query": "SELECT 1e308 * 10.0 AS x MATCH (n) ON social_graph",
+	})
+	if divResp.StatusCode != http.StatusBadRequest || resp.StatusCode != divResp.StatusCode || out["kind"] != divOut["kind"] {
+		t.Fatalf("status %d %v, want division by zero's %d %v", resp.StatusCode, out, divResp.StatusCode, divOut)
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, out := postJSON(t, ts.URL+"/session", map[string]any{"graph": "company_graph"})

@@ -128,10 +128,10 @@ func Aggregate(k AggKind, in []Value) (Value, error) {
 			if n == 0 {
 				return Null, nil
 			}
-			return Float(fsum / float64(n)), nil
+			return finite(k.String(), fsum/float64(n))
 		}
 		if sawReal {
-			return Float(fsum), nil
+			return finite(k.String(), fsum)
 		}
 		return Int(isum), nil
 	}

@@ -230,7 +230,8 @@ func Mul(a, b Value) (Value, error) {
 
 // Div implements `/`. Division always yields a float (the weighted
 // shortest-path example writes 1 / (1 + e.nr_messages) and expects a
-// fractional cost); division by zero is a runtime error.
+// fractional cost); division by zero is a runtime error, and so is a
+// quotient that is not a finite number.
 func Div(a, b Value) (Value, error) {
 	a, b = a.Scalarize(), b.Scalarize()
 	if a.IsNull() || b.IsNull() {
@@ -247,7 +248,16 @@ func Div(a, b Value) (Value, error) {
 	if bf == 0 {
 		return Null, fmt.Errorf("value: division by zero")
 	}
-	return Float(af / bf), nil
+	return finite("/", af/bf)
+}
+
+// finite wraps a float result, refusing ±Inf and NaN: like a division
+// by zero, a result no number represents is an evaluation error.
+func finite(op string, f float64) (Value, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return Null, fmt.Errorf("value: %s has no finite result (%g)", op, f)
+	}
+	return Float(f), nil
 }
 
 // Mod implements integer `%`.
@@ -292,5 +302,5 @@ func arith(op string, a, b Value, fi func(int64, int64) (int64, error), ff func(
 	if err != nil {
 		return Null, err
 	}
-	return Float(r), nil
+	return finite(op, r)
 }

@@ -504,3 +504,33 @@ func TestQuickInConsistentWithSubset(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestArithmeticNonFinite: an arithmetic result or a float SUM/AVG that
+// is ±Inf or NaN is an error, like division by zero — no operator
+// hands a non-finite number to the rest of the engine.
+func TestArithmeticNonFinite(t *testing.T) {
+	big, nan := Float(1e308), Float(math.NaN())
+	for name, f := range map[string]func() (Value, error){
+		"1e308+1e308":      func() (Value, error) { return Add(big, big) },
+		"-1e308-1e308":     func() (Value, error) { return Sub(Float(-1e308), big) },
+		"1e308*10":         func() (Value, error) { return Mul(big, Int(10)) },
+		"1e308/0.5":        func() (Value, error) { return Div(big, Float(0.5)) },
+		"NaN+1":            func() (Value, error) { return Add(nan, Int(1)) },
+		"NaN*0":            func() (Value, error) { return Mul(nan, Int(0)) },
+		"SUM(1e308,1e308)": func() (Value, error) { return Aggregate(AggSum, []Value{big, big}) },
+		"AVG(1e308,1e308)": func() (Value, error) { return Aggregate(AggAvg, []Value{big, big}) },
+		"SUM(NaN)":         func() (Value, error) { return Aggregate(AggSum, []Value{nan}) },
+		"AVG(1,NaN)":       func() (Value, error) { return Aggregate(AggAvg, []Value{Int(1), nan}) },
+	} {
+		if v, err := f(); err == nil {
+			t.Errorf("%s = %v, want an error", name, v)
+		}
+	}
+	// Results at the edge of the float range stay numbers.
+	if v, err := Mul(Float(1e154), Float(1e154)); err != nil || !Equal(v, Float(1e308)) {
+		t.Errorf("1e154*1e154 = %v, %v", v, err)
+	}
+	if v, err := Aggregate(AggAvg, []Value{big, Float(-1e308)}); err != nil || !Equal(v, Float(0)) {
+		t.Errorf("AVG(1e308,-1e308) = %v, %v", v, err)
+	}
+}
