@@ -53,12 +53,12 @@ benchcmp:
 # point lookups, path patterns and the k-shortest kernel, chains
 # started mid-way, grouping
 # (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), incremental
-# snapshot maintenance, WAL append and group commit, whole HTTP
-# requests) fail,
+# snapshot maintenance, WAL append alone and under concurrent writers,
+# whole HTTP requests) fail,
 # timing regressions warn (allocs/op is machine-independent, ns/op is
 # not). CI calls this target, so the list lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkMatchStart|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALGroupCommit|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkMatchStart|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALConcurrentAppend|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:

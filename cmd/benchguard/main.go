@@ -48,8 +48,8 @@ func main() {
 	// cases.
 	// BenchmarkWALAppend guards the per-record durability overhead:
 	// every graph mutation pays one append, so an allocation creep
-	// here taxes every write; BenchmarkWALGroupCommit the contended
-	// SyncAlways path with shared fsyncs.
+	// here taxes every write; BenchmarkWALConcurrentAppend guards
+	// the contended SyncAlways path, one fsync per append.
 	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard
 	// incremental snapshot maintenance: the delta apply must stay
 	// O(delta)-allocating, not O(graph), or mixed read/write
@@ -60,7 +60,7 @@ func main() {
 	// BenchmarkReply guards whole requests through the HTTP handler:
 	// a reply encoded more than once, or through reflection, shows up
 	// as an allocation jump on its path and point cases.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALGroupCommit,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

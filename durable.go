@@ -79,19 +79,6 @@ func WithSyncInterval(d time.Duration) DurOption {
 	return func(c *durConfig) { c.walOpts.Interval = d }
 }
 
-// WithGroupCommit batches concurrent SyncAlways appends into shared
-// fsyncs (see wal.Options.GroupCommit): a commit leader fsyncs for
-// every append written before it, multiplying SyncAlways throughput
-// under concurrent writers without weakening the durability contract.
-// window is how long the leader lingers for stragglers before
-// fsyncing; zero batches purely opportunistically.
-func WithGroupCommit(window time.Duration) DurOption {
-	return func(c *durConfig) {
-		c.walOpts.GroupCommit = true
-		c.walOpts.GroupWindow = window
-	}
-}
-
 // WithSegmentSize sets the log segment roll threshold (default 4 MiB).
 func WithSegmentSize(n int64) DurOption {
 	return func(c *durConfig) { c.walOpts.SegmentSize = n }
@@ -538,7 +525,6 @@ func (d *DurableEngine) Metrics() Metrics {
 	s := d.log.Stats()
 	m.WALAppends = s.Appends
 	m.WALAppendedBytes = s.AppendedBytes
-	m.WALBatched = s.Batched
 	m.WALSyncs = s.Syncs
 	m.WALRolls = s.Rolls
 	m.WALCheckpoints = s.Checkpoints

@@ -309,9 +309,6 @@ func (s *Snapshot) NumNodes() int { return len(s.nodeIDs) }
 // NumEdges returns the number of edges.
 func (s *Snapshot) NumEdges() int { return len(s.edgeIDs) }
 
-// NumLabels returns the number of distinct labels in use.
-func (s *Snapshot) NumLabels() int { return len(s.labelNames) }
-
 // Ord maps a node identifier to its dense ordinal.
 func (s *Snapshot) Ord(id ppg.NodeID) (int32, bool) {
 	if u, ok := s.ord[id]; ok {
@@ -374,9 +371,6 @@ func (s *Snapshot) LabelID(name string) int32 {
 	}
 	return NoLabel
 }
-
-// LabelName resolves an interned identifier back to its name.
-func (s *Snapshot) LabelName(id int32) string { return s.labelNames[id] }
 
 // nodeLabelRun returns the sorted interned-label run of node ordinal
 // u, honouring delta-apply label overrides.

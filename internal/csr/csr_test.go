@@ -115,11 +115,13 @@ func TestLabelsAndPartitions(t *testing.T) {
 	if s.LabelID("Nope") != NoLabel {
 		t.Fatal("unknown label must map to NoLabel")
 	}
-	for lid := int32(0); lid < int32(s.NumLabels()); lid++ {
-		name := s.LabelName(lid)
-		if s.LabelID(name) != lid {
-			t.Fatalf("label interning not a bijection at %q", name)
+	seen := map[int32]bool{}
+	for _, name := range []string{"City", "Manager", "Person", "Tag", "isLocatedIn", "knows", "likes"} {
+		lid := s.LabelID(name)
+		if lid == NoLabel || seen[lid] {
+			t.Fatalf("label interning not injective at %q", name)
 		}
+		seen[lid] = true
 		// Node membership test agrees with ppg.Labels.Has.
 		for u := int32(0); u < int32(s.NumNodes()); u++ {
 			if s.NodeHasLabel(u, lid) != s.Node(u).Labels.Has(name) {
@@ -245,15 +247,17 @@ func TestRandomGraphAgreement(t *testing.T) {
 func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
 	t.Helper()
 	lids := []int32{AnyLabel}
+	name := map[int32]string{}
 	for _, l := range labels {
 		lids = append(lids, s.LabelID(l))
+		name[s.LabelID(l)] = l
 	}
 	outs, ins := adjacency(g)
 	want := func(nl, el int32, in bool) int64 {
 		var n int64
 		for _, id := range g.NodeIDs() {
 			nd, _ := g.Node(id)
-			if nl != AnyLabel && (nl == NoLabel || !nd.Labels.Has(s.LabelName(nl))) {
+			if nl != AnyLabel && (nl == NoLabel || !nd.Labels.Has(name[nl])) {
 				continue
 			}
 			adj := outs[id]
@@ -262,7 +266,7 @@ func checkDegrees(t *testing.T, g *ppg.Graph, s *Snapshot, labels []string) {
 			}
 			for _, eid := range adj {
 				e, _ := g.Edge(eid)
-				if el == AnyLabel || el != NoLabel && e.Labels.Has(s.LabelName(el)) {
+				if el == AnyLabel || el != NoLabel && e.Labels.Has(name[el]) {
 					n++
 				}
 			}

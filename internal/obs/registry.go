@@ -152,7 +152,6 @@ type Metrics struct {
 	// from its log when it snapshots (zero on a non-durable engine).
 	WALAppends       int64 `json:"wal_appends,omitempty"`
 	WALAppendedBytes int64 `json:"wal_appended_bytes,omitempty"`
-	WALBatched       int64 `json:"wal_batched,omitempty"`
 	WALSyncs         int64 `json:"wal_syncs,omitempty"`
 	WALRolls         int64 `json:"wal_rolls,omitempty"`
 	WALCheckpoints   int64 `json:"wal_checkpoints,omitempty"`

@@ -169,14 +169,6 @@ func (c *Cache) Remove(k Key) {
 	}
 }
 
-// Invalidate drops every entry (counters survive).
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[Key]*list.Element)
-}
-
 func (c *Cache) insertLocked(k Key, v any, compile time.Duration) {
 	if el, ok := c.items[k]; ok {
 		// A racing flight may have inserted between unlock and lock;

@@ -474,9 +474,18 @@ func (s *Server) logSlow(query, sid string, elapsed time.Duration) {
 	s.log.Printf("slow query (%s, session %s): %s", elapsed.Round(time.Millisecond), sid, query)
 }
 
+// maxBodyBytes caps a request body. A request is one statement text
+// plus its parameters, so 1 MiB is far above any legitimate body.
+const maxBodyBytes = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), "body_too_large")
+			return false
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), "")
 		return false
 	}

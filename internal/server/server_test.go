@@ -128,6 +128,31 @@ func TestQueryNonFiniteArithmetic(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: a request body past the 1 MiB cap is refused with
+// 413 body_too_large on every JSON endpoint, before it is decoded.
+func TestBodyTooLarge(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	body, err := json.Marshal(map[string]any{
+		"query":   "CONSTRUCT (n) MATCH (n) ON social_graph" + strings.Repeat(" ", 2<<20),
+		"session": "s",
+		"handle":  "h",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/query", "/prepare", "/exec"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: decoding response: %v", path, err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || out["kind"] != "body_too_large" {
+			t.Errorf("%s: status %d %v, want 413 body_too_large", path, rec.Code, out)
+		}
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, out := postJSON(t, ts.URL+"/session", map[string]any{"graph": "company_graph"})

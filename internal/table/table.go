@@ -233,26 +233,3 @@ func typeCell(cell string) value.Value {
 	}
 	return value.Str(cell)
 }
-
-// WriteCSV emits the table as CSV with a header row.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Cols); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		rec := make([]string, len(row))
-		for i, v := range row {
-			if s, ok := v.AsString(); ok {
-				rec[i] = s
-			} else {
-				rec[i] = v.String()
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

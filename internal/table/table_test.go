@@ -103,17 +103,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !tb.Rows[2][1].IsNull() {
 		t.Error("empty cell must be null")
 	}
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("orders", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 3 {
-		t.Error("CSV round trip lost rows")
-	}
 	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
 		t.Error("empty CSV must fail (no header)")
 	}

@@ -104,19 +104,6 @@ type Options struct {
 	Policy SyncPolicy
 	// Interval is the SyncInterval period. Default 100ms.
 	Interval time.Duration
-	// GroupCommit batches concurrent SyncAlways appends into shared
-	// fsyncs: one appender becomes the commit leader and its fsync
-	// covers every record written before it ran; the others wait for
-	// the leader instead of fsyncing themselves. The durability
-	// contract is unchanged — Append still returns only once its record
-	// is fsynced — only the fsync count drops. No effect under the
-	// other policies (they already batch by design).
-	GroupCommit bool
-	// GroupWindow is how long a commit leader waits before fsyncing,
-	// letting more concurrent appends land in the batch. Zero means
-	// purely opportunistic batching (records queued behind the in-
-	// flight fsync share the next one). Default 0.
-	GroupWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -178,7 +165,6 @@ var ErrClosed = fmt.Errorf("wal: log is closed")
 type Stats struct {
 	Appends       int64 // committed Append calls
 	AppendedBytes int64 // payload + framing bytes appended
-	Batched       int64 // appends committed by another append's fsync (group commit)
 	Syncs         int64 // fsync calls on segment files
 	Rolls         int64 // segment rolls
 	Checkpoints   int64 // committed checkpoints
@@ -203,23 +189,7 @@ type Log struct {
 	// later append fails with it, forcing a reopen (which re-truncates).
 	broken error
 
-	// Group-commit state. writeSeq numbers written records and
-	// durableOff tracks the current segment's last fsynced offset
-	// (both under l.mu; durableOff is also the truncation point when a
-	// group fsync fails). The gc* fields coordinate waiters under gcMu:
-	// records with seq ≤ gcSeqDurable are committed, records with
-	// seq ≤ gcFailSeq were truncated by a failed group fsync. Lock
-	// order is l.mu → gcMu, never the reverse.
-	writeSeq   uint64
-	durableOff int64
-	gcMu       sync.Mutex
-	gcCond     *sync.Cond
-	gcSyncing  bool
-	gcDurable  uint64
-	gcFailSeq  uint64
-	gcFailErr  error
-
-	appends, appendedBytes, batched, syncs, rolls, checkpoints, replayed, torn atomic.Int64
+	appends, appendedBytes, syncs, rolls, checkpoints, replayed, torn atomic.Int64
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("%016d.wal", seq) }
@@ -263,7 +233,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{dir: dir, opts: opts, lastSync: time.Now()}
-	l.gcCond = sync.NewCond(&l.gcMu)
 	if err := l.gcCheckpoints(); err != nil {
 		return nil, err
 	}
@@ -333,7 +302,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l.f, l.seg, l.off = f, last, end
-	l.durableOff = end
 	// Compaction GC: segments fully below the current checkpoint's
 	// watermark are no longer needed for recovery. (Deletion normally
 	// happens at CommitCheckpoint; this sweeps up after a crash between
@@ -371,7 +339,6 @@ func (l *Log) createSegment(seq uint64) error {
 		return err
 	}
 	l.f, l.seg, l.off = f, seq, headerLen
-	l.durableOff = headerLen
 	return nil
 }
 
@@ -439,50 +406,30 @@ func scanSegment(f *os.File, fn func(payload []byte, start int64) error) (end in
 // is the log position after it. On any failure the log restores its
 // on-disk state to the previous watermark — a failed append is never
 // replayed — or, if even that fails, poisons the log so the caller
-// must reopen (which re-truncates).
+// must reopen (which re-truncates). Appends are serialised by l.mu,
+// and each applies the sync policy before it returns.
 func (l *Log) Append(payload []byte) (Watermark, error) {
 	l.mu.Lock()
-	wm, recLen, seq, group, err := l.appendLocked(payload)
-	l.mu.Unlock()
-	if err != nil {
-		return Watermark{}, err
-	}
-	if group {
-		// Group commit: the record is written but not yet durable.
-		// Wait until some appender's fsync (possibly ours) covers it.
-		if err := l.waitDurable(seq); err != nil {
-			return Watermark{}, err
-		}
-	}
-	l.appends.Add(1)
-	l.appendedBytes.Add(recLen)
-	return wm, nil
-}
-
-// appendLocked frames and writes one record under l.mu. Under group
-// commit it returns group=true with the record's write sequence and
-// leaves durability to Append; otherwise it applies the sync policy
-// inline, exactly as before group commit existed.
-func (l *Log) appendLocked(payload []byte) (wm Watermark, recLen int64, seq uint64, group bool, err error) {
+	defer l.mu.Unlock()
 	if l.closed {
-		return Watermark{}, 0, 0, false, ErrClosed
+		return Watermark{}, ErrClosed
 	}
 	if l.broken != nil {
-		return Watermark{}, 0, 0, false, l.broken
+		return Watermark{}, l.broken
 	}
 	if len(payload) == 0 {
-		return Watermark{}, 0, 0, false, fmt.Errorf("wal: empty record")
+		return Watermark{}, fmt.Errorf("wal: empty record")
 	}
 	if len(payload) > MaxRecord {
-		return Watermark{}, 0, 0, false, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
+		return Watermark{}, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
 	if err := faultinject.Check(faultinject.SiteWALAppend); err != nil {
-		return Watermark{}, 0, 0, false, fmt.Errorf("wal: append to %s: %w", segName(l.seg), err)
+		return Watermark{}, fmt.Errorf("wal: append to %s: %w", segName(l.seg), err)
 	}
-	recLen = int64(recHeaderLen + len(payload))
+	recLen := int64(recHeaderLen + len(payload))
 	if l.off+recLen > l.opts.SegmentSize && l.off > headerLen {
 		if err := l.rollLocked(); err != nil {
-			return Watermark{}, 0, 0, false, err
+			return Watermark{}, err
 		}
 	}
 	buf := make([]byte, recLen)
@@ -495,114 +442,22 @@ func (l *Log) appendLocked(payload []byte) (wm Watermark, recLen int64, seq uint
 		// append, and restore the pre-append state like any I/O error.
 		l.f.Write(buf[:len(buf)/2])
 		l.failAppend(start)
-		return Watermark{}, 0, 0, false, fmt.Errorf("wal: short write to %s: %w", segName(l.seg), err)
+		return Watermark{}, fmt.Errorf("wal: short write to %s: %w", segName(l.seg), err)
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		l.failAppend(start)
-		return Watermark{}, 0, 0, false, fmt.Errorf("wal: append to %s: %w", segName(l.seg), err)
+		return Watermark{}, fmt.Errorf("wal: append to %s: %w", segName(l.seg), err)
 	}
 	l.off += recLen
-	l.writeSeq++
-	wm = Watermark{Seg: l.seg, Off: l.off}
-	if l.opts.Policy == SyncAlways && l.opts.GroupCommit {
-		return wm, recLen, l.writeSeq, true, nil
-	}
-	switch l.opts.Policy {
-	case SyncAlways:
+	if l.opts.Policy == SyncAlways || (l.opts.Policy == SyncInterval && time.Since(l.lastSync) >= l.opts.Interval) {
 		if err := l.syncLocked(); err != nil {
 			l.failAppend(start)
-			return Watermark{}, 0, 0, false, err
-		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
-			if err := l.syncLocked(); err != nil {
-				l.failAppend(start)
-				return Watermark{}, 0, 0, false, err
-			}
+			return Watermark{}, err
 		}
 	}
-	return wm, recLen, 0, false, nil
-}
-
-// waitDurable blocks until the record at write sequence seq is
-// committed or failed. The first waiter whose record is not yet
-// covered becomes the commit leader and runs the fsync; everyone else
-// sleeps on the condition and is committed (or failed) wholesale by
-// the leader's outcome. A failed group fsync truncates the segment
-// back to its last durable offset, so a failed record is never
-// replayed — the same contract as a solo append.
-func (l *Log) waitDurable(seq uint64) error {
-	led := false
-	l.gcMu.Lock()
-	for {
-		// Failure first: a truncated record's sequence may later be
-		// numerically covered by gcDurable as new appends commit.
-		if seq <= l.gcFailSeq {
-			err := l.gcFailErr
-			l.gcMu.Unlock()
-			return err
-		}
-		if seq <= l.gcDurable {
-			l.gcMu.Unlock()
-			if !led {
-				l.batched.Add(1)
-			}
-			return nil
-		}
-		if !l.gcSyncing {
-			l.gcSyncing = true
-			l.gcMu.Unlock()
-			led = true
-			l.leadSync()
-			l.gcMu.Lock()
-			l.gcSyncing = false
-			l.gcCond.Broadcast()
-			continue
-		}
-		l.gcCond.Wait()
-	}
-}
-
-// leadSync is one group-commit leader round: optionally linger for
-// GroupWindow so more appends join the batch, then fsync once under
-// l.mu. Success marks every record written before the fsync durable
-// (syncLocked advances gcDurable); failure truncates the undurable
-// tail and fails every record in it.
-func (l *Log) leadSync() {
-	if w := l.opts.GroupWindow; w > 0 {
-		time.Sleep(w)
-	}
-	l.mu.Lock()
-	if l.closed || l.broken != nil {
-		err := l.broken
-		if err == nil {
-			err = ErrClosed
-		}
-		l.failGroupLocked(err)
-		l.mu.Unlock()
-		return
-	}
-	if err := l.syncLocked(); err != nil {
-		// Truncate the unsynced tail so no failed record can be
-		// replayed; if the truncation itself fails the log is poisoned.
-		l.failAppend(l.durableOff)
-		l.failGroupLocked(err)
-		l.mu.Unlock()
-		return
-	}
-	l.mu.Unlock()
-}
-
-// failGroupLocked fails every record written so far that is not yet
-// durable. Callers hold l.mu.
-func (l *Log) failGroupLocked(err error) {
-	l.gcMu.Lock()
-	if l.writeSeq > l.gcFailSeq {
-		l.gcFailSeq = l.writeSeq
-		l.gcFailErr = err
-	}
-	l.gcMu.Unlock()
-	l.gcCond.Broadcast()
+	l.appends.Add(1)
+	l.appendedBytes.Add(recLen)
+	return Watermark{Seg: l.seg, Off: l.off}, nil
 }
 
 // failAppend restores the segment to offset start after a failed
@@ -654,14 +509,6 @@ func (l *Log) syncLocked() error {
 	}
 	l.syncs.Add(1)
 	l.lastSync = time.Now()
-	l.durableOff = l.off
-	if l.opts.GroupCommit {
-		// Every record written before this fsync is now committed.
-		l.gcMu.Lock()
-		l.gcDurable = l.writeSeq
-		l.gcMu.Unlock()
-		l.gcCond.Broadcast()
-	}
 	return nil
 }
 
@@ -714,7 +561,6 @@ func (l *Log) Stats() Stats {
 	return Stats{
 		Appends:       l.appends.Load(),
 		AppendedBytes: l.appendedBytes.Load(),
-		Batched:       l.batched.Load(),
 		Syncs:         l.syncs.Load(),
 		Rolls:         l.rolls.Load(),
 		Checkpoints:   l.checkpoints.Load(),
