@@ -48,15 +48,16 @@ benchcmp:
 	fi
 
 # Regression guard over the committed baseline: allocation regressions
-# beyond 20% on the guarded hot-path benchmarks (joins, parallel
+# (allocs/op or B/op) beyond 20% on the guarded hot-path benchmarks (joins, parallel
 # match, columnar scans, plan-cache and prepared-eval paths, prepared
 # point lookups, path patterns and the k-shortest kernel, chains
 # started mid-way, grouping
 # (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), incremental
 # snapshot maintenance, WAL append alone and under concurrent writers,
 # whole HTTP requests) fail,
-# timing regressions warn (allocs/op is machine-independent, ns/op is
-# not). CI calls this target, so the list lives here only.
+# timing regressions warn (allocs/op and B/op are nearly
+# machine-independent, ns/op is not). CI calls this target, so the list
+# lives here only.
 benchguard:
 	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkMatchStart|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALConcurrentAppend|BenchmarkReply' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt

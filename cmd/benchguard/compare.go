@@ -13,9 +13,17 @@ import (
 // repeated -count runs of a file.
 type metric struct {
 	ns     float64
+	bytes  float64
 	allocs float64
 	hasMem bool
 	n      int
+
+	// bytesLo and bytesHi are the smallest and largest B/op of the
+	// runs. A benchmark whose B/op depends on timing — a background
+	// writer's allocations charged to the reads it overlaps — spreads
+	// wider than the budget across its own baseline runs, and then B/op
+	// cannot tell a regression from noise.
+	bytesLo, bytesHi float64
 }
 
 // stripProcSuffix removes the trailing "-<GOMAXPROCS>" go test
@@ -53,6 +61,8 @@ func parseBenchLine(line string) (name string, m metric, ok bool) {
 		case "ns/op":
 			m.ns = v
 			seen = true
+		case "B/op":
+			m.bytes = v
 		case "allocs/op":
 			m.allocs = v
 			m.hasMem = true
@@ -70,8 +80,13 @@ func parseBench(lines []string) map[string]metric {
 		if !ok {
 			continue
 		}
-		acc := out[name]
+		acc, seen := out[name]
+		if !seen || m.bytes < acc.bytesLo {
+			acc.bytesLo = m.bytes
+		}
+		acc.bytesHi = max(acc.bytesHi, m.bytes)
 		acc.ns += m.ns
+		acc.bytes += m.bytes
 		acc.allocs += m.allocs
 		acc.hasMem = acc.hasMem || m.hasMem
 		acc.n += m.n
@@ -79,6 +94,7 @@ func parseBench(lines []string) map[string]metric {
 	}
 	for name, acc := range out {
 		acc.ns /= float64(acc.n)
+		acc.bytes /= float64(acc.n)
 		acc.allocs /= float64(acc.n)
 		out[name] = acc
 	}
@@ -125,9 +141,10 @@ func guarded(name string, prefixes []string) bool {
 }
 
 // compare checks every guarded head benchmark against the baseline:
-// allocs/op beyond the threshold is a failure, ns/op beyond it a
-// warning, and guarded baseline benchmarks missing from the head run
-// warn as lost coverage.
+// allocs/op or B/op beyond the threshold is a failure, ns/op beyond it
+// a warning, and guarded baseline benchmarks missing from the head run
+// warn as lost coverage. B/op is not gated, only warned on, where the
+// baseline's own runs spread wider than the threshold.
 func compare(base, head map[string]metric, prefixes []string, threshold float64) result {
 	var res result
 	names := make([]string, 0, len(head))
@@ -145,15 +162,36 @@ func compare(base, head map[string]metric, prefixes []string, threshold float64)
 			continue
 		}
 		res.checked++
-		if b.hasMem && h.hasMem && b.allocs > 0 {
-			ratio := h.allocs / b.allocs
-			verdict := "ok  "
-			if ratio > 1+threshold {
-				verdict = "FAIL"
+		if b.hasMem && h.hasMem {
+			failed := false
+			for _, m := range []struct {
+				unit               string
+				base, head, spread float64
+			}{
+				{"allocs/op", b.allocs, h.allocs, 0},
+				{"B/op", b.bytes, h.bytes, (b.bytesHi - b.bytesLo) / b.bytes},
+			} {
+				if m.base <= 0 {
+					continue
+				}
+				ratio := m.head / m.base
+				verdict, note := "ok  ", ""
+				if m.spread > threshold {
+					note = fmt.Sprintf(" — baseline runs spread %.0f%%, not gated", m.spread*100)
+				}
+				if ratio > 1+threshold {
+					verdict = "FAIL"
+					if note != "" {
+						verdict = "WARN"
+					}
+				}
+				failed = failed || verdict == "FAIL"
+				res.lines = append(res.lines, fmt.Sprintf("%s  %s: %s %.1f → %.1f (%+.1f%%)%s",
+					verdict, name, m.unit, m.base, m.head, (ratio-1)*100, note))
+			}
+			if failed {
 				res.failures = append(res.failures, name)
 			}
-			res.lines = append(res.lines, fmt.Sprintf("%s  %s: allocs/op %.1f → %.1f (%+.1f%%)",
-				verdict, name, b.allocs, h.allocs, (ratio-1)*100))
 		}
 		if b.ns > 0 {
 			ratio := h.ns / b.ns

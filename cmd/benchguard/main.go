@@ -1,9 +1,14 @@
 // Command benchguard compares two `go test -bench` output files and
 // guards the hot-path benchmarks against regressions. Allocation
-// counts are deterministic across machines, so an allocs/op increase
-// beyond the threshold on a guarded benchmark fails the run (exit 1);
-// ns/op is timing- and machine-dependent, so a time regression only
-// warns. Benchmarks present in the baseline but missing from the head
+// counts and allocated bytes are nearly deterministic across machines,
+// so an allocs/op or a B/op increase beyond the threshold on a guarded
+// benchmark fails the run (exit 1): a change that keeps the number of
+// allocations but makes each larger — a wider value, a scratch buffer
+// no longer recycled — shows only in B/op. Where a benchmark's B/op
+// spreads wider than the threshold across its own baseline runs (a
+// background writer's bytes charged to the reads it overlaps), a B/op
+// increase only warns. ns/op is timing- and machine-dependent, so a
+// time regression only warns. Benchmarks present in the baseline but missing from the head
 // run also warn, so silently dropping a guarded benchmark is visible.
 //
 // Usage:
@@ -79,7 +84,7 @@ func main() {
 		fmt.Println(line)
 	}
 	if len(report.failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d allocation regression(s) beyond %.0f%%\n",
+		fmt.Fprintf(os.Stderr, "benchguard: %d allocation (allocs/op or B/op) regression(s) beyond %.0f%%\n",
 			len(report.failures), *threshold*100)
 		os.Exit(1)
 	}

@@ -33,7 +33,7 @@ func TestParseBenchAverages(t *testing.T) {
 	if !ok || m.n != 2 {
 		t.Fatalf("records = %v", recs)
 	}
-	if m.ns != 2000 || m.allocs != 15 || !m.hasMem {
+	if m.ns != 2000 || m.bytes != 512 || m.allocs != 15 || !m.hasMem {
 		t.Errorf("averaged metric = %+v", m)
 	}
 }
@@ -78,5 +78,45 @@ func TestCompareVerdicts(t *testing.T) {
 	res = compare(base, head, []string{"BenchmarkParallelMatch"}, 0.20)
 	if len(res.failures) != 0 || res.checked != 1 {
 		t.Fatalf("clean guard: failures=%v checked=%d", res.failures, res.checked)
+	}
+}
+
+// TestCompareBytesGate: B/op is gated like allocs/op — a benchmark
+// whose allocation count holds but whose bytes grow past the threshold
+// fails, and one whose bytes stay within it passes — except where the
+// baseline's own runs spread wider than the threshold: that B/op
+// increase warns.
+func TestCompareBytesGate(t *testing.T) {
+	base := parseBench([]string{
+		"BenchmarkPathPattern/reach-2    100  1000 ns/op  1000000 B/op  100 allocs/op",
+		"BenchmarkPathPattern/reach-2    100  1000 ns/op  1100000 B/op  100 allocs/op",
+		"BenchmarkKShortest/k=4-2        100  1000 ns/op  1000000 B/op  100 allocs/op",
+		"BenchmarkConcurrentRead/readers=2-2  100  1000 ns/op  50000 B/op  100 allocs/op",
+		"BenchmarkConcurrentRead/readers=2-2  100  1000 ns/op  70000 B/op  100 allocs/op",
+	})
+	head := parseBench([]string{
+		// Same allocations, 2.1x the bytes: fails.
+		"BenchmarkPathPattern/reach-2    100  1000 ns/op  2200000 B/op  100 allocs/op",
+		// 15% more bytes: within the budget.
+		"BenchmarkKShortest/k=4-2        100  1000 ns/op  1150000 B/op  100 allocs/op",
+		// 1.5x the bytes, but the baseline runs spread 33%: warns.
+		"BenchmarkConcurrentRead/readers=2-2  100  1000 ns/op  90000 B/op  100 allocs/op",
+	})
+	res := compare(base, head, []string{"BenchmarkPathPattern", "BenchmarkKShortest", "BenchmarkConcurrentRead"}, 0.20)
+	if len(res.failures) != 1 || res.failures[0] != "BenchmarkPathPattern/reach" {
+		t.Fatalf("failures = %v", res.failures)
+	}
+	report := strings.Join(res.lines, "\n")
+	if !strings.Contains(report, "FAIL  BenchmarkPathPattern/reach: B/op 1050000.0 → 2200000.0") {
+		t.Errorf("missing B/op FAIL line:\n%s", report)
+	}
+	if !strings.Contains(report, "ok    BenchmarkPathPattern/reach: allocs/op") {
+		t.Errorf("allocs/op line of the B/op failure missing or failed:\n%s", report)
+	}
+	if !strings.Contains(report, "ok    BenchmarkKShortest/k=4: B/op") {
+		t.Errorf("B/op within budget not reported ok:\n%s", report)
+	}
+	if !strings.Contains(report, "WARN  BenchmarkConcurrentRead/readers=2: B/op 60000.0 → 90000.0 (+50.0%) — baseline runs spread 33%, not gated") {
+		t.Errorf("B/op of a spread baseline not reported as an ungated warning:\n%s", report)
 	}
 }

@@ -2,8 +2,10 @@ package rpq
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 
 	"gcore/internal/csr"
 	"gcore/internal/faultinject"
@@ -96,14 +98,48 @@ type stateTab[T any] struct {
 // sparse fallback trades speed for memory.
 const denseLimit = 1 << 22
 
-func newStateTab[T any](nodes, states int) *stateTab[T] {
-	t := &stateTab[T]{states: int32(states)}
+// newStateTab returns a table of zero entries. The dense form takes
+// over buf (cleared) when it is large enough; pass nil for a fresh one.
+func newStateTab[T any](buf []T, nodes, states int) stateTab[T] {
+	t := stateTab[T]{states: int32(states)}
 	if int64(nodes)*int64(states) <= denseLimit {
-		t.dense = make([]T, nodes*states)
+		t.dense = zeroed(buf, nodes*states)
 	} else {
 		t.sparse = make(map[int64]T, 1024)
 	}
 	return t
+}
+
+// Search scratch — the dense tables, the arrival arena, the frontier
+// and the renumber table — is dead once a search returns, so it goes
+// back to a pool for the next search instead of to the collector. A
+// buffer past maxScratchBytes is dropped instead: one huge search must
+// not pin its memory for the life of the process.
+const maxScratchBytes = 16 << 20
+
+var (
+	shortestPool = sync.Pool{New: func() any { return new(shortestState) }}
+	reachPool    = sync.Pool{New: func() any { return new(reachScratch) }}
+)
+
+// zeroed returns buf resized to n zero entries, allocating only when
+// its capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// recycled empties buf for its pool, or drops it (nil) when it has
+// grown past maxScratchBytes.
+func recycled[T any](buf []T) []T {
+	if uintptr(cap(buf))*reflect.TypeFor[T]().Size() > maxScratchBytes {
+		return nil
+	}
+	return buf[:0]
 }
 
 func (t *stateTab[T]) get(u, q int32) T {
@@ -232,10 +268,14 @@ type cfgState struct {
 // order. A unit-cost search queues at the current or the last level,
 // so its pops and pushes take O(1); a weighted search inserts a new
 // level at its sorted position.
+//
+// A shortestState comes from shortestPool and goes back to it when its
+// search returns; the result keeps none of its slices but dsts, which
+// is therefore never recycled.
 type shortestState struct {
 	k        int32
 	acc      int32
-	cfg      *stateTab[cfgState]
+	cfg      stateTab[cfgState]
 	arrivals []carrival
 	views    []viewStep
 	levels   []level
@@ -247,6 +287,40 @@ type shortestState struct {
 	// destinations in order of first acceptance.
 	keep []kept
 	dsts []int32
+
+	need []int32 // finish's renumber table
+}
+
+// newShortestState takes a search state from the pool and resets it
+// for a k-shortest search from srcOrd over a graph of nodes nodes and
+// an automaton of states states.
+func newShortestState(k, acc int32, nodes, states int, srcOrd, start int32) *shortestState {
+	st := shortestPool.Get().(*shortestState)
+	*st = shortestState{
+		k:        k,
+		acc:      acc,
+		cfg:      newStateTab(st.cfg.dense, nodes, states),
+		arrivals: append(st.arrivals[:0], carrival{u: srcOrd, q: start, parent: -1, via: noStep, next: -1}),
+		levels:   append(st.levels[:0], level{head: 0, tail: 0}),
+		keep:     st.keep[:0],
+		need:     st.need,
+	}
+	st.cfg.set(srcOrd, start, cfgState{queued: 1})
+	return st
+}
+
+// release returns st's buffers to the pool. The view steps alias
+// segments of the searched views and the destinations belong to the
+// result, so neither is kept.
+func (st *shortestState) release() {
+	*st = shortestState{
+		cfg:      stateTab[cfgState]{dense: recycled(st.cfg.dense)},
+		arrivals: recycled(st.arrivals),
+		levels:   recycled(st.levels),
+		keep:     recycled(st.keep),
+		need:     recycled(st.need),
+	}
+	shortestPool.Put(st)
 }
 
 type kept struct{ arr, prev int32 }
@@ -353,14 +427,8 @@ func (e *Engine) ShortestPaths(src ppg.NodeID, nfa *NFA, k int) (*Shortest, erro
 	}
 	snap := e.snap
 	trans := e.resolve(nfa)
-	st := &shortestState{
-		k:        int32(k),
-		acc:      int32(nfa.accept),
-		cfg:      newStateTab[cfgState](snap.NumNodes(), nfa.NumStates()),
-		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, via: noStep, next: -1}},
-		levels:   []level{{head: 0, tail: 0}},
-	}
-	st.cfg.set(srcOrd, int32(nfa.start), cfgState{queued: 1})
+	st := newShortestState(int32(k), int32(nfa.accept), snap.NumNodes(), nfa.NumStates(), srcOrd, int32(nfa.start))
+	defer st.release()
 	res := &Shortest{snap: snap}
 
 	steps, pushed := 0, 0
@@ -470,7 +538,8 @@ func (r *Shortest) finish(st *shortestState) {
 	// need[a] marks arrival a as on a kept chain, then holds its new
 	// index + 1; parents precede children, so one ascending pass
 	// renumbers.
-	need := make([]int32, len(st.arrivals))
+	st.need = zeroed(st.need, len(st.arrivals))
+	need := st.need
 	n, nv := 0, 0
 	for _, kp := range st.keep {
 		for a := kp.arr; a >= 0 && need[a] == 0; a = st.arrivals[a].parent {
@@ -533,11 +602,16 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 		return nil, nil
 	}
 	trans := e.resolve(nfa)
-	seen := newStateTab[bool](e.snap.NumNodes(), nfa.NumStates())
+	sc := reachPool.Get().(*reachScratch)
+	seen := newStateTab(sc.seen, e.snap.NumNodes(), nfa.NumStates())
 	seen.set(srcOrd, int32(nfa.start), true)
-	queue := []ccfg{{srcOrd, int32(nfa.start)}}
+	queue := append(sc.queue[:0], ccfg{srcOrd, int32(nfa.start)})
 	accept := int32(nfa.accept)
-	hit := make([]bool, e.snap.NumNodes())
+	hit := zeroed(sc.hit, e.snap.NumNodes())
+	defer func() {
+		sc.seen, sc.hit, sc.queue = recycled(seen.dense), recycled(hit), recycled(queue)
+		reachPool.Put(sc)
+	}()
 	steps, pushed, found := 0, 0, 0
 	if sp := e.col.Start(obs.OpReach); sp != nil {
 		if sp.Verbose() {
@@ -547,15 +621,14 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 			sp.Frontier(int64(steps), int64(pushed)).Rows(0, int64(found)).End()
 		}()
 	}
-	for len(queue) > 0 {
+	for head := 0; head < len(queue); head++ {
 		if steps&(checkStride-1) == 0 {
 			if err := e.gov.Checkpoint(faultinject.SiteRPQReach); err != nil {
 				return nil, err
 			}
 		}
 		steps++
-		c := queue[0]
-		queue = queue[1:]
+		c := queue[head]
 		if c.q == accept {
 			hit[c.u] = true
 		}
@@ -582,6 +655,15 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	}
 	found = len(out)
 	return out, nil
+}
+
+// reachScratch is Reachable's pooled memory: the dense seen table, the
+// per-node hit flags and the BFS queue, which pops by index so its
+// storage survives the sweep.
+type reachScratch struct {
+	seen  []bool
+	hit   []bool
+	queue []ccfg
 }
 
 // prodEdge records one product transition taken during the forward

@@ -1,11 +1,17 @@
 package rpq
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"gcore/internal/ast"
+	"gcore/internal/gov"
 	"gcore/internal/ppg"
+	"gcore/internal/snb"
 )
 
 // diffGraph builds a random labelled graph for the explicit-product
@@ -71,7 +77,7 @@ func diffRegexes(t *testing.T) []*NFA {
 // TestStateTabSparseFallback forces the sparse branch and checks it
 // stores what the dense branch stores.
 func TestStateTabSparseFallback(t *testing.T) {
-	dense := newStateTab[int32](8, 3)
+	dense := newStateTab[int32](nil, 8, 3)
 	sparse := &stateTab[int32]{states: 3, sparse: map[int64]int32{}}
 	for i := 0; i < 10; i++ {
 		u, q := int32(i%8), int32(i%3)
@@ -86,7 +92,7 @@ func TestStateTabSparseFallback(t *testing.T) {
 		}
 	}
 	// Above the dense limit the constructor must pick the sparse form.
-	big := newStateTab[cfgState](denseLimit, 2)
+	big := newStateTab[cfgState](nil, denseLimit, 2)
 	if big.dense != nil {
 		t.Fatal("stateTab over the dense limit still allocated a dense table")
 	}
@@ -120,5 +126,108 @@ func TestShortestRetainsOnlyKeptViewSteps(t *testing.T) {
 		if len(onWalks) == 0 || len(res.views) != len(onWalks) {
 			t.Errorf("k=%d: result retains %d view steps, its kept walks take %d", k, len(res.views), len(onWalks))
 		}
+	}
+}
+
+// describeShortest renders every destination, kept walk, cost and hop
+// count of a k-shortest result.
+func describeShortest(r *Shortest) string {
+	var b strings.Builder
+	for i := 0; i < r.Len(); i++ {
+		_, dst := r.Dest(i)
+		for _, a := range r.Arrivals(i) {
+			fmt.Fprintf(&b, "%d %+v %g %d\n", dst, r.Walk(a), r.Cost(a), r.Hops(a))
+		}
+	}
+	return b.String()
+}
+
+// TestRecycledScratchNeverLeaks: searches draw their dense tables,
+// arena, frontier and queues from pools. Results held from SNB-2000
+// searches must not change while later searches — on a smaller graph,
+// and one stopped by the frontier budget — reuse that memory, and
+// rerunning the first searches must reproduce the heap reference. The
+// reference runs last: it allocates enough to make the collector empty
+// the pools, which would let the searches before it start fresh.
+func TestRecycledScratchNeverLeaks(t *testing.T) {
+	ds := snb.Generate(snb.Config{Persons: 2000, Seed: 1}, ppg.NewIDGen(1))
+	nfa, err := Compile(rxStar(rxLabel("knows")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(ds.Social, nil)
+	src := ds.Persons[0]
+	search := func(e *Engine) (*Shortest, []ppg.NodeID, error) {
+		sp, err := e.ShortestPaths(src, nfa, 3)
+		if err != nil {
+			return nil, nil, err
+		}
+		reach, err := e.Reachable(src, nfa)
+		return sp, reach, err
+	}
+	heldSP, heldReach, err := search(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldSPText, heldReachCopy := describeShortest(heldSP), slices.Clone(heldReach)
+
+	small, ids := diffGraph(t, rand.New(rand.NewSource(3)))
+	smallNFA, err := Compile(rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallEng := NewEngine(small, nil)
+	if _, err := smallEng.ShortestPaths(ids[0], smallNFA, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := smallEng.Reachable(ids[0], smallNFA); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{10, 500} {
+		stopped := NewEngine(ds.Social, nil)
+		stopped.SetGovernor(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}))
+		if _, err := stopped.ShortestPaths(src, nfa, 3); err == nil {
+			t.Fatalf("k-shortest search under a frontier budget of %d was not stopped", limit)
+		}
+		stopped.SetGovernor(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}))
+		if _, err := stopped.Reachable(src, nfa); err == nil {
+			t.Fatalf("reachability sweep under a frontier budget of %d was not stopped", limit)
+		}
+	}
+
+	// Checked before the rerun, which would write the same contents into
+	// recycled memory again.
+	if describeShortest(heldSP) != heldSPText || !slices.Equal(heldReach, heldReachCopy) {
+		t.Fatal("held results changed while later searches ran")
+	}
+	againSP, againReach, err := search(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := heapShortestPaths(eng, src, nfa, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOne, _, err := heapShortestPaths(eng, src, nfa, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSP := describeShortest(ref)
+	var wantReach []ppg.NodeID
+	for i := 0; i < refOne.Len(); i++ {
+		_, dst := refOne.Dest(i)
+		wantReach = append(wantReach, dst)
+	}
+	if heldSP.Len() < 100 || heldSPText != wantSP || !slices.Equal(heldReachCopy, wantReach) {
+		t.Fatalf("first search: %d destinations, %d reached; want the heap reference's %d", heldSP.Len(), len(heldReachCopy), len(wantReach))
+	}
+	if got := describeShortest(againSP); got != wantSP {
+		t.Error("rerun k-shortest search differs from the heap reference")
+	}
+	if !slices.Equal(againReach, wantReach) {
+		t.Error("rerun reachability sweep differs from the heap reference")
+	}
+	if describeShortest(heldSP) != wantSP || !slices.Equal(heldReach, heldReachCopy) {
+		t.Error("held results changed during the rerun")
 	}
 }

@@ -87,10 +87,10 @@ func heapShortestPaths(e *Engine, src ppg.NodeID, nfa *NFA, k int) (*Shortest, i
 	st := &shortestState{
 		k:        int32(k),
 		acc:      int32(nfa.accept),
-		cfg:      newStateTab[cfgState](snap.NumNodes(), nfa.NumStates()),
+		cfg:      newStateTab[cfgState](nil, snap.NumNodes(), nfa.NumStates()),
 		arrivals: []carrival{{u: srcOrd, q: int32(nfa.start), parent: -1, via: noStep, next: -1}},
 	}
-	pops := newStateTab[int32](snap.NumNodes(), nfa.NumStates())
+	pops := newStateTab[int32](nil, snap.NumNodes(), nfa.NumStates())
 	h := oracleHeap{{idx: 0}}
 	seq := 1
 	relax := func(parent int, base *carrival, u, q int32, cost float64, hops, via int32) {

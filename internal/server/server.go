@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gcore"
@@ -418,9 +419,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // graphs and tables in their interchange JSON — into one compact
 // buffer, and sends it in one Write with its Content-Length. A result
 // JSON cannot hold (a NaN or infinite float) fails the whole reply as a
-// 500 before any byte of it is written.
+// 500 before any byte of it is written. The buffer comes from
+// replyPool and goes back once the Write has returned.
 func (s *Server) writeResults(w http.ResponseWriter, results []*gcore.Result, elapsed time.Duration, sid string) {
-	body, err := appendResults(make([]byte, 0, 512), results, elapsed)
+	buf := replyPool.Get().(*[]byte)
+	defer replyPool.Put(buf)
+	body, err := appendResults((*buf)[:0], results, elapsed)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), "")
 		return
@@ -428,8 +432,21 @@ func (s *Server) writeResults(w http.ResponseWriter, results []*gcore.Result, el
 	if sid != "" {
 		body = value.AppendJSONString(append(body, `,"session":`...), sid)
 	}
-	writeBody(w, http.StatusOK, append(body, "}\n"...))
+	body = append(body, "}\n"...)
+	writeBody(w, http.StatusOK, body)
+	if cap(body) <= maxPooledReply {
+		*buf = body
+	}
 }
+
+// replyPool recycles reply buffers: a stored-path reply grows its
+// buffer to a megabyte or more, which would otherwise be reallocated,
+// doubling from empty, on every request. A buffer past maxPooledReply
+// is dropped instead, so one huge reply does not pin its memory for
+// the life of the process.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 16 << 20
 
 func appendResults(dst []byte, results []*gcore.Result, elapsed time.Duration) ([]byte, error) {
 	dst = append(dst, `{"results":[`...)

@@ -550,3 +550,31 @@ func TestReplyEncodeError(t *testing.T) {
 		t.Fatalf("body %q has trailing bytes", rec.Body.Bytes())
 	}
 }
+
+// TestReplyBufferRecycled: the reply after a 1.2 MB one is encoded into
+// the recycled buffer and must be byte-identical to the same results
+// encoded into a fresh one — nothing of the larger reply survives.
+func TestReplyBufferRecycled(t *testing.T) {
+	srv := New(gcore.NewEngine(), Config{})
+	defer srv.Close()
+	const elapsed = 1500 * time.Microsecond
+	big := []*gcore.Result{{Plan: strings.Repeat("x", 1_200_000)}}
+	small := []*gcore.Result{{Plan: "small"}, nil}
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		srv.writeResults(rec, big, elapsed, "")
+		if rec.Body.Len() < 1_200_000 {
+			t.Fatalf("big reply is %d bytes", rec.Body.Len())
+		}
+		rec = httptest.NewRecorder()
+		srv.writeResults(rec, small, elapsed, "s1")
+		want, err := appendResults(nil, small, elapsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, `,"session":"s1"}`+"\n"...)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("small reply after a big one:\n%q\nwant:\n%q", rec.Body.Bytes(), want)
+		}
+	}
+}

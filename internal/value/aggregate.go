@@ -114,11 +114,11 @@ func Aggregate(k AggKind, in []Value) (Value, error) {
 			}
 			switch v.Kind() {
 			case KindInt:
-				isum += v.i
-				fsum += float64(v.i)
+				isum += v.i()
+				fsum += float64(v.i())
 			case KindFloat:
 				sawReal = true
-				fsum += v.f
+				fsum += v.f()
 			default:
 				return Null, &TypeError{Op: k.String(), Kind: v.Kind()}
 			}

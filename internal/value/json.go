@@ -36,30 +36,30 @@ func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	case KindNull:
 		return append(dst, "null"...), nil
 	case KindBool:
-		return strconv.AppendBool(dst, v.b), nil
+		return strconv.AppendBool(dst, v.b()), nil
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10), nil
+		return strconv.AppendInt(dst, v.i(), 10), nil
 	case KindFloat:
-		if v.f == float64(int64(v.f)) {
+		if f := v.f(); f == float64(int64(f)) {
 			// Force a fraction so the value round-trips as a float.
-			return strconv.AppendFloat(dst, v.f, 'f', 1, 64), nil
+			return strconv.AppendFloat(dst, f, 'f', 1, 64), nil
 		}
-		return AppendJSONFloat(dst, v.f)
+		return AppendJSONFloat(dst, v.f())
 	case KindString:
-		return AppendJSONString(dst, v.s), nil
+		return AppendJSONString(dst, v.s()), nil
 	case KindDate:
 		dst = AppendJSONString(append(dst, `{"date":`...), v.String())
 		return append(dst, '}'), nil
 	case KindList:
-		return appendElems(append(dst, `{"list":`...), v.elems)
+		return appendElems(append(dst, `{"list":`...), v.elems())
 	case KindSet:
-		return appendElems(append(dst, `{"set":`...), v.elems)
+		return appendElems(append(dst, `{"set":`...), v.elems())
 	case KindNode:
-		return appendRef(dst, `{"node":`, v.i), nil
+		return appendRef(dst, `{"node":`, v.i()), nil
 	case KindEdge:
-		return appendRef(dst, `{"edge":`, v.i), nil
+		return appendRef(dst, `{"edge":`, v.i()), nil
 	case KindPath:
-		return appendRef(dst, `{"path":`, v.i), nil
+		return appendRef(dst, `{"path":`, v.i()), nil
 	}
 	return dst, fmt.Errorf("value: cannot marshal kind %v", v.kind)
 }

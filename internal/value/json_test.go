@@ -144,10 +144,10 @@ func TestOpsErrorMessages(t *testing.T) {
 
 func TestSubsetWithListOperands(t *testing.T) {
 	// Lists coerce to sets for SUBSET.
-	if v := Subset(List(Int(1), Int(1)), Set(Int(1), Int(2))); !v.b {
+	if v := Subset(List(Int(1), Int(1)), Set(Int(1), Int(2))); !v.b() {
 		t.Error("list SUBSET set failed")
 	}
-	if v := Subset(Int(1), Set(Int(1))); !v.b {
+	if v := Subset(Int(1), Set(Int(1))); !v.b() {
 		t.Error("scalar SUBSET singleton failed")
 	}
 }
@@ -177,28 +177,28 @@ func referenceJSON(v Value) ([]byte, error) {
 	case KindNull:
 		return []byte("null"), nil
 	case KindBool:
-		return json.Marshal(v.b)
+		return json.Marshal(v.b())
 	case KindInt:
-		return json.Marshal(v.i)
+		return json.Marshal(v.i())
 	case KindFloat:
-		if v.f == float64(int64(v.f)) {
-			return []byte(fmt.Sprintf("%.1f", v.f)), nil
+		if v.f() == float64(int64(v.f())) {
+			return []byte(fmt.Sprintf("%.1f", v.f())), nil
 		}
-		return json.Marshal(v.f)
+		return json.Marshal(v.f())
 	case KindString:
-		return json.Marshal(v.s)
+		return json.Marshal(v.s())
 	case KindDate:
 		return json.Marshal(map[string]string{"date": v.String()})
 	case KindList:
-		return json.Marshal(map[string][]refValue{"list": refElems(v.elems)})
+		return json.Marshal(map[string][]refValue{"list": refElems(v.elems())})
 	case KindSet:
-		return json.Marshal(map[string][]refValue{"set": refElems(v.elems)})
+		return json.Marshal(map[string][]refValue{"set": refElems(v.elems())})
 	case KindNode:
-		return json.Marshal(map[string]uint64{"node": uint64(v.i)})
+		return json.Marshal(map[string]uint64{"node": uint64(v.i())})
 	case KindEdge:
-		return json.Marshal(map[string]uint64{"edge": uint64(v.i)})
+		return json.Marshal(map[string]uint64{"edge": uint64(v.i())})
 	case KindPath:
-		return json.Marshal(map[string]uint64{"path": uint64(v.i)})
+		return json.Marshal(map[string]uint64{"path": uint64(v.i())})
 	}
 	return nil, fmt.Errorf("value: cannot marshal kind %v", v.kind)
 }

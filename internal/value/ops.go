@@ -48,7 +48,7 @@ func Neq(a, b Value) Value {
 	if a.Scalarize().IsNull() || b.Scalarize().IsNull() {
 		return False
 	}
-	return Bool(!v.b)
+	return Bool(!v.b())
 }
 
 // orderable reports whether the (scalarized) kinds can be ordered.
@@ -91,7 +91,7 @@ func In(x, s Value) Value {
 	}
 	switch s.kind {
 	case KindSet, KindList:
-		for _, e := range s.elems {
+		for _, e := range s.elems() {
 			if Equal(e, x) {
 				return True
 			}
@@ -108,8 +108,8 @@ func In(x, s Value) Value {
 // to singleton sets; Null is the empty set (subset of everything).
 func Subset(a, b Value) Value {
 	as, bs := asSet(a), asSet(b)
-	for _, e := range as.elems {
-		if v := In(e, bs); !v.b {
+	for _, e := range as.elems() {
+		if v := In(e, bs); !v.b() {
 			return False
 		}
 	}
@@ -123,7 +123,7 @@ func asSet(v Value) Value {
 	case KindNull:
 		return EmptySet
 	case KindList:
-		return Set(v.elems...)
+		return Set(v.elems()...)
 	}
 	return Set(v)
 }
@@ -133,7 +133,7 @@ func Not(v Value) (Value, error) {
 	v = v.Scalarize()
 	switch v.kind {
 	case KindBool:
-		return Bool(!v.b), nil
+		return Bool(!v.b()), nil
 	case KindNull:
 		return Null, nil
 	}
@@ -176,7 +176,7 @@ func truth(op string, v Value) (bool, error) {
 	v = v.Scalarize()
 	switch v.kind {
 	case KindBool:
-		return v.b, nil
+		return v.b(), nil
 	case KindNull:
 		return false, nil
 	}
@@ -188,9 +188,9 @@ func Neg(v Value) (Value, error) {
 	v = v.Scalarize()
 	switch v.kind {
 	case KindInt:
-		return Int(-v.i), nil
+		return Int(-v.i()), nil
 	case KindFloat:
-		return Float(-v.f), nil
+		return Float(-v.f()), nil
 	case KindNull:
 		return Null, nil
 	}

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind discriminates the variants of a Value.
@@ -76,13 +77,36 @@ const DateLayout = "2/1/2006"
 
 // Value is an immutable literal, collection or graph-object reference.
 // The zero Value is the null (absent) value.
+//
+// A Value is 24 bytes with one pointer word, because every binding-table
+// slot, property-column read and result row is one. n holds the scalar
+// payload — the bool (0 or 1), the integer, the date in days since the
+// Unix epoch, the object identifier or math.Float64bits of the float —
+// or the length of a string or a list or set. p points at the string's
+// bytes (unsafe.StringData) or the first element (unsafe.SliceData),
+// and is nil for every other kind. The payload accessors below read
+// those fields back as the kind that wrote them; every exported method
+// checks the kind first.
 type Value struct {
-	kind  Kind
-	b     bool
-	i     int64 // integer; date as days since Unix epoch; object identifier
-	f     float64
-	s     string
-	elems []Value // list elements, or set elements (sorted, deduplicated)
+	_    [0]func() // keeps == a compile error: it would compare p, not the contents
+	p    unsafe.Pointer
+	n    uint64
+	kind Kind
+}
+
+// b, i, f, s and elems are the payload of a bool, an integer, date or
+// reference, a float, a string and a list or set. A set's elements are
+// sorted and deduplicated.
+func (v Value) b() bool        { return v.n != 0 }
+func (v Value) i() int64       { return int64(v.n) }
+func (v Value) f() float64     { return math.Float64frombits(v.n) }
+func (v Value) s() string      { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+
+// fromElems wraps an element slice of kind KindList or KindSet. A nil
+// slice stays nil.
+func fromElems(k Kind, es []Value) Value {
+	return Value{kind: k, p: unsafe.Pointer(unsafe.SliceData(es)), n: uint64(len(es))}
 }
 
 // Null is the absent value. It is what property access on an object
@@ -108,7 +132,12 @@ var Absent = Value{kind: kindAbsent}
 func (v Value) IsAbsent() bool { return v.kind == kindAbsent }
 
 // Bool returns a boolean value (⊤ or ⊥ in the paper's notation).
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // True and False are the truth values ⊤ and ⊥.
 var (
@@ -117,16 +146,18 @@ var (
 )
 
 // Int returns an integer literal.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a real-number literal.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Str returns a string literal.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // Date returns a date literal from days since the Unix epoch.
-func Date(days int64) Value { return Value{kind: KindDate, i: days} }
+func Date(days int64) Value { return Value{kind: KindDate, n: uint64(days)} }
 
 // ParseDate parses a date literal in DateLayout form ("1/12/2014").
 func ParseDate(s string) (Value, error) {
@@ -141,7 +172,7 @@ func ParseDate(s string) (Value, error) {
 func List(elems ...Value) Value {
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
-	return Value{kind: KindList, elems: cp}
+	return fromElems(KindList, cp)
 }
 
 // Set returns a set value: elements are deduplicated and kept in the
@@ -156,7 +187,7 @@ func Set(elems ...Value) Value {
 		cp = append(cp, e)
 	}
 	slices.SortStableFunc(cp, Compare)
-	return Value{kind: KindSet, elems: slices.CompactFunc(cp, Equal)}
+	return fromElems(KindSet, slices.CompactFunc(cp, Equal))
 }
 
 // EmptySet is the set with no elements; property lookup on an object
@@ -164,13 +195,13 @@ func Set(elems ...Value) Value {
 var EmptySet = Set()
 
 // NodeRef returns a reference to the node with the given identifier.
-func NodeRef(id uint64) Value { return Value{kind: KindNode, i: int64(id)} }
+func NodeRef(id uint64) Value { return Value{kind: KindNode, n: id} }
 
 // EdgeRef returns a reference to the edge with the given identifier.
-func EdgeRef(id uint64) Value { return Value{kind: KindEdge, i: int64(id)} }
+func EdgeRef(id uint64) Value { return Value{kind: KindEdge, n: id} }
 
 // PathRef returns a reference to the path with the given identifier.
-func PathRef(id uint64) Value { return Value{kind: KindPath, i: int64(id)} }
+func PathRef(id uint64) Value { return Value{kind: KindPath, n: id} }
 
 // Kind reports the variant of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -186,38 +217,63 @@ func (v Value) IsRef() bool {
 // IsNumeric reports whether v is an integer or a float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// AsBool returns the boolean content; ok is false if v is not a bool.
-func (v Value) AsBool() (b, ok bool) { return v.b, v.kind == KindBool }
+// AsBool returns the boolean content; ok is false (and b false) if v is
+// not a bool.
+func (v Value) AsBool() (b, ok bool) { return v.kind == KindBool && v.b(), v.kind == KindBool }
 
-// AsInt returns the integer content; ok is false if v is not an integer.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+// AsInt returns the integer content; ok is false (and the integer 0) if
+// v is not an integer.
+func (v Value) AsInt() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return v.i(), true
+}
 
 // AsFloat returns the numeric content widened to float64; ok is false
 // if v is neither an integer nor a float.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	}
 	return 0, false
 }
 
-// AsString returns the string content; ok is false if v is not a string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+// AsString returns the string content; ok is false (and the string
+// empty) if v is not a string.
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.s(), true
+}
 
-// AsDateDays returns the date content in days since the Unix epoch.
-func (v Value) AsDateDays() (int64, bool) { return v.i, v.kind == KindDate }
+// AsDateDays returns the date content in days since the Unix epoch; ok
+// is false (and the days 0) if v is not a date.
+func (v Value) AsDateDays() (int64, bool) {
+	if v.kind != KindDate {
+		return 0, false
+	}
+	return v.i(), true
+}
 
-// RefID returns the object identifier of a node/edge/path reference.
-func (v Value) RefID() (uint64, bool) { return uint64(v.i), v.IsRef() }
+// RefID returns the object identifier of a node/edge/path reference; ok
+// is false (and the identifier 0) for every other kind.
+func (v Value) RefID() (uint64, bool) {
+	if !v.IsRef() {
+		return 0, false
+	}
+	return v.n, true
+}
 
 // Elems returns the elements of a list or set (nil otherwise). The
 // returned slice must not be modified.
 func (v Value) Elems() []Value {
 	if v.kind == KindList || v.kind == KindSet {
-		return v.elems
+		return v.elems()
 	}
 	return nil
 }
@@ -226,10 +282,8 @@ func (v Value) Elems() []Value {
 // string, 0 for Null, and -1 for other kinds.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindList, KindSet:
-		return len(v.elems)
-	case KindString:
-		return len(v.s)
+	case KindList, KindSet, KindString:
+		return int(v.n)
 	case KindNull:
 		return 0
 	}
@@ -252,8 +306,8 @@ func (v Value) Index(i int) Value {
 // write "MIT" instead of {"MIT"}"): scalar contexts treat a singleton
 // set as its sole element.
 func (v Value) Singleton() (Value, bool) {
-	if v.kind == KindSet && len(v.elems) == 1 {
-		return v.elems[0], true
+	if v.kind == KindSet && v.n == 1 {
+		return v.elems()[0], true
 	}
 	return Null, false
 }
@@ -262,11 +316,11 @@ func (v Value) Singleton() (Value, bool) {
 // empty set scalarizes to Null (absent).
 func (v Value) Scalarize() Value {
 	if v.kind == KindSet {
-		switch len(v.elems) {
+		switch v.n {
 		case 0:
 			return Null
 		case 1:
-			return v.elems[0]
+			return v.elems()[0]
 		}
 	}
 	return v
@@ -283,9 +337,9 @@ func Compare(a, b Value) int {
 	if a.kind != b.kind {
 		switch {
 		case a.kind == KindInt && b.kind == KindFloat:
-			return compareIntFloat(a.i, b.f)
+			return compareIntFloat(a.i(), b.f())
 		case a.kind == KindFloat && b.kind == KindInt:
-			return -compareIntFloat(b.i, a.f)
+			return -compareIntFloat(b.i(), a.f())
 		}
 		return int(a.kind) - int(b.kind)
 	}
@@ -293,26 +347,21 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.n, b.n) // ⊥ (0) before ⊤ (1)
 	case KindInt, KindDate, KindNode, KindEdge, KindPath:
-		return cmp.Compare(a.i, b.i)
+		return cmp.Compare(a.i(), b.i())
 	case KindFloat:
-		return cmp.Compare(a.f, b.f) // NaN first, equal only to NaN
+		return cmp.Compare(a.f(), b.f()) // NaN first, equal only to NaN
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.s(), b.s())
 	case KindList, KindSet:
-		for i := 0; i < len(a.elems) && i < len(b.elems); i++ {
-			if c := Compare(a.elems[i], b.elems[i]); c != 0 {
+		ae, be := a.elems(), b.elems()
+		for i := 0; i < len(ae) && i < len(be); i++ {
+			if c := Compare(ae[i], be[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.elems) - len(b.elems)
+		return len(ae) - len(be)
 	}
 	return 0
 }
@@ -352,21 +401,21 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.s())
 	case KindDate:
-		return time.Unix(v.i*86400, 0).UTC().Format(DateLayout)
+		return time.Unix(v.i()*86400, 0).UTC().Format(DateLayout)
 	case KindList:
-		parts := make([]string, len(v.elems))
-		for i, e := range v.elems {
+		parts := make([]string, v.n)
+		for i, e := range v.elems() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -374,13 +423,13 @@ func (v Value) String() string {
 		if s, ok := v.Singleton(); ok {
 			return s.String()
 		}
-		parts := make([]string, len(v.elems))
-		for i, e := range v.elems {
+		parts := make([]string, v.n)
+		for i, e := range v.elems() {
 			parts[i] = e.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	case KindNode, KindEdge, KindPath:
-		return "#" + strconv.FormatInt(v.i, 10)
+		return "#" + strconv.FormatInt(v.i(), 10)
 	}
 	return "?"
 }
@@ -423,46 +472,47 @@ func (v Value) Hash(h uint64) uint64 {
 	case KindNull:
 		return hashByte(h, 1)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return hashByte(hashByte(h, 2), 1)
 		}
 		return hashByte(hashByte(h, 2), 0)
 	case KindInt:
-		return hashUint64(hashByte(h, 3), uint64(v.i))
+		return hashUint64(hashByte(h, 3), v.n)
 	case KindFloat:
 		// An integral float in int64 range is the same value as the
 		// integer it equals and must land in the same bucket; every other
 		// float equals no integer.
-		if v.f == math.Trunc(v.f) && v.f >= -twoTo63 && v.f < twoTo63 {
-			return hashUint64(hashByte(h, 3), uint64(int64(v.f)))
+		f := v.f()
+		if f == math.Trunc(f) && f >= -twoTo63 && f < twoTo63 {
+			return hashUint64(hashByte(h, 3), uint64(int64(f)))
 		}
-		if math.IsNaN(v.f) {
+		if math.IsNaN(f) {
 			// All NaN payloads are one value under Compare.
 			return hashByte(hashByte(h, 4), 0xA5)
 		}
-		return hashUint64(hashByte(h, 4), math.Float64bits(v.f))
+		return hashUint64(hashByte(h, 4), v.n)
 	case KindString:
-		return hashStringInto(hashByte(h, 5), v.s)
+		return hashStringInto(hashByte(h, 5), v.s())
 	case KindDate:
-		return hashUint64(hashByte(h, 6), uint64(v.i))
+		return hashUint64(hashByte(h, 6), v.n)
 	case KindList:
-		h = hashUint64(hashByte(h, 7), uint64(len(v.elems)))
-		for _, e := range v.elems {
+		h = hashUint64(hashByte(h, 7), v.n)
+		for _, e := range v.elems() {
 			h = e.Hash(h)
 		}
 		return h
 	case KindSet:
-		h = hashUint64(hashByte(h, 8), uint64(len(v.elems)))
-		for _, e := range v.elems {
+		h = hashUint64(hashByte(h, 8), v.n)
+		for _, e := range v.elems() {
 			h = e.Hash(h)
 		}
 		return h
 	case KindNode:
-		return hashUint64(hashByte(h, 9), uint64(v.i))
+		return hashUint64(hashByte(h, 9), v.n)
 	case KindEdge:
-		return hashUint64(hashByte(h, 10), uint64(v.i))
+		return hashUint64(hashByte(h, 10), v.n)
 	case KindPath:
-		return hashUint64(hashByte(h, 11), uint64(v.i))
+		return hashUint64(hashByte(h, 11), v.n)
 	case kindAbsent:
 		return hashByte(h, 0xFF)
 	}

@@ -3,9 +3,56 @@ package value
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins the layout every binding slot and result row pays
+// for: at most 24 bytes, and not comparable with ==, which would
+// compare string and element pointers rather than contents.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 24 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want at most 24", n)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable with ==; it must compare through Compare and Equal")
+	}
+}
+
+// TestAccessorsOnWrongKind: every typed accessor applied to a value of
+// another kind returns the zero content and false, never the payload
+// word read as the wrong type.
+func TestAccessorsOnWrongKind(t *testing.T) {
+	vals := []Value{Null, Absent, True, Int(5), Float(2.5), Str("five"), Date(5),
+		List(Int(5)), Set(Int(5), Int(6)), NodeRef(5), EdgeRef(5), PathRef(5)}
+	for _, v := range vals {
+		k := v.Kind()
+		if b, ok := v.AsBool(); k != KindBool && (b || ok) {
+			t.Errorf("%v.AsBool() = %v, %v", v, b, ok)
+		}
+		if i, ok := v.AsInt(); k != KindInt && (i != 0 || ok) {
+			t.Errorf("%v.AsInt() = %v, %v", v, i, ok)
+		}
+		if f, ok := v.AsFloat(); k != KindInt && k != KindFloat && (f != 0 || ok) {
+			t.Errorf("%v.AsFloat() = %v, %v", v, f, ok)
+		}
+		if s, ok := v.AsString(); k != KindString && (s != "" || ok) {
+			t.Errorf("%v.AsString() = %q, %v", v, s, ok)
+		}
+		if d, ok := v.AsDateDays(); k != KindDate && (d != 0 || ok) {
+			t.Errorf("%v.AsDateDays() = %v, %v", v, d, ok)
+		}
+		if id, ok := v.RefID(); !v.IsRef() && (id != 0 || ok) {
+			t.Errorf("%v.RefID() = %v, %v", v, id, ok)
+		}
+		if es := v.Elems(); k != KindList && k != KindSet && es != nil {
+			t.Errorf("%v.Elems() = %v", v, es)
+		}
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -125,89 +172,89 @@ func TestCompareAcrossKinds(t *testing.T) {
 func TestEqSemantics(t *testing.T) {
 	// The paper's core example: "MIT" = {"CWI","MIT"} is FALSE.
 	multi := Set(Str("CWI"), Str("MIT"))
-	if v := Eq(Str("MIT"), multi); v.b {
+	if v := Eq(Str("MIT"), multi); v.b() {
 		t.Error(`"MIT" = {"CWI","MIT"} must be FALSE`)
 	}
 	// Singleton sets unwrap: "Acme" = {"Acme"} is TRUE.
-	if v := Eq(Str("Acme"), Set(Str("Acme"))); !v.b {
+	if v := Eq(Str("Acme"), Set(Str("Acme"))); !v.b() {
 		t.Error(`"Acme" = {"Acme"} must be TRUE`)
 	}
 	// Absent property: comparisons are FALSE, not errors.
-	if v := Eq(Str("Acme"), Null); v.b {
+	if v := Eq(Str("Acme"), Null); v.b() {
 		t.Error("= with absent operand must be FALSE")
 	}
-	if v := Neq(Str("Acme"), Null); v.b {
+	if v := Neq(Str("Acme"), Null); v.b() {
 		t.Error("<> with absent operand must be FALSE")
 	}
-	if v := Eq(multi, multi); !v.b {
+	if v := Eq(multi, multi); !v.b() {
 		t.Error("set = set compares structurally")
 	}
-	if v := Neq(Str("a"), Str("b")); !v.b {
+	if v := Neq(Str("a"), Str("b")); !v.b() {
 		t.Error("'a' <> 'b' must be TRUE")
 	}
 }
 
 func TestInAndSubset(t *testing.T) {
 	emp := Set(Str("CWI"), Str("MIT"))
-	if v := In(Str("MIT"), emp); !v.b {
+	if v := In(Str("MIT"), emp); !v.b() {
 		t.Error(`"MIT" IN {"CWI","MIT"} must be TRUE`)
 	}
-	if v := In(Str("Acme"), emp); v.b {
+	if v := In(Str("Acme"), emp); v.b() {
 		t.Error(`"Acme" IN {"CWI","MIT"} must be FALSE`)
 	}
 	// Singleton left side unwraps (c.name IN n.employer with c.name a set).
-	if v := In(Set(Str("CWI")), emp); !v.b {
+	if v := In(Set(Str("CWI")), emp); !v.b() {
 		t.Error("singleton set IN set must unwrap")
 	}
-	if v := In(Str("x"), Null); v.b {
+	if v := In(Str("x"), Null); v.b() {
 		t.Error("IN absent collection must be FALSE")
 	}
 	// Scalar RHS behaves as singleton: 'a' IN 'a'.
-	if v := In(Str("a"), Str("a")); !v.b {
+	if v := In(Str("a"), Str("a")); !v.b() {
 		t.Error("scalar IN scalar compares equality")
 	}
-	if v := Subset(Set(Str("MIT")), emp); !v.b {
+	if v := Subset(Set(Str("MIT")), emp); !v.b() {
 		t.Error("{MIT} SUBSET {CWI,MIT} must be TRUE")
 	}
-	if v := Subset(emp, Set(Str("MIT"))); v.b {
+	if v := Subset(emp, Set(Str("MIT"))); v.b() {
 		t.Error("{CWI,MIT} SUBSET {MIT} must be FALSE")
 	}
-	if v := Subset(Null, emp); !v.b {
+	if v := Subset(Null, emp); !v.b() {
 		t.Error("empty set is subset of everything")
 	}
 }
 
 func TestOrdering(t *testing.T) {
-	if !Lt(Int(1), Float(1.5)).b || !Gt(Float(1.5), Int(1)).b {
+	if !Lt(Int(1), Float(1.5)).b() || !Gt(Float(1.5), Int(1)).b() {
 		t.Error("cross-kind numeric ordering failed")
 	}
-	if !Le(Str("a"), Str("a")).b || !Ge(Str("b"), Str("a")).b {
+	if !Le(Str("a"), Str("a")).b() || !Ge(Str("b"), Str("a")).b() {
 		t.Error("string ordering failed")
 	}
-	if Lt(Str("a"), Int(1)).b {
+	if Lt(Str("a"), Int(1)).b() {
 		t.Error("ordering between unordered kinds must be FALSE")
 	}
-	if Lt(Null, Int(1)).b {
+	if Lt(Null, Int(1)).b() {
 		t.Error("ordering with absent operand must be FALSE")
 	}
 	d1, _ := ParseDate("1/12/2014")
 	d2, _ := ParseDate("2/12/2014")
-	if !Lt(d1, d2).b {
+	if !Lt(d1, d2).b() {
 		t.Error("date ordering failed")
 	}
 }
 
 func TestBooleanOps(t *testing.T) {
 	v, err := And(True, False)
-	if err != nil || v.b {
+	if err != nil || v.b() {
 		t.Error("TRUE AND FALSE must be FALSE")
 	}
 	v, err = Or(False, True)
-	if err != nil || !v.b {
+	if err != nil || !v.b() {
 		t.Error("FALSE OR TRUE must be TRUE")
 	}
 	v, err = Not(False)
-	if err != nil || !v.b {
+	if err != nil || !v.b() {
 		t.Error("NOT FALSE must be TRUE")
 	}
 	if _, err = Not(Int(3)); err == nil {
@@ -215,7 +262,7 @@ func TestBooleanOps(t *testing.T) {
 	}
 	// Absent operands behave as FALSE in filters.
 	v, err = And(Null, True)
-	if err != nil || v.b {
+	if err != nil || v.b() {
 		t.Error("NULL AND TRUE must be FALSE")
 	}
 	if b, err := Truth(Set(Bool(true))); err != nil || !b {
@@ -433,6 +480,17 @@ func TestCompareIsTotalOrder(t *testing.T) {
 		Int(1e18), Float(1e18), Int(1e18 + 1),
 		Set(Int(1), Float(math.NaN())), List(Float(math.NaN()), Int(1)),
 	}
+	// Strings sharing one backing array with each other, and fresh
+	// copies of the same contents: a string compares and hashes by its
+	// bytes, never by where they live.
+	backing := "abcabcab"
+	for _, sub := range []string{backing[:3], backing[3:6], backing[6:], backing[2:2], backing[1:4]} {
+		shared, fresh := Str(sub), Str(strings.Clone(sub))
+		if Compare(shared, fresh) != 0 || shared.Hash(HashSeed()) != fresh.Hash(HashSeed()) {
+			t.Fatalf("substring %q compares or hashes apart from its copy", sub)
+		}
+		vals = append(vals, shared, fresh, List(shared, Int(1)), Set(fresh))
+	}
 	for i := 0; i < 60; i++ {
 		vals = append(vals, randValue(r, 2))
 	}
@@ -483,7 +541,7 @@ func TestQuickSubsetReflexiveAndEmpty(t *testing.T) {
 			vs[i] = Int(x % 10)
 		}
 		s := Set(vs...)
-		return Subset(s, s).b && Subset(EmptySet, s).b
+		return Subset(s, s).b() && Subset(EmptySet, s).b()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -498,7 +556,7 @@ func TestQuickInConsistentWithSubset(t *testing.T) {
 		}
 		s := Set(vs...)
 		v := Int(x % 10)
-		return In(v, s).b == Subset(Set(v), s).b
+		return In(v, s).b() == Subset(Set(v), s).b()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
