@@ -589,9 +589,10 @@ func BenchmarkPathPattern(b *testing.B) {
 
 // BenchmarkMatchStart measures chains whose most selective node pattern
 // sits mid-chain, on SNB-2000: the adhoc_match colocated statement,
-// whose second chain is pinned by `c.name = …` on its interior City,
-// and a two-hop knows chain pinned by `b.pid = …` on its interior
-// Person, which also binds {employer=e} there. Each chain is evaluated
+// whose second chain is pinned by `c.name = …` on its interior City
+// and restricted to the persons the first chain bound, and a two-hop
+// knows chain pinned by `b.pid = …` on its interior Person, which also
+// binds {employer=e} there. Each chain is evaluated
 // from that interior node, extended both ways and sorted back into
 // forward emission order; a scan of every Person shows up as an
 // allocation jump.

@@ -194,13 +194,19 @@ func allProps(gp *ast.GraphPattern) []*ast.PropSpec {
 }
 
 func collectVars(gp *ast.GraphPattern, into map[string]bool) {
+	eachVar(gp, func(v string) { into[v] = true })
+}
+
+// eachVar calls f with every variable a chain binds: at a position, by
+// a {k = v} binding entry, or as a path's cost variable.
+func eachVar(gp *ast.GraphPattern, f func(string)) {
 	for _, n := range gp.Nodes {
 		if n.Var != "" {
-			into[n.Var] = true
+			f(n.Var)
 		}
 		for _, ps := range n.Props {
 			if ps.Mode == ast.PropBind {
-				into[ps.Var] = true
+				f(ps.Var)
 			}
 		}
 	}
@@ -208,19 +214,19 @@ func collectVars(gp *ast.GraphPattern, into map[string]bool) {
 		switch x := l.(type) {
 		case *ast.EdgePattern:
 			if x.Var != "" {
-				into[x.Var] = true
+				f(x.Var)
 			}
 			for _, ps := range x.Props {
 				if ps.Mode == ast.PropBind {
-					into[ps.Var] = true
+					f(ps.Var)
 				}
 			}
 		case *ast.PathPattern:
 			if x.Var != "" {
-				into[x.Var] = true
+				f(x.Var)
 			}
 			if x.CostVar != "" {
-				into[x.CostVar] = true
+				f(x.CostVar)
 			}
 		}
 	}

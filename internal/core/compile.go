@@ -20,12 +20,13 @@ import (
 // cexpr is one compiled expression — or, for a WHERE condition, the
 // list of its compiled AND-factors (conjs).
 type cexpr struct {
-	src      ast.Expr
-	ev       evaluator
-	vars     []string // a conjunct's sorted free variables
-	pushable bool     // no subquery and no aggregate: evaluable on any row binding vars
-	agg      bool     // contains an aggregate
-	conjs    []*cexpr
+	src       ast.Expr
+	ev        evaluator
+	vars      []string // a conjunct's sorted free variables
+	pushable  bool     // no subquery and no aggregate: evaluable on any row binding vars
+	agg       bool     // contains an aggregate
+	raiseFree bool     // never raises once the parameters are bound (sip.go)
+	conjs     []*cexpr
 }
 
 func (ce *cexpr) eval(e *env) (value.Value, error) { return ce.ev.eval(e) }
@@ -214,7 +215,7 @@ func (cp *compiler) root(x ast.Expr) {
 // compile compiles x into ce, recording its free variables when
 // withVars (a conjunct's, for pushdown).
 func (cp *compiler) compile(ce *cexpr, x ast.Expr, withVars bool) *cexpr {
-	ce.src, ce.pushable = x, true
+	ce.src, ce.pushable, ce.raiseFree = x, true, raiseFree(x, withVars)
 	base := len(cp.free)
 	ce.ev = cp.node(x, ce)
 	if free := cp.free[base:]; withVars && len(free) > 0 {

@@ -207,7 +207,7 @@ func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 	// applyReady's schema test as variables become bound. Each chain is
 	// walked from the start the planner picks, so the step order — and
 	// therefore the pushdown points — match the evaluation.
-	ests := explainPatterns(ev, def, sb, mc.Patterns, conjs, indent, ann)
+	ests := explainPatterns(ev, def, cs, sb, mc.Patterns, conjs, indent, ann)
 	explainJoinOrder(ev, sb, ests, indent, ann)
 	var residual []string
 	for _, cj := range conjs {
@@ -229,6 +229,7 @@ func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 		bConjs := cs.conjuncts(ob.Where)
 		bEsts := make([]int, len(ob.Patterns))
 		for i, lp := range ob.Patterns {
+			explainRestriction(ev, cs, sb, ob.Patterns, i, bConjs, indent+"    ")
 			pl := ev.staticPlan(def, lp, bConjs)
 			bEsts[i] = patternEstimate(lp, pl)
 			explainChain(ev, sb, lp.Pattern, pl, bConjs, indent+"    ", ann)
@@ -247,10 +248,10 @@ func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 	}
 }
 
-// explainPatterns prints each conjunct pattern of a MATCH with the
-// planner's scan decision, returning the per-pattern estimates that
-// drive the fold order.
-func explainPatterns(ev *Evaluator, def string, sb *strings.Builder, pats []*ast.LocatedPattern, conjs []*conjunct, indent string, ann *planAnnotator) []int {
+// explainPatterns prints each conjunct pattern of a MATCH with its
+// restriction and the planner's scan decision, returning the
+// per-pattern estimates that drive the fold order.
+func explainPatterns(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, pats []*ast.LocatedPattern, conjs []*conjunct, indent string, ann *planAnnotator) []int {
 	ests := make([]int, len(pats))
 	for pi, lp := range pats {
 		loc := "default graph"
@@ -265,11 +266,22 @@ func explainPatterns(ev *Evaluator, def string, sb *strings.Builder, pats []*ast
 			joiner = "hash-join with"
 		}
 		fmt.Fprintf(sb, "%s  %s pattern %d (%s)\n", indent, joiner, pi+1, loc)
+		explainRestriction(ev, cs, sb, pats, pi, conjs, indent+"    ")
 		pl := ev.staticPlan(def, lp, conjs)
 		ests[pi] = patternEstimate(lp, pl)
 		explainChain(ev, sb, lp.Pattern, pl, conjs, indent+"    ", ann)
 	}
 	return ests
+}
+
+// explainRestriction prints the node variables of pattern j that the
+// patterns before it restrict (sip.go), the way the evaluator decides
+// with every parameter bound. It must run before the chain claims its
+// conjuncts.
+func explainRestriction(ev *Evaluator, cs *CachedStatement, sb *strings.Builder, pats []*ast.LocatedPattern, j int, conjs []*conjunct, indent string) {
+	if vars := sipVars(ev.ablation, cs, pats, j, conjs, true); vars != nil {
+		fmt.Fprintf(sb, "%srestricted: %s\n", indent, sipLine(vars))
+	}
 }
 
 // staticPlan plans a located pattern's chain the way the evaluator

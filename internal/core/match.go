@@ -80,23 +80,30 @@ func (c *evalCtx) evalMatch(s *scope, mc *ast.MatchClause, outer *bindings.Table
 // evalPatterns evaluates the located patterns of a MATCH or OPTIONAL
 // block on their graphs and joins them, returning the graphs too. Every
 // conjunct pattern is evaluated in textual order (stable anonymous
-// numbering), then the joins fold smallest estimate first — hidden row
-// ordinals restore the textual fold order so downstream
-// row-order-sensitive stages (CONSTRUCT identity assignment, canonical
-// output order) see identical tables.
+// numbering), each restricted to the nodes the earlier ones bound its
+// shared node variables to (sip.go), then the joins fold smallest
+// estimate first — hidden row ordinals restore the textual fold order
+// so downstream row-order-sensitive stages (CONSTRUCT identity
+// assignment, canonical output order) see identical tables.
 func (c *evalCtx) evalPatterns(s *scope, lps []*ast.LocatedPattern, conjs []*conjunct) (*bindings.Table, []*ppg.Graph, error) {
 	var (
 		graphs []*ppg.Graph
 		tables []*bindings.Table
 		ests   []int
 	)
-	for _, lp := range lps {
+	paramsBound := c.paramsBound()
+	for j, lp := range lps {
 		g, err := c.resolveLocation(s, lp)
 		if err != nil {
 			return nil, nil, err
 		}
 		graphs = append(graphs, g)
-		t, est, err := c.evalChainPlanned(s, lp.Pattern, g, conjs)
+		var only []ordSet
+		if vars := sipVars(c.ev.ablation, c.cached, lps, j, conjs, paramsBound); vars != nil {
+			snap, _ := c.ev.snapshot(g)
+			only = restrict(lp.Pattern, vars, tables, snap)
+		}
+		t, est, err := c.evalChainPlanned(s, lp.Pattern, g, conjs, only)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -136,7 +143,7 @@ func (c *evalCtx) evalPatterns(s *scope, lps []*ast.LocatedPattern, conjs []*con
 // position is bound to (anonymous ones under their minted names).
 func (c *evalCtx) evalGraphPattern(s *scope, gp *ast.GraphPattern, g *ppg.Graph) (*bindings.Table, patternNames, error) {
 	names := c.patternVarNames(gp)
-	tbl, _, err := c.evalChainNamed(s, gp, names, g, nil)
+	tbl, _, err := c.evalChainNamed(s, gp, names, g, nil, nil)
 	return tbl, names, err
 }
 
@@ -146,18 +153,19 @@ func (c *evalCtx) evalGraphPattern(s *scope, gp *ast.GraphPattern, g *ppg.Graph)
 // extends rightwards to its last node and then leftwards to its first,
 // and a chain not started at its first node has its rows sorted back
 // into forward emission order. It also returns the chain's planned
-// cost, which evalMatch uses to order conjunct joins.
-func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, int, error) {
+// cost, which evalMatch uses to order conjunct joins. only restricts
+// the nodes each position may bind (sip.go; nil: none is restricted).
+func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph, conjs []*conjunct, only []ordSet) (*bindings.Table, int, error) {
 	// Give anonymous elements fresh internal names so positions stay
 	// independent (homomorphism semantics: no implicit sharing). Names
 	// are assigned on the textual pattern — independent of planning —
 	// so anonymous numbering matches the unplanned evaluation.
-	return c.evalChainNamed(s, gp, c.patternVarNames(gp), g, conjs)
+	return c.evalChainNamed(s, gp, c.patternVarNames(gp), g, conjs, only)
 }
 
 // evalChainNamed is evalChainPlanned with the positions' variable
 // names given.
-func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNames, g *ppg.Graph, conjs []*conjunct) (*bindings.Table, int, error) {
+func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNames, g *ppg.Graph, conjs []*conjunct, only []ordSet) (*bindings.Table, int, error) {
 	pl, planned := c.cached.chainPlanFor(gp, g)
 	if !planned {
 		pl = planChain(c.ev.ablation, gp, c.snapOf(g), conjs, c.col)
@@ -173,7 +181,7 @@ func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNa
 	if sp.Verbose() {
 		sp.SetLabel(scanStepLabel(start))
 	}
-	tbl, stat, err := c.scanNodes(g, start, names.node[pl.start], conjs)
+	tbl, stat, err := c.scanNodes(g, start, names.node[pl.start], conjs, at(only, pl.start))
 	if err != nil {
 		sp.Fail()
 		return nil, 0, err
@@ -193,7 +201,7 @@ func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNa
 			if sp.Verbose() {
 				sp.SetLabel(expandStepLabel(x, next))
 			}
-			tbl, err = c.extendEdge(g, tbl, from, x, names.link[st.link], next, to, conjs)
+			tbl, err = c.extendEdge(g, tbl, from, x, names.link[st.link], next, to, conjs, at(only, st.to))
 		case *ast.PathPattern:
 			sp = c.col.Start(obs.OpPath)
 			if sp.Verbose() {
@@ -388,9 +396,10 @@ func (bp bindPlan) addCombos(combos []propCombo, props ppg.Properties) []propCom
 // (scanCandidates). Label conjuncts are integer tests, WHERE conjuncts
 // that are column leaves run on the candidate ordinals before any row
 // is materialised (prefilterPreds), and only the remaining property
-// checks touch the live ppg structs. The binding budget is checked as
-// each candidate's rows are appended.
-func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct) (*bindings.Table, scanStat, error) {
+// checks touch the live ppg structs; a candidate outside only is
+// dropped after all of them. The binding budget is checked as each
+// candidate's rows are appended.
+func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, conjs []*conjunct, only ordSet) (*bindings.Table, scanStat, error) {
 	if np.Copy {
 		return nil, scanStat{}, errf("the copy form (=%s) is only allowed in CONSTRUCT", np.Var)
 	}
@@ -428,7 +437,7 @@ cands:
 		if err != nil {
 			return nil, stat, err
 		}
-		if !ok {
+		if !ok || !only.has(u) {
 			continue
 		}
 		for s := range scratch {
@@ -450,8 +459,9 @@ cands:
 // and the label tests are integer comparisons, in deterministic order
 // (out ascending, then in ascending, self-loops emitted once under
 // DirBoth). An edge that passes its own tests meets the destination
-// gate (destGate) before anything of its row is built.
-func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct) (*bindings.Table, error) {
+// gate (destGate), which also holds the destination to only, before
+// anything of its row is built.
+func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, ep *ast.EdgePattern, edgeVar string, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct, only ordSet) (*bindings.Table, error) {
 	if ep.Copy {
 		return nil, errf("the copy form [=%s] is only allowed in CONSTRUCT", ep.Var)
 	}
@@ -460,7 +470,7 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	out := bindings.EmptyTable(appendBindVars(appendBindVars(vars, ep.Props), rightNp.Props)...)
 	eSpec := resolveSpec(snap, ep.Labels)
 	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep.Props, rightNp)
-	gate := c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs)
+	gate := c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs, only)
 
 	var slab []value.Value
 	scratch := make([]value.Value, out.Width())
@@ -531,9 +541,10 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 // must carry the right node pattern's labels, pass the WHERE conjuncts
 // on the right variable that are column leaves and may run this early
 // (prefilterConjuncts' rule), and pass the pattern's filter
-// entries. Only the filter entries evaluate expressions and can raise —
-// and a pattern that has them gives the gate no conjuncts, so the gate
-// raises exactly where building the row used to.
+// entries, and last lie in the step's restriction (sip.go). Only the
+// filter entries evaluate expressions and can raise — and a pattern that
+// has them gives the gate no conjuncts, so the gate raises exactly where
+// building the row used to.
 type destGate struct {
 	c       *evalCtx
 	g       *ppg.Graph
@@ -542,14 +553,16 @@ type destGate struct {
 	rightNp *ast.NodePattern
 	labels  resolvedSpec // the right node pattern's, interned
 	preds   []*colBind   // WHERE conjuncts consumed by the gate
+	only    ordSet       // the destinations allowed; nil: any
 }
 
 // newDestGate builds the gate of a step whose output table is out,
 // consuming its WHERE conjuncts.
-func (c *evalCtx) newDestGate(g *ppg.Graph, snap *csr.Snapshot, ex extendPlan, out *bindings.Table, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct) destGate {
+func (c *evalCtx) newDestGate(g *ppg.Graph, snap *csr.Snapshot, ex extendPlan, out *bindings.Table, rightNp *ast.NodePattern, rightVar string, conjs []*conjunct, only ordSet) destGate {
 	return destGate{c: c, g: g, snap: snap, ex: ex, rightNp: rightNp,
 		labels: resolveSpec(snap, rightNp.Labels),
-		preds:  c.prefilterPreds(snap, rightNp, rightVar, out.HasVar, conjs)}
+		preds:  c.prefilterPreds(snap, rightNp, rightVar, out.HasVar, conjs),
+		only:   only}
 }
 
 // pass runs the gate, counting the column tests into colHits.
@@ -563,7 +576,8 @@ func (dg *destGate) pass(row []value.Value, u int32, colHits *int64) (bool, erro
 			return false, nil
 		}
 	}
-	return dg.c.propsMatch(dg.g, dg.snap.Node(u).Props, dg.rightNp.Props)
+	ok, err := dg.c.propsMatch(dg.g, dg.snap.Node(u).Props, dg.rightNp.Props)
+	return ok && dg.only.has(u), err
 }
 
 // extendPlan precomputes the slot arithmetic of one extension over a

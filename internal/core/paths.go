@@ -349,7 +349,7 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 	snap, _ := c.ev.snapshot(g)
 	ex := newExtendPlan(tbl, out, leftVar, pathVar, rightVar, linkProps, rightNp)
 	ps := &pathStep{
-		destGate: c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs),
+		destGate: c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs, nil),
 		pp:       pp,
 		costOut:  -1,
 		scratch:  make([]value.Value, out.Width()),

@@ -462,6 +462,16 @@ func TestExplainSurfacesPlan(t *testing.T) {
 	contains(explainQ(`SELECT p.nr AS a, c.nr AS b MATCH (p:Person), (c:City)`),
 		"join order: pattern 2 [est 1] ⋈ pattern 1 [est 4]")
 	contains(explainQ(`SELECT c.nr AS b MATCH (c:City)`), "start: node 1 (c :City) [est 1]\n")
+	// A later pattern is restricted to the nodes earlier ones bound its
+	// shared node variables to, in a MATCH and in an OPTIONAL block; a
+	// pattern with a path step never is.
+	contains(explainQ(`SELECT p.nr AS a MATCH (p:Person)-[:knows]->(q:Person), (q)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(p)`),
+		"hash-join with pattern 2 (default graph)\n    restricted: p, q ⋉ pattern 1\n    start:")
+	contains(explainQ(`SELECT p.nr AS a MATCH (p:Person) OPTIONAL (p)-[:knows]->(q:Person), (q)-[:knows]->(r:Person)`),
+		"expand <-[:knows]-(p) (adjacency)  [est 4]\n    restricted: q ⋉ pattern 1\n    start: node 2 (r :Person)")
+	if plan := explainQ(`SELECT p.nr AS a MATCH (p:Person)-[:knows]->(q:Person), (q)-/<:knows*>/->(p)`); strings.Contains(plan, "restricted:") {
+		t.Errorf("a path pattern must take no restriction:\n%s", plan)
+	}
 	// Patterns on run-time-only graphs carry no static estimate.
 	plan := explainQ(`SELECT x.nr AS a, c.nr AS b
 MATCH (c:City) OPTIONAL (x) ON (CONSTRUCT (m:Manager) MATCH (m:Manager))`)
