@@ -179,6 +179,52 @@ MATCH (n:Person) WHERE n.lastName = 'Doe'
 OPTIONAL (n)-[:knows]->(x:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.name = 'City0'`,
 }
 
+// goldenConstructCases pin how CONSTRUCT enters walks and stored paths
+// into its result: k-shortest walks read along the arrow, against it
+// and in both orientations, a walk over PATH-view segments, an ALL
+// projection, a kernel walk projected without being stored, a stored
+// path read from a graph (shared whole, then relabelled), WHEN dropping
+// paths through their end nodes, walk constituents that phase 1 SET
+// relabels, and walks from two ON graphs. Generated before CONSTRUCT
+// appended into one bulk builder.
+var goldenConstructCases = []struct {
+	name, query string
+	build       func(testing.TB, engineMaker, ...gcore.Option) *gcore.Engine
+}{
+	{"shortest-out", `CONSTRUCT (n)-/@p:sp {hops := c}/->(m)
+MATCH (n:Person)-/2 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`, goldenSNB},
+	{"shortest-in", `CONSTRUCT (n)-/@p:sp/->(m)
+MATCH (n:Person)<-/2 SHORTEST p<:knows*>/-(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`, goldenSNB},
+	{"shortest-both", `CONSTRUCT (n)-/@p:sp/->(m)
+MATCH (n:Person)-/3 SHORTEST p<:knows*>/-(m:Person) WHERE n.firstName = 'John'`, goldenTour},
+	{"path-view", `PATH kk = (x)-[:knows]->(z)-[:knows]->(y) COST 2
+CONSTRUCT (n)-/@p:twoHop {w := c}/->(m)
+MATCH (n:Person)-/2 SHORTEST p<~kk*> COST c/->(m:Person) WHERE n.firstName = 'John'`, goldenTour},
+	{"all-projection", `CONSTRUCT (n)-/p/->(m)
+MATCH (n:Person)-/ALL p<:knows*>/->(m:Person) WHERE n.firstName = 'Celine'`, goldenTour},
+	{"walk-projection", `CONSTRUCT (n)-/p/->(m)
+MATCH (n:Person)-/2 SHORTEST p<:knows*>/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`, goldenSNB},
+	{"stored-shared", `CONSTRUCT (n)-/@p/->(m)
+MATCH (n)-/@p:toWagner/->(m) ON example_graph`, goldenTour},
+	{"stored-relabelled", `CONSTRUCT (n)-/@p:seen {hops := length(p)}/->(m)
+MATCH (n)-/@p:toWagner/->(m) ON example_graph`, goldenTour},
+	{"when-drops", `CONSTRUCT (n)-/@p:sp {hops := c}/->(m) WHEN p.hops < 2
+MATCH (n:Person)-/2 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.firstName = 'John'`, goldenTour},
+	{"set-relabels-walk", `CONSTRUCT (n)-/@p:sp/->(m) SET m:Reached SET m.via := n.firstName
+MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE n.firstName = 'John'`, goldenTour},
+	{"two-on-graphs", `CONSTRUCT (a)-/@w/->(b), (n)-/@q:sp/->(m)
+MATCH (a)-/@w:toWagner/->(b) ON example_graph,
+      (n:Person)-/q<:knows*>/->(m:Person) ON social_graph
+WHERE n.firstName = 'John'`, goldenTour},
+	{"shared-elements", `CONSTRUCT (n)-[k]->(m), (x)-/@q:b/->(y)
+MATCH (n:Person)-[k:knows]->(m:Person) ON social_graph,
+      (x)-/q<:knows*>/->(y) ON (CONSTRUCT (a)-[e]->(b) SET a:Knower MATCH (a:Person)-[e:knows]->(b:Person) ON social_graph)
+WHERE n.firstName = 'Alice' AND x.firstName = 'John' AND y.firstName = 'Frank'`, goldenTour},
+	{"edge-merges", `CONSTRUCT (n)-/@p/->(m), (a)-[e:onWalk {w := 1}]->(b), (a)-[e:again]->(b)
+MATCH (n:Person)-/p<:knows*>/->(m:Person), (a:Person)-[e:knows]->(b:Person)
+WHERE n.firstName = 'John' AND a.firstName = 'Peter'`, goldenTour},
+}
+
 // goldenBudgetCases trip a resource budget at a fixed logical point;
 // the golden is the rendered error, reached count included. The
 // binding budget is checked as each scanned candidate's or extended
@@ -249,6 +295,9 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 	for i, query := range goldenSNBQueries {
 		result(goldenSNBName(i), query, goldenSNB)
 	}
+	for _, cc := range goldenConstructCases {
+		result("construct/"+cc.name, cc.query, cc.build)
+	}
 	for _, bc := range goldenBudgetCases {
 		name := "budget/" + bc.name + "-w1"
 		t.Run(name, func(t *testing.T) {
@@ -262,4 +311,24 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 // default engine.
 func TestGolden(t *testing.T) {
 	checkGoldens(t, gcore.NewEngine, true, true)
+}
+
+// TestConstructGoldensValid: every graph a golden CONSTRUCT case
+// builds satisfies Definition 2.1 — no dangling edge, and every stored
+// path alternates nodes and edges that join them.
+func TestConstructGoldensValid(t *testing.T) {
+	for _, cc := range goldenConstructCases {
+		t.Run(cc.name, func(t *testing.T) {
+			res, err := cc.build(t, gcore.NewEngine).Eval(cc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Graph == nil || res.Graph.IsEmpty() {
+				t.Fatal("empty result graph")
+			}
+			if err := res.Graph.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

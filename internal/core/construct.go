@@ -7,6 +7,7 @@ import (
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
+	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
@@ -60,7 +61,7 @@ func (c *evalCtx) evalConstruct(s *scope, cc *ast.ConstructClause, tbl *bindings
 	return result, nil
 }
 
-// builtObj records one constructed object for the WHEN phase.
+// builtObj records one constructed object of an item with a WHEN.
 type builtObj struct {
 	sort varSort
 	id   uint64
@@ -79,14 +80,22 @@ type itemCtx struct {
 	item    *ast.ConstructItem
 	names   patternNames
 	extra   map[string]*assignSet
-	objects []*builtObj
+	objects []*builtObj // only with a WHEN
+}
+
+// built records an object for the item's WHEN, if it has one.
+func (ic *itemCtx) built(sort varSort, id uint64, rows []int) {
+	if ic.item.When != nil {
+		ic.objects = append(ic.objects, &builtObj{sort: sort, id: id, rows: rows})
+	}
 }
 
 func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *bindings.Table, graphs []*ppg.Graph) (*ppg.Graph, error) {
-	out := ppg.New("")
+	b := newBuilder(c, graphs)
+	defer b.release()
 	// Phases 1–2 evaluate expressions on the match table.
 	env := c.newEnv(s, graphs, nil)
-	env.constructed = out
+	env.constructed = b
 	env.groupSchema = tbl.Vars()
 	env.setTable(tbl)
 
@@ -148,6 +157,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				var (
 					id     ppg.NodeID
 					src    *ppg.Node // the bound node, shared while unchanged
+					ord    = int32(-1)
 					labels = ppg.Labels{}
 					props  ppg.Properties
 				)
@@ -163,7 +173,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					}
 					nid, _ := ref.RefID()
 					id = ppg.NodeID(nid)
-					if src, _ = findNode(graphs, id); src != nil {
+					if src, ord = b.sourceNode(id); src != nil {
 						labels, props = src.Labels, src.Props
 					}
 				case np.Copy:
@@ -196,8 +206,8 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 				if n == nil || copied || !labels.Equal(src.Labels) {
 					n = &ppg.Node{ID: id, Labels: labels, Props: props}
 				}
-				ensureNode(out, n)
-				ic.objects = append(ic.objects, &builtObj{sort: sortNode, id: uint64(id), rows: grp})
+				b.addNode(n, ord, !bound || np.Copy)
+				ic.built(sortNode, uint64(id), grp)
 				for _, ri := range grp {
 					cons.Set(ri, slot, value.NodeRef(uint64(id)))
 				}
@@ -210,36 +220,32 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 		for li, link := range ic.item.Pattern.Links {
 			switch ep := link.(type) {
 			case *ast.EdgePattern:
-				if err := c.constructEdge(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructEdge(env, b, ep, ic, li, tbl, cons); err != nil {
 					return nil, err
 				}
 			case *ast.PathPattern:
-				if err := c.constructPath(env, out, ep, ic.names, li, tbl, cons, graphs, ic.extra, &ic.objects); err != nil {
+				if err := c.constructPath(env, b, ep, ic, li, tbl, cons); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 
-	// ---- phase 3: WHEN, per item, then one rebuild ----
-	dropped := map[objKey]bool{}
-	anyWhen := false
+	// ---- phase 3: WHEN, per item, then one assembly ----
+	var dropped map[objKey]bool
 	for _, ic := range ics {
 		if ic.item.When == nil {
 			continue
 		}
-		if !anyWhen {
-			anyWhen = true
+		if dropped == nil {
+			dropped = map[objKey]bool{}
 			env.setTable(tbl.Overlay(cons))
 		}
 		if err := c.whenDrops(env, ic.item.When, ic.objects, dropped); err != nil {
 			return nil, err
 		}
 	}
-	if anyWhen {
-		return rebuildWithoutDropped(out, dropped)
-	}
-	return out, nil
+	return b.graph(dropped)
 }
 
 // anyRowBinds reports whether some row of t binds slot.
@@ -428,73 +434,13 @@ func findEdge(graphs []*ppg.Graph, id ppg.EdgeID) (*ppg.Edge, *ppg.Graph) {
 	return nil, nil
 }
 
-// ensureNode adds n to the item graph, or merges it into the node
-// already there: labels are united and n's properties overwrite. A
-// merge stores a new node instead of writing the existing one, which
-// may be shared with a source graph.
-func ensureNode(g *ppg.Graph, n *ppg.Node) {
-	existing, ok := g.Node(n.ID)
-	var err error
-	switch {
-	case !ok:
-		err = g.AddNode(n)
-	case existing != n:
-		err = g.SetNodeLabels(n.ID, existing.Labels.Union(n.Labels))
-		if err == nil && len(n.Props) > 0 {
-			err = g.SetNodeProps(n.ID, overwriteProps(existing.Props, n.Props))
-		}
-	}
-	if err != nil {
-		panic("core: ensureNode: " + err.Error())
-	}
-}
-
-func ensureEdge(g *ppg.Graph, e *ppg.Edge) error {
-	existing, ok := g.Edge(e.ID)
-	if !ok {
-		return g.AddEdge(e)
-	}
-	if existing == e {
-		return nil
-	}
-	if existing.Src != e.Src || existing.Dst != e.Dst {
-		return errf("edge #%d constructed with conflicting endpoints", e.ID)
-	}
-	if err := g.SetEdgeLabels(e.ID, existing.Labels.Union(e.Labels)); err != nil {
-		return errf("%v", err)
-	}
-	if len(e.Props) > 0 {
-		if err := g.SetEdgeProps(e.ID, overwriteProps(existing.Props, e.Props)); err != nil {
-			return errf("%v", err)
-		}
-	}
-	return nil
-}
-
-// overwriteProps returns a new map holding base's properties with
-// over's written on top.
-func overwriteProps(base, over ppg.Properties) ppg.Properties {
-	out := base.Clone()
-	for k, v := range over {
-		out[k] = v
-	}
-	return out
-}
-
-func ensurePath(g *ppg.Graph, p *ppg.Path) error {
-	if _, ok := g.Path(p.ID); ok {
-		return nil
-	}
-	return g.AddPath(p)
-}
-
 // constructEdge builds the edges of one edge pattern.
-func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, names patternNames, li int, tbl, cons *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
+func (c *evalCtx) constructEdge(env *env, b *builder, ep *ast.EdgePattern, ic *itemCtx, li int, tbl, cons *bindings.Table) error {
 	if ep.Dir == ast.DirBoth {
 		return errf("constructed edges need a direction: use -[...]-> or <-[...]-")
 	}
-	leftVar, rightVar := names.node[li], names.node[li+1]
-	edgeVar := names.link[li]
+	leftVar, rightVar := ic.names.node[li], ic.names.node[li+1]
+	edgeVar := ic.names.link[li]
 	bound := ep.Var != "" && tbl.HasVar(ep.Var) && !ep.Copy
 
 	// Group: bound edges by identity; otherwise by the constructed
@@ -526,11 +472,14 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		}
 	}
 
+	slot := cons.SlotOf(edgeVar)
 	for _, grp := range orderedGroups(keys, true) {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
 		rep := grp[0]
+		// Both endpoints were entered in phase 1, which set exactly the
+		// construct identities cons holds.
 		sv, ok1 := cons.Value(rep, leftVar)
 		dv, ok2 := cons.Value(rep, rightVar)
 		if !ok1 || !ok2 {
@@ -545,6 +494,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		var (
 			id      ppg.EdgeID
 			srcEdge *ppg.Edge // the bound edge, shared while unchanged
+			ord     = int32(-1)
 			labels  = ppg.Labels{}
 			props   ppg.Properties
 		)
@@ -556,7 +506,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			}
 			eid, _ := ref.RefID()
 			id = ppg.EdgeID(eid)
-			if srcEdge, _ = findEdge(graphs, id); srcEdge == nil {
+			if srcEdge, ord = b.sourceEdge(id); srcEdge == nil {
 				return errf("bound edge #%d not found in the matched graphs", eid)
 			}
 			// Identity restriction (§3): the endpoints of a bound edge
@@ -571,7 +521,7 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			if !ok {
 				continue
 			}
-			srcLabels, srcProps, found := c.findElementData(graphs, ref)
+			srcLabels, srcProps, found := c.findElementData(b.graphs, ref)
 			if !found {
 				return errf("copy form [=%s] needs a bound graph element", ep.Var)
 			}
@@ -581,17 +531,9 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 			id = c.ev.cat.IDs().NextEdge()
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		copied, err := c.applyAssignments(env, grp, &labels, &props, ep.Props, extra[edgeVar])
+		copied, err := c.applyAssignments(env, grp, &labels, &props, ep.Props, ic.extra[edgeVar])
 		if err != nil {
 			return err
-		}
-		// Endpoint nodes must exist in the item graph: bound-identity
-		// nodes were added in phase 1 for exactly the surviving rows.
-		if _, ok := out.Node(src); !ok {
-			continue
-		}
-		if _, ok := out.Node(dst); !ok {
-			continue
 		}
 		if err := c.gov.AddResults(1); err != nil {
 			return err
@@ -600,11 +542,10 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 		if e == nil || copied || !labels.Equal(srcEdge.Labels) {
 			e = &ppg.Edge{ID: id, Src: src, Dst: dst, Labels: labels, Props: props}
 		}
-		if err := ensureEdge(out, e); err != nil {
+		if err := b.addEdge(e, ord, !bound); err != nil {
 			return err
 		}
-		*objects = append(*objects, &builtObj{sort: sortEdge, id: uint64(id), rows: grp})
-		slot := cons.SlotOf(edgeVar)
+		ic.built(sortEdge, uint64(id), grp)
 		for _, ri := range grp {
 			cons.Set(ri, slot, value.EdgeRef(uint64(id)))
 		}
@@ -613,9 +554,12 @@ func (c *evalCtx) constructEdge(env *env, out *ppg.Graph, ep *ast.EdgePattern, n
 }
 
 // constructPath builds stored paths (-/@p:label{...}/->) and graph
-// projections (-/p/->) in CONSTRUCT position.
-func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, names patternNames, li int, tbl, cons *bindings.Table, graphs []*ppg.Graph, extra map[string]*assignSet, objects *[]*builtObj) error {
-	pathVar := names.link[li]
+// projections (-/p/->) in CONSTRUCT position. Every path reaches the
+// builder as ordinals of its source snapshot: a k-shortest walk
+// straight off the search's arrival chain, a stored path or an ALL
+// projection through one ordinal probe per item.
+func (c *evalCtx) constructPath(env *env, b *builder, pp *ast.PathPattern, ic *itemCtx, li int, tbl, cons *bindings.Table) error {
+	pathVar := ic.names.link[li]
 	if pp.Var == "" {
 		return errf("a path in CONSTRUCT position needs a bound path variable")
 	}
@@ -624,103 +568,149 @@ func (c *evalCtx) constructPath(env *env, out *ppg.Graph, pp *ast.PathPattern, n
 	}
 	// λ of a stored computed path before SET/REMOVE: one slice per pattern.
 	walkLabels := addPatternLabels(ppg.Labels{}, pp.Labels)
-	// Group by path identity.
-	for _, grp := range orderedGroups(tbl.Project([]string{pp.Var}), true) {
+	// One pattern's groups store distinct paths; only an earlier
+	// pattern's can already be in the result.
+	dedup := len(b.paths.list) > 0
+	if c.build == nil {
+		c.build = new(buildScratch)
+	}
+	sc := c.build
+	// Group by path identity. The computed paths are looked up first,
+	// so the arena and the slab take exactly the room the stored walks
+	// need.
+	groups := orderedGroups(tbl.Project([]string{pp.Var}), true)
+	refSlot, slot := tbl.SlotOf(pp.Var), cons.SlotOf(pathVar)
+	tps := make([]*tempPath, len(groups))
+	var nodeRoom, edgeRoom, pathRoom int
+	for gi, grp := range groups {
+		ref := tbl.RowAt(grp[0])[refSlot]
+		if tps[gi] = c.tempPathOf(ref); tps[gi] != nil && !tps[gi].projection {
+			nodeRoom, edgeRoom, pathRoom = nodeRoom+tps[gi].length+1, edgeRoom+tps[gi].length, pathRoom+1
+		}
+	}
+	if pp.Stored {
+		reserve(&sc.nodeIDs, nodeRoom)
+		reserve(&sc.edgeIDs, edgeRoom)
+		reserve(&sc.paths, pathRoom)
+	}
+	for gi, grp := range groups {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
-		ref, _ := tbl.Value(grp[0], pp.Var)
+		ref := tbl.RowAt(grp[0])[refSlot]
 		if ref.Kind() != value.KindPath {
 			return errf("construct variable %q must be a path, got %s", pp.Var, ref.Kind())
 		}
 		pid, _ := ref.RefID()
 
-		// Resolve the path object and its source graph.
+		// Resolve the path to ordinals of its source snapshot: a
+		// computed one's, or a stored one's of the first graph holding it.
 		var (
-			pobj       *ppg.Path
-			srcGraph   *ppg.Graph
-			projection bool
-			isTemp     bool
+			snap  *csr.Snapshot
+			pobj  *ppg.Path // a graph's stored path
+			nodes = b.walkNodes[:0]
+			edges = b.walkEdges[:0]
+			err   error
 		)
-		if tp := c.tempPathOf(ref); tp != nil {
-			pobj, srcGraph, projection, isTemp = tp.walk(), tp.src, tp.projection, true
-		} else {
-			for _, g := range graphs {
+		tp := tps[gi]
+		switch {
+		case tp != nil && tp.projection:
+			snap = tp.snap
+			nodes, edges, err = idOrds(snap, tp.path, nodes, edges)
+		case tp != nil:
+			snap = tp.snap
+			if nodes, edges, err = tp.ords(nodes, edges); err == nil {
+				err = checkWalk(snap, ppg.PathID(pid), nodes, edges)
+			}
+		default:
+			for _, g := range b.graphs {
 				if p, ok := g.Path(ppg.PathID(pid)); ok {
-					pobj, srcGraph = p, g
+					pobj = p
+					snap, _ = c.ev.snapshot(g)
 					break
 				}
 			}
+			if pobj == nil {
+				return errf("path #%d is not visible in the matched graphs", pid)
+			}
+			if nodes, edges, err = idOrds(snap, pobj, nodes, edges); err == nil {
+				err = checkWalk(snap, pobj.ID, nodes, edges)
+			}
 		}
-		if pobj == nil {
-			return errf("path #%d is not visible in the matched graphs", pid)
+		b.walkNodes, b.walkEdges = nodes, edges
+		if err != nil {
+			return err
 		}
 
 		// Add the constituents to the item graph, sharing the source's
 		// element objects.
-		for _, nid := range pobj.Nodes {
-			if _, ok := out.Node(nid); ok {
-				continue
-			}
-			n, _ := srcGraph.Node(nid)
-			if n == nil {
-				return errf("path #%d references node #%d outside its source graph", pid, nid)
-			}
-			if err := c.gov.AddResults(1); err != nil {
-				return err
-			}
-			if err := out.AddNode(n); err != nil {
-				return err
-			}
-		}
-		for _, eid := range pobj.Edges {
-			if _, ok := out.Edge(eid); ok {
-				continue
-			}
-			e, _ := srcGraph.Edge(eid)
-			if e == nil {
-				return errf("path #%d references edge #%d outside its source graph", pid, eid)
-			}
-			if err := c.gov.AddResults(1); err != nil {
-				return err
-			}
-			if err := out.AddEdge(e); err != nil {
-				return err
-			}
+		if err := b.addConstituents(snap, nodes, edges); err != nil {
+			return err
 		}
 		if !pp.Stored {
 			continue // pure projection: no path object in the result
 		}
-		if projection {
+		if tp != nil && tp.projection {
 			return errf("path variable %q holds an ALL-paths projection and cannot be stored", pp.Var)
 		}
-		labels, props := walkLabels, ppg.Properties(nil)
-		if !isTemp {
+		// A stored path reuses the sequences of the graph's path; a walk's
+		// are cut from the statement's arena.
+		var (
+			nodeIDs []ppg.NodeID
+			edgeIDs []ppg.EdgeID
+			labels  = walkLabels
+			props   ppg.Properties
+		)
+		if pobj != nil {
+			nodeIDs, edgeIDs = pobj.Nodes, pobj.Edges
 			labels, props = addPatternLabels(pobj.Labels, pp.Labels), pobj.Props
+		} else {
+			nodeIDs, edgeIDs = sc.walkIDs(snap, nodes, edges)
 		}
-		copied, err := c.applyAssignments(env, grp, &labels, &props, pp.Props, extra[pathVar])
+		copied, err := c.applyAssignments(env, grp, &labels, &props, pp.Props, ic.extra[pathVar])
 		if err != nil {
 			return err
 		}
-		// A stored path reuses the walk's node and edge sequences, and an
-		// unchanged stored path is shared whole.
+		// An unchanged stored path is shared whole.
 		stored := pobj
-		if isTemp || copied || !labels.Equal(pobj.Labels) {
-			stored = &ppg.Path{ID: ppg.PathID(pid), Nodes: pobj.Nodes, Edges: pobj.Edges, Labels: labels, Props: props}
+		if pobj == nil || copied || !labels.Equal(pobj.Labels) {
+			stored = sc.path()
+			*stored = ppg.Path{ID: ppg.PathID(pid), Nodes: nodeIDs, Edges: edgeIDs, Labels: labels, Props: props}
 		}
 		if err := c.gov.AddResults(1); err != nil {
 			return err
 		}
-		if err := ensurePath(out, stored); err != nil {
-			return err
+		if !dedup {
+			b.paths.push(stored)
+		} else if _, dup := b.paths.find(pid); !dup {
+			b.paths.push(stored)
 		}
-		*objects = append(*objects, &builtObj{sort: sortPath, id: pid, rows: grp})
-		slot := cons.SlotOf(pathVar)
+		ic.built(sortPath, pid, grp)
 		for _, ri := range grp {
 			cons.Set(ri, slot, value.PathRef(pid))
 		}
 	}
 	return nil
+}
+
+// idOrds appends the snapshot ordinals of the nodes and edges p lists
+// by identifier, one probe each.
+func idOrds(s *csr.Snapshot, p *ppg.Path, nodes, edges []int32) ([]int32, []int32, error) {
+	for _, id := range p.Nodes {
+		u, ok := s.Ord(id)
+		if !ok {
+			return nodes, edges, errf("path #%d references node #%d outside its source graph", p.ID, id)
+		}
+		nodes = append(nodes, u)
+	}
+	for _, id := range p.Edges {
+		e, ok := s.EdgeOrd(id)
+		if !ok {
+			return nodes, edges, errf("path #%d references edge #%d outside its source graph", p.ID, id)
+		}
+		edges = append(edges, e)
+	}
+	return nodes, edges, nil
 }
 
 // objKey identifies a constructed object across the node, edge and
@@ -751,46 +741,4 @@ func (c *evalCtx) whenDrops(env *env, when ast.Expr, objects []*builtObj, droppe
 		}
 	}
 	return nil
-}
-
-// rebuildWithoutDropped rebuilds the constructed graph, sharing its
-// elements, without the dropped objects; edges whose endpoints vanished
-// and paths whose constituents vanished go too (no dangling elements,
-// ever).
-func rebuildWithoutDropped(built *ppg.Graph, dropped map[objKey]bool) (*ppg.Graph, error) {
-	out := ppg.New(built.Name())
-	for _, id := range built.NodeIDs() {
-		if dropped[objKey{sortNode, uint64(id)}] {
-			continue
-		}
-		n, _ := built.Node(id)
-		if err := out.AddNode(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range built.EdgeIDs() {
-		if dropped[objKey{sortEdge, uint64(id)}] {
-			continue
-		}
-		e, _ := built.Edge(id)
-		if _, ok := out.Node(e.Src); !ok {
-			continue
-		}
-		if _, ok := out.Node(e.Dst); !ok {
-			continue
-		}
-		if err := out.AddEdge(e); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range built.PathIDs() {
-		if dropped[objKey{sortPath, uint64(id)}] {
-			continue
-		}
-		p, _ := built.Path(id)
-		if err := out.AddPath(p); err != nil {
-			continue // constituents dropped: the path goes too
-		}
-	}
-	return out, nil
 }

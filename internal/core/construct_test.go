@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -530,5 +531,38 @@ MATCH ()-/@p:toWagner/->() ON example_graph`).Graph
 	}
 	if !value.Equal(n3.Props.Get("trust").Scalarize(), value.Float(0.95)) {
 		t.Errorf("trust = %v", n3.Props.Get("trust"))
+	}
+}
+
+// TestConstructRejectsForgedWalk: CONSTRUCT checks every path it
+// stores or projects against the source snapshot's edge endpoints. A
+// stored path whose second edge does not join its second and third
+// nodes — forged past AddPath's check — is refused with an error that
+// names the path, whether the path is stored or only projected.
+func TestConstructRejectsForgedWalk(t *testing.T) {
+	nodes := []*ppg.Node{{ID: 1}, {ID: 2}, {ID: 3}}
+	edges := []*ppg.Edge{{ID: 10, Src: 1, Dst: 2}, {ID: 11, Src: 1, Dst: 3}}
+	forged := &ppg.Path{ID: 77, Nodes: []ppg.NodeID{1, 2, 3}, Edges: []ppg.EdgeID{10, 11}}
+	g := ppg.Assemble("forged", nodes, edges, []*ppg.Path{forged})
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepts the forged path")
+	}
+	cat := catalog.New()
+	if err := cat.RegisterGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	ev := core.New(cat)
+	for _, q := range []string{
+		`CONSTRUCT (n)-/@p/->(m) MATCH (n)-/@p/->(m) ON forged`,
+		`CONSTRUCT (n)-/p/->(m) MATCH (n)-/@p/->(m) ON forged`,
+	} {
+		stmt, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ev.EvalStatement(stmt)
+		if err == nil || !strings.Contains(err.Error(), "path #77") || !strings.Contains(err.Error(), "edge #11") {
+			t.Fatalf("%s: got error %v, want one naming path #77 and edge #11", q, err)
+		}
 	}
 }

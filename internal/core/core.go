@@ -25,6 +25,7 @@ import (
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
 	"gcore/internal/catalog"
+	"gcore/internal/csr"
 	"gcore/internal/faultinject"
 	"gcore/internal/gov"
 	"gcore/internal/obs"
@@ -206,12 +207,12 @@ func (s *scope) lookupPath(name string) (*ast.PathClause, bool) {
 // fresh path identifier associated with a walk of some source graph
 // (§A.2, the x –w in r→ y case), or an ALL-paths projection. A walk
 // stays in the form the k-shortest search found it — accepted arrival
-// arr of res, stored against the arrow when reversed — until an
-// expression or CONSTRUCT reads its nodes or edges (walk). Computed
-// paths carry no labels and no properties.
+// arr of res, stored against the arrow when reversed — until CONSTRUCT
+// reads its ordinals (ords) or an expression its nodes or edges (walk).
+// Computed paths carry no labels and no properties.
 type tempPath struct {
 	id         ppg.PathID
-	src        *ppg.Graph
+	snap       *csr.Snapshot // of the source graph: the ordinals' frame
 	projection bool
 	cost       float64 // cost(p); 0 for a projection
 	length     int     // number of edges
@@ -220,32 +221,52 @@ type tempPath struct {
 	arr      int32
 	reversed bool
 	col      *obs.Collector // counts the walks built
+	built    bool           // counted once, whichever reader came first
 
-	once sync.Once
-	path *ppg.Path // a projection's from the start; a walk's once built
+	path *ppg.Path // a projection's from the start; a walk's once walk has built it
+}
+
+// ords appends the snapshot ordinals of a k-shortest walk's nodes and
+// edges, read in the arrow's direction, from µ(x) to µ(y). The first
+// read counts the walk as built.
+func (tp *tempPath) ords(nodes, edges []int32) ([]int32, []int32, error) {
+	n0, e0 := len(nodes), len(edges)
+	nodes, edges, ok := tp.res.Ords(tp.arr, nodes, edges)
+	if !ok {
+		return nil, nil, errf("path #%d: a PATH-view step names an element outside its source graph", tp.id)
+	}
+	if tp.reversed {
+		// The search ran against the arrow (from the pattern's left node
+		// with a reversed regex).
+		slices.Reverse(nodes[n0:])
+		slices.Reverse(edges[e0:])
+	}
+	if !tp.built {
+		tp.built = true
+		tp.col.WalkBuilt()
+	}
+	return nodes, edges, nil
 }
 
 // walk returns the path's node and edge sequences, building a
-// k-shortest walk on first use. Several rows may hold one path; the
-// sync.Once builds its walk once for all of them.
-func (tp *tempPath) walk() *ppg.Path {
-	if tp.projection {
-		return tp.path
-	}
-	tp.once.Do(func() {
-		w := tp.res.Walk(tp.arr)
-		if tp.reversed {
-			// The search ran against the arrow (from the pattern's left
-			// node with a reversed regex); δ(w) reads in the arrow's
-			// direction, from µ(x) to µ(y).
-			slices.Reverse(w.Nodes)
-			slices.Reverse(w.Edges)
+// k-shortest walk's on first use; several rows may hold one path.
+// Evaluation of a statement is sequential, so no lock guards it.
+func (tp *tempPath) walk() (*ppg.Path, error) {
+	if tp.path == nil {
+		nodes, edges, err := tp.ords(nil, nil)
+		if err != nil {
+			return nil, err
 		}
-		tp.path = &ppg.Path{ID: tp.id, Nodes: w.Nodes, Edges: w.Edges}
-		tp.res = nil // the search result is garbage once its walks are built
-		tp.col.WalkBuilt()
-	})
-	return tp.path
+		p := &ppg.Path{ID: tp.id, Nodes: make([]ppg.NodeID, len(nodes)), Edges: make([]ppg.EdgeID, len(edges))}
+		for i, u := range nodes {
+			p.Nodes[i] = tp.snap.NodeID(u)
+		}
+		for i, e := range edges {
+			p.Edges[i] = tp.snap.EdgeID(e)
+		}
+		tp.path = p
+	}
+	return tp.path, nil
 }
 
 // tempPathOf returns the computed path a path reference names, or nil.
@@ -272,6 +293,10 @@ type evalCtx struct {
 	col       *obs.Collector // nil-safe; set by evalGoverned
 	tempPaths map[ppg.PathID]*tempPath
 	anonSeq   int
+
+	// build is what the CONSTRUCTs of this statement cut stored paths
+	// from (build.go), made on first use.
+	build *buildScratch
 
 	// pendingViews holds GRAPH VIEW results defined by this statement,
 	// in definition order. They are visible to the rest of the

@@ -54,9 +54,9 @@ type env struct {
 	groupSchema []string
 	groupSlots  []int
 
-	// The graph being constructed, consulted first for property and
-	// label lookups so WHEN can see fresh assignments.
-	constructed *ppg.Graph
+	// The graph being constructed, consulted first for property, label
+	// and path lookups so WHEN can see fresh assignments.
+	constructed *builder
 
 	// snap is the snapshot of graphs[0] that property reads, label
 	// tests and column leaves answer from (fast), and leaves holds the
@@ -177,16 +177,14 @@ func (e *env) outerRowTable() *bindings.Table {
 }
 
 // allGraphs yields the graphs to consult for element lookups, nearest
-// first: the graph under construction, the graphs of the current
-// match, query-local GRAPH bindings, views staged earlier in the same
-// write, and finally every catalog graph.
+// first — after the graph under construction, which the lookups ask
+// before it: the graphs of the current match, query-local GRAPH
+// bindings, views staged earlier in the same write, and finally every
+// catalog graph.
 // Identifiers are engine-unique, so the first hit is the only one —
 // the fallback matters for correlated subqueries whose outer bindings
 // reference elements of other graphs.
 func (e *env) allGraphs(yield func(*ppg.Graph) bool) {
-	if e.constructed != nil && !yield(e.constructed) {
-		return
-	}
 	for _, g := range e.graphs {
 		if !yield(g) {
 			return
@@ -222,6 +220,9 @@ func (e *env) allGraphs(yield func(*ppg.Graph) bool) {
 
 // lookupLabels resolves λ(x) across the graphs in scope.
 func (e *env) lookupLabels(ref value.Value) (ppg.Labels, bool) {
+	if ls, _, ok := e.constructed.element(ref); ok {
+		return ls, true
+	}
 	var out ppg.Labels
 	found := false
 	e.allGraphs(func(g *ppg.Graph) bool {
@@ -257,6 +258,9 @@ func (e *env) lookupProp(ref value.Value, key string) value.Value {
 			}
 		}
 	}
+	if _, ps, ok := e.constructed.element(ref); ok {
+		return ps.Get(key)
+	}
 	var out value.Value
 	found := false
 	e.allGraphs(func(g *ppg.Graph) bool {
@@ -279,6 +283,9 @@ func (e *env) lookupPath(ref value.Value) (*ppg.Path, *tempPath) {
 	id, ok := ref.RefID()
 	if !ok || ref.Kind() != value.KindPath {
 		return nil, nil
+	}
+	if p, ok := e.constructed.path(ppg.PathID(id)); ok {
+		return p, nil
 	}
 	var out *ppg.Path
 	e.allGraphs(func(g *ppg.Graph) bool {
@@ -704,7 +711,10 @@ var builtins = map[string]*builtin{
 func pathElements(e *env, name string, a []value.Value) (value.Value, error) {
 	p, tp := e.lookupPath(a[0])
 	if tp != nil {
-		p = tp.walk()
+		var err error
+		if p, err = tp.walk(); err != nil {
+			return value.Null, err
+		}
 	}
 	if p == nil {
 		return value.Null, nil

@@ -196,7 +196,10 @@ func (c *evalCtx) pathElements(g *ppg.Graph, ref value.Value) ([]ppg.NodeID, []p
 		return p.Nodes, p.Edges, true
 	}
 	if tp := c.tempPathOf(ref); tp != nil {
-		p := tp.walk()
+		p, err := tp.walk()
+		if err != nil {
+			return nil, nil, false
+		}
 		return p.Nodes, p.Edges, true
 	}
 	return nil, nil, false
@@ -613,7 +616,7 @@ func (ps *pathStep) destWalks(res [2]*rpq.Shortest, lists [2][]int32, row []valu
 			continue
 		}
 		r := res[cd.ni]
-		tp := &tempPath{id: pid, src: ps.g, cost: r.Cost(cd.arr), length: r.Hops(cd.arr),
+		tp := &tempPath{id: pid, snap: ps.snap, cost: r.Cost(cd.arr), length: r.Hops(cd.arr),
 			res: r, arr: cd.arr, reversed: ps.reversed(cd.ni), col: ps.c.col}
 		ps.c.tempPaths[pid] = tp
 		cost := value.Int(int64(tp.length))
@@ -669,7 +672,7 @@ func (ps *pathStep) allRows(sc *searches, row []value.Value, src ppg.NodeID) err
 			// Destinations are exactly the nodes Projection answers
 			// for; only the ones past the gate pay its backward sweep.
 			nodes, edges, _ := ap.Projection(dst)
-			ps.c.tempPaths[pid] = &tempPath{id: pid, src: ps.g, projection: true, length: len(edges),
+			ps.c.tempPaths[pid] = &tempPath{id: pid, snap: ps.snap, projection: true, length: len(edges),
 				path: &ppg.Path{ID: pid, Nodes: nodes, Edges: edges}}
 			ps.emit(row, value.PathRef(uint64(pid)), u, value.Absent)
 		}

@@ -381,6 +381,47 @@ func New(name string) *Graph {
 	}
 }
 
+// Assemble returns a graph holding exactly the given elements, each
+// map sized to its element count. It is the bulk form of AddNode,
+// AddEdge and AddPath for a caller that has already established what
+// they check: identifiers distinct within each sort, every edge's
+// endpoints among nodes, and every path well formed over nodes and
+// edges (Validate checks all three). No mutation hook or delta sees the
+// insertions, and the generation reads as if the elements had been
+// added one by one. A nil property map becomes an empty one, as on
+// insert; the elements given one share it, as read-only elements may.
+func Assemble(name string, nodes []*Node, edges []*Edge, paths []*Path) *Graph {
+	g := &Graph{
+		name:  name,
+		nodes: make(map[NodeID]*Node, len(nodes)),
+		edges: make(map[EdgeID]*Edge, len(edges)),
+		paths: make(map[PathID]*Path, len(paths)),
+		gen:   uint64(len(nodes) + len(edges) + len(paths)),
+	}
+	var empty Properties
+	orEmpty := func(p *Properties) {
+		if *p == nil {
+			if empty == nil {
+				empty = Properties{}
+			}
+			*p = empty
+		}
+	}
+	for _, n := range nodes {
+		orEmpty(&n.Props)
+		g.nodes[n.ID] = n
+	}
+	for _, e := range edges {
+		orEmpty(&e.Props)
+		g.edges[e.ID] = e
+	}
+	for _, p := range paths {
+		orEmpty(&p.Props)
+		g.paths[p.ID] = p
+	}
+	return g
+}
+
 // Name returns the graph's name (the gid it is registered under).
 func (g *Graph) Name() string { return g.name }
 

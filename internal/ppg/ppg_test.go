@@ -278,3 +278,71 @@ func TestIDGen(t *testing.T) {
 		t.Errorf("Reserve must never move backwards, next = %d", d)
 	}
 }
+
+// TestAssembleMatchesInsertion: a graph assembled in bulk from another
+// graph's elements holds the same elements, serializes identically to
+// one built by inserting them, and gives nil property maps an empty one.
+func TestAssembleMatchesInsertion(t *testing.T) {
+	src := buildExampleGraph(t)
+	var (
+		nodes []*Node
+		edges []*Edge
+		paths []*Path
+	)
+	for _, id := range src.NodeIDs() {
+		n, _ := src.Node(id)
+		nodes = append(nodes, n)
+	}
+	for _, id := range src.EdgeIDs() {
+		e, _ := src.Edge(id)
+		edges = append(edges, e)
+	}
+	for _, id := range src.PathIDs() {
+		p, _ := src.Path(id)
+		paths = append(paths, p)
+	}
+	bare := &Node{ID: 999}
+	g := Assemble("bulk", append(nodes, bare), edges, paths)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if bare.Props == nil {
+		t.Fatal("nil property map kept")
+	}
+	if g.NumNodes() != src.NumNodes()+1 || g.NumEdges() != src.NumEdges() || g.NumPaths() != src.NumPaths() {
+		t.Fatalf("assembled %v from %v", g, src)
+	}
+	if g.Generation() == 0 {
+		t.Fatal("a non-empty assembled graph reads as never mutated")
+	}
+	want := New("bulk")
+	for _, n := range nodes {
+		if err := want.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := want.AddNode(&Node{ID: 999}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := want.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range paths {
+		if err := want.AddPath(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := g.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(exp) {
+		t.Fatalf("assembled:\n%s\ninserted:\n%s", got, exp)
+	}
+}

@@ -78,17 +78,6 @@ func NewEngineOn(g *ppg.Graph, snap *csr.Snapshot, views ViewResolver) *Engine {
 	return &Engine{g: g, views: views, snap: snap}
 }
 
-// PathResult is one path found by the search, with its cost (hop
-// count for plain edges, summed segment costs for views) and its
-// expansion in graph terms.
-type PathResult struct {
-	Src, Dst ppg.NodeID
-	Cost     float64
-	Hops     int
-	Nodes    []ppg.NodeID
-	Edges    []ppg.EdgeID
-}
-
 // cfg is a product-automaton configuration in graph terms, as the
 // simple-path and trail baselines walk it.
 type cfg struct {

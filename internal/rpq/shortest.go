@@ -1,6 +1,8 @@
 package rpq
 
 import (
+	"slices"
+
 	"gcore/internal/csr"
 	"gcore/internal/ppg"
 )
@@ -10,7 +12,7 @@ import (
 // through (one entry per product arrival, linked to its parent) and,
 // per destination, the arrivals accepted as its k cheapest distinct
 // walks. A walk is represented by its accepted arrival and
-// reconstructed only when a caller asks for it (Walk), so
+// reconstructed only when a caller asks for it (Ords), so
 // a query that filters destinations, or reads only cost and length,
 // never builds the walks it does not output — the §A.1 line between
 // the product search representing every shortest walk and a query
@@ -64,27 +66,42 @@ func (r *Shortest) Arrivals(i int) []int32 { return r.kept[r.off[i]:r.off[i+1]] 
 // for plain edges, summed segment costs for PATH views.
 func (r *Shortest) Cost(a int32) float64 { return r.arrivals[a].cost }
 
-// Walk reconstructs the graph-level walk ending in arrival a,
-// translating ordinals back to identifiers.
-func (r *Shortest) Walk(a int32) PathResult {
-	res := PathResult{
-		Src:   r.snap.NodeID(r.arrivals[0].u),
-		Dst:   r.snap.NodeID(r.arrivals[a].u),
-		Cost:  r.arrivals[a].cost,
-		Hops:  int(r.arrivals[a].hops),
-		Nodes: make([]ppg.NodeID, r.seqLen(a, false)),
-		Edges: make([]ppg.EdgeID, r.seqLen(a, true)),
+// Ords appends to nodes and edges the snapshot ordinals of the walk
+// ending in arrival a, from the search's source on. Edge steps are
+// read straight off the arrival chain; a PATH-view step holds graph
+// identifiers, so each of its items costs one ordinal probe, and ok is
+// false when one of them is not in the snapshot.
+func (r *Shortest) Ords(a int32, nodes, edges []int32) (_, _ []int32, ok bool) {
+	n0, e0 := len(nodes), len(edges)
+	for i := a; i >= 0; i = r.arrivals[i].parent {
+		ar := &r.arrivals[i]
+		switch {
+		case ar.parent < 0:
+			nodes = append(nodes, ar.u)
+		case isViewStep(ar.via):
+			vs := &r.views[viewIndex(ar.via)]
+			for j := len(vs.nodes) - 1; j >= 0; j-- {
+				u, ok := r.snap.Ord(vs.nodes[j])
+				if !ok {
+					return nodes, edges, false
+				}
+				nodes = append(nodes, u)
+			}
+			for j := len(vs.edges) - 1; j >= 0; j-- {
+				e, ok := r.snap.EdgeOrd(vs.edges[j])
+				if !ok {
+					return nodes, edges, false
+				}
+				edges = append(edges, e)
+			}
+		case ar.via >= 0:
+			nodes = append(nodes, ar.u)
+			edges = append(edges, ar.via)
+		}
 	}
-	nodes, edges := r.cursor(a, false), r.cursor(a, true)
-	for i := len(res.Nodes) - 1; i >= 0; i-- {
-		v, _ := nodes.prev()
-		res.Nodes[i] = ppg.NodeID(v)
-	}
-	for i := len(res.Edges) - 1; i >= 0; i-- {
-		v, _ := edges.prev()
-		res.Edges[i] = ppg.EdgeID(v)
-	}
-	return res
+	slices.Reverse(nodes[n0:])
+	slices.Reverse(edges[e0:])
+	return nodes, edges, true
 }
 
 // SameWalk reports whether the walk ending in arrival a of r equals

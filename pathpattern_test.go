@@ -1,7 +1,9 @@
 package gcore_test
 
 import (
+	"fmt"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +158,14 @@ func TestPathPatternWalksBuiltOnDeref(t *testing.T) {
 			func(int64, int64) int64 { return 0 }},
 		{"filtered-construct", `CONSTRUCT (n)-/@p:sp/->(m) ` + match + ` AND m.lastName = 'Doe'`,
 			func(_, rows int64) int64 { return rows }},
+		// CONSTRUCT reads a stored walk's ordinals off the search, and
+		// the assignment builds its node sequence: one walk, built once.
+		{"construct-and-nodes", `CONSTRUCT (n)-/@p:sp {hops := size(nodes(p))}/->(m) ` + match + ` AND m.lastName = 'Doe'`,
+			func(_, rows int64) int64 { return rows }},
+		// A projected walk adds its constituents and stores no path; the
+		// filter keeps the 21 walks the footer below reports.
+		{"projected-construct", `CONSTRUCT (n)-/p/->(m) ` + match + ` AND m.lastName = 'Doe'`,
+			func(int64, int64) int64 { return 21 }},
 		{"nodes", `SELECT id(m) AS id, size(nodes(p)) AS s ` + match,
 			func(found, _ int64) int64 { return found }},
 	} {
@@ -205,6 +215,62 @@ func TestShortestArrivalCounts(t *testing.T) {
 		m := footer.FindStringSubmatch(plan)
 		if m == nil || m[1] != c.pops || m[2] != c.arrivals {
 			t.Errorf("%s: want pops %s, arrivals %s; plan:\n%s", c.name, c.pops, c.arrivals, plan)
+		}
+	}
+}
+
+// TestPathPatternConcurrentConstruct runs one cached CONSTRUCT that
+// stores k-shortest walks and relabels their ends from eight
+// goroutines on one engine. Each execution appends into its own builder
+// and cuts its paths from its own arena, so every result must equal the
+// single-goroutine one up to the path identifiers, which the goroutines
+// draw from one generator. Run under -race.
+func TestPathPatternConcurrentConstruct(t *testing.T) {
+	const q = `CONSTRUCT (n)-/@p:sp {hops := c}/->(m) SET m:Reached
+MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE`
+	canonical := func(res *gcore.Result, err error) string {
+		if err != nil {
+			return "ERR: " + err.Error()
+		}
+		g := res.Graph
+		var lines []string
+		for _, id := range g.NodeIDs() {
+			n, _ := g.Node(id)
+			lines = append(lines, fmt.Sprintf("node %d %v %v", id, n.Labels, n.Props))
+		}
+		for _, id := range g.EdgeIDs() {
+			e, _ := g.Edge(id)
+			lines = append(lines, fmt.Sprintf("edge %d %d→%d %v", id, e.Src, e.Dst, e.Labels))
+		}
+		for _, id := range g.PathIDs() {
+			p, _ := g.Path(id)
+			lines = append(lines, fmt.Sprintf("path %v %v %v %v", p.Nodes, p.Edges, p.Labels, p.Props))
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	want := canonical(goldenSNB(t, gcore.NewEngine).Eval(q))
+	if strings.HasPrefix(want, "ERR") || strings.Count(want, "path ") < 20 {
+		t.Fatalf("degenerate oracle:\n%s", want)
+	}
+	eng := goldenSNB(t, gcore.NewEngine)
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				if got[i] = canonical(eng.Eval(q)); got[i] != want {
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Fatalf("goroutine %d:\n%s\nwant:\n%s", i, g, want)
 		}
 	}
 }
