@@ -2,6 +2,7 @@ package gcore_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,8 +425,9 @@ func BenchmarkParse(b *testing.B) {
 
 // BenchmarkRepeatedEval measures the repeated-traffic shape the plan
 // cache serves: one statement evaluated from source again and again.
-// The cache sub-benchmark hits after the first compile; nocache
-// disables the cache (WithPlanCacheSize(-1)), so every iteration pays
+// The cache sub-benchmark hits after the first compile. The miss
+// sub-benchmark alternates two texts that differ in one literal on a
+// one-entry cache, so each evicts the other and every iteration pays
 // lex/parse/analyze and planning again.
 func BenchmarkRepeatedEval(b *testing.B) {
 	const q = `SELECT n.firstName AS name, n.lastName AS last, n.employer AS emp, n.age AS age,
@@ -443,16 +445,20 @@ ORDER BY name, last, age`
 	for _, mode := range []struct {
 		name string
 		size int
-	}{{"cache", 0}, {"nocache", -1}} {
+		alt  string // the text of every odd iteration
+	}{{"cache", 0, q}, {"miss", 1, strings.Replace(q, "n.age < 95", "n.age < 96", 1)}} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := benchEngine(b, gcore.WithPlanCacheSize(mode.size))
-			if _, err := eng.Eval(q); err != nil {
-				b.Fatal(err)
+			texts := [2]string{q, mode.alt}
+			for _, text := range texts {
+				if _, err := eng.Eval(text); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(q); err != nil {
+				if _, err := eng.Eval(texts[i%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,8 +32,8 @@ func main() {
 	// instrumentation live (spans open at every operator boundary),
 	// so the guard doubles as the proof that instrumentation stays
 	// within the allocation budget.
-	// BenchmarkRepeatedEval covers both plan-cache modes (the /cache
-	// sub-benchmark is the hit path, /nocache the ablated fallback),
+	// BenchmarkRepeatedEval covers both plan-cache outcomes (the /cache
+	// sub-benchmark is the hit path, /miss a compile on every Eval),
 	// and BenchmarkPreparedEval the parameterised prepared-statement
 	// path, so a plan-cache regression shows up as an allocation jump.
 	// BenchmarkPreparedPoint guards parameters-as-constants: a bound

@@ -22,7 +22,6 @@
 //	-timeout duration    per-statement evaluation timeout (0 disables)
 //	-slowlog duration    log statements slower than this to stderr
 //	-metrics             print engine metrics as JSON on exit
-//	-nocache             disable the plan cache
 //
 // With a query argument the command evaluates it and exits; otherwise
 // it starts a read-eval-print loop. In the REPL, statements end with
@@ -92,7 +91,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "per-statement evaluation timeout (e.g. 30s); 0 disables")
 	slowlog := fs.Duration("slowlog", 0, "log statements slower than this to stderr; 0 disables")
 	metrics := fs.Bool("metrics", false, "print engine metrics as JSON on exit")
-	nocache := fs.Bool("nocache", false, "disable the plan cache (every statement compiles from source)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,9 +101,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *slowlog > 0 {
 		opts = append(opts, gcore.WithTraceHandler(&slowLogger{w: os.Stderr, threshold: *slowlog}))
-	}
-	if *nocache {
-		opts = append(opts, gcore.WithPlanCacheSize(-1))
 	}
 	var eng *gcore.Engine
 	var dur *gcore.DurableEngine
@@ -493,10 +488,6 @@ func replCommand(eng *gcore.Engine, dur *gcore.DurableEngine, sess *gcore.Sessio
 // printPlanCache renders the plan-cache counters and live entries.
 func printPlanCache(w io.Writer, eng *gcore.Engine) {
 	st := eng.PlanCacheStats()
-	if st.Capacity == 0 {
-		fmt.Fprintln(w, "plan cache disabled")
-		return
-	}
 	fmt.Fprintf(w, "plan cache: %d/%d entries, %d hits, %d misses, %d evictions, compile %s\n",
 		st.Entries, st.Capacity, st.Hits, st.Misses, st.Evictions,
 		st.CompileTime.Round(time.Microsecond))

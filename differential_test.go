@@ -12,10 +12,11 @@ import (
 // Differential tests between the default engine and engines with
 // optimisations ablated. The ablations — residual-only filtering,
 // textual plan order, interpreter property reads, full snapshot
-// rebuilds, no plan cache — select the fallbacks the optimised paths
-// keep anyway; each is a pure performance matter with no observable
-// behaviour, so every ablated engine must render the same goldens as
-// the default one (golden_test.go).
+// rebuilds — select the fallbacks the optimised paths keep anyway;
+// each is a pure performance matter with no observable behaviour, so
+// every ablated engine must render the same goldens as the default
+// one (golden_test.go). So must the AST-level path that bypasses the
+// plan cache (evalParsed).
 
 // renderResult serializes a query outcome deterministically: the
 // table rendering, the graph's canonical JSON, or the error text.
@@ -35,6 +36,21 @@ func renderResult(res *gcore.Result, err error) string {
 		out += "GRAPH\n" + string(data)
 	}
 	return out
+}
+
+// evalFunc runs one statement's source text on an engine: Engine.Eval
+// through the plan cache, or evalParsed around it.
+type evalFunc func(*gcore.Engine, string) (*gcore.Result, error)
+
+// evalParsed is the uncached reference path: Engine.EvalStatement on
+// freshly parsed text compiles a throwaway plan on every execution
+// and never touches the plan cache.
+func evalParsed(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	stmt, err := gcore.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return eng.EvalStatement(stmt)
 }
 
 // tourEngine builds the guided-tour toy database.
@@ -61,28 +77,28 @@ func ablated(ab core.Ablation) engineMaker {
 }
 
 // TestAblatedEnginesMatchGolden: each ablation alone, all four
-// together, and the disabled plan cache render every golden. Without
-// pushdown a path search also runs from sources the WHERE clause then
-// drops, and the paths found there consume identifiers; that shifts
-// the identifiers a later statement mints, so those engines are held
-// to the first execution only.
+// together, and the default engine evaluating through the uncached
+// AST-level path (a fresh compile on every execution) render every
+// golden. Without pushdown a path search also runs from sources the
+// WHERE clause then drops, and the paths found there consume
+// identifiers; that shifts the identifiers a later statement mints,
+// so those engines are held to the first execution only.
 func TestAblatedEnginesMatchGolden(t *testing.T) {
 	variants := []struct {
 		name  string
 		mk    engineMaker
+		eval  evalFunc
 		twice bool
 	}{
-		{"residual", ablated(core.Ablation{NoPushdown: true}), false},
-		{"textual", ablated(core.Ablation{NoReorder: true}), true},
-		{"interpreter", ablated(core.Ablation{NoPropColumns: true}), true},
-		{"full-build", ablated(core.Ablation{NoIncrementalSnapshot: true}), true},
-		{"all", ablated(fullAblation), false},
-		{"nocache", func(opts ...gcore.Option) *gcore.Engine {
-			return gcore.NewEngine(append(opts, gcore.WithPlanCacheSize(-1))...)
-		}, true},
+		{"residual", ablated(core.Ablation{NoPushdown: true}), (*gcore.Engine).Eval, false},
+		{"textual", ablated(core.Ablation{NoReorder: true}), (*gcore.Engine).Eval, true},
+		{"interpreter", ablated(core.Ablation{NoPropColumns: true}), (*gcore.Engine).Eval, true},
+		{"full-build", ablated(core.Ablation{NoIncrementalSnapshot: true}), (*gcore.Engine).Eval, true},
+		{"all", ablated(fullAblation), (*gcore.Engine).Eval, false},
+		{"nocache", gcore.NewEngine, evalParsed, true},
 	}
 	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) { checkGoldens(t, v.mk, v.twice, false) })
+		t.Run(v.name, func(t *testing.T) { checkGoldens(t, v.mk, v.eval, v.twice, false) })
 	}
 }
 

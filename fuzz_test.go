@@ -244,7 +244,7 @@ func paramBindings(iv int64, sv string, kind uint8) map[string]gcore.Value {
 
 // FuzzParamInline: evaluating a statement with $a/$b parameter
 // bindings must be indistinguishable from (1) splicing the literals
-// into the source text — the uncached fallback — wherever the bindings
+// into the source text (parser.InlineParams) wherever the bindings
 // have a literal form (NaN and sets have none), and (2) executing the
 // same prepared statement on an engine that never touches the property
 // columns (Ablation.NoPropColumns): bound parameters compile into

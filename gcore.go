@@ -38,7 +38,6 @@ import (
 	"gcore/internal/catalog"
 	"gcore/internal/core"
 	"gcore/internal/gov"
-	"gcore/internal/lexer"
 	"gcore/internal/obs"
 	"gcore/internal/parser"
 	"gcore/internal/plancache"
@@ -310,9 +309,9 @@ func WithCollector(c *Collector) Option {
 }
 
 // WithPlanCacheSize bounds the engine's plan cache: n > 0 caps it at n
-// entries (least-recently-used eviction), n == 0 keeps the default
-// capacity, and n < 0 disables plan caching entirely — every statement
-// then compiles from source, with parameters inlined as literals.
+// entries (least-recently-used eviction), and any other n keeps the
+// default capacity. Every statement given as source text compiles
+// through the cache; no size disables it.
 func WithPlanCacheSize(n int) Option {
 	return func(e *Engine) { e.ev.SetPlanCacheCapacity(n) }
 }
@@ -464,8 +463,7 @@ func (e *Engine) Metrics() Metrics {
 
 // PlanCacheStats reports the plan cache's lifetime effectiveness:
 // hits, misses, evictions, total compile time spent on misses, and
-// current occupancy. The zero value is returned when caching is
-// disabled.
+// current occupancy.
 type PlanCacheStats = plancache.Stats
 
 // PlanCacheEntry describes one live plan-cache entry.
@@ -589,52 +587,44 @@ func (e *Engine) explainSrc(ctx context.Context, src string, opts core.ExecOpts)
 	return e.ev.ExplainOptsContext(ctx, stmt, opts)
 }
 
-// evalScript evaluates a semicolon-separated script. A script whose
-// statements are all read-only runs each as a read; a script
-// containing any mutating statement runs as one write — each statement
-// sees the views its predecessors staged, and no other session
-// observes an intermediate state: all of its views publish together.
+// evalScript evaluates a semicolon-separated script. The script is
+// lexed and parsed once, whole, before any statement runs, so a script
+// with a syntax error anywhere runs nothing; the parse classifies the
+// script, and each statement's text then goes through the plan cache
+// like any other. A script whose statements are all read-only runs
+// each as a read; a script containing any mutating statement runs as
+// one write — each statement sees the views its predecessors staged,
+// and no other session observes an intermediate state: all of its
+// views publish together.
 func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts) ([]*Result, error) {
-	pieces, err := parser.SplitStatements(src)
+	stmts, texts, err := parser.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
-	// Parse-validate every statement before evaluating any, so a
-	// script with a syntax error runs nothing; each piece keeps its
-	// original source positions. The parse here is throwaway — the
-	// evaluation below goes through the plan cache, so repeated
-	// scripts compile nothing at all. Classification happens on the
-	// same pass.
-	poss := make([]lexer.Pos, len(pieces))
 	write := false
-	for i, piece := range pieces {
-		stmt, err := parser.Parse(piece)
-		if err != nil {
-			return nil, err
-		}
-		poss[i] = stmt.Pos()
+	for _, stmt := range stmts {
 		if !core.ReadOnly(stmt) {
 			write = true
 		}
 	}
-	out := make([]*Result, 0, len(pieces))
-	runAll := func(eval func(piece string) (*Result, error)) error {
-		for i, piece := range pieces {
-			res, err := eval(piece)
+	out := make([]*Result, 0, len(stmts))
+	runAll := func(eval func(text string) (*Result, error)) error {
+		for i, text := range texts {
+			res, err := eval(text)
 			if err != nil {
-				return fmt.Errorf("statement %d at %s: %w", i+1, poss[i], err)
+				return fmt.Errorf("statement %d at %s: %w", i+1, stmts[i].Pos(), err)
 			}
 			out = append(out, res)
 		}
 		return nil
 	}
 	if !write {
-		return out, runAll(func(piece string) (*Result, error) { return e.evalSrc(ctx, piece, nil, opts) })
+		return out, runAll(func(text string) (*Result, error) { return e.evalSrc(ctx, text, nil, opts) })
 	}
 	err = e.write(func(views *core.Views) error {
 		opts.Views = views
-		return runAll(func(piece string) (*Result, error) {
-			ex, err := e.ev.PrepareExec(piece, nil, opts)
+		return runAll(func(text string) (*Result, error) {
+			ex, err := e.ev.PrepareExec(text, nil, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -749,10 +739,10 @@ func (e *Engine) MutateGraph(name string, fn func(*Graph) error) error {
 // Prepare validates one statement for repeated execution. The source
 // may reference $name parameters wherever a literal is allowed; each
 // Eval supplies their values. Preparation compiles the statement into
-// the plan cache (when enabled), so the first Eval already hits.
+// the plan cache, so the first Eval already hits.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
 	e.mu.RLock()
-	err := e.ev.CheckSrc(src, core.ExecOpts{})
+	_, err := e.ev.PrepareExec(src, nil, core.ExecOpts{})
 	e.mu.RUnlock()
 	if err != nil {
 		return nil, err

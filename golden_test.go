@@ -256,20 +256,20 @@ func goldenSNBName(i int) string { return fmt.Sprintf("snb/q%02d", i) }
 // engineMaker is gcore.NewEngine or a test-only variant of it.
 type engineMaker func(...gcore.Option) *gcore.Engine
 
-// checkGoldens runs every pinned evaluation on engines built by
-// newEngine. Result cases run their statement on a fresh engine. With
-// twice they run it two times — the compile and the plan-cache-hit
-// execution; the second render is pinned too where it differs (a
-// CONSTRUCT that mints identifiers draws fresh ones each time) —
-// otherwise only the first execution is compared. Only pin
-// (TestGolden) honours -update.
-func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
+// checkGoldens runs every pinned evaluation through eval on engines
+// built by newEngine. Result cases run their statement on a fresh
+// engine. With twice they run it two times — through Engine.Eval, the
+// compile and then the plan-cache hit; the second render is pinned too
+// where it differs (a CONSTRUCT that mints identifiers draws fresh
+// ones each time) — otherwise only the first execution is compared.
+// Only pin (TestGolden) honours -update.
+func checkGoldens(t *testing.T, newEngine engineMaker, eval evalFunc, twice, pin bool) {
 	run := func(eng *gcore.Engine, query string) string {
-		first := renderResult(eng.Eval(query))
+		first := renderResult(eval(eng, query))
 		if !twice {
 			return first
 		}
-		if second := renderResult(eng.Eval(query)); second != first {
+		if second := renderResult(eval(eng, query)); second != first {
 			return first + secondExecution + second
 		}
 		return first
@@ -302,7 +302,7 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 		name := "budget/" + bc.name + "-w1"
 		t.Run(name, func(t *testing.T) {
 			eng := goldenSNB(t, newEngine, gcore.WithLimits(bc.limits))
-			checkGolden(t, name, renderResult(eng.Eval(bc.query)), pin)
+			checkGolden(t, name, renderResult(eval(eng, bc.query)), pin)
 		})
 	}
 }
@@ -310,7 +310,7 @@ func checkGoldens(t *testing.T, newEngine engineMaker, twice, pin bool) {
 // TestGolden: every pinned evaluation renders its golden on the
 // default engine.
 func TestGolden(t *testing.T) {
-	checkGoldens(t, gcore.NewEngine, true, true)
+	checkGoldens(t, gcore.NewEngine, (*gcore.Engine).Eval, true, true)
 }
 
 // TestConstructGoldensValid: every graph a golden CONSTRUCT case

@@ -168,9 +168,9 @@ type Exec struct {
 // with the given overrides; it bypasses the plan cache.
 func StatementExec(stmt *ast.Statement, opts ExecOpts) Exec { return Exec{stmt: stmt, opts: opts} }
 
-// compile gives an execution that bypassed the plan cache (AST-level
-// entry points, caching disabled) a throwaway cache entry, so every
-// execution runs compiled expressions and finds its artifacts one way.
+// compile gives an execution that bypassed the plan cache (the
+// AST-level entry points) a throwaway cache entry, so every execution
+// runs compiled expressions and finds its artifacts one way.
 func (ex *Exec) ensureCompiled() error {
 	if ex.cached == nil {
 		if err := analyzeStatement(ex.stmt); err != nil {
@@ -186,22 +186,15 @@ func (ex *Exec) ensureCompiled() error {
 func (ex Exec) ReadOnly() bool { return ReadOnly(ex.stmt) }
 
 // SetPlanCacheCapacity resizes the evaluator's plan cache: n > 0
-// bounds it to n entries, n == 0 restores the default capacity, and
-// n < 0 disables caching entirely. The existing entries are dropped.
+// bounds it to n entries, and any other n restores the default
+// capacity. The existing entries are dropped.
 func (ev *Evaluator) SetPlanCacheCapacity(n int) {
-	if n < 0 {
-		ev.planCache = nil
-		return
-	}
 	ev.planCache = plancache.New(n)
 }
 
 // PlanCacheStats returns hit/miss/eviction counters and occupancy of
-// the plan cache (zero Stats when caching is disabled).
+// the plan cache.
 func (ev *Evaluator) PlanCacheStats() plancache.Stats {
-	if ev.planCache == nil {
-		return plancache.Stats{}
-	}
 	return ev.planCache.Stats()
 }
 
@@ -211,22 +204,17 @@ func (ev *Evaluator) PlanCacheStats() plancache.Stats {
 // Observe folds — occupancy and evictions would otherwise be wrong.
 func (ev *Evaluator) MetricsSnapshot() obs.Metrics {
 	m := ev.registry.Snapshot()
-	if ev.planCache != nil {
-		st := ev.planCache.Stats()
-		m.PlanCacheHits = st.Hits
-		m.PlanCacheMisses = st.Misses
-		m.PlanCacheEvictions = st.Evictions
-		m.PlanCacheEntries = int64(st.Entries)
-		m.PlanCacheCompileNS = int64(st.CompileTime)
-	}
+	st := ev.planCache.Stats()
+	m.PlanCacheHits = st.Hits
+	m.PlanCacheMisses = st.Misses
+	m.PlanCacheEvictions = st.Evictions
+	m.PlanCacheEntries = int64(st.Entries)
+	m.PlanCacheCompileNS = int64(st.CompileTime)
 	return m
 }
 
 // PlanCacheEntries lists the live cache entries, most recent first.
 func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
-	if ev.planCache == nil {
-		return nil
-	}
 	return ev.planCache.Entries()
 }
 
@@ -294,28 +282,16 @@ func (ev *Evaluator) normalize(src string) string {
 	return ev.normMemo.text
 }
 
-// PrepareExec compiles src for one execution. With caching enabled it
-// probes the plan cache (singleflight on miss); otherwise it inlines
-// any parameters textually and parses fresh — the uncached fallback.
-// It never evaluates and never mutates shared state beyond the plan
-// cache (which is internally synchronised), so it is safe under the
-// engine's read lock.
+// PrepareExec compiles src for one execution: it probes the plan
+// cache and, on a miss, parses and analyses src into a new entry
+// (singleflight). It is the only path from source text to a compiled
+// statement. Parameters stay out of the key and the entry; each
+// execution carries its own bindings, and nil params validate a
+// statement whose parameters are not bound yet. It never evaluates
+// and never mutates shared state beyond the plan cache (which is
+// internally synchronised), so it is safe under the engine's read
+// lock.
 func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts ExecOpts) (Exec, error) {
-	if ev.planCache == nil {
-		text := src
-		if len(params) > 0 {
-			var err error
-			text, err = parser.InlineParams(src, params)
-			if err != nil {
-				return Exec{}, errf("%v", err)
-			}
-		}
-		stmt, err := parser.Parse(text)
-		if err != nil {
-			return Exec{}, err
-		}
-		return Exec{stmt: stmt, params: params, opts: opts}, nil
-	}
 	key := ev.cacheKey(ev.normalize(src), opts)
 	v, d, hit, err := ev.planCache.GetOrCompile(key, func() (any, error) {
 		stmt, err := parser.Parse(src)
@@ -332,19 +308,4 @@ func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts
 	}
 	cs := v.(*CachedStatement)
 	return Exec{stmt: cs.stmt, cached: cs, params: params, opts: opts, probe: true, hit: hit, compile: d}, nil
-}
-
-// CheckSrc compiles src without evaluating it: parse and semantic
-// analysis, through the plan cache when enabled (so a subsequent Eval
-// of the same text hits). Parameters may remain unbound.
-func (ev *Evaluator) CheckSrc(src string, opts ExecOpts) error {
-	if ev.planCache == nil {
-		stmt, err := parser.Parse(src)
-		if err != nil {
-			return err
-		}
-		return analyzeStatement(stmt)
-	}
-	_, err := ev.PrepareExec(src, nil, opts)
-	return err
 }

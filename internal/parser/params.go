@@ -12,10 +12,7 @@ import (
 )
 
 // Prepared-statement support at the source-text level: collecting the
-// $param names of a statement, inlining bindings as literal text (the
-// uncached evaluation fallback and the differential oracle for the
-// cached path), and splitting a script into per-statement sources so
-// each statement can be cached under its own key.
+// $param names of a statement, and inlining bindings as literal text.
 
 // ParamNames returns the distinct $param names of src in first-use
 // order. A lex error yields nil: the caller's parse will report it.
@@ -61,7 +58,12 @@ func LiteralText(v value.Value) (string, error) {
 // InlineParams replaces every $name token of src with the literal text
 // of its binding, preserving the surrounding source byte-for-byte.
 // Unbound parameters are an error; unused bindings are ignored (the
-// evaluator treats extra bindings the same way).
+// evaluator treats extra bindings the same way). The engine itself
+// never inlines: bound parameters compile into the plan-cache entry.
+// InlineParams is the inlined-literal oracle of the root package's
+// tests (FuzzParamInline, the planner and seek tests, and the
+// parameter benchmarks), which hold a parameterised execution equal to
+// the statement with its literals spliced in.
 func InlineParams(src string, params map[string]value.Value) (string, error) {
 	toks, err := lexer.Lex(src)
 	if err != nil {
@@ -89,45 +91,4 @@ func InlineParams(src string, params map[string]value.Value) (string, error) {
 	}
 	sb.WriteString(src[last:])
 	return sb.String(), nil
-}
-
-// SplitStatements splits a script on its top-level semicolons into
-// per-statement source strings. Each piece keeps the source positions
-// of the original script: everything before the piece is blanked to
-// whitespace (newlines preserved), so a parse or evaluation error in
-// piece i reports the same line:col as ParseAll over the whole script.
-// A trailing semicolon yields no empty final piece.
-func SplitStatements(src string) ([]string, error) {
-	toks, err := lexer.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	blank := func(n int) string {
-		b := []byte(src[:n])
-		for i, c := range b {
-			if c != '\n' {
-				b[i] = ' '
-			}
-		}
-		return string(b)
-	}
-	var pieces []string
-	start := 0
-	lastTok := start // end of the last real token seen in the current piece
-	for _, t := range toks {
-		switch {
-		case t.Kind == lexer.EOF:
-			if lastTok > start { // a final piece with content
-				pieces = append(pieces, blank(start)+src[start:lastTok])
-			}
-			return pieces, nil
-		case t.Is(";"):
-			pieces = append(pieces, blank(start)+src[start:t.Off])
-			start = t.End
-			lastTok = start
-		default:
-			lastTok = t.End
-		}
-	}
-	return pieces, nil
 }

@@ -99,44 +99,6 @@ func TestInlineParams(t *testing.T) {
 	}
 }
 
-func TestSplitStatements(t *testing.T) {
-	src := "CONSTRUCT (n) MATCH (n);\nSELECT n.x MATCH (n);\n"
-	pieces, err := SplitStatements(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pieces) != 2 {
-		t.Fatalf("pieces = %d: %q", len(pieces), pieces)
-	}
-	// Each piece parses on its own, and positions match ParseAll's.
-	all, err := ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, piece := range pieces {
-		stmt, err := Parse(piece)
-		if err != nil {
-			t.Fatalf("piece %d: %v", i, err)
-		}
-		if stmt.Pos() != all[i].Pos() {
-			t.Errorf("piece %d position = %v, want %v", i, stmt.Pos(), all[i].Pos())
-		}
-	}
-
-	// No trailing semicolon: the last piece is still returned.
-	pieces, err = SplitStatements("MATCH (n)")
-	if err != nil || len(pieces) != 1 {
-		t.Fatalf("no-semi pieces = %v, %v", pieces, err)
-	}
-	// Empty and comment-only sources split to nothing.
-	for _, src := range []string{"", "  \n", "# just a comment\n"} {
-		pieces, err := SplitStatements(src)
-		if err != nil || len(pieces) != 0 {
-			t.Fatalf("SplitStatements(%q) = %v, %v", src, pieces, err)
-		}
-	}
-}
-
 func TestParamInSelectAndConstruct(t *testing.T) {
 	// Parameters are ordinary expressions: usable in SELECT lists and
 	// property assignments, not just WHERE.

@@ -47,29 +47,35 @@ func Parse(src string) (*ast.Statement, error) {
 	return stmt, nil
 }
 
-// ParseAll parses a script of statements separated by semicolons.
-func ParseAll(src string) ([]*ast.Statement, error) {
+// ParseAll parses a script of statements separated by semicolons in
+// one pass over one token slice. With each statement it returns the
+// statement's source text: the bytes from its first token to its last,
+// without the separating ';' and without the blanks and comments
+// around it. A script's statements keep the positions of the whole
+// script, so Pos locates each one in it.
+func ParseAll(src string) ([]*ast.Statement, []string, error) {
 	toks, err := lexer.Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks}
 	var stmts []*ast.Statement
+	var texts []string
 	for p.cur().Kind != lexer.EOF {
+		first := p.cur().Off
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stmts = append(stmts, stmt)
+		texts = append(texts, src[first:p.toks[p.pos-1].End])
 		if p.cur().Is(";") {
 			p.next()
-			continue
-		}
-		if p.cur().Kind != lexer.EOF {
-			return nil, p.errf("expected ';' between statements, got %s", p.cur())
+		} else if p.cur().Kind != lexer.EOF {
+			return nil, nil, p.errf("unexpected %s after end of statement", p.cur())
 		}
 	}
-	return stmts, nil
+	return stmts, texts, nil
 }
 
 type parser struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gcore/internal/ast"
+	"gcore/internal/lexer"
 )
 
 // TestParseAllPaperQueries parses every numbered example of the paper
@@ -446,15 +447,70 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseAllStatements(t *testing.T) {
-	stmts, err := ParseAll(`CONSTRUCT (n) MATCH (n); CONSTRUCT (m) MATCH (m:Tag);`)
+	stmts, texts, err := ParseAll(`CONSTRUCT (n) MATCH (n); CONSTRUCT (m) MATCH (m:Tag);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 2 {
-		t.Fatalf("statements = %d", len(stmts))
+	if len(stmts) != 2 || len(texts) != 2 {
+		t.Fatalf("statements = %d, texts = %d", len(stmts), len(texts))
 	}
-	if _, err := ParseAll(`CONSTRUCT (n) MATCH (n) CONSTRUCT (m)`); err == nil {
-		t.Error("missing semicolon should fail")
+	// A missing semicolon fails with Parse's error text, so a single
+	// statement reports the same error whichever way it is parsed.
+	const missing = `CONSTRUCT (n) MATCH (n) CONSTRUCT (m)`
+	_, _, err = ParseAll(missing)
+	_, want := Parse(missing)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("ParseAll error = %v, Parse error = %v", err, want)
+	}
+}
+
+// TestParseAllStatementText: each statement's text is the exact source
+// from its first token to its last, and its position is the one it has
+// in the whole script.
+func TestParseAllStatementText(t *testing.T) {
+	type want struct {
+		text string
+		pos  lexer.Pos
+	}
+	for _, c := range []struct {
+		src  string
+		want []want
+	}{
+		{"CONSTRUCT (n) MATCH (n);\nSELECT n.x MATCH (n);\n", []want{
+			{"CONSTRUCT (n) MATCH (n)", lexer.Pos{Line: 1, Col: 1}},
+			{"SELECT n.x MATCH (n)", lexer.Pos{Line: 2, Col: 1}},
+		}},
+		// No trailing semicolon: the last statement is still returned.
+		{"CONSTRUCT (n) MATCH (n)", []want{{"CONSTRUCT (n) MATCH (n)", lexer.Pos{Line: 1, Col: 1}}}},
+		// Comments and blanks around a statement are not its text;
+		// comments inside it are.
+		{"# lead\n  CONSTRUCT (n) /* in */ MATCH (n) # trail\n ;\n\tSELECT n.x MATCH (n)  ", []want{
+			{"CONSTRUCT (n) /* in */ MATCH (n)", lexer.Pos{Line: 2, Col: 3}},
+			{"SELECT n.x MATCH (n)", lexer.Pos{Line: 4, Col: 2}},
+		}},
+		// Empty and comment-only sources hold no statement.
+		{"", nil},
+		{"  \n", nil},
+		{"# just a comment\n", nil},
+		{"/* block */", nil},
+	} {
+		stmts, texts, err := ParseAll(c.src)
+		if err != nil {
+			t.Fatalf("ParseAll(%q): %v", c.src, err)
+		}
+		if len(stmts) != len(c.want) || len(texts) != len(c.want) {
+			t.Fatalf("ParseAll(%q) = %d statements, %q; want %d", c.src, len(stmts), texts, len(c.want))
+		}
+		for i, w := range c.want {
+			if texts[i] != w.text || stmts[i].Pos() != w.pos {
+				t.Errorf("ParseAll(%q) statement %d = %q at %v, want %q at %v", c.src, i, texts[i], stmts[i].Pos(), w.text, w.pos)
+			}
+			// Each text parses on its own to the same statement.
+			alone, err := Parse(texts[i])
+			if err != nil || alone.String() != stmts[i].String() {
+				t.Errorf("Parse(%q) = %v, %v; want %s", texts[i], alone, err, stmts[i])
+			}
+		}
 	}
 }
 

@@ -36,25 +36,6 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabledEngine(t *testing.T) {
-	eng := gcore.NewEngine(gcore.WithPlanCacheSize(-1))
-	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Eval(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := eng.PlanCacheStats(); st != (gcore.PlanCacheStats{}) {
-		t.Fatalf("disabled-cache stats = %+v", st)
-	}
-	if ens := eng.PlanCacheEntries(); ens != nil {
-		t.Fatalf("disabled-cache entries = %v", ens)
-	}
-}
-
 // TestPlanCacheGenerationInvalidation: mutating the default graph
 // bumps its generation, so the next evaluation recompiles and sees
 // the new data — a stale plan is never served.
@@ -183,35 +164,33 @@ func TestPreparedStatement(t *testing.T) {
 
 // TestPreparedMatchesInlined: a parameterised execution renders
 // byte-identically to the same statement with the literal spliced in
-// textually — on both the cached and uncached paths.
+// textually — through the plan cache and through the uncached
+// AST-level path.
 func TestPreparedMatchesInlined(t *testing.T) {
 	const tmpl = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = $emp ORDER BY name`
 	const inlined = `SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = ('Acme') ORDER BY name`
-	for _, size := range []int{0, -1} {
-		eng := newEngine(t, gcore.WithPlanCacheSize(size))
-		p, err := eng.Prepare(tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")})
-		got := renderResult(res, err)
-		res2, err2 := newEngine(t).Eval(inlined)
-		want := renderResult(res2, err2)
-		if got != want {
-			t.Fatalf("cache size %d: parameterised result diverged\nparam:\n%s\ninline:\n%s", size, got, want)
+	p, err := newEngine(t).Prepare(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := renderResult(p.Eval(map[string]gcore.Value{"emp": gcore.Str("Acme")}))
+	for name, eval := range map[string]evalFunc{"cached": (*gcore.Engine).Eval, "parsed": evalParsed} {
+		if want := renderResult(eval(newEngine(t), inlined)); got != want {
+			t.Fatalf("%s: parameterised result diverged\nparam:\n%s\ninline:\n%s", name, got, want)
 		}
 	}
 }
 
 // TestPlanCacheMutationSequence: a query / mutate / query sequence
-// renders identically with the cache on and off — the generation bump
-// retires the stale entry, so the cached engine sees the mutation.
+// renders identically through the plan cache and through the uncached
+// AST-level path — the generation bump retires the stale entry, so the
+// cached engine sees the mutation.
 func TestPlanCacheMutationSequence(t *testing.T) {
 	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
-	runSeq := func(size int) []string {
-		eng := newEngine(t, gcore.WithPlanCacheSize(size))
+	runSeq := func(eval evalFunc) []string {
+		eng := newEngine(t)
 		var out []string
-		res, err := eng.Eval(q)
+		res, err := eval(eng, q)
 		out = append(out, renderResult(res, err))
 		g, _ := eng.Graph("social_graph")
 		if err := g.AddNode(&gcore.Node{
@@ -221,12 +200,12 @@ func TestPlanCacheMutationSequence(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		res, err = eng.Eval(q)
+		res, err = eval(eng, q)
 		out = append(out, renderResult(res, err))
 		return out
 	}
-	want := runSeq(-1)
-	got := runSeq(0)
+	want := runSeq(evalParsed)
+	got := runSeq((*gcore.Engine).Eval)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("step %d diverged\ncached:\n%s\nuncached:\n%s", i, got[i], want[i])

@@ -64,17 +64,18 @@ MATCH (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.nam
 		t.Errorf("the evaluation did not start where EXPLAIN said:\n%s", analyzed)
 	}
 	got := renderResult(p.Eval(params))
-	if want := renderResult(snbEngine(t, gcore.WithPlanCacheSize(-1)).Eval(inlined)); got != want {
+	if want := renderResult(evalParsed(snbEngine(t), inlined)); got != want {
 		t.Errorf("prepared result diverged from the inlined literal\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 // TestMatchStartConcurrent: the multi-hop golden chains, evaluated from
-// several goroutines on one engine without a plan cache — so every
-// execution plans, reading degree sums and value indexes off the one
-// snapshot as others fill them — render their goldens.
+// several goroutines on one engine through the uncached AST-level path
+// — each execution parses afresh, so every execution plans, reading
+// degree sums and value indexes off the one snapshot as others fill
+// them — render their goldens.
 func TestMatchStartConcurrent(t *testing.T) {
-	eng := snbEngine(t, gcore.WithPlanCacheSize(-1))
+	eng := snbEngine(t)
 	want := map[int]string{}
 	for i, q := range goldenSNBQueries {
 		if strings.Contains(q, "SELECT") && strings.Count(q, "-[") >= 2 {
@@ -91,7 +92,7 @@ func TestMatchStartConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i, g := range want {
-					if got := renderResult(eng.Eval(goldenSNBQueries[i])); got != g {
+					if got := renderResult(evalParsed(eng, goldenSNBQueries[i])); got != g {
 						t.Errorf("snb query %d diverged under concurrent evaluation\ngot:\n%s\nwant:\n%s", i, got, g)
 						return
 					}

@@ -185,14 +185,14 @@ func TestPreparedConcurrentBindings(t *testing.T) {
 	bind := func(i int) map[string]gcore.Value {
 		return map[string]gcore.Value{"f": gcore.Str(names[i%len(names)]), "lo": gcore.Str(string(rune('A' + i%5)))}
 	}
-	oracle := snbEngine(t, gcore.WithPlanCacheSize(-1))
+	oracle := snbEngine(t)
 	want := make([]string, 5*len(names))
 	for i := range want {
 		inlined, err := parser.InlineParams(src, bind(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = renderResult(oracle.Eval(inlined))
+		want[i] = renderResult(evalParsed(oracle, inlined))
 	}
 
 	p, err := eng.Prepare(src)

@@ -140,7 +140,7 @@ func (s *Session) EvalScriptContext(ctx context.Context, src string) ([]*Result,
 // already-prepared statements.
 func (s *Session) Prepare(src string) (*Prepared, error) {
 	s.eng.mu.RLock()
-	err := s.eng.ev.CheckSrc(src, s.opts())
+	_, err := s.eng.ev.PrepareExec(src, nil, s.opts())
 	s.eng.mu.RUnlock()
 	if err != nil {
 		return nil, err
