@@ -174,12 +174,14 @@ const (
 // AsQueryError unwraps err to the typed query error, if any.
 func AsQueryError(err error) (*QueryError, bool) { return gov.AsQueryError(err) }
 
-// Execution observability. Every statement is metered by a cheap span
-// collector threaded through the evaluator's operators (scans, edge
-// expansion, path kernels, joins, filters, CONSTRUCT/SELECT); the
-// per-operator aggregates accumulate in the engine's lifetime Metrics,
+// Execution observability. Every execution records into its own span
+// collector, threaded through the evaluator's operators (scans, edge
+// expansion, path kernels, joins, filters, CONSTRUCT/SELECT) on the
+// statement's goroutine. Three surfaces read it: the per-operator
+// aggregates and counters accumulate in the engine's lifetime Metrics,
 // EXPLAIN ANALYZE renders one statement's spans onto its plan, and a
-// TraceHandler observes every span as it opens and closes.
+// TraceHandler receives every span as it opens and closes — the way to
+// see all spans across statements.
 type (
 	// TraceHandler receives operator span events during evaluation.
 	// Implementations must be safe for concurrent use: concurrent
@@ -189,14 +191,6 @@ type (
 	Span = obs.Span
 	// Op identifies an operator kind.
 	Op = obs.Op
-	// Collector accumulates spans and counters across statements; see
-	// WithCollector.
-	Collector = obs.Collector
-	// Stats is a collector's aggregate view (per-operator totals plus
-	// cache and budget counters).
-	Stats = obs.Stats
-	// OpStat is one operator's aggregate inside Stats.
-	OpStat = obs.OpStat
 	// Metrics is the engine-lifetime metrics snapshot; it marshals to
 	// JSON for export.
 	Metrics = obs.Metrics
@@ -234,10 +228,6 @@ const (
 	// OpAllPaths is an ALL-paths kernel run.
 	OpAllPaths = obs.OpAllPaths
 )
-
-// NewCollector creates a collector for WithCollector: spans and
-// counters from every statement accumulate in it until Reset.
-func NewCollector() *Collector { return obs.NewCollector() }
 
 // Engine is a G-CORE engine: a catalog of named graphs, views and
 // tables plus the evaluator. Safe for concurrent use, with a
@@ -298,14 +288,6 @@ func WithDefaultGraph(name string) Option {
 // no tracing dependency. See also Engine.SetTraceHandler.
 func WithTraceHandler(h TraceHandler) Option {
 	return func(e *Engine) { e.ev.SetTraceHandler(h) }
-}
-
-// WithCollector attaches a caller-held Collector: every statement's
-// spans and cache/budget counters accumulate in it (in addition to the
-// engine's lifetime Metrics), so a caller can meter query batches
-// without installing a TraceHandler.
-func WithCollector(c *Collector) Option {
-	return func(e *Engine) { e.ev.SetCollector(c) }
 }
 
 // WithPlanCacheSize bounds the engine's plan cache: n > 0 caps it at n
@@ -437,15 +419,6 @@ func (e *Engine) SetTraceHandler(h TraceHandler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ev.SetTraceHandler(h)
-}
-
-// SetCollector attaches (or, with nil, detaches) a caller-held
-// collector on a live engine; WithCollector is the construction-time
-// equivalent.
-func (e *Engine) SetCollector(c *Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ev.SetCollector(c)
 }
 
 // Metrics returns a snapshot of the engine-lifetime execution metrics:

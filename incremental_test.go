@@ -350,12 +350,17 @@ func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
 // buffer cap must transparently fall back to a full rebuild — same
 // results, counted as a full build, and the chain recovers afterwards.
 func TestIncrementalOverflowFallback(t *testing.T) {
-	saved := ppg.MaxDeltaOps
-	ppg.MaxDeltaOps = 4
-	defer func() { ppg.MaxDeltaOps = saved }()
 	_, g := mutableSNB(t, core.Ablation{})
 	csr.Of(g)
-	snbMutationScript(t, g, 0) // records more than 4 ops
+	snbMutationScript(t, g, 0)
+	// One property write per recorded op takes the buffer past its cap.
+	person := g.NodesWithLabel("Person")[1]
+	for i := 0; i <= ppg.MaxDeltaOps; i++ {
+		if err := g.SetNodeProps(person,
+			gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(int64(i))})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	snap, info := csr.OfCounted(g, true)
 	if info.Kind != csr.BuildFull {
 		t.Fatalf("overflowed delta produced %v, want BuildFull", info.Kind)

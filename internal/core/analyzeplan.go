@@ -40,20 +40,20 @@ func (ev *Evaluator) ExplainAnalyzeContext(ctx context.Context, stmt *ast.Statem
 }
 
 // ExplainAnalyzeExec is the execution leg shared by the AST-level and
-// source-level (plan-cached) EXPLAIN ANALYZE entry points. The
-// collector is fresh per call, so concurrent EXPLAIN ANALYZE runs
-// never share span state.
+// source-level (plan-cached) EXPLAIN ANALYZE entry points. Like every
+// execution it records into its own pooled collector, here with
+// labels on, and renders the plan before returning the collector.
 func (ev *Evaluator) ExplainAnalyzeExec(ctx context.Context, ex Exec) (string, error) {
 	if err := ex.ensureCompiled(); err != nil {
 		return "", err
 	}
-	col := obs.NewCollector()
-	col.SetHandler(ev.trace)
+	col := ev.collector(true)
+	defer ev.collectors.Put(col)
 	if _, err := ev.evalGoverned(ctx, col, ex); err != nil {
 		return "", err
 	}
 	var sb strings.Builder
-	explainStatement(ev, ex.opts.DefaultGraph, ex.cached, &sb, ex.stmt, "", newPlanAnnotator(col.SpansSince(obs.Mark{})))
+	explainStatement(ev, ex.opts.DefaultGraph, ex.cached, &sb, ex.stmt, "", newPlanAnnotator(col.Spans()))
 	writeAnalyzeFooter(&sb, col.Stats())
 	return sb.String(), nil
 }
@@ -65,7 +65,7 @@ type planAnnotator struct {
 }
 
 func newPlanAnnotator(spans []obs.Span) *planAnnotator {
-	top := spans[:0]
+	var top []obs.Span
 	for _, sp := range spans {
 		if sp.Depth == 0 {
 			top = append(top, sp)
@@ -126,7 +126,8 @@ func (a *planAnnotator) scanSuffix(label string) string {
 // consumed budget (when limits were set — the governor only meters
 // what it bounds).
 func writeAnalyzeFooter(sb *strings.Builder, st obs.Stats) {
-	total := st.Op(obs.OpStatement)
+	n := &st.Counts
+	total := st.Ops[obs.OpStatement]
 	fmt.Fprintf(sb, "executed: total time %s, result rows %d\n", fmtElapsed(total.Elapsed), total.RowsOut)
 	kernels := []struct {
 		name string
@@ -138,41 +139,42 @@ func writeAnalyzeFooter(sb *strings.Builder, st obs.Stats) {
 	}
 	var parts []string
 	for _, k := range kernels {
-		os := st.Op(k.op)
+		os := st.Ops[k.op]
 		if os.Count == 0 {
 			continue
 		}
 		part := fmt.Sprintf("%s ×%d (pops %d, arrivals %d, time %s", k.name, os.Count, os.Pops, os.Arrivals, fmtElapsed(os.Elapsed))
 		if k.op == obs.OpShortest {
 			// Kept walks stay implicit until a query dereferences them.
-			part += fmt.Sprintf(", walks %d built of %d", st.WalksBuilt, st.WalksFound)
+			part += fmt.Sprintf(", walks %d built of %d", n[obs.WalksBuilt], n[obs.WalksFound])
 		}
 		parts = append(parts, part+")")
 	}
 	if len(parts) > 0 {
 		fmt.Fprintf(sb, "path kernels: %s\n", strings.Join(parts, "; "))
 	}
-	if st.NFAHits+st.NFAMisses+st.CSRReuses+st.CSRBuilds > 0 {
+	if n[obs.NFAHits]+n[obs.NFAMisses]+n[obs.CSRReuses]+n[obs.CSRBuilds] > 0 {
 		fmt.Fprintf(sb, "caches: NFA %d hit/%d compiled, CSR %d reused/%d built\n",
-			st.NFAHits, st.NFAMisses, st.CSRReuses, st.CSRBuilds)
+			n[obs.NFAHits], n[obs.NFAMisses], n[obs.CSRReuses], n[obs.CSRBuilds])
 	}
-	if st.SnapshotFullBuilds+st.SnapshotDeltaApplies+st.SnapshotFallbacks > 0 {
+	if n[obs.SnapshotFullBuilds]+n[obs.SnapshotDeltaApplies]+n[obs.SnapshotFallbacks] > 0 {
 		fmt.Fprintf(sb, "snapshots: %d full, %d delta-applied (%d ops, %s shared/%s copied), %d fallback\n",
-			st.SnapshotFullBuilds, st.SnapshotDeltaApplies, st.SnapshotDeltaOps,
-			fmtBytes(st.SnapshotBytesShared), fmtBytes(st.SnapshotBytesCopied), st.SnapshotFallbacks)
+			n[obs.SnapshotFullBuilds], n[obs.SnapshotDeltaApplies], n[obs.SnapshotDeltaOps],
+			fmtBytes(n[obs.SnapshotBytesShared]), fmtBytes(n[obs.SnapshotBytesCopied]), n[obs.SnapshotFallbacks])
 	}
-	if st.PropColHits+st.PropColFallbacks > 0 {
+	if n[obs.PropColHits]+n[obs.PropColFallbacks] > 0 {
 		fmt.Fprintf(sb, "prop columns: %d predicate rows columnar, %d interpreted\n",
-			st.PropColHits, st.PropColFallbacks)
+			n[obs.PropColHits], n[obs.PropColFallbacks])
 	}
-	if st.FrontierUsed > 0 || st.ResultsUsed > 0 {
-		fmt.Fprintf(sb, "budget: frontier %d, result elements %d\n", st.FrontierUsed, st.ResultsUsed)
+	if n[obs.FrontierUsed] > 0 || n[obs.ResultsUsed] > 0 {
+		fmt.Fprintf(sb, "budget: frontier %d, result elements %d\n", n[obs.FrontierUsed], n[obs.ResultsUsed])
 	}
-	if st.PlanCacheHits+st.PlanCacheMisses > 0 {
-		if st.PlanCacheHits > 0 {
-			fmt.Fprintf(sb, "plan cache: hit (compile %s saved)\n", fmtElapsed(st.PlanCacheCompile))
+	if n[obs.PlanCacheHits]+n[obs.PlanCacheMisses] > 0 {
+		compile := fmtElapsed(time.Duration(n[obs.PlanCacheCompileNS]))
+		if n[obs.PlanCacheHits] > 0 {
+			fmt.Fprintf(sb, "plan cache: hit (compile %s saved)\n", compile)
 		} else {
-			fmt.Fprintf(sb, "plan cache: miss (compile %s)\n", fmtElapsed(st.PlanCacheCompile))
+			fmt.Fprintf(sb, "plan cache: miss (compile %s)\n", compile)
 		}
 	}
 }

@@ -67,17 +67,14 @@ type Evaluator struct {
 
 	registry *obs.Registry    // lifetime per-operator metrics
 	trace    obs.TraceHandler // user span hook; nil = no tracing
-	sink     *obs.Collector   // user-supplied collector; nil = pooled
 
-	// scratchPool recycles metrics-only collectors for statements that
-	// run without a user sink. A pool rather than one shared scratch
-	// collector: read-only statements execute concurrently under the
-	// engine's read lock, and sharing one collector across them would
-	// interleave their spans.
-	scratchPool sync.Pool
+	// collectors recycles the per-statement collectors. Each execution
+	// takes its own: statements run concurrently under the engine's
+	// read lock, one goroutine each, and a collector belongs to one.
+	collectors sync.Pool
 
 	// planCache holds compiled statements keyed on normalised source
-	// text (see prepared.go); nil disables source-level caching.
+	// text (see prepared.go).
 	planCache *plancache.Cache
 	// memoMu guards the two memos below. Concurrent read-only
 	// statements share the evaluator, so the memos cannot rely on
@@ -103,7 +100,7 @@ func NewAblated(cat *catalog.Catalog, ab Ablation) *Evaluator {
 		registry:  obs.NewRegistry(),
 		planCache: plancache.New(0),
 	}
-	ev.scratchPool.New = func() any { return obs.NewCollector() }
+	ev.collectors.New = func() any { return new(obs.Collector) }
 	return ev
 }
 
@@ -119,11 +116,6 @@ func (ev *Evaluator) Limits() gov.Limits { return ev.limits }
 // SetTraceHandler installs the span hook invoked at every operator
 // start/end; nil detaches it.
 func (ev *Evaluator) SetTraceHandler(h obs.TraceHandler) { ev.trace = h }
-
-// SetCollector installs a user-held collector that accumulates spans
-// across statements; nil reverts to the internal per-statement
-// scratch collector.
-func (ev *Evaluator) SetCollector(col *obs.Collector) { ev.sink = col }
 
 // checkBudget enforces the binding-table bound.
 func (c *evalCtx) checkBudget(tbl *bindings.Table) error {
@@ -422,22 +414,19 @@ func (ev *Evaluator) EvalExec(ctx context.Context, ex Exec) (*Result, error) {
 		}
 		return &Result{Plan: plan}, nil
 	}
-	col := ev.sink
-	var pooled *obs.Collector
-	if col != nil {
-		col.SetHandler(ev.trace)
-	} else {
-		// A pooled collector is reset per statement: metrics-only
-		// (no labels) unless a trace handler wants the events.
-		pooled = ev.scratchPool.Get().(*obs.Collector)
-		pooled.Reset(ev.trace)
-		col = pooled
-	}
-	res, err := ev.evalGoverned(ctx, col, ex)
-	if pooled != nil {
-		ev.scratchPool.Put(pooled)
-	}
-	return res, err
+	// Metrics only (no labels) unless a trace handler wants the events.
+	col := ev.collector(ev.trace != nil)
+	defer ev.collectors.Put(col)
+	return ev.evalGoverned(ctx, col, ex)
+}
+
+// collector takes a reset collector from the pool for one execution;
+// verbose records span labels. The caller returns it with
+// ev.collectors.Put once it has read the spans.
+func (ev *Evaluator) collector(verbose bool) *obs.Collector {
+	col := ev.collectors.Get().(*obs.Collector)
+	col.Reset(ev.trace, verbose)
+	return col
 }
 
 // evalGoverned runs one compiled statement under governance with col
@@ -468,7 +457,6 @@ func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Ex
 	if ex.probe {
 		col.PlanCacheEvent(ex.hit, ex.compile)
 	}
-	mark := col.Mark()
 	sp := col.Start(obs.OpStatement)
 	if sp.Verbose() {
 		sp.SetLabel(stmtText(stmt))
@@ -483,7 +471,7 @@ func (ev *Evaluator) evalGoverned(ctx context.Context, col *obs.Collector, ex Ex
 		} else {
 			sp.Rows(0, resultRows(res)).End()
 		}
-		ev.registry.Observe(col.Since(mark), err)
+		ev.registry.Observe(col.Stats(), err)
 	}()
 	// Entry checkpoint: a statement under an already-dead context
 	// fails here, before any clause runs — even one whose evaluation

@@ -448,8 +448,7 @@ func (c *evalCtx) pathSearches(s *scope, g *ppg.Graph, snap *csr.Snapshot, pp *a
 		sc.nfas = append(sc.nfas, n)
 	}
 	sc.eng = rpq.NewEngineOn(g, snap, &viewAdapter{c: c, s: s, g: g})
-	sc.eng.SetGovernor(c.gov)
-	sc.eng.SetCollector(c.col)
+	sc.eng.Attach(c.gov, c.col)
 	return sc, nil
 }
 

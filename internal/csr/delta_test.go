@@ -294,13 +294,11 @@ func TestDeltaDroppedByTouchProps(t *testing.T) {
 }
 
 func TestDeltaDroppedByOverflow(t *testing.T) {
-	defer func(old int) { ppg.MaxDeltaOps = old }(ppg.MaxDeltaOps)
-	ppg.MaxDeltaOps = 4
 	g := deltaGraph(t)
 	snapKind(t, g)
 	p := ppg.Properties{}
 	p.Set("age", value.Int(2))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < ppg.MaxDeltaOps+1; i++ {
 		if err := g.SetNodeProps(7, p); err != nil {
 			t.Fatal(err)
 		}

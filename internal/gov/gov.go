@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"gcore/internal/faultinject"
@@ -117,16 +116,17 @@ type Limits struct {
 	Timeout time.Duration
 }
 
-// Governor carries one statement's context and budget counters. All
-// methods are safe for concurrent use and are no-ops on a nil
-// receiver (path kernels constructed outside the evaluator — tests,
-// tools — run ungoverned).
+// Governor carries one statement's context and budget counters. It
+// belongs to the goroutine evaluating that statement, so the counters
+// are plain integers. Every method is a no-op on a nil receiver (path
+// kernels constructed outside the evaluator — tests, tools — run
+// ungoverned).
 type Governor struct {
 	ctx      context.Context
 	done     <-chan struct{}
 	limits   Limits
-	frontier atomic.Int64
-	results  atomic.Int64
+	frontier int64
+	results  int64
 }
 
 // New creates a governor for one statement. ctx must be non-nil
@@ -184,7 +184,8 @@ func (g *Governor) GrowFrontier(n int) error {
 	if g == nil || g.limits.MaxPathFrontier <= 0 {
 		return nil
 	}
-	if total := g.frontier.Add(int64(n)); total > int64(g.limits.MaxPathFrontier) {
+	g.frontier += int64(n)
+	if g.frontier > int64(g.limits.MaxPathFrontier) {
 		return &QueryError{Kind: KindBudget, Msg: fmt.Sprintf(
 			"path search exceeded the frontier limit (limit %d product states); narrow the path pattern or raise Limits.MaxPathFrontier",
 			g.limits.MaxPathFrontier)}
@@ -198,24 +199,25 @@ func (g *Governor) AddResults(n int) error {
 	if g == nil || g.limits.MaxResultElements <= 0 {
 		return nil
 	}
-	if total := g.results.Add(int64(n)); total > int64(g.limits.MaxResultElements) {
+	g.results += int64(n)
+	if g.results > int64(g.limits.MaxResultElements) {
 		return &QueryError{Kind: KindBudget, Msg: fmt.Sprintf(
 			"CONSTRUCT exceeded the result limit (limit %d elements, built %d); tighten the match or raise Limits.MaxResultElements",
-			g.limits.MaxResultElements, total)}
+			g.limits.MaxResultElements, g.results)}
 	}
 	return nil
 }
 
 // FrontierUsed reports the product-automaton states charged so far.
 // The counter is maintained only when MaxPathFrontier is set — the
-// unlimited path deliberately skips the atomic so ungoverned kernels
-// pay nothing — so observability reports it as "budget consumed", not
-// as total frontier activity (kernel spans carry that).
+// unlimited path skips it so ungoverned kernels pay nothing — so
+// observability reports it as "budget consumed", not as total frontier
+// activity (kernel spans carry that).
 func (g *Governor) FrontierUsed() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.frontier.Load()
+	return g.frontier
 }
 
 // ResultsUsed reports the constructed elements charged so far, under
@@ -224,7 +226,7 @@ func (g *Governor) ResultsUsed() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.results.Load()
+	return g.results
 }
 
 // BindingsError is the KindBudget error for an overflowing binding

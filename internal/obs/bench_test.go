@@ -4,11 +4,10 @@ import "testing"
 
 // BenchmarkCollectorSpan is the cost of one fully-populated span on
 // the metrics-only path (no handler, labels skipped) — the per-
-// operator overhead EXPLAIN-less queries pay when a collector is
-// installed.
+// operator overhead every statement pays outside EXPLAIN ANALYZE and
+// tracing.
 func BenchmarkCollectorSpan(b *testing.B) {
-	c := NewCollector()
-	c.Reset(nil)
+	var c Collector
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := c.Start(OpExpand)
@@ -17,13 +16,13 @@ func BenchmarkCollectorSpan(b *testing.B) {
 		}
 		sp.Rows(128, 256).End()
 		if i&1023 == 0 {
-			c.Reset(nil)
+			c.Reset(nil, false)
 		}
 	}
 }
 
 // BenchmarkNilCollectorSpan is the cost when no collector is
-// installed at all — the default query path.
+// installed at all — kernels run outside the evaluator.
 func BenchmarkNilCollectorSpan(b *testing.B) {
 	var c *Collector
 	b.ReportAllocs()

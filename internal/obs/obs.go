@@ -11,21 +11,18 @@
 //  2. No per-row work. Spans record rows in/out as table lengths at
 //     operator boundaries; rpq kernels count steps locally and flush
 //     once at kernel end.
-//  3. Race-safe. Concurrent statements share the engine's sink
-//     Collector and Registry; all counters are atomic and the span
-//     list is mutex-guarded.
+//  3. One statement, one collector. A statement runs on one goroutine
+//     and records into its own Collector, so the collector holds plain
+//     fields: no lock, no atomic. Only the Registry, which outlives
+//     statements and is read while they run, is atomic.
 //
-// A Collector accumulates; Mark/Since carve out the slice belonging
-// to one statement so a long-lived sink Collector (WithCollector) can
-// span many queries while the engine still reports per-statement
-// stats to its Registry.
+// Counters are one table: a Counter names a slot of the collector's
+// counts, of Stats.Counts and of the registry. Adding one takes a
+// constant with its name, its event method, and a Metrics field with
+// its fill line in Registry.Snapshot.
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Op identifies an operator class. The set mirrors the EXPLAIN tree:
 // one value per line kind the plan printer can emit.
@@ -109,93 +106,87 @@ type TraceHandler interface {
 	SpanEnd(span Span)
 }
 
-// Collector accumulates spans and cache/budget counters for one or
-// more statements. The zero value is NOT ready; use NewCollector. A
-// nil *Collector is a valid no-op receiver for Start and the event
-// methods.
-type Collector struct {
-	mu      sync.Mutex
-	spans   []Span
-	handler TraceHandler
+// Counter identifies one statement counter. Names are the Metrics
+// JSON fields the registry exports them under.
+type Counter uint8
 
-	verbose atomic.Bool  // record labels (EXPLAIN ANALYZE / tracing)
-	depth   atomic.Int32 // subquery nesting, muting labels below 0
+const (
+	// NFAHits and NFAMisses are regex→NFA compilation cache probes.
+	NFAHits Counter = iota
+	NFAMisses
+	// CSRReuses and CSRBuilds are CSR snapshot probes: the cached
+	// generation reused, or the snapshot (re)built.
+	CSRReuses
+	CSRBuilds
+	// How the non-reused snapshots were obtained (full build, delta
+	// apply, declined-delta fallback), the mutation ops the applied
+	// deltas carried, and the approximate bytes the delta-applied
+	// snapshots share with vs. copied from their predecessors.
+	SnapshotFullBuilds
+	SnapshotDeltaApplies
+	SnapshotFallbacks
+	SnapshotDeltaOps
+	SnapshotBytesShared
+	SnapshotBytesCopied
+	// FrontierUsed and ResultsUsed are the governor's consumed budgets,
+	// metered only when the corresponding limit is set.
+	FrontierUsed
+	ResultsUsed
+	// PropColHits and PropColFallbacks are predicate rows answered from
+	// the snapshot's property columns vs. by the interpreter.
+	PropColHits
+	PropColFallbacks
+	// PropIndexSeeks and PropIndexBuilds are node scans that took their
+	// candidates from a property column's value index, and the indexes
+	// built for them.
+	PropIndexSeeks
+	PropIndexBuilds
+	// WalksFound and WalksBuilt are k-shortest walks kept by the
+	// kernels, and those materialised because a query dereferenced them.
+	WalksFound
+	WalksBuilt
+	// PlanCacheHits, PlanCacheMisses and PlanCacheCompileNS are the
+	// statement's plan-cache probe and its entry's compile time.
+	PlanCacheHits
+	PlanCacheMisses
+	PlanCacheCompileNS
 
-	nfaHits      atomic.Int64
-	nfaMisses    atomic.Int64
-	csrReuses    atomic.Int64
-	csrBuilds    atomic.Int64
-	snapFull     atomic.Int64
-	snapDeltas   atomic.Int64
-	snapFalls    atomic.Int64
-	snapDeltaOps atomic.Int64
-	snapShared   atomic.Int64
-	snapCopied   atomic.Int64
-	frontierUsed atomic.Int64
-	resultsUsed  atomic.Int64
-	propColHits  atomic.Int64
-	propColFalls atomic.Int64
-	propIdxSeeks atomic.Int64
-	propIdxBuild atomic.Int64
-	walksFound   atomic.Int64
-	walksBuilt   atomic.Int64
+	numCounters = int(PlanCacheCompileNS) + 1
+)
 
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planCompileNS atomic.Int64
+var counterNames = [numCounters]string{
+	"nfa_cache_hits", "nfa_cache_misses", "csr_reuses", "csr_builds",
+	"snapshot_full_builds", "snapshot_delta_applies", "snapshot_fallbacks",
+	"snapshot_delta_ops", "snapshot_bytes_shared", "snapshot_bytes_copied",
+	"frontier_used", "results_used", "prop_col_hits", "prop_col_fallbacks",
+	"prop_index_seeks", "prop_index_builds", "rpq_walks_found", "rpq_walks_built",
+	"plan_cache_hits", "plan_cache_misses", "plan_cache_compile_ns",
 }
 
-// NewCollector returns a collector that records span labels (verbose
-// mode), suitable for EXPLAIN ANALYZE and for user-held collectors.
-func NewCollector() *Collector {
-	c := &Collector{}
-	c.verbose.Store(true)
-	return c
+func (k Counter) String() string {
+	if int(k) < numCounters {
+		return counterNames[k]
+	}
+	return "counter?"
+}
+
+// Collector records one statement's spans and counters. It belongs to
+// the goroutine running that statement. The zero value is ready; Reset
+// readies a reused one. A nil *Collector is a valid no-op receiver for
+// Start and the event methods.
+type Collector struct {
+	spans   []Span
+	handler TraceHandler
+	verbose bool  // record labels (EXPLAIN ANALYZE / tracing)
+	depth   int32 // subquery nesting
+	counts  [numCounters]int64
 }
 
 // Reset clears all spans and counters and installs h as the trace
-// handler. Label recording is enabled only when a handler is present;
-// the metrics-only path skips label formatting entirely. Reset is how
-// the evaluator reuses one scratch collector across statements.
-func (c *Collector) Reset(h TraceHandler) {
-	c.mu.Lock()
-	c.spans = c.spans[:0]
-	c.handler = h
-	c.mu.Unlock()
-	c.verbose.Store(h != nil)
-	c.depth.Store(0)
-	c.nfaHits.Store(0)
-	c.nfaMisses.Store(0)
-	c.csrReuses.Store(0)
-	c.csrBuilds.Store(0)
-	c.snapFull.Store(0)
-	c.snapDeltas.Store(0)
-	c.snapFalls.Store(0)
-	c.snapDeltaOps.Store(0)
-	c.snapShared.Store(0)
-	c.snapCopied.Store(0)
-	c.frontierUsed.Store(0)
-	c.resultsUsed.Store(0)
-	c.propColHits.Store(0)
-	c.propColFalls.Store(0)
-	c.propIdxSeeks.Store(0)
-	c.propIdxBuild.Store(0)
-	c.walksFound.Store(0)
-	c.walksBuilt.Store(0)
-	c.planHits.Store(0)
-	c.planMisses.Store(0)
-	c.planCompileNS.Store(0)
-}
-
-// SetHandler installs (or clears) the trace handler without touching
-// recorded spans or counters.
-func (c *Collector) SetHandler(h TraceHandler) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.handler = h
-	c.mu.Unlock()
+// handler. verbose records span labels; the metrics-only path leaves
+// it off and skips label formatting entirely.
+func (c *Collector) Reset(h TraceHandler, verbose bool) {
+	*c = Collector{spans: c.spans[:0], handler: h, verbose: verbose}
 }
 
 // EnterSub marks entry into a subquery (EXISTS, pattern predicate, ON
@@ -203,59 +194,47 @@ func (c *Collector) SetHandler(h TraceHandler) {
 // Depth>0 so plan annotation and the registry count only top-level
 // operators, while trace handlers still see the full tree.
 func (c *Collector) EnterSub() {
-	if c == nil {
-		return
+	if c != nil {
+		c.depth++
 	}
-	c.depth.Add(1)
 }
 
 // ExitSub closes the innermost subquery scope.
 func (c *Collector) ExitSub() {
-	if c == nil {
-		return
+	if c != nil {
+		c.depth--
 	}
-	c.depth.Add(-1)
+}
+
+// add bumps counter k by n.
+func (c *Collector) add(k Counter, n int64) {
+	if c != nil {
+		c.counts[k] += n
+	}
+}
+
+// pick is a when true, b otherwise.
+func pick(cond bool, a, b Counter) Counter {
+	if cond {
+		return a
+	}
+	return b
 }
 
 // NFAEvent records a regex→NFA compilation cache probe.
-func (c *Collector) NFAEvent(hit bool) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.nfaHits.Add(1)
-	} else {
-		c.nfaMisses.Add(1)
-	}
-}
+func (c *Collector) NFAEvent(hit bool) { c.add(pick(hit, NFAHits, NFAMisses), 1) }
 
 // PlanCacheEvent records one plan-cache probe for the executing
 // statement. compile is the entry's compilation time: the cost a hit
 // avoided, or the cost a miss just paid.
 func (c *Collector) PlanCacheEvent(hit bool, compile time.Duration) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.planHits.Add(1)
-	} else {
-		c.planMisses.Add(1)
-	}
-	c.planCompileNS.Add(int64(compile))
+	c.add(pick(hit, PlanCacheHits, PlanCacheMisses), 1)
+	c.add(PlanCacheCompileNS, int64(compile))
 }
 
 // CSREvent records a CSR snapshot probe: hit means the cached
 // generation was reused, miss means the snapshot was (re)built.
-func (c *Collector) CSREvent(hit bool) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.csrReuses.Add(1)
-	} else {
-		c.csrBuilds.Add(1)
-	}
-}
+func (c *Collector) CSREvent(hit bool) { c.add(pick(hit, CSRReuses, CSRBuilds), 1) }
 
 // SnapshotBuild records one CSR snapshot acquisition that was NOT a
 // cache reuse (those go through CSREvent alone). Exactly one of the
@@ -265,19 +244,16 @@ func (c *Collector) CSREvent(hit bool) {
 // was declined and a full build ran), or a plain full build (both
 // false: no previous snapshot or recording was off).
 func (c *Collector) SnapshotBuild(delta, fallback bool, deltaOps int, bytesShared, bytesCopied int64) {
-	if c == nil {
-		return
-	}
 	switch {
 	case delta:
-		c.snapDeltas.Add(1)
-		c.snapDeltaOps.Add(int64(deltaOps))
-		c.snapShared.Add(bytesShared)
-		c.snapCopied.Add(bytesCopied)
+		c.add(SnapshotDeltaApplies, 1)
+		c.add(SnapshotDeltaOps, int64(deltaOps))
+		c.add(SnapshotBytesShared, bytesShared)
+		c.add(SnapshotBytesCopied, bytesCopied)
 	case fallback:
-		c.snapFalls.Add(1)
+		c.add(SnapshotFallbacks, 1)
 	default:
-		c.snapFull.Add(1)
+		c.add(SnapshotFullBuilds, 1)
 	}
 }
 
@@ -286,66 +262,37 @@ func (c *Collector) SnapshotBuild(delta, fallback bool, deltaOps int, bytesShare
 // snapshot's property columns, falls those that fell back to the
 // interpreter (refs the snapshot does not know).
 func (c *Collector) PropColEvent(hits, falls int64) {
-	if c == nil {
-		return
-	}
-	if hits != 0 {
-		c.propColHits.Add(hits)
-	}
-	if falls != 0 {
-		c.propColFalls.Add(falls)
-	}
+	c.add(PropColHits, hits)
+	c.add(PropColFallbacks, falls)
 }
 
 // PropIndexEvent records one node scan's use of the property columns'
 // equality indexes: whether it took its candidates from one (a seek),
 // and how many indexes it had to build on the way.
 func (c *Collector) PropIndexEvent(seek bool, builds int64) {
-	if c == nil {
-		return
-	}
 	if seek {
-		c.propIdxSeeks.Add(1)
+		c.add(PropIndexSeeks, 1)
 	}
-	if builds != 0 {
-		c.propIdxBuild.Add(builds)
-	}
+	c.add(PropIndexBuilds, builds)
 }
 
 // WalksFound records the walks one k-shortest kernel run kept: the
 // walks its result represents, whether or not anything builds them.
-func (c *Collector) WalksFound(n int64) {
-	if c == nil {
-		return
-	}
-	c.walksFound.Add(n)
-}
+func (c *Collector) WalksFound(n int64) { c.add(WalksFound, n) }
 
 // WalkBuilt records one kept walk materialised as a graph-level node
 // and edge sequence — a query dereferenced the path variable bound to
 // it.
-func (c *Collector) WalkBuilt() {
-	if c == nil {
-		return
-	}
-	c.walksBuilt.Add(1)
-}
+func (c *Collector) WalkBuilt() { c.add(WalksBuilt, 1) }
 
 // RecordBudget adds the governor's consumed budget for one statement.
 // The counters are nonzero only when the corresponding limit is set:
-// the governor deliberately skips its atomics when unlimited, so the
-// hot kernels pay nothing by default (kernel spans still report
-// frontier activity via Pops/Arrivals).
+// the governor meters only what it bounds, so the hot kernels pay
+// nothing by default (kernel spans still report frontier activity via
+// Pops/Arrivals).
 func (c *Collector) RecordBudget(frontier, results int64) {
-	if c == nil {
-		return
-	}
-	if frontier != 0 {
-		c.frontierUsed.Add(frontier)
-	}
-	if results != 0 {
-		c.resultsUsed.Add(results)
-	}
+	c.add(FrontierUsed, frontier)
+	c.add(ResultsUsed, results)
 }
 
 // Start opens a span for op. On a nil collector it returns nil, and
@@ -360,12 +307,9 @@ func (c *Collector) Start(op Op) *ActiveSpan {
 	}
 	sp := &ActiveSpan{c: c, start: time.Now()}
 	sp.span.Op = op
-	sp.span.Depth = c.depth.Load()
-	c.mu.Lock()
-	h := c.handler
-	c.mu.Unlock()
-	if h != nil {
-		h.SpanStart(op, int(sp.span.Depth))
+	sp.span.Depth = c.depth
+	if c.handler != nil {
+		c.handler.SpanStart(op, int(sp.span.Depth))
 	}
 	return sp
 }
@@ -381,7 +325,7 @@ type ActiveSpan struct {
 // Verbose reports whether the span records labels. Callers use it to
 // skip label formatting on the metrics-only path.
 func (sp *ActiveSpan) Verbose() bool {
-	return sp != nil && sp.c.verbose.Load()
+	return sp != nil && sp.c.verbose
 }
 
 // SetLabel attaches the plan-line text identifying this operator.
@@ -436,12 +380,9 @@ func (sp *ActiveSpan) End() {
 	}
 	sp.span.Elapsed = time.Since(sp.start)
 	c := sp.c
-	c.mu.Lock()
 	c.spans = append(c.spans, sp.span)
-	h := c.handler
-	c.mu.Unlock()
-	if h != nil {
-		h.SpanEnd(sp.span)
+	if c.handler != nil {
+		c.handler.SpanEnd(sp.span)
 	}
 }
 
@@ -454,83 +395,13 @@ func (sp *ActiveSpan) Fail() {
 	sp.End()
 }
 
-// Mark is a position in a collector's history; Since/SpansSince
-// report only what was recorded after the mark, letting one sink
-// collector serve many statements.
-type Mark struct {
-	spans     int
-	nfaHits   int64
-	nfaMisses int64
-	csrReuses int64
-	csrBuilds int64
-	snapFull  int64
-	snapDelta int64
-	snapFalls int64
-	snapOps   int64
-	snapShare int64
-	snapCopy  int64
-	frontier  int64
-	results   int64
-	propHits  int64
-	propFalls int64
-	idxSeeks  int64
-	idxBuilds int64
-	walksFnd  int64
-	walksBlt  int64
-
-	planHits    int64
-	planMisses  int64
-	planCompile int64
-}
-
-// Mark snapshots the collector's current position. Safe on nil (the
-// zero Mark then matches the empty history).
-func (c *Collector) Mark() Mark {
-	if c == nil {
-		return Mark{}
-	}
-	c.mu.Lock()
-	n := len(c.spans)
-	c.mu.Unlock()
-	return Mark{
-		spans:       n,
-		nfaHits:     c.nfaHits.Load(),
-		nfaMisses:   c.nfaMisses.Load(),
-		csrReuses:   c.csrReuses.Load(),
-		csrBuilds:   c.csrBuilds.Load(),
-		snapFull:    c.snapFull.Load(),
-		snapDelta:   c.snapDeltas.Load(),
-		snapFalls:   c.snapFalls.Load(),
-		snapOps:     c.snapDeltaOps.Load(),
-		snapShare:   c.snapShared.Load(),
-		snapCopy:    c.snapCopied.Load(),
-		frontier:    c.frontierUsed.Load(),
-		results:     c.resultsUsed.Load(),
-		propHits:    c.propColHits.Load(),
-		propFalls:   c.propColFalls.Load(),
-		idxSeeks:    c.propIdxSeeks.Load(),
-		idxBuilds:   c.propIdxBuild.Load(),
-		walksFnd:    c.walksFound.Load(),
-		walksBlt:    c.walksBuilt.Load(),
-		planHits:    c.planHits.Load(),
-		planMisses:  c.planMisses.Load(),
-		planCompile: c.planCompileNS.Load(),
-	}
-}
-
-// SpansSince returns a copy of the spans recorded after m.
-func (c *Collector) SpansSince(m Mark) []Span {
+// Spans returns the statement's finished spans in completion order.
+// The slice is the collector's own, valid until the next Reset.
+func (c *Collector) Spans() []Span {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m.spans >= len(c.spans) {
-		return nil
-	}
-	out := make([]Span, len(c.spans)-m.spans)
-	copy(out, c.spans[m.spans:])
-	return out
+	return c.spans
 }
 
 // OpStat aggregates the spans of one operator class.
@@ -543,63 +414,23 @@ type OpStat struct {
 	Elapsed  time.Duration
 }
 
-// Stats is the aggregate view of a collector (or a Since window).
+// Stats is the aggregate view of one statement: per-operator totals,
+// indexed by Op, and the counters, indexed by Counter.
 type Stats struct {
-	Ops [numOps]OpStat
-
-	NFAHits      int64
-	NFAMisses    int64
-	CSRReuses    int64
-	CSRBuilds    int64
-	FrontierUsed int64
-
-	// CSR snapshot maintenance: how non-reused snapshots were obtained
-	// (full build, incremental delta apply, declined-delta fallback),
-	// the mutation ops the applied deltas carried, and the approximate
-	// bytes the delta-applied snapshots share with vs. copied from
-	// their predecessors.
-	SnapshotFullBuilds   int64
-	SnapshotDeltaApplies int64
-	SnapshotFallbacks    int64
-	SnapshotDeltaOps     int64
-	SnapshotBytesShared  int64
-	SnapshotBytesCopied  int64
-
-	ResultsUsed      int64
-	PropColHits      int64
-	PropColFallbacks int64
-
-	// Equality-index activity of node scans: scans that took their
-	// candidates from a property column's value index, and indexes
-	// built (first seek of a column version).
-	PropIndexSeeks  int64
-	PropIndexBuilds int64
-
-	// k-shortest walks: kept by the kernels, and materialised because a
-	// query dereferenced them.
-	WalksFound int64
-	WalksBuilt int64
-
-	PlanCacheHits    int64
-	PlanCacheMisses  int64
-	PlanCacheCompile time.Duration
+	Ops    [numOps]OpStat
+	Counts [numCounters]int64
 }
 
-// Op returns the aggregate for one operator class.
-func (s *Stats) Op(op Op) OpStat { return s.Ops[op] }
-
-// Since aggregates everything recorded after m. Subquery spans
-// (Depth>0) are folded into the same operator classes — a row scanned
-// inside EXISTS is still a row scanned.
-func (c *Collector) Since(m Mark) Stats {
+// Stats aggregates the collector's history. Subquery spans (Depth>0)
+// are folded into the same operator classes — a row scanned inside
+// EXISTS is still a row scanned.
+func (c *Collector) Stats() Stats {
 	var st Stats
 	if c == nil {
 		return st
 	}
-	c.mu.Lock()
-	spans := c.spans[min(m.spans, len(c.spans)):]
-	for i := range spans {
-		sp := &spans[i]
+	for i := range c.spans {
+		sp := &c.spans[i]
 		os := &st.Ops[sp.Op]
 		os.Count++
 		os.RowsIn += sp.RowsIn
@@ -608,30 +439,6 @@ func (c *Collector) Since(m Mark) Stats {
 		os.Arrivals += sp.Arrivals
 		os.Elapsed += sp.Elapsed
 	}
-	c.mu.Unlock()
-	st.NFAHits = c.nfaHits.Load() - m.nfaHits
-	st.NFAMisses = c.nfaMisses.Load() - m.nfaMisses
-	st.CSRReuses = c.csrReuses.Load() - m.csrReuses
-	st.CSRBuilds = c.csrBuilds.Load() - m.csrBuilds
-	st.SnapshotFullBuilds = c.snapFull.Load() - m.snapFull
-	st.SnapshotDeltaApplies = c.snapDeltas.Load() - m.snapDelta
-	st.SnapshotFallbacks = c.snapFalls.Load() - m.snapFalls
-	st.SnapshotDeltaOps = c.snapDeltaOps.Load() - m.snapOps
-	st.SnapshotBytesShared = c.snapShared.Load() - m.snapShare
-	st.SnapshotBytesCopied = c.snapCopied.Load() - m.snapCopy
-	st.FrontierUsed = c.frontierUsed.Load() - m.frontier
-	st.ResultsUsed = c.resultsUsed.Load() - m.results
-	st.PropColHits = c.propColHits.Load() - m.propHits
-	st.PropColFallbacks = c.propColFalls.Load() - m.propFalls
-	st.PropIndexSeeks = c.propIdxSeeks.Load() - m.idxSeeks
-	st.PropIndexBuilds = c.propIdxBuild.Load() - m.idxBuilds
-	st.WalksFound = c.walksFound.Load() - m.walksFnd
-	st.WalksBuilt = c.walksBuilt.Load() - m.walksBlt
-	st.PlanCacheHits = c.planHits.Load() - m.planHits
-	st.PlanCacheMisses = c.planMisses.Load() - m.planMisses
-	st.PlanCacheCompile = time.Duration(c.planCompileNS.Load() - m.planCompile)
+	st.Counts = c.counts
 	return st
 }
-
-// Stats aggregates the collector's full history.
-func (c *Collector) Stats() Stats { return c.Since(Mark{}) }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilCollectorIsNoOp(t *testing.T) {
@@ -26,20 +28,20 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.WalkBuilt()
 	c.EnterSub()
 	c.ExitSub()
-	c.SetHandler(nil)
-	if got := c.Since(c.Mark()); got.NFAHits != 0 {
+	if got := c.Stats(); got != (Stats{}) {
 		t.Fatalf("nil collector stats = %+v", got)
 	}
-	if c.SpansSince(Mark{}) != nil {
+	if c.Spans() != nil {
 		t.Fatal("nil collector returned spans")
 	}
 }
 
 func TestSpanRecording(t *testing.T) {
-	c := NewCollector()
+	var c Collector
+	c.Reset(nil, true)
 	sp := c.Start(OpScan)
 	if !sp.Verbose() {
-		t.Fatal("NewCollector should be verbose")
+		t.Fatal("Reset(nil, true) should record labels")
 	}
 	sp.SetLabel("node scan (x:Person)").Rows(0, 42).Indexed(true).End()
 
@@ -49,7 +51,7 @@ func TestSpanRecording(t *testing.T) {
 
 	c.Start(OpShortest).Frontier(10, 25).Rows(3, 5).Fail()
 
-	spans := c.SpansSince(Mark{})
+	spans := c.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
@@ -67,20 +69,22 @@ func TestSpanRecording(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Op(OpScan).Count != 2 || st.Op(OpScan).RowsOut != 49 {
-		t.Fatalf("scan stat = %+v", st.Op(OpScan))
+	if st.Ops[OpScan].Count != 2 || st.Ops[OpScan].RowsOut != 49 {
+		t.Fatalf("scan stat = %+v", st.Ops[OpScan])
 	}
-	if st.Op(OpShortest).Pops != 10 {
-		t.Fatalf("shortest stat = %+v", st.Op(OpShortest))
+	if st.Ops[OpShortest].Pops != 10 {
+		t.Fatalf("shortest stat = %+v", st.Ops[OpShortest])
 	}
 }
 
-func TestMarkSinceWindows(t *testing.T) {
-	c := NewCollector()
+// TestStatsAfterReset: a pooled collector, reset between statements,
+// reports exactly the statement recorded since its last Reset.
+func TestStatsAfterReset(t *testing.T) {
+	var c Collector
 	c.Start(OpScan).Rows(0, 5).End()
 	c.NFAEvent(false)
 	c.PropIndexEvent(true, 1)
-	m := c.Mark()
+	c.Reset(nil, false)
 	c.Start(OpScan).Rows(5, 3).End()
 	c.NFAEvent(true)
 	c.CSREvent(true)
@@ -90,56 +94,115 @@ func TestMarkSinceWindows(t *testing.T) {
 	c.WalksFound(4)
 	c.WalkBuilt()
 
-	st := c.Since(m)
-	if st.Op(OpScan).Count != 1 || st.Op(OpScan).RowsOut != 3 {
-		t.Fatalf("windowed scan stat = %+v", st.Op(OpScan))
+	st := c.Stats()
+	if st.Ops[OpScan].Count != 1 || st.Ops[OpScan].RowsOut != 3 {
+		t.Fatalf("scan stat = %+v", st.Ops[OpScan])
 	}
-	if st.NFAHits != 1 || st.NFAMisses != 0 || st.CSRReuses != 1 {
-		t.Fatalf("windowed cache stats = %+v", st)
+	want := map[Counter]int64{
+		NFAHits: 1, CSRReuses: 1, FrontierUsed: 100, ResultsUsed: 9,
+		PropIndexSeeks: 1, PropIndexBuilds: 2, WalksFound: 4, WalksBuilt: 1,
 	}
-	if st.FrontierUsed != 100 || st.ResultsUsed != 9 {
-		t.Fatalf("windowed budget = %+v", st)
+	for k := Counter(0); int(k) < numCounters; k++ {
+		if st.Counts[k] != want[k] {
+			t.Fatalf("%s = %d, want %d", k, st.Counts[k], want[k])
+		}
 	}
-	if st.PropIndexSeeks != 1 || st.PropIndexBuilds != 2 {
-		t.Fatalf("windowed index stats = %d seeks, %d builds", st.PropIndexSeeks, st.PropIndexBuilds)
-	}
-	if st.WalksFound != 4 || st.WalksBuilt != 1 {
-		t.Fatalf("windowed walks = %d found, %d built", st.WalksFound, st.WalksBuilt)
-	}
-	if got := len(c.SpansSince(m)); got != 1 {
-		t.Fatalf("SpansSince = %d spans, want 1", got)
-	}
-	// A stale mark beyond the history is harmless.
-	c2 := NewCollector()
-	if got := c2.SpansSince(m); got != nil {
-		t.Fatalf("stale mark returned %d spans", len(got))
+	if got := len(c.Spans()); got != 1 {
+		t.Fatalf("Spans = %d spans, want 1", got)
 	}
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	c := NewCollector()
+	var c Collector
+	c.Reset(nil, true)
 	c.Start(OpJoin).Rows(4, 2).End()
 	c.NFAEvent(true)
 	c.PropIndexEvent(true, 1)
 	c.WalksFound(2)
 	c.WalkBuilt()
 	c.EnterSub()
-	c.Reset(nil)
-	if c.verbose.Load() {
-		t.Fatal("Reset(nil) should disable verbose")
-	}
-	if st := c.Stats(); st.Op(OpJoin).Count != 0 || st.NFAHits != 0 || st.PropIndexSeeks != 0 || st.PropIndexBuilds != 0 || st.WalksFound != 0 || st.WalksBuilt != 0 {
+	c.Reset(nil, false)
+	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("stats after reset = %+v", st)
 	}
+	if len(c.Spans()) != 0 {
+		t.Fatalf("spans after reset = %+v", c.Spans())
+	}
 	if c.Start(OpScan).Verbose() {
-		t.Fatal("span verbose after Reset(nil)")
+		t.Fatal("span verbose after Reset(nil, false)")
 	}
-	if d := c.depth.Load(); d != 0 {
-		t.Fatalf("depth after reset = %d", d)
+	if c.depth != 0 {
+		t.Fatalf("depth after reset = %d", c.depth)
 	}
-	c.Reset(handlerFunc{})
-	if !c.verbose.Load() {
-		t.Fatal("Reset with handler should enable verbose")
+	c.Reset(handlerFunc{}, true)
+	if !c.Start(OpScan).Verbose() {
+		t.Fatal("Reset(h, true) should record labels")
+	}
+}
+
+// TestEveryCounterReachesMetrics: each event method, called once, shows
+// in the statement's Stats under its counter and, once observed, in
+// the registry's Metrics JSON under the counter's name. Every counter
+// must be reached by some event.
+func TestEveryCounterReachesMetrics(t *testing.T) {
+	events := []struct {
+		name string
+		call func(c *Collector)
+		want map[Counter]int64
+	}{
+		{"NFAEvent hit", func(c *Collector) { c.NFAEvent(true) }, map[Counter]int64{NFAHits: 1}},
+		{"NFAEvent miss", func(c *Collector) { c.NFAEvent(false) }, map[Counter]int64{NFAMisses: 1}},
+		{"CSREvent hit", func(c *Collector) { c.CSREvent(true) }, map[Counter]int64{CSRReuses: 1}},
+		{"CSREvent miss", func(c *Collector) { c.CSREvent(false) }, map[Counter]int64{CSRBuilds: 1}},
+		{"SnapshotBuild full", func(c *Collector) { c.SnapshotBuild(false, false, 0, 0, 0) },
+			map[Counter]int64{SnapshotFullBuilds: 1}},
+		{"SnapshotBuild delta", func(c *Collector) { c.SnapshotBuild(true, false, 3, 40, 5) },
+			map[Counter]int64{SnapshotDeltaApplies: 1, SnapshotDeltaOps: 3, SnapshotBytesShared: 40, SnapshotBytesCopied: 5}},
+		{"SnapshotBuild fallback", func(c *Collector) { c.SnapshotBuild(false, true, 0, 0, 0) },
+			map[Counter]int64{SnapshotFallbacks: 1}},
+		{"RecordBudget", func(c *Collector) { c.RecordBudget(6, 7) }, map[Counter]int64{FrontierUsed: 6, ResultsUsed: 7}},
+		{"PropColEvent", func(c *Collector) { c.PropColEvent(8, 2) }, map[Counter]int64{PropColHits: 8, PropColFallbacks: 2}},
+		{"PropIndexEvent", func(c *Collector) { c.PropIndexEvent(true, 3) }, map[Counter]int64{PropIndexSeeks: 1, PropIndexBuilds: 3}},
+		{"WalksFound", func(c *Collector) { c.WalksFound(9) }, map[Counter]int64{WalksFound: 9}},
+		{"WalkBuilt", func(c *Collector) { c.WalkBuilt() }, map[Counter]int64{WalksBuilt: 1}},
+		{"PlanCacheEvent hit", func(c *Collector) { c.PlanCacheEvent(true, 11*time.Nanosecond) },
+			map[Counter]int64{PlanCacheHits: 1, PlanCacheCompileNS: 11}},
+		{"PlanCacheEvent miss", func(c *Collector) { c.PlanCacheEvent(false, 13*time.Nanosecond) },
+			map[Counter]int64{PlanCacheMisses: 1, PlanCacheCompileNS: 13}},
+	}
+	reached := map[Counter]bool{}
+	for _, ev := range events {
+		var c Collector
+		ev.call(&c)
+		st := c.Stats()
+		r := NewRegistry()
+		r.Observe(st, nil)
+		raw, err := json.Marshal(r.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for k := Counter(0); int(k) < numCounters; k++ {
+			want := ev.want[k]
+			if st.Counts[k] != want {
+				t.Errorf("%s: Stats %s = %d, want %d", ev.name, k, st.Counts[k], want)
+			}
+			if want == 0 {
+				continue
+			}
+			reached[k] = true
+			if got, ok := fields[k.String()].(float64); !ok || int64(got) != want {
+				t.Errorf("%s: Metrics JSON %q = %v, want %d", ev.name, k, fields[k.String()], want)
+			}
+		}
+	}
+	for k := Counter(0); int(k) < numCounters; k++ {
+		if !reached[k] {
+			t.Errorf("no event reaches counter %s", k)
+		}
 	}
 }
 
@@ -168,39 +231,14 @@ func TestTraceHandlerEvents(t *testing.T) {
 		onStart: func(op Op, depth int) { mu.Lock(); starts = append(starts, op); mu.Unlock() },
 		onEnd:   func(sp Span) { mu.Lock(); ends = append(ends, sp); mu.Unlock() },
 	}
-	c := NewCollector()
-	c.SetHandler(h)
+	var c Collector
+	c.Reset(h, true)
 	c.Start(OpExpand).SetLabel("expand").Rows(5, 9).End()
 	if len(starts) != 1 || starts[0] != OpExpand {
 		t.Fatalf("starts = %v", starts)
 	}
 	if len(ends) != 1 || ends[0].Label != "expand" || ends[0].RowsOut != 9 {
 		t.Fatalf("ends = %+v", ends)
-	}
-}
-
-func TestCollectorConcurrency(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				c.Start(OpExpand).Rows(1, 1).End()
-				c.NFAEvent(i%2 == 0)
-				c.Mark()
-				c.Stats()
-			}
-		}()
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Op(OpExpand).Count != 8*200 {
-		t.Fatalf("count = %d, want %d", st.Op(OpExpand).Count, 8*200)
-	}
-	if st.NFAHits+st.NFAMisses != 8*200 {
-		t.Fatalf("nfa events = %d", st.NFAHits+st.NFAMisses)
 	}
 }
 
@@ -216,11 +254,19 @@ func TestOpString(t *testing.T) {
 	if Op(200).String() != "op?" {
 		t.Fatalf("out-of-range Op string = %q", Op(200).String())
 	}
+	names := map[string]bool{}
+	for k := Counter(0); int(k) < numCounters; k++ {
+		s := k.String()
+		if s == "" || s == "counter?" || names[s] {
+			t.Fatalf("Counter(%d).String() = %q", k, s)
+		}
+		names[s] = true
+	}
 }
 
 func TestRegistryObserveSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := NewCollector()
+	var c Collector
 	c.Start(OpScan).Rows(0, 10).End()
 	c.Start(OpReach).Frontier(5, 12).Rows(0, 4).End()
 	c.NFAEvent(false)

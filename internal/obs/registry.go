@@ -12,24 +12,8 @@ type Registry struct {
 	queries atomic.Int64
 	errors  atomic.Int64
 
-	ops [numOps]opCounters
-
-	nfaHits      atomic.Int64
-	nfaMisses    atomic.Int64
-	csrReuses    atomic.Int64
-	csrBuilds    atomic.Int64
-	snapFull     atomic.Int64
-	snapDeltas   atomic.Int64
-	snapFalls    atomic.Int64
-	snapDeltaOps atomic.Int64
-	snapShared   atomic.Int64
-	snapCopied   atomic.Int64
-	frontierUsed atomic.Int64
-	resultsUsed  atomic.Int64
-	propIdxSeeks atomic.Int64
-	propIdxBuild atomic.Int64
-	walksFound   atomic.Int64
-	walksBuilt   atomic.Int64
+	ops    [numOps]opCounters
+	counts [numCounters]atomic.Int64
 }
 
 type opCounters struct {
@@ -66,22 +50,11 @@ func (r *Registry) Observe(st Stats, err error) {
 		oc.arrivals.Add(os.Arrivals)
 		oc.elapsed.Add(int64(os.Elapsed))
 	}
-	r.nfaHits.Add(st.NFAHits)
-	r.nfaMisses.Add(st.NFAMisses)
-	r.csrReuses.Add(st.CSRReuses)
-	r.csrBuilds.Add(st.CSRBuilds)
-	r.snapFull.Add(st.SnapshotFullBuilds)
-	r.snapDeltas.Add(st.SnapshotDeltaApplies)
-	r.snapFalls.Add(st.SnapshotFallbacks)
-	r.snapDeltaOps.Add(st.SnapshotDeltaOps)
-	r.snapShared.Add(st.SnapshotBytesShared)
-	r.snapCopied.Add(st.SnapshotBytesCopied)
-	r.frontierUsed.Add(st.FrontierUsed)
-	r.resultsUsed.Add(st.ResultsUsed)
-	r.propIdxSeeks.Add(st.PropIndexSeeks)
-	r.propIdxBuild.Add(st.PropIndexBuilds)
-	r.walksFound.Add(st.WalksFound)
-	r.walksBuilt.Add(st.WalksBuilt)
+	for k, n := range st.Counts {
+		if n != 0 {
+			r.counts[k].Add(n)
+		}
+	}
 }
 
 // OpMetrics is the exported aggregate for one operator class.
@@ -110,6 +83,7 @@ type Metrics struct {
 
 	Operators map[string]OpMetrics `json:"operators"`
 
+	// The statement counters, one field per Counter under its name.
 	NFACacheHits   int64 `json:"nfa_cache_hits"`
 	NFACacheMisses int64 `json:"nfa_cache_misses"`
 	CSRReuses      int64 `json:"csr_reuses"`
@@ -128,6 +102,11 @@ type Metrics struct {
 	SnapshotBytesShared  int64 `json:"snapshot_bytes_shared,omitempty"`
 	SnapshotBytesCopied  int64 `json:"snapshot_bytes_copied,omitempty"`
 
+	// Predicate rows answered from the snapshot's property columns, and
+	// rows that fell back to the interpreter.
+	PropColHits      int64 `json:"prop_col_hits"`
+	PropColFallbacks int64 `json:"prop_col_fallbacks"`
+
 	// Equality seeks: node scans whose candidates came from a property
 	// column's value index, and the indexes built for them (one per
 	// sought column per snapshot version that rewrote it).
@@ -139,9 +118,10 @@ type Metrics struct {
 	RPQWalksFound int64 `json:"rpq_walks_found"`
 	RPQWalksBuilt int64 `json:"rpq_walks_built"`
 
-	// Plan-cache lifetime counters. These are not fed through Observe:
-	// the cache outlives statements, so the engine fills them from the
-	// cache's own counters when it snapshots.
+	// Plan-cache lifetime counters. The engine replaces the registry's
+	// sums with the cache's own counters when it snapshots: the cache
+	// outlives statements, and evictions and occupancy are not
+	// statement events.
 	PlanCacheHits      int64 `json:"plan_cache_hits"`
 	PlanCacheMisses    int64 `json:"plan_cache_misses"`
 	PlanCacheEvictions int64 `json:"plan_cache_evictions"`
@@ -186,21 +166,26 @@ func (r *Registry) Snapshot() Metrics {
 			Elapsed:   time.Duration(ns),
 		}
 	}
-	m.NFACacheHits = r.nfaHits.Load()
-	m.NFACacheMisses = r.nfaMisses.Load()
-	m.CSRReuses = r.csrReuses.Load()
-	m.CSRBuilds = r.csrBuilds.Load()
-	m.SnapshotFullBuilds = r.snapFull.Load()
-	m.SnapshotDeltaApplies = r.snapDeltas.Load()
-	m.SnapshotFallbacks = r.snapFalls.Load()
-	m.SnapshotDeltaOps = r.snapDeltaOps.Load()
-	m.SnapshotBytesShared = r.snapShared.Load()
-	m.SnapshotBytesCopied = r.snapCopied.Load()
-	m.FrontierUsed = r.frontierUsed.Load()
-	m.ResultsUsed = r.resultsUsed.Load()
-	m.PropIndexSeeks = r.propIdxSeeks.Load()
-	m.PropIndexBuilds = r.propIdxBuild.Load()
-	m.RPQWalksFound = r.walksFound.Load()
-	m.RPQWalksBuilt = r.walksBuilt.Load()
+	m.NFACacheHits = r.counts[NFAHits].Load()
+	m.NFACacheMisses = r.counts[NFAMisses].Load()
+	m.CSRReuses = r.counts[CSRReuses].Load()
+	m.CSRBuilds = r.counts[CSRBuilds].Load()
+	m.SnapshotFullBuilds = r.counts[SnapshotFullBuilds].Load()
+	m.SnapshotDeltaApplies = r.counts[SnapshotDeltaApplies].Load()
+	m.SnapshotFallbacks = r.counts[SnapshotFallbacks].Load()
+	m.SnapshotDeltaOps = r.counts[SnapshotDeltaOps].Load()
+	m.SnapshotBytesShared = r.counts[SnapshotBytesShared].Load()
+	m.SnapshotBytesCopied = r.counts[SnapshotBytesCopied].Load()
+	m.FrontierUsed = r.counts[FrontierUsed].Load()
+	m.ResultsUsed = r.counts[ResultsUsed].Load()
+	m.PropColHits = r.counts[PropColHits].Load()
+	m.PropColFallbacks = r.counts[PropColFallbacks].Load()
+	m.PropIndexSeeks = r.counts[PropIndexSeeks].Load()
+	m.PropIndexBuilds = r.counts[PropIndexBuilds].Load()
+	m.RPQWalksFound = r.counts[WalksFound].Load()
+	m.RPQWalksBuilt = r.counts[WalksBuilt].Load()
+	m.PlanCacheHits = r.counts[PlanCacheHits].Load()
+	m.PlanCacheMisses = r.counts[PlanCacheMisses].Load()
+	m.PlanCacheCompileNS = r.counts[PlanCacheCompileNS].Load()
 	return m
 }

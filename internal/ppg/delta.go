@@ -40,8 +40,8 @@ type Delta struct {
 // MaxDeltaOps bounds the per-graph delta buffer. A burst of mutations
 // past this size is no longer "a delta" in any useful sense — the
 // full rebuild is both simpler and cheaper — so recording stops and
-// the next snapshot rebuilds. Variable for tests.
-var MaxDeltaOps = 1 << 16
+// the next snapshot rebuilds.
+const MaxDeltaOps = 1 << 16
 
 // startDelta begins a fresh recording epoch: the graph state the
 // current snapshot cache reflects is the delta's base. Called under

@@ -42,11 +42,8 @@ type rtrans struct {
 }
 
 // resolve maps an automaton's transition labels to interned ids,
-// memoised per engine (one resolution per (engine, automaton) pair —
-// concurrent searches share it).
+// memoised per engine (one resolution per (engine, automaton) pair).
 func (e *Engine) resolve(nfa *NFA) [][]rtrans {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.resCache == nil {
 		e.resCache = map[*NFA][][]rtrans{}
 	}

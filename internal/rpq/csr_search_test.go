@@ -185,11 +185,11 @@ func TestRecycledScratchNeverLeaks(t *testing.T) {
 	}
 	for _, limit := range []int{10, 500} {
 		stopped := NewEngine(ds.Social, nil)
-		stopped.SetGovernor(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}))
+		stopped.Attach(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}), nil)
 		if _, err := stopped.ShortestPaths(src, nfa, 3); err == nil {
 			t.Fatalf("k-shortest search under a frontier budget of %d was not stopped", limit)
 		}
-		stopped.SetGovernor(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}))
+		stopped.Attach(gov.New(context.Background(), gov.Limits{MaxPathFrontier: limit}), nil)
 		if _, err := stopped.Reachable(src, nfa); err == nil {
 			t.Fatalf("reachability sweep under a frontier budget of %d was not stopped", limit)
 		}

@@ -1,8 +1,6 @@
 package rpq
 
 import (
-	"sync"
-
 	"gcore/internal/csr"
 	"gcore/internal/gov"
 	"gcore/internal/obs"
@@ -48,22 +46,16 @@ type Engine struct {
 	col *obs.Collector
 
 	// snap is the CSR snapshot of g the kernels (csr_search.go) run
-	// over. The resolved-transition cache is shared by concurrent
-	// searches on the same engine, hence the mutex.
+	// over; resCache memoises each automaton's resolved transitions.
 	snap     *csr.Snapshot
-	mu       sync.Mutex
 	resCache map[*NFA][][]rtrans
 }
 
-// SetGovernor attaches a query governor to the engine's search loops.
-// Searches already running are unaffected; nil detaches.
-func (e *Engine) SetGovernor(g *gov.Governor) { e.gov = g }
-
-// SetCollector attaches an observability collector: each kernel run
-// (k-shortest, reachability, ALL-paths) records one span with its
-// frontier totals. Nil detaches. The collector is internally
-// synchronised, so concurrent searches on one engine may share it.
-func (e *Engine) SetCollector(col *obs.Collector) { e.col = col }
+// Attach binds the engine to one statement: g governs its search loops
+// and col receives one span per kernel run (k-shortest, reachability,
+// ALL-paths) with its frontier totals. Either may be nil. An engine,
+// like the statement it serves, is used from one goroutine.
+func (e *Engine) Attach(g *gov.Governor, col *obs.Collector) { e.gov, e.col = g, col }
 
 // NewEngine creates an engine; views may be nil if the regexes used
 // contain no ~view references. Searches run over the graph's CSR

@@ -230,8 +230,8 @@ func TestShortestMatchesHeapReference(t *testing.T) {
 			views = oracleView(r, g)
 		}
 		eng := NewEngine(g, views)
-		col := obs.NewCollector()
-		eng.SetCollector(col)
+		var col obs.Collector
+		eng.Attach(nil, &col)
 		for ri := 0; ri < 6; ri++ {
 			rx := oracleRegex(r, 3, weighted)
 			nfa, err := Compile(rx)
@@ -245,12 +245,12 @@ func TestShortestMatchesHeapReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: heap: %v", name, err)
 					}
-					m := col.Mark()
+					col.Reset(nil, false)
 					got, err := eng.ShortestPaths(src, nfa, k)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if arr := col.Since(m).Ops[obs.OpShortest].Arrivals; arr > int64(wantArr) {
+					if arr := col.Stats().Ops[obs.OpShortest].Arrivals; arr > int64(wantArr) {
 						t.Fatalf("%s: %d arrivals, heap queued %d", name, arr, wantArr)
 					}
 					if got.Len() != want.Len() {

@@ -3,6 +3,7 @@ package gcore_test
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -13,15 +14,20 @@ import (
 	"gcore/internal/parser"
 )
 
-// Observability tests. Attaching a collector or a trace handler must
-// never change what a query returns. EXPLAIN ANALYZE is checked on
-// every paper example.
+// Observability tests. Attaching a trace handler must never change
+// what a query returns. EXPLAIN ANALYZE is checked on every paper
+// example.
 
 // evalObserved runs one query on a fresh engine built by setup with a
-// collector attached and returns the rendered result.
+// recording trace handler attached and returns the rendered result.
 func evalObserved(t *testing.T, setup func(*testing.T, ...gcore.Option) *gcore.Engine, query string) string {
 	t.Helper()
-	return renderResult(setup(t, gcore.WithCollector(gcore.NewCollector())).Eval(query))
+	rec := &traceRecorder{}
+	out := renderResult(setup(t, gcore.WithTraceHandler(rec)).Eval(query))
+	if rec.starts == 0 || rec.starts != len(rec.ends) {
+		t.Fatalf("unbalanced span events: %d starts, %d ends", rec.starts, len(rec.ends))
+	}
+	return out
 }
 
 // TestObservabilityDifferentialPaper: on every paper example,
@@ -242,5 +248,72 @@ func TestMetricsAccumulate(t *testing.T) {
 	}
 	if m.Operators["statement"].ElapsedNS <= 0 {
 		t.Fatal("statement elapsed time not recorded")
+	}
+}
+
+// TestExplainAnalyzeConcurrent: EXPLAIN ANALYZE runs of one k-shortest
+// statement on one engine, eight goroutines at a time, each render the
+// plan a single-goroutine run renders, times masked — no two
+// executions share a collector.
+func TestExplainAnalyzeConcurrent(t *testing.T) {
+	const query = `CONSTRUCT (n)-/@p:sp {distance := c}/->(m)
+MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`
+	times := regexp.MustCompile(`((?:time|compile)[= ])[^,)\] \n]+`)
+	eng := snbEngine(t)
+	analyze := func() (string, error) {
+		out, err := eng.ExplainAnalyze(query)
+		return times.ReplaceAllString(out, "${1}T"), err
+	}
+	// The first run compiles the plan and builds the snapshot; every
+	// later one hits both, so the second run is the reference.
+	if _, err := analyze(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "k-shortest ×1") {
+		t.Fatalf("no k-shortest kernel in the plan:\n%s", want)
+	}
+	const workers, runs = 8, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*runs)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				got, err := analyze()
+				if err == nil && got != want {
+					err = fmt.Errorf("concurrent plan diverged\ngot:\n%s\nwant:\n%s", got, want)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestMetricsPropColumns: predicate rows a `p.key = const` query
+// answers from the property columns reach the engine's lifetime
+// metrics, as they reach the EXPLAIN ANALYZE footer.
+func TestMetricsPropColumns(t *testing.T) {
+	eng := gcore.NewEngine()
+	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Eval(`CONSTRUCT (n) MATCH (n:Person) ON social_graph WHERE n.employer = 'Acme'`); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.PropColHits <= 0 {
+		t.Fatalf("PropColHits = %d after a columnar equality, want > 0", m.PropColHits)
 	}
 }
