@@ -64,7 +64,9 @@ func main() {
 	// concurrent readers stopped sharing snapshots.
 	// BenchmarkReply guards whole requests through the HTTP handler:
 	// a reply encoded more than once, or through reflection, shows up
-	// as an allocation jump on its path and point cases.
+	// as an allocation jump on its path and point cases, and search or
+	// builder scratch that stops being recycled as a B/op jump on its
+	// three path_analytics shapes (path, reach, shortest3).
 	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()

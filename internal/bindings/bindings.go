@@ -135,14 +135,14 @@ func (t *Table) RowTable(i int) *Table {
 	return out
 }
 
-// AppendSlab appends len(slab)/Width() rows laid out back to back in
-// slot order.
-func (t *Table) AppendSlab(slab []value.Value) {
-	if len(t.vars) == 0 {
-		return
-	}
-	t.data = append(t.data, slab...)
-	t.n += len(slab) / len(t.vars)
+// Grow makes room for n more rows, so the next n AppendRows do not
+// reallocate.
+func (t *Table) Grow(n int) { t.data = slices.Grow(t.data, n*len(t.vars)) }
+
+// AppendRow appends a copy of row, Width() values in slot order.
+func (t *Table) AppendRow(row []value.Value) {
+	t.data = append(t.data, row...)
+	t.n++
 }
 
 // Pick returns a new table holding the given rows, in the given order.
@@ -300,20 +300,25 @@ func rowsCompatibleOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []i
 // and the order in which CONSTRUCT mints identifiers for its groups.
 func CompareRows(a, b []value.Value) int {
 	for k := 0; k < len(a) && k < len(b); k++ {
-		x, y := a[k], b[k]
-		switch xa, ya := x.IsAbsent(), y.IsAbsent(); {
-		case xa && ya:
-			continue
-		case xa:
-			return -1
-		case ya:
-			return 1
-		}
-		if c := value.Compare(x, y); c != 0 {
+		if c := compareSlot(a[k], b[k]); c != 0 {
 			return c
 		}
 	}
 	return cmp.Compare(len(a), len(b))
+}
+
+// compareSlot orders two slot values as CompareRows does: unbound
+// before bound, bound values by value.Compare.
+func compareSlot(x, y value.Value) int {
+	switch xa, ya := x.IsAbsent(), y.IsAbsent(); {
+	case xa && ya:
+		return 0
+	case xa:
+		return -1
+	case ya:
+		return 1
+	}
+	return value.Compare(x, y)
 }
 
 // order returns the row indexes of t stably sorted by CompareRows over
@@ -341,16 +346,35 @@ func (t *Table) order(slots []int) []int {
 	return perm
 }
 
-// Sorted returns a copy whose rows are stably sorted by CompareRows
+// Sorted returns the table with its rows stably sorted by CompareRows
 // over the listed variables, in the order listed (all must be in the
 // schema); with none listed, over whole rows, which is the canonical
-// row order of deterministic output.
+// row order of deterministic output. A table already in that order is
+// returned itself, which is why the result must be treated as
+// read-only; any other is copied.
 func (t *Table) Sorted(vars ...string) *Table {
 	var slots []int
 	if len(vars) > 0 {
 		slots = slotsOf(t, vars)
 	}
+	if t.ascends(slots) {
+		return t
+	}
 	return t.Pick(t.order(slots))
+}
+
+// ascends reports whether the rows are in CompareRows order over the
+// listed slots (nil: whole rows).
+func (t *Table) ascends(slots []int) bool {
+	if slots == nil {
+		slots = t.allSlots()
+	}
+	for i := 1; i < t.n; i++ {
+		if t.compareOn(i-1, i, slots) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Groups partitions the rows of t by slot-wise equality (an unbound
@@ -359,23 +383,30 @@ func (t *Table) Sorted(vars ...string) *Table {
 // the groups in order of first appearance. Rows meet in value.Hash
 // buckets and are confirmed slot by slot, so two rows share a group
 // exactly when they are equal.
-func (t *Table) Groups() [][]int {
+func (t *Table) Groups() [][]int { return t.groupsOn(t.allSlots()) }
+
+func (t *Table) allSlots() []int {
 	all := make([]int, len(t.vars))
 	for i := range all {
 		all[i] = i
 	}
+	return all
+}
+
+// groupsOn is Groups over the listed slots only.
+func (t *Table) groupsOn(slots []int) [][]int {
 	type group struct{ first, size, next int } // next: older group, same hash
 	var gs []group
 	gid := make([]int, t.n)
 	head := map[uint64]int{} // hash → newest group with that hash
 	for i := 0; i < t.n; i++ {
-		h := t.rowHash(i, all)
+		h := t.rowHash(i, slots)
 		top, seen := head[h]
 		if !seen {
 			top = -1
 		}
 		g := top
-		for g >= 0 && !rowsEqualOn(t, i, all, t, gs[g].first, all) {
+		for g >= 0 && !rowsEqualOn(t, i, slots, t, gs[g].first, slots) {
 			g = gs[g].next
 		}
 		if g < 0 {
@@ -397,6 +428,65 @@ func (t *Table) Groups() [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
+}
+
+// compareOn is CompareRows of rows i and j restricted to the listed
+// slots, in the order listed.
+func (t *Table) compareOn(i, j int, slots []int) int {
+	a, b := t.RowAt(i), t.RowAt(j)
+	for _, s := range slots {
+		if c := compareSlot(a[s], b[s]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// OrderedGroups partitions the rows of t by slot-wise equality on the
+// listed slots (nil: all of them), as Groups does, and returns the
+// groups ordered by CompareRows on those slots, rows in input order
+// within each. With
+// skipUnbound, the rows whose first listed slot is unbound belong to
+// no group. Rows that already ascend on the slots — a path step emits
+// its walks so, and a scan its nodes — are cut into runs of equal keys
+// in one pass; only rows out of order meet in hash buckets, and their
+// groups are sorted after.
+func (t *Table) OrderedGroups(slots []int, skipUnbound bool) [][]int {
+	if slots == nil {
+		slots = t.allSlots()
+	}
+	groups := t.runs(slots)
+	if groups == nil {
+		groups = t.groupsOn(slots)
+		slices.SortFunc(groups, func(g, h []int) int { return t.compareOn(g[0], h[0], slots) })
+	}
+	// Unbound sorts first: the skipped rows, all equal, lead.
+	if skipUnbound && len(groups) > 0 && t.RowAt(groups[0][0])[slots[0]].IsAbsent() {
+		groups = groups[1:]
+	}
+	return groups
+}
+
+// runs returns the runs of rows with equal keys on slots when the rows
+// ascend on them, and nil when they do not (or t is empty).
+func (t *Table) runs(slots []int) [][]int {
+	if t.n == 0 {
+		return nil
+	}
+	rows := make([]int, t.n)
+	var groups [][]int
+	start := 0
+	for i := 1; i < t.n; i++ {
+		rows[i] = i
+		switch c := t.compareOn(i-1, i, slots); {
+		case c > 0:
+			return nil
+		case c < 0:
+			groups = append(groups, rows[start:i:i])
+			start = i
+		}
+	}
+	return append(groups, rows[start:])
 }
 
 // matcher indexes the rows of a table for compatibility probes on the

@@ -41,7 +41,7 @@ func (ev *Evaluator) ExplainAnalyzeContext(ctx context.Context, stmt *ast.Statem
 
 // ExplainAnalyzeExec is the execution leg shared by the AST-level and
 // source-level (plan-cached) EXPLAIN ANALYZE entry points. Like every
-// execution it records into its own pooled collector, here with
+// execution it records into its own recycled collector, here with
 // labels on, and renders the plan before returning the collector.
 func (ev *Evaluator) ExplainAnalyzeExec(ctx context.Context, ex Exec) (string, error) {
 	if err := ex.ensureCompiled(); err != nil {

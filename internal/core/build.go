@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"gcore/internal/csr"
+	"gcore/internal/freelist"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
 )
@@ -20,11 +19,11 @@ import (
 // whichever way it came, so the two never disagree about what the
 // result holds.
 //
-// Builders are pooled: the bitsets, sized to the home snapshot, and
-// one walk's ordinal scratch outlive an execution, so a small
-// CONSTRUCT over a large graph allocates neither. Each execution takes
-// its own builder, so concurrent executions of one cached statement
-// never share one.
+// Builders are recycled through a free list: the bitsets, sized to the
+// home snapshot, and one walk's ordinal scratch outlive an execution,
+// so a small CONSTRUCT over a large graph allocates neither. Each
+// execution takes its own builder, so concurrent executions of one
+// cached statement never share one.
 type builder struct {
 	c      *evalCtx
 	graphs []*ppg.Graph
@@ -39,22 +38,21 @@ type builder struct {
 	walkNodes, walkEdges []int32 // one walk's ordinals
 }
 
-var builderPool = sync.Pool{New: func() any {
-	b := new(builder)
-	b.nodes.key = func(n *ppg.Node) uint64 { return uint64(n.ID) }
-	b.edges.key = func(e *ppg.Edge) uint64 { return uint64(e.ID) }
-	b.paths.key = func(p *ppg.Path) uint64 { return uint64(p.ID) }
-	return b
-}}
+var builderFree freelist.List[builder]
 
-// newBuilder takes a builder from the pool for one execution.
+// newBuilder takes a builder from the free list for one execution.
 func newBuilder(c *evalCtx, graphs []*ppg.Graph) *builder {
-	b := builderPool.Get().(*builder)
+	b := builderFree.Get()
+	if b.nodes.key == nil {
+		b.nodes.key = func(n *ppg.Node) uint64 { return uint64(n.ID) }
+		b.edges.key = func(e *ppg.Edge) uint64 { return uint64(e.ID) }
+		b.paths.key = func(p *ppg.Path) uint64 { return uint64(p.ID) }
+	}
 	b.c, b.graphs = c, graphs
 	return b
 }
 
-// release returns b to the pool once the result is assembled. The
+// release returns b to the free list once the result is assembled. The
 // element lists and the index go to the collector with everything else
 // the result does not hold; the bitsets and the walk scratch stay,
 // emptied.
@@ -63,7 +61,7 @@ func (b *builder) release() {
 	b.edges.reset()
 	b.paths.reset()
 	b.c, b.graphs, b.home, b.homeDone = nil, nil, nil, false
-	builderPool.Put(b)
+	builderFree.Put(b)
 }
 
 // elems is the result's elements of one sort, in insertion order. The

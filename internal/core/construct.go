@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"gcore/internal/ast"
@@ -278,11 +277,11 @@ func (c *evalCtx) groupFor(env *env, tbl *bindings.Table, varName string, groupE
 				keys.Set(ri, k, v)
 			}
 		}
-		return orderedGroups(keys, false), nil
+		return keys.OrderedGroups(nil, false), nil
 	case varName != "" && tbl.HasVar(varName):
-		return orderedGroups(tbl.Project([]string{varName}), true), nil
+		return tbl.OrderedGroups([]int{tbl.SlotOf(varName)}, true), nil
 	default:
-		return orderedGroups(tbl, false), nil
+		return tbl.OrderedGroups(nil, false), nil
 	}
 }
 
@@ -295,23 +294,6 @@ func keyTable(n, width int) *bindings.Table {
 		vars[c] = fmt.Sprintf("%0*d", digits, c)
 	}
 	return bindings.Blank(n, vars...)
-}
-
-// orderedGroups groups the rows of keys, a table row-aligned with the
-// match table, by slot-wise equality and returns the groups ordered by
-// CompareRows on their key rows, rows in input order within each. With
-// skipUnbound, the rows whose first key slot is unbound belong to no
-// group.
-func orderedGroups(keys *bindings.Table, skipUnbound bool) [][]int {
-	groups := keys.Groups()
-	slices.SortFunc(groups, func(g, h []int) int {
-		return bindings.CompareRows(keys.RowAt(g[0]), keys.RowAt(h[0]))
-	})
-	// Unbound sorts first: the skipped rows, all equal, lead.
-	if skipUnbound && len(groups) > 0 && keys.RowAt(groups[0][0])[0].IsAbsent() {
-		groups = groups[1:]
-	}
-	return groups
 }
 
 func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
@@ -447,9 +429,9 @@ func (c *evalCtx) constructEdge(env *env, b *builder, ep *ast.EdgePattern, ic *i
 	// endpoint pair (which subsumes Γx ∪ Γy ∪ {x,y}) plus explicit
 	// GROUP expressions. A row missing an endpoint keeps an unbound key
 	// and builds no edge (dangling prevention).
-	var keys *bindings.Table
+	keys, keySlots := tbl, []int(nil)
 	if bound {
-		keys = tbl.Project([]string{ep.Var})
+		keySlots = []int{tbl.SlotOf(ep.Var)}
 	} else {
 		keys = keyTable(tbl.Len(), 2+len(ep.Group))
 		group := c.exprs(ep.Group)
@@ -473,7 +455,7 @@ func (c *evalCtx) constructEdge(env *env, b *builder, ep *ast.EdgePattern, ic *i
 	}
 
 	slot := cons.SlotOf(edgeVar)
-	for _, grp := range orderedGroups(keys, true) {
+	for _, grp := range keys.OrderedGroups(keySlots, true) {
 		if err := c.gov.Checkpoint(faultinject.SiteCoreConstruct); err != nil {
 			return err
 		}
@@ -578,8 +560,8 @@ func (c *evalCtx) constructPath(env *env, b *builder, pp *ast.PathPattern, ic *i
 	// Group by path identity. The computed paths are looked up first,
 	// so the arena and the slab take exactly the room the stored walks
 	// need.
-	groups := orderedGroups(tbl.Project([]string{pp.Var}), true)
 	refSlot, slot := tbl.SlotOf(pp.Var), cons.SlotOf(pathVar)
+	groups := tbl.OrderedGroups([]int{refSlot}, true)
 	tps := make([]*tempPath, len(groups))
 	var nodeRoom, edgeRoom, pathRoom int
 	for gi, grp := range groups {

@@ -27,6 +27,7 @@ import (
 	"gcore/internal/catalog"
 	"gcore/internal/csr"
 	"gcore/internal/faultinject"
+	"gcore/internal/freelist"
 	"gcore/internal/gov"
 	"gcore/internal/obs"
 	"gcore/internal/plancache"
@@ -71,7 +72,7 @@ type Evaluator struct {
 	// collectors recycles the per-statement collectors. Each execution
 	// takes its own: statements run concurrently under the engine's
 	// read lock, one goroutine each, and a collector belongs to one.
-	collectors sync.Pool
+	collectors freelist.List[obs.Collector]
 
 	// planCache holds compiled statements keyed on normalised source
 	// text (see prepared.go).
@@ -94,14 +95,12 @@ func New(cat *catalog.Catalog) *Evaluator { return NewAblated(cat, Ablation{}) }
 // NewAblated is New with optimisations switched off (tests and
 // ablation benchmarks only).
 func NewAblated(cat *catalog.Catalog, ab Ablation) *Evaluator {
-	ev := &Evaluator{
+	return &Evaluator{
 		cat:       cat,
 		ablation:  ab,
 		registry:  obs.NewRegistry(),
 		planCache: plancache.New(0),
 	}
-	ev.collectors.New = func() any { return new(obs.Collector) }
-	return ev
 }
 
 // Catalog returns the evaluator's catalog.
@@ -420,11 +419,11 @@ func (ev *Evaluator) EvalExec(ctx context.Context, ex Exec) (*Result, error) {
 	return ev.evalGoverned(ctx, col, ex)
 }
 
-// collector takes a reset collector from the pool for one execution;
+// collector takes a reset collector from the free list for one execution;
 // verbose records span labels. The caller returns it with
 // ev.collectors.Put once it has read the spans.
 func (ev *Evaluator) collector(verbose bool) *obs.Collector {
-	col := ev.collectors.Get().(*obs.Collector)
+	col := ev.collectors.Get()
 	col.Reset(ev.trace, verbose)
 	return col
 }

@@ -308,32 +308,33 @@ type propCombo struct {
 	vals []value.Value
 }
 
-// appendCombos appends one dense row per combination of combo values
-// to dst, expanding depth-first in spec order (later specs vary
-// fastest): binding entries ({employer=e}) unroll to one row per
-// element of the property's value set. A pre-bound slot survives only
-// when its value is a member of the spec's (deduplicated) value set;
-// an empty value set drops the row (§3: Peter, without employer,
-// simply drops out). scratch is restored on return.
-func appendCombos(dst []value.Value, scratch []value.Value, combos []propCombo) []value.Value {
+// appendCombos appends to dst one row per combination of combo values,
+// expanding depth-first in spec order (later specs vary fastest):
+// binding entries ({employer=e}) unroll to one row per element of the
+// property's value set. A pre-bound slot survives only when its value
+// is a member of the spec's (deduplicated) value set; an empty value
+// set drops the row (§3: Peter, without employer, simply drops out).
+// scratch is restored on return.
+func appendCombos(dst *bindings.Table, scratch []value.Value, combos []propCombo) {
 	if len(combos) == 0 {
-		return append(dst, scratch...)
+		dst.AppendRow(scratch)
+		return
 	}
 	cb := combos[0]
 	if prev := scratch[cb.slot]; !prev.IsAbsent() {
 		for _, v := range cb.vals {
 			if value.Equal(prev, v) {
-				return appendCombos(dst, scratch, combos[1:])
+				appendCombos(dst, scratch, combos[1:])
+				return
 			}
 		}
-		return dst
+		return
 	}
 	for _, v := range cb.vals {
 		scratch[cb.slot] = v
-		dst = appendCombos(dst, scratch, combos[1:])
+		appendCombos(dst, scratch, combos[1:])
 	}
 	scratch[cb.slot] = value.Absent
-	return dst
 }
 
 // hasCombo reports whether appendCombos would append at least one row.
@@ -411,7 +412,6 @@ func (c *evalCtx) scanNodes(g *ppg.Graph, np *ast.NodePattern, varName string, c
 	preds := c.prefilterPreds(snap, np, varName, tbl.HasVar, conjs)
 	ords, labelTests, stat := scanCandidates(snap, resolveSpec(snap, np.Labels), preds)
 	c.col.PropIndexEvent(stat.seekKey != "", stat.builds)
-	var slab []value.Value
 	scratch := make([]value.Value, w)
 	var combos []propCombo
 	var colHits int64
@@ -445,8 +445,7 @@ cands:
 		}
 		scratch[varSlot] = value.NodeRef(uint64(snap.NodeID(u)))
 		combos = bp.addCombos(combos[:0], n.Props)
-		slab = appendCombos(slab[:0], scratch, combos)
-		tbl.AppendSlab(slab)
+		appendCombos(tbl, scratch, combos)
 		if err := c.checkBudget(tbl); err != nil {
 			return nil, stat, err
 		}
@@ -472,7 +471,6 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 	ex := newExtendPlan(tbl, out, leftVar, edgeVar, rightVar, ep.Props, rightNp)
 	gate := c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs, only)
 
-	var slab []value.Value
 	scratch := make([]value.Value, out.Width())
 	var combos []propCombo
 	var colHits int64
@@ -490,7 +488,6 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 		if !ok {
 			continue
 		}
-		slab = slab[:0]
 		emit := func(eo, otherOrd int32) error {
 			if !eSpec.matchesEdge(snap, eo) {
 				return nil
@@ -507,7 +504,7 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 				return err
 			}
 			combos = ex.fill(scratch, row, link, uint64(snap.NodeID(otherOrd)), e.Props, snap.Node(otherOrd).Props, combos)
-			slab = appendCombos(slab, scratch, combos)
+			appendCombos(out, scratch, combos)
 			return nil
 		}
 		if ep.Dir == ast.DirOut || ep.Dir == ast.DirBoth {
@@ -527,7 +524,6 @@ func (c *evalCtx) extendEdge(g *ppg.Graph, tbl *bindings.Table, leftVar string, 
 				}
 			}
 		}
-		out.AppendSlab(slab)
 		if err := c.checkBudget(out); err != nil {
 			return nil, err
 		}

@@ -355,6 +355,7 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		destGate: c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs, nil),
 		pp:       pp,
 		costOut:  -1,
+		out:      out,
 		scratch:  make([]value.Value, out.Width()),
 	}
 	if pp.CostVar != "" {
@@ -387,8 +388,6 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 		if err := c.gov.Checkpoint(faultinject.SiteCorePath); err != nil {
 			return nil, err
 		}
-		out.AppendSlab(ps.slab)
-		ps.slab = ps.slab[:0]
 		if err := c.checkBudget(out); err != nil {
 			return nil, err
 		}
@@ -412,7 +411,6 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 			return nil, err
 		}
 	}
-	out.AppendSlab(ps.slab)
 	c.col.PropColEvent(ps.colHits, 0)
 	return out, nil
 }
@@ -472,11 +470,12 @@ type pathStep struct {
 	costOut  int   // output slot of the COST variable, -1 without one
 	hasViews bool  // COST binds the summed view cost, not the hop count
 
+	out     *bindings.Table // the rows go straight in
 	scratch []value.Value
 	combos  []propCombo
-	slab    []value.Value // rows of the current input row
-	cands   []walkRef     // k-shortest candidates of one destination
-	taken   []walkRef     // the distinct ones among them
+	cands   []walkRef  // k-shortest candidates of one destination
+	taken   []walkRef  // the distinct ones among them
+	tps     []tempPath // the slab the step's walks are cut from
 }
 
 // emit appends the rows of one destination u that passed the gate: the
@@ -488,7 +487,17 @@ func (ps *pathStep) emit(row []value.Value, link value.Value, u int32, cost valu
 	if ps.costOut >= 0 && !cost.IsAbsent() {
 		ps.scratch[ps.costOut] = cost
 	}
-	ps.slab = appendCombos(ps.slab, ps.scratch, ps.combos)
+	appendCombos(ps.out, ps.scratch, ps.combos)
+}
+
+// grow makes room in the output for one row per destination of a
+// search. It does so only when the gate holds no WHERE conjunct: a
+// conjunct may drop most destinations, while one that passes the
+// labels alone usually gets a row.
+func (ps *pathStep) grow(dsts int) {
+	if len(ps.preds) == 0 {
+		ps.out.Grow(dsts)
+	}
 }
 
 // reachRows emits the reachability rows of one input row. The
@@ -509,6 +518,7 @@ func (ps *pathStep) reachRows(sc *searches, row []value.Value, src ppg.NodeID) e
 		slices.Sort(both)
 		dsts = slices.Compact(both)
 	}
+	ps.grow(len(dsts))
 	for _, dst := range dsts {
 		u, ok := ps.snap.Ord(dst)
 		if !ok {
@@ -549,6 +559,7 @@ func (ps *pathStep) shortestRows(sc *searches, row []value.Value, src ppg.NodeID
 			return err
 		}
 		res[ni] = r
+		ps.grow(r.Len())
 	}
 	var next [2]int // per automaton, its next destination
 	for {
@@ -615,7 +626,8 @@ func (ps *pathStep) destWalks(res [2]*rpq.Shortest, lists [2][]int32, row []valu
 			continue
 		}
 		r := res[cd.ni]
-		tp := &tempPath{id: pid, snap: ps.snap, cost: r.Cost(cd.arr), length: r.Hops(cd.arr),
+		tp := &cut(&ps.tps, 1)[0]
+		*tp = tempPath{id: pid, snap: ps.snap, cost: r.Cost(cd.arr), length: r.Hops(cd.arr),
 			res: r, arr: cd.arr, reversed: ps.reversed(cd.ni), col: ps.c.col}
 		ps.c.tempPaths[pid] = tp
 		cost := value.Int(int64(tp.length))
@@ -735,7 +747,7 @@ func (ps *pathStep) storedRows(row []value.Value, src ppg.NodeID, nfa *rpq.NFA) 
 				return err
 			}
 			if pass {
-				ps.slab = appendCombos(ps.slab, ps.scratch, ps.combos)
+				appendCombos(ps.out, ps.scratch, ps.combos)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
@@ -55,47 +54,46 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 	}
 
 	// evalRow projects one µ (the current environment row) through the
-	// select items and ORDER BY keys, both carved from one allocation.
-	evalRow := func() (projRow, error) {
-		buf := make([]value.Value, len(sc.Items)+len(sc.OrderBy))
-		vals, keys := buf[:len(sc.Items):len(sc.Items)], buf[len(sc.Items):]
-		for i, it := range items {
+	// select items and ORDER BY keys into rows.
+	rows := &projRows{width: len(sc.Items), nkeys: len(sc.OrderBy)}
+	evalRow := func() error {
+		for _, it := range items {
 			v, err := it.eval(env)
 			if err != nil {
-				return projRow{}, err
+				return err
 			}
-			vals[i] = v
+			rows.vals = append(rows.vals, v)
 		}
+		vals := rows.vals[len(rows.vals)-len(items):]
 		for i, oi := range sc.OrderBy {
 			if vr, ok := oi.Expr.(*ast.VarRef); ok {
 				if col, isAlias := alias[vr.Name]; isAlias {
-					keys[i] = vals[col]
+					rows.keys = append(rows.keys, vals[col])
 					continue
 				}
 			}
 			v, err := orderKeys[i].eval(env)
 			if err != nil {
-				return projRow{}, err
+				return err
 			}
-			keys[i] = v
+			rows.keys = append(rows.keys, v)
 		}
-		return projRow{vals, keys}, nil
+		rows.n++
+		return nil
 	}
 
 	sorted := tbl.Sorted()
 	env.setTable(sorted)
-	var rows []projRow
 	if !hasAgg {
 		// No aggregates: one output row per binding.
+		rows.grow(sorted.Len())
 		for ri := 0; ri < sorted.Len(); ri++ {
 			env.rowIdx = ri
-			r, err := evalRow()
-			if err != nil {
+			if err := evalRow(); err != nil {
 				return nil, err
 			}
-			rows = append(rows, r)
 		}
-		return finishSelect(out, sc, rows)
+		return finishSelect(out, sc, rows), nil
 	}
 
 	// Aggregating: one output row per group of sorted rows, grouped by
@@ -127,67 +125,86 @@ func (c *evalCtx) evalSelect(s *scope, sc *ast.SelectClause, tbl *bindings.Table
 		groups = append(groups, []int{})
 	}
 
+	rows.grow(len(groups))
 	for _, g := range groups {
 		if len(g) > 0 {
 			env.rowIdx = g[0]
 		}
 		env.groupRows = g
-		r, err := evalRow()
-		if err != nil {
+		if err := evalRow(); err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
 	}
-	return finishSelect(out, sc, rows)
+	return finishSelect(out, sc, rows), nil
 }
 
-// projRow is one projected output row with its ORDER BY sort keys.
-type projRow struct {
-	vals []value.Value
-	keys []value.Value
+// projRows is the projected output, row by row back to back: row i's
+// items are vals[i*width:], its ORDER BY keys keys[i*nkeys:]. The
+// output table keeps vals as its rows.
+type projRows struct {
+	width, nkeys, n int
+	vals, keys      []value.Value
 }
+
+// grow makes room for n more rows.
+func (r *projRows) grow(n int) {
+	r.vals = slices.Grow(r.vals, n*r.width)
+	r.keys = slices.Grow(r.keys, n*r.nkeys)
+}
+
+func (r *projRows) row(i int) []value.Value {
+	return r.vals[i*r.width : (i+1)*r.width : (i+1)*r.width]
+}
+
+func (r *projRows) key(i int) []value.Value { return r.keys[i*r.nkeys : (i+1)*r.nkeys] }
 
 // finishSelect applies ORDER BY, DISTINCT and LIMIT to the projected
-// rows and fills the output table.
-func finishSelect(out *table.Table, sc *ast.SelectClause, rows []projRow) (*table.Table, error) {
+// rows and hands their values to the output table as its rows.
+func finishSelect(out *table.Table, sc *ast.SelectClause, rows *projRows) *table.Table {
+	order := make([]int, rows.n)
+	for i := range order {
+		order[i] = i
+	}
 	if len(sc.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
+		slices.SortStableFunc(order, func(i, j int) int {
+			ki, kj := rows.key(i), rows.key(j)
 			for k, oi := range sc.OrderBy {
-				d := value.Compare(rows[i].keys[k], rows[j].keys[k])
+				d := value.Compare(ki[k], kj[k])
 				if oi.Desc {
 					d = -d
 				}
 				if d != 0 {
-					return d < 0
+					return d
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if sc.Distinct {
 		// First occurrences in order: one row per group of equal rows.
-		keys := keyTable(len(rows), len(sc.Items))
-		for ri, r := range rows {
-			for k, v := range r.vals {
+		keys := keyTable(len(order), rows.width)
+		for ri, i := range order {
+			for k, v := range rows.row(i) {
 				keys.Set(ri, k, v)
 			}
 		}
 		groups := keys.Groups()
-		distinct := make([]projRow, len(groups))
+		distinct := make([]int, len(groups))
 		for k, g := range groups {
-			distinct[k] = rows[g[0]]
+			distinct[k] = order[g[0]]
 		}
-		rows = distinct
+		order = distinct
 	}
-	for _, r := range rows {
-		if sc.Limit >= 0 && out.Len() >= sc.Limit {
-			break
-		}
-		if err := out.AddRow(r.vals...); err != nil {
-			return nil, err
+	if sc.Limit >= 0 && len(order) > sc.Limit {
+		order = order[:sc.Limit]
+	}
+	if len(order) > 0 {
+		out.Rows = make([][]value.Value, len(order))
+		for i, ri := range order {
+			out.Rows[i] = rows.row(ri)
 		}
 	}
-	return out, nil
+	return out
 }
 
 func firstGraph(graphs []*ppg.Graph, fallback *ppg.Graph) *ppg.Graph {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 
 	"gcore/internal/value"
 )
@@ -80,35 +81,36 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // property sets written as bare scalars. It fails only on a property
 // value JSON cannot hold (a NaN or infinite float).
 func (g *Graph) AppendJSON(dst []byte) ([]byte, error) {
+	els := g.inOrder()
 	dst = value.AppendJSONString(append(dst, `{"name":`...), g.name)
 	dst = append(dst, `,"nodes":`...)
-	if len(g.nodes) == 0 {
+	if len(els.nodes) == 0 {
 		dst = append(dst, "null"...)
 	}
 	var err error
-	for i, id := range g.NodeIDs() {
-		if dst, err = AppendNode(appendSep(dst, i), g.nodes[id]); err != nil {
+	for i, n := range els.nodes {
+		if dst, err = AppendNode(appendSep(dst, i), n); err != nil {
 			return dst, err
 		}
 	}
-	dst = append(closeArray(dst, len(g.nodes)), `,"edges":`...)
-	if len(g.edges) == 0 {
+	dst = append(closeArray(dst, len(els.nodes)), `,"edges":`...)
+	if len(els.edges) == 0 {
 		dst = append(dst, "null"...)
 	}
-	for i, id := range g.EdgeIDs() {
-		if dst, err = AppendEdge(appendSep(dst, i), g.edges[id]); err != nil {
+	for i, e := range els.edges {
+		if dst, err = AppendEdge(appendSep(dst, i), e); err != nil {
 			return dst, err
 		}
 	}
-	dst = closeArray(dst, len(g.edges))
-	if len(g.paths) > 0 {
+	dst = closeArray(dst, len(els.edges))
+	if len(els.paths) > 0 {
 		dst = append(dst, `,"paths":`...)
-		for i, id := range g.PathIDs() {
-			if dst, err = AppendPath(appendSep(dst, i), g.paths[id]); err != nil {
+		for i, p := range els.paths {
+			if dst, err = AppendPath(appendSep(dst, i), p); err != nil {
 				return dst, err
 			}
 		}
-		dst = closeArray(dst, len(g.paths))
+		dst = closeArray(dst, len(els.paths))
 	}
 	return append(dst, '}'), nil
 }
@@ -184,21 +186,22 @@ func appendLabelsProps(dst []byte, ls Labels, p Properties) ([]byte, error) {
 }
 
 // AppendProperties appends a property map as one object: keys sorted,
-// singleton sets as bare scalars, larger sets wrapped.
+// singleton sets as bare scalars, larger sets wrapped. The entries are
+// gathered and sorted once, so no key is looked up again.
 func AppendProperties(dst []byte, p Properties) ([]byte, error) {
-	var buf [8]string
-	keys := buf[:0]
-	for k := range p {
-		keys = append(keys, k)
+	var buf [8]propEntry
+	entries := buf[:0]
+	for k, v := range p {
+		entries = append(entries, propEntry{k, v})
 	}
-	slices.Sort(keys)
+	slices.SortFunc(entries, func(a, b propEntry) int { return strings.Compare(a.k, b.k) })
 	dst = append(dst, '{')
-	for i, k := range keys {
+	for i, e := range entries {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(value.AppendJSONString(dst, k), ':')
-		v := p[k]
+		dst = append(value.AppendJSONString(dst, e.k), ':')
+		v := e.v
 		if s, ok := v.Singleton(); ok {
 			v = s
 		}
@@ -208,6 +211,11 @@ func AppendProperties(dst []byte, p Properties) ([]byte, error) {
 		}
 	}
 	return append(dst, '}'), nil
+}
+
+type propEntry struct {
+	k string
+	v value.Value
 }
 
 // UnmarshalJSON decodes the interchange format, validating every

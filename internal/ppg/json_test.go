@@ -258,3 +258,126 @@ func mustOK(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// assembleFixture returns the elements of a small graph — nodes with
+// several properties, edges both ways, two stored paths — as fresh
+// objects, each sort in a scrambled identifier order.
+func assembleFixture() ([]*Node, []*Edge, []*Path) {
+	props := func(i int) Properties {
+		return NewProperties(map[string]value.Value{
+			"name": value.Str(string(rune('a' + i))), "rank": value.Int(int64(i)),
+			"tags": value.Set(value.Str("x"), value.Int(int64(i))), "w": value.Float(float64(i) / 3),
+			"b": value.Bool(i%2 == 0), "z": value.Str("last"), "m": value.Int(7), "c": value.Int(1), "q": value.Int(2),
+		})
+	}
+	var nodes []*Node
+	for _, i := range []int{5, 1, 9, 3, 7, 2} {
+		nodes = append(nodes, &Node{ID: NodeID(i), Labels: NewLabels("N", string(rune('A'+i))), Props: props(i)})
+	}
+	edges := []*Edge{
+		{ID: 40, Src: 1, Dst: 2, Labels: NewLabels("e")},
+		{ID: 12, Src: 2, Dst: 3, Props: props(2)},
+		{ID: 31, Src: 3, Dst: 5, Labels: NewLabels("e", "f")},
+		{ID: 20, Src: 9, Dst: 5},
+	}
+	paths := []*Path{
+		{ID: 70, Nodes: []NodeID{1, 2, 3}, Edges: []EdgeID{40, 12}, Labels: NewLabels("p")},
+		{ID: 60, Nodes: []NodeID{5, 9}, Edges: []EdgeID{20}, Props: props(1)},
+	}
+	return nodes, edges, paths
+}
+
+// TestAssembledGraphEncodesLikeBuilt checks that a graph from Assemble,
+// which encodes from its identifier-ordered element slices, writes the
+// bytes of the same graph built element by element — before and after
+// every mutator, each of which drops or replaces that order.
+func TestAssembledGraphEncodesLikeBuilt(t *testing.T) {
+	built := func() *Graph {
+		g := New("")
+		nodes, edges, paths := assembleFixture()
+		for _, n := range nodes {
+			if err := g.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range edges {
+			if err := g.AddEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range paths {
+			if err := g.AddPath(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	assembled := func() *Graph {
+		nodes, edges, paths := assembleFixture()
+		return Assemble("", nodes, edges, paths)
+	}
+	encode := func(g *Graph) string {
+		data, err := g.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if a, b := encode(assembled()), encode(built()); a != b {
+		t.Fatalf("assembled graph encodes as\n%s\nbuilt graph as\n%s", a, b)
+	}
+	other, _ := built().MarshalJSON()
+	other = bytes.ReplaceAll(other, []byte(`"last"`), []byte(`"other"`))
+	mutators := []struct {
+		name string
+		do   func(g *Graph) error
+	}{
+		{"AddNode", func(g *Graph) error { return g.AddNode(&Node{ID: 4, Labels: NewLabels("N")}) }},
+		{"AddEdge", func(g *Graph) error { return g.AddEdge(&Edge{ID: 11, Src: 7, Dst: 1}) }},
+		{"AddPath", func(g *Graph) error {
+			return g.AddPath(&Path{ID: 65, Nodes: []NodeID{2, 3, 5}, Edges: []EdgeID{12, 31}})
+		}},
+		{"SetNodeLabels", func(g *Graph) error { return g.SetNodeLabels(3, NewLabels("M")) }},
+		{"SetEdgeLabels", func(g *Graph) error { return g.SetEdgeLabels(31, nil) }},
+		{"SetNodeProps", func(g *Graph) error {
+			return g.SetNodeProps(9, NewProperties(map[string]value.Value{"k": value.Int(1)}))
+		}},
+		{"SetEdgeProps", func(g *Graph) error { return g.SetEdgeProps(12, nil) }},
+		{"SetPathProps", func(g *Graph) error {
+			return g.SetPathProps(70, NewProperties(map[string]value.Value{"k": value.Int(2)}))
+		}},
+		{"TouchProps", func(g *Graph) error {
+			n, _ := g.Node(1)
+			n.Props.Set("touched", value.True)
+			g.TouchProps()
+			return nil
+		}},
+		{"ReplaceWith assembled", func(g *Graph) error {
+			nodes, edges, _ := assembleFixture()
+			return g.ReplaceWith(Assemble("r", nodes[:4], edges[2:], nil))
+		}},
+		{"ReplaceWith built", func(g *Graph) error {
+			r := New("r")
+			n, _, _ := assembleFixture()
+			for _, x := range n[:3] {
+				if err := r.AddNode(x); err != nil {
+					return err
+				}
+			}
+			return g.ReplaceWith(r)
+		}},
+		{"UnmarshalJSON", func(g *Graph) error { return g.UnmarshalJSON(other) }},
+	}
+	for _, m := range mutators {
+		a, b := assembled(), built()
+		if err := m.do(a); err != nil {
+			t.Fatalf("%s on the assembled graph: %v", m.name, err)
+		}
+		if err := m.do(b); err != nil {
+			t.Fatalf("%s on the built graph: %v", m.name, err)
+		}
+		if ea, eb := encode(a), encode(b); ea != eb {
+			t.Errorf("after %s the assembled graph encodes as\n%s\nthe built graph as\n%s", m.name, ea, eb)
+		}
+	}
+}

@@ -13,6 +13,7 @@
 package ppg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -250,6 +251,12 @@ type Graph struct {
 	edges map[EdgeID]*Edge
 	paths map[PathID]*Path
 
+	// sorted holds an assembled graph's elements in identifier order,
+	// so the encoder walks them instead of sorting identifiers and
+	// probing the maps again; nil for a graph built element by element,
+	// and dropped by every mutation (bump).
+	sorted *sortedElems
+
 	// gen counts structural mutations (nodes, edges, paths, labels).
 	// Derived read-only structures — the CSR snapshot of internal/csr
 	// — are tagged with the generation they were built at, so a stale
@@ -381,6 +388,13 @@ func New(name string) *Graph {
 	}
 }
 
+// sortedElems is a graph's elements of each sort in identifier order.
+type sortedElems struct {
+	nodes []*Node
+	edges []*Edge
+	paths []*Path
+}
+
 // Assemble returns a graph holding exactly the given elements, each
 // map sized to its element count. It is the bulk form of AddNode,
 // AddEdge and AddPath for a caller that has already established what
@@ -390,13 +404,19 @@ func New(name string) *Graph {
 // insertions, and the generation reads as if the elements had been
 // added one by one. A nil property map becomes an empty one, as on
 // insert; the elements given one share it, as read-only elements may.
+// The graph takes the three slices over and sorts them by identifier:
+// they are its element order until its first mutation.
 func Assemble(name string, nodes []*Node, edges []*Edge, paths []*Path) *Graph {
+	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(edges, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(paths, func(a, b *Path) int { return cmp.Compare(a.ID, b.ID) })
 	g := &Graph{
-		name:  name,
-		nodes: make(map[NodeID]*Node, len(nodes)),
-		edges: make(map[EdgeID]*Edge, len(edges)),
-		paths: make(map[PathID]*Path, len(paths)),
-		gen:   uint64(len(nodes) + len(edges) + len(paths)),
+		name:   name,
+		nodes:  make(map[NodeID]*Node, len(nodes)),
+		edges:  make(map[EdgeID]*Edge, len(edges)),
+		paths:  make(map[PathID]*Path, len(paths)),
+		sorted: &sortedElems{nodes: nodes, edges: edges, paths: paths},
+		gen:    uint64(len(nodes) + len(edges) + len(paths)),
 	}
 	var empty Properties
 	orEmpty := func(p *Properties) {
@@ -432,8 +452,39 @@ func (g *Graph) Name() string { return g.name }
 // generation G are valid exactly while Generation() == G.
 func (g *Graph) Generation() uint64 { return g.gen }
 
-// bump invalidates derived structures after a structural mutation.
-func (g *Graph) bump() { g.gen++ }
+// bump invalidates derived structures after a mutation, the assembled
+// element order among them.
+func (g *Graph) bump() {
+	g.gen++
+	g.sorted = nil
+}
+
+// inOrder returns the graph's elements in identifier order: the
+// assembled order while it stands, a fresh sort of the maps otherwise.
+func (g *Graph) inOrder() *sortedElems {
+	if g.sorted != nil {
+		return g.sorted
+	}
+	return &sortedElems{nodes: sortedValues(g.nodes), edges: sortedValues(g.edges), paths: sortedValues(g.paths)}
+}
+
+// sortedValues returns m's values ordered by key.
+func sortedValues[K cmp.Ordered, E any](m map[K]*E) []*E {
+	type kv struct {
+		k K
+		e *E
+	}
+	kvs := make([]kv, 0, len(m))
+	for k, e := range m {
+		kvs = append(kvs, kv{k, e})
+	}
+	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	out := make([]*E, len(kvs))
+	for i, x := range kvs {
+		out[i] = x.e
+	}
+	return out
+}
 
 // TouchProps records an in-place property write on an existing
 // element. It is sound only for an element no other graph holds — one
@@ -478,6 +529,7 @@ func (g *Graph) replace(out *Graph) error {
 	g.nodes = out.nodes
 	g.edges = out.edges
 	g.paths = out.paths
+	g.sorted = out.sorted
 	g.gen = out.gen
 	g.snapGen = 0
 	g.snapVal = nil

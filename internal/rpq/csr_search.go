@@ -5,10 +5,10 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 
 	"gcore/internal/csr"
 	"gcore/internal/faultinject"
+	"gcore/internal/freelist"
 	"gcore/internal/obs"
 	"gcore/internal/ppg"
 )
@@ -107,16 +107,17 @@ func newStateTab[T any](buf []T, nodes, states int) stateTab[T] {
 	return t
 }
 
-// Search scratch — the dense tables, the arrival arena, the frontier
-// and the renumber table — is dead once a search returns, so it goes
-// back to a pool for the next search instead of to the collector. A
-// buffer past maxScratchBytes is dropped instead: one huge search must
-// not pin its memory for the life of the process.
+// Search scratch — the dense tables, the arrival arena, the frontier,
+// the destinations and the renumber table — is dead once a search
+// returns, so it goes back to a free list for the next search instead
+// of to the collector. A buffer past maxScratchBytes is dropped
+// instead: one huge search must not pin its memory for the life of the
+// process.
 const maxScratchBytes = 16 << 20
 
 var (
-	shortestPool = sync.Pool{New: func() any { return new(shortestState) }}
-	reachPool    = sync.Pool{New: func() any { return new(reachScratch) }}
+	shortestFree freelist.List[shortestState]
+	reachFree    freelist.List[reachScratch]
 )
 
 // zeroed returns buf resized to n zero entries, allocating only when
@@ -130,7 +131,7 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// recycled empties buf for its pool, or drops it (nil) when it has
+// recycled empties buf for its free list, or drops it (nil) when it has
 // grown past maxScratchBytes.
 func recycled[T any](buf []T) []T {
 	if uintptr(cap(buf))*reflect.TypeFor[T]().Size() > maxScratchBytes {
@@ -266,9 +267,9 @@ type cfgState struct {
 // so its pops and pushes take O(1); a weighted search inserts a new
 // level at its sorted position.
 //
-// A shortestState comes from shortestPool and goes back to it when its
-// search returns; the result keeps none of its slices but dsts, which
-// is therefore never recycled.
+// A shortestState comes from shortestFree and goes back to it when its
+// search returns; the result copies what it keeps, so every slice is
+// recycled.
 type shortestState struct {
 	k        int32
 	acc      int32
@@ -288,11 +289,11 @@ type shortestState struct {
 	need []int32 // finish's renumber table
 }
 
-// newShortestState takes a search state from the pool and resets it
+// newShortestState takes a search state from the free list and resets it
 // for a k-shortest search from srcOrd over a graph of nodes nodes and
 // an automaton of states states.
 func newShortestState(k, acc int32, nodes, states int, srcOrd, start int32) *shortestState {
-	st := shortestPool.Get().(*shortestState)
+	st := shortestFree.Get()
 	*st = shortestState{
 		k:        k,
 		acc:      acc,
@@ -300,24 +301,25 @@ func newShortestState(k, acc int32, nodes, states int, srcOrd, start int32) *sho
 		arrivals: append(st.arrivals[:0], carrival{u: srcOrd, q: start, parent: -1, via: noStep, next: -1}),
 		levels:   append(st.levels[:0], level{head: 0, tail: 0}),
 		keep:     st.keep[:0],
+		dsts:     st.dsts[:0],
 		need:     st.need,
 	}
 	st.cfg.set(srcOrd, start, cfgState{queued: 1})
 	return st
 }
 
-// release returns st's buffers to the pool. The view steps alias
-// segments of the searched views and the destinations belong to the
-// result, so neither is kept.
+// release returns st's buffers to the free list. The view steps alias
+// segments of the searched views, so they are not kept.
 func (st *shortestState) release() {
 	*st = shortestState{
 		cfg:      stateTab[cfgState]{dense: recycled(st.cfg.dense)},
 		arrivals: recycled(st.arrivals),
 		levels:   recycled(st.levels),
 		keep:     recycled(st.keep),
+		dsts:     recycled(st.dsts),
 		need:     recycled(st.need),
 	}
-	shortestPool.Put(st)
+	shortestFree.Put(st)
 }
 
 type kept struct{ arr, prev int32 }
@@ -567,7 +569,7 @@ func (r *Shortest) finish(st *shortestState) {
 		r.arrivals = append(r.arrivals, a)
 		need[old] = int32(len(r.arrivals))
 	}
-	r.dsts = st.dsts
+	r.dsts = slices.Clone(st.dsts)
 	slices.Sort(r.dsts)
 	r.off = make([]int32, len(r.dsts)+1)
 	r.kept = make([]int32, len(st.keep))
@@ -599,7 +601,7 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 		return nil, nil
 	}
 	trans := e.resolve(nfa)
-	sc := reachPool.Get().(*reachScratch)
+	sc := reachFree.Get()
 	seen := newStateTab(sc.seen, e.snap.NumNodes(), nfa.NumStates())
 	seen.set(srcOrd, int32(nfa.start), true)
 	queue := append(sc.queue[:0], ccfg{srcOrd, int32(nfa.start)})
@@ -607,7 +609,7 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	hit := zeroed(sc.hit, e.snap.NumNodes())
 	defer func() {
 		sc.seen, sc.hit, sc.queue = recycled(seen.dense), recycled(hit), recycled(queue)
-		reachPool.Put(sc)
+		reachFree.Put(sc)
 	}()
 	steps, pushed, found := 0, 0, 0
 	if sp := e.col.Start(obs.OpReach); sp != nil {
@@ -654,7 +656,7 @@ func (e *Engine) Reachable(src ppg.NodeID, nfa *NFA) ([]ppg.NodeID, error) {
 	return out, nil
 }
 
-// reachScratch is Reachable's pooled memory: the dense seen table, the
+// reachScratch is Reachable's recycled memory: the dense seen table, the
 // per-node hit flags and the BFS queue, which pops by index so its
 // storage survives the sweep.
 type reachScratch struct {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gcore/internal/ast"
 	"gcore/internal/gov"
@@ -229,5 +231,46 @@ func TestRecycledScratchNeverLeaks(t *testing.T) {
 	}
 	if describeShortest(heldSP) != wantSP || !slices.Equal(heldReach, heldReachCopy) {
 		t.Error("held results changed during the rerun")
+	}
+}
+
+// TestSearchScratchSurvivesGC checks that a k-shortest search keeps its
+// scratch — the arrival arena, the levels and the dense configuration
+// table — across garbage collections: after two collections the same
+// search allocates no more than the result it returns.
+func TestSearchScratchSurvivesGC(t *testing.T) {
+	nfa, err := Compile(rxStar(rxAlt(rxLabel("a"), rxLabel("b"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(benchGraph(800, 4), nil)
+	search := func() *Shortest {
+		r, err := eng.ShortestPaths(1, nfa, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	first := search()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second := search()
+	runtime.ReadMemStats(&after)
+	if first.Len() != second.Len() || first.Len() == 0 {
+		t.Fatalf("searches reached %d and %d destinations", first.Len(), second.Len())
+	}
+	// The result is the Shortest and its four slices (no view steps
+	// here); the allocator rounds each up by less than a page.
+	const objects, page = 5, 8 << 10
+	held := uint64(unsafe.Sizeof(*second)) +
+		uint64(cap(second.arrivals))*uint64(unsafe.Sizeof(carrival{})) +
+		4*uint64(cap(second.dsts)+cap(second.off)+cap(second.kept))
+	if got := after.Mallocs - before.Mallocs; got > objects {
+		t.Errorf("search after GC made %d allocations; its result is %d objects", got, objects)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > held+objects*page {
+		t.Errorf("search after GC allocated %d bytes; its result holds %d", got, held)
 	}
 }

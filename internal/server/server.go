@@ -28,10 +28,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gcore"
+	"gcore/internal/freelist"
 	"gcore/internal/value"
 )
 
@@ -74,6 +74,10 @@ type Server struct {
 	log      *log.Logger
 	mux      *http.ServeMux
 	sessions *registry
+	// shared runs every sessionless request that does not override the
+	// graph: such a request changes no session state, so one session
+	// serves them all.
+	shared *gcore.Session
 
 	// base is the server lifetime: it parents every request context,
 	// so cancelling it (Shutdown's drain deadline) aborts in-flight
@@ -100,6 +104,7 @@ func New(backend Backend, cfg Config) *Server {
 		base:      base,
 		cancelAll: cancel,
 	}
+	s.shared = s.newSession()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /prepare", s.handlePrepare)
@@ -149,7 +154,8 @@ type queryRequest struct {
 	// evaluate.
 	Query string `json:"query"`
 	// Session targets an existing session (optional; a sessionless
-	// request runs in a fresh throwaway session).
+	// request runs in the server's shared session, or in a throwaway
+	// one when it overrides the graph).
 	Session string `json:"session,omitempty"`
 	// Graph overrides the default graph: for this request when
 	// sessionless, persistently for the session otherwise.
@@ -250,8 +256,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sess, sid = live.sess, req.Session
-	} else {
+	} else if req.Graph != "" {
 		sess = s.newSession()
+	} else {
+		sess = s.shared
 	}
 	if req.Graph != "" {
 		if err := sess.SetDefaultGraph(req.Graph); err != nil {
@@ -420,10 +428,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // buffer, and sends it in one Write with its Content-Length. A result
 // JSON cannot hold (a NaN or infinite float) fails the whole reply as a
 // 500 before any byte of it is written. The buffer comes from
-// replyPool and goes back once the Write has returned.
+// replyFree and goes back once the Write has returned.
 func (s *Server) writeResults(w http.ResponseWriter, results []*gcore.Result, elapsed time.Duration, sid string) {
-	buf := replyPool.Get().(*[]byte)
-	defer replyPool.Put(buf)
+	buf := replyFree.Get()
+	defer replyFree.Put(buf)
 	body, err := appendResults((*buf)[:0], results, elapsed)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), "")
@@ -434,19 +442,19 @@ func (s *Server) writeResults(w http.ResponseWriter, results []*gcore.Result, el
 	}
 	body = append(body, "}\n"...)
 	writeBody(w, http.StatusOK, body)
-	if cap(body) <= maxPooledReply {
+	if cap(body) <= maxKeptReply {
 		*buf = body
 	}
 }
 
-// replyPool recycles reply buffers: a stored-path reply grows its
+// replyFree recycles reply buffers: a stored-path reply grows its
 // buffer to a megabyte or more, which would otherwise be reallocated,
-// doubling from empty, on every request. A buffer past maxPooledReply
+// doubling from empty, on every request. A buffer past maxKeptReply
 // is dropped instead, so one huge reply does not pin its memory for
 // the life of the process.
-var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+var replyFree freelist.List[[]byte]
 
-const maxPooledReply = 16 << 20
+const maxKeptReply = 16 << 20
 
 func appendResults(dst []byte, results []*gcore.Result, elapsed time.Duration) ([]byte, error) {
 	dst = append(dst, `{"results":[`...)

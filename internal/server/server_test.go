@@ -578,3 +578,58 @@ func TestReplyBufferRecycled(t *testing.T) {
 		}
 	}
 }
+
+// countingBackend counts the sessions the server asks its engine for.
+type countingBackend struct {
+	*gcore.Engine
+	sessions int
+}
+
+func (b *countingBackend) NewSession() *gcore.Session {
+	b.sessions++
+	return b.Engine.NewSession()
+}
+
+// TestSessionlessRequestsShareSession checks that sessionless requests
+// without a graph override run on one session the server built at
+// start, with the server's limits installed, while a request naming a
+// graph gets a session of its own.
+func TestSessionlessRequestsShareSession(t *testing.T) {
+	eng := gcore.NewEngine()
+	if err := eng.RegisterGraph(gcore.SampleSocialGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterGraph(gcore.SampleCompanyGraph()); err != nil {
+		t.Fatal(err)
+	}
+	backend := &countingBackend{Engine: eng}
+	srv := New(backend, Config{Limits: gcore.Limits{MaxBindings: 1}})
+	defer srv.Close()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		return rec
+	}
+	for i := 0; i < 50; i++ {
+		if rec := post(`{"query": "CONSTRUCT (n) MATCH (n:Person) WHERE n.firstName = 'Celine'"}`); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if backend.sessions != 1 {
+		t.Fatalf("50 sessionless requests created %d sessions, want 1", backend.sessions)
+	}
+	if rec := post(`{"query": "CONSTRUCT (n) MATCH (n:Person)"}`); rec.Code == http.StatusOK {
+		t.Fatalf("shared session ran without the server's binding budget: %s", rec.Body.Bytes())
+	}
+	for i := 0; i < 3; i++ {
+		if rec := post(`{"query": "CONSTRUCT (c) MATCH (c:Company) WHERE c.name = 'MIT'", "graph": "company_graph"}`); rec.Code != http.StatusOK {
+			t.Fatalf("graph request %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if backend.sessions != 4 {
+		t.Fatalf("3 graph requests after the shared session made %d sessions in all, want 4", backend.sessions)
+	}
+	if rec := post(`{"query": "CONSTRUCT (n) MATCH (n:Person) WHERE n.firstName = 'Celine'"}`); rec.Code != http.StatusOK {
+		t.Fatalf("sessionless request after graph requests: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
