@@ -428,7 +428,9 @@ func BenchmarkParse(b *testing.B) {
 // The cache sub-benchmark hits after the first compile. The miss
 // sub-benchmark alternates two texts that differ in one literal on a
 // one-entry cache, so each evicts the other and every iteration pays
-// lex/parse/analyze and planning again.
+// lex/parse/analyze and planning again. The script_ variants run the
+// same texts through EvalScript, the /query front door: a hit must
+// cost no lex or parse, and a miss one parse.
 func BenchmarkRepeatedEval(b *testing.B) {
 	const q = `SELECT n.firstName AS name, n.lastName AS last, n.employer AS emp, n.age AS age,
        CASE WHEN n.age > 40 THEN 'senior' ELSE 'junior' END AS band,
@@ -442,23 +444,32 @@ WHERE n.employer = 'Acme' AND n.age >= 18 AND n.age < 95
   AND NOT (n.firstName = '' AND n.lastName = '')
   AND CASE WHEN n.age > 40 THEN TRUE ELSE n.age < 100 END
 ORDER BY name, last, age`
+	alt := strings.Replace(q, "n.age < 95", "n.age < 96", 1)
+	eval := func(eng *gcore.Engine, src string) error { _, err := eng.Eval(src); return err }
+	script := func(eng *gcore.Engine, src string) error { _, err := eng.EvalScript(src); return err }
 	for _, mode := range []struct {
 		name string
 		size int
 		alt  string // the text of every odd iteration
-	}{{"cache", 0, q}, {"miss", 1, strings.Replace(q, "n.age < 95", "n.age < 96", 1)}} {
+		eval func(*gcore.Engine, string) error
+	}{
+		{"cache", 0, q, eval},
+		{"miss", 1, alt, eval},
+		{"script_cache", 0, q, script},
+		{"script_miss", 1, alt, script},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := benchEngine(b, gcore.WithPlanCacheSize(mode.size))
 			texts := [2]string{q, mode.alt}
 			for _, text := range texts {
-				if _, err := eng.Eval(text); err != nil {
+				if err := mode.eval(eng, text); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(texts[i%2]); err != nil {
+				if err := mode.eval(eng, texts[i%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,8 +34,11 @@ func main() {
 	// within the allocation budget.
 	// BenchmarkRepeatedEval covers both plan-cache outcomes (the /cache
 	// sub-benchmark is the hit path, /miss a compile on every Eval),
-	// and BenchmarkPreparedEval the parameterised prepared-statement
-	// path, so a plan-cache regression shows up as an allocation jump.
+	// each also through EvalScript (/script_cache, /script_miss: a
+	// script that lexes or parses a cached statement, or parses a new
+	// one twice, shows up as an allocation jump), and
+	// BenchmarkPreparedEval the parameterised prepared-statement path,
+	// so a plan-cache regression shows up as an allocation jump.
 	// BenchmarkPreparedPoint guards parameters-as-constants: a bound
 	// $parameter that stops compiling into a column predicate (or stops
 	// seeking the value index) materialises the whole label partition

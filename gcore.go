@@ -29,6 +29,7 @@ package gcore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -560,44 +561,75 @@ func (e *Engine) explainSrc(ctx context.Context, src string, opts core.ExecOpts)
 	return e.ev.ExplainOptsContext(ctx, stmt, opts)
 }
 
-// evalScript evaluates a semicolon-separated script. The script is
-// lexed and parsed once, whole, before any statement runs, so a script
-// with a syntax error anywhere runs nothing; the parse classifies the
-// script, and each statement's text then goes through the plan cache
-// like any other. A script whose statements are all read-only runs
-// each as a read; a script containing any mutating statement runs as
-// one write — each statement sees the views its predecessors staged,
-// and no other session observes an intermediate state: all of its
-// views publish together.
+// errNotCached is evalScript's signal that its script is not a cached
+// read-only statement.
+var errNotCached = errors.New("not a cached read")
+
+// evalScript evaluates a semicolon-separated script. It probes the plan
+// cache first: a script that is one read-only statement the cache
+// holds runs from there, exactly as evalSrc runs it, without being
+// lexed or parsed. Any other script is lexed and parsed once, whole,
+// before any statement runs, so a script with a syntax error anywhere
+// runs nothing; the parse classifies the script, and a plan-cache miss
+// compiles each statement from its parsed form. A script whose
+// statements are all read-only runs each as a read; a script
+// containing any mutating statement runs as one write — each
+// statement sees the views its predecessors staged, and no other
+// session observes an intermediate state: all of its views publish
+// together.
 func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts) ([]*Result, error) {
-	stmts, texts, err := parser.ParseAll(src)
+	res, err := e.dispatch(ctx, opts, func(o core.ExecOpts) (core.Exec, error) {
+		if ex, ok := e.ev.ProbeExec(src, o); ok {
+			return ex, nil
+		}
+		return core.Exec{}, errNotCached
+	}, e.ev.EvalExec)
+	if err == nil {
+		return []*Result{res}, nil
+	}
+	if !errors.Is(err, errNotCached) {
+		// The cached statement may have been compiled from text laid
+		// out differently: locate the failure in src itself.
+		if stmts, perr := parser.ParseAll(src); perr == nil {
+			err = stmtError(0, stmts[0].AST, err)
+		}
+		return []*Result{}, err
+	}
+
+	stmts, err := parser.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
 	write := false
-	for _, stmt := range stmts {
-		if !core.ReadOnly(stmt) {
+	for _, st := range stmts {
+		if !core.ReadOnly(st.AST) {
 			write = true
 		}
 	}
 	out := make([]*Result, 0, len(stmts))
-	runAll := func(eval func(text string) (*Result, error)) error {
-		for i, text := range texts {
-			res, err := eval(text)
+	runAll := func(eval func(st parser.Statement) (*Result, error)) error {
+		for i, st := range stmts {
+			res, err := eval(st)
 			if err != nil {
-				return fmt.Errorf("statement %d at %s: %w", i+1, stmts[i].Pos(), err)
+				return stmtError(i, st.AST, err)
 			}
 			out = append(out, res)
 		}
 		return nil
 	}
 	if !write {
-		return out, runAll(func(text string) (*Result, error) { return e.evalSrc(ctx, text, nil, opts) })
+		return out, runAll(func(st parser.Statement) (*Result, error) {
+			return e.dispatch(ctx, opts, func(o core.ExecOpts) (core.Exec, error) {
+				o.Parsed = st.AST
+				return e.ev.PrepareExec(st.Text, nil, o)
+			}, e.ev.EvalExec)
+		})
 	}
 	err = e.write(func(views *core.Views) error {
 		opts.Views = views
-		return runAll(func(text string) (*Result, error) {
-			ex, err := e.ev.PrepareExec(text, nil, opts)
+		return runAll(func(st parser.Statement) (*Result, error) {
+			opts.Parsed = st.AST
+			ex, err := e.ev.PrepareExec(st.Text, nil, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -606,6 +638,12 @@ func (e *Engine) evalScript(ctx context.Context, src string, opts core.ExecOpts)
 		})
 	})
 	return out, err
+}
+
+// stmtError names the failing statement of a script: its 1-based
+// index and its position in the script.
+func stmtError(i int, stmt *Statement, err error) error {
+	return fmt.Errorf("statement %d at %s: %w", i+1, stmt.Pos(), err)
 }
 
 // EvalContext parses and evaluates one statement under ctx: cancelling

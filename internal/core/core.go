@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"gcore/internal/ast"
 	"gcore/internal/bindings"
@@ -77,16 +76,6 @@ type Evaluator struct {
 	// planCache holds compiled statements keyed on normalised source
 	// text (see prepared.go).
 	planCache *plancache.Cache
-	// memoMu guards the two memos below. Concurrent read-only
-	// statements share the evaluator, so the memos cannot rely on
-	// caller serialisation (configuration setters still do: the
-	// engine calls them under its exclusive lock).
-	memoMu sync.Mutex
-	// limitsFP memoizes the cache key's limits fingerprint.
-	limitsFP limitsFP
-	// normMemo remembers the last source→normalised-text mapping, so
-	// repeated traffic of one statement skips re-normalisation.
-	normMemo struct{ src, text string }
 }
 
 // New creates an evaluator over the given catalog.

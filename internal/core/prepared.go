@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -118,6 +117,10 @@ type ExecOpts struct {
 	// registering them (see Views); nil registers them in the catalog
 	// when the statement succeeds.
 	Views *Views
+	// Parsed, when set, is PrepareExec's source already parsed: a
+	// plan-cache miss analyses it instead of parsing the source again,
+	// and the new entry keeps it. nil parses the source on a miss.
+	Parsed *ast.Statement
 }
 
 // Views is the staging area of one engine write. A statement executed
@@ -218,14 +221,13 @@ func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
 	return ev.planCache.Entries()
 }
 
-// cacheKey builds the plan-cache key for normalised statement text:
-// the catalog version covers registrations, the default graph's
-// generation covers mutations of the implicit target (the session
-// override when one is set), and the limits fingerprint covers
-// execution configuration. The cache belongs to one
-// evaluator, whose Ablation never changes, so that stays out of the
-// key.
-func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
+// cacheKey builds the plan-cache key for src: its normalised text,
+// the catalog version (registrations), the default graph's generation
+// (mutations of the implicit target, the session override when one is
+// set) and the resource limits (execution configuration). The cache
+// belongs to one evaluator, whose Ablation never changes, so that
+// stays out of the key.
+func (ev *Evaluator) cacheKey(src string, opts ExecOpts) plancache.Key {
 	var g *ppg.Graph
 	if opts.DefaultGraph != "" {
 		g, _ = ev.cat.Graph(opts.DefaultGraph)
@@ -241,62 +243,47 @@ func (ev *Evaluator) cacheKey(text string, opts ExecOpts) plancache.Key {
 		limits = *opts.Limits
 	}
 	return plancache.Key{
-		Text:           text,
+		Text:           plancache.Normalize(src),
 		CatalogVersion: ev.cat.Version(),
 		Generation:     gen,
 		Default:        opts.DefaultGraph,
-		LimitsFP:       ev.limitsFingerprint(limits),
+		Limits:         limits,
 	}
 }
 
-// limitsFP memoizes the rendered limits fingerprint: limits change
-// rarely, while cacheKey runs on every statement, so the string is
-// rebuilt only when they move. The memo is guarded by memoMu:
-// concurrent read-only statements share the evaluator under the
-// engine's read lock.
-type limitsFP struct {
-	limits gov.Limits
-	fp     string
-}
-
-func (ev *Evaluator) limitsFingerprint(l gov.Limits) string {
-	ev.memoMu.Lock()
-	defer ev.memoMu.Unlock()
-	m := &ev.limitsFP
-	if m.fp == "" || m.limits != l {
-		m.limits = l
-		m.fp = fmt.Sprintf("%d|%d|%d|%d",
-			l.MaxBindings, l.MaxPathFrontier, l.MaxResultElements, int64(l.Timeout))
+// ProbeExec looks src up in the plan cache without compiling it. It
+// succeeds only for a cached read-only statement, and then counts the
+// hit; when src is not cached or classifies as a write it counts
+// nothing, and the caller compiles through PrepareExec, which counts
+// the probe there.
+func (ev *Evaluator) ProbeExec(src string, opts ExecOpts) (Exec, bool) {
+	v, d, ok := ev.planCache.Probe(ev.cacheKey(src, opts), func(v any) bool {
+		return ReadOnly(v.(*CachedStatement).stmt)
+	})
+	if !ok {
+		return Exec{}, false
 	}
-	return m.fp
-}
-
-// normalize canonicalises src for cache keying, remembering the last
-// mapping so repeated traffic of one statement skips re-normalisation.
-func (ev *Evaluator) normalize(src string) string {
-	ev.memoMu.Lock()
-	defer ev.memoMu.Unlock()
-	if ev.normMemo.src != src {
-		ev.normMemo.src, ev.normMemo.text = src, plancache.Normalize(src)
-	}
-	return ev.normMemo.text
+	cs := v.(*CachedStatement)
+	return Exec{stmt: cs.stmt, cached: cs, opts: opts, probe: true, hit: true, compile: d}, true
 }
 
 // PrepareExec compiles src for one execution: it probes the plan
-// cache and, on a miss, parses and analyses src into a new entry
-// (singleflight). It is the only path from source text to a compiled
-// statement. Parameters stay out of the key and the entry; each
-// execution carries its own bindings, and nil params validate a
-// statement whose parameters are not bound yet. It never evaluates
-// and never mutates shared state beyond the plan cache (which is
-// internally synchronised), so it is safe under the engine's read
-// lock.
+// cache and, on a miss, parses (unless opts.Parsed holds the parse)
+// and analyses src into a new entry (singleflight). It is the only
+// path from source text to a compiled statement. Parameters stay out
+// of the key and the entry; each execution carries its own bindings,
+// and nil params validate a statement whose parameters are not bound
+// yet. It never evaluates and never mutates shared state beyond the
+// plan cache (which is internally synchronised), so it is safe under
+// the engine's read lock.
 func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts ExecOpts) (Exec, error) {
-	key := ev.cacheKey(ev.normalize(src), opts)
-	v, d, hit, err := ev.planCache.GetOrCompile(key, func() (any, error) {
-		stmt, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
+	v, d, hit, err := ev.planCache.GetOrCompile(ev.cacheKey(src, opts), func() (any, error) {
+		stmt := opts.Parsed
+		if stmt == nil {
+			var err error
+			if stmt, err = parser.Parse(src); err != nil {
+				return nil, err
+			}
 		}
 		if err := analyzeStatement(stmt); err != nil {
 			return nil, err

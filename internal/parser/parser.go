@@ -47,35 +47,38 @@ func Parse(src string) (*ast.Statement, error) {
 	return stmt, nil
 }
 
+// Statement is one statement of a script: its syntax tree and its
+// source text, the bytes from its first token to its last, without the
+// separating ';' and without the blanks and comments around it.
+type Statement struct {
+	AST  *ast.Statement
+	Text string
+}
+
 // ParseAll parses a script of statements separated by semicolons in
-// one pass over one token slice. With each statement it returns the
-// statement's source text: the bytes from its first token to its last,
-// without the separating ';' and without the blanks and comments
-// around it. A script's statements keep the positions of the whole
-// script, so Pos locates each one in it.
-func ParseAll(src string) ([]*ast.Statement, []string, error) {
+// one pass over one token slice. A script's statements keep the
+// positions of the whole script, so Pos locates each one in it.
+func ParseAll(src string) ([]Statement, error) {
 	toks, err := lexer.Lex(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p := &parser{toks: toks}
-	var stmts []*ast.Statement
-	var texts []string
+	var stmts []Statement
 	for p.cur().Kind != lexer.EOF {
 		first := p.cur().Off
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		stmts = append(stmts, stmt)
-		texts = append(texts, src[first:p.toks[p.pos-1].End])
+		stmts = append(stmts, Statement{AST: stmt, Text: src[first:p.toks[p.pos-1].End]})
 		if p.cur().Is(";") {
 			p.next()
 		} else if p.cur().Kind != lexer.EOF {
-			return nil, nil, p.errf("unexpected %s after end of statement", p.cur())
+			return nil, p.errf("unexpected %s after end of statement", p.cur())
 		}
 	}
-	return stmts, texts, nil
+	return stmts, nil
 }
 
 type parser struct {

@@ -447,17 +447,17 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseAllStatements(t *testing.T) {
-	stmts, texts, err := ParseAll(`CONSTRUCT (n) MATCH (n); CONSTRUCT (m) MATCH (m:Tag);`)
+	stmts, err := ParseAll(`CONSTRUCT (n) MATCH (n); CONSTRUCT (m) MATCH (m:Tag);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 2 || len(texts) != 2 {
-		t.Fatalf("statements = %d, texts = %d", len(stmts), len(texts))
+	if len(stmts) != 2 {
+		t.Fatalf("statements = %d", len(stmts))
 	}
 	// A missing semicolon fails with Parse's error text, so a single
 	// statement reports the same error whichever way it is parsed.
 	const missing = `CONSTRUCT (n) MATCH (n) CONSTRUCT (m)`
-	_, _, err = ParseAll(missing)
+	_, err = ParseAll(missing)
 	_, want := Parse(missing)
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("ParseAll error = %v, Parse error = %v", err, want)
@@ -494,21 +494,22 @@ func TestParseAllStatementText(t *testing.T) {
 		{"# just a comment\n", nil},
 		{"/* block */", nil},
 	} {
-		stmts, texts, err := ParseAll(c.src)
+		stmts, err := ParseAll(c.src)
 		if err != nil {
 			t.Fatalf("ParseAll(%q): %v", c.src, err)
 		}
-		if len(stmts) != len(c.want) || len(texts) != len(c.want) {
-			t.Fatalf("ParseAll(%q) = %d statements, %q; want %d", c.src, len(stmts), texts, len(c.want))
+		if len(stmts) != len(c.want) {
+			t.Fatalf("ParseAll(%q) = %d statements, %v; want %d", c.src, len(stmts), stmts, len(c.want))
 		}
 		for i, w := range c.want {
-			if texts[i] != w.text || stmts[i].Pos() != w.pos {
-				t.Errorf("ParseAll(%q) statement %d = %q at %v, want %q at %v", c.src, i, texts[i], stmts[i].Pos(), w.text, w.pos)
+			st := stmts[i]
+			if st.Text != w.text || st.AST.Pos() != w.pos {
+				t.Errorf("ParseAll(%q) statement %d = %q at %v, want %q at %v", c.src, i, st.Text, st.AST.Pos(), w.text, w.pos)
 			}
 			// Each text parses on its own to the same statement.
-			alone, err := Parse(texts[i])
-			if err != nil || alone.String() != stmts[i].String() {
-				t.Errorf("Parse(%q) = %v, %v; want %s", texts[i], alone, err, stmts[i])
+			alone, err := Parse(st.Text)
+			if err != nil || alone.String() != st.AST.String() {
+				t.Errorf("Parse(%q) = %v, %v; want %s", st.Text, alone, err, st.AST)
 			}
 		}
 	}

@@ -7,7 +7,7 @@
 // Keys combine the normalised statement text with everything that
 // legitimately changes the compiled form: the catalog version (graph,
 // view and table registrations), the default graph's mutation
-// generation and the resource-limit fingerprint. A graph mutation or
+// generation and the resource limits. A graph mutation or
 // catalog change therefore never serves a stale plan — the old key
 // simply stops being produced and its entry ages out of the LRU.
 //
@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gcore/internal/gov"
 )
 
 // DefaultCapacity bounds the cache when the caller does not choose.
@@ -39,8 +41,8 @@ type Key struct {
 	// catalog default): plans compiled against different implicit
 	// graphs are different plans.
 	Default string
-	// LimitsFP fingerprints the per-statement resource limits.
-	LimitsFP string
+	// Limits are the per-statement resource limits.
+	Limits gov.Limits
 }
 
 // Stats is a point-in-time view of cache effectiveness.
@@ -149,6 +151,27 @@ func (c *Cache) GetOrCompile(k Key, compile func() (any, error)) (val any, d tim
 	return f.val, f.d, false, nil
 }
 
+// Probe returns the cached value for k when accept takes it, and
+// counts the hit; it never compiles. When k is absent (or only in
+// flight) or accept refuses the value, it counts nothing and the caller
+// goes on to GetOrCompile, which counts the outcome once.
+func (c *Cache) Probe(k Key, accept func(any) bool) (val any, d time.Duration, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[k]
+	if !ok {
+		return nil, 0, false
+	}
+	en := el.Value.(*entry)
+	if !accept(en.val) {
+		return nil, 0, false
+	}
+	c.ll.MoveToFront(el)
+	en.hits++
+	c.hits++
+	return en.val, en.compile, true
+}
+
 // Get peeks at k without affecting hit/miss counters or LRU order.
 func (c *Cache) Get(k Key) (any, bool) {
 	c.mu.Lock()
@@ -224,98 +247,110 @@ func Normalize(src string) string {
 	var sb strings.Builder
 	sb.Grow(len(src))
 	pendingSpace := false
+	// emit writes one run of the normal form, after the single space
+	// that stands for the blanks and comments before it.
+	emit := func(run string) {
+		if pendingSpace && sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		pendingSpace = false
+		sb.WriteString(run)
+	}
 	i, n := 0, len(src)
 	for i < n {
-		ch := src[i]
-		switch {
-		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r' || ch == '\v' || ch == '\f':
+		switch ch := src[i]; {
+		case blank[ch]:
 			pendingSpace = true
 			i++
 		case ch == '#':
-			for i < n && src[i] != '\n' {
-				i++
+			if end := strings.IndexByte(src[i:], '\n'); end >= 0 {
+				i += end
+			} else {
+				i = n
 			}
 			pendingSpace = true
 		case ch == '/' && i+1 < n && src[i+1] == '*':
-			i += 2
-			for i < n {
-				if src[i] == '*' && i+1 < n && src[i+1] == '/' {
-					i += 2
-					break
-				}
-				i++
+			end := strings.Index(src[i+2:], "*/")
+			if end < 0 {
+				// An unterminated comment is a syntax error: keep it, so
+				// the text never shares a key with the statement before it.
+				emit(src[i:])
+				return sb.String()
 			}
+			i += 2 + end + 2
 			pendingSpace = true
 		case ch == '\'' || ch == '"':
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-			quote := ch
-			sb.WriteByte(ch)
-			i++
-			for i < n {
-				c := src[i]
-				sb.WriteByte(c)
-				i++
-				if c == '\\' && i < n {
-					sb.WriteByte(src[i])
-					i++
-					continue
-				}
-				if c == quote {
-					// Doubled quote is an escaped quote; stay inside.
-					if i < n && src[i] == quote {
-						sb.WriteByte(src[i])
-						i++
+			// A quoted string is kept byte-for-byte. A backslash escapes
+			// the next byte, and a doubled quote stays inside.
+			j := i + 1
+			for j < n {
+				c := src[j]
+				j++
+				if c == '\\' && j < n {
+					j++
+				} else if c == ch {
+					if j < n && src[j] == ch {
+						j++
 						continue
 					}
 					break
 				}
 			}
+			emit(src[i:j])
+			i = j
 		default:
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
+			// A run goes on through single spaces between plain bytes:
+			// they are already in normal form.
+			j := i + 1
+			for j < n && (!stop[src[j]] || src[j] == ' ' && j+1 < n && !stop[src[j+1]]) {
+				j++
 			}
-			pendingSpace = false
-			sb.WriteByte(ch)
-			i++
+			emit(src[i:j])
+			i = j
 		}
 	}
 	return sb.String()
 }
 
+// blank marks the bytes Normalize collapses, and stop the bytes that
+// end a run it copies unchanged: blanks, and the first byte of a
+// comment or a quoted string.
+var blank, stop = func() (blank, stop [256]bool) {
+	for _, c := range []byte(" \t\n\r\v\f") {
+		blank[c], stop[c] = true, true
+	}
+	for _, c := range []byte("#/'\"") {
+		stop[c] = true
+	}
+	return blank, stop
+}()
+
 // normalized reports whether src is already in normal form, so
 // Normalize can return it without copying — the common case on the
 // hot probe path, where the same statement text arrives repeatedly.
-// Conservative: a double space inside a string literal sends the text
-// down the slow path, which preserves it correctly.
+// Conservative: a double space or a '#' inside a string literal sends
+// the text down the slow path, which preserves it correctly.
 func normalized(src string) bool {
-	if src == "" {
+	n := len(src)
+	if n == 0 {
 		return true
 	}
-	if src[0] == ' ' || src[len(src)-1] == ' ' {
+	if src[0] == ' ' || src[n-1] == ' ' {
 		return false
 	}
-	prevSpace, prevSlash := false, false
-	for i := 0; i < len(src); i++ {
-		switch ch := src[i]; ch {
-		case ' ':
-			if prevSpace {
+	for i := 0; i < n; i++ {
+		switch c := src[i]; {
+		case !stop[c] || c == '\'' || c == '"':
+		case c == ' ': // not the last byte: that one is not a space
+			if src[i+1] == ' ' {
 				return false
 			}
-			prevSpace, prevSlash = true, false
-		case '\t', '\n', '\r', '\v', '\f', '#':
-			return false
-		case '*':
-			if prevSlash {
+		case c == '/':
+			if i+1 < n && src[i+1] == '*' {
 				return false
 			}
-			prevSpace, prevSlash = false, false
-		case '/':
-			prevSpace, prevSlash = false, true
 		default:
-			prevSpace, prevSlash = false, false
+			return false
 		}
 	}
 	return true

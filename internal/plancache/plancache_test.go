@@ -3,10 +3,14 @@ package plancache
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gcore/internal/gov"
 )
 
 func key(text string) Key { return Key{Text: text} }
@@ -39,7 +43,7 @@ func TestKeyComponentsSeparateEntries(t *testing.T) {
 		{Text: "q"},
 		{Text: "q", CatalogVersion: 1},
 		{Text: "q", Generation: 1},
-		{Text: "q", LimitsFP: "x"},
+		{Text: "q", Limits: gov.Limits{MaxBindings: 1}},
 	}
 	for _, k := range keys {
 		k := k
@@ -176,6 +180,40 @@ func TestEntriesMRUFirst(t *testing.T) {
 	}
 }
 
+// TestProbeCountsOnlyTakenHits: Probe counts and refreshes an entry it
+// returns, and leaves the counters alone when the key is absent or the
+// caller refuses the value, so the GetOrCompile that follows counts the
+// outcome once.
+func TestProbeCountsOnlyTakenHits(t *testing.T) {
+	c := New(2)
+	take := func(any) bool { return true }
+	if _, _, ok := c.Probe(key("q1"), take); ok {
+		t.Fatal("probe of an empty cache hit")
+	}
+	c.GetOrCompile(key("q1"), func() (any, error) { return "q1", nil })
+	c.GetOrCompile(key("q2"), func() (any, error) { return "q2", nil })
+	if _, _, ok := c.Probe(key("q1"), func(any) bool { return false }); ok {
+		t.Fatal("refused value returned")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("after the refused probe: %+v", st)
+	}
+	if v, _, ok := c.Probe(key("q1"), take); !ok || v != "q1" {
+		t.Fatalf("probe = %v, %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("after the taken probe: %+v", st)
+	}
+	// The taken probe made q1 the most recent entry: q2 is evicted next.
+	c.GetOrCompile(key("q3"), func() (any, error) { return "q3", nil })
+	if _, ok := c.Get(key("q1")); !ok {
+		t.Fatal("probed q1 evicted")
+	}
+	if ens := c.Entries(); ens[1].Hits != 1 {
+		t.Fatalf("q1 hits = %d", ens[1].Hits)
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"MATCH (n)", "MATCH (n)"},
@@ -189,6 +227,9 @@ func TestNormalize(t *testing.T) {
 		{"WHERE n.x = 'a\\'b /* no */'", "WHERE n.x = 'a\\'b /* no */'"},
 		{"", ""},
 		{"# only a comment", ""},
+		// An unterminated comment is a syntax error and keeps its text.
+		{"MATCH (n)  /* open", "MATCH (n) /* open"},
+		{"MATCH (n) /* closed */ /* open\n", "MATCH (n) /* open\n"},
 	}
 	for _, tc := range cases {
 		if got := Normalize(tc.in); got != tc.want {
@@ -203,4 +244,106 @@ func TestNormalize(t *testing.T) {
 	if Normalize("WHERE x = 'a'") == Normalize("WHERE x = 'a '") {
 		t.Error("string literals were normalised")
 	}
+}
+
+// TestNormalizeMatchesReference: Normalize, which copies runs, gives
+// the normal form of the byte-at-a-time normaliser it replaced (kept
+// below as the reference) on random texts of the bytes that matter to
+// it, and leaves a text it reports as already normal unchanged.
+func TestNormalizeMatchesReference(t *testing.T) {
+	const alphabet = " \t\n#/*'\"\\ab;("
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 0, 24)
+	for i := 0; i < 200_000; i++ {
+		buf = buf[:0]
+		for n := rng.Intn(24); n > 0; n-- {
+			buf = append(buf, alphabet[rng.Intn(len(alphabet))])
+		}
+		src := string(buf)
+		got, want := Normalize(src), referenceNormalize(src)
+		if got != want {
+			t.Fatalf("Normalize(%q) = %q, reference %q", src, got, want)
+		}
+		if normalized(src) && got != src {
+			t.Fatalf("normalized(%q) but Normalize changed it to %q", src, got)
+		}
+		if again := Normalize(got); again != got {
+			t.Fatalf("Normalize(%q) = %q is not a fixed point: %q", src, got, again)
+		}
+	}
+}
+
+// referenceNormalize is the byte-at-a-time normaliser Normalize
+// replaced, with the one intended change: an unterminated block
+// comment keeps its text.
+func referenceNormalize(src string) string {
+	var sb strings.Builder
+	sb.Grow(len(src))
+	pendingSpace := false
+	i, n := 0, len(src)
+	for i < n {
+		ch := src[i]
+		switch {
+		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r' || ch == '\v' || ch == '\f':
+			pendingSpace = true
+			i++
+		case ch == '#':
+			for i < n && src[i] != '\n' {
+				i++
+			}
+			pendingSpace = true
+		case ch == '/' && i+1 < n && src[i+1] == '*':
+			if !strings.Contains(src[i+2:], "*/") {
+				if pendingSpace && sb.Len() > 0 {
+					sb.WriteByte(' ')
+				}
+				sb.WriteString(src[i:])
+				return sb.String()
+			}
+			i += 2
+			for i < n {
+				if src[i] == '*' && i+1 < n && src[i+1] == '/' {
+					i += 2
+					break
+				}
+				i++
+			}
+			pendingSpace = true
+		case ch == '\'' || ch == '"':
+			if pendingSpace && sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			pendingSpace = false
+			quote := ch
+			sb.WriteByte(ch)
+			i++
+			for i < n {
+				c := src[i]
+				sb.WriteByte(c)
+				i++
+				if c == '\\' && i < n {
+					sb.WriteByte(src[i])
+					i++
+					continue
+				}
+				if c == quote {
+					// Doubled quote is an escaped quote; stay inside.
+					if i < n && src[i] == quote {
+						sb.WriteByte(src[i])
+						i++
+						continue
+					}
+					break
+				}
+			}
+		default:
+			if pendingSpace && sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			pendingSpace = false
+			sb.WriteByte(ch)
+			i++
+		}
+	}
+	return sb.String()
 }
