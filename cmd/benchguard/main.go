@@ -42,7 +42,9 @@ func main() {
 	// BenchmarkPreparedPoint guards parameters-as-constants: a bound
 	// $parameter that stops compiling into a column predicate (or stops
 	// seeking the value index) materialises the whole label partition
-	// again, a 10× allocation jump on its /param cases.
+	// again, a 10× allocation jump on its /param cases; a GRAPH VIEW
+	// write that retires the cached plan of a read beside it recompiles
+	// that read, a 2.5× allocation jump on pid/after_write.
 	// BenchmarkPathPattern and BenchmarkKShortest guard implicit walks:
 	// a k-shortest search that reconstructs every walk it keeps, or a
 	// path step that builds rows or walks for destinations its filter

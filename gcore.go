@@ -235,11 +235,11 @@ const (
 // read/write path split: statements are classified syntactically
 // (queries, EXPLAIN and prepared reads vs GRAPH VIEW registrations),
 // and read-only statements execute concurrently under a shared lock
-// against the current catalog version and the graphs'
-// generation-counted CSR snapshots. Writers are serialised by a writer
-// mutex. A statement write evaluates under the shared lock too, beside
-// the readers, with its GRAPH VIEWs staged where no other statement
-// sees them; it logs them (on a DurableEngine: appends and fsyncs) and
+// against the current catalog and the graphs' generation-counted CSR
+// snapshots. Writers are serialised by a writer mutex. A statement
+// write evaluates under the shared lock too, beside the readers, with
+// its GRAPH VIEWs staged where no other statement sees them; it logs
+// them (on a DurableEngine: appends and fsyncs) and
 // only then takes the exclusive lock, just long enough to publish them
 // into the catalog. Programmatic mutations (MutateGraph, Register*,
 // LoadGraphJSON, LoadCatalog) change registered state in place and
@@ -519,10 +519,10 @@ func (e *Engine) explainAnalyzeSrc(ctx context.Context, src string, params map[s
 // dispatch compiles one statement under the shared lock and
 // classifies it. A read-only statement runs there and then — any
 // number of them concurrently, each against the committed catalog
-// version and graph generations it pinned at dispatch. A write leaves
-// the lock and goes down the write path, recompiling there (the
-// catalog may have moved in between; the plan cache makes the
-// recompile a probe).
+// and graph generations it pinned at dispatch. A write leaves the lock
+// and goes down the write path, preparing again there (a plan-cache
+// probe: the key does not depend on the catalog, which may have moved
+// in between).
 func (e *Engine) dispatch(ctx context.Context, opts core.ExecOpts, prepare func(core.ExecOpts) (core.Exec, error), run func(context.Context, core.Exec) (*Result, error)) (*Result, error) {
 	e.mu.RLock()
 	ex, err := prepare(opts)

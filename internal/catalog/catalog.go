@@ -27,11 +27,6 @@ type Catalog struct {
 	defaultName string
 	ids         *ppg.IDGen
 
-	// version counts catalog mutations (graph/table registrations and
-	// default changes); consumers key compiled-statement caches on it
-	// so any registration retires plans compiled before it.
-	version uint64
-
 	hook ChangeHook
 }
 
@@ -77,10 +72,6 @@ func New() *Catalog {
 // IDs returns the engine-wide identifier generator.
 func (c *Catalog) IDs() *ppg.IDGen { return c.ids }
 
-// Version counts the catalog's mutations; it increments on every
-// graph or table registration and on default-graph changes.
-func (c *Catalog) Version() uint64 { return c.version }
-
 // RegisterGraph stores g under its name and reserves its identifiers.
 // The first registered graph becomes the default graph. It is
 // StageGraph followed by PublishGraph.
@@ -113,7 +104,6 @@ func (c *Catalog) StageGraph(g *ppg.Graph) error {
 func (c *Catalog) PublishGraph(g *ppg.Graph) {
 	name := g.Name()
 	c.graphs[name] = g
-	c.version++
 	for _, id := range g.NodeIDs() {
 		c.ids.Reserve(uint64(id))
 	}
@@ -140,7 +130,6 @@ func (c *Catalog) RegisterTable(t *table.Table) error {
 		return err
 	}
 	c.tables[t.Name] = t
-	c.version++
 	c.tgMu.Lock()
 	delete(c.tableGraphs, t.Name)
 	c.tgMu.Unlock()
@@ -168,7 +157,6 @@ func (c *Catalog) SetDefault(name string) error {
 		return err
 	}
 	c.defaultName = name
-	c.version++
 	return nil
 }
 

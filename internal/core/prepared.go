@@ -18,11 +18,13 @@ import (
 // CachedStatement; one kept in the plan cache outlives its execution,
 // so repeated traffic of the same shape skips lex/parse/analyze,
 // expression compilation, NFA compilation and the selectivity planner.
-// The cache key (built in cacheKey) carries everything that
-// legitimately changes the compiled form; per-entry chain plans
-// additionally self-validate against the graph pointer and mutation
-// generation they were computed for, so a stale plan is never served
-// even for graphs reached via ON.
+// The cache key (built in cacheKey) is the statement text and the
+// default-graph override: analysis, compiled expressions and NFAs
+// depend on the AST alone, and limits are read at execution. Chain
+// plans are the one artifact that depends on a graph; each
+// self-validates against the graph pointer and mutation generation it
+// was computed for, so graph mutations and view registrations never
+// retire an entry and a stale plan is never served.
 
 // CachedStatement is one compiled statement: the parsed and analyzed
 // statement, its compiled expressions (compile.go), and the artifacts
@@ -221,34 +223,14 @@ func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
 	return ev.planCache.Entries()
 }
 
-// cacheKey builds the plan-cache key for src: its normalised text,
-// the catalog version (registrations), the default graph's generation
-// (mutations of the implicit target, the session override when one is
-// set) and the resource limits (execution configuration). The cache
+// cacheKey builds the plan-cache key for src: its normalised text and
+// the session's default-graph override. It reads no catalog state:
+// nothing an entry compiles depends on it, and the chain plans an
+// entry accumulates revalidate themselves (chainPlanFor). The cache
 // belongs to one evaluator, whose Ablation never changes, so that
 // stays out of the key.
-func (ev *Evaluator) cacheKey(src string, opts ExecOpts) plancache.Key {
-	var g *ppg.Graph
-	if opts.DefaultGraph != "" {
-		g, _ = ev.cat.Graph(opts.DefaultGraph)
-	} else {
-		g = ev.cat.Default()
-	}
-	var gen uint64
-	if g != nil {
-		gen = g.Generation()
-	}
-	limits := ev.limits
-	if opts.Limits != nil {
-		limits = *opts.Limits
-	}
-	return plancache.Key{
-		Text:           plancache.Normalize(src),
-		CatalogVersion: ev.cat.Version(),
-		Generation:     gen,
-		Default:        opts.DefaultGraph,
-		Limits:         limits,
-	}
+func cacheKey(src string, opts ExecOpts) plancache.Key {
+	return plancache.Key{Text: plancache.Normalize(src), Default: opts.DefaultGraph}
 }
 
 // ProbeExec looks src up in the plan cache without compiling it. It
@@ -257,7 +239,7 @@ func (ev *Evaluator) cacheKey(src string, opts ExecOpts) plancache.Key {
 // nothing, and the caller compiles through PrepareExec, which counts
 // the probe there.
 func (ev *Evaluator) ProbeExec(src string, opts ExecOpts) (Exec, bool) {
-	v, d, ok := ev.planCache.Probe(ev.cacheKey(src, opts), func(v any) bool {
+	v, d, ok := ev.planCache.Probe(cacheKey(src, opts), func(v any) bool {
 		return ReadOnly(v.(*CachedStatement).stmt)
 	})
 	if !ok {
@@ -277,7 +259,7 @@ func (ev *Evaluator) ProbeExec(src string, opts ExecOpts) (Exec, bool) {
 // plan cache (which is internally synchronised), so it is safe under
 // the engine's read lock.
 func (ev *Evaluator) PrepareExec(src string, params map[string]value.Value, opts ExecOpts) (Exec, error) {
-	v, d, hit, err := ev.planCache.GetOrCompile(ev.cacheKey(src, opts), func() (any, error) {
+	v, d, hit, err := ev.planCache.GetOrCompile(cacheKey(src, opts), func() (any, error) {
 		stmt := opts.Parsed
 		if stmt == nil {
 			var err error

@@ -4,12 +4,12 @@
 // query traffic is overwhelmingly repeated shapes, so the cache turns
 // the per-statement lex/parse/analyze/plan cost into a map probe.
 //
-// Keys combine the normalised statement text with everything that
-// legitimately changes the compiled form: the catalog version (graph,
-// view and table registrations), the default graph's mutation
-// generation and the resource limits. A graph mutation or
-// catalog change therefore never serves a stale plan — the old key
-// simply stops being produced and its entry ages out of the LRU.
+// A key is the normalised statement text and the session's
+// default-graph override: the compiled form depends on nothing else.
+// Catalog state stays out of the key, so a graph mutation or a GRAPH
+// VIEW registration leaves every cached plan in place; the one
+// graph-dependent artifact an entry keeps, a chain plan, revalidates
+// itself against the graph it was planned for (internal/core).
 //
 // Concurrent misses of the same key are collapsed by a singleflight:
 // the first caller compiles, the rest wait and share the result.
@@ -21,8 +21,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"gcore/internal/gov"
 )
 
 // DefaultCapacity bounds the cache when the caller does not choose.
@@ -32,17 +30,11 @@ const DefaultCapacity = 256
 type Key struct {
 	// Text is the normalised statement source (see Normalize).
 	Text string
-	// CatalogVersion counts catalog mutations (registrations, default
-	// changes); any mutation retires all earlier entries.
-	CatalogVersion uint64
-	// Generation is the default graph's mutation generation.
-	Generation uint64
 	// Default is the session's default-graph override ("" = the
-	// catalog default): plans compiled against different implicit
-	// graphs are different plans.
+	// catalog default). Sessions with different implicit graphs keep
+	// separate entries, so each keeps its own chain plans instead of
+	// re-planning the shared one on every alternation.
 	Default string
-	// Limits are the per-statement resource limits.
-	Limits gov.Limits
 }
 
 // Stats is a point-in-time view of cache effectiveness.
@@ -180,16 +172,6 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return el.Value.(*entry).val, true
 	}
 	return nil, false
-}
-
-// Remove drops k, if present. Used when an entry's revalidation fails.
-func (c *Cache) Remove(k Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.Remove(el)
-		delete(c.items, k)
-	}
 }
 
 func (c *Cache) insertLocked(k Key, v any, compile time.Duration) {

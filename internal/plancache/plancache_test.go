@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"gcore/internal/gov"
 )
 
 func key(text string) Key { return Key{Text: text} }
@@ -41,9 +39,7 @@ func TestKeyComponentsSeparateEntries(t *testing.T) {
 	c := New(8)
 	keys := []Key{
 		{Text: "q"},
-		{Text: "q", CatalogVersion: 1},
-		{Text: "q", Generation: 1},
-		{Text: "q", Limits: gov.Limits{MaxBindings: 1}},
+		{Text: "q", Default: "company_graph"},
 	}
 	for _, k := range keys {
 		k := k
@@ -101,16 +97,6 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("entries = %d", st.Entries)
-	}
-}
-
-func TestInvalidateAndRemove(t *testing.T) {
-	c := New(4)
-	c.GetOrCompile(key("a"), func() (any, error) { return 1, nil })
-	c.GetOrCompile(key("b"), func() (any, error) { return 2, nil })
-	c.Remove(key("a"))
-	if _, ok := c.Get(key("a")); ok {
-		t.Fatal("a survived Remove")
 	}
 }
 

@@ -1,6 +1,8 @@
 package gcore_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +12,8 @@ import (
 
 // Engine-level plan cache tests: repeated statements hit, hits are
 // byte-identical to compiles, and structural changes (graph mutation,
-// catalog registration) retire stale entries.
+// catalog registration, view redefinition) keep the cached plan yet
+// are visible to its next execution.
 
 func TestPlanCacheHitMiss(t *testing.T) {
 	eng := newEngine(t)
@@ -37,8 +40,9 @@ func TestPlanCacheHitMiss(t *testing.T) {
 }
 
 // TestPlanCacheGenerationInvalidation: mutating the default graph
-// bumps its generation, so the next evaluation recompiles and sees
-// the new data — a stale plan is never served.
+// bumps its generation, which retires no cached plan — the next
+// evaluation hits — yet sees the new data: the entry's chain plan
+// revalidates against the generation it was planned for.
 func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	eng := newEngine(t)
 	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
@@ -68,28 +72,202 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	if !strings.Contains(after.Table.String(), "Zed") {
 		t.Fatalf("mutation invisible to cached statement:\n%s", after.Table.String())
 	}
-	if st := eng.PlanCacheStats(); st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 2 misses (generation bump)", st)
+	if st := eng.PlanCacheStats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 miss + 1 hit (a mutation keeps the plan)", st)
 	}
 }
 
-// TestPlanCacheCatalogInvalidation: registering a graph bumps the
-// catalog version, so cached statements recompile rather than reuse
-// entries keyed to the old catalog.
+// TestPlanCacheCatalogInvalidation: registering a graph retires no
+// cached plan. A statement cached while its ON graph did not exist yet
+// hits after the registration and resolves the new graph, added node
+// included, at execution.
 func TestPlanCacheCatalogInvalidation(t *testing.T) {
 	eng := newEngine(t)
-	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
-	if _, err := eng.Eval(q); err != nil {
+	const q = `SELECT n.firstName AS name MATCH (n:Person) ON other ORDER BY name`
+	if _, err := eng.Eval(q); err == nil || !strings.Contains(err.Error(), "other") {
+		t.Fatalf("query on an unregistered graph: err = %v", err)
+	}
+	other := gcore.NewGraph("other")
+	if err := other.AddNode(&gcore.Node{
+		ID:     eng.NextNodeID(),
+		Labels: gcore.NewLabels("Person"),
+		Props:  gcore.NewProperties(map[string]gcore.Value{"firstName": gcore.Str("Zed")}),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RegisterGraph(gcore.NewGraph("other")); err != nil {
+	if err := eng.RegisterGraph(other); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Eval(q); err != nil {
+	res, err := eng.Eval(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.PlanCacheStats(); st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 2 misses (catalog bump)", st)
+	if res.Table.Len() != 1 || !strings.Contains(res.Table.String(), "Zed") {
+		t.Fatalf("registered graph invisible to cached statement:\n%s", res.Table.String())
+	}
+	if st := eng.PlanCacheStats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 miss + 1 hit (a registration keeps the plan)", st)
+	}
+}
+
+// viewBodies are two definitions of the view v over the sample social
+// graph with different element counts.
+var viewBodies = [2]string{
+	`GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON social_graph WHERE n.employer = 'Acme')`,
+	`GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON social_graph)`,
+}
+
+// cachedReads are a point read on the default graph and a count over
+// the view v, the reads beside a GRAPH VIEW writer.
+var cachedReads = [2]string{
+	`SELECT n.lastName AS last MATCH (n:Person) WHERE n.firstName = 'Celine'`,
+	`SELECT COUNT(*) AS c MATCH (n) ON v`,
+}
+
+// TestCachedPlanSurvivesViewWrite: redefining a view retires no cached
+// plan. After warm-up, prepared reads beside three GRAPH VIEW writes
+// compile nothing, on an Engine and on a DurableEngine, and each
+// returns what the uncached path returns on freshly parsed text.
+func TestCachedPlanSurvivesViewWrite(t *testing.T) {
+	durable, err := gcore.OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for _, g := range []*gcore.Graph{gcore.SampleSocialGraph(), gcore.SampleCompanyGraph()} {
+		if err := durable.RegisterGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, eng := range map[string]*gcore.Engine{"engine": newEngine(t), "durable": durable.Engine} {
+		t.Run(name, func(t *testing.T) {
+			var prepared [2]*gcore.Prepared
+			for i, q := range cachedReads {
+				var err error
+				if prepared[i], err = eng.Prepare(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm-up: both view texts and both reads compile once.
+			for _, body := range viewBodies {
+				if _, err := eng.Eval(body); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range prepared {
+					if _, err := p.Eval(nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			warm := eng.PlanCacheStats().Misses
+			var counts []string
+			for w := 0; w < 3; w++ {
+				if _, err := eng.Eval(viewBodies[w%2]); err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range prepared {
+					got := renderResult(p.Eval(nil))
+					if want := renderResult(evalParsed(eng, cachedReads[i])); got != want {
+						t.Fatalf("write %d, %s: cached result diverged\ncached:\n%s\nuncached:\n%s", w, cachedReads[i], got, want)
+					}
+					if i == 1 {
+						counts = append(counts, got)
+					}
+				}
+			}
+			if counts[0] == counts[1] {
+				t.Fatal("redefining the view changed no count; the sequence proves nothing")
+			}
+			if st := eng.PlanCacheStats(); st.Misses != warm {
+				t.Fatalf("misses grew from %d to %d across view writes: %+v", warm, st.Misses, st)
+			}
+		})
+	}
+}
+
+// TestCachedPlanSessionLimits: limits are read at execution, not from
+// the cached entry. A session under MaxBindings 1 that hits a plan
+// another session cached still fails its budget, and the other session
+// still succeeds on the same entry.
+func TestCachedPlanSessionLimits(t *testing.T) {
+	eng := newEngine(t)
+	const q = `CONSTRUCT (n) MATCH (n:Person)-[:knows]->(m:Person)`
+	free, tight := eng.NewSession(), eng.NewSession()
+	tight.SetLimits(gcore.Limits{MaxBindings: 1})
+	ctx := context.Background()
+	if _, err := free.EvalContext(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	_, err := tight.EvalContext(ctx, q)
+	if qe, ok := gcore.AsQueryError(err); !ok || qe.Kind != gcore.KindBudget {
+		t.Fatalf("tight session: err = %v, want a KindBudget QueryError", err)
+	}
+	if _, err := free.EvalContext(ctx, q); err != nil {
+		t.Fatalf("free session after the tight one: %v", err)
+	}
+	if st := eng.PlanCacheStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 1 miss + 2 hits (one entry for both sessions)", st)
+	}
+}
+
+// TestCachedPlanConcurrentViewWrites: prepared reads run from four
+// goroutines while one writer redefines v 200 times with two
+// alternating bodies. Every read returns one of the answers the
+// uncached path gives under either definition. Run it under -race.
+func TestCachedPlanConcurrentViewWrites(t *testing.T) {
+	eng := newEngine(t)
+	var prepared [2]*gcore.Prepared
+	valid := [2]map[string]bool{{}, {}}
+	for _, body := range viewBodies {
+		if _, err := eng.Eval(body); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range cachedReads {
+			valid[i][renderResult(evalParsed(eng, q))] = true
+		}
+	}
+	if len(valid[1]) != 2 {
+		t.Fatalf("the two view bodies give %d distinct counts, want 2", len(valid[1]))
+	}
+	for i, q := range cachedReads {
+		var err error
+		if prepared[i], err = eng.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const readers, writes = 4, 200
+	done := make(chan struct{})
+	errs := make(chan error, readers+1) // at most one send per goroutine
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := n % 2
+				if got := renderResult(prepared[i].Eval(nil)); !valid[i][got] {
+					errs <- fmt.Errorf("%s returned an answer of neither definition:\n%s", cachedReads[i], got)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writes; w++ {
+		if _, err := eng.Eval(viewBodies[w%2]); err != nil {
+			errs <- err
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -183,8 +361,8 @@ func TestPreparedMatchesInlined(t *testing.T) {
 
 // TestPlanCacheMutationSequence: a query / mutate / query sequence
 // renders identically through the plan cache and through the uncached
-// AST-level path — the generation bump retires the stale entry, so the
-// cached engine sees the mutation.
+// AST-level path — the cached entry's chain plan revalidates against
+// the bumped generation, so the cached engine sees the mutation.
 func TestPlanCacheMutationSequence(t *testing.T) {
 	const q = `SELECT n.firstName AS name MATCH (n:Person) ORDER BY name`
 	runSeq := func(eval evalFunc) []string {

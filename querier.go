@@ -11,7 +11,7 @@ import "context"
 //
 // All methods are safe for concurrent use. Read-only statements run
 // concurrently under the engine's shared lock against the committed
-// catalog version and graph snapshot generations pinned at dispatch;
+// catalog and graph snapshot generations pinned at dispatch;
 // mutating statements serialise behind the writer mutex, evaluate
 // beside the readers and take the exclusive lock only to publish (see
 // ReadOnly for the classification).
