@@ -658,6 +658,37 @@ func BenchmarkMatchStart(b *testing.B) {
 	}
 }
 
+// BenchmarkCorrelated runs the paper's correlated lines on SNB seed 1:
+// the pattern predicates of L23, L28 and L72 at 200 persons, and L36's
+// EXISTS over the 10 000-row product of 100 persons. A subquery runs
+// once over the table its expression is evaluated over; evaluating it
+// once per outer row again multiplies the allocations.
+func BenchmarkCorrelated(b *testing.B) {
+	for _, c := range []struct {
+		line    string
+		persons int
+	}{{"L23", 200}, {"L28", 200}, {"L72", 200}, {"L36", 100}} {
+		b.Run(fmt.Sprintf("%s/persons=%d", c.line, c.persons), func(b *testing.B) {
+			eng := gcore.NewEngine()
+			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: c.persons, Seed: 1})
+			if err := eng.RegisterGraph(social); err != nil {
+				b.Fatal(err)
+			}
+			stmt, err := gcore.Parse(parser.PaperQueries[c.line])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.EvalStatement(stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGrouping measures the three statements that group binding
 // rows, on SNB-2000: an aggregating SELECT and CONSTRUCT … GROUP over
 // the employer binding of the end-to-end adhoc_match GROUP shape (every

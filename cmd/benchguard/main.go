@@ -72,7 +72,10 @@ func main() {
 	// as an allocation jump on its path and point cases, and search or
 	// builder scratch that stops being recycled as a B/op jump on its
 	// three path_analytics shapes (path, reach, shortest3).
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply", "comma-separated benchmark name prefixes to guard")
+	// BenchmarkCorrelated guards set-at-a-time subqueries: an EXISTS or
+	// pattern predicate evaluated once per outer row again multiplies
+	// its allocations by the outer table's size.
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply,BenchmarkCorrelated", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

@@ -2,8 +2,9 @@
 // G-CORE's semantics (§A.1 of the paper): bindings µ are partial
 // functions from variables to graph objects and literals, and binding
 // tables Ω are finite sets of bindings on which the evaluator applies
-// the operators ∪ (union), ⋈ (join), ⋉ (semijoin), ∖ (antijoin) and
-// the left-outer join ⟕ used by OPTIONAL.
+// the operators ⋈ (join), the left-outer join ⟕ used by OPTIONAL, and
+// ⋉ (semijoin) with its complement ∖ (antijoin) as one row mask,
+// Matched, used by correlated subqueries.
 //
 // Tables are stored columnar: the schema interns each variable to a
 // slot index and rows live in one flat row-major []value.Value backing
@@ -114,27 +115,6 @@ func (t *Table) Value(i int, name string) (value.Value, bool) {
 // Set binds slot of row i to v.
 func (t *Table) Set(i, slot int, v value.Value) { t.data[i*len(t.vars)+slot] = v }
 
-// RowTable returns a one-row table holding exactly the bound variables
-// of row i — the outer table of a correlated subquery.
-func (t *Table) RowTable(i int) *Table {
-	base := i * len(t.vars)
-	var vars []string
-	for s, v := range t.vars {
-		if !t.data[base+s].IsAbsent() {
-			vars = append(vars, v)
-		}
-	}
-	out := &Table{vars: vars} // already sorted: subsequence of a sorted schema
-	for s, v := range t.vars {
-		_ = v
-		if val := t.data[base+s]; !val.IsAbsent() {
-			out.data = append(out.data, val)
-		}
-	}
-	out.n = 1
-	return out
-}
-
 // Grow makes room for n more rows, so the next n AppendRows do not
 // reallocate.
 func (t *Table) Grow(n int) { t.data = slices.Grow(t.data, n*len(t.vars)) }
@@ -157,43 +137,56 @@ func (t *Table) Pick(rows []int) *Table {
 }
 
 // WithOrdinal returns a copy of the table extended by a column binding
-// name to the row's current ordinal. The evaluator uses it to tag rows
-// before a reordered join so the textual emission order can be
-// restored afterwards.
+// name to the row's current ordinal (replacing the column if the
+// schema has one). The evaluator uses it to tag rows before a
+// reordered join so the textual emission order can be restored
+// afterwards, and to tag an outer table's rows so Split can cut a
+// result joined with it back into one table per outer row.
 func (t *Table) WithOrdinal(name string) *Table {
-	out := EmptyTable(append([]string{name}, t.vars...)...)
-	w, ow := len(t.vars), len(out.vars)
-	slot := out.SlotOf(name)
-	mapTo := slotMapping(t.vars, out.vars)
-	out.data = make([]value.Value, t.n*ow)
-	for i := range out.data {
-		out.data[i] = value.Absent
+	ord := Blank(t.n, name)
+	for i := range ord.data {
+		ord.data[i] = value.Int(int64(i))
+	}
+	return t.Overlay(ord)
+}
+
+// Split cuts t into n tables by its ordinal column tag (values in
+// [0, n), as WithOrdinal binds them), without that column. Each part
+// keeps t's row order, and all share one schema.
+func (t *Table) Split(tag string, n int) []*Table {
+	slot := t.SlotOf(tag)
+	vars := slices.Delete(slices.Clone(t.vars), slot, slot+1)
+	tabs, parts := make([]Table, n), make([]*Table, n)
+	for k := range tabs {
+		tabs[k].vars, parts[k] = vars, &tabs[k]
 	}
 	for i := 0; i < t.n; i++ {
-		dst := out.data[i*ow : (i+1)*ow]
-		src := t.data[i*w : (i+1)*w]
-		for s, v := range src {
-			dst[mapTo[s]] = v
-		}
-		dst[slot] = value.Int(int64(i))
+		row := t.RowAt(i)
+		k, _ := row[slot].AsInt()
+		p := &tabs[k]
+		p.data = append(append(p.data, row[:slot]...), row[slot+1:]...)
+		p.n++
 	}
-	out.n = t.n
-	return out
+	return parts
 }
 
 // DropVars returns a copy of the table without the listed variables.
 func (t *Table) DropVars(names ...string) *Table {
-	drop := map[string]bool{}
-	for _, n := range names {
-		drop[n] = true
-	}
-	keep := make([]string, 0, len(t.vars))
-	for _, v := range t.vars {
-		if !drop[v] {
-			keep = append(keep, v)
+	out := &Table{n: t.n}
+	var keep []int
+	for s, v := range t.vars {
+		if !slices.Contains(names, v) {
+			out.vars, keep = append(out.vars, v), append(keep, s)
 		}
 	}
-	return t.Project(keep)
+	out.data = make([]value.Value, 0, t.n*len(keep))
+	for i := 0; i < t.n; i++ {
+		row := t.RowAt(i)
+		for _, s := range keep {
+			out.data = append(out.data, row[s])
+		}
+	}
+	return out
 }
 
 // sharedVars returns the schema intersection of two tables.
@@ -264,9 +257,8 @@ func (t *Table) rowHash(i int, slots []int) uint64 {
 	return h
 }
 
-// rowsEqualOn reports slot-wise equality (Absent equals only Absent) —
-// the confirmation step after a hash bucket hit, and row identity for
-// Groups.
+// rowsEqualOn reports slot-wise equality (Absent equals only Absent):
+// row identity for Groups.
 func rowsEqualOn(a *Table, i int, aSlots []int, b *Table, j int, bSlots []int) bool {
 	ab, bb := i*len(a.vars), j*len(b.vars)
 	for k := range aSlots {
@@ -531,19 +523,15 @@ func (m *matcher) denseInKeyOrder() []int {
 	return m.denseSorted
 }
 
-// Union returns Ω1 ∪ Ω2 (duplicate rows are collapsed: Ω is a set),
-// keeping first occurrences in order.
-func Union(a, b *Table) *Table {
-	vars := unionVars(a, b)
-	all, bp := a.Project(vars), b.Project(vars)
-	all.data = append(all.data, bp.data...)
-	all.n += bp.n
-	groups := all.Groups()
-	keep := make([]int, len(groups))
-	for k, g := range groups {
-		keep[k] = g[0]
+// candidates returns, in probe order, the rows of m's table that row i
+// of a may be compatible with on the shared slots aS: its hash bucket
+// and then the loose rows when the row binds every shared variable,
+// else the loose rows and then every dense row in key order.
+func (m *matcher) candidates(a *Table, i int, aS []int) [2][]int {
+	if a.rowBoundAll(i, aS) {
+		return [2][]int{m.buckets[a.rowHash(i, aS)], m.loose}
 	}
-	return all.Pick(keep)
+	return [2][]int{m.loose, m.denseInKeyOrder()}
 }
 
 // Join returns Ω1 ⋈ Ω2 = {µ1 ∪ µ2 | µ1 ∼ µ2}.
@@ -571,10 +559,8 @@ func LeftJoinLimited(a, b *Table, max int) (*Table, bool) {
 }
 
 // joinCore drives Join and LeftJoinLimited: per left row (in order),
-// the hash-bucket candidates in right-insertion order, then the loose
-// rows; a left row missing a shared variable probes the loose rows
-// first and then every dense row in CompareRows order of the shared
-// slots.
+// its candidates (matcher.candidates), bucket rows in right-insertion
+// order and dense rows in CompareRows order of the shared slots.
 func joinCore(a, b *Table, max int, left bool) (*Table, int, bool) {
 	out := &Table{vars: unionVars(a, b)}
 	w := len(out.vars)
@@ -608,34 +594,8 @@ func joinCore(a, b *Table, max int, left bool) (*Table, int, bool) {
 
 	for i := 0; i < a.n; i++ {
 		matched := false
-		if a.rowBoundAll(i, aS) {
-			h := a.rowHash(i, aS)
-			for _, j := range m.buckets[h] {
-				if rowsEqualOn(a, i, aS, b, j, bS) {
-					matched = true
-					if emit(i, j) {
-						return out, i, true
-					}
-				}
-			}
-			for _, j := range m.loose {
-				if rowsCompatibleOn(a, i, aS, b, j, bS) {
-					matched = true
-					if emit(i, j) {
-						return out, i, true
-					}
-				}
-			}
-		} else {
-			for _, j := range m.loose {
-				if rowsCompatibleOn(a, i, aS, b, j, bS) {
-					matched = true
-					if emit(i, j) {
-						return out, i, true
-					}
-				}
-			}
-			for _, j := range m.denseInKeyOrder() {
+		for _, cands := range m.candidates(a, i, aS) {
+			for _, j := range cands {
 				if rowsCompatibleOn(a, i, aS, b, j, bS) {
 					matched = true
 					if emit(i, j) {
@@ -653,51 +613,22 @@ func joinCore(a, b *Table, max int, left bool) (*Table, int, bool) {
 	return out, a.n, false
 }
 
-// SemiJoin returns Ω1 ⋉ Ω2 = {µ1 | ∃µ2 ∈ Ω2 : µ1 ∼ µ2}.
-func SemiJoin(a, b *Table) *Table {
-	return semi(a, b, true)
-}
-
-// AntiJoin returns Ω1 ∖ Ω2 = {µ1 | ∄µ2 ∈ Ω2 : µ1 ∼ µ2}.
-func AntiJoin(a, b *Table) *Table {
-	return semi(a, b, false)
-}
-
-func semi(a, b *Table, keepMatched bool) *Table {
-	out := &Table{vars: a.vars}
+// Matched returns the row mask of Ω1 ⋉ Ω2: entry i reports whether
+// some µ2 ∈ Ω2 is compatible with row i of a (µ1 ∼ µ2). The rows it
+// leaves false are Ω1 ∖ Ω2.
+func Matched(a, b *Table) []bool {
+	hit := make([]bool, a.n)
 	shared := sharedVars(a, b)
 	aS, bS := slotsOf(a, shared), slotsOf(b, shared)
 	m := newMatcher(b, shared)
-	aw := len(a.vars)
-	for i := 0; i < a.n; i++ {
-		matched := false
-		if a.rowBoundAll(i, aS) {
-			h := a.rowHash(i, aS)
-			for _, j := range m.buckets[h] {
-				if rowsEqualOn(a, i, aS, b, j, bS) {
-					matched = true
-					break
-				}
+	for i := range hit {
+		for _, cands := range m.candidates(a, i, aS) {
+			for k := 0; k < len(cands) && !hit[i]; k++ {
+				hit[i] = rowsCompatibleOn(a, i, aS, b, cands[k], bS)
 			}
-			if !matched {
-				for _, j := range m.loose {
-					if rowsCompatibleOn(a, i, aS, b, j, bS) {
-						matched = true
-						break
-					}
-				}
-			}
-		} else {
-			for j := 0; j < b.n && !matched; j++ {
-				matched = rowsCompatibleOn(a, i, aS, b, j, bS)
-			}
-		}
-		if matched == keepMatched {
-			out.data = append(out.data, a.data[i*aw:(i+1)*aw]...)
-			out.n++
 		}
 	}
-	return out
+	return hit
 }
 
 // Overlay returns the row-aligned merge of t and o, which must have
@@ -716,29 +647,6 @@ func (t *Table) Overlay(o *Table) *Table {
 		for s, v := range o.RowAt(i) {
 			if !v.IsAbsent() {
 				row[oMap[s]] = v
-			}
-		}
-	}
-	return out
-}
-
-// Project restricts every row (and the schema) to vars.
-func (t *Table) Project(vars []string) *Table {
-	keep := normVars(vars)
-	out := &Table{vars: keep, n: t.n}
-	srcSlot := make([]int, len(keep))
-	for i, v := range keep {
-		srcSlot[i] = t.SlotOf(v)
-	}
-	w := len(t.vars)
-	out.data = make([]value.Value, 0, t.n*len(keep))
-	for i := 0; i < t.n; i++ {
-		base := i * w
-		for _, s := range srcSlot {
-			if s < 0 {
-				out.data = append(out.data, value.Absent)
-			} else {
-				out.data = append(out.data, t.data[base+s])
 			}
 		}
 	}

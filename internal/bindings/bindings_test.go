@@ -43,6 +43,56 @@ func leftJoin(a, b *Table) *Table {
 	return out
 }
 
+// Union returns Ω1 ∪ Ω2 (duplicate rows are collapsed: Ω is a set),
+// keeping first occurrences in order.
+func Union(a, b *Table) *Table {
+	vars := unionVars(a, b)
+	all, bp := a.Project(vars), b.Project(vars)
+	all.data = append(all.data, bp.data...)
+	all.n += bp.n
+	groups := all.Groups()
+	keep := make([]int, len(groups))
+	for k, g := range groups {
+		keep[k] = g[0]
+	}
+	return all.Pick(keep)
+}
+
+// Project restricts every row (and the schema) to vars.
+func (t *Table) Project(vars []string) *Table {
+	keep := normVars(vars)
+	out := &Table{vars: keep, n: t.n}
+	srcSlot := make([]int, len(keep))
+	for i, v := range keep {
+		srcSlot[i] = t.SlotOf(v)
+	}
+	w := len(t.vars)
+	out.data = make([]value.Value, 0, t.n*len(keep))
+	for i := 0; i < t.n; i++ {
+		base := i * w
+		for _, s := range srcSlot {
+			if s < 0 {
+				out.data = append(out.data, value.Absent)
+			} else {
+				out.data = append(out.data, t.data[base+s])
+			}
+		}
+	}
+	return out
+}
+
+// matchedRows returns the rows of a whose Matched entry is want, in
+// order: Ω1 ⋉ Ω2 for true, Ω1 ∖ Ω2 for false.
+func matchedRows(a, b *Table, want bool) *Table {
+	var rows []int
+	for i, hit := range Matched(a, b) {
+		if hit == want {
+			rows = append(rows, i)
+		}
+	}
+	return a.Pick(rows)
+}
+
 // distinct keeps the first row of every group of equal rows, in order.
 func distinct(t *Table) *Table {
 	var firsts []int
@@ -174,10 +224,10 @@ func TestSemiAntiLeftJoin(t *testing.T) {
 		row("n", value.NodeRef(1), "c", value.Str("HAL")),
 		row("n", value.NodeRef(2), "c", value.Str("CWI")))
 
-	if got := SemiJoin(people, works); got.Len() != 2 {
+	if got := matchedRows(people, works, true); got.Len() != 2 {
 		t.Errorf("semijoin = %d rows", got.Len())
 	}
-	anti := AntiJoin(people, works)
+	anti := matchedRows(people, works, false)
 	if anti.Len() != 1 || !value.Equal(refRowAt(anti, 0)["n"], value.NodeRef(3)) {
 		t.Errorf("antijoin = %v", refRows(anti))
 	}
@@ -265,10 +315,10 @@ func TestUnitAndEmpty(t *testing.T) {
 		t.Error("Unit ⋈ Ω must equal Ω")
 	}
 	// µ∅ semijoin keeps everything; antijoin with Unit removes all.
-	if s := SemiJoin(tbl, u); s.Len() != 1 {
+	if s := matchedRows(tbl, u, true); s.Len() != 1 {
 		t.Error("Ω ⋉ {µ∅} = Ω")
 	}
-	if a := AntiJoin(tbl, u); a.Len() != 0 {
+	if a := matchedRows(tbl, u, false); a.Len() != 0 {
 		t.Error("Ω ∖ {µ∅} = ∅ (µ∅ is compatible with all)")
 	}
 }
@@ -311,12 +361,12 @@ func TestQuickLeftJoinDecomposition(t *testing.T) {
 		b := randTable(r, []string{"y", "z"})
 
 		lj := leftJoin(a, b)
-		dec := Union(Join(a, b), AntiJoin(a, b))
+		dec := Union(Join(a, b), matchedRows(a, b, false))
 		if distinct(lj).Sorted().String() != distinct(dec).Sorted().String() {
 			return false
 		}
 		// ⋉ and ∖ partition Ω1 (as sets of rows).
-		part := Union(SemiJoin(a, b), AntiJoin(a, b))
+		part := Union(matchedRows(a, b, true), matchedRows(a, b, false))
 		return distinct(part).Sorted().String() == distinct(a).Sorted().String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -388,5 +438,26 @@ func TestJoinLimited(t *testing.T) {
 	// Zero means unlimited.
 	if out, over := JoinLimited(a, b, 0); over || out.Len() != 2500 {
 		t.Fatal("zero limit must be unlimited")
+	}
+}
+
+// TestSplitUndoesWithOrdinal: joining with a table whose rows carry
+// their ordinals and splitting by them gives each row its own join,
+// rows in join order, the tag column dropped.
+func TestSplitUndoesWithOrdinal(t *testing.T) {
+	outer := tableOf([]string{"n"},
+		row("n", value.NodeRef(1)), row("n", value.NodeRef(2)), row("n", value.NodeRef(3)))
+	inner := tableOf([]string{"n", "c"},
+		row("n", value.NodeRef(1), "c", value.Str("a")),
+		row("n", value.NodeRef(2), "c", value.Str("b")),
+		row("n", value.NodeRef(1), "c", value.Str("c")))
+	parts := Join(inner, outer.WithOrdinal("@row")).Split("@row", outer.Len())
+	if len(parts) != 3 {
+		t.Fatalf("%d parts, want 3", len(parts))
+	}
+	for i, part := range parts {
+		if got, want := part.String(), Join(inner, outer.Pick([]int{i})).String(); got != want {
+			t.Errorf("part %d:\n%swant:\n%s", i, got, want)
+		}
 	}
 }

@@ -193,6 +193,21 @@ func allProps(gp *ast.GraphPattern) []*ast.PropSpec {
 	return out
 }
 
+// matchVars is the set of variables a MATCH clause binds, OPTIONAL
+// blocks included.
+func matchVars(mc *ast.MatchClause) map[string]bool {
+	vars := map[string]bool{}
+	for _, lp := range mc.Patterns {
+		collectVars(lp.Pattern, vars)
+	}
+	for _, ob := range mc.Optionals {
+		for _, lp := range ob.Patterns {
+			collectVars(lp.Pattern, vars)
+		}
+	}
+	return vars
+}
+
 func collectVars(gp *ast.GraphPattern, into map[string]bool) {
 	eachVar(gp, func(v string) { into[v] = true })
 }

@@ -47,7 +47,7 @@ func (c *evalCtx) evalConstruct(s *scope, cc *ast.ConstructClause, tbl *bindings
 		}
 		patterns = append(patterns, item)
 	}
-	if len(patterns) > 0 {
+	if len(patterns) > 0 && tbl.Len() > 0 {
 		g, err := c.evalConstructItems(s, patterns, tbl, graphs)
 		if err != nil {
 			return nil, err

@@ -545,87 +545,131 @@ func (c *evalCtx) evalStatement(s *scope, stmt *ast.Statement) (*Result, error) 
 		}
 		return &Result{Graph: lastGraph}, nil
 	}
-	return c.evalQuery(s, stmt.Query, bindings.Unit())
+	res, err := c.evalQuery(s, stmt.Query, bindings.Unit())
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
 }
 
-// evalQuery evaluates a full graph query given the outer binding
-// table (the Ω′ of §A.5; {µ∅} at the top level, the outer row for
-// correlated EXISTS subqueries).
-func (c *evalCtx) evalQuery(s *scope, q ast.Query, outer *bindings.Table) (*Result, error) {
-	switch x := q.(type) {
-	case *ast.SetQuery:
-		left, err := c.evalQuery(s, x.Left, outer)
-		if err != nil {
-			return nil, err
-		}
-		right, err := c.evalQuery(s, x.Right, outer)
-		if err != nil {
-			return nil, err
-		}
-		if left.Graph == nil || right.Graph == nil {
+// rowTag names the column that tags the rows of a many-row outer table
+// with their ordinals, so a result joined with it splits back into one
+// table per outer row.
+const rowTag = "@row"
+
+// evalQuery evaluates a full graph query once for every row µ of the
+// outer binding table Ω′ (§A.5), all rows at once, and returns the
+// results in row order. The top level, GRAPH bodies and ON subqueries
+// pass {µ∅}; a correlated EXISTS passes the table its expression is
+// evaluated over.
+func (c *evalCtx) evalQuery(s *scope, q ast.Query, outer *bindings.Table) ([]Result, error) {
+	x, ok := q.(*ast.SetQuery)
+	if !ok {
+		return c.evalBasic(s, q.(*ast.BasicQuery), outer)
+	}
+	left, err := c.evalQuery(s, x.Left, outer)
+	if err != nil {
+		return nil, err
+	}
+	right, err := c.evalQuery(s, x.Right, outer)
+	if err != nil {
+		return nil, err
+	}
+	for i, l := range left {
+		if l.Graph == nil || right[i].Graph == nil {
 			return nil, errf("set operations require graph operands (SELECT queries cannot be combined with %s)", x.Op)
 		}
-		var g *ppg.Graph
-		switch x.Op {
-		case ast.SetUnion:
-			g = ppg.Union("", left.Graph, right.Graph)
-		case ast.SetIntersect:
-			g = ppg.Intersect("", left.Graph, right.Graph)
-		case ast.SetMinus:
-			g = ppg.Minus("", left.Graph, right.Graph)
-		}
-		return &Result{Graph: g}, nil
-	case *ast.BasicQuery:
-		return c.evalBasic(s, x, outer)
+		left[i] = Result{Graph: setOps[x.Op]("", l.Graph, right[i].Graph)}
 	}
-	return nil, errf("unknown query node %T", q)
+	return left, nil
 }
 
-func (c *evalCtx) evalBasic(s *scope, bq *ast.BasicQuery, outer *bindings.Table) (*Result, error) {
-	var (
-		tbl    *bindings.Table
-		graphs []*ppg.Graph
-		err    error
-	)
+// setOps are the graph set operations of §A.5.
+var setOps = map[ast.SetOp]func(name string, g1, g2 *ppg.Graph) *ppg.Graph{
+	ast.SetUnion: ppg.Union, ast.SetIntersect: ppg.Intersect, ast.SetMinus: ppg.Minus,
+}
+
+// evalBasic evaluates a basic query for every row of outer. The FROM or
+// MATCH clause runs once, joined with the whole outer table; when that
+// has more than one row, its rows are tagged with their ordinals first
+// and the result is split back by the tag. Each outer row's SELECT or
+// CONSTRUCT then runs over that row's own bindings, in outer row order,
+// so a subquery mints what it would mint row by row.
+func (c *evalCtx) evalBasic(s *scope, bq *ast.BasicQuery, outer *bindings.Table) ([]Result, error) {
+	n := outer.Len()
+	tbl := outer
+	if n > 1 {
+		tbl = outer.WithOrdinal(rowTag)
+	}
+	var graphs []*ppg.Graph
+	var err error
 	switch {
 	case bq.From != "":
-		tbl, err = c.fromTable(bq.From)
-		if err != nil {
+		if tbl, err = c.fromTable(bq.From, tbl); err != nil {
 			return nil, err
 		}
-		tbl = bindings.Join(tbl, outer)
 	case bq.Match != nil:
-		tbl, graphs, err = c.evalMatch(s, bq.Match, outer)
-		if err != nil {
+		if tbl, graphs, err = c.evalMatch(s, bq.Match, tbl); err != nil {
 			return nil, err
 		}
-	default:
-		tbl = outer
 	}
+	parts := []*bindings.Table{tbl}
+	if n > 1 {
+		parts = tbl.Split(rowTag, n)
+	}
+	op := obs.OpConstruct
 	if bq.Select != nil {
-		sp := c.col.Start(obs.OpSelect)
-		if sp.Verbose() {
+		op = obs.OpSelect
+	}
+	sp := c.col.Start(op)
+	if sp.Verbose() {
+		sp.SetLabel(constructLabel)
+		if bq.Select != nil {
 			sp.SetLabel(selectLabel(bq.Select))
 		}
-		t, err := c.evalSelect(s, bq.Select, tbl, graphs)
+	}
+	out := make([]Result, n)
+	var rowsOut int64
+	for i, part := range parts {
+		if bq.Select != nil {
+			out[i].Table, err = c.evalSelect(s, bq.Select, c.rowSchema(bq, outer, i, part), graphs)
+		} else {
+			out[i].Graph, err = c.evalConstruct(s, bq.Construct, c.rowSchema(bq, outer, i, part), graphs)
+		}
 		if err != nil {
 			sp.Fail()
 			return nil, err
 		}
-		sp.Rows(int64(tbl.Len()), int64(t.Len())).End()
-		return &Result{Table: t}, nil
+		rowsOut += resultRows(&out[i])
 	}
-	sp := c.col.Start(obs.OpConstruct)
-	if sp.Verbose() {
-		sp.SetLabel(constructLabel)
+	sp.Rows(int64(tbl.Len()), rowsOut).End()
+	return out, nil
+}
+
+// rowSchema returns row i's bindings without the variables outer row i
+// leaves unbound and the query does not bind itself: µ binds no such
+// variable, and CONSTRUCT treats a variable of the schema as bound.
+func (c *evalCtx) rowSchema(bq *ast.BasicQuery, outer *bindings.Table, i int, part *bindings.Table) *bindings.Table {
+	var drop []string
+	for slot, v := range outer.RowAt(i) {
+		if name := outer.Vars()[slot]; v.IsAbsent() && !c.bindsItself(bq, name) {
+			drop = append(drop, name)
+		}
 	}
-	g, err := c.evalConstruct(s, bq.Construct, tbl, graphs)
-	if err != nil {
-		sp.Fail()
-		return nil, err
+	if drop == nil {
+		return part
 	}
-	sp.Rows(int64(tbl.Len()), int64(g.NumNodes()+g.NumEdges()+g.NumPaths())).End()
-	return &Result{Graph: g}, nil
+	return part.DropVars(drop...)
+}
+
+// bindsItself reports whether a basic query's FROM or MATCH clause
+// binds the variable v.
+func (c *evalCtx) bindsItself(bq *ast.BasicQuery, v string) bool {
+	if bq.From != "" {
+		t, ok := c.ev.cat.Table(bq.From)
+		return ok && slices.Contains(t.Cols, v)
+	}
+	return bq.Match != nil && matchVars(bq.Match)[v]
 }
 
 // resolveLocation finds the graph a located pattern matches on.
@@ -640,10 +684,10 @@ func (c *evalCtx) resolveLocation(s *scope, lp *ast.LocatedPattern) (*ppg.Graph,
 		if err != nil {
 			return nil, err
 		}
-		if res.Graph == nil {
+		if res[0].Graph == nil {
 			return nil, errf("ON (subquery) must yield a graph")
 		}
-		return res.Graph, nil
+		return res[0].Graph, nil
 	case lp.OnGraph != "":
 		return c.resolveGraphName(s, lp.OnGraph)
 	default:
@@ -679,10 +723,10 @@ func (c *evalCtx) resolveGraphName(s *scope, name string) (*ppg.Graph, error) {
 	return g, nil
 }
 
-// fromTable imports a binding table for the FROM clause (§5).
-// Column names become variables; a NULL cell leaves its variable
-// unbound in that row.
-func (c *evalCtx) fromTable(name string) (*bindings.Table, error) {
+// fromTable imports a binding table for the FROM clause (§5), joined
+// with outer. Column names become variables; a NULL cell leaves its
+// variable unbound in that row.
+func (c *evalCtx) fromTable(name string, outer *bindings.Table) (*bindings.Table, error) {
 	t, ok := c.ev.cat.Table(name)
 	if !ok {
 		return nil, errf("catalog: unknown binding table %q", name)
@@ -696,5 +740,5 @@ func (c *evalCtx) fromTable(name string) (*bindings.Table, error) {
 			}
 		}
 	}
-	return tbl, nil
+	return bindings.Join(tbl, outer), nil
 }

@@ -161,7 +161,7 @@ func explainQuery(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 }
 
 func explainBasic(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Builder, bq *ast.BasicQuery, indent string, ann *planAnnotator) {
-	boundVars := map[string]bool{}
+	var boundVars map[string]bool
 	boundKnown := true
 	switch {
 	case bq.From != "":
@@ -169,14 +169,7 @@ func explainBasic(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 		boundKnown = false // columns are only known at run time
 	case bq.Match != nil:
 		explainMatch(ev, def, cs, sb, bq.Match, indent, ann)
-		for _, lp := range bq.Match.Patterns {
-			collectVars(lp.Pattern, boundVars)
-		}
-		for _, ob := range bq.Match.Optionals {
-			for _, lp := range ob.Patterns {
-				collectVars(lp.Pattern, boundVars)
-			}
-		}
+		boundVars = matchVars(bq.Match)
 	default:
 		fmt.Fprintf(sb, "%sunit bindings {µ∅}\n", indent)
 	}

@@ -39,9 +39,9 @@ type env struct {
 	graphs       []*ppg.Graph
 	patternGraph *ppg.Graph
 
-	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅. slots
-	// maps the statement's variable ids to rowTab's slots, each
-	// resolved on first use (setTable).
+	// The current µ is row rowIdx of rowTab; a nil rowTab is µ∅, with
+	// rowIdx 0, its row in {µ∅}. slots maps the statement's variable
+	// ids to rowTab's slots, each resolved on first use (setTable).
 	rowTab *bindings.Table
 	rowIdx int
 	slots  []int
@@ -69,6 +69,8 @@ type env struct {
 
 	args    []value.Value // the argument stack of builtin calls
 	aggVals []value.Value // an aggregate's inputs
+
+	masks map[subquery]rowMask // each subquery node's value on the table it last ran over
 }
 
 // leafBind is one leaf bound to the env's snapshot: a column leaf's
@@ -85,11 +87,11 @@ func (c *evalCtx) newEnv(s *scope, graphs []*ppg.Graph, patternGraph *ppg.Graph)
 }
 
 // setTable makes the rows of t the bindings the env evaluates over (nil
-// for µ∅). The variable slots of a new schema resolve lazily; a table
-// sharing the previous one's schema keeps them.
+// for µ∅), starting at its first row. The variable slots of a new schema
+// resolve lazily; a table sharing the previous one's schema keeps them.
 func (e *env) setTable(t *bindings.Table) {
 	prev := e.rowTab
-	e.rowTab = t
+	e.rowTab, e.rowIdx = t, 0
 	if t == nil || prev != nil && e.slots != nil && sameSchema(prev.Vars(), t.Vars()) {
 		return
 	}
@@ -165,15 +167,6 @@ func (e *env) scope() *scope {
 		return newScope(nil)
 	}
 	return e.s
-}
-
-// outerRowTable materialises the current µ as a one-row table — the
-// outer table Ω′ of a correlated subquery.
-func (e *env) outerRowTable() *bindings.Table {
-	if e.rowTab == nil {
-		return bindings.Unit()
-	}
-	return e.rowTab.RowTable(e.rowIdx)
 }
 
 // allGraphs yields the graphs to consult for element lookups, nearest
@@ -583,43 +576,86 @@ rows:
 	return count
 }
 
-// existsNode is EXISTS (query): true iff the subquery's graph is
-// non-empty, with the current row as correlated outer bindings.
+// subquery is an expression node that asks a query of its row (§A.1:
+// EXISTS and pattern predicates). Appendix A correlates the query with
+// a whole table, ⟦γ⟧Ω,G = ⟦γ⟧G ⋉ Ω, so the node answers for every row
+// of the table at once.
+type subquery interface {
+	evaluator
+	// matched returns the node's value on every row of outer.
+	matched(e *env, outer *bindings.Table) ([]bool, error)
+}
+
+// rowMask is a subquery node's value on every row of one table.
+type rowMask struct {
+	tab *bindings.Table // nil: µ∅
+	hit []bool
+}
+
+// subqueryValue returns n's value on the current row µ. The first row
+// of a table evaluates n over the whole table ({µ∅} for µ∅); every
+// later row reads the mask.
+func (e *env) subqueryValue(n subquery) (value.Value, error) {
+	m, ok := e.masks[n]
+	if !ok || m.tab != e.rowTab {
+		outer := e.rowTab
+		if outer == nil {
+			outer = bindings.Unit()
+		}
+		// Subquery operators record one level down, so plan annotation
+		// matches only top-level spans.
+		e.c.col.EnterSub()
+		hit, err := n.matched(e, outer)
+		e.c.col.ExitSub()
+		if err != nil {
+			return value.Null, err
+		}
+		if e.masks == nil {
+			e.masks = map[subquery]rowMask{}
+		}
+		m = rowMask{e.rowTab, hit}
+		e.masks[n] = m
+	}
+	return value.Bool(m.hit[e.rowIdx]), nil
+}
+
+// existsNode is EXISTS (query): true on a row iff the subquery's graph
+// for that row, with the row as its outer bindings, is non-empty.
 type existsNode struct{ q ast.Query }
 
-func (n *existsNode) eval(e *env) (value.Value, error) {
-	outer := e.outerRowTable()
-	// Subquery operators record one level down (they run per row and
-	// would otherwise swamp the top-level plan annotation).
-	e.c.col.EnterSub()
+func (n *existsNode) eval(e *env) (value.Value, error) { return e.subqueryValue(n) }
+
+func (n *existsNode) matched(e *env, outer *bindings.Table) ([]bool, error) {
 	res, err := e.c.evalQuery(e.scope(), n.q, outer)
-	e.c.col.ExitSub()
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
-	if res.Graph == nil {
-		return value.Null, errf("EXISTS subquery must be a graph query")
+	hit := make([]bool, len(res))
+	for i, r := range res {
+		if r.Graph == nil {
+			return nil, errf("EXISTS subquery must be a graph query")
+		}
+		hit[i] = !r.Graph.IsEmpty()
 	}
-	return value.Bool(!res.Graph.IsEmpty()), nil
+	return hit, nil
 }
 
 // patternNode is an implicit existential pattern in WHERE (§3): the
-// pattern is matched on the enclosing pattern's graph, correlated with
-// the current row.
+// pattern is matched once on the enclosing pattern's graph, and a row
+// holds iff some match is compatible with it (⋉).
 type patternNode struct{ gp *ast.GraphPattern }
 
-func (n *patternNode) eval(e *env) (value.Value, error) {
+func (n *patternNode) eval(e *env) (value.Value, error) { return e.subqueryValue(n) }
+
+func (n *patternNode) matched(e *env, outer *bindings.Table) ([]bool, error) {
 	if e.patternGraph == nil {
-		return value.Null, errf("no graph in scope for pattern predicate")
+		return nil, errf("no graph in scope for pattern predicate")
 	}
-	e.c.col.EnterSub()
 	tbl, _, err := e.c.evalGraphPattern(e.scope(), n.gp, e.patternGraph)
-	e.c.col.ExitSub()
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
-	joined := bindings.Join(tbl, e.outerRowTable())
-	return value.Bool(joined.Len() > 0), nil
+	return bindings.Matched(outer, tbl), nil
 }
 
 // builtin is a scalar function of arity arguments (-1: fn checks),

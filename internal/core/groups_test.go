@@ -19,7 +19,13 @@ import (
 // is unbound and skipUnbound asks for it. It is the reference
 // OrderedGroups must agree with.
 func hashThenSort(t *bindings.Table, vars []string, skipUnbound bool) [][]int {
-	keys := t.Project(vars)
+	var others []string
+	for _, v := range t.Vars() {
+		if !slices.Contains(vars, v) {
+			others = append(others, v)
+		}
+	}
+	keys := t.DropVars(others...)
 	if slices.Compare(keys.Vars(), vars) != 0 {
 		panic("key variables must be listed in schema order")
 	}
