@@ -723,15 +723,12 @@ func BenchmarkGrouping(b *testing.B) {
 // node and an edge to SNB-2000 and immediately runs a filtered scan,
 // so each read pays for bringing the CSR snapshot up to date. The
 // incremental mode delta-applies the two-op delta; the full-rebuild
-// mode (core.Ablation.NoIncrementalSnapshot) reconstructs the
-// snapshot from scratch each time.
+// mode drops the delta after the appends (TouchProps), so the read
+// reconstructs the snapshot from scratch each time.
 func BenchmarkMutateThenRead(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		ablation core.Ablation
-	}{{"incremental", core.Ablation{}}, {"full-rebuild", core.Ablation{NoIncrementalSnapshot: true}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewAblatedEngine(mode.ablation)
+	for _, mode := range []string{"incremental", "full-rebuild"} {
+		b.Run(mode, func(b *testing.B) {
+			eng := gcore.NewEngine()
 			social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})
 			if err := eng.RegisterGraph(social); err != nil {
 				b.Fatal(err)
@@ -761,6 +758,9 @@ WHERE p.firstName = 'John' AND p.lastName >= 'K'`, social.Name())
 				if err := g.AddEdge(&gcore.Edge{ID: nextEdge, Src: persons[i%len(persons)],
 					Dst: nextNode, Labels: gcore.NewLabels("knows")}); err != nil {
 					b.Fatal(err)
+				}
+				if mode == "full-rebuild" {
+					g.TouchProps()
 				}
 				nextNode++
 				nextEdge++

@@ -61,9 +61,10 @@ func main() {
 	// here taxes every write; BenchmarkWALConcurrentAppend guards
 	// the contended SyncAlways path, one fsync per append.
 	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard
-	// incremental snapshot maintenance: the delta apply must stay
-	// O(delta)-allocating, not O(graph), or mixed read/write
-	// workloads silently fall back to rebuild-per-read costs.
+	// incremental snapshot maintenance: applying a delta of appended
+	// nodes and edges must stay O(delta)-allocating, not O(graph), or
+	// append-then-read workloads silently fall back to
+	// rebuild-per-read costs.
 	// BenchmarkConcurrentRead guards the reader path under the
 	// engine's read/write lock split: an allocation jump there means
 	// concurrent readers stopped sharing snapshots.

@@ -53,6 +53,17 @@ func evalParsed(eng *gcore.Engine, src string) (*gcore.Result, error) {
 	return eng.EvalStatement(stmt)
 }
 
+// evalRebuilt drops every registered graph's recorded delta before it
+// evaluates, so each statement reads snapshots rebuilt from scratch.
+func evalRebuilt(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	for _, name := range eng.GraphNames() {
+		if err := eng.MutateGraph(name, func(g *gcore.Graph) error { g.TouchProps(); return nil }); err != nil {
+			return nil, err
+		}
+	}
+	return eng.Eval(src)
+}
+
 // tourEngine builds the guided-tour toy database.
 func tourEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 	return goldenTour(t, gcore.NewEngine, opts...)
@@ -69,15 +80,16 @@ func snbEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
 func snbQueries() []string { return goldenSNBQueries[:6] }
 
 // fullAblation switches every optimisation off at once.
-var fullAblation = core.Ablation{NoPushdown: true, NoReorder: true, NoPropColumns: true, NoIncrementalSnapshot: true}
+var fullAblation = core.Ablation{NoPushdown: true, NoReorder: true, NoPropColumns: true}
 
 // ablated returns a maker of engines under ab.
 func ablated(ab core.Ablation) engineMaker {
 	return func(opts ...gcore.Option) *gcore.Engine { return gcore.NewAblatedEngine(ab, opts...) }
 }
 
-// TestAblatedEnginesMatchGolden: each ablation alone, all four
-// together, and the default engine evaluating through the uncached
+// TestAblatedEnginesMatchGolden: each ablation alone, all three
+// together, the default engine rebuilding every snapshot before each
+// statement, and the default engine evaluating through the uncached
 // AST-level path (a fresh compile on every execution) render every
 // golden. Without pushdown a path search also runs from sources the
 // WHERE clause then drops, and the paths found there consume
@@ -93,7 +105,7 @@ func TestAblatedEnginesMatchGolden(t *testing.T) {
 		{"residual", ablated(core.Ablation{NoPushdown: true}), (*gcore.Engine).Eval, false},
 		{"textual", ablated(core.Ablation{NoReorder: true}), (*gcore.Engine).Eval, true},
 		{"interpreter", ablated(core.Ablation{NoPropColumns: true}), (*gcore.Engine).Eval, true},
-		{"full-build", ablated(core.Ablation{NoIncrementalSnapshot: true}), (*gcore.Engine).Eval, true},
+		{"full-build", gcore.NewEngine, evalRebuilt, true},
 		{"all", ablated(fullAblation), (*gcore.Engine).Eval, false},
 		{"nocache", gcore.NewEngine, evalParsed, true},
 	}

@@ -6,17 +6,17 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/csr"
 	"gcore/internal/ppg"
 	"gcore/internal/value"
 )
 
 // Tests for incremental CSR snapshot maintenance: after any mutation
-// sequence, the delta-applied snapshot must be semantically identical
-// to a from-scratch rebuild, old snapshots must stay frozen despite
-// structural sharing, and query results must be byte-identical with
-// the optimisation on or off.
+// sequence, the snapshot — delta-applied after appends, rebuilt after
+// anything else — must be semantically identical to a from-scratch
+// rebuild, old snapshots must stay frozen despite structural sharing,
+// and query results must be byte-identical to those of an engine that
+// never applies a delta.
 
 // FuzzIncrementalSnapshot drives random mutation streams against a
 // primed snapshot chain. Invariants: csr.Of after any mutation round
@@ -134,7 +134,7 @@ func FuzzIncrementalSnapshot(f *testing.F) {
 					}
 				}
 			}
-			snap, info := csr.OfCounted(g, true)
+			snap, info := csr.OfCounted(g)
 			// Seek every column before the equivalence check, so its
 			// validation pass has built indexes to hold against their
 			// columns. A column the delta shared with earlier versions
@@ -196,12 +196,11 @@ func seekAgainstScan(t *testing.T, snap *csr.Snapshot, col *csr.PropCol, indexed
 	}
 }
 
-// mutableSNB builds the SNB toy engine (under ab, with the given
-// options) and returns its default graph — the social graph — for
-// direct mutation.
-func mutableSNB(t *testing.T, ab core.Ablation, opts ...gcore.Option) (*gcore.Engine, *gcore.Graph) {
+// mutableSNB builds the SNB toy engine and returns its default graph —
+// the social graph — for direct mutation.
+func mutableSNB(t *testing.T) (*gcore.Engine, *gcore.Graph) {
 	t.Helper()
-	eng := goldenSNB(t, ablated(ab), opts...)
+	eng := goldenSNB(t, gcore.NewEngine)
 	g, ok := eng.Graph(eng.GraphNames()[0])
 	if !ok {
 		t.Fatal("registered social graph not found")
@@ -210,8 +209,9 @@ func mutableSNB(t *testing.T, ab core.Ablation, opts ...gcore.Option) (*gcore.En
 }
 
 // snbMutationScript is a deterministic interleaving payload: each
-// step mutates the social graph between query evaluations, exercising
-// appends, relabels and property rewrites on a warm snapshot chain.
+// step appends to the social graph between query evaluations — nodes
+// with new strings and a new property key, a node with two labels,
+// edges into the existing graph — on a warm snapshot chain.
 func snbMutationScript(t *testing.T, g *gcore.Graph, step int) {
 	t.Helper()
 	base := gcore.NodeID(5_000_000 + 10*step)
@@ -237,29 +237,34 @@ func snbMutationScript(t *testing.T, g *gcore.Graph, step int) {
 	if err := knows(eid+1, persons[step%len(persons)], base); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite an existing person's labels and properties in place.
-	victim := persons[(step*7)%len(persons)]
-	if err := g.SetNodeLabels(victim, gcore.NewLabels("Person", "Tag")); err != nil {
+	// A person who is also a tag, with a property key no node had,
+	// known by an existing person.
+	if err := g.AddNode(&gcore.Node{ID: base + 2, Labels: gcore.NewLabels("Person", "Tag"),
+		Props: gcore.NewProperties(map[string]gcore.Value{
+			"firstName": gcore.Str(fmt.Sprintf("Zed%02d-tagged", step)),
+			"karma":     gcore.Int(int64(step)),
+		})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SetNodeProps(base, gcore.NewProperties(map[string]gcore.Value{
-		"firstName": gcore.Str(fmt.Sprintf("Zed%02d-renamed", step)),
-		"karma":     gcore.Int(int64(step)),
-	})); err != nil {
+	if err := knows(eid+2, persons[(step*7)%len(persons)], base+2); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// runInterleaved evaluates the SNB query set interleaved with
-// mutations, with incremental snapshots enabled or disabled, and
-// returns the concatenated transcript plus the engine's final
-// metrics.
-func runInterleaved(t *testing.T, disableInc bool) (string, gcore.Metrics) {
+// runInterleaved evaluates the SNB query set interleaved with appends
+// and returns the concatenated transcript plus the engine's final
+// metrics. With rebuild set, each step drops the recorded delta
+// (TouchProps) after appending, so every read after it runs the full
+// build: that engine never applies a delta.
+func runInterleaved(t *testing.T, rebuild bool) (string, gcore.Metrics) {
 	t.Helper()
-	eng, g := mutableSNB(t, core.Ablation{NoIncrementalSnapshot: disableInc})
+	eng, g := mutableSNB(t)
 	out := ""
 	for step := 0; step < 4; step++ {
 		snbMutationScript(t, g, step)
+		if rebuild {
+			g.TouchProps()
+		}
 		for qi, q := range snbQueries() {
 			out += fmt.Sprintf("-- step %d query %d\n", step, qi)
 			out += renderResult(eng.Eval(q)) + "\n"
@@ -268,10 +273,11 @@ func runInterleaved(t *testing.T, disableInc bool) (string, gcore.Metrics) {
 	return out, eng.Metrics()
 }
 
-// TestIncrementalDifferentialSNB: interleaved mutate/query workloads
-// render byte-identically with incremental snapshot maintenance on
-// and off — and the incremental run actually takes the delta path.
-// Evaluation is single-threaded, so the one subtest is workers=1.
+// TestIncrementalDifferentialSNB: interleaved append/query workloads
+// render byte-identically whether each read applies the appends as a
+// delta or rebuilds the snapshot — and the incremental run actually
+// takes the delta path. Evaluation is single-threaded, so the one
+// subtest is workers=1.
 func TestIncrementalDifferentialSNB(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
 		want, off := runInterleaved(t, true)
@@ -279,8 +285,9 @@ func TestIncrementalDifferentialSNB(t *testing.T) {
 		if got != want {
 			t.Fatalf("incremental snapshots changed results\nincremental:\n%s\nfull rebuild:\n%s", got, want)
 		}
-		if off.SnapshotDeltaApplies != 0 {
-			t.Fatalf("incremental off but %d delta applies recorded", off.SnapshotDeltaApplies)
+		if off.SnapshotDeltaApplies != 0 || off.SnapshotFullBuilds < 4 {
+			t.Fatalf("rebuilding engine: %d delta applies, %d full builds; want 0 and at least 4",
+				off.SnapshotDeltaApplies, off.SnapshotFullBuilds)
 		}
 		if on.SnapshotDeltaApplies == 0 {
 			t.Fatalf("incremental on but no delta applies recorded (full=%d fallback=%d)",
@@ -293,10 +300,10 @@ func TestIncrementalDifferentialSNB(t *testing.T) {
 // fresh snapshot lineage; mutations to the original afterwards must
 // not bleed into the clone's snapshot through shared structure.
 func TestIncrementalCloneIsolation(t *testing.T) {
-	_, g := mutableSNB(t, core.Ablation{})
+	_, g := mutableSNB(t)
 	csr.Of(g)
 	snbMutationScript(t, g, 0) // dirty the chain so the next Of delta-applies
-	if _, info := csr.OfCounted(g, true); info.Kind != csr.BuildDelta {
+	if _, info := csr.OfCounted(g); info.Kind != csr.BuildDelta {
 		t.Fatalf("priming mutation produced %v, want BuildDelta", info.Kind)
 	}
 	clone := g.Clone()
@@ -314,11 +321,11 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeSnapshotFooter: after a mutation, the EXPLAIN
-// ANALYZE footer reports the snapshot as delta-applied (and as a full
-// build when the ablation disables the incremental path).
+// TestExplainAnalyzeSnapshotFooter: after an append, the EXPLAIN
+// ANALYZE footer reports the snapshot as delta-applied, and after a
+// property replacement as a full build.
 func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
-	eng, g := mutableSNB(t, core.Ablation{})
+	eng, g := mutableSNB(t)
 	q := `SELECT c.name AS name MATCH (c:City) ORDER BY name`
 	if _, err := eng.Eval(q); err != nil {
 		t.Fatal(err)
@@ -332,48 +339,45 @@ func TestExplainAnalyzeSnapshotFooter(t *testing.T) {
 		t.Fatalf("no delta-applied snapshot line in footer:\n%s", out)
 	}
 
-	eng, g = mutableSNB(t, core.Ablation{NoIncrementalSnapshot: true})
-	if _, err := eng.Eval(q); err != nil {
+	if err := g.SetNodeProps(g.NodesWithLabel("Person")[0],
+		gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(1)})); err != nil {
 		t.Fatal(err)
 	}
-	snbMutationScript(t, g, 1)
 	out, err = eng.ExplainAnalyze(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "snapshots: 1 full") {
-		t.Fatalf("incremental off: footer should report a full build:\n%s", out)
+		t.Fatalf("property replacement: footer should report a full build:\n%s", out)
 	}
 }
 
-// TestIncrementalOverflowFallback: a mutation burst past the delta
+// TestIncrementalOverflowFallback: an append burst past the delta
 // buffer cap must transparently fall back to a full rebuild — same
 // results, counted as a full build, and the chain recovers afterwards.
 func TestIncrementalOverflowFallback(t *testing.T) {
-	_, g := mutableSNB(t, core.Ablation{})
+	_, g := mutableSNB(t)
 	csr.Of(g)
 	snbMutationScript(t, g, 0)
-	// One property write per recorded op takes the buffer past its cap.
-	person := g.NodesWithLabel("Person")[1]
+	// One appended node per recorded op takes the buffer past its cap.
 	for i := 0; i <= ppg.MaxDeltaOps; i++ {
-		if err := g.SetNodeProps(person,
-			gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(int64(i))})); err != nil {
+		if err := g.AddNode(&gcore.Node{ID: gcore.NodeID(7_000_000 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, info := csr.OfCounted(g, true)
+	snap, info := csr.OfCounted(g)
 	if info.Kind != csr.BuildFull {
 		t.Fatalf("overflowed delta produced %v, want BuildFull", info.Kind)
 	}
 	if err := csr.Equivalent(snap, csr.Build(g)); err != nil {
 		t.Fatal(err)
 	}
-	// A small follow-up mutation fits the restarted buffer.
-	if err := g.SetNodeProps(g.NodesWithLabel("Person")[0],
-		gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(1)})); err != nil {
+	// A small follow-up append fits the restarted buffer.
+	if err := g.AddNode(&gcore.Node{ID: 8_000_000, Labels: gcore.NewLabels("Person"),
+		Props: gcore.NewProperties(map[string]gcore.Value{"karma": gcore.Int(1)})}); err != nil {
 		t.Fatal(err)
 	}
-	snap, info = csr.OfCounted(g, true)
+	snap, info = csr.OfCounted(g)
 	if info.Kind != csr.BuildDelta {
 		t.Fatalf("post-overflow mutation produced %v, want BuildDelta", info.Kind)
 	}

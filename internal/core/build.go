@@ -175,7 +175,7 @@ func (b *builder) homeSnap() *csr.Snapshot {
 	if !b.homeDone {
 		b.homeDone = true
 		if len(b.graphs) > 0 {
-			b.home, _ = b.c.ev.snapshot(b.graphs[0])
+			b.home = csr.Of(b.graphs[0])
 			b.nodes.n, b.edges.n = b.home.NumNodes(), b.home.NumEdges()
 		}
 	}

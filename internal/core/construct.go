@@ -92,8 +92,10 @@ func (ic *itemCtx) built(sort varSort, id uint64, rows []int) {
 func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *bindings.Table, graphs []*ppg.Graph) (*ppg.Graph, error) {
 	b := newBuilder(c, graphs)
 	defer b.release()
-	// Phases 1–2 evaluate expressions on the match table.
-	env := c.newEnv(s, graphs, nil)
+	// Phases 1–2 evaluate expressions on the match table. A pattern
+	// predicate (in WHEN, say) matches on the MATCH's first graph, as
+	// WHERE's does.
+	env := c.newEnv(s, graphs, firstGraph(graphs, c.defaultGraphOrNil()))
 	env.constructed = b
 	env.groupSchema = tbl.Vars()
 	env.setTable(tbl)
@@ -608,7 +610,7 @@ func (c *evalCtx) constructPath(env *env, b *builder, pp *ast.PathPattern, ic *i
 			for _, g := range b.graphs {
 				if p, ok := g.Path(ppg.PathID(pid)); ok {
 					pobj = p
-					snap, _ = c.ev.snapshot(g)
+					snap = csr.Of(g)
 					break
 				}
 			}

@@ -54,9 +54,6 @@ type Ablation struct {
 	// through the expression interpreter and the ppg.Properties maps
 	// instead of the snapshot's property columns.
 	NoPropColumns bool
-	// NoIncrementalSnapshot runs the full csr.Build on every
-	// generation mismatch instead of applying the recorded delta.
-	NoIncrementalSnapshot bool
 }
 
 // Evaluator evaluates statements against a catalog.

@@ -13,17 +13,12 @@ import (
 // dense node/edge ordinals, flat adjacency arrays and interned integer
 // labels replace map probes and string comparisons of the ppg layout.
 
-// snapshot returns the graph's CSR snapshot at its current
-// generation — cached per generation inside the graph, so repeated
-// calls during one evaluation are cheap — and how it was obtained.
-func (ev *Evaluator) snapshot(g *ppg.Graph) (*csr.Snapshot, csr.BuildInfo) {
-	return csr.OfCounted(g, !ev.ablation.NoIncrementalSnapshot)
-}
-
-// snapOf is snapshot with the acquisition recorded in the statement's
-// cache and snapshot-maintenance counters.
+// snapOf returns the graph's CSR snapshot at its current generation —
+// cached per generation inside the graph, so repeated calls during one
+// evaluation are cheap — and records how it was obtained in the
+// statement's cache and snapshot-maintenance counters.
 func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
-	snap, info := c.ev.snapshot(g)
+	snap, info := csr.OfCounted(g)
 	c.col.CSREvent(info.Kind == csr.BuildReused)
 	if info.Kind != csr.BuildReused {
 		c.col.SnapshotBuild(info.Kind == csr.BuildDelta, info.Kind == csr.BuildFallback,

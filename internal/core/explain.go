@@ -285,7 +285,7 @@ func explainRestriction(ev *Evaluator, cs *CachedStatement, sb *strings.Builder,
 func (ev *Evaluator) staticPlan(def string, lp *ast.LocatedPattern, conjs []*conjunct) chainPlan {
 	var snap *csr.Snapshot
 	if g := ev.staticGraph(def, lp); g != nil {
-		snap, _ = ev.snapshot(g)
+		snap = csr.Of(g)
 	}
 	return planChain(ev.ablation, lp.Pattern, snap, conjs, nil)
 }

@@ -144,9 +144,9 @@ func (e *env) fast() *csr.Snapshot {
 	if !e.snapDone {
 		e.snapDone = true
 		if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
-			// snapshot, not snapOf: the cache counters record the
+			// csr.Of, not snapOf: the cache counters record the
 			// operators' acquisitions, not one per environment.
-			e.snap, _ = e.c.ev.snapshot(e.graphs[0])
+			e.snap = csr.Of(e.graphs[0])
 		}
 	}
 	return e.snap

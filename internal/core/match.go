@@ -100,7 +100,7 @@ func (c *evalCtx) evalPatterns(s *scope, lps []*ast.LocatedPattern, conjs []*con
 		graphs = append(graphs, g)
 		var only []ordSet
 		if vars := sipVars(c.ev.ablation, c.cached, lps, j, conjs, paramsBound); vars != nil {
-			snap, _ := c.ev.snapshot(g)
+			snap := csr.Of(g)
 			only = restrict(lp.Pattern, vars, tables, snap)
 		}
 		t, est, err := c.evalChainPlanned(s, lp.Pattern, g, conjs, only)

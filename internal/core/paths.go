@@ -349,7 +349,7 @@ func (c *evalCtx) extendPath(s *scope, g *ppg.Graph, tbl *bindings.Table, leftVa
 	}
 	vars = appendBindVars(appendBindVars(vars, linkProps), rightNp.Props)
 	out := bindings.EmptyTable(vars...)
-	snap, _ := c.ev.snapshot(g)
+	snap := csr.Of(g)
 	ex := newExtendPlan(tbl, out, leftVar, pathVar, rightVar, linkProps, rightNp)
 	ps := &pathStep{
 		destGate: c.newDestGate(g, snap, ex, out, rightNp, rightVar, conjs, nil),

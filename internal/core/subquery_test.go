@@ -72,6 +72,12 @@ WHERE EXISTS (
 WHERE EXISTS ( CONSTRUCT company_graph MATCH (n)-[:hasInterest]->() )`, "Alice,Celine,Frank,John,Peter"},
 		{"pattern predicate under NOT", `CONSTRUCT (n) MATCH (n:Person)
 WHERE NOT (n)-[:hasInterest]->()`, "Alice,John,Peter"},
+		// WHEN matches a pattern predicate on the MATCH's first graph, as
+		// WHERE does.
+		{"pattern predicate in a CONSTRUCT WHEN", `CONSTRUCT (n) WHEN (n)-[:hasInterest]->()
+MATCH (n:Person)`, "Celine,Frank"},
+		{"pattern predicate under NOT in a CONSTRUCT WHEN", `CONSTRUCT (n) WHEN NOT (n)-[:hasInterest]->()
+MATCH (n:Person)`, "Alice,John,Peter"},
 		{"pattern predicate inside OR", `CONSTRUCT (n) MATCH (n:Person)
 WHERE (n)-[:hasInterest]->() OR n.firstName = 'John'`, "Celine,Frank,John"},
 		{"exists nested in exists", `CONSTRUCT (n) MATCH (n:Person)
@@ -122,10 +128,6 @@ func TestCorrelatedSubqueryErrors(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"exists with a SELECT body", `CONSTRUCT (n) MATCH (n:Person)
 WHERE EXISTS ( SELECT m.firstName AS f MATCH (n)-[:knows]->(m) )`, "EXISTS subquery must be a graph query"},
-		// A CONSTRUCT WHEN is evaluated without a pattern graph, so a
-		// pattern predicate there has no graph to match on.
-		{"pattern predicate in a CONSTRUCT WHEN", `CONSTRUCT (n) WHEN (n)-[:hasInterest]->()
-MATCH (n:Person)`, "no graph in scope for pattern predicate"},
 	}
 	for _, tc := range cases {
 		if err := runErr(t, newToy(t), tc.src); !strings.Contains(err.Error(), tc.want) {

@@ -21,9 +21,9 @@
 // mutations — structural ones and in-place property writes alike (see
 // ppg.Graph.TouchProps) — and Of serves the cached snapshot only
 // while the generation matches. On a mismatch it applies the recorded
-// mutation delta to the previous snapshot when it can (delta.go),
-// sharing every untouched array between versions, and rebuilds from
-// scratch otherwise. Properties are
+// appends to the previous snapshot when it can (delta.go), sharing
+// every untouched array between versions, and rebuilds from scratch
+// otherwise. Properties are
 // frozen at build time into typed columns (props.go): one dense
 // column per key with a presence bitmap, scalar payload arrays for
 // uniformly-typed singleton values, interned strings, and the stored
@@ -48,11 +48,11 @@ const AnyLabel int32 = -2
 // Snapshot is the CSR image of one graph at one generation.
 //
 // A snapshot is either a full build (Build) or a delta apply
-// (delta.go): the previous snapshot extended by a recorded mutation
-// delta, structurally sharing every untouched array. The *Patch
-// fields are the copy-on-write overlays a delta apply uses for state
-// it cannot extend in place — they are nil on a full build, keeping
-// the hot accessors overlay-free on the common path.
+// (delta.go): the previous snapshot extended by the recorded appends,
+// structurally sharing every untouched array. ordPatch and
+// edgeOrdPatch are the copy-on-write overlays a delta apply uses for
+// the ordinal maps, which it cannot extend in place — they are nil on
+// a full build.
 type Snapshot struct {
 	gen uint64
 
@@ -87,15 +87,11 @@ type Snapshot struct {
 	labelOf    map[string]int32
 
 	// Per-element label sets as CSR over interned identifiers, sorted
-	// within each element. Delta applies append runs for new elements;
-	// label changes to existing elements go to the patch maps (a run
-	// inside the CSR array cannot be resized in place).
-	nodeLabelOff   []int32
-	nodeLabelIDs   []int32
-	edgeLabelOff   []int32
-	edgeLabelIDs   []int32
-	nodeLabelPatch map[int32][]int32
-	edgeLabelPatch map[int32][]int32
+	// within each element. Delta applies append runs for new elements.
+	nodeLabelOff []int32
+	nodeLabelIDs []int32
+	edgeLabelOff []int32
+	edgeLabelIDs []int32
 
 	// Per-label partitions: sorted ordinals of the elements carrying
 	// the label.
@@ -126,38 +122,33 @@ type degreeKey struct {
 
 // Of returns the snapshot of g at its current generation: the cached
 // build while the generation matches, a delta apply onto the previous
-// snapshot when the mutations since it were recorded and are
-// incrementalizable, and a full build otherwise. Safe for concurrent
-// readers.
+// snapshot when every mutation since it was a recorded append it can
+// extend, and a full build otherwise. Safe for concurrent readers.
 func Of(g *ppg.Graph) *Snapshot {
-	s, _ := OfCounted(g, true)
+	s, _ := OfCounted(g)
 	return s
 }
 
 // OfCounted is Of plus a report of how the snapshot was obtained
 // (reused, delta-applied, fallback, full build), feeding the
 // observability counters.
-func OfCounted(g *ppg.Graph, incremental bool) (*Snapshot, BuildInfo) {
+func OfCounted(g *ppg.Graph) (*Snapshot, BuildInfo) {
 	info := BuildInfo{Kind: BuildReused}
-	var inc func(prev any, d *ppg.Delta) any
-	if incremental {
-		inc = func(prev any, d *ppg.Delta) any {
-			ns, ok := applyDelta(prev.(*Snapshot), g, d, &info)
-			if !ok {
-				info.Kind = BuildFallback
-				return nil
-			}
-			info.Kind = BuildDelta
-			info.DeltaOps = d.Ops
-			return ns
-		}
-	}
 	s := g.SnapshotWith(func() any {
 		if info.Kind == BuildReused {
 			info.Kind = BuildFull
 		}
 		return Build(g)
-	}, inc).(*Snapshot)
+	}, func(prev any, d *ppg.Delta) any {
+		ns, ok := applyDelta(prev.(*Snapshot), g, d, &info)
+		if !ok {
+			info.Kind = BuildFallback
+			return nil
+		}
+		info.Kind = BuildDelta
+		info.DeltaOps = d.Ops()
+		return ns
+	}).(*Snapshot)
 	return s, info
 }
 
@@ -372,25 +363,13 @@ func (s *Snapshot) LabelID(name string) int32 {
 	return NoLabel
 }
 
-// nodeLabelRun returns the sorted interned-label run of node ordinal
-// u, honouring delta-apply label overrides.
+// nodeLabelRun returns the sorted interned-label run of node ordinal u.
 func (s *Snapshot) nodeLabelRun(u int32) []int32 {
-	if s.nodeLabelPatch != nil {
-		if run, ok := s.nodeLabelPatch[u]; ok {
-			return run
-		}
-	}
 	return s.nodeLabelIDs[s.nodeLabelOff[u]:s.nodeLabelOff[u+1]]
 }
 
-// edgeLabelRun returns the sorted interned-label run of edge ordinal
-// e, honouring delta-apply label overrides.
+// edgeLabelRun returns the sorted interned-label run of edge ordinal e.
 func (s *Snapshot) edgeLabelRun(e int32) []int32 {
-	if s.edgeLabelPatch != nil {
-		if run, ok := s.edgeLabelPatch[e]; ok {
-			return run
-		}
-	}
 	return s.edgeLabelIDs[s.edgeLabelOff[e]:s.edgeLabelOff[e+1]]
 }
 

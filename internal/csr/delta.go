@@ -3,6 +3,7 @@ package csr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -10,36 +11,37 @@ import (
 	"gcore/internal/value"
 )
 
-// Incremental snapshot maintenance. A mutation no longer costs the
+// Incremental snapshot maintenance. An append no longer costs the
 // next reader a full O(V+E) rebuild: ppg.Graph records the identifiers
-// touched since the last build (ppg/delta.go), and applyDelta extends
-// the previous snapshot by exactly those elements, structurally
-// sharing every untouched array between the two versions:
+// of the nodes and edges inserted since the last build (ppg/delta.go),
+// and applyDelta extends the previous snapshot by exactly those
+// elements, structurally sharing every untouched array between the two
+// versions:
 //
 //   - node/edge columns, label runs and the interner grow append-only
 //     (new elements always take ordinals past the old range),
-//   - per-node adjacency runs and per-label partitions are recopied
-//     only where the delta touches them (copy-on-write),
-//   - property columns are shared wholesale when their key is
-//     untouched, extended when only new ordinals were written, and
-//     recopied only when an existing ordinal changed,
-//   - state that cannot grow in place — ordinal maps, label sets of
-//     existing elements, new interned strings — goes to small overlay
-//     maps consulted after the base structures.
+//   - per-node adjacency runs are recopied only where a new edge lands
+//     (copy-on-write), and per-label partitions are extended,
+//   - property columns are shared wholesale when no new element
+//     carries their key and extended otherwise,
+//   - state that cannot grow in place — ordinal maps, new interned
+//     strings — goes to small overlay maps consulted after the base
+//     structures.
 //
 // Sharing is safe because the snapshot cache is a linear chain: each
 // cached snapshot is the base of at most one delta apply (under the
 // cache lock), so an append that lands in spare capacity writes only
 // beyond the previous version's length — indices its readers never
-// touch. Anything requiring a write inside the shared region (bitmap
-// words, changed ordinals) is copied first.
+// touch. Bitmap words, which a new bit would write inside the shared
+// region, are copied first.
 //
-// Deltas that cannot or should not be applied — dropped recordings
-// (TouchProps, ReplaceWith, overflow), non-monotonic identifiers,
-// label names the snapshot has never seen, deltas or accumulated
-// overlays too large relative to the graph — fall back to Build; the
-// full rebuild also re-densifies every overlay, so fallbacks act as
-// compaction.
+// A mutation that changes an element in place never reaches here: it
+// drops the recording (as TouchProps, ReplaceWith and overflow do),
+// and the next read runs Build. Deltas that cannot or should not be
+// applied — non-monotonic identifiers, label names the snapshot has
+// never seen, deltas or accumulated overlays too large relative to the
+// graph — fall back to Build; the full rebuild also re-densifies every
+// overlay, so fallbacks act as compaction.
 
 // BuildKind says how OfCounted obtained its snapshot.
 type BuildKind uint8
@@ -48,8 +50,8 @@ type BuildKind uint8
 const (
 	// BuildReused served the cached snapshot (generation match).
 	BuildReused BuildKind = iota
-	// BuildFull ran the full Build (no previous snapshot, recording
-	// dropped, or incremental maintenance disabled).
+	// BuildFull ran the full Build (no previous snapshot, or recording
+	// dropped by an in-place or wholesale mutation or by overflow).
 	BuildFull
 	// BuildDelta applied the recorded delta to the previous snapshot.
 	BuildDelta
@@ -79,15 +81,13 @@ const (
 	deltaMaxFraction = 8
 )
 
-// colWrite is one property-map replacement projected onto a column:
-// set the value at ord, or clear it (key removed by the new map).
+// colWrite is one appended element's value projected onto a column.
 type colWrite struct {
-	ord   int32
-	val   value.Value
-	clear bool
+	ord int32
+	val value.Value
 }
 
-// applyDelta extends prev — the snapshot of g before the mutations
+// applyDelta extends prev — the snapshot of g before the appends
 // recorded in d — to g's current state. It returns false to decline
 // (caller falls back to Build); it never mutates prev's visible state
 // either way. Called under the graph's snapshot cache lock.
@@ -95,7 +95,8 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 	n := len(prev.nodeIDs)
 	m := len(prev.edgeIDs)
 
-	if d.Ops == 0 {
+	ops := d.Ops()
+	if ops == 0 {
 		// Only path mutations bumped the generation; nothing the
 		// snapshot materialises changed. Re-tag a shallow copy.
 		ns := *prev
@@ -104,31 +105,26 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 		return &ns, true
 	}
 
-	overlay := len(prev.ordPatch) + len(prev.edgeOrdPatch) +
-		len(prev.nodeLabelPatch) + len(prev.edgeLabelPatch)
+	overlay := len(prev.ordPatch) + len(prev.edgeOrdPatch)
 	if prev.strings != nil {
 		overlay += len(prev.strings.extIds)
 	}
-	if d.Ops+overlay > deltaOpsFloor && (d.Ops+overlay)*deltaMaxFraction > n+m {
+	if ops+overlay > deltaOpsFloor && (ops+overlay)*deltaMaxFraction > n+m {
 		return nil, false
 	}
 
 	// Ordinals ascend with identifiers; appending keeps that true only
 	// when every new identifier exceeds the previous maximum.
-	addN := dedupIDs(d.AddedNodes)
-	addE := dedupIDs(d.AddedEdges)
+	addN := slices.Clone(d.AddedNodes)
+	slices.Sort(addN)
+	addE := slices.Clone(d.AddedEdges)
+	slices.Sort(addE)
 	if len(addN) > 0 && n > 0 && addN[0] <= prev.nodeIDs[n-1] {
 		return nil, false
 	}
 	if len(addE) > 0 && m > 0 && addE[0] <= prev.edgeIDs[m-1] {
 		return nil, false
 	}
-	addNSet := idSet(addN)
-	addESet := idSet(addE)
-	chNodeLabels := dedupIDsExcl(d.NodeLabels, addNSet)
-	chEdgeLabels := dedupIDsExcl(d.EdgeLabels, addESet)
-	chNodeProps := dedupIDsExcl(d.NodeProps, addNSet)
-	chEdgeProps := dedupIDsExcl(d.EdgeProps, addESet)
 
 	// The interned label universe is frozen at build time (ids are
 	// indexes into sorted labelNames); a label name the snapshot has
@@ -139,19 +135,7 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 			return nil, false
 		}
 	}
-	for _, id := range chNodeLabels {
-		nd, ok := g.Node(id)
-		if !ok || !labelsKnown(nd.Labels, prev.labelOf) {
-			return nil, false
-		}
-	}
 	for _, id := range addE {
-		ed, ok := g.Edge(id)
-		if !ok || !labelsKnown(ed.Labels, prev.labelOf) {
-			return nil, false
-		}
-	}
-	for _, id := range chEdgeLabels {
 		ed, ok := g.Edge(id)
 		if !ok || !labelsKnown(ed.Labels, prev.labelOf) {
 			return nil, false
@@ -178,45 +162,15 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 		labelNames: prev.labelNames,
 		labelOf:    prev.labelOf,
 
-		nodeLabelOff:   prev.nodeLabelOff,
-		nodeLabelIDs:   prev.nodeLabelIDs,
-		edgeLabelOff:   prev.edgeLabelOff,
-		edgeLabelIDs:   prev.edgeLabelIDs,
-		nodeLabelPatch: prev.nodeLabelPatch,
-		edgeLabelPatch: prev.edgeLabelPatch,
+		nodeLabelOff: prev.nodeLabelOff,
+		nodeLabelIDs: prev.nodeLabelIDs,
+		edgeLabelOff: prev.edgeLabelOff,
+		edgeLabelIDs: prev.edgeLabelIDs,
 
 		strings:  prev.strings,
 		nodeCols: prev.nodeCols,
 		edgeCols: prev.edgeCols,
 		degrees:  &degreeSums{},
-	}
-
-	// A relabelled or re-propertied element is a new object in the graph
-	// (ppg elements are immutable once inserted): re-point its slot in a
-	// copy of the pointer array, which prev's readers still hold.
-	if len(chNodeLabels)+len(chNodeProps) > 0 {
-		ns.nodes = append(make([]*ppg.Node, 0, newN), prev.nodes...)
-		for _, ids := range [][]ppg.NodeID{chNodeLabels, chNodeProps} {
-			for _, id := range ids {
-				u, ok := prev.Ord(id)
-				if !ok {
-					return nil, false
-				}
-				ns.nodes[u], _ = g.Node(id)
-			}
-		}
-	}
-	if len(chEdgeLabels)+len(chEdgeProps) > 0 {
-		ns.edges = append(make([]*ppg.Edge, 0, newM), prev.edges...)
-		for _, ids := range [][]ppg.EdgeID{chEdgeLabels, chEdgeProps} {
-			for _, id := range ids {
-				e, ok := prev.EdgeOrd(id)
-				if !ok {
-					return nil, false
-				}
-				ns.edges[e], _ = g.Edge(id)
-			}
-		}
 	}
 
 	// Node extension: ids, pointers, ordinal overlay, label runs.
@@ -264,100 +218,46 @@ func applyDelta(prev *Snapshot, g *ppg.Graph, d *ppg.Delta, info *BuildInfo) (*S
 	copy(ns.outAdj, prev.outAdj)
 	ns.inAdj = make([][]int32, newN)
 	copy(ns.inAdj, prev.inAdj)
-	touchedOut := map[int32]bool{}
-	touchedIn := map[int32]bool{}
 	for i := range addE {
 		e := int32(m + i)
 		u, v := ns.edgeSrc[e], ns.edgeDst[e]
 		ns.outAdj[u] = append(ns.outAdj[u], e)
 		ns.inAdj[v] = append(ns.inAdj[v], e)
-		touchedOut[u] = true
-		touchedIn[v] = true
 	}
 
-	// Partitions: outer array recopied, a partition recopied only when
-	// label-change surgery edits it; appended ordinals extend in place
-	// (they exceed every existing ordinal, so order is preserved).
+	// Partitions: outer array recopied; appended ordinals extend each
+	// partition in place (they exceed every existing ordinal, so order
+	// is preserved).
 	ns.nodesByLabel = make([][]int32, len(prev.nodesByLabel))
 	copy(ns.nodesByLabel, prev.nodesByLabel)
 	ns.edgesByLabel = make([][]int32, len(prev.edgesByLabel))
 	copy(ns.edgesByLabel, prev.edgesByLabel)
-
-	if len(chNodeLabels) > 0 {
-		ns.nodeLabelPatch = copyRunPatch(prev.nodeLabelPatch, len(chNodeLabels))
-		edited := map[int32]bool{}
-		for _, id := range chNodeLabels {
-			u, ok := prev.Ord(id)
-			if !ok {
-				return nil, false
-			}
-			nd, _ := g.Node(id)
-			oldRun := prev.nodeLabelRun(u)
-			newRun := encodeRun(nd.Labels, prev.labelOf)
-			partitionSurgery(ns.nodesByLabel, edited, oldRun, newRun, u)
-			ns.nodeLabelPatch[u] = newRun
-		}
-	}
-	if len(chEdgeLabels) > 0 {
-		ns.edgeLabelPatch = copyRunPatch(prev.edgeLabelPatch, len(chEdgeLabels))
-		edited := map[int32]bool{}
-		for _, id := range chEdgeLabels {
-			e, ok := prev.EdgeOrd(id)
-			if !ok {
-				return nil, false
-			}
-			ed, _ := g.Edge(id)
-			oldRun := prev.edgeLabelRun(e)
-			newRun := encodeRun(ed.Labels, prev.labelOf)
-			partitionSurgery(ns.edgesByLabel, edited, oldRun, newRun, e)
-			ns.edgeLabelPatch[e] = newRun
-		}
-	}
 	for i, id := range addN {
-		u := int32(n + i)
 		nd, _ := g.Node(id)
 		for _, l := range nd.Labels {
 			lid := prev.labelOf[l]
-			ns.nodesByLabel[lid] = append(ns.nodesByLabel[lid], u)
+			ns.nodesByLabel[lid] = append(ns.nodesByLabel[lid], int32(n+i))
 		}
 	}
 	for i, id := range addE {
-		e := int32(m + i)
 		ed, _ := g.Edge(id)
 		for _, l := range ed.Labels {
 			lid := prev.labelOf[l]
-			ns.edgesByLabel[lid] = append(ns.edgesByLabel[lid], e)
+			ns.edgesByLabel[lid] = append(ns.edgesByLabel[lid], int32(m+i))
 		}
 	}
 
-	// Property columns. Project the delta onto per-key write lists —
-	// changed elements first (ordinals below n, ascending), then added
-	// ones, so each list ascends by ordinal.
+	// Property columns. Project the appended elements onto per-key
+	// write lists, each ascending by ordinal.
 	nodeWrites := map[string][]colWrite{}
-	for _, id := range chNodeProps {
-		u, ok := prev.Ord(id)
-		if !ok {
-			return nil, false
-		}
-		nd, _ := g.Node(id)
-		projectWrites(nodeWrites, u, nd.Props, prev.nodeCols)
-	}
 	for i, id := range addN {
 		nd, _ := g.Node(id)
-		projectWrites(nodeWrites, int32(n+i), nd.Props, nil)
+		projectWrites(nodeWrites, int32(n+i), nd.Props)
 	}
 	edgeWrites := map[string][]colWrite{}
-	for _, id := range chEdgeProps {
-		e, ok := prev.EdgeOrd(id)
-		if !ok {
-			return nil, false
-		}
-		ed, _ := g.Edge(id)
-		projectWrites(edgeWrites, e, ed.Props, prev.edgeCols)
-	}
 	for i, id := range addE {
 		ed, _ := g.Edge(id)
-		projectWrites(edgeWrites, int32(m+i), ed.Props, nil)
+		projectWrites(edgeWrites, int32(m+i), ed.Props)
 	}
 
 	// New string values extend the interner past its sorted prefix
@@ -381,99 +281,21 @@ func labelsKnown(ls ppg.Labels, labelOf map[string]int32) bool {
 	return true
 }
 
-// encodeRun interns a (sorted-by-name) label set; interned ids ascend
-// with names, so the run is sorted by construction.
-func encodeRun(ls ppg.Labels, labelOf map[string]int32) []int32 {
-	run := make([]int32, len(ls))
-	for i, l := range ls {
-		run[i] = labelOf[l]
-	}
-	return run
-}
-
-// partitionSurgery moves ordinal x between the partitions its old and
-// new label runs name, copying each edited partition once per apply.
-func partitionSurgery(parts [][]int32, edited map[int32]bool, oldRun, newRun []int32, x int32) {
-	edit := func(lid int32) {
-		if !edited[lid] {
-			parts[lid] = append([]int32(nil), parts[lid]...)
-			edited[lid] = true
-		}
-	}
-	for _, lid := range oldRun {
-		if !containsInt32(newRun, lid) {
-			edit(lid)
-			parts[lid] = removeOrd(parts[lid], x)
-		}
-	}
-	for _, lid := range newRun {
-		if !containsInt32(oldRun, lid) {
-			edit(lid)
-			parts[lid] = insertOrd(parts[lid], x)
-		}
-	}
-}
-
-func containsInt32(run []int32, v int32) bool {
-	for _, r := range run {
-		if r == v {
-			return true
-		}
-		if r > v {
-			return false
-		}
-	}
-	return false
-}
-
-func insertOrd(s []int32, x int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i < len(s) && s[i] == x {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-func removeOrd(s []int32, x int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i < len(s) && s[i] == x {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
-}
-
-// projectWrites turns one element's replacement property map into
-// per-key writes: a set for every key in the new map and, for
-// pre-existing elements (prevCols non-nil), a clear for every column
-// the element was present in but whose key the new map lost.
-func projectWrites(writes map[string][]colWrite, ord int32, props ppg.Properties, prevCols map[string]*PropCol) {
+// projectWrites turns one appended element's property map into one
+// write per key.
+func projectWrites(writes map[string][]colWrite, ord int32, props ppg.Properties) {
 	for k, v := range props {
 		writes[k] = append(writes[k], colWrite{ord: ord, val: v})
-	}
-	if prevCols == nil {
-		return
-	}
-	for k, c := range prevCols {
-		if _, still := props[k]; still {
-			continue
-		}
-		if int(ord)>>6 < len(c.present) && c.Present(ord) {
-			writes[k] = append(writes[k], colWrite{ord: ord, clear: true})
-		}
 	}
 }
 
 // finalKind evolves a column's kind under a write list: writes that
 // are not singletons of the column's scalar kind demote it to
-// overflow. Columns never re-promote incrementally — the next full
-// build may.
+// overflow, as Build's inference over the same values would.
 func finalKind(k ColKind, ws []colWrite) ColKind {
 	for _, w := range ws {
-		if w.clear || k == ColOverflow {
-			continue
+		if k == ColOverflow {
+			break
 		}
 		if el, ok := w.val.Singleton(); !ok || scalarColKind(el) != k {
 			return ColOverflow
@@ -487,26 +309,10 @@ func finalKind(k ColKind, ws []colWrite) ColKind {
 // mismatch demotes to overflow.
 func newColKind(ws []colWrite) ColKind {
 	k := ColOverflow
-	first := true
-	for _, w := range ws {
-		if w.clear {
-			continue
-		}
-		sk := ColOverflow
-		if el, ok := w.val.Singleton(); ok {
-			sk = scalarColKind(el)
-		}
-		if first {
-			k = sk
-			first = false
-		} else if sk != k {
-			return ColOverflow
-		}
-		if k == ColOverflow {
-			return ColOverflow
-		}
+	if el, ok := ws[0].val.Singleton(); ok {
+		k = scalarColKind(el)
 	}
-	return k
+	return finalKind(k, ws[1:])
 }
 
 // collectNewStrings gathers the string payloads the delta introduces
@@ -527,9 +333,6 @@ func collectNewStrings(prev *Snapshot, nodeWrites, edgeWrites map[string][]colWr
 				continue
 			}
 			for _, w := range ws {
-				if w.clear {
-					continue
-				}
 				el, _ := w.val.Singleton()
 				str, _ := el.AsString()
 				if seen[str] {
@@ -572,10 +375,9 @@ func extendInterner(base *Interner, newStrings []string) *Interner {
 	return in
 }
 
-// applyCols rebuilds one column family under a write map: untouched
+// applyCols extends one column family by a write map: untouched
 // columns are shared as-is (their arrays keep the old length; Present
-// bounds-checks), append-only columns extend their arrays, and
-// columns with writes below their length are recopied.
+// bounds-checks), written ones are extended.
 func applyCols(prevCols map[string]*PropCol, writes map[string][]colWrite, count int, in *Interner) map[string]*PropCol {
 	if len(writes) == 0 {
 		return prevCols
@@ -583,87 +385,40 @@ func applyCols(prevCols map[string]*PropCol, writes map[string][]colWrite, count
 	cols := make(map[string]*PropCol, len(prevCols)+len(writes))
 	for k, c := range prevCols {
 		if ws := writes[k]; len(ws) > 0 {
-			cols[k] = rebuildCol(c, ws, count, in)
+			cols[k] = extendCol(c, ws, count, in)
 		} else {
 			cols[k] = c
 		}
 	}
 	for k, ws := range writes {
 		if _, ok := prevCols[k]; !ok {
-			cols[k] = newCol(ws, count, in)
+			cols[k] = extendCol(&PropCol{kind: newColKind(ws)}, ws, count, in)
 		}
 	}
 	return cols
 }
 
-func rebuildCol(c *PropCol, ws []colWrite, count int, in *Interner) *PropCol {
+// extendCol returns c grown to count ordinals with the writes applied.
+// Every write lands past c's arrays — appended ordinals exceed every
+// ordinal c has seen — so the arrays grow in place (linear-chain
+// sharing); the presence and bool bitmaps are copied, because setting
+// a bit in a shared word would race the previous version's readers.
+func extendCol(c *PropCol, ws []colWrite, count int, in *Interner) *PropCol {
 	k := finalKind(c.kind, ws)
 	words := (count + 63) / 64
-	nc := &PropCol{kind: k}
-	// The presence bitmap is always copied: setting a bit in a shared
-	// word would race the previous version's readers.
+	nc := &PropCol{kind: k, sets: grow(c.sets, count)}
 	nc.present = make([]uint64, words)
 	copy(nc.present, c.present)
-	// Write lists ascend by ordinal, so appendOnly holds exactly when
-	// every write lands past the column's current arrays.
-	appendOnly := !ws[0].clear && ws[0].ord >= int32(len(c.sets))
-	if appendOnly {
-		nc.sets = grow(c.sets, count)
-	} else {
-		nc.sets = make([]value.Value, count)
-		copy(nc.sets, c.sets)
-	}
-	if k == c.kind && k != ColOverflow {
-		switch k {
-		case ColInt, ColDate:
-			if appendOnly {
-				nc.ints = grow(c.ints, count)
-			} else {
-				nc.ints = make([]int64, count)
-				copy(nc.ints, c.ints)
-			}
-		case ColFloat:
-			if appendOnly {
-				nc.floats = grow(c.floats, count)
-			} else {
-				nc.floats = make([]float64, count)
-				copy(nc.floats, c.floats)
-			}
-		case ColString:
-			if appendOnly {
-				nc.strs = grow(c.strs, count)
-			} else {
-				nc.strs = make([]int32, count)
-				copy(nc.strs, c.strs)
-			}
-		case ColBool:
-			// Payload bitmap: same shared-word hazard, always copied.
-			nc.bools = make([]uint64, words)
-			copy(nc.bools, c.bools)
-		}
-	}
-	for _, w := range ws {
-		applyWrite(nc, w, in)
-	}
-	return nc
-}
-
-func newCol(ws []colWrite, count int, in *Interner) *PropCol {
-	words := (count + 63) / 64
-	nc := &PropCol{
-		kind:    newColKind(ws),
-		present: make([]uint64, words),
-		sets:    make([]value.Value, count),
-	}
-	switch nc.kind {
+	switch k {
 	case ColInt, ColDate:
-		nc.ints = make([]int64, count)
+		nc.ints = grow(c.ints, count)
 	case ColFloat:
-		nc.floats = make([]float64, count)
+		nc.floats = grow(c.floats, count)
 	case ColString:
-		nc.strs = make([]int32, count)
+		nc.strs = grow(c.strs, count)
 	case ColBool:
 		nc.bools = make([]uint64, words)
+		copy(nc.bools, c.bools)
 	}
 	for _, w := range ws {
 		applyWrite(nc, w, in)
@@ -672,14 +427,6 @@ func newCol(ws []colWrite, count int, in *Interner) *PropCol {
 }
 
 func applyWrite(c *PropCol, w colWrite, in *Interner) {
-	if w.clear {
-		bitClear(c.present, w.ord)
-		c.sets[w.ord] = value.Value{}
-		if c.bools != nil {
-			bitClear(c.bools, w.ord)
-		}
-		return
-	}
 	bitSet(c.present, w.ord)
 	c.sets[w.ord] = w.val
 	if c.kind == ColOverflow {
@@ -700,13 +447,9 @@ func applyWrite(c *PropCol, w colWrite, in *Interner) {
 	case ColBool:
 		if b, _ := el.AsBool(); b {
 			bitSet(c.bools, w.ord)
-		} else {
-			bitClear(c.bools, w.ord)
 		}
 	}
 }
-
-func bitClear(bm []uint64, i int32) { bm[i>>6] &^= 1 << (uint(i) & 63) }
 
 // grow pads s with zero values to length n; when spare capacity is
 // available the padding lands past the previous version's length,
@@ -716,41 +459,6 @@ func grow[T any](s []T, n int) []T {
 		return s
 	}
 	return append(s, make([]T, n-len(s))...)
-}
-
-func dedupIDs[T ~uint64](ids []T) []T {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := append([]T(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-func dedupIDsExcl[T ~uint64](ids []T, excl map[T]bool) []T {
-	d := dedupIDs(ids)
-	out := d[:0]
-	for _, id := range d {
-		if !excl[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func idSet[T ~uint64](ids []T) map[T]bool {
-	s := make(map[T]bool, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
 }
 
 func copyOrdMap(m map[ppg.NodeID]int32, extra int) map[ppg.NodeID]int32 {
@@ -763,14 +471,6 @@ func copyOrdMap(m map[ppg.NodeID]int32, extra int) map[ppg.NodeID]int32 {
 
 func copyEdgeOrdMap(m map[ppg.EdgeID]int32, extra int) map[ppg.EdgeID]int32 {
 	out := make(map[ppg.EdgeID]int32, len(m)+extra)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyRunPatch(m map[int32][]int32, extra int) map[int32][]int32 {
-	out := make(map[int32][]int32, len(m)+extra)
 	for k, v := range m {
 		out[k] = v
 	}
@@ -849,11 +549,13 @@ func acctSlice[T any](prev, ns []T, info *BuildInfo) {
 }
 
 // Equivalent reports whether two snapshots of the same graph state
-// are semantically interchangeable, tolerating the layout differences
-// a delta apply legitimately introduces (retained-but-empty labels,
-// columns demoted to overflow, all-absent columns, unsorted interner
-// extensions). It also validates each snapshot (Validate). Test oracle
-// for the incremental path.
+// are interchangeable: the same elements at the same ordinals, the same
+// label universe, runs and partitions, and the same property columns
+// with the same kinds, presence and values. The one layout difference
+// it tolerates is the one an append delta introduces: strings interned
+// past the sorted prefix, so string columns are compared by the strings
+// their identifiers name. It also validates each snapshot (Validate).
+// Test oracle for the incremental path.
 func Equivalent(a, b *Snapshot) error {
 	if err := selfCheck(a); err != nil {
 		return fmt.Errorf("first snapshot: %w", err)
@@ -864,6 +566,9 @@ func Equivalent(a, b *Snapshot) error {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return fmt.Errorf("size mismatch: %d/%d nodes, %d/%d edges",
 			a.NumNodes(), b.NumNodes(), a.NumEdges(), b.NumEdges())
+	}
+	if !slices.Equal(a.labelNames, b.labelNames) {
+		return fmt.Errorf("label universes differ: %v vs %v", a.labelNames, b.labelNames)
 	}
 	n, m := a.NumNodes(), a.NumEdges()
 	for u := 0; u < n; u++ {
@@ -879,13 +584,13 @@ func Equivalent(a, b *Snapshot) error {
 		if bu, ok := b.Ord(a.nodeIDs[u]); !ok || bu != int32(u) {
 			return fmt.Errorf("second snapshot: Ord(%d) != %d", a.nodeIDs[u], u)
 		}
-		if !labelNamesEqual(a, b, a.nodeLabelRun(int32(u)), b.nodeLabelRun(int32(u))) {
+		if !slices.Equal(a.nodeLabelRun(int32(u)), b.nodeLabelRun(int32(u))) {
 			return fmt.Errorf("node ordinal %d: label sets differ", u)
 		}
-		if !int32sEqual(a.Out(int32(u)), b.Out(int32(u))) {
+		if !slices.Equal(a.Out(int32(u)), b.Out(int32(u))) {
 			return fmt.Errorf("node ordinal %d: out adjacency differs", u)
 		}
-		if !int32sEqual(a.In(int32(u)), b.In(int32(u))) {
+		if !slices.Equal(a.In(int32(u)), b.In(int32(u))) {
 			return fmt.Errorf("node ordinal %d: in adjacency differs", u)
 		}
 	}
@@ -905,65 +610,42 @@ func Equivalent(a, b *Snapshot) error {
 		if a.Src(int32(e)) != b.Src(int32(e)) || a.Dst(int32(e)) != b.Dst(int32(e)) {
 			return fmt.Errorf("edge ordinal %d: endpoints differ", e)
 		}
-		if !labelNamesEqual(a, b, a.edgeLabelRun(int32(e)), b.edgeLabelRun(int32(e))) {
+		if !slices.Equal(a.edgeLabelRun(int32(e)), b.edgeLabelRun(int32(e))) {
 			return fmt.Errorf("edge ordinal %d: label sets differ", e)
 		}
 	}
-	// Partitions compared by label NAME: a delta apply may keep a name
-	// whose last carrier was relabelled (empty partition), which Build
-	// would drop entirely — both mean "no element matches".
-	names := map[string]bool{}
-	for _, l := range a.labelNames {
-		names[l] = true
-	}
-	for _, l := range b.labelNames {
-		names[l] = true
-	}
-	for l := range names {
-		if !int32sEqual(a.NodesWithLabel(a.LabelID(l)), b.NodesWithLabel(b.LabelID(l))) {
+	for lid, l := range a.labelNames {
+		if !slices.Equal(a.nodesByLabel[lid], b.nodesByLabel[lid]) {
 			return fmt.Errorf("label %q: node partitions differ", l)
 		}
-		if !int32sEqual(a.EdgesWithLabel(a.LabelID(l)), b.EdgesWithLabel(b.LabelID(l))) {
+		if !slices.Equal(a.edgesByLabel[lid], b.edgesByLabel[lid]) {
 			return fmt.Errorf("label %q: edge partitions differ", l)
 		}
 	}
-	// Property columns compared per ordinal through the read API: a
-	// missing column and an all-absent column are both "no element
-	// carries the key".
-	if err := colsEquivalent(a, b, n, true); err != nil {
+	if err := colsEquivalent(a.nodeCols, b.nodeCols, n, "node"); err != nil {
 		return err
 	}
-	if err := colsEquivalent(a, b, m, false); err != nil {
-		return err
-	}
-	return nil
+	return colsEquivalent(a.edgeCols, b.edgeCols, m, "edge")
 }
 
-func colsEquivalent(a, b *Snapshot, count int, node bool) error {
-	keys := map[string]bool{}
-	fam := func(s *Snapshot) map[string]*PropCol {
-		if node {
-			return s.nodeCols
+func colsEquivalent(a, b map[string]*PropCol, count int, what string) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%s columns: %d vs %d keys", what, len(a), len(b))
+	}
+	for key, ca := range a {
+		cb := b[key]
+		if cb == nil {
+			return fmt.Errorf("%s column %q missing from the second snapshot", what, key)
 		}
-		return s.edgeCols
-	}
-	for k := range fam(a) {
-		keys[k] = true
-	}
-	for k := range fam(b) {
-		keys[k] = true
-	}
-	read := func(s *Snapshot, ord int32, key string) value.Value {
-		if node {
-			return s.NodeProp(ord, key)
+		if ca.kind != cb.kind {
+			return fmt.Errorf("%s column %q: kind %v vs %v", what, key, ca.kind, cb.kind)
 		}
-		return s.EdgeProp(ord, key)
-	}
-	for key := range keys {
 		for o := int32(0); o < int32(count); o++ {
-			av, bv := read(a, o, key), read(b, o, key)
-			if !value.Equal(av, bv) {
-				return fmt.Errorf("key %q ordinal %d: %v vs %v", key, o, av, bv)
+			if ca.Present(o) != cb.Present(o) {
+				return fmt.Errorf("%s column %q ordinal %d: presence differs", what, key, o)
+			}
+			if ca.Present(o) && !value.Equal(ca.sets[o], cb.sets[o]) {
+				return fmt.Errorf("%s column %q ordinal %d: %v vs %v", what, key, o, ca.sets[o], cb.sets[o])
 			}
 		}
 	}
@@ -1029,28 +711,4 @@ func selfCheck(s *Snapshot) error {
 		return err
 	}
 	return check(s.edgeCols, s.NumEdges(), "edge")
-}
-
-func labelNamesEqual(a, b *Snapshot, ra, rb []int32) bool {
-	if len(ra) != len(rb) {
-		return false
-	}
-	for i := range ra {
-		if a.labelNames[ra[i]] != b.labelNames[rb[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

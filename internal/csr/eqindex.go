@@ -19,8 +19,8 @@ import (
 // Lifetime: the index is built on the first seek of a column and never
 // changes afterwards. It hangs off the PropCol, and a delta apply shares
 // every column it does not write by pointer (applyCols), so an untouched
-// column carries its index into the next snapshot version; a rebuilt
-// column is a new PropCol and starts unindexed. Nothing is ever
+// column carries its index into the next snapshot version; an extended
+// or rebuilt column is a new PropCol and starts unindexed. Nothing is ever
 // invalidated.
 //
 // Contract: SeekEq(lit) returns a superset of the ordinals o with
@@ -183,7 +183,7 @@ func (c *PropCol) index() (ix *eqIndex, built bool) {
 // and radix-sorts them by key. The sort is stable, so each key's run
 // stays in ascending ordinal order; it is linear in the column, which
 // keeps a first seek within a small multiple of the scan it replaces —
-// a column rewritten between every two reads pays that on each read.
+// a column extended between every two reads pays that on each read.
 func (c *PropCol) buildEqIndex() *eqIndex {
 	n := 0
 	for _, w := range c.present {

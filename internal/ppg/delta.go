@@ -1,41 +1,30 @@
 package ppg
 
 // Delta capture for incremental snapshot maintenance. Between two
-// Snapshot builds the graph accumulates the identifiers of everything
-// that changed; a snapshot builder can then extend the previous build
-// by exactly those elements instead of rebuilding from scratch. The
-// delta records identifiers only — never values — because it is
-// applied at Snapshot() time, when the graph already holds the final
-// state of every touched element: intermediate states collapse for
-// free, and the recorder costs a few appends per mutation.
+// Snapshot builds the graph accumulates the identifiers of the nodes
+// and edges it appended; a snapshot builder can then extend the
+// previous build by exactly those elements instead of rebuilding from
+// scratch. The delta records identifiers only — never values — because
+// it is applied at Snapshot() time, when the graph already holds every
+// appended element, and the recorder costs one append per insertion.
 //
-// The delta is best-effort. Mutations that cannot be attributed to an
-// element (TouchProps) or that replace the graph wholesale
-// (ReplaceWith/UnmarshalJSON) drop it, as does exceeding MaxDeltaOps;
+// The delta covers appends only. Every mutation that changes an
+// element in place (SetNodeLabels, SetEdgeLabels, SetNodeProps,
+// SetEdgeProps, TouchProps) or replaces the graph wholesale
+// (ReplaceWith/UnmarshalJSON) drops it, as does exceeding MaxDeltaOps;
 // SnapshotWith then falls back to the full build. Paths are not part
 // of the CSR snapshot, so path mutations bump the generation without
 // entering the delta — an all-path delta is valid and empty.
 
-// Delta lists what changed since the previous snapshot build. The
-// slices hold identifiers in mutation order and may repeat (an element
-// whose labels were set twice appears twice); appliers deduplicate.
+// Delta lists the nodes and edges appended since the previous snapshot
+// build, in insertion order.
 type Delta struct {
-	// Ops counts recorded mutations (not path or dropped ones).
-	Ops int
-	// AddedNodes and AddedEdges are newly inserted identifiers.
 	AddedNodes []NodeID
 	AddedEdges []EdgeID
-	// NodeLabels / EdgeLabels are elements whose label set was
-	// replaced. They may also appear in the Added lists (insert then
-	// relabel); appliers treat those as plain insertions, since the
-	// graph already holds the final labels.
-	NodeLabels []NodeID
-	EdgeLabels []EdgeID
-	// NodeProps / EdgeProps are elements whose property map was
-	// replaced, with the same overlap rule.
-	NodeProps []NodeID
-	EdgeProps []EdgeID
 }
+
+// Ops counts the recorded insertions (path ones are not recorded).
+func (d *Delta) Ops() int { return len(d.AddedNodes) + len(d.AddedEdges) }
 
 // MaxDeltaOps bounds the per-graph delta buffer. A burst of mutations
 // past this size is no longer "a delta" in any useful sense — the
@@ -52,7 +41,8 @@ func (g *Graph) startDelta() {
 }
 
 // dropDelta abandons recording until the next snapshot build; the
-// next Snapshot call takes the full-build path.
+// next Snapshot call takes the full-build path. Every mutation the
+// delta cannot express calls it.
 func (g *Graph) dropDelta() {
 	g.deltaOK = false
 	g.delta = Delta{}
@@ -64,11 +54,10 @@ func (g *Graph) noteOp() bool {
 	if !g.deltaOK {
 		return false
 	}
-	if g.delta.Ops >= MaxDeltaOps {
+	if g.delta.Ops() >= MaxDeltaOps {
 		g.dropDelta()
 		return false
 	}
-	g.delta.Ops++
 	return true
 }
 
@@ -81,30 +70,6 @@ func (g *Graph) noteAddNode(id NodeID) {
 func (g *Graph) noteAddEdge(id EdgeID) {
 	if g.noteOp() {
 		g.delta.AddedEdges = append(g.delta.AddedEdges, id)
-	}
-}
-
-func (g *Graph) noteNodeLabels(id NodeID) {
-	if g.noteOp() {
-		g.delta.NodeLabels = append(g.delta.NodeLabels, id)
-	}
-}
-
-func (g *Graph) noteEdgeLabels(id EdgeID) {
-	if g.noteOp() {
-		g.delta.EdgeLabels = append(g.delta.EdgeLabels, id)
-	}
-}
-
-func (g *Graph) noteNodeProps(id NodeID) {
-	if g.noteOp() {
-		g.delta.NodeProps = append(g.delta.NodeProps, id)
-	}
-}
-
-func (g *Graph) noteEdgeProps(id EdgeID) {
-	if g.noteOp() {
-		g.delta.EdgeProps = append(g.delta.EdgeProps, id)
 	}
 }
 

@@ -272,10 +272,10 @@ type Graph struct {
 	snapVal any
 
 	// Delta recording for incremental snapshot maintenance (delta.go):
-	// while deltaOK, every tracked mutation appends the touched
-	// identifier to delta, letting SnapshotWith extend the cached
-	// snapshot instead of rebuilding. Guarded by the same discipline as
-	// gen: mutation is never concurrent with snapshot access.
+	// while deltaOK, every insertion appends its identifier to delta,
+	// letting SnapshotWith extend the cached snapshot instead of
+	// rebuilding. Guarded by the same discipline as gen: mutation is
+	// never concurrent with snapshot access.
 	deltaOK bool
 	delta   Delta
 
@@ -603,7 +603,8 @@ func (g *Graph) AddEdge(e *Edge) error {
 
 // SetNodeLabels replaces λ(n) for an already-inserted node. Like every
 // Set* mutator it stores a new element object and leaves the old one,
-// which other graphs may share, as it was.
+// which other graphs may share, as it was; the delta records appends
+// only, so the graph's next snapshot is a full build.
 func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 	n, ok := g.nodes[id]
 	if !ok {
@@ -613,7 +614,7 @@ func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 		return err
 	}
 	g.nodes[id] = &Node{ID: id, Labels: ls, Props: n.Props}
-	g.noteNodeLabels(id)
+	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -628,7 +629,7 @@ func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 		return err
 	}
 	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: ls, Props: e.Props}
-	g.noteEdgeLabels(id)
+	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -649,7 +650,7 @@ func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
 		return err
 	}
 	g.nodes[id] = &Node{ID: id, Labels: n.Labels, Props: p}
-	g.noteNodeProps(id)
+	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -667,7 +668,7 @@ func (g *Graph) SetEdgeProps(id EdgeID, p Properties) error {
 		return err
 	}
 	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: e.Labels, Props: p}
-	g.noteEdgeProps(id)
+	g.dropDelta()
 	g.bump()
 	return nil
 }

@@ -145,13 +145,18 @@ func TestSeekIndexLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A property write rewrites the columns of every key its node
-	// carries; node 9006 has no i, so column i is shared as it is and
-	// its index rides along.
-	set(9006, "b", gcore.Bool(true))
+	// An appended node extends the columns of every key it carries; it
+	// has no i, so column i is shared as it is and its index rides
+	// along.
+	if err := eng.MutateGraph("kinds_graph", func(g *gcore.Graph) error {
+		return g.AddNode(&gcore.Node{ID: 9100, Labels: gcore.NewLabels("T"),
+			Props: gcore.NewProperties(map[string]gcore.Value{"b": gcore.Bool(true)})})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	eval(2, 2)
 	expect(3, 1)
-	set(9000, "i", gcore.Int(2)) // column i rewritten: the next seek builds anew and sees the write
+	set(9000, "i", gcore.Int(2)) // snapshot rebuilt: the next seek builds anew and sees the write
 	eval(2, 3)
 	eval(1, 0)
 	expect(5, 2)
