@@ -4,7 +4,7 @@
 
 # Packages with guarded hot-path benchmarks: the root suite (MATCH,
 # paths, construction), the binding-table operators, the CSR snapshot
-# maintenance path, the path-search kernels, the write-ahead log
+# build, the path-search kernels, the write-ahead log
 # append path, and whole requests through the HTTP handler.
 BENCH_PKGS := . ./internal/bindings ./internal/csr ./internal/obs ./internal/rpq ./internal/wal ./internal/server
 
@@ -52,8 +52,8 @@ benchcmp:
 # match, columnar scans, plan-cache and prepared-eval paths, prepared
 # point lookups, path patterns and the k-shortest kernel, chains
 # started mid-way, grouping
-# (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), incremental
-# snapshot maintenance, WAL append alone and under concurrent writers,
+# (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), the snapshot
+# build after a mutation, WAL append alone and under concurrent writers,
 # whole HTTP requests, the paper's correlated subqueries) fail,
 # timing regressions warn (allocs/op and B/op are nearly
 # machine-independent, ns/op is not). CI calls this target, so the list

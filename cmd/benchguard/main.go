@@ -60,14 +60,13 @@ func main() {
 	// every graph mutation pays one append, so an allocation creep
 	// here taxes every write; BenchmarkWALConcurrentAppend guards
 	// the contended SyncAlways path, one fsync per append.
-	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard
-	// incremental snapshot maintenance: applying a delta of appended
-	// nodes and edges must stay O(delta)-allocating, not O(graph), or
-	// append-then-read workloads silently fall back to
-	// rebuild-per-read costs.
+	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard the
+	// snapshot build that follows every mutation of a graph: an
+	// allocation jump there taxes the first read after each write.
 	// BenchmarkConcurrentRead guards the reader path under the
-	// engine's read/write lock split: an allocation jump there means
-	// concurrent readers stopped sharing snapshots.
+	// engine's read/write lock split, beside a GRAPH VIEW writer: an
+	// allocation jump there means concurrent readers stopped sharing
+	// snapshots.
 	// BenchmarkReply guards whole requests through the HTTP handler:
 	// a reply encoded more than once, or through reflection, shows up
 	// as an allocation jump on its path and point cases, and search or

@@ -11,8 +11,8 @@ import (
 
 // Differential tests between the default engine and engines with
 // optimisations ablated. The ablations — residual-only filtering,
-// textual plan order, interpreter property reads, full snapshot
-// rebuilds — select the fallbacks the optimised paths keep anyway;
+// textual plan order, interpreter property reads, a snapshot built for
+// every statement — select the fallbacks the optimised paths keep anyway;
 // each is a pure performance matter with no observable behaviour, so
 // every ablated engine must render the same goldens as the default
 // one (golden_test.go). So must the AST-level path that bypasses the
@@ -53,8 +53,10 @@ func evalParsed(eng *gcore.Engine, src string) (*gcore.Result, error) {
 	return eng.EvalStatement(stmt)
 }
 
-// evalRebuilt drops every registered graph's recorded delta before it
-// evaluates, so each statement reads snapshots rebuilt from scratch.
+// evalRebuilt bumps every registered graph's generation before it
+// evaluates, so each statement reads a snapshot built for it: no
+// equality index, degree sum or chain plan an earlier statement left
+// on a cached snapshot is reused.
 func evalRebuilt(eng *gcore.Engine, src string) (*gcore.Result, error) {
 	for _, name := range eng.GraphNames() {
 		if err := eng.MutateGraph(name, func(g *gcore.Graph) error { g.TouchProps(); return nil }); err != nil {
@@ -88,7 +90,7 @@ func ablated(ab core.Ablation) engineMaker {
 }
 
 // TestAblatedEnginesMatchGolden: each ablation alone, all three
-// together, the default engine rebuilding every snapshot before each
+// together, the default engine building a snapshot for each
 // statement, and the default engine evaluating through the uncached
 // AST-level path (a fresh compile on every execution) render every
 // golden. Without pushdown a path search also runs from sources the

@@ -1,6 +1,7 @@
 package gcore_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,100 +65,268 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzSnapshot drives the CSR remap boundary with random graph
-// shapes: for any graph, Snapshot() ordinals must round-trip through
-// identifiers, adjacency must agree with the ppg maps edge for edge
-// (in order), and label membership must agree with the string sets.
+// fuzzRand draws graph material from a xorshift stream: deterministic,
+// no time dependence.
+type fuzzRand uint32
+
+var (
+	fuzzLabels = []string{"A", "B", "C", "knows", "likes"}
+	fuzzKeys   = []string{"k0", "k1", "k2", "name"}
+)
+
+func (r *fuzzRand) next(mod int) int {
+	*r ^= *r << 13
+	*r ^= *r >> 17
+	*r ^= *r << 5
+	return int(uint32(*r) % uint32(mod))
+}
+
+func (r *fuzzRand) value() gcore.Value {
+	switch r.next(5) {
+	case 0:
+		return gcore.Int(int64(r.next(100)))
+	case 1:
+		return gcore.Float(float64(r.next(100)) / 4)
+	case 2:
+		return gcore.Bool(r.next(2) == 0)
+	case 3:
+		return gcore.Str(fuzzLabels[r.next(len(fuzzLabels))])
+	default:
+		return gcore.Str(fmt.Sprintf("s%d", r.next(40)))
+	}
+}
+
+// props draws up to three properties.
+func (r *fuzzRand) props() gcore.Properties {
+	kv := map[string]gcore.Value{}
+	for i, n := 0, r.next(4); i < n; i++ {
+		kv[fuzzKeys[r.next(len(fuzzKeys))]] = r.value()
+	}
+	return gcore.NewProperties(kv)
+}
+
+// nodeLabels draws no label or one of the node labels.
+func (r *fuzzRand) nodeLabels() gcore.Labels {
+	if r.next(2) == 0 {
+		return gcore.NewLabels()
+	}
+	return gcore.NewLabels(fuzzLabels[r.next(3)])
+}
+
+func (r *fuzzRand) addNode(g *gcore.Graph, id gcore.NodeID) {
+	_ = g.AddNode(&gcore.Node{ID: id, Labels: r.nodeLabels(), Props: r.props()})
+}
+
+func (r *fuzzRand) addEdge(g *gcore.Graph, id gcore.EdgeID) {
+	if ids := g.NodeIDs(); len(ids) > 0 {
+		_ = g.AddEdge(&gcore.Edge{ID: id, Src: ids[r.next(len(ids))], Dst: ids[r.next(len(ids))],
+			Labels: gcore.NewLabels(fuzzLabels[r.next(len(fuzzLabels))]), Props: r.props()})
+	}
+}
+
+// checkSnapshot holds a snapshot to the graph it was read from:
+// ordinals round-trip through identifiers, adjacency agrees with the
+// ppg maps edge for edge (in order), label membership, endpoints and
+// property reads agree, and every column's equality seeks agree with a
+// scan of the column (seekAgainstScan; indexed spans the calls).
+func checkSnapshot(t *testing.T, g *gcore.Graph, s *csr.Snapshot, r *fuzzRand, indexed map[*csr.PropCol]bool) {
+	t.Helper()
+	if s.NumNodes() != g.NumNodes() || s.NumEdges() != g.NumEdges() {
+		t.Fatalf("snapshot size mismatch: %d/%d nodes, %d/%d edges",
+			s.NumNodes(), g.NumNodes(), s.NumEdges(), g.NumEdges())
+	}
+	outs, ins := map[gcore.NodeID][]gcore.EdgeID{}, map[gcore.NodeID][]gcore.EdgeID{}
+	for _, eid := range g.EdgeIDs() {
+		e, _ := g.Edge(eid)
+		outs[e.Src] = append(outs[e.Src], eid)
+		ins[e.Dst] = append(ins[e.Dst], eid)
+	}
+	for u := int32(0); u < int32(s.NumNodes()); u++ {
+		id := s.NodeID(u)
+		back, ok := s.Ord(id)
+		if !ok || back != u {
+			t.Fatalf("ordinal %d → id %d → ordinal %d (%v): round trip broken", u, id, back, ok)
+		}
+		out := outs[id]
+		if len(out) != len(s.Out(u)) {
+			t.Fatalf("out degree of #%d: csr %d, ppg %d", id, len(s.Out(u)), len(out))
+		}
+		for i, eo := range s.Out(u) {
+			if s.EdgeID(eo) != out[i] {
+				t.Fatalf("out adjacency of #%d diverges at %d: csr #%d, ppg #%d", id, i, s.EdgeID(eo), out[i])
+			}
+		}
+		in := ins[id]
+		if len(in) != len(s.In(u)) {
+			t.Fatalf("in degree of #%d: csr %d, ppg %d", id, len(s.In(u)), len(in))
+		}
+		for i, eo := range s.In(u) {
+			if s.EdgeID(eo) != in[i] {
+				t.Fatalf("in adjacency of #%d diverges at %d: csr #%d, ppg #%d", id, i, s.EdgeID(eo), in[i])
+			}
+		}
+		nd, _ := g.Node(id)
+		for _, l := range fuzzLabels {
+			if s.NodeHasLabel(u, s.LabelID(l)) != nd.Labels.Has(l) {
+				t.Fatalf("label %q membership of #%d diverges", l, id)
+			}
+		}
+		for _, k := range fuzzKeys {
+			if !value.Equal(s.NodeProp(u, k), nd.Props.Get(k)) {
+				t.Fatalf("property %q of #%d: csr %v, ppg %v", k, id, s.NodeProp(u, k), nd.Props.Get(k))
+			}
+		}
+	}
+	for e := int32(0); e < int32(s.NumEdges()); e++ {
+		eo, ok := s.EdgeOrd(s.EdgeID(e))
+		if !ok || eo != e {
+			t.Fatalf("edge ordinal %d round trip broken", e)
+		}
+		ed, _ := g.Edge(s.EdgeID(e))
+		if s.NodeID(s.Src(e)) != ed.Src || s.NodeID(s.Dst(e)) != ed.Dst {
+			t.Fatalf("edge #%d endpoints diverge", ed.ID)
+		}
+		for _, l := range fuzzLabels {
+			if s.EdgeHasLabel(e, s.LabelID(l)) != ed.Labels.Has(l) {
+				t.Fatalf("label %q membership of edge #%d diverges", l, ed.ID)
+			}
+		}
+		for _, k := range fuzzKeys {
+			if !value.Equal(s.EdgeProp(e, k), ed.Props.Get(k)) {
+				t.Fatalf("property %q of edge #%d: csr %v, ppg %v", k, ed.ID, s.EdgeProp(e, k), ed.Props.Get(k))
+			}
+		}
+	}
+	for _, key := range fuzzKeys {
+		lits := []gcore.Value{r.value(), r.value(), gcore.Str("s1"), gcore.Int(7), gcore.Float(0.25), gcore.Bool(true)}
+		seekAgainstScan(t, s, s.NodeCol(key), indexed, s.NumNodes(), lits)
+		seekAgainstScan(t, s, s.EdgeCol(key), indexed, s.NumEdges(), lits)
+	}
+}
+
+// FuzzSnapshot drives the CSR remap boundary with random graph shapes
+// and properties: for any graph, its snapshot must agree with it
+// (checkSnapshot).
 func FuzzSnapshot(f *testing.F) {
 	f.Add(uint32(1), uint8(8), uint8(12))
 	f.Add(uint32(42), uint8(1), uint8(0))
 	f.Add(uint32(7), uint8(40), uint8(90))
 	f.Fuzz(func(t *testing.T, seed uint32, nNodes, nEdges uint8) {
 		g := gcore.NewGraph("fuzz")
-		labels := []string{"A", "B", "C", "knows", "likes"}
-		rnd := seed
-		next := func(mod int) int {
-			// xorshift: deterministic, no time dependence
-			rnd ^= rnd << 13
-			rnd ^= rnd >> 17
-			rnd ^= rnd << 5
-			return int(rnd % uint32(mod))
-		}
-		var ids []gcore.NodeID
+		r := fuzzRand(seed | 1)
 		for i := 0; i < int(nNodes); i++ {
-			id := gcore.NodeID(next(1000))
-			ls := gcore.NewLabels()
-			if next(2) == 0 {
-				ls = gcore.NewLabels(labels[next(len(labels))])
-			}
-			if g.AddNode(&gcore.Node{ID: id, Labels: ls}) == nil {
-				ids = append(ids, id)
-			}
+			r.addNode(g, gcore.NodeID(r.next(1000)))
 		}
-		if len(ids) > 0 {
-			for i := 0; i < int(nEdges); i++ {
-				e := &gcore.Edge{
-					ID:  gcore.EdgeID(10_000 + next(10_000)),
-					Src: ids[next(len(ids))], Dst: ids[next(len(ids))],
-					Labels: gcore.NewLabels(labels[next(len(labels))]),
-				}
-				_ = g.AddEdge(e)
-			}
+		for i := 0; i < int(nEdges); i++ {
+			r.addEdge(g, gcore.EdgeID(10_000+r.next(10_000)))
 		}
+		checkSnapshot(t, g, csr.Of(g), &r, map[*csr.PropCol]bool{})
+	})
+}
 
-		s := csr.Of(g)
-		if s.NumNodes() != g.NumNodes() || s.NumEdges() != g.NumEdges() {
-			t.Fatalf("snapshot size mismatch: %d/%d nodes, %d/%d edges",
-				s.NumNodes(), g.NumNodes(), s.NumEdges(), g.NumEdges())
+// FuzzIncrementalSnapshot mutates a snapshotted random graph in random
+// rounds: appends above and below the largest identifiers, fresh
+// labels, relabels and property replacements. After every round the
+// graph's snapshot must agree with the graph (checkSnapshot), and the
+// snapshot read before the first round, seeks included, must still read
+// as it did then.
+func FuzzIncrementalSnapshot(f *testing.F) {
+	f.Add(uint32(1), uint8(4), uint8(6))
+	f.Add(uint32(42), uint8(1), uint8(1))
+	f.Add(uint32(7), uint8(10), uint8(20))
+	f.Add(uint32(99), uint8(3), uint8(0))
+	f.Add(uint32(5), uint8(12), uint8(1)) // rounds of one mutation, some in place only
+	f.Fuzz(func(t *testing.T, seed uint32, rounds, ops uint8) {
+		g := gcore.NewGraph("fuzz")
+		r := fuzzRand(seed | 1)
+		for i := 0; i < 8+r.next(8); i++ {
+			r.addNode(g, gcore.NodeID(100+i))
 		}
-		outs, ins := map[gcore.NodeID][]gcore.EdgeID{}, map[gcore.NodeID][]gcore.EdgeID{}
-		for _, eid := range g.EdgeIDs() {
-			e, _ := g.Edge(eid)
-			outs[e.Src] = append(outs[e.Src], eid)
-			ins[e.Dst] = append(ins[e.Dst], eid)
+		for i := 0; i < 2*g.NumNodes(); i++ {
+			r.addEdge(g, gcore.EdgeID(10_000+i))
 		}
-		for u := int32(0); u < int32(s.NumNodes()); u++ {
-			id := s.NodeID(u)
-			back, ok := s.Ord(id)
-			if !ok || back != u {
-				t.Fatalf("ordinal %d → id %d → ordinal %d (%v): round trip broken", u, id, back, ok)
-			}
-			out := outs[id]
-			if len(out) != len(s.Out(u)) {
-				t.Fatalf("out degree of #%d: csr %d, ppg %d", id, len(s.Out(u)), len(out))
-			}
-			for i, eo := range s.Out(u) {
-				if s.EdgeID(eo) != out[i] {
-					t.Fatalf("out adjacency of #%d diverges at %d: csr #%d, ppg #%d", id, i, s.EdgeID(eo), out[i])
+		indexed := map[*csr.PropCol]bool{} // columns whose index some seek built
+		frozen := csr.Of(g)
+		checkSnapshot(t, g, frozen, &r, indexed)
+		frozenImage := snapImage(frozen, fuzzLabels, fuzzKeys)
+
+		nextNode, nextEdge := gcore.NodeID(1_000_000), gcore.EdgeID(2_000_000)
+		for round := 0; round < int(rounds%16); round++ {
+			for o := 0; o < int(ops%32); o++ {
+				ids, eids := g.NodeIDs(), g.EdgeIDs()
+				switch r.next(8) {
+				case 0: // above every identifier
+					r.addNode(g, nextNode)
+					nextNode++
+				case 1: // below the largest identifier
+					r.addNode(g, gcore.NodeID(r.next(90)))
+				case 2:
+					r.addEdge(g, nextEdge)
+					nextEdge++
+				case 3: // a label no element had
+					_ = g.AddNode(&gcore.Node{ID: nextNode, Labels: gcore.NewLabels(fmt.Sprintf("L%d", r.next(6)))})
+					nextNode++
+				case 4:
+					_ = g.SetNodeLabels(ids[r.next(len(ids))], r.nodeLabels())
+				case 5:
+					if len(eids) > 0 {
+						_ = g.SetEdgeLabels(eids[r.next(len(eids))], gcore.NewLabels(fuzzLabels[3+r.next(2)]))
+					}
+				case 6:
+					_ = g.SetNodeProps(ids[r.next(len(ids))], r.props())
+				default:
+					if len(eids) > 0 {
+						_ = g.SetEdgeProps(eids[r.next(len(eids))], r.props())
+					}
 				}
 			}
-			in := ins[id]
-			if len(in) != len(s.In(u)) {
-				t.Fatalf("in degree of #%d: csr %d, ppg %d", id, len(s.In(u)), len(in))
-			}
-			for i, eo := range s.In(u) {
-				if s.EdgeID(eo) != in[i] {
-					t.Fatalf("in adjacency of #%d diverges at %d: csr #%d, ppg #%d", id, i, s.EdgeID(eo), in[i])
-				}
-			}
-			nd, _ := g.Node(id)
-			for _, l := range labels {
-				if s.NodeHasLabel(u, s.LabelID(l)) != nd.Labels.Has(l) {
-					t.Fatalf("label %q membership of #%d diverges", l, id)
-				}
-			}
+			checkSnapshot(t, g, csr.Of(g), &r, indexed)
 		}
-		for e := int32(0); e < int32(s.NumEdges()); e++ {
-			eo, ok := s.EdgeOrd(s.EdgeID(e))
-			if !ok || eo != e {
-				t.Fatalf("edge ordinal %d round trip broken", e)
-			}
-			ed, _ := g.Edge(s.EdgeID(e))
-			if s.NodeID(s.Src(e)) != ed.Src || s.NodeID(s.Dst(e)) != ed.Dst {
-				t.Fatalf("edge #%d endpoints diverge", ed.ID)
-			}
+		if got := snapImage(frozen, fuzzLabels, fuzzKeys); got != frozenImage {
+			t.Fatalf("the first snapshot changed under later rounds:\n%s\nwas:\n%s", got, frozenImage)
 		}
 	})
+}
+
+// seekAgainstScan holds one column's equality index to a from-scratch
+// scan: for every constant the column agrees to seek, the postings
+// ascend and contain each ordinal value.Eq accepts. indexed remembers
+// the columns whose index was built, across snapshot versions: no
+// column may build twice.
+func seekAgainstScan(t *testing.T, snap *csr.Snapshot, col *csr.PropCol, indexed map[*csr.PropCol]bool, count int, lits []gcore.Value) {
+	t.Helper()
+	if col == nil {
+		return
+	}
+	for _, lit := range lits {
+		post, built, ok := col.SeekEq(lit, snap.Strings())
+		if built && indexed[col] {
+			t.Fatalf("a column rebuilt its index for %v", lit)
+		}
+		indexed[col] = indexed[col] || built
+		if !ok {
+			continue
+		}
+		at := 0
+		for o := int32(0); o < int32(count); o++ {
+			if at < len(post) && post[at] < o {
+				t.Fatalf("postings %v for %v do not ascend", post, lit)
+			}
+			hit := at < len(post) && post[at] == o
+			if hit {
+				at++
+			}
+			if !col.Present(o) {
+				continue
+			}
+			if eq, _ := value.Eq(col.SetAt(o), lit).AsBool(); eq && !hit {
+				t.Fatalf("postings %v for %v (column kind %v) miss ordinal %d", post, lit, col.Kind(), o)
+			}
+		}
+		if at != len(post) {
+			t.Fatalf("postings %v for %v reach past the %d ordinals", post, lit, count)
+		}
+	}
 }
 
 // fuzzLimits bounds the binding tables of fuzzed statements.

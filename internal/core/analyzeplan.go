@@ -157,11 +157,6 @@ func writeAnalyzeFooter(sb *strings.Builder, st obs.Stats) {
 		fmt.Fprintf(sb, "caches: NFA %d hit/%d compiled, CSR %d reused/%d built\n",
 			n[obs.NFAHits], n[obs.NFAMisses], n[obs.CSRReuses], n[obs.CSRBuilds])
 	}
-	if n[obs.SnapshotFullBuilds]+n[obs.SnapshotDeltaApplies]+n[obs.SnapshotFallbacks] > 0 {
-		fmt.Fprintf(sb, "snapshots: %d full, %d delta-applied (%d ops, %s shared/%s copied), %d fallback\n",
-			n[obs.SnapshotFullBuilds], n[obs.SnapshotDeltaApplies], n[obs.SnapshotDeltaOps],
-			fmtBytes(n[obs.SnapshotBytesShared]), fmtBytes(n[obs.SnapshotBytesCopied]), n[obs.SnapshotFallbacks])
-	}
 	if n[obs.PropColHits]+n[obs.PropColFallbacks] > 0 {
 		fmt.Fprintf(sb, "prop columns: %d predicate rows columnar, %d interpreted\n",
 			n[obs.PropColHits], n[obs.PropColFallbacks])
@@ -176,19 +171,6 @@ func writeAnalyzeFooter(sb *strings.Builder, st obs.Stats) {
 		} else {
 			fmt.Fprintf(sb, "plan cache: miss (compile %s)\n", compile)
 		}
-	}
-}
-
-// fmtBytes renders a byte count with a binary-unit suffix for the
-// snapshots footer line.
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 
 // snapOf returns the graph's CSR snapshot at its current generation —
 // cached per generation inside the graph, so repeated calls during one
-// evaluation are cheap — and records how it was obtained in the
-// statement's cache and snapshot-maintenance counters.
+// evaluation are cheap — and records in the statement's cache counters
+// whether it was reused or built.
 func (c *evalCtx) snapOf(g *ppg.Graph) *csr.Snapshot {
-	snap, info := csr.OfCounted(g)
-	c.col.CSREvent(info.Kind == csr.BuildReused)
-	if info.Kind != csr.BuildReused {
-		c.col.SnapshotBuild(info.Kind == csr.BuildDelta, info.Kind == csr.BuildFallback,
-			info.DeltaOps, info.BytesShared, info.BytesCopied)
-	}
+	built := false
+	snap := g.Snapshot(func() any {
+		built = true
+		return csr.Build(g)
+	}).(*csr.Snapshot)
+	c.col.CSREvent(!built)
 	return snap
 }
 

@@ -278,15 +278,8 @@ func floatEval(vals []float64, op ast.BinaryOp, l float64) func(int32) bool {
 // stringEval compares interned identifiers against the literal's
 // position in the sorted string table: identifier order is
 // lexicographic order, so every comparison is one or two integer
-// tests. Identifiers at or past SortedCount — strings appended by
-// incremental snapshot applies, outside the order invariant — fall
-// back to direct string comparison; a snapshot from a full build has
-// no such region and keeps the pure integer closures.
+// tests.
 func stringEval(ids []int32, in *csr.Interner, op ast.BinaryOp, l string) func(int32) bool {
-	sorted := in.SortedCount()
-	allSorted := int(sorted) == in.Count()
-	// Equality resolves through Lookup, which covers the extension
-	// region too: string identity is interning identity everywhere.
 	switch op {
 	case ast.OpEq:
 		id, ok := in.Lookup(l)
@@ -304,15 +297,7 @@ func stringEval(ids []int32, in *csr.Interner, op ast.BinaryOp, l string) func(i
 	pos, exact := in.Bound(l)
 	switch op {
 	case ast.OpLt:
-		if allSorted {
-			return func(o int32) bool { return ids[o] < pos }
-		}
-		return func(o int32) bool {
-			if ids[o] < sorted {
-				return ids[o] < pos
-			}
-			return in.Name(ids[o]) < l
-		}
+		return func(o int32) bool { return ids[o] < pos }
 	case ast.OpLe:
 		// ids[o] <= pos when the literal itself is interned, else the
 		// string at pos already exceeds the literal.
@@ -320,39 +305,15 @@ func stringEval(ids []int32, in *csr.Interner, op ast.BinaryOp, l string) func(i
 		if !exact {
 			hi = pos - 1
 		}
-		if allSorted {
-			return func(o int32) bool { return ids[o] <= hi }
-		}
-		return func(o int32) bool {
-			if ids[o] < sorted {
-				return ids[o] <= hi
-			}
-			return in.Name(ids[o]) <= l
-		}
+		return func(o int32) bool { return ids[o] <= hi }
 	case ast.OpGt:
 		lo := pos
 		if exact {
 			lo = pos + 1
 		}
-		if allSorted {
-			return func(o int32) bool { return ids[o] >= lo }
-		}
-		return func(o int32) bool {
-			if ids[o] < sorted {
-				return ids[o] >= lo
-			}
-			return in.Name(ids[o]) > l
-		}
+		return func(o int32) bool { return ids[o] >= lo }
 	case ast.OpGe:
-		if allSorted {
-			return func(o int32) bool { return ids[o] >= pos }
-		}
-		return func(o int32) bool {
-			if ids[o] < sorted {
-				return ids[o] >= pos
-			}
-			return in.Name(ids[o]) >= l
-		}
+		return func(o int32) bool { return ids[o] >= pos }
 	}
 	return nil
 }

@@ -20,10 +20,8 @@
 // Snapshots are immutable and generation-tagged: ppg.Graph counts its
 // mutations — structural ones and in-place property writes alike (see
 // ppg.Graph.TouchProps) — and Of serves the cached snapshot only
-// while the generation matches. On a mismatch it applies the recorded
-// appends to the previous snapshot when it can (delta.go), sharing
-// every untouched array between versions, and rebuilds from scratch
-// otherwise. Properties are
+// while the generation matches; the first read after a mutation runs
+// Build. Properties are
 // frozen at build time into typed columns (props.go): one dense
 // column per key with a presence bitmap, scalar payload arrays for
 // uniformly-typed singleton values, interned strings, and the stored
@@ -46,38 +44,24 @@ const NoLabel int32 = -1
 const AnyLabel int32 = -2
 
 // Snapshot is the CSR image of one graph at one generation.
-//
-// A snapshot is either a full build (Build) or a delta apply
-// (delta.go): the previous snapshot extended by the recorded appends,
-// structurally sharing every untouched array. ordPatch and
-// edgeOrdPatch are the copy-on-write overlays a delta apply uses for
-// the ordinal maps, which it cannot extend in place — they are nil on
-// a full build.
 type Snapshot struct {
 	gen uint64
 
 	// Node columns, indexed by node ordinal.
 	nodeIDs []ppg.NodeID
 	nodes   []*ppg.Node
-	// ord maps identifiers to ordinals for the nodes of the last full
-	// build; nodes appended by delta applies live in ordPatch (the
-	// base map is shared across versions and never mutated).
-	ord      map[ppg.NodeID]int32
-	ordPatch map[ppg.NodeID]int32
+	ord     map[ppg.NodeID]int32
 
 	// Edge columns, indexed by edge ordinal.
-	edgeIDs      []ppg.EdgeID
-	edges        []*ppg.Edge
-	edgeOrd      map[ppg.EdgeID]int32
-	edgeOrdPatch map[ppg.EdgeID]int32
-	edgeSrc      []int32
-	edgeDst      []int32
+	edgeIDs []ppg.EdgeID
+	edges   []*ppg.Edge
+	edgeOrd map[ppg.EdgeID]int32
+	edgeSrc []int32
+	edgeDst []int32
 
 	// Adjacency: per node ordinal the out/in edge ordinals, ascending
-	// — i.e. ascending ppg.EdgeID.
-	// Build slices one flat array with capacity-clipped subslices, so
-	// a later delta apply appending to a run reallocates that run
-	// instead of clobbering its neighbour.
+	// — i.e. ascending ppg.EdgeID — as runs over one flat array per
+	// direction.
 	outAdj [][]int32
 	inAdj  [][]int32
 
@@ -87,7 +71,7 @@ type Snapshot struct {
 	labelOf    map[string]int32
 
 	// Per-element label sets as CSR over interned identifiers, sorted
-	// within each element. Delta applies append runs for new elements.
+	// within each element.
 	nodeLabelOff []int32
 	nodeLabelIDs []int32
 	edgeLabelOff []int32
@@ -104,15 +88,10 @@ type Snapshot struct {
 	nodeCols map[string]*PropCol
 	edgeCols map[string]*PropCol
 
-	// Degree sums, counted on first use. A re-tagged copy of an
-	// unchanged snapshot shares them; every other version starts empty.
-	degrees *degreeSums
-}
-
-// degreeSums memoises Degree per (node label, edge label, direction).
-type degreeSums struct {
-	mu   sync.Mutex
-	sums map[degreeKey]int64
+	// Degree sums per (node label, edge label, direction), counted on
+	// first use.
+	degreeMu sync.Mutex
+	degrees  map[degreeKey]int64
 }
 
 type degreeKey struct {
@@ -121,40 +100,15 @@ type degreeKey struct {
 }
 
 // Of returns the snapshot of g at its current generation: the cached
-// build while the generation matches, a delta apply onto the previous
-// snapshot when every mutation since it was a recorded append it can
-// extend, and a full build otherwise. Safe for concurrent readers.
+// build while the generation matches, a fresh Build otherwise. Safe
+// for concurrent readers.
 func Of(g *ppg.Graph) *Snapshot {
-	s, _ := OfCounted(g)
-	return s
-}
-
-// OfCounted is Of plus a report of how the snapshot was obtained
-// (reused, delta-applied, fallback, full build), feeding the
-// observability counters.
-func OfCounted(g *ppg.Graph) (*Snapshot, BuildInfo) {
-	info := BuildInfo{Kind: BuildReused}
-	s := g.SnapshotWith(func() any {
-		if info.Kind == BuildReused {
-			info.Kind = BuildFull
-		}
-		return Build(g)
-	}, func(prev any, d *ppg.Delta) any {
-		ns, ok := applyDelta(prev.(*Snapshot), g, d, &info)
-		if !ok {
-			info.Kind = BuildFallback
-			return nil
-		}
-		info.Kind = BuildDelta
-		info.DeltaOps = d.Ops()
-		return ns
-	}).(*Snapshot)
-	return s, info
+	return g.Snapshot(func() any { return Build(g) }).(*Snapshot)
 }
 
 // Build constructs a fresh snapshot of g, bypassing the cache.
 func Build(g *ppg.Graph) *Snapshot {
-	s := &Snapshot{gen: g.Generation(), degrees: &degreeSums{}}
+	s := &Snapshot{gen: g.Generation()}
 
 	s.nodeIDs = g.NodeIDs()
 	n := len(s.nodeIDs)
@@ -238,10 +192,7 @@ func (s *Snapshot) internLabels() {
 // buildAdjacency fills both adjacency directions by counting degrees
 // into one flat array per direction and then appending edge ordinals
 // in ascending order — each per-node run therefore ascends by
-// ppg.EdgeID, reproducing ppg adjacency order. Runs are sliced with
-// their capacity clipped to their length (three-index slices), so an
-// append through a run never writes into the next node's run: a delta
-// apply extending a node's adjacency gets a fresh copy.
+// ppg.EdgeID, reproducing ppg adjacency order.
 func (s *Snapshot) buildAdjacency(n, m int) {
 	outOff := make([]int32, n+1)
 	inOff := make([]int32, n+1)
@@ -269,8 +220,8 @@ func (s *Snapshot) buildAdjacency(n, m int) {
 	s.outAdj = make([][]int32, n)
 	s.inAdj = make([][]int32, n)
 	for u := 0; u < n; u++ {
-		s.outAdj[u] = outList[outOff[u]:outOff[u+1]:outOff[u+1]]
-		s.inAdj[u] = inList[inOff[u]:inOff[u+1]:inOff[u+1]]
+		s.outAdj[u] = outList[outOff[u]:outOff[u+1]]
+		s.inAdj[u] = inList[inOff[u]:inOff[u+1]]
 	}
 }
 
@@ -302,14 +253,8 @@ func (s *Snapshot) NumEdges() int { return len(s.edgeIDs) }
 
 // Ord maps a node identifier to its dense ordinal.
 func (s *Snapshot) Ord(id ppg.NodeID) (int32, bool) {
-	if u, ok := s.ord[id]; ok {
-		return u, true
-	}
-	if s.ordPatch != nil {
-		u, ok := s.ordPatch[id]
-		return u, ok
-	}
-	return 0, false
+	u, ok := s.ord[id]
+	return u, ok
 }
 
 // NodeID maps a node ordinal back to its identifier.
@@ -327,14 +272,8 @@ func (s *Snapshot) EdgeID(e int32) ppg.EdgeID { return s.edgeIDs[e] }
 
 // EdgeOrd maps an edge identifier to its dense ordinal.
 func (s *Snapshot) EdgeOrd(id ppg.EdgeID) (int32, bool) {
-	if e, ok := s.edgeOrd[id]; ok {
-		return e, true
-	}
-	if s.edgeOrdPatch != nil {
-		e, ok := s.edgeOrdPatch[id]
-		return e, ok
-	}
-	return 0, false
+	e, ok := s.edgeOrd[id]
+	return e, ok
 }
 
 // Edge returns the edge at an ordinal (aliasing rules as with Node).
@@ -436,9 +375,9 @@ func (s *Snapshot) Degree(nodeLabel, edgeLabel int32, in bool) int64 {
 		return int64(len(s.EdgesWithLabel(edgeLabel)))
 	}
 	key := degreeKey{nodeLabel, edgeLabel, in}
-	s.degrees.mu.Lock()
-	defer s.degrees.mu.Unlock()
-	if n, ok := s.degrees.sums[key]; ok {
+	s.degreeMu.Lock()
+	defer s.degreeMu.Unlock()
+	if n, ok := s.degrees[key]; ok {
 		return n
 	}
 	adj := s.outAdj
@@ -457,9 +396,9 @@ func (s *Snapshot) Degree(nodeLabel, edgeLabel int32, in bool) int64 {
 			}
 		}
 	}
-	if s.degrees.sums == nil {
-		s.degrees.sums = map[degreeKey]int64{}
+	if s.degrees == nil {
+		s.degrees = map[degreeKey]int64{}
 	}
-	s.degrees.sums[key] = n
+	s.degrees[key] = n
 	return n
 }

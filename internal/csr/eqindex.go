@@ -1,10 +1,8 @@
 package csr
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"gcore/internal/value"
@@ -17,11 +15,9 @@ import (
 // found by binary search.
 //
 // Lifetime: the index is built on the first seek of a column and never
-// changes afterwards. It hangs off the PropCol, and a delta apply shares
-// every column it does not write by pointer (applyCols), so an untouched
-// column carries its index into the next snapshot version; an extended
-// or rebuilt column is a new PropCol and starts unindexed. Nothing is ever
-// invalidated.
+// changes afterwards. It hangs off the PropCol, so it lives exactly as
+// long as its snapshot: the next generation's snapshot is a new build
+// whose columns start unindexed. Nothing is ever invalidated.
 //
 // Contract: SeekEq(lit) returns a superset of the ordinals o with
 // value.Eq(SetAt(o), lit) true. It only narrows a candidate list —
@@ -182,8 +178,7 @@ func (c *PropCol) index() (ix *eqIndex, built bool) {
 // buildEqIndex gathers the seekable ordinals with their keys, ascending,
 // and radix-sorts them by key. The sort is stable, so each key's run
 // stays in ascending ordinal order; it is linear in the column, which
-// keeps a first seek within a small multiple of the scan it replaces —
-// a column extended between every two reads pays that on each read.
+// keeps a first seek within a small multiple of the scan it replaces.
 func (c *PropCol) buildEqIndex() *eqIndex {
 	n := 0
 	for _, w := range c.present {
@@ -230,17 +225,4 @@ func (c *PropCol) buildEqIndex() *eqIndex {
 		}
 	}
 	return &eqIndex{ords: ords, keys: distinct}
-}
-
-// checkEqIndex verifies a built index against a from-scratch build of
-// the same column; a column never sought has nothing to verify.
-func (c *PropCol) checkEqIndex() error {
-	ix := c.eq.Load()
-	if ix == nil {
-		return nil
-	}
-	if want := c.buildEqIndex(); !slices.Equal(ix.ords, want.ords) || ix.keys != want.keys {
-		return fmt.Errorf("equality index holds %d ordinals that differ from a rebuild (%d)", len(ix.ords), len(want.ords))
-	}
-	return nil
 }

@@ -6,12 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"gcore/internal/ppg"
 	"gcore/internal/value"
 )
 
 // seekLiterals is a constant of every kind a seek may meet, chosen to
-// hit and to miss the values propGraph and deltaGraph store.
+// hit and to miss the values propGraph and mutGraph store.
 func seekLiterals() []value.Value {
 	return []value.Value{
 		value.Int(0), value.Int(2), value.Int(22), value.Int(31),
@@ -102,61 +101,6 @@ func TestSeekEqKinds(t *testing.T) {
 		post, _, ok := s.NodeCol(c.key).SeekEq(c.lit, s.Strings())
 		if ok != c.ok || !slices.Equal(post, c.want) {
 			t.Errorf("%s = %v: postings %v ok=%v, want %v ok=%v", c.key, c.lit, post, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestSeekIndexSharedAcrossDeltas: a delta apply shares the columns it
-// does not write, index included; a column it rewrites starts
-// unindexed, and the previous version keeps answering from its own.
-func TestSeekIndexSharedAcrossDeltas(t *testing.T) {
-	g := deltaGraph(t)
-	s1, _ := snapKind(t, g)
-	for _, key := range []string{"age", "name"} {
-		if _, built, ok := s1.NodeCol(key).SeekEq(value.Int(0), s1.Strings()); key == "age" && (!built || !ok) {
-			t.Fatalf("first seek of %q: built=%v ok=%v", key, built, ok)
-		}
-	}
-	age31, _, _ := s1.NodeCol("age").SeekEq(value.Int(31), s1.Strings())
-
-	// A new node carrying only a brand-new key leaves age alone.
-	p := ppg.Properties{}
-	p.Set("brand", value.Str("acme"))
-	if err := g.AddNode(&ppg.Node{ID: 400, Props: p}); err != nil {
-		t.Fatal(err)
-	}
-	s2 := expectDelta(t, g)
-	if s2.NodeCol("age") != s1.NodeCol("age") {
-		t.Fatal("untouched column was not shared with the previous version")
-	}
-	if _, built, ok := s2.NodeCol("age").SeekEq(value.Int(31), s2.Strings()); built || !ok {
-		t.Fatalf("shared column rebuilt its index: built=%v ok=%v", built, ok)
-	}
-
-	// A write to age rebuilds the column: new PropCol, no index yet.
-	p = ppg.Properties{}
-	p.Set("age", value.Int(31))
-	if err := g.AddNode(&ppg.Node{ID: 401, Props: p}); err != nil {
-		t.Fatal(err)
-	}
-	s3 := expectDelta(t, g)
-	if s3.NodeCol("age") == s2.NodeCol("age") {
-		t.Fatal("rewritten column is still the previous version's")
-	}
-	if s3.NodeCol("age").eq.Load() != nil {
-		t.Fatal("rewritten column inherited an index")
-	}
-	post, built, ok := s3.NodeCol("age").SeekEq(value.Int(31), s3.Strings())
-	if !built || !ok || len(post) != len(age31)+1 {
-		t.Fatalf("rewritten column: postings %v built=%v ok=%v, want one more than %v", post, built, ok, age31)
-	}
-	if again, _, _ := s1.NodeCol("age").SeekEq(value.Int(31), s1.Strings()); !slices.Equal(again, age31) {
-		t.Fatalf("old version's postings moved: %v, was %v", again, age31)
-	}
-	for _, s := range []*Snapshot{s1, s2, s3} {
-		checkSeeks(t, s, s.nodeCols, s.NumNodes())
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -64,56 +64,28 @@ func (k ColKind) String() string {
 }
 
 // Interner is the snapshot-wide string table: distinct property
-// string values. A full build interns everything sorted ascending, so
-// identifier order equals lexicographic order. Delta applies append
-// new strings past the sorted prefix instead of renumbering (which
-// would invalidate every shared string column): names[:sorted] stays
-// ascending, names[sorted:] is an unordered extension whose lookups
-// go through the extIds overlay (the base ids map is shared across
-// snapshot versions and never mutated).
+// string values, interned sorted ascending, so identifier order equals
+// lexicographic order.
 type Interner struct {
-	names  []string
-	ids    map[string]int32
-	extIds map[string]int32
-	sorted int32
+	names []string
+	ids   map[string]int32
 }
 
 // Lookup resolves a string to its interned identifier.
 func (in *Interner) Lookup(s string) (int32, bool) {
-	if id, ok := in.ids[s]; ok {
-		return id, true
-	}
-	if in.extIds != nil {
-		id, ok := in.extIds[s]
-		return id, ok
-	}
-	return 0, false
+	id, ok := in.ids[s]
+	return id, ok
 }
 
-// Bound returns the insertion position of s in the sorted prefix of
-// the table and whether s is present exactly there. Because prefix
-// identifiers ascend with the strings, every interned id < pos (and
-// < SortedCount) names a string < s, and prefix ids ≥ pos (+1 when
-// exact) name strings > s — the two facts compile string range
-// predicates to integer comparisons. Identifiers at or past
-// SortedCount are outside the invariant; their strings must be
-// compared directly (Name).
+// Bound returns the insertion position of s in the table and whether
+// s is present exactly there. Because identifiers ascend with the
+// strings, every interned id < pos names a string < s, and ids ≥ pos
+// (+1 when exact) name strings > s — the two facts compile string
+// range predicates to integer comparisons.
 func (in *Interner) Bound(s string) (pos int32, exact bool) {
-	names := in.names[:in.sorted]
-	i := sort.SearchStrings(names, s)
-	return int32(i), i < len(names) && names[i] == s
+	i := sort.SearchStrings(in.names, s)
+	return int32(i), i < len(in.names) && in.names[i] == s
 }
-
-// Count returns the number of interned strings.
-func (in *Interner) Count() int { return len(in.names) }
-
-// SortedCount returns the size of the sorted prefix: identifiers
-// below it order lexicographically, identifiers at or past it were
-// appended by delta applies in arrival order.
-func (in *Interner) SortedCount() int32 { return in.sorted }
-
-// Name resolves an identifier back to its string.
-func (in *Interner) Name(id int32) string { return in.names[id] }
 
 // PropCol is one property key's column over the node or edge ordinal
 // range.
@@ -127,8 +99,7 @@ type PropCol struct {
 	bools   []uint64      // ColBool: payload bitmap
 
 	// Equality index (eqindex.go): built on the first seek, immutable
-	// once published, shared with every later snapshot version that
-	// shares this column.
+	// once published.
 	eqMu sync.Mutex
 	eq   atomic.Pointer[eqIndex]
 }
@@ -137,13 +108,7 @@ type PropCol struct {
 func (c *PropCol) Kind() ColKind { return c.kind }
 
 // Present reports whether the element at ord carries the property.
-// Ordinals past the bitmap read as absent: a column untouched by a
-// delta apply is shared at its old length, and elements appended since
-// cannot carry a key no write ever mentioned.
 func (c *PropCol) Present(ord int32) bool {
-	if int(ord>>6) >= len(c.present) {
-		return false
-	}
 	return c.present[ord>>6]&(1<<(uint(ord)&63)) != 0
 }
 
@@ -249,7 +214,6 @@ func (s *Snapshot) buildPropColumns() {
 	for i, str := range in.names {
 		in.ids[str] = int32(i)
 	}
-	in.sorted = int32(len(in.names))
 	s.strings = in
 
 	fill := func(cols map[string]*PropCol) {

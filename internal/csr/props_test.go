@@ -95,27 +95,27 @@ func TestPropColumnKinds(t *testing.T) {
 func TestInternerBound(t *testing.T) {
 	s := Of(propGraph(t))
 	in := s.Strings()
-	if in.Count() == 0 {
+	if len(in.names) == 0 {
 		t.Fatal("no interned strings")
 	}
-	// ids are assigned in sorted order, so Name is ascending.
-	for i := 1; i < in.Count(); i++ {
-		if in.Name(int32(i-1)) >= in.Name(int32(i)) {
-			t.Fatalf("interner not sorted at %d: %q >= %q", i, in.Name(int32(i-1)), in.Name(int32(i)))
+	// ids are assigned in sorted order, so names ascend.
+	for i := 1; i < len(in.names); i++ {
+		if in.names[i-1] >= in.names[i] {
+			t.Fatalf("interner not sorted at %d: %q >= %q", i, in.names[i-1], in.names[i])
 		}
 	}
-	for i := 0; i < in.Count(); i++ {
-		pos, exact := in.Bound(in.Name(int32(i)))
+	for i := 0; i < len(in.names); i++ {
+		pos, exact := in.Bound(in.names[i])
 		if !exact || pos != int32(i) {
-			t.Errorf("Bound(%q) = (%d,%v), want (%d,true)", in.Name(int32(i)), pos, exact, i)
+			t.Errorf("Bound(%q) = (%d,%v), want (%d,true)", in.names[i], pos, exact, i)
 		}
 	}
 	// A string below, between, and above everything interned.
 	if pos, exact := in.Bound(""); exact || pos != 0 {
 		t.Errorf("Bound(\"\") = (%d,%v), want (0,false)", pos, exact)
 	}
-	if pos, exact := in.Bound("￿"); exact || pos != int32(in.Count()) {
-		t.Errorf("Bound(high) = (%d,%v), want (%d,false)", pos, exact, in.Count())
+	if pos, exact := in.Bound("￿"); exact || pos != int32(len(in.names)) {
+		t.Errorf("Bound(high) = (%d,%v), want (%d,false)", pos, exact, len(in.names))
 	}
 }
 

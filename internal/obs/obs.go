@@ -115,19 +115,9 @@ const (
 	NFAHits Counter = iota
 	NFAMisses
 	// CSRReuses and CSRBuilds are CSR snapshot probes: the cached
-	// generation reused, or the snapshot (re)built.
+	// generation reused, or the snapshot built.
 	CSRReuses
 	CSRBuilds
-	// How the non-reused snapshots were obtained (full build, delta
-	// apply, declined-delta fallback), the mutation ops the applied
-	// deltas carried, and the approximate bytes the delta-applied
-	// snapshots share with vs. copied from their predecessors.
-	SnapshotFullBuilds
-	SnapshotDeltaApplies
-	SnapshotFallbacks
-	SnapshotDeltaOps
-	SnapshotBytesShared
-	SnapshotBytesCopied
 	// FrontierUsed and ResultsUsed are the governor's consumed budgets,
 	// metered only when the corresponding limit is set.
 	FrontierUsed
@@ -156,8 +146,6 @@ const (
 
 var counterNames = [numCounters]string{
 	"nfa_cache_hits", "nfa_cache_misses", "csr_reuses", "csr_builds",
-	"snapshot_full_builds", "snapshot_delta_applies", "snapshot_fallbacks",
-	"snapshot_delta_ops", "snapshot_bytes_shared", "snapshot_bytes_copied",
 	"frontier_used", "results_used", "prop_col_hits", "prop_col_fallbacks",
 	"prop_index_seeks", "prop_index_builds", "rpq_walks_found", "rpq_walks_built",
 	"plan_cache_hits", "plan_cache_misses", "plan_cache_compile_ns",
@@ -233,29 +221,8 @@ func (c *Collector) PlanCacheEvent(hit bool, compile time.Duration) {
 }
 
 // CSREvent records a CSR snapshot probe: hit means the cached
-// generation was reused, miss means the snapshot was (re)built.
+// generation was reused, miss means the snapshot was built.
 func (c *Collector) CSREvent(hit bool) { c.add(pick(hit, CSRReuses, CSRBuilds), 1) }
-
-// SnapshotBuild records one CSR snapshot acquisition that was NOT a
-// cache reuse (those go through CSREvent alone). Exactly one of the
-// three outcomes applies per call: a delta apply (delta=true, with its
-// op count and the approximate shared/copied byte split of the
-// resulting snapshot), a fallback (fallback=true: a delta existed but
-// was declined and a full build ran), or a plain full build (both
-// false: no previous snapshot or recording was off).
-func (c *Collector) SnapshotBuild(delta, fallback bool, deltaOps int, bytesShared, bytesCopied int64) {
-	switch {
-	case delta:
-		c.add(SnapshotDeltaApplies, 1)
-		c.add(SnapshotDeltaOps, int64(deltaOps))
-		c.add(SnapshotBytesShared, bytesShared)
-		c.add(SnapshotBytesCopied, bytesCopied)
-	case fallback:
-		c.add(SnapshotFallbacks, 1)
-	default:
-		c.add(SnapshotFullBuilds, 1)
-	}
-}
 
 // PropColEvent records columnar-predicate activity, batched per
 // operator: hits counts predicate evaluations answered from the

@@ -154,12 +154,6 @@ func TestEveryCounterReachesMetrics(t *testing.T) {
 		{"NFAEvent miss", func(c *Collector) { c.NFAEvent(false) }, map[Counter]int64{NFAMisses: 1}},
 		{"CSREvent hit", func(c *Collector) { c.CSREvent(true) }, map[Counter]int64{CSRReuses: 1}},
 		{"CSREvent miss", func(c *Collector) { c.CSREvent(false) }, map[Counter]int64{CSRBuilds: 1}},
-		{"SnapshotBuild full", func(c *Collector) { c.SnapshotBuild(false, false, 0, 0, 0) },
-			map[Counter]int64{SnapshotFullBuilds: 1}},
-		{"SnapshotBuild delta", func(c *Collector) { c.SnapshotBuild(true, false, 3, 40, 5) },
-			map[Counter]int64{SnapshotDeltaApplies: 1, SnapshotDeltaOps: 3, SnapshotBytesShared: 40, SnapshotBytesCopied: 5}},
-		{"SnapshotBuild fallback", func(c *Collector) { c.SnapshotBuild(false, true, 0, 0, 0) },
-			map[Counter]int64{SnapshotFallbacks: 1}},
 		{"RecordBudget", func(c *Collector) { c.RecordBudget(6, 7) }, map[Counter]int64{FrontierUsed: 6, ResultsUsed: 7}},
 		{"PropColEvent", func(c *Collector) { c.PropColEvent(8, 2) }, map[Counter]int64{PropColHits: 8, PropColFallbacks: 2}},
 		{"PropIndexEvent", func(c *Collector) { c.PropIndexEvent(true, 3) }, map[Counter]int64{PropIndexSeeks: 1, PropIndexBuilds: 3}},
@@ -197,6 +191,10 @@ func TestEveryCounterReachesMetrics(t *testing.T) {
 			if got, ok := fields[k.String()].(float64); !ok || int64(got) != want {
 				t.Errorf("%s: Metrics JSON %q = %v, want %d", ev.name, k, fields[k.String()], want)
 			}
+		}
+		// Every snapshot built is a full build; the metric keeps its name.
+		if fields["snapshot_full_builds"] != fields[CSRBuilds.String()] {
+			t.Errorf("%s: snapshot_full_builds = %v, csr_builds = %v", ev.name, fields["snapshot_full_builds"], fields[CSRBuilds.String()])
 		}
 	}
 	for k := Counter(0); int(k) < numCounters; k++ {

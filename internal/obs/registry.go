@@ -91,16 +91,9 @@ type Metrics struct {
 	FrontierUsed   int64 `json:"frontier_used"`
 	ResultsUsed    int64 `json:"results_used"`
 
-	// Incremental snapshot maintenance: of the csr_builds above, how
-	// many were full rebuilds vs. delta applies vs. declined-delta
-	// fallbacks, plus the applied deltas' op count and shared/copied
-	// byte split.
-	SnapshotFullBuilds   int64 `json:"snapshot_full_builds,omitempty"`
-	SnapshotDeltaApplies int64 `json:"snapshot_delta_applies,omitempty"`
-	SnapshotFallbacks    int64 `json:"snapshot_fallbacks,omitempty"`
-	SnapshotDeltaOps     int64 `json:"snapshot_delta_ops,omitempty"`
-	SnapshotBytesShared  int64 `json:"snapshot_bytes_shared,omitempty"`
-	SnapshotBytesCopied  int64 `json:"snapshot_bytes_copied,omitempty"`
+	// SnapshotFullBuilds repeats CSRBuilds: every snapshot built is a
+	// full build. It stays for readers of the name.
+	SnapshotFullBuilds int64 `json:"snapshot_full_builds"`
 
 	// Predicate rows answered from the snapshot's property columns, and
 	// rows that fell back to the interpreter.
@@ -109,7 +102,7 @@ type Metrics struct {
 
 	// Equality seeks: node scans whose candidates came from a property
 	// column's value index, and the indexes built for them (one per
-	// sought column per snapshot version that rewrote it).
+	// sought column per snapshot).
 	PropIndexSeeks  int64 `json:"prop_index_seeks"`
 	PropIndexBuilds int64 `json:"prop_index_builds"`
 
@@ -170,12 +163,7 @@ func (r *Registry) Snapshot() Metrics {
 	m.NFACacheMisses = r.counts[NFAMisses].Load()
 	m.CSRReuses = r.counts[CSRReuses].Load()
 	m.CSRBuilds = r.counts[CSRBuilds].Load()
-	m.SnapshotFullBuilds = r.counts[SnapshotFullBuilds].Load()
-	m.SnapshotDeltaApplies = r.counts[SnapshotDeltaApplies].Load()
-	m.SnapshotFallbacks = r.counts[SnapshotFallbacks].Load()
-	m.SnapshotDeltaOps = r.counts[SnapshotDeltaOps].Load()
-	m.SnapshotBytesShared = r.counts[SnapshotBytesShared].Load()
-	m.SnapshotBytesCopied = r.counts[SnapshotBytesCopied].Load()
+	m.SnapshotFullBuilds = m.CSRBuilds
 	m.FrontierUsed = r.counts[FrontierUsed].Load()
 	m.ResultsUsed = r.counts[ResultsUsed].Load()
 	m.PropColHits = r.counts[PropColHits].Load()

@@ -271,14 +271,6 @@ type Graph struct {
 	snapGen uint64
 	snapVal any
 
-	// Delta recording for incremental snapshot maintenance (delta.go):
-	// while deltaOK, every insertion appends its identifier to delta,
-	// letting SnapshotWith extend the cached snapshot instead of
-	// rebuilding. Guarded by the same discipline as gen: mutation is
-	// never concurrent with snapshot access.
-	deltaOK bool
-	delta   Delta
-
 	// hook, when set, observes every mutation before it is applied
 	// (the write-ahead boundary of the durability layer). A hook error
 	// rejects the mutation and leaves the graph untouched.
@@ -400,7 +392,7 @@ type sortedElems struct {
 // AddEdge and AddPath for a caller that has already established what
 // they check: identifiers distinct within each sort, every edge's
 // endpoints among nodes, and every path well formed over nodes and
-// edges (Validate checks all three). No mutation hook or delta sees the
+// edges (Validate checks all three). No mutation hook sees the
 // insertions, and the generation reads as if the elements had been
 // added one by one. A nil property map becomes an empty one, as on
 // insert; the elements given one share it, as read-only elements may.
@@ -448,8 +440,9 @@ func (g *Graph) Name() string { return g.name }
 // Generation returns the structural mutation counter. It increases on
 // every successful AddNode/AddEdge/AddPath/SetNodeLabels/SetEdgeLabels
 // (and therefore on the graphs the set operations build, which insert
-// element by element), and on TouchProps. Derived structures built at
-// generation G are valid exactly while Generation() == G.
+// element by element), and on TouchProps and ReplaceWith. Derived
+// structures built at generation G are valid exactly while
+// Generation() == G.
 func (g *Graph) Generation() uint64 { return g.gen }
 
 // bump invalidates derived structures after a mutation, the assembled
@@ -502,7 +495,6 @@ func sortedValues[K cmp.Ordered, E any](m map[K]*E) []*E {
 // SetEdgeProps / SetPathProps, which are loggable and rejectable.
 func (g *Graph) TouchProps() {
 	_ = g.fireHook(Mutation{Op: MutTouchProps})
-	g.dropDelta()
 	g.bump()
 }
 
@@ -513,12 +505,20 @@ func (g *Graph) TouchProps() {
 // the generation and makes the cached value unreachable — a stale
 // snapshot is never served.
 func (g *Graph) Snapshot(build func() any) any {
-	return g.SnapshotWith(build, nil)
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	if g.snapVal == nil || g.snapGen != g.gen {
+		g.snapVal = build()
+		g.snapGen = g.gen
+	}
+	return g.snapVal
 }
 
 // replace moves out's contents into g field by field, leaving g's
 // snapshot-cache lock in place (a whole-struct copy would copy the
-// mutex). Any snapshot cached for g's previous contents is dropped.
+// mutex). Any snapshot cached for g's previous contents is dropped, and
+// the generation moves past both graphs' so nothing keyed on an earlier
+// generation of g matches the new contents.
 // The hook sees the wholesale swap as MutReplace carrying the new
 // contents and may reject it.
 func (g *Graph) replace(out *Graph) error {
@@ -530,10 +530,9 @@ func (g *Graph) replace(out *Graph) error {
 	g.edges = out.edges
 	g.paths = out.paths
 	g.sorted = out.sorted
-	g.gen = out.gen
+	g.gen = max(g.gen, out.gen) + 1
 	g.snapGen = 0
 	g.snapVal = nil
-	g.dropDelta()
 	return nil
 }
 
@@ -572,7 +571,6 @@ func (g *Graph) AddNode(n *Node) error {
 		return err
 	}
 	g.nodes[n.ID] = n
-	g.noteAddNode(n.ID)
 	g.bump()
 	return nil
 }
@@ -596,15 +594,13 @@ func (g *Graph) AddEdge(e *Edge) error {
 		return err
 	}
 	g.edges[e.ID] = e
-	g.noteAddEdge(e.ID)
 	g.bump()
 	return nil
 }
 
 // SetNodeLabels replaces λ(n) for an already-inserted node. Like every
 // Set* mutator it stores a new element object and leaves the old one,
-// which other graphs may share, as it was; the delta records appends
-// only, so the graph's next snapshot is a full build.
+// which other graphs may share, as it was.
 func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 	n, ok := g.nodes[id]
 	if !ok {
@@ -614,7 +610,6 @@ func (g *Graph) SetNodeLabels(id NodeID, ls Labels) error {
 		return err
 	}
 	g.nodes[id] = &Node{ID: id, Labels: ls, Props: n.Props}
-	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -629,7 +624,6 @@ func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 		return err
 	}
 	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: ls, Props: e.Props}
-	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -650,7 +644,6 @@ func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
 		return err
 	}
 	g.nodes[id] = &Node{ID: id, Labels: n.Labels, Props: p}
-	g.dropDelta()
 	g.bump()
 	return nil
 }
@@ -668,7 +661,6 @@ func (g *Graph) SetEdgeProps(id EdgeID, p Properties) error {
 		return err
 	}
 	g.edges[id] = &Edge{ID: id, Src: e.Src, Dst: e.Dst, Labels: e.Labels, Props: p}
-	g.dropDelta()
 	g.bump()
 	return nil
 }
