@@ -53,13 +53,14 @@ benchcmp:
 # point lookups, path patterns and the k-shortest kernel, chains
 # started mid-way, grouping
 # (aggregating SELECT, SELECT DISTINCT, CONSTRUCT GROUP), the snapshot
-# build after a mutation, WAL append alone and under concurrent writers,
-# whole HTTP requests, the paper's correlated subqueries) fail,
+# build after a mutation, loading the SNB-2000 document, WAL append
+# alone and under concurrent writers, whole HTTP requests, the paper's
+# correlated subqueries) fail,
 # timing regressions warn (allocs/op and B/op are nearly
 # machine-independent, ns/op is not). CI calls this target, so the list
 # lives here only.
 benchguard:
-	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkMatchStart|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALConcurrentAppend|BenchmarkReply|BenchmarkCorrelated' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
+	go test -bench='BenchmarkJoin|BenchmarkParallelMatch|BenchmarkFilteredScan|BenchmarkRepeatedEval|BenchmarkPreparedEval|BenchmarkPreparedPoint|BenchmarkPathPattern|BenchmarkMatchStart|BenchmarkGrouping|BenchmarkKShortest|BenchmarkMutateThenRead|BenchmarkLoadGraph|BenchmarkConcurrentRead|BenchmarkSnapshotDelta|BenchmarkWALAppend|BenchmarkWALConcurrentAppend|BenchmarkReply|BenchmarkCorrelated' -benchmem -count=3 -run '^$$' $(BENCH_PKGS) | tee bench.head.txt
 	go run ./cmd/benchguard -base bench.base.txt -head bench.head.txt
 
 repro:

@@ -1,6 +1,7 @@
 package gcore_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -602,6 +603,27 @@ func registerSNBWithPids(b testing.TB, eng *gcore.Engine) *gcore.Graph {
 		b.Fatal(err)
 	}
 	return social
+}
+
+// BenchmarkLoadGraph measures loading the SNB-2000 interchange document
+// (the dataset of the end-to-end workloads, pids included) through
+// Engine.LoadGraphJSON, as gcored -graph does: decoding, validation and
+// registration. Its allocations are mostly the JSON decoder's; the ones
+// the loaded graph keeps are a handful per sort plus its non-empty
+// property maps.
+func BenchmarkLoadGraph(b *testing.B) {
+	eng := gcore.NewEngine()
+	doc, err := registerSNBWithPids(b, eng).AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.LoadGraphJSON(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkPathPattern measures the three statement shapes of the

@@ -63,6 +63,10 @@ func main() {
 	// BenchmarkSnapshotDelta and BenchmarkMutateThenRead guard the
 	// snapshot build that follows every mutation of a graph: an
 	// allocation jump there taxes the first read after each write.
+	// BenchmarkLoadGraph guards loading a graph document: an element
+	// that again decodes into its own label slice and empty property
+	// map, or a load that inserts element by element, shows up as an
+	// allocation jump.
 	// BenchmarkConcurrentRead guards the reader path under the
 	// engine's read/write lock split, beside a GRAPH VIEW writer: an
 	// allocation jump there means concurrent readers stopped sharing
@@ -75,7 +79,7 @@ func main() {
 	// BenchmarkCorrelated guards set-at-a-time subqueries: an EXISTS or
 	// pattern predicate evaluated once per outer row again multiplies
 	// its allocations by the outer table's size.
-	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply,BenchmarkCorrelated", "comma-separated benchmark name prefixes to guard")
+	guard := flag.String("guard", "BenchmarkJoin,BenchmarkParallelMatch,BenchmarkFilteredScan,BenchmarkRepeatedEval,BenchmarkPreparedEval,BenchmarkPreparedPoint,BenchmarkPathPattern,BenchmarkMatchStart,BenchmarkGrouping,BenchmarkKShortest,BenchmarkMutateThenRead,BenchmarkLoadGraph,BenchmarkConcurrentRead,BenchmarkSnapshotDelta,BenchmarkWALAppend,BenchmarkWALConcurrentAppend,BenchmarkReply,BenchmarkCorrelated", "comma-separated benchmark name prefixes to guard")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression (0.20 = 20%)")
 	flag.Parse()
 

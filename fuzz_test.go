@@ -357,9 +357,9 @@ func FuzzEval(f *testing.F) {
 // including NaN, -0 and an integral value, b bool, d date, s string) and
 // an overflow column m mixing scalars of every kind with multi-valued
 // sets — the shapes on which a columnar predicate, an equality seek and
-// the interpreter could disagree.
-func kindsGraph(t testing.TB) *gcore.Graph {
-	t.Helper()
+// the interpreter could disagree. It is assembled, not inserted: the
+// mutators refuse NaN, which CONSTRUCT still stores from a parameter.
+func kindsGraph() *gcore.Graph {
 	day := value.Date // days since the epoch; 16071 is 1 January 2014
 	nan := gcore.Float(math.NaN())
 	rows := []map[string]gcore.Value{
@@ -372,14 +372,11 @@ func kindsGraph(t testing.TB) *gcore.Graph {
 		{"f": nan, "b": gcore.Bool(false), "d": day(16071), "m": gcore.SetOf(gcore.Int(30), gcore.Str("Acme"))},
 		{"i": gcore.Int(0), "s": gcore.Str("Acme"), "m": gcore.Str("HAL")},
 	}
-	g := gcore.NewGraph("kinds_graph")
+	nodes := make([]*gcore.Node, len(rows))
 	for i, kv := range rows {
-		n := &gcore.Node{ID: gcore.NodeID(9000 + i), Labels: gcore.NewLabels("T"), Props: gcore.NewProperties(kv)}
-		if err := g.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
+		nodes[i] = &gcore.Node{ID: gcore.NodeID(9000 + i), Labels: gcore.NewLabels("T"), Props: gcore.NewProperties(kv)}
 	}
-	return g
+	return gcore.AssembleNodes("kinds_graph", nodes)
 }
 
 // paramBindings derives the $a/$b bindings of one FuzzParamInline input.
@@ -442,7 +439,7 @@ func FuzzParamInline(f *testing.F) {
 	}
 	engine := func(t *testing.T, ab core.Ablation) *gcore.Engine {
 		eng := goldenTour(t, ablated(ab), fuzzLimits)
-		if err := eng.RegisterGraph(kindsGraph(t)); err != nil {
+		if err := eng.RegisterGraph(kindsGraph()); err != nil {
 			t.Fatal(err)
 		}
 		return eng

@@ -70,6 +70,9 @@ type (
 	Labels = ppg.Labels
 	// Properties maps property keys to finite value sets (σ values).
 	Properties = ppg.Properties
+	// NonFiniteError is how the element mutators refuse a property
+	// value holding a NaN or an infinite float.
+	NonFiniteError = ppg.NonFiniteError
 	// Value is a literal, collection or graph-object reference.
 	Value = value.Value
 	// Table is a tabular result (SELECT) or input (FROM).

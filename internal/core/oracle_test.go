@@ -393,7 +393,6 @@ func (o *oracle) builtin(name string, args []value.Value) (value.Value, error) {
 // labels.
 func oracleGraph(t *testing.T) *ppg.Graph {
 	t.Helper()
-	g := ppg.New("oracle_graph")
 	props := func(kv ...any) ppg.Properties {
 		m := map[string]value.Value{}
 		for i := 0; i < len(kv); i += 2 {
@@ -410,11 +409,6 @@ func oracleGraph(t *testing.T) *ppg.Graph {
 		{ID: 9105, Labels: ppg.NewLabels("A"), Props: props("i", I(math.MaxInt64), "f", F(2), "s", S("a"), "b", value.True)},
 		{ID: 9106},
 	}
-	for _, n := range nodes {
-		if err := g.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
 	edges := []*ppg.Edge{
 		{ID: 9201, Src: 9101, Dst: 9102, Labels: ppg.NewLabels("r"), Props: props("w", I(1))},
 		{ID: 9202, Src: 9102, Dst: 9103, Labels: ppg.NewLabels("r"), Props: props("w", F(2.5), "s", S("HAL"))},
@@ -423,20 +417,16 @@ func oracleGraph(t *testing.T) *ppg.Graph {
 		{ID: 9205, Src: 9104, Dst: 9104, Labels: ppg.NewLabels("q"), Props: props("w", S("x"))},
 		{ID: 9206, Src: 9105, Dst: 9102, Labels: ppg.NewLabels("r"), Props: props("w", I(-1), "i", I(3))},
 	}
-	for _, e := range edges {
-		if err := g.AddEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
 	paths := []*ppg.Path{
 		{ID: 9301, Nodes: []ppg.NodeID{9101, 9102, 9103}, Edges: []ppg.EdgeID{9201, 9202}, Labels: ppg.NewLabels("P"), Props: props("i", I(2), "s", S("Acme"))},
 		{ID: 9302, Nodes: []ppg.NodeID{9104}, Labels: ppg.NewLabels("P", "Q")},
 		{ID: 9303, Nodes: []ppg.NodeID{9105, 9102}, Edges: []ppg.EdgeID{9206}, Labels: ppg.NewLabels("Q"), Props: props("f", F(0.5))},
 	}
-	for _, p := range paths {
-		if err := g.AddPath(p); err != nil {
-			t.Fatal(err)
-		}
+	// Assembled, not inserted: the mutators refuse the NaN properties,
+	// which CONSTRUCT still stores from a NaN parameter.
+	g := ppg.Assemble("oracle_graph", nodes, edges, paths)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

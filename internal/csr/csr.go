@@ -110,26 +110,26 @@ func Of(g *ppg.Graph) *Snapshot {
 func Build(g *ppg.Graph) *Snapshot {
 	s := &Snapshot{gen: g.Generation()}
 
-	s.nodeIDs = g.NodeIDs()
-	n := len(s.nodeIDs)
-	s.nodes = make([]*ppg.Node, n)
+	// An assembled or decoded graph hands over its element order as
+	// it stands; other graphs sort once here.
+	s.nodes = g.Nodes()
+	n := len(s.nodes)
+	s.nodeIDs = make([]ppg.NodeID, n)
 	s.ord = make(map[ppg.NodeID]int32, n)
-	for i, id := range s.nodeIDs {
-		nd, _ := g.Node(id)
-		s.nodes[i] = nd
-		s.ord[id] = int32(i)
+	for i, nd := range s.nodes {
+		s.nodeIDs[i] = nd.ID
+		s.ord[nd.ID] = int32(i)
 	}
 
-	s.edgeIDs = g.EdgeIDs()
-	m := len(s.edgeIDs)
-	s.edges = make([]*ppg.Edge, m)
+	s.edges = g.Edges()
+	m := len(s.edges)
+	s.edgeIDs = make([]ppg.EdgeID, m)
 	s.edgeOrd = make(map[ppg.EdgeID]int32, m)
 	s.edgeSrc = make([]int32, m)
 	s.edgeDst = make([]int32, m)
-	for i, id := range s.edgeIDs {
-		ed, _ := g.Edge(id)
-		s.edges[i] = ed
-		s.edgeOrd[id] = int32(i)
+	for i, ed := range s.edges {
+		s.edgeIDs[i] = ed.ID
+		s.edgeOrd[ed.ID] = int32(i)
 		s.edgeSrc[i] = s.ord[ed.Src]
 		s.edgeDst[i] = s.ord[ed.Dst]
 	}

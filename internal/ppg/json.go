@@ -2,6 +2,7 @@ package ppg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -219,39 +220,170 @@ type propEntry struct {
 }
 
 // UnmarshalJSON decodes the interchange format, validating every
-// model invariant on the way in.
+// model invariant on the way in (decodeGraph).
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var doc jsonGraph
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("ppg: decoding graph: %w", err)
 	}
-	out := New(doc.Name)
-	for _, jn := range doc.Nodes {
-		if err := out.AddNode(&Node{ID: NodeID(jn.ID), Labels: NewLabels(jn.Labels...), Props: NewProperties(jn.Props)}); err != nil {
-			return err
-		}
-	}
-	for _, je := range doc.Edges {
-		if err := out.AddEdge(&Edge{
-			ID: EdgeID(je.ID), Src: NodeID(je.Src), Dst: NodeID(je.Dst),
-			Labels: NewLabels(je.Labels...), Props: NewProperties(je.Props),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, jp := range doc.Paths {
-		p := &Path{ID: PathID(jp.ID), Labels: NewLabels(jp.Labels...), Props: NewProperties(jp.Props)}
-		for _, n := range jp.Nodes {
-			p.Nodes = append(p.Nodes, NodeID(n))
-		}
-		for _, e := range jp.Edges {
-			p.Edges = append(p.Edges, EdgeID(e))
-		}
-		if err := out.AddPath(p); err != nil {
-			return err
-		}
+	out, err := decodeGraph(&doc)
+	if err != nil {
+		return err
 	}
 	return g.replace(out)
+}
+
+// decodeGraph builds the graph of a decoded document from one slab of
+// elements per sort, which Assemble takes over. Elements with equal
+// label sets share one Labels slice, clipped so that an append
+// copies, equal property names share one string, and elements without
+// properties are left to Assemble's shared empty map. The checks of
+// AddNode, AddEdge and AddPath run afterwards on the assembled graph,
+// in document order and with their error text (checkDecoded).
+func decodeGraph(doc *jsonGraph) (*Graph, error) {
+	in := interner{labels: map[string]Labels{}, names: map[string]string{}}
+	nodes := make([]Node, len(doc.Nodes))
+	for i, jn := range doc.Nodes {
+		nodes[i] = Node{ID: NodeID(jn.ID), Labels: in.labelSet(jn.Labels), Props: in.props(jn.Props)}
+	}
+	edges := make([]Edge, len(doc.Edges))
+	for i, je := range doc.Edges {
+		edges[i] = Edge{
+			ID: EdgeID(je.ID), Src: NodeID(je.Src), Dst: NodeID(je.Dst),
+			Labels: in.labelSet(je.Labels), Props: in.props(je.Props),
+		}
+	}
+	paths := make([]Path, len(doc.Paths))
+	for i, jp := range doc.Paths {
+		paths[i] = jp.path(in.labelSet(jp.Labels), in.props(jp.Props))
+	}
+	g := Assemble(doc.Name, pointers(nodes), pointers(edges), pointers(paths))
+	if err := g.checkDecoded(nodes, edges, paths); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// pointers returns a pointer to each element of a slab.
+func pointers[E any](slab []E) []*E {
+	ps := make([]*E, len(slab))
+	for i := range slab {
+		ps[i] = &slab[i]
+	}
+	return ps
+}
+
+// checkDecoded makes the checks AddNode, AddEdge and AddPath would
+// have made inserting the slabs' elements in document order, and
+// returns the first failure. g was assembled from the slabs, so its
+// maps resolve every reference; a sort whose map holds fewer entries
+// than its slab has a duplicate identifier, which firstDup places.
+func (g *Graph) checkDecoded(nodes []Node, edges []Edge, paths []Path) error {
+	dup := firstDup(nodes, len(g.nodes), func(n *Node) NodeID { return n.ID })
+	for i := range nodes {
+		n := &nodes[i]
+		if i == dup {
+			return g.errDuplicate("node", uint64(n.ID))
+		}
+		if err := checkFinite("node", uint64(n.ID), n.Props); err != nil {
+			return err
+		}
+	}
+	dup = firstDup(edges, len(g.edges), func(e *Edge) EdgeID { return e.ID })
+	for i := range edges {
+		if i == dup {
+			return g.errDuplicate("edge", uint64(edges[i].ID))
+		}
+		if err := g.checkEdge(&edges[i]); err != nil {
+			return err
+		}
+	}
+	dup = firstDup(paths, len(g.paths), func(p *Path) PathID { return p.ID })
+	for i := range paths {
+		if i == dup {
+			return g.errDuplicate("path", uint64(paths[i].ID))
+		}
+		if err := g.checkPath(&paths[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// firstDup returns the index of the first element whose identifier an
+// earlier element already has, or -1 when the distinct count shows
+// there is none.
+func firstDup[E any, K comparable](slab []E, distinct int, id func(*E) K) int {
+	if distinct == len(slab) {
+		return -1
+	}
+	seen := make(map[K]bool, distinct)
+	for i := range slab {
+		k := id(&slab[i])
+		if seen[k] {
+			return i
+		}
+		seen[k] = true
+	}
+	return -1
+}
+
+// interner shares what one document repeats: a Labels slice per
+// distinct label set and a string per distinct property name.
+type interner struct {
+	labels map[string]Labels // by setKey of the names as written and as normalised
+	names  map[string]string
+	key    []byte
+}
+
+// setKey encodes names, length-prefixed, into the interner's buffer.
+func (in *interner) setKey(names []string) []byte {
+	in.key = in.key[:0]
+	for _, n := range names {
+		in.key = append(binary.AppendUvarint(in.key, uint64(len(n))), n...)
+	}
+	return in.key
+}
+
+// labelSet returns the shared normalised set of names, nil when empty.
+func (in *interner) labelSet(names []string) Labels {
+	if len(names) == 0 {
+		return nil
+	}
+	if ls, ok := in.labels[string(in.setKey(names))]; ok {
+		return ls
+	}
+	written := string(in.key)
+	ls := NewLabels(names...)
+	if shared, ok := in.labels[string(in.setKey(ls))]; ok {
+		ls = shared
+	} else {
+		ls = slices.Clip(ls)
+		in.labels[string(in.key)] = ls
+	}
+	in.labels[written] = ls
+	return ls
+}
+
+// props normalises a decoded property map with shared names; nil when
+// no property is defined, for Assemble to share its empty map.
+func (in *interner) props(m map[string]value.Value) Properties {
+	if len(m) == 0 {
+		return nil
+	}
+	p := make(Properties, len(m))
+	for k, v := range m {
+		name, ok := in.names[k]
+		if !ok {
+			name = k
+			in.names[k] = k
+		}
+		p.Set(name, v)
+	}
+	if len(p) == 0 {
+		return nil
+	}
+	return p
 }
 
 // Element decoders. The durability layer logs individual mutations as
@@ -286,14 +418,20 @@ func DecodePath(data []byte) (*Path, error) {
 	if err := json.Unmarshal(data, &jp); err != nil {
 		return nil, fmt.Errorf("ppg: decoding path: %w", err)
 	}
-	p := &Path{ID: PathID(jp.ID), Labels: NewLabels(jp.Labels...), Props: NewProperties(jp.Props)}
+	p := jp.path(NewLabels(jp.Labels...), NewProperties(jp.Props))
+	return &p, nil
+}
+
+// path returns the decoded path with the given labels and properties.
+func (jp *jsonPath) path(ls Labels, props Properties) Path {
+	p := Path{ID: PathID(jp.ID), Labels: ls, Props: props}
 	for _, n := range jp.Nodes {
 		p.Nodes = append(p.Nodes, NodeID(n))
 	}
 	for _, e := range jp.Edges {
 		p.Edges = append(p.Edges, EdgeID(e))
 	}
-	return p, nil
+	return p
 }
 
 // DecodeProperties decodes an AppendProperties document.
@@ -328,19 +466,17 @@ func ReadJSON(r io.Reader, gen *IDGen) (*Graph, error) {
 		return nil, err
 	}
 	if gen != nil {
-		ids := []uint64{}
-		for _, id := range g.NodeIDs() {
-			ids = append(ids, uint64(id))
+		// A decoded graph is assembled: its last elements carry the
+		// greatest identifiers.
+		els := g.inOrder()
+		if n := len(els.nodes); n > 0 {
+			gen.Reserve(uint64(els.nodes[n-1].ID))
 		}
-		for _, id := range g.EdgeIDs() {
-			ids = append(ids, uint64(id))
+		if n := len(els.edges); n > 0 {
+			gen.Reserve(uint64(els.edges[n-1].ID))
 		}
-		for _, id := range g.PathIDs() {
-			ids = append(ids, uint64(id))
-		}
-		slices.Sort(ids)
-		if len(ids) > 0 {
-			gen.Reserve(ids[len(ids)-1])
+		if n := len(els.paths); n > 0 {
+			gen.Reserve(uint64(els.paths[n-1].ID))
 		}
 	}
 	return g, nil

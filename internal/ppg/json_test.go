@@ -242,8 +242,8 @@ func checkCodec(t *testing.T, what, ref any, encode func() ([]byte, error)) {
 }
 
 func TestAppendJSONRefusesNaN(t *testing.T) {
-	g := New("g")
-	mustOK(t, g.AddNode(&Node{ID: 1, Props: NewProperties(map[string]value.Value{"x": value.Float(math.NaN())})}))
+	// Assembled: AddNode refuses the value, CONSTRUCT can still store it.
+	g := Assemble("g", []*Node{{ID: 1, Props: NewProperties(map[string]value.Value{"x": value.Float(math.NaN())})}}, nil, nil)
 	if _, err := g.AppendJSON(nil); err == nil {
 		t.Fatal("a NaN property must fail to encode")
 	}

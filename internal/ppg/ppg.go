@@ -15,6 +15,7 @@ package ppg
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -243,8 +244,11 @@ func (p *Path) Length() int { return len(p.Edges) }
 // from other graphs (CONSTRUCT results, GRAPH VIEWs, the set operations
 // of setops.go) share their sources' element objects, and an element's
 // Labels slice and Props map may be shared between elements and graphs
-// too. Everything reachable from a graph is therefore read-only; change
-// an element through the Set* mutators.
+// too. Assembled and decoded graphs share within themselves as well:
+// their elements without properties hold one empty map, and a decoded
+// graph's elements sit in one slab per sort and hold one Labels slice
+// per distinct label set. Everything reachable from a graph is
+// therefore read-only; change an element through the Set* mutators.
 type Graph struct {
 	name  string
 	nodes map[NodeID]*Node
@@ -390,9 +394,10 @@ type sortedElems struct {
 // Assemble returns a graph holding exactly the given elements, each
 // map sized to its element count. It is the bulk form of AddNode,
 // AddEdge and AddPath for a caller that has already established what
-// they check: identifiers distinct within each sort, every edge's
-// endpoints among nodes, and every path well formed over nodes and
-// edges (Validate checks all three). No mutation hook sees the
+// they check, or checks it on the result before anything else sees it
+// as the decoder does: identifiers distinct within each sort, every
+// edge's endpoints among nodes, and every path well formed over nodes
+// and edges (Validate checks all three). No mutation hook sees the
 // insertions, and the generation reads as if the elements had been
 // added one by one. A nil property map becomes an empty one, as on
 // insert; the elements given one share it, as read-only elements may.
@@ -461,34 +466,34 @@ func (g *Graph) inOrder() *sortedElems {
 	return &sortedElems{nodes: sortedValues(g.nodes), edges: sortedValues(g.edges), paths: sortedValues(g.paths)}
 }
 
-// sortedValues returns m's values ordered by key.
+// sortedValues returns m's values ordered by key. Sorting the bare
+// keys and probing the map again beats sorting (key, value) pairs
+// through a comparison function.
 func sortedValues[K cmp.Ordered, E any](m map[K]*E) []*E {
-	type kv struct {
-		k K
-		e *E
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	kvs := make([]kv, 0, len(m))
-	for k, e := range m {
-		kvs = append(kvs, kv{k, e})
-	}
-	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
-	out := make([]*E, len(kvs))
-	for i, x := range kvs {
-		out[i] = x.e
+	slices.Sort(keys)
+	out := make([]*E, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
 	}
 	return out
 }
 
 // TouchProps records an in-place property write on an existing
-// element. It is sound only for an element no other graph holds — one
-// the caller created and inserted itself: elements, their label slices
-// and their property maps are shared between graphs (CONSTRUCT results,
-// views and the set operations reuse them), so a write in place would
-// reach every graph holding them. Property writes do not change
-// structure, but derived structures freeze property values too (the
-// CSR snapshot's columns), so such a write must invalidate them like
-// any other mutation. Unlike the tracked mutators, TouchProps fires
-// after the write has already happened and
+// element. It is sound only for an element nothing else holds — one
+// the caller created with its own property map and inserted itself:
+// elements, their label slices and their property maps are shared
+// between graphs (CONSTRUCT results, views and the set operations reuse
+// them) and, in assembled and decoded graphs, between elements (every
+// element without properties holds the same empty map), so a write in
+// place would reach every element and graph holding them. Property
+// writes do not change structure, but derived structures freeze
+// property values too (the CSR snapshot's columns), so such a write
+// must invalidate them like any other mutation. Unlike the tracked
+// mutators, TouchProps fires after the write has already happened and
 // cannot identify the element, so the hook sees MutTouchProps with no
 // payload and cannot reject it — a durability hook that fails here
 // must poison its log rather than roll back. Prefer SetNodeProps /
@@ -559,10 +564,14 @@ func (g *Graph) NumPaths() int { return len(g.paths) }
 func (g *Graph) IsEmpty() bool { return len(g.nodes) == 0 }
 
 // AddNode inserts a node. Inserting an existing identifier is an
-// error: identities are engine-unique.
+// error: identities are engine-unique. So is a property value holding
+// a NaN or an infinite float (NonFiniteError).
 func (g *Graph) AddNode(n *Node) error {
 	if _, dup := g.nodes[n.ID]; dup {
-		return fmt.Errorf("ppg: graph %q already contains node #%d", g.name, n.ID)
+		return g.errDuplicate("node", uint64(n.ID))
+	}
+	if err := checkFinite("node", uint64(n.ID), n.Props); err != nil {
+		return err
 	}
 	if n.Props == nil {
 		n.Props = Properties{}
@@ -579,13 +588,10 @@ func (g *Graph) AddNode(n *Node) error {
 // (no dangling edges, ever).
 func (g *Graph) AddEdge(e *Edge) error {
 	if _, dup := g.edges[e.ID]; dup {
-		return fmt.Errorf("ppg: graph %q already contains edge #%d", g.name, e.ID)
+		return g.errDuplicate("edge", uint64(e.ID))
 	}
-	if _, ok := g.nodes[e.Src]; !ok {
-		return fmt.Errorf("ppg: edge #%d starts at missing node #%d", e.ID, e.Src)
-	}
-	if _, ok := g.nodes[e.Dst]; !ok {
-		return fmt.Errorf("ppg: edge #%d ends at missing node #%d", e.ID, e.Dst)
+	if err := g.checkEdge(e); err != nil {
+		return err
 	}
 	if e.Props == nil {
 		e.Props = Properties{}
@@ -596,6 +602,70 @@ func (g *Graph) AddEdge(e *Edge) error {
 	g.edges[e.ID] = e
 	g.bump()
 	return nil
+}
+
+// errDuplicate is the error of inserting an identifier the graph
+// already holds.
+func (g *Graph) errDuplicate(sort string, id uint64) error {
+	return fmt.Errorf("ppg: graph %q already contains %s #%d", g.name, sort, id)
+}
+
+// checkEdge checks what AddEdge does beyond identity: both endpoints
+// present, every property value finite.
+func (g *Graph) checkEdge(e *Edge) error {
+	if _, ok := g.nodes[e.Src]; !ok {
+		return fmt.Errorf("ppg: edge #%d starts at missing node #%d", e.ID, e.Src)
+	}
+	if _, ok := g.nodes[e.Dst]; !ok {
+		return fmt.Errorf("ppg: edge #%d ends at missing node #%d", e.ID, e.Dst)
+	}
+	return checkFinite("edge", uint64(e.ID), e.Props)
+}
+
+// NonFiniteError rejects a property value that holds a NaN or an
+// infinite float, alone or inside a set or list: the interchange
+// format, and so the write-ahead log and every checkpoint, has no form
+// for it.
+type NonFiniteError struct {
+	Elem  string // "node", "edge" or "path"
+	ID    uint64
+	Key   string
+	Value float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("ppg: %s #%d property %q holds the non-finite float %v", e.Elem, e.ID, e.Key, e.Value)
+}
+
+// checkFinite returns a *NonFiniteError naming the least key of p whose
+// value is not finite, or nil.
+func checkFinite(elem string, id uint64, p Properties) error {
+	var bad *NonFiniteError
+	for k, v := range p {
+		if f, ok := nonFinite(v); ok && (bad == nil || k < bad.Key) {
+			bad = &NonFiniteError{Elem: elem, ID: id, Key: k, Value: f}
+		}
+	}
+	if bad == nil {
+		return nil
+	}
+	return bad
+}
+
+// nonFinite finds a NaN or infinite float in v or among its elements.
+func nonFinite(v value.Value) (float64, bool) {
+	switch v.Kind() {
+	case value.KindFloat:
+		f, _ := v.AsFloat()
+		return f, math.IsInf(f, 0) || math.IsNaN(f)
+	case value.KindSet, value.KindList:
+		for _, e := range v.Elems() {
+			if f, ok := nonFinite(e); ok {
+				return f, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // SetNodeLabels replaces λ(n) for an already-inserted node. Like every
@@ -631,11 +701,15 @@ func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 // SetNodeProps replaces σ(n) for an already-inserted node. Unlike
 // writing a Props map in place and calling TouchProps, this is a
 // tracked mutation: the hook sees the element and the new map and may
-// reject the write before it lands.
+// reject the write before it lands. A value holding a NaN or an
+// infinite float is refused with a NonFiniteError.
 func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
 	n, ok := g.nodes[id]
 	if !ok {
 		return fmt.Errorf("ppg: graph %q has no node #%d", g.name, id)
+	}
+	if err := checkFinite("node", uint64(id), p); err != nil {
+		return err
 	}
 	if p == nil {
 		p = Properties{}
@@ -654,6 +728,9 @@ func (g *Graph) SetEdgeProps(id EdgeID, p Properties) error {
 	if !ok {
 		return fmt.Errorf("ppg: graph %q has no edge #%d", g.name, id)
 	}
+	if err := checkFinite("edge", uint64(id), p); err != nil {
+		return err
+	}
 	if p == nil {
 		p = Properties{}
 	}
@@ -671,6 +748,9 @@ func (g *Graph) SetPathProps(id PathID, p Properties) error {
 	if !ok {
 		return fmt.Errorf("ppg: graph %q has no path #%d", g.name, id)
 	}
+	if err := checkFinite("path", uint64(id), p); err != nil {
+		return err
+	}
 	if p == nil {
 		p = Properties{}
 	}
@@ -687,9 +767,9 @@ func (g *Graph) SetPathProps(id PathID, p Properties) error {
 // and each edge connects the surrounding nodes in either direction.
 func (g *Graph) AddPath(p *Path) error {
 	if _, dup := g.paths[p.ID]; dup {
-		return fmt.Errorf("ppg: graph %q already contains path #%d", g.name, p.ID)
+		return g.errDuplicate("path", uint64(p.ID))
 	}
-	if err := g.checkPathShape(p); err != nil {
+	if err := g.checkPath(p); err != nil {
 		return err
 	}
 	if p.Props == nil {
@@ -701,6 +781,15 @@ func (g *Graph) AddPath(p *Path) error {
 	g.paths[p.ID] = p
 	g.bump()
 	return nil
+}
+
+// checkPath checks what AddPath does beyond identity: the shape, and
+// every property value finite.
+func (g *Graph) checkPath(p *Path) error {
+	if err := g.checkPathShape(p); err != nil {
+		return err
+	}
+	return checkFinite("path", uint64(p.ID), p.Props)
 }
 
 func (g *Graph) checkPathShape(p *Path) error {
@@ -758,6 +847,24 @@ func (g *Graph) EdgeIDs() []EdgeID {
 	}
 	slices.Sort(ids)
 	return ids
+}
+
+// Nodes returns the nodes in identifier order. For an assembled or
+// decoded graph that is its element order, shared and read-only like
+// the elements; any other graph sorts a fresh slice.
+func (g *Graph) Nodes() []*Node {
+	if g.sorted != nil {
+		return g.sorted.nodes
+	}
+	return sortedValues(g.nodes)
+}
+
+// Edges returns the edges in identifier order, shared like Nodes'.
+func (g *Graph) Edges() []*Edge {
+	if g.sorted != nil {
+		return g.sorted.edges
+	}
+	return sortedValues(g.edges)
 }
 
 // PathIDs returns all stored-path identifiers in ascending order.

@@ -58,34 +58,48 @@ var lastNames = []string{"Doe", "Smith", "Mayer", "Hacker", "Gold", "Stone", "Re
 
 // Generate builds a deterministic dataset at the given configuration.
 // Identifiers are allocated from gen so the dataset can be registered
-// alongside other graphs of the same engine.
+// alongside other graphs of the same engine. The graphs are assembled
+// (ppg.Assemble) with the heap layout a decoded graph has: one Labels
+// slice per label set, one empty map shared by the elements without
+// properties. Every edge joins nodes generated before it, and no
+// identifier repeats.
 func Generate(cfg Config, gen *ppg.IDGen) *Dataset {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := ppg.New(fmt.Sprintf("snb_%d", cfg.Persons))
-	ds := &Dataset{Social: g}
+	ds := &Dataset{}
+	var nodes []*ppg.Node
+	var edges []*ppg.Edge
+	labels := map[string]ppg.Labels{}
+	labelSet := func(label string) ppg.Labels {
+		ls, ok := labels[label]
+		if !ok {
+			ls = ppg.NewLabels(label)
+			labels[label] = ls
+		}
+		return ls
+	}
+	node := func(id ppg.NodeID, label string, p ppg.Properties) {
+		nodes = append(nodes, &ppg.Node{ID: id, Labels: labelSet(label), Props: p})
+	}
 
 	// Companies (in their own graph, as in the data-integration tour).
-	cg := ppg.New(fmt.Sprintf("snb_%d_companies", cfg.Persons))
-	ds.Companies = cg
 	companyNames := make([]string, cfg.Companies)
 	for i := 0; i < cfg.Companies; i++ {
 		companyNames[i] = fmt.Sprintf("Company%d", i)
-		must(cg.AddNode(&ppg.Node{ID: gen.NextNode(), Labels: ppg.NewLabels("Company"),
-			Props: props("name", value.Str(companyNames[i]))}))
+		node(gen.NextNode(), "Company", props("name", value.Str(companyNames[i])))
 	}
+	ds.Companies = ppg.Assemble(fmt.Sprintf("snb_%d_companies", cfg.Persons), nodes, nil, nil)
+	nodes = nil
 
 	for i := 0; i < cfg.Cities; i++ {
 		id := gen.NextNode()
 		ds.Cities = append(ds.Cities, id)
-		must(g.AddNode(&ppg.Node{ID: id, Labels: ppg.NewLabels("City"),
-			Props: props("name", value.Str(fmt.Sprintf("City%d", i)))}))
+		node(id, "City", props("name", value.Str(fmt.Sprintf("City%d", i))))
 	}
 	for i := 0; i < cfg.Tags; i++ {
 		id := gen.NextNode()
 		ds.Tags = append(ds.Tags, id)
-		must(g.AddNode(&ppg.Node{ID: id, Labels: ppg.NewLabels("Tag"),
-			Props: props("name", value.Str(fmt.Sprintf("Tag%d", i)))}))
+		node(id, "Tag", props("name", value.Str(fmt.Sprintf("Tag%d", i))))
 	}
 
 	for i := 0; i < cfg.Persons; i++ {
@@ -112,11 +126,11 @@ func Generate(cfg Config, gen *ppg.IDGen) *Dataset {
 		default:
 			p.Set("employer", value.Str(companyNames[r.Intn(len(companyNames))]))
 		}
-		must(g.AddNode(&ppg.Node{ID: id, Labels: ppg.NewLabels("Person"), Props: p}))
+		node(id, "Person", p)
 	}
 
 	edge := func(src, dst ppg.NodeID, label string, p ppg.Properties) {
-		must(g.AddEdge(&ppg.Edge{ID: gen.NextEdge(), Src: src, Dst: dst, Labels: ppg.NewLabels(label), Props: p}))
+		edges = append(edges, &ppg.Edge{ID: gen.NextEdge(), Src: src, Dst: dst, Labels: labelSet(label), Props: p})
 	}
 
 	// Location and interests.
@@ -164,7 +178,7 @@ func Generate(cfg Config, gen *ppg.IDGen) *Dataset {
 	for pi, pid := range ds.Persons {
 		for k := 0; k < cfg.PostsPerPerson; k++ {
 			post := gen.NextNode()
-			must(g.AddNode(&ppg.Node{ID: post, Labels: ppg.NewLabels("Post")}))
+			node(post, "Post", nil)
 			edge(post, pid, "has_creator", nil)
 			posts = append(posts, struct {
 				id      ppg.NodeID
@@ -176,10 +190,11 @@ func Generate(cfg Config, gen *ppg.IDGen) *Dataset {
 		for k := 0; k < cfg.RepliesPerPost; k++ {
 			replier := ds.Persons[(post.creator+1+r.Intn(3))%n]
 			comment := gen.NextNode()
-			must(g.AddNode(&ppg.Node{ID: comment, Labels: ppg.NewLabels("Comment")}))
+			node(comment, "Comment", nil)
 			edge(comment, replier, "has_creator", nil)
 			edge(comment, post.id, "reply_of", nil)
 		}
 	}
+	ds.Social = ppg.Assemble(fmt.Sprintf("snb_%d", cfg.Persons), nodes, edges, nil)
 	return ds
 }

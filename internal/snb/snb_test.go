@@ -1,6 +1,7 @@
 package snb
 
 import (
+	"reflect"
 	"testing"
 
 	"gcore/internal/ppg"
@@ -184,6 +185,38 @@ func TestGeneratorDeterministicAndConformant(t *testing.T) {
 	// Companion graph holds companies only.
 	if ds1.Companies.NumNodes() == 0 {
 		t.Error("no companies generated")
+	}
+}
+
+// TestGeneratorSharesLabelSets: the generated graphs have a decoded
+// graph's heap layout: the elements of one label share a Labels slice,
+// and those without properties share one empty map.
+func TestGeneratorSharesLabelSets(t *testing.T) {
+	ds := Generate(Config{Persons: 60, Seed: 7}, ppg.NewIDGen(1))
+	labels := map[string]*string{}
+	var empty ppg.Properties
+	check := func(what string, id uint64, ls ppg.Labels, p ppg.Properties) {
+		if first, ok := labels[ls[0]]; ok && first != &ls[0] {
+			t.Fatalf("%s #%d holds its own %v label set", what, id, ls)
+		}
+		labels[ls[0]] = &ls[0]
+		if len(p) == 0 {
+			if empty == nil {
+				empty = p
+			}
+			if reflect.ValueOf(p).Pointer() != reflect.ValueOf(empty).Pointer() {
+				t.Fatalf("%s #%d holds its own empty property map", what, id)
+			}
+		}
+	}
+	for _, n := range ds.Social.Nodes() {
+		check("node", uint64(n.ID), n.Labels, n.Props)
+	}
+	for _, e := range ds.Social.Edges() {
+		check("edge", uint64(e.ID), e.Labels, e.Props)
+	}
+	if empty == nil {
+		t.Fatal("no element without properties")
 	}
 }
 

@@ -26,7 +26,7 @@ func evalParams(eng *gcore.Engine, src string, params map[string]gcore.Value) (*
 func kindsEngine(t *testing.T, ab core.Ablation) *gcore.Engine {
 	t.Helper()
 	eng := gcore.NewAblatedEngine(ab)
-	if err := eng.RegisterGraph(kindsGraph(t)); err != nil {
+	if err := eng.RegisterGraph(kindsGraph()); err != nil {
 		t.Fatal(err)
 	}
 	return eng
