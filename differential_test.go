@@ -56,10 +56,18 @@ func evalParsed(eng *gcore.Engine, src string) (*gcore.Result, error) {
 // evalRebuilt bumps every registered graph's generation before it
 // evaluates, so each statement reads a snapshot built for it: no
 // equality index, degree sum or chain plan an earlier statement left
-// on a cached snapshot is reused.
+// on a cached snapshot is reused. The bump is a tracked no-op: a
+// node's properties replaced by its own map.
 func evalRebuilt(eng *gcore.Engine, src string) (*gcore.Result, error) {
 	for _, name := range eng.GraphNames() {
-		if err := eng.MutateGraph(name, func(g *gcore.Graph) error { g.TouchProps(); return nil }); err != nil {
+		if err := eng.MutateGraph(name, func(g *gcore.Graph) error {
+			ids := g.NodeIDs()
+			if len(ids) == 0 {
+				return nil
+			}
+			n, _ := g.Node(ids[0])
+			return g.SetNodeProps(n.ID, n.Props)
+		}); err != nil {
 			return nil, err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -105,10 +104,11 @@ func WithEngineOptions(opts ...Option) DurOption {
 // apply, so any mutation that returns nil is recoverable (under
 // SyncAlways, committed to disk). Close the engine to release the log.
 //
-// Mutate durable graphs only through the engine (queries, Register*,
-// and the graphs' own tracked mutators, which are hooked); writing to
-// an element's Props map in place bypasses the log — use the SetProps
-// family instead.
+// A durable graph changes only through the engine (queries,
+// Register*) and the graph's own mutators (Add*, Set*), whose hook logs
+// each change before it applies and fails the mutation if the log
+// cannot take it, so memory is never ahead of the log. Elements are
+// read-only: a Props map written in place is a change no log sees.
 type DurableEngine struct {
 	*Engine
 	log *wal.Log
@@ -118,27 +118,6 @@ type DurableEngine struct {
 	// is atomic because the hooks also fire when a caller mutates a
 	// registered graph directly, outside the engine mutex.
 	sinceCkpt atomic.Int64
-
-	// poisoned is set when the in-memory state may be ahead of the log
-	// (an unloggable mutation slipped through), making checkpoints and
-	// further mutations unsafe until reopen.
-	pmu      sync.Mutex
-	poisoned error
-}
-
-func (d *DurableEngine) poison(err error) error {
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	if d.poisoned == nil {
-		d.poisoned = err
-	}
-	return d.poisoned
-}
-
-func (d *DurableEngine) poisonedErr() error {
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	return d.poisoned
 }
 
 // walRecord is the logical log record: one catalog or graph mutation,
@@ -146,8 +125,9 @@ func (d *DurableEngine) poisonedErr() error {
 type walRecord struct {
 	// Op is the mutation kind: register_graph, register_table,
 	// set_default, add_node, add_edge, add_path, set_node_labels,
-	// set_edge_labels, set_node_props, set_edge_props, set_path_props,
-	// or graph_snapshot (a full-graph fallback for untracked writes).
+	// set_edge_labels, set_node_props, set_edge_props or set_path_props.
+	// Replay also reads graph_snapshot, a registered graph's whole new
+	// content, which older engines wrote and nothing writes now.
 	Op string `json:"op"`
 	// Name is the graph (or table, or default) the record applies to.
 	Name string `json:"name,omitempty"`
@@ -258,14 +238,13 @@ func (d *DurableEngine) applyWALRecord(rec walRecord) error {
 			return fmt.Errorf("gcore: replaying %s %s: %w", rec.Op, rec.Name, err)
 		}
 		if rec.Op == "graph_snapshot" {
-			old, ok := e.cat.Graph(rec.Name)
-			if !ok {
+			// The logged content takes the registered graph's place
+			// under its registered name.
+			if _, ok := e.cat.Graph(rec.Name); !ok {
 				return fmt.Errorf("gcore: replaying graph_snapshot for unknown graph %q", rec.Name)
 			}
-			if err := old.ReplaceWith(g); err != nil {
-				return err
-			}
-			d.reserveGraphIDs(old)
+			g.SetName(rec.Name)
+			e.cat.PublishGraph(g)
 			return nil
 		}
 		if g.Name() != rec.Name {
@@ -347,19 +326,6 @@ func (d *DurableEngine) applyWALRecord(rec walRecord) error {
 	return fmt.Errorf("gcore: unknown wal record op %q", rec.Op)
 }
 
-func (d *DurableEngine) reserveGraphIDs(g *Graph) {
-	ids := d.Engine.cat.IDs()
-	for _, id := range g.NodeIDs() {
-		ids.Reserve(uint64(id))
-	}
-	for _, id := range g.EdgeIDs() {
-		ids.Reserve(uint64(id))
-	}
-	for _, id := range g.PathIDs() {
-		ids.Reserve(uint64(id))
-	}
-}
-
 // installHooks arms the write-ahead boundary: the catalog's change
 // hook (which also hooks each graph as it is registered) and the
 // mutation hook of every graph already recovered.
@@ -421,21 +387,6 @@ func (d *DurableEngine) graphMutation(g *ppg.Graph, m ppg.Mutation) error {
 		rec.Op, rec.ID, rec.appendData = "set_edge_props", uint64(m.EdgeID), props(m.Props)
 	case ppg.MutSetPathProps:
 		rec.Op, rec.ID, rec.appendData = "set_path_props", uint64(m.PathID), props(m.Props)
-	case ppg.MutReplace:
-		// The whole-graph swap (UnmarshalJSON / ReplaceWith): log the
-		// new contents. The record's Name is the graph's current
-		// (registered) name; replay resolves the graph by it and swaps.
-		rec.Op, rec.appendData = "graph_snapshot", m.Snapshot.AppendJSON
-	case ppg.MutTouchProps:
-		// An untracked in-place property write: the state already
-		// changed, so this record cannot be rejected. Log the full
-		// graph; if even that fails, the log is behind memory — poison
-		// the engine so the divergence cannot be checkpointed.
-		rec.Op, rec.appendData = "graph_snapshot", g.AppendJSON
-		if err := d.appendRecord(rec); err != nil {
-			return d.poison(fmt.Errorf("gcore: unloggable in-place property write on %s: %w", g.Name(), err))
-		}
-		return nil
 	default:
 		return fmt.Errorf("gcore: unknown graph mutation %v on %s", m.Op, g.Name())
 	}
@@ -446,9 +397,6 @@ func (d *DurableEngine) graphMutation(g *ppg.Graph, m ppg.Mutation) error {
 // inside a mutation (an engine write, or a direct mutation of a
 // registered graph), so this must not checkpoint; it only counts.
 func (d *DurableEngine) appendRecord(rec walRecord) error {
-	if err := d.poisonedErr(); err != nil {
-		return err
-	}
 	payload, err := rec.encode()
 	if err != nil {
 		return fmt.Errorf("gcore: encoding %s %s for wal: %w", rec.Op, rec.Name, err)
@@ -476,9 +424,6 @@ func (d *DurableEngine) Checkpoint() error {
 // checkpointLocked takes a checkpoint; the caller holds the writer
 // mutex and the shared lock.
 func (d *DurableEngine) checkpointLocked() error {
-	if err := d.poisonedErr(); err != nil {
-		return err
-	}
 	stage, err := d.log.BeginCheckpoint()
 	if err != nil {
 		return err

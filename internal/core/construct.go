@@ -196,7 +196,7 @@ func (c *evalCtx) evalConstructItems(s *scope, items []*ast.ConstructItem, tbl *
 					id = c.ev.cat.IDs().NextNode()
 				}
 				labels = addPatternLabels(labels, np.Labels)
-				copied, err := c.applyAssignments(env, grp, &labels, &props, np.Props, ic.extra[varName])
+				copied, err := c.applyAssignments(env, grp, "node", uint64(id), &labels, &props, np.Props, ic.extra[varName])
 				if err != nil {
 					return nil, err
 				}
@@ -308,12 +308,15 @@ func addPatternLabels(ls ppg.Labels, spec ast.LabelSpec) ppg.Labels {
 }
 
 // applyAssignments evaluates {k := e}, SET and REMOVE for one
-// constructed object over its group (rows of env's table), with µ its
+// constructed object, the elem ("node", "edge" or "path") with
+// identifier id, over its group (rows of env's table), with µ its
 // first row. *labels and *props may belong to a graph element and are
 // never written: labels change through Labels.Add and Remove, which
 // copy, and *props is replaced by a copy before the first property
-// write. It reports whether it made that copy.
-func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, props *ppg.Properties, inline []*ast.PropSpec, a *assignSet) (bool, error) {
+// write. It reports whether it made that copy. A value holding a NaN
+// or an infinite float is refused with a *ppg.NonFiniteError, as the
+// element mutators refuse it: the result graph is assembled unchecked.
+func (c *evalCtx) applyAssignments(env *env, grpRows []int, elem string, id uint64, labels *ppg.Labels, props *ppg.Properties, inline []*ast.PropSpec, a *assignSet) (bool, error) {
 	env.groupRows, env.rowIdx = grpRows, grpRows[0]
 	defer func() { env.groupRows = nil }()
 
@@ -322,13 +325,19 @@ func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, 
 		*props = props.Clone()
 	}
 	p := *props
+	set := func(key string, v value.Value) error {
+		if err := ppg.CheckFinite(elem, id, key, v); err != nil {
+			return err
+		}
+		p.Set(key, v)
+		return nil
+	}
 	evalTo := func(key string, e ast.Expr) error {
 		v, err := c.expr(e).eval(env)
 		if err != nil {
 			return err
 		}
-		p.Set(key, v)
-		return nil
+		return set(key, v)
 	}
 	for _, ps := range inline {
 		switch ps.Mode {
@@ -345,7 +354,9 @@ func (c *evalCtx) applyAssignments(env *env, grpRows []int, labels *ppg.Labels, 
 		case ast.PropBind:
 			// {k = v} with a variable: assign the variable's value.
 			if v, ok := env.lookup(ps.Var); ok {
-				p.Set(ps.Key, v)
+				if err := set(ps.Key, v); err != nil {
+					return copied, err
+				}
 			}
 		}
 	}
@@ -515,7 +526,7 @@ func (c *evalCtx) constructEdge(env *env, b *builder, ep *ast.EdgePattern, ic *i
 			id = c.ev.cat.IDs().NextEdge()
 		}
 		labels = addPatternLabels(labels, ep.Labels)
-		copied, err := c.applyAssignments(env, grp, &labels, &props, ep.Props, ic.extra[edgeVar])
+		copied, err := c.applyAssignments(env, grp, "edge", uint64(id), &labels, &props, ep.Props, ic.extra[edgeVar])
 		if err != nil {
 			return err
 		}
@@ -651,7 +662,7 @@ func (c *evalCtx) constructPath(env *env, b *builder, pp *ast.PathPattern, ic *i
 		} else {
 			nodeIDs, edgeIDs = sc.walkIDs(snap, nodes, edges)
 		}
-		copied, err := c.applyAssignments(env, grp, &labels, &props, pp.Props, ic.extra[pathVar])
+		copied, err := c.applyAssignments(env, grp, "path", pid, &labels, &props, pp.Props, ic.extra[pathVar])
 		if err != nil {
 			return err
 		}

@@ -18,15 +18,14 @@
 // evaluation order is preserved by construction.
 //
 // Snapshots are immutable and generation-tagged: ppg.Graph counts its
-// mutations — structural ones and in-place property writes alike (see
-// ppg.Graph.TouchProps) — and Of serves the cached snapshot only
-// while the generation matches; the first read after a mutation runs
-// Build. Properties are
-// frozen at build time into typed columns (props.go): one dense
-// column per key with a presence bitmap, scalar payload arrays for
-// uniformly-typed singleton values, interned strings, and the stored
-// FSET(V) sets mirrored exactly for the multi-valued and mixed-type
-// overflow cases.
+// mutations — every Add* and Set* call its mutation hook sees, property
+// replacements included — and Of serves the cached snapshot only while
+// the generation matches; the first read after a mutation runs Build.
+// Properties are frozen at build time into typed columns (props.go):
+// one dense column per key with a presence bitmap, scalar payload
+// arrays for uniformly-typed singleton values, interned strings, and
+// the stored FSET(V) sets mirrored exactly for the multi-valued and
+// mixed-type overflow cases.
 package csr
 
 import (

@@ -29,8 +29,8 @@ import (
 //     map would have — the overflow rule is simply "no typed array".
 //
 // Columns are frozen at build time like every other snapshot array;
-// in-place property writes bump the graph generation (see
-// ppg.Graph.TouchProps) and invalidate the cached snapshot.
+// a property replacement (SetNodeProps, SetEdgeProps) bumps the graph
+// generation and invalidates the cached snapshot.
 
 // ColKind says which typed array a column carries, if any.
 type ColKind uint8

@@ -285,13 +285,6 @@ func TestSnapshotContract(t *testing.T) {
 		{"SetEdgeProps", func(g *ppg.Graph) (*ppg.Graph, error) {
 			return g, g.SetEdgeProps(900, ppg.NewProperties(kv{"weight": value.Int(3)}))
 		}},
-		{"TouchProps", func(g *ppg.Graph) (*ppg.Graph, error) {
-			g.TouchProps()
-			return g, nil
-		}},
-		{"ReplaceWith", func(g *ppg.Graph) (*ppg.Graph, error) {
-			return g, g.ReplaceWith(testGraph(t))
-		}},
 		{"Clone", func(g *ppg.Graph) (*ppg.Graph, error) {
 			cp := g.Clone()
 			// Mutating the original afterwards leaves the copy alone.

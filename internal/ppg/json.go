@@ -219,9 +219,18 @@ type propEntry struct {
 	v value.Value
 }
 
-// UnmarshalJSON decodes the interchange format, validating every
-// model invariant on the way in (decodeGraph).
+// UnmarshalJSON decodes the interchange format into g, validating
+// every model invariant on the way in (decodeGraph). g must hold
+// nothing and have no mutation hook, as a graph fresh from New: a
+// graph's content changes only through the mutators its hook sees, so
+// any other target is refused and left unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
+	if len(g.nodes)+len(g.edges)+len(g.paths) > 0 {
+		return fmt.Errorf("ppg: decoding into graph %q, which holds elements", g.name)
+	}
+	if g.hook != nil {
+		return fmt.Errorf("ppg: decoding into graph %q, which has a mutation hook", g.name)
+	}
 	var doc jsonGraph
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("ppg: decoding graph: %w", err)
@@ -230,7 +239,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return g.replace(out)
+	g.name, g.nodes, g.edges, g.paths = out.name, out.nodes, out.edges, out.paths
+	g.sorted, g.gen = out.sorted, out.gen
+	return nil
 }
 
 // decodeGraph builds the graph of a decoded document from one slab of

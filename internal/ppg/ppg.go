@@ -261,7 +261,7 @@ type Graph struct {
 	// and dropped by every mutation (bump).
 	sorted *sortedElems
 
-	// gen counts structural mutations (nodes, edges, paths, labels).
+	// gen counts mutations (every MutOp kind).
 	// Derived read-only structures — the CSR snapshot of internal/csr
 	// — are tagged with the generation they were built at, so a stale
 	// one is never served after a mutation.
@@ -303,14 +303,6 @@ const (
 	MutSetEdgeProps
 	// MutSetPathProps carries PathID and the replacement Props.
 	MutSetPathProps
-	// MutTouchProps reports an untracked in-place property write
-	// (Graph.TouchProps): the graph's current state already includes
-	// the change, but the hook cannot know which element it was.
-	// Durability layers respond by snapshotting the whole graph.
-	MutTouchProps
-	// MutReplace reports wholesale replacement of the graph's contents
-	// (UnmarshalJSON on a live graph); Snapshot holds the new content.
-	MutReplace
 )
 
 func (op MutOp) String() string {
@@ -331,10 +323,6 @@ func (op MutOp) String() string {
 		return "set-edge-props"
 	case MutSetPathProps:
 		return "set-path-props"
-	case MutTouchProps:
-		return "touch-props"
-	case MutReplace:
-		return "replace"
 	}
 	return fmt.Sprintf("MutOp(%d)", uint8(op))
 }
@@ -343,16 +331,15 @@ func (op MutOp) String() string {
 // Only the fields relevant to Op are set; the referenced objects are
 // the live ones — hooks must not retain or modify them.
 type Mutation struct {
-	Op       MutOp
-	Node     *Node      // MutAddNode
-	Edge     *Edge      // MutAddEdge
-	Path     *Path      // MutAddPath
-	NodeID   NodeID     // MutSetNodeLabels, MutSetNodeProps
-	EdgeID   EdgeID     // MutSetEdgeLabels, MutSetEdgeProps
-	PathID   PathID     // MutSetPathProps
-	Labels   Labels     // MutSetNodeLabels, MutSetEdgeLabels
-	Props    Properties // MutSet*Props
-	Snapshot *Graph     // MutReplace: the replacement contents
+	Op     MutOp
+	Node   *Node      // MutAddNode
+	Edge   *Edge      // MutAddEdge
+	Path   *Path      // MutAddPath
+	NodeID NodeID     // MutSetNodeLabels, MutSetNodeProps
+	EdgeID EdgeID     // MutSetEdgeLabels, MutSetEdgeProps
+	PathID PathID     // MutSetPathProps
+	Labels Labels     // MutSetNodeLabels, MutSetEdgeLabels
+	Props  Properties // MutSet*Props
 }
 
 // MutationHook observes mutations of one graph before they apply; see
@@ -442,12 +429,11 @@ func Assemble(name string, nodes []*Node, edges []*Edge, paths []*Path) *Graph {
 // Name returns the graph's name (the gid it is registered under).
 func (g *Graph) Name() string { return g.name }
 
-// Generation returns the structural mutation counter. It increases on
-// every successful AddNode/AddEdge/AddPath/SetNodeLabels/SetEdgeLabels
-// (and therefore on the graphs the set operations build, which insert
-// element by element), and on TouchProps and ReplaceWith. Derived
-// structures built at generation G are valid exactly while
-// Generation() == G.
+// Generation returns the mutation counter. It increases on every
+// successful call of a mutator the hook observes (the MutOp kinds), and
+// so on the graphs the set operations build, which insert element by
+// element. Derived structures built at generation G are valid exactly
+// while Generation() == G.
 func (g *Graph) Generation() uint64 { return g.gen }
 
 // bump invalidates derived structures after a mutation, the assembled
@@ -482,27 +468,6 @@ func sortedValues[K cmp.Ordered, E any](m map[K]*E) []*E {
 	return out
 }
 
-// TouchProps records an in-place property write on an existing
-// element. It is sound only for an element nothing else holds — one
-// the caller created with its own property map and inserted itself:
-// elements, their label slices and their property maps are shared
-// between graphs (CONSTRUCT results, views and the set operations reuse
-// them) and, in assembled and decoded graphs, between elements (every
-// element without properties holds the same empty map), so a write in
-// place would reach every element and graph holding them. Property
-// writes do not change structure, but derived structures freeze
-// property values too (the CSR snapshot's columns), so such a write
-// must invalidate them like any other mutation. Unlike the tracked
-// mutators, TouchProps fires after the write has already happened and
-// cannot identify the element, so the hook sees MutTouchProps with no
-// payload and cannot reject it — a durability hook that fails here
-// must poison its log rather than roll back. Prefer SetNodeProps /
-// SetEdgeProps / SetPathProps, which are loggable and rejectable.
-func (g *Graph) TouchProps() {
-	_ = g.fireHook(Mutation{Op: MutTouchProps})
-	g.bump()
-}
-
 // Snapshot returns the value cached for the current generation,
 // building and caching it via build on a miss. It is safe for
 // concurrent readers; the build function runs under the cache lock, so
@@ -518,34 +483,6 @@ func (g *Graph) Snapshot(build func() any) any {
 	}
 	return g.snapVal
 }
-
-// replace moves out's contents into g field by field, leaving g's
-// snapshot-cache lock in place (a whole-struct copy would copy the
-// mutex). Any snapshot cached for g's previous contents is dropped, and
-// the generation moves past both graphs' so nothing keyed on an earlier
-// generation of g matches the new contents.
-// The hook sees the wholesale swap as MutReplace carrying the new
-// contents and may reject it.
-func (g *Graph) replace(out *Graph) error {
-	if err := g.fireHook(Mutation{Op: MutReplace, Snapshot: out}); err != nil {
-		return err
-	}
-	g.name = out.name
-	g.nodes = out.nodes
-	g.edges = out.edges
-	g.paths = out.paths
-	g.sorted = out.sorted
-	g.gen = max(g.gen, out.gen) + 1
-	g.snapGen = 0
-	g.snapVal = nil
-	return nil
-}
-
-// ReplaceWith replaces g's entire contents (name included) with those
-// of out, as UnmarshalJSON does. The mutation hook sees it as
-// MutReplace and may reject it; the hook installation itself is kept.
-// The durability layer uses it to apply logged whole-graph snapshots.
-func (g *Graph) ReplaceWith(out *Graph) error { return g.replace(out) }
 
 // SetName renames the graph.
 func (g *Graph) SetName(name string) { g.name = name }
@@ -637,17 +574,26 @@ func (e *NonFiniteError) Error() string {
 	return fmt.Sprintf("ppg: %s #%d property %q holds the non-finite float %v", e.Elem, e.ID, e.Key, e.Value)
 }
 
+// CheckFinite returns a *NonFiniteError if v, the value of property key
+// of the elem ("node", "edge" or "path") with identifier id, holds a
+// NaN or an infinite float, or nil. CONSTRUCT checks each value it
+// assigns here, since the graph it builds is assembled unchecked.
+func CheckFinite(elem string, id uint64, key string, v value.Value) error {
+	if f, ok := nonFinite(v); ok {
+		return &NonFiniteError{Elem: elem, ID: id, Key: key, Value: f}
+	}
+	return nil
+}
+
 // checkFinite returns a *NonFiniteError naming the least key of p whose
 // value is not finite, or nil.
 func checkFinite(elem string, id uint64, p Properties) error {
-	var bad *NonFiniteError
+	var bad error
+	var least string
 	for k, v := range p {
-		if f, ok := nonFinite(v); ok && (bad == nil || k < bad.Key) {
-			bad = &NonFiniteError{Elem: elem, ID: id, Key: k, Value: f}
+		if err := CheckFinite(elem, id, k, v); err != nil && (bad == nil || k < least) {
+			bad, least = err, k
 		}
-	}
-	if bad == nil {
-		return nil
 	}
 	return bad
 }
@@ -698,11 +644,10 @@ func (g *Graph) SetEdgeLabels(id EdgeID, ls Labels) error {
 	return nil
 }
 
-// SetNodeProps replaces σ(n) for an already-inserted node. Unlike
-// writing a Props map in place and calling TouchProps, this is a
-// tracked mutation: the hook sees the element and the new map and may
-// reject the write before it lands. A value holding a NaN or an
-// infinite float is refused with a NonFiniteError.
+// SetNodeProps replaces σ(n) for an already-inserted node. The hook
+// sees the element and the new map and may reject the write before it
+// lands. A value holding a NaN or an infinite float is refused with a
+// NonFiniteError.
 func (g *Graph) SetNodeProps(id NodeID, p Properties) error {
 	n, ok := g.nodes[id]
 	if !ok {
@@ -906,7 +851,7 @@ func (g *Graph) EdgesWithLabel(label string) []EdgeID {
 
 // Clone returns a deep copy of the graph: every element is copied, so
 // the copy shares no element object, label slice or property map with
-// g, and an in-place write to one (TouchProps) never reaches the other.
+// g.
 func (g *Graph) Clone() *Graph {
 	cp := New(g.name)
 	for id, n := range g.nodes {

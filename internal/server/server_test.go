@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"gcore"
+	"gcore/internal/ppg"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -518,23 +519,15 @@ func TestReplyCompact(t *testing.T) {
 }
 
 // TestReplyEncodeError: a result JSON cannot hold — a NaN property put
-// there through the Go API, by a view constructed from a NaN parameter
-// (the mutators refuse one) — fails the request with a 500 whose body
-// is exactly one JSON error object, not a half-written reply.
+// there through the Go API, in a graph built by ppg.Assemble, which
+// checks nothing (the mutators and CONSTRUCT refuse one) — fails the
+// request with a 500 whose body is exactly one JSON error object, not a
+// half-written reply.
 func TestReplyEncodeError(t *testing.T) {
 	eng := gcore.NewEngine()
-	g := gcore.NewGraph("base")
-	if err := g.AddNode(&gcore.Node{ID: 1, Labels: gcore.NewLabels("N")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RegisterGraph(g); err != nil {
-		t.Fatal(err)
-	}
-	view, err := eng.Prepare(`GRAPH VIEW odd AS (CONSTRUCT (n {x := $x}) MATCH (n:N) ON base)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := view.Eval(map[string]gcore.Value{"x": gcore.Float(math.NaN())}); err != nil {
+	odd := ppg.Assemble("odd", []*ppg.Node{{ID: 1, Labels: gcore.NewLabels("N"),
+		Props: gcore.NewProperties(map[string]gcore.Value{"x": gcore.Float(math.NaN())})}}, nil, nil)
+	if err := eng.RegisterGraph(odd); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(eng, Config{})

@@ -144,3 +144,47 @@ func TestDurableRefusesNonFiniteProperties(t *testing.T) {
 		t.Errorf("recovered\n%s\nwant\n%s", gotDoc, wantDoc)
 	}
 }
+
+// TestConstructRefusesNonFiniteProperties: a CONSTRUCT that assigns a
+// property a value holding a NaN or an infinity fails with a typed
+// error naming the element and key, on an in-memory and on a durable
+// engine alike, and the GRAPH VIEW it defines is not registered.
+func TestConstructRefusesNonFiniteProperties(t *testing.T) {
+	cases := []struct {
+		query, elem, key string
+		p                gcore.Value
+	}{
+		{`GRAPH VIEW odd AS (CONSTRUCT (n {x := $p}) MATCH (n:N) ON g)`, "node", "x", gcore.Float(math.NaN())},
+		{`GRAPH VIEW odd AS (CONSTRUCT (n) SET n.y := $p MATCH (n:N) ON g)`, "node", "y", gcore.Float(math.Inf(1))},
+		{`GRAPH VIEW odd AS (CONSTRUCT (a)-[e {w := $p}]->(b) MATCH (a)-[e]->(b) ON g)`, "edge", "w",
+			gcore.ListOf(gcore.Float(1), gcore.Float(math.Inf(-1)))},
+		{`GRAPH VIEW odd AS (CONSTRUCT (a)-/@q {c := $p}/->(b) MATCH (a)-/@q/->(b) ON g)`, "path", "c",
+			gcore.SetOf(gcore.Float(math.NaN()))},
+	}
+	durable, err := gcore.OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for name, eng := range map[string]*gcore.Engine{"memory": gcore.NewEngine(), "durable": durable.Engine} {
+		if err := eng.RegisterGraph(nonFiniteBase(t)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			prep, err := eng.Prepare(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = prep.Eval(map[string]gcore.Value{"p": c.p})
+			var nf *gcore.NonFiniteError
+			if !errors.As(err, &nf) {
+				t.Errorf("%s: %s: got error %v, want a *NonFiniteError", name, c.query, err)
+			} else if nf.Elem != c.elem || nf.Key != c.key {
+				t.Errorf("%s: %s: the error names %s property %q, want %s property %q", name, c.query, nf.Elem, nf.Key, c.elem, c.key)
+			}
+			if _, ok := eng.Graph("odd"); ok {
+				t.Fatalf("%s: %s: the refused view was registered", name, c.query)
+			}
+		}
+	}
+}
