@@ -11,7 +11,6 @@ import (
 
 	"gcore"
 	"gcore/internal/ast"
-	"gcore/internal/core"
 	"gcore/internal/csr"
 	"gcore/internal/parser"
 	"gcore/internal/repro"
@@ -35,7 +34,7 @@ import (
 
 func benchEngine(b *testing.B, opts ...gcore.Option) *gcore.Engine {
 	b.Helper()
-	return goldenTour(b, gcore.NewEngine, opts...)
+	return goldenTour(b, opts...)
 }
 
 // BenchmarkFig2Build measures constructing the Example 2.2 PPG.
@@ -287,25 +286,20 @@ func BenchmarkIndexedScan(b *testing.B) {
 // property predicates pushed onto it — the hot loop every WHERE clause
 // pays. The "columns" run uses the typed property columns of the CSR
 // snapshot (interned-string equality and range tests over dense
-// arrays); "maps" ablates them (core.Ablation.NoPropColumns) and
-// chases the per-node property maps row at a time. The two runs must return
-// identical tables; the gap is what the columnar storage buys. The
-// "expression" run filters on arithmetic over a function call, which
-// no column test answers: every Person row goes through the general
-// expression evaluator after the scan.
+// arrays). The "expression" run filters on arithmetic over a function
+// call, which no column test answers: every Person row goes through
+// the general expression evaluator after the scan.
 func BenchmarkFilteredScan(b *testing.B) {
 	const columnar = `p.firstName = 'John' AND p.lastName >= 'K'`
 	for _, mode := range []struct {
-		name     string
-		ablation core.Ablation
-		where    string
+		name  string
+		where string
 	}{
-		{"columns", core.Ablation{}, columnar},
-		{"maps", core.Ablation{NoPropColumns: true}, columnar},
-		{"expression", core.Ablation{}, `size(p.firstName) + p.pid % 7 > 5`},
+		{"columns", columnar},
+		{"expression", `size(p.firstName) + p.pid % 7 > 5`},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng := gcore.NewAblatedEngine(mode.ablation)
+			eng := gcore.NewEngine()
 			var social *gcore.Graph
 			if mode.where == columnar {
 				social, _ = eng.GenerateSNB(gcore.SNBConfig{Persons: 2000, Seed: 1})

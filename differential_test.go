@@ -1,22 +1,23 @@
 package gcore_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"gcore"
-	"gcore/internal/core"
 )
 
-// Differential tests between the default engine and engines with
-// optimisations ablated. The ablations — residual-only filtering,
-// textual plan order, interpreter property reads, a snapshot built for
-// every statement — select the fallbacks the optimised paths keep anyway;
-// each is a pure performance matter with no observable behaviour, so
-// every ablated engine must render the same goldens as the default
-// one (golden_test.go). So must the AST-level path that bypasses the
-// plan cache (evalParsed).
+// Differential tests between the default engine's ways of running a
+// statement: a snapshot built for every statement (evalRebuilt), the
+// AST-level path that bypasses the plan cache (evalParsed), a session
+// with every budget armed (evalGoverned), the canonical printed text
+// (evalPrinted), the script interpreter (evalScripted) and all of the
+// last three at once (evalComposed) must render the same goldens
+// (golden_test.go) as Engine.Eval.
 
 // renderResult serializes a query outcome deterministically: the
 // table rendering, the graph's canonical JSON, or the error text.
@@ -74,88 +75,108 @@ func evalRebuilt(eng *gcore.Engine, src string) (*gcore.Result, error) {
 	return eng.Eval(src)
 }
 
-// tourEngine builds the guided-tour toy database.
-func tourEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
-	return goldenTour(t, gcore.NewEngine, opts...)
-}
-
-// snbEngine builds the 60-person SNB toy engine.
-func snbEngine(t *testing.T, opts ...gcore.Option) *gcore.Engine {
-	return goldenSNB(t, gcore.NewEngine, opts...)
-}
-
 // snbQueries is the part of the SNB toy query set exercising the hot
 // kernels: indexed scans, multi-hop joins, reachability, stored
 // shortest paths and grouped construction.
 func snbQueries() []string { return goldenSNBQueries[:6] }
 
-// fullAblation switches every optimisation off at once.
-var fullAblation = core.Ablation{NoPushdown: true, NoReorder: true, NoPropColumns: true}
-
-// ablated returns a maker of engines under ab.
-func ablated(ab core.Ablation) engineMaker {
-	return func(opts ...gcore.Option) *gcore.Engine { return gcore.NewAblatedEngine(ab, opts...) }
+// armedLimits returns l with every bound it leaves unset given room
+// no golden reaches, so the governor meters every statement without
+// tripping; the bounds a budget case sets stay as they are.
+func armedLimits(l gcore.Limits) gcore.Limits {
+	if l.MaxBindings == 0 {
+		l.MaxBindings = 1 << 30
+	}
+	if l.MaxPathFrontier == 0 {
+		l.MaxPathFrontier = 1 << 30
+	}
+	if l.MaxResultElements == 0 {
+		l.MaxResultElements = 1 << 30
+	}
+	if l.Timeout == 0 {
+		l.Timeout = time.Hour
+	}
+	return l
 }
 
-// TestAblatedEnginesMatchGolden: each ablation alone, all three
-// together, the default engine building a snapshot for each
-// statement, and the default engine evaluating through the uncached
-// AST-level path (a fresh compile on every execution) render every
-// golden. Without pushdown a path search also runs from sources the
-// WHERE clause then drops, and the paths found there consume
-// identifiers; that shifts the identifiers a later statement mints,
-// so those engines are held to the first execution only.
+// armedSession opens a session on eng under armedLimits.
+func armedSession(eng *gcore.Engine) *gcore.Session {
+	s := eng.NewSession()
+	s.SetLimits(armedLimits(eng.Limits()))
+	return s
+}
+
+// evalGoverned evaluates src in a session with every budget armed: a
+// metered evaluation that never trips renders what an unmetered one
+// does.
+func evalGoverned(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	return armedSession(eng).EvalContext(context.Background(), src)
+}
+
+// printed renders src in the canonical surface syntax of
+// Statement.String; a statement that does not parse stays as it is.
+func printed(src string) string {
+	stmt, err := gcore.Parse(src)
+	if err != nil {
+		return src
+	}
+	return stmt.String()
+}
+
+// evalPrinted evaluates the canonical rendering of src: the printer's
+// text means what the text it was parsed from means.
+func evalPrinted(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	return eng.Eval(printed(src))
+}
+
+// scriptResult reduces a one-statement script's outcome to the
+// statement's: its one result, or its error without the "statement 1
+// at <pos>: " prefix the script adds.
+func scriptResult(res []*gcore.Result, err error) (*gcore.Result, error) {
+	if err != nil {
+		if inner := errors.Unwrap(err); inner != nil && strings.HasPrefix(err.Error(), "statement 1 at ") {
+			return nil, inner
+		}
+		return nil, err
+	}
+	if len(res) != 1 {
+		return nil, fmt.Errorf("one-statement script returned %d results", len(res))
+	}
+	return res[0], nil
+}
+
+// evalScripted evaluates src as a one-statement script through the
+// script interpreter, which parses and stages statements itself.
+func evalScripted(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	return scriptResult(eng.EvalScript(src))
+}
+
+// evalComposed is evalPrinted, evalGoverned and evalScripted at once:
+// the printed text, run as a script in a session with every budget
+// armed.
+func evalComposed(eng *gcore.Engine, src string) (*gcore.Result, error) {
+	return scriptResult(armedSession(eng).EvalScriptContext(context.Background(), printed(src)))
+}
+
+// TestAblatedEnginesMatchGolden: the default engine renders every
+// golden through each of its other ways to run a statement — building
+// a snapshot for each statement, the uncached AST-level path (a fresh
+// compile on every execution), a session with every budget armed, the
+// printer's canonical text, the script interpreter, and the last three
+// together. The row names residual, textual, interpreter and all are
+// kept from the evaluator settings the rows once selected.
 func TestAblatedEnginesMatchGolden(t *testing.T) {
-	variants := []struct {
-		name  string
-		mk    engineMaker
-		eval  evalFunc
-		twice bool
+	for _, v := range []struct {
+		name string
+		eval evalFunc
 	}{
-		{"residual", ablated(core.Ablation{NoPushdown: true}), (*gcore.Engine).Eval, false},
-		{"textual", ablated(core.Ablation{NoReorder: true}), (*gcore.Engine).Eval, true},
-		{"interpreter", ablated(core.Ablation{NoPropColumns: true}), (*gcore.Engine).Eval, true},
-		{"full-build", gcore.NewEngine, evalRebuilt, true},
-		{"all", ablated(fullAblation), (*gcore.Engine).Eval, false},
-		{"nocache", gcore.NewEngine, evalParsed, true},
+		{"residual", evalGoverned},
+		{"textual", evalPrinted},
+		{"interpreter", evalScripted},
+		{"full-build", evalRebuilt},
+		{"all", evalComposed},
+		{"nocache", evalParsed},
+	} {
+		t.Run(v.name, func(t *testing.T) { checkGoldens(t, v.eval, false) })
 	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) { checkGoldens(t, v.mk, v.eval, v.twice, false) })
-	}
-}
-
-// TestAblationIsPerEngine: a fully ablated engine and a default one
-// over the same dataset evaluate the SNB query set concurrently from
-// several goroutines, and both render the goldens — the ablation is a
-// property of one engine, not of the process.
-func TestAblationIsPerEngine(t *testing.T) {
-	engines := []*gcore.Engine{
-		goldenSNB(t, ablated(fullAblation)),
-		goldenSNB(t, gcore.NewEngine),
-	}
-	// Only statements that render the same on every execution: the
-	// goroutines share each engine's identifier generator.
-	want := map[int]string{}
-	for i := range goldenSNBQueries {
-		if g := readGolden(t, goldenSNBName(i)); !strings.Contains(g, secondExecution) {
-			want[i] = g
-		}
-	}
-	var wg sync.WaitGroup
-	for _, eng := range engines {
-		for g := 0; g < 4; g++ {
-			eng := eng
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i, w := range want {
-					if got := renderResult(eng.Eval(goldenSNBQueries[i])); got != w {
-						t.Errorf("snb query %d diverged from its golden under concurrent mixed-ablation load\ngot:\n%s\nwant:\n%s", i, got, w)
-						return
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
 }

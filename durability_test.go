@@ -631,7 +631,7 @@ func recoveredCopy(t *testing.T, dir string) *gcore.DurableEngine {
 // query renders byte-identically on the recovered engine.
 func TestDurabilityDifferentialPaper(t *testing.T) {
 	exportDir := t.TempDir()
-	if err := tourEngine(t).SaveCatalog(exportDir); err != nil {
+	if err := goldenTour(t).SaveCatalog(exportDir); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -649,7 +649,7 @@ func TestDurabilityDifferentialPaper(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	src := tourEngine(t)
+	src := goldenTour(t)
 	rec := recoveredCopy(t, dir)
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
@@ -675,7 +675,7 @@ func TestDurabilityDifferentialSNB(t *testing.T) {
 	if err := d.RegisterGraph(social); err != nil {
 		t.Fatal(err)
 	}
-	live := snbEngine(t)
+	live := goldenSNB(t)
 	rec := recoveredCopy(t, dir)
 	for i, query := range snbQueries() {
 		want := renderResult(live.Eval(query))

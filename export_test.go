@@ -1,15 +1,6 @@
 package gcore
 
-import (
-	"gcore/internal/core"
-	"gcore/internal/ppg"
-)
-
-// NewAblatedEngine is NewEngine with evaluator optimisations switched
-// off — the only way to an ablated engine, and a test-only one: the
-// differential tests and ablation benchmarks compare such engines
-// with default ones.
-func NewAblatedEngine(ab core.Ablation, opts ...Option) *Engine { return newEngine(ab, opts) }
+import "gcore/internal/ppg"
 
 // AssembleNodes builds a graph of the given nodes through ppg.Assemble,
 // which checks nothing: fixtures use it for the property values the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/csr"
 	"gcore/internal/parser"
 	"gcore/internal/value"
@@ -339,7 +338,7 @@ func FuzzEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Bound adversarial cartesian products: the engine must reject
 		// them with an error, not hang.
-		eng := tourEngine(t, fuzzLimits)
+		eng := goldenTour(t, fuzzLimits)
 		res, err := eng.Eval(src)
 		if err != nil {
 			return // evaluation errors are fine; panics and invalid graphs are not
@@ -409,13 +408,12 @@ func paramBindings(iv int64, sv string, kind uint8) map[string]gcore.Value {
 }
 
 // FuzzParamInline: evaluating a statement with $a/$b parameter
-// bindings must be indistinguishable from (1) splicing the literals
-// into the source text (parser.InlineParams) wherever the bindings
-// have a literal form (NaN and sets have none), and (2) executing the
-// same prepared statement on an engine that never touches the property
-// columns (Ablation.NoPropColumns): bound parameters compile into
-// column predicates and equality seeks, the ablated engine interprets
-// them row by row.
+// bindings must be indistinguishable from splicing the literals into
+// the source text (parser.InlineParams) wherever the bindings have a
+// literal form. NaN and sets have none; TestExpressionOracle
+// (internal/core) binds $a to both, and to every kind the property
+// columns type, and holds the column predicates bound parameters
+// compile into to the §A.1 evaluator.
 func FuzzParamInline(f *testing.F) {
 	for _, s := range []string{
 		`SELECT n.firstName AS x MATCH (n:Person) WHERE n.employer = $b ORDER BY x`,
@@ -437,8 +435,8 @@ func FuzzParamInline(f *testing.F) {
 		}
 		f.Add(s, int64(30), "John", uint8(0))
 	}
-	engine := func(t *testing.T, ab core.Ablation) *gcore.Engine {
-		eng := goldenTour(t, ablated(ab), fuzzLimits)
+	engine := func(t *testing.T) *gcore.Engine {
+		eng := goldenTour(t, fuzzLimits)
 		if err := eng.RegisterGraph(kindsGraph()); err != nil {
 			t.Fatal(err)
 		}
@@ -450,39 +448,30 @@ func FuzzParamInline(f *testing.F) {
 		if inlineErr != nil && len(parser.ParamNames(src)) == 0 {
 			return // lex error: nothing to compare
 		}
-		prep, err := engine(t, core.Ablation{}).Prepare(src)
+		prep, err := engine(t).Prepare(src)
 		if err != nil {
 			// The statement itself is invalid; the inlined form must
 			// agree that it is.
 			if inlineErr == nil {
-				if _, ierr := engine(t, core.Ablation{}).Eval(inlined); ierr == nil {
+				if _, ierr := engine(t).Eval(inlined); ierr == nil {
 					t.Fatalf("Prepare rejected %q (%v) but the inlined form evaluated", src, err)
 				}
 			}
 			return
 		}
 		gotRes, gotErr := prep.Eval(params)
-		check := func(oracle string, wantRes *gcore.Result, wantErr error) {
-			t.Helper()
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("success diverged from %s for %q with %v:\nparam err:  %v\noracle err: %v", oracle, src, params, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				return // both failed; messages may name the expression differently
-			}
-			if got, want := renderResult(gotRes, nil), renderResult(wantRes, nil); got != want {
-				t.Fatalf("parameterised result diverged from %s\nquery: %q\nparams: %v\nparam:\n%s\noracle:\n%s", oracle, src, params, got, want)
-			}
+		if inlineErr != nil {
+			return // parameters beyond $a/$b, NaN and sets have no inlined form
 		}
-		if inlineErr == nil { // parameters beyond $a/$b, NaN and sets have no inlined form
-			wantRes, wantErr := engine(t, core.Ablation{}).Eval(inlined)
-			check("inlined literals", wantRes, wantErr)
+		wantRes, wantErr := engine(t).Eval(inlined)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("success diverged from the inlined literals for %q with %v:\nparam err:  %v\noracle err: %v", src, params, gotErr, wantErr)
 		}
-		if rowPrep, err := engine(t, core.Ablation{NoPropColumns: true}).Prepare(src); err != nil {
-			t.Fatalf("the NoPropColumns engine rejected %q, which the default engine prepared: %v", src, err)
-		} else {
-			wantRes, wantErr := rowPrep.Eval(params)
-			check("the NoPropColumns engine", wantRes, wantErr)
+		if gotErr != nil {
+			return // both failed; messages may name the expression differently
+		}
+		if got, want := renderResult(gotRes, nil), renderResult(wantRes, nil); got != want {
+			t.Fatalf("parameterised result diverged from the inlined literals\nquery: %q\nparams: %v\nparam:\n%s\noracle:\n%s", src, params, got, want)
 		}
 	})
 }

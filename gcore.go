@@ -308,13 +308,9 @@ func WithPlanCacheSize(n int) Option {
 //	    gcore.WithLimits(gcore.Limits{Timeout: time.Second}),
 //	    gcore.WithDefaultGraph("social_graph"),
 //	)
-func NewEngine(opts ...Option) *Engine { return newEngine(core.Ablation{}, opts) }
-
-// newEngine is NewEngine over an evaluator with the given ablation;
-// only tests pass a non-zero one (export_test.go).
-func newEngine(ab core.Ablation, opts []Option) *Engine {
+func NewEngine(opts ...Option) *Engine {
 	cat := catalog.New()
-	e := &Engine{cat: cat, ev: core.NewAblated(cat, ab)}
+	e := &Engine{cat: cat, ev: core.New(cat)}
 	for _, opt := range opts {
 		opt(e)
 	}

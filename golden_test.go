@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"gcore"
@@ -61,9 +60,9 @@ func checkGolden(t *testing.T, name, got string, pin bool) {
 // goldenTour builds the guided-tour toy database: social_graph
 // (default), company_graph, the Figure 2 example graph and the orders
 // table.
-func goldenTour(t testing.TB, newEngine engineMaker, opts ...gcore.Option) *gcore.Engine {
+func goldenTour(t testing.TB, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	eng := newEngine(append(opts, gcore.WithDefaultGraph("social_graph"))...)
+	eng := gcore.NewEngine(append(opts, gcore.WithDefaultGraph("social_graph"))...)
 	for _, g := range []*gcore.Graph{
 		gcore.SampleSocialGraph(), gcore.SampleCompanyGraph(), gcore.SampleExampleGraph(),
 	} {
@@ -79,9 +78,9 @@ func goldenTour(t testing.TB, newEngine engineMaker, opts ...gcore.Option) *gcor
 
 // goldenSNB builds the 60-person SNB toy engine; the social graph is
 // the first (hence default) graph.
-func goldenSNB(t testing.TB, newEngine engineMaker, opts ...gcore.Option) *gcore.Engine {
+func goldenSNB(t testing.TB, opts ...gcore.Option) *gcore.Engine {
 	t.Helper()
-	eng := newEngine(opts...)
+	eng := gcore.NewEngine(opts...)
 	social, _ := eng.GenerateSNB(gcore.SNBConfig{Persons: 60, Seed: 1})
 	if err := eng.RegisterGraph(social); err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ OPTIONAL (n)-[:knows]->(x:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Pe
 // appended into one bulk builder.
 var goldenConstructCases = []struct {
 	name, query string
-	build       func(testing.TB, engineMaker, ...gcore.Option) *gcore.Engine
+	build       func(testing.TB, ...gcore.Option) *gcore.Engine
 }{
 	{"shortest-out", `CONSTRUCT (n)-/@p:sp {hops := c}/->(m)
 MATCH (n:Person)-/2 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`, goldenSNB},
@@ -253,35 +252,23 @@ const secondExecution = "\n== second execution ==\n"
 // goldenSNBName names the golden of goldenSNBQueries[i].
 func goldenSNBName(i int) string { return fmt.Sprintf("snb/q%02d", i) }
 
-// engineMaker is gcore.NewEngine or a test-only variant of it.
-type engineMaker func(...gcore.Option) *gcore.Engine
-
-// checkGoldens runs every pinned evaluation through eval on engines
-// built by newEngine. Result cases run their statement on a fresh
-// engine. With twice they run it two times — through Engine.Eval, the
-// compile and then the plan-cache hit; the second render is pinned too
-// where it differs (a CONSTRUCT that mints identifiers draws fresh
-// ones each time) — otherwise only the first execution is compared.
-// Only pin (TestGolden) honours -update.
-func checkGoldens(t *testing.T, newEngine engineMaker, eval evalFunc, twice, pin bool) {
+// checkGoldens runs every pinned evaluation through eval. Result cases
+// run their statement two times on a fresh engine — through
+// Engine.Eval, the compile and then the plan-cache hit; the second
+// render is pinned too where it differs (a CONSTRUCT that mints
+// identifiers draws fresh ones each time). Only pin (TestGolden)
+// honours -update.
+func checkGoldens(t *testing.T, eval evalFunc, pin bool) {
 	run := func(eng *gcore.Engine, query string) string {
 		first := renderResult(eval(eng, query))
-		if !twice {
-			return first
-		}
 		if second := renderResult(eval(eng, query)); second != first {
 			return first + secondExecution + second
 		}
 		return first
 	}
-	result := func(name, query string, build func(testing.TB, engineMaker, ...gcore.Option) *gcore.Engine) {
+	result := func(name, query string, build func(testing.TB, ...gcore.Option) *gcore.Engine) {
 		t.Run(name, func(t *testing.T) {
-			got := run(build(t, newEngine), query)
-			if twice {
-				checkGolden(t, name, got, pin)
-			} else if want, _, _ := strings.Cut(readGolden(t, name), secondExecution); got != want {
-				t.Fatalf("%s diverged from its golden\ngot:\n%s\nwant:\n%s", name, got, want)
-			}
+			checkGolden(t, name, run(build(t), query), pin)
 		})
 	}
 	keys := make([]string, 0, len(parser.PaperQueries))
@@ -301,7 +288,7 @@ func checkGoldens(t *testing.T, newEngine engineMaker, eval evalFunc, twice, pin
 	for _, bc := range goldenBudgetCases {
 		name := "budget/" + bc.name + "-w1"
 		t.Run(name, func(t *testing.T) {
-			eng := goldenSNB(t, newEngine, gcore.WithLimits(bc.limits))
+			eng := goldenSNB(t, gcore.WithLimits(bc.limits))
 			checkGolden(t, name, renderResult(eval(eng, bc.query)), pin)
 		})
 	}
@@ -310,7 +297,7 @@ func checkGoldens(t *testing.T, newEngine engineMaker, eval evalFunc, twice, pin
 // TestGolden: every pinned evaluation renders its golden on the
 // default engine.
 func TestGolden(t *testing.T) {
-	checkGoldens(t, gcore.NewEngine, (*gcore.Engine).Eval, true, true)
+	checkGoldens(t, (*gcore.Engine).Eval, true)
 }
 
 // TestConstructGoldensValid: every graph a golden CONSTRUCT case
@@ -319,7 +306,7 @@ func TestGolden(t *testing.T) {
 func TestConstructGoldensValid(t *testing.T) {
 	for _, cc := range goldenConstructCases {
 		t.Run(cc.name, func(t *testing.T) {
-			res, err := cc.build(t, gcore.NewEngine).Eval(cc.query)
+			res, err := cc.build(t).Eval(cc.query)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func TestEvalContextCanceledBeforeStart(t *testing.T) {
 // cancellation surfaces as KindCanceled and that no goroutine the
 // evaluation started outlives it.
 func TestEvalContextCancelMidFlight(t *testing.T) {
-	eng := snbEngine(t)
+	eng := goldenSNB(t)
 	gens := graphGenerations(eng)
 	before := runtime.NumGoroutine()
 
@@ -112,7 +112,7 @@ func TestEvalContextCancelMidFlight(t *testing.T) {
 }
 
 func TestEvalTimeout(t *testing.T) {
-	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{Timeout: time.Nanosecond}))
+	eng := goldenSNB(t, gcore.WithLimits(gcore.Limits{Timeout: time.Nanosecond}))
 	_, err := eng.Eval(snbAllQuery)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindTimeout {
@@ -130,7 +130,7 @@ func TestEvalTimeout(t *testing.T) {
 // KindBudget error (its text is pinned by the budget/frontier-all
 // goldens).
 func TestMaxPathFrontierBudget(t *testing.T) {
-	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
+	eng := goldenSNB(t, gcore.WithLimits(gcore.Limits{MaxPathFrontier: 1}))
 	_, err := eng.Eval(snbAllQuery)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -139,7 +139,7 @@ func TestMaxPathFrontierBudget(t *testing.T) {
 }
 
 func TestMaxResultElementsBudget(t *testing.T) {
-	eng := snbEngine(t, gcore.WithLimits(gcore.Limits{MaxResultElements: 5}))
+	eng := goldenSNB(t, gcore.WithLimits(gcore.Limits{MaxResultElements: 5}))
 	_, err := eng.Eval(`CONSTRUCT (n) MATCH (n:Person)`)
 	qe, ok := gcore.AsQueryError(err)
 	if !ok || qe.Kind != gcore.KindBudget {
@@ -245,7 +245,7 @@ func TestFaultInjectionAllSites(t *testing.T) {
 		query := scenarios[site]
 		for _, mode := range []string{"panic", "error", "cancel"} {
 			t.Run(site+"/"+mode, func(t *testing.T) {
-				eng := snbEngine(t)
+				eng := goldenSNB(t)
 				gens := graphGenerations(eng)
 				before := runtime.NumGoroutine()
 
@@ -299,7 +299,7 @@ func TestDifferentialCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	snbEng := snbEngine(t)
+	snbEng := goldenSNB(t)
 	checkAll := func(t *testing.T, eng *gcore.Engine, queries []string) {
 		t.Helper()
 		gens := graphGenerations(eng)
@@ -323,7 +323,7 @@ func TestDifferentialCanceledContext(t *testing.T) {
 	for _, q := range parser.PaperQueries {
 		paper = append(paper, q)
 	}
-	t.Run("paper", func(t *testing.T) { checkAll(t, tourEngine(t), paper) })
+	t.Run("paper", func(t *testing.T) { checkAll(t, goldenTour(t), paper) })
 }
 
 // TestDifferentialGenerousLimits: generous-but-finite limits are
@@ -337,8 +337,8 @@ func TestDifferentialGenerousLimits(t *testing.T) {
 		Timeout:           time.Hour,
 	}
 	for i, query := range snbQueries() {
-		want := renderResult(snbEngine(t).Eval(query))
-		got := renderResult(snbEngine(t, gcore.WithLimits(generous)).Eval(query))
+		want := renderResult(goldenSNB(t).Eval(query))
+		got := renderResult(goldenSNB(t, gcore.WithLimits(generous)).Eval(query))
 		if got != want {
 			t.Errorf("query %d: governed result diverged from ungoverned\ngoverned:\n%s\nungoverned:\n%s", i, got, want)
 		}

@@ -12,8 +12,8 @@ import (
 // expression the evaluator will meet into an evaluator tree (expr.go)
 // and records what later stages need to know about it: the AND-split of
 // each WHERE, free variables, pushability and aggregates. The result
-// depends on the AST alone — never on parameter values, graphs or
-// ablations — and compiling never raises: an expression that cannot be
+// depends on the AST alone — never on parameter values or graphs —
+// and compiling never raises: an expression that cannot be
 // evaluated compiles into a node that raises when it is, so a statement
 // that matches no rows still succeeds.
 

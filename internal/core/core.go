@@ -36,31 +36,10 @@ import (
 	"gcore/internal/value"
 )
 
-// Ablation switches individual optimisations of one evaluator off, so
-// that tests can check — and benchmarks price — each against the
-// fallback it must keep anyway. It is fixed at construction
-// (NewAblated): evaluators with different ablations run side by side,
-// and nothing compiled under one value is ever served under another.
-// Results are identical for every value. No public API, CLI flag or
-// server setting reaches it.
-type Ablation struct {
-	// NoPushdown leaves every WHERE conjunct to the residual filter
-	// instead of applying it as soon as its variables are bound.
-	NoPushdown bool
-	// NoReorder pins the textual order: chains scan from their left
-	// end and conjunct patterns fold left to right.
-	NoReorder bool
-	// NoPropColumns sends predicates, property reads and projections
-	// through the expression interpreter and the ppg.Properties maps
-	// instead of the snapshot's property columns.
-	NoPropColumns bool
-}
-
 // Evaluator evaluates statements against a catalog.
 type Evaluator struct {
-	cat      *catalog.Catalog
-	ablation Ablation
-	limits   gov.Limits // zero fields = ungoverned
+	cat    *catalog.Catalog
+	limits gov.Limits // zero fields = ungoverned
 
 	registry *obs.Registry    // lifetime per-operator metrics
 	trace    obs.TraceHandler // user span hook; nil = no tracing
@@ -76,14 +55,9 @@ type Evaluator struct {
 }
 
 // New creates an evaluator over the given catalog.
-func New(cat *catalog.Catalog) *Evaluator { return NewAblated(cat, Ablation{}) }
-
-// NewAblated is New with optimisations switched off (tests and
-// ablation benchmarks only).
-func NewAblated(cat *catalog.Catalog, ab Ablation) *Evaluator {
+func New(cat *catalog.Catalog) *Evaluator {
 	return &Evaluator{
 		cat:       cat,
-		ablation:  ab,
 		registry:  obs.NewRegistry(),
 		planCache: plancache.New(0),
 	}

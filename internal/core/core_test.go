@@ -15,10 +15,7 @@ import (
 // newToy builds an evaluator over the Figure 4 toy database:
 // social_graph (default), company_graph, the example_graph of
 // Figure 2, and the orders binding table of §5.
-func newToy(t *testing.T) *core.Evaluator { return newToyAblated(t, core.Ablation{}) }
-
-// newToyAblated is newToy over an evaluator with optimisations off.
-func newToyAblated(t *testing.T, ab core.Ablation) *core.Evaluator {
+func newToy(t *testing.T) *core.Evaluator {
 	t.Helper()
 	cat := catalog.New()
 	if err := cat.RegisterGraph(snb.SocialGraph()); err != nil {
@@ -43,7 +40,7 @@ func newToyAblated(t *testing.T, ab core.Ablation) *core.Evaluator {
 	if err := cat.RegisterTable(orders); err != nil {
 		t.Fatal(err)
 	}
-	return core.NewAblated(cat, ab)
+	return core.New(cat)
 }
 
 func run(t *testing.T, ev *core.Evaluator, src string) *core.Result {

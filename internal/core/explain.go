@@ -201,7 +201,7 @@ func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 	// walked from the start the planner picks, so the step order — and
 	// therefore the pushdown points — match the evaluation.
 	ests := explainPatterns(ev, def, cs, sb, mc.Patterns, conjs, indent, ann)
-	explainJoinOrder(ev, sb, ests, indent, ann)
+	explainJoinOrder(sb, ests, indent, ann)
 	var residual []string
 	for _, cj := range conjs {
 		if !cj.applied {
@@ -222,12 +222,12 @@ func explainMatch(ev *Evaluator, def string, cs *CachedStatement, sb *strings.Bu
 		bConjs := cs.conjuncts(ob.Where)
 		bEsts := make([]int, len(ob.Patterns))
 		for i, lp := range ob.Patterns {
-			explainRestriction(ev, cs, sb, ob.Patterns, i, bConjs, indent+"    ")
+			explainRestriction(cs, sb, ob.Patterns, i, bConjs, indent+"    ")
 			pl := ev.staticPlan(def, lp, bConjs)
 			bEsts[i] = patternEstimate(lp, pl)
-			explainChain(ev, sb, lp.Pattern, pl, bConjs, indent+"    ", ann)
+			explainChain(sb, lp.Pattern, pl, bConjs, indent+"    ", ann)
 		}
-		explainJoinOrder(ev, sb, bEsts, indent+"  ", ann)
+		explainJoinOrder(sb, bEsts, indent+"  ", ann)
 		var brest []string
 		for _, cj := range bConjs {
 			if !cj.applied {
@@ -259,10 +259,10 @@ func explainPatterns(ev *Evaluator, def string, cs *CachedStatement, sb *strings
 			joiner = "hash-join with"
 		}
 		fmt.Fprintf(sb, "%s  %s pattern %d (%s)\n", indent, joiner, pi+1, loc)
-		explainRestriction(ev, cs, sb, pats, pi, conjs, indent+"    ")
+		explainRestriction(cs, sb, pats, pi, conjs, indent+"    ")
 		pl := ev.staticPlan(def, lp, conjs)
 		ests[pi] = patternEstimate(lp, pl)
-		explainChain(ev, sb, lp.Pattern, pl, conjs, indent+"    ", ann)
+		explainChain(sb, lp.Pattern, pl, conjs, indent+"    ", ann)
 	}
 	return ests
 }
@@ -271,8 +271,8 @@ func explainPatterns(ev *Evaluator, def string, cs *CachedStatement, sb *strings
 // patterns before it restrict (sip.go), the way the evaluator decides
 // with every parameter bound. It must run before the chain claims its
 // conjuncts.
-func explainRestriction(ev *Evaluator, cs *CachedStatement, sb *strings.Builder, pats []*ast.LocatedPattern, j int, conjs []*conjunct, indent string) {
-	if vars := sipVars(ev.ablation, cs, pats, j, conjs, true); vars != nil {
+func explainRestriction(cs *CachedStatement, sb *strings.Builder, pats []*ast.LocatedPattern, j int, conjs []*conjunct, indent string) {
+	if vars := sipVars(cs, pats, j, conjs, true); vars != nil {
 		fmt.Fprintf(sb, "%srestricted: %s\n", indent, sipLine(vars))
 	}
 }
@@ -287,7 +287,7 @@ func (ev *Evaluator) staticPlan(def string, lp *ast.LocatedPattern, conjs []*con
 	if g := ev.staticGraph(def, lp); g != nil {
 		snap = csr.Of(g)
 	}
-	return planChain(ev.ablation, lp.Pattern, snap, conjs, nil)
+	return planChain(lp.Pattern, snap, conjs, nil)
 }
 
 // patternEstimate is the fold-order estimate of one located pattern,
@@ -302,11 +302,11 @@ func patternEstimate(lp *ast.LocatedPattern, pl chainPlan) int {
 
 // explainJoinOrder prints the fold order of a multi-pattern MATCH (or
 // OPTIONAL block), mirroring foldConjuncts.
-func explainJoinOrder(ev *Evaluator, sb *strings.Builder, ests []int, indent string, ann *planAnnotator) {
+func explainJoinOrder(sb *strings.Builder, ests []int, indent string, ann *planAnnotator) {
 	if len(ests) < 2 {
 		return
 	}
-	order := joinOrder(ests, ev.ablation.NoReorder)
+	order := joinOrder(ests)
 	parts := make([]string, len(order))
 	for i, o := range order {
 		parts[i] = fmt.Sprintf("pattern %d [est %s]", o+1, estString(ests[o]))
@@ -327,7 +327,7 @@ func estString(est int) string {
 // that become applicable (and marks them applied, like applyReady
 // does, so later chains don't re-claim them). Chains over graphs only
 // known at run time print no start line and no estimates.
-func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl chainPlan, conjs []*conjunct, indent string, ann *planAnnotator) {
+func explainChain(sb *strings.Builder, gp *ast.GraphPattern, pl chainPlan, conjs []*conjunct, indent string, ann *planAnnotator) {
 	start := gp.Nodes[pl.start]
 	if pl.ests != nil {
 		restored := ""
@@ -355,7 +355,7 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl c
 				desc := ast.ExprString(cj.src)
 				// The index-vs-column decision: column leaves are
 				// marked, the rest evaluate row-at-a-time.
-				if _, isLeaf := cj.ev.(*colLeaf); isLeaf && !ev.ablation.NoPropColumns {
+				if _, isLeaf := cj.ev.(*colLeaf); isLeaf {
 					desc += " [col]"
 				}
 				out = append(out, desc)
@@ -367,7 +367,7 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl c
 		fmt.Fprintf(sb, "%s%s", indent, desc)
 		var seek []string
 		if op == obs.OpScan {
-			seek = seekKeys(ev.ablation, start, conjs)
+			seek = seekKeys(start, conjs)
 		}
 		if pushed := claim(); len(pushed) > 0 {
 			fmt.Fprintf(sb, "  ⊳ filter: %s", strings.Join(pushed, " AND "))
@@ -432,12 +432,12 @@ func explainChain(ev *Evaluator, sb *strings.Builder, gp *ast.GraphPattern, pl c
 // the `=` conjuncts its prefilter would consume (the evaluator's own
 // gate walk), in WHERE order. It must run before the step claims its
 // conjuncts.
-func seekKeys(ab Ablation, np *ast.NodePattern, conjs []*conjunct) []string {
+func seekKeys(np *ast.NodePattern, conjs []*conjunct) []string {
 	if np.Var == "" {
 		return nil
 	}
 	schema := appendBindVars([]string{np.Var}, np.Props)
-	_, leaves := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
+	_, leaves := prefilterConjuncts(np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
 	var keys []string
 	for _, l := range leaves {
 		if l.op == ast.OpEq {

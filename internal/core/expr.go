@@ -139,11 +139,11 @@ func (e *env) lookup(name string) (value.Value, bool) {
 // graphs[0]'s, which resolves every ref it knows exactly like the walk
 // of allGraphs (the first LabelsOf hit wins, and the columns mirror
 // Properties.Get), or nil when a graph is under construction (it is
-// consulted first) or the property columns are ablated.
+// consulted first).
 func (e *env) fast() *csr.Snapshot {
 	if !e.snapDone {
 		e.snapDone = true
-		if !e.c.ev.ablation.NoPropColumns && e.constructed == nil && len(e.graphs) > 0 {
+		if e.constructed == nil && len(e.graphs) > 0 {
 			// csr.Of, not snapOf: the cache counters record the
 			// operators' acquisitions, not one per environment.
 			e.snap = csr.Of(e.graphs[0])

@@ -99,7 +99,7 @@ func (c *evalCtx) evalPatterns(s *scope, lps []*ast.LocatedPattern, conjs []*con
 		}
 		graphs = append(graphs, g)
 		var only []ordSet
-		if vars := sipVars(c.ev.ablation, c.cached, lps, j, conjs, paramsBound); vars != nil {
+		if vars := sipVars(c.cached, lps, j, conjs, paramsBound); vars != nil {
 			snap := csr.Of(g)
 			only = restrict(lp.Pattern, vars, tables, snap)
 		}
@@ -168,7 +168,7 @@ func (c *evalCtx) evalChainPlanned(s *scope, gp *ast.GraphPattern, g *ppg.Graph,
 func (c *evalCtx) evalChainNamed(s *scope, gp *ast.GraphPattern, names patternNames, g *ppg.Graph, conjs []*conjunct, only []ordSet) (*bindings.Table, int, error) {
 	pl, planned := c.cached.chainPlanFor(gp, g)
 	if !planned {
-		pl = planChain(c.ev.ablation, gp, c.snapOf(g), conjs, c.col)
+		pl = planChain(gp, c.snapOf(g), conjs, c.col)
 		c.cached.storeChainPlan(gp, g, pl)
 	}
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gcore/internal/ast"
-	"gcore/internal/catalog"
 	"gcore/internal/core"
 	"gcore/internal/parser"
 	"gcore/internal/ppg"
@@ -22,7 +21,8 @@ import (
 // unbound is not in it), σ and λ are lookups on the ppg graph, and every
 // operator is the value package's — no slots, snapshots, columns or
 // compiled nodes. TestExpressionOracle evaluates randomly generated
-// WHERE and SELECT expressions with the engine and with the oracle and
+// WHERE and SELECT expressions with the engine and with the oracle,
+// over the bindings of the MATCH reference (reference_test.go), and
 // compares values, kept rows and error texts.
 //
 // Not covered: EXISTS and pattern predicates (they match patterns),
@@ -617,25 +617,43 @@ func (oe oracleEngine) run(src string, params map[string]value.Value) (*core.Res
 	return oe.ev.EvalExec(context.Background(), ex)
 }
 
-// bindings returns the rows of a projection of vars as bindings, in
-// output order.
+// bindings returns the reference's bindings of src's MATCH projected
+// on vars, in the order SELECT emits rows: by value.Compare on each
+// variable in turn, unbound first (docs/SEMANTICS.md, choice 9).
 func (oe oracleEngine) bindings(src string, vars []string) []binding {
 	if mus, ok := oe.memo[src]; ok {
 		return mus
 	}
-	res, err := oe.run(src, nil)
+	mus, err := referenceBindings(oe.t, oe.ev.Catalog().Default(), src, nil)
 	if err != nil {
-		oe.t.Fatalf("%s: %v", src, err)
+		oe.t.Fatalf("%s: reference: %v", src, err)
 	}
-	out := make([]binding, len(res.Table.Rows))
-	for i, row := range res.Table.Rows {
+	out := make([]binding, len(mus))
+	for i, mu := range mus {
 		out[i] = binding{}
-		for j, v := range vars {
-			if !row[j].IsNull() {
-				out[i][v] = row[j]
+		for _, v := range vars {
+			if x, ok := mu[v]; ok {
+				out[i][v] = x
 			}
 		}
 	}
+	slices.SortStableFunc(out, func(a, b binding) int {
+		for _, v := range vars {
+			x, inA := a[v]
+			y, inB := b[v]
+			switch {
+			case inA != inB && !inA:
+				return -1
+			case inA != inB:
+				return 1
+			case inA:
+				if c := value.Compare(x, y); c != 0 {
+					return c
+				}
+			}
+		}
+		return 0
+	})
 	oe.memo[src] = out
 	return out
 }
@@ -660,66 +678,68 @@ var oracleShapes = []struct {
 	{[]string{"a", "p", "b"}, "MATCH (a)-/@p/->(b)"},
 }
 
-// TestExpressionOracle runs, on the default engine and on the one that
-// never reads property columns: every column-leaf shape over every key,
-// in WHERE and in SELECT; every one-argument builtin over every
-// property; then a fixed-seed batch of random SELECT expressions, with
-// and without aggregates, and random WHERE conditions.
+// columnKinds are the bindings of $a the column-leaf shapes run under:
+// every kind the property columns type, the floats that compare
+// specially (NaN, -0, a float equal to an int) and a set, which no
+// column types.
+var columnKinds = []value.Value{value.Str("Acme"), value.Int(2), value.Float(2), value.Float(math.NaN()),
+	value.Float(math.Copysign(0, -1)), value.True, value.Date(16071), value.Set(value.Int(1), value.Str("a"))}
+
+// TestExpressionOracle runs every column-leaf shape over every key, in
+// WHERE and in SELECT, with $a bound to each of columnKinds; every
+// one-argument builtin over every property; then a fixed-seed batch of
+// random SELECT expressions, with and without aggregates, and random
+// WHERE conditions. The bindings come from the MATCH reference.
 func TestExpressionOracle(t *testing.T) {
 	g := oracleGraph(t)
-	for _, engine := range []struct {
-		name string
-		ab   core.Ablation
-	}{{"default", core.Ablation{}}, {"interpreter", core.Ablation{NoPropColumns: true}}} {
-		name, r := engine.name, rand.New(rand.NewSource(1)) // both engines see the same batch
-		cat := catalog.New()
-		if err := cat.RegisterGraph(g); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.SetDefault(g.Name()); err != nil {
-			t.Fatal(err)
-		}
-		oe := oracleEngine{t, core.NewAblated(cat, engine.ab), map[string][]binding{}}
-		edge := oracleShapes[0]
-		params := map[string]value.Value{"a": value.Str("Acme")}
+	r := rand.New(rand.NewSource(1))
+	oe := oracleEngine{t, oracleEvaluator(t, g), map[string][]binding{}}
+	edge := oracleShapes[0]
+	for i, a := range columnKinds {
+		params := map[string]value.Value{"a": a}
 		for _, key := range genKeys {
-			for _, c := range append(slices.Clone(keyLiterals[key]), "$a", "NULL") {
+			consts := []string{"$a"}
+			if i == 0 { // the literals do not depend on $a
+				consts = append(slices.Clone(keyLiterals[key]), "$a", "NULL")
+			}
+			for _, c := range consts {
 				for _, op := range genCmps {
 					for _, shape := range []string{"x.%s %s %s", "%[3]s %[2]s x.%[1]s"} {
 						leaf := fmt.Sprintf(shape, key, op, c)
-						oracleWhere(t, name, oe, "MATCH (a)", []string{strings.ReplaceAll(leaf, "x.", "a.")}, params)
-						oracleSelect(t, name, oe, edge.vars, edge.match, strings.ReplaceAll(leaf, "x.", "e."), params)
+						oracleWhere(t, oe, "MATCH (a)", []string{strings.ReplaceAll(leaf, "x.", "a.")}, params)
+						oracleSelect(t, oe, edge.vars, edge.match, strings.ReplaceAll(leaf, "x.", "e."), params)
 					}
 				}
 			}
 		}
-		for _, f := range genFuncs {
-			if _, twoArgs := funcArity[f]; twoArgs || f == "substring" {
-				continue
-			}
-			for _, v := range edge.vars {
-				for _, key := range genKeys {
-					oracleSelect(t, name, oe, edge.vars, edge.match, fmt.Sprintf("%s(%s.%s)", f, v, key), params)
-				}
+	}
+	params := map[string]value.Value{"a": columnKinds[0]}
+	for _, f := range genFuncs {
+		if _, twoArgs := funcArity[f]; twoArgs || f == "substring" {
+			continue
+		}
+		for _, v := range edge.vars {
+			for _, key := range genKeys {
+				oracleSelect(t, oe, edge.vars, edge.match, fmt.Sprintf("%s(%s.%s)", f, v, key), params)
 			}
 		}
-		for i := 0; i < 1500; i++ {
-			sh := oracleShapes[i%len(oracleShapes)]
-			gen := &exprGen{r: r, vars: append(slices.Clone(sh.vars), "zz")}
-			params := map[string]value.Value{"a": paramBinds[r.Intn(len(paramBinds))]}
-			switch i % 3 {
-			case 0:
-				oracleSelect(t, name, oe, sh.vars, sh.match, gen.expr(3, false), params)
-			case 1:
-				oracleSelect(t, name, oe, nil, sh.match, gen.expr(3, true), params)
-			default:
-				gen.vars = []string{"a", "a", "o"}
-				conjs := make([]string, 1+gen.r.Intn(3))
-				for i := range conjs {
-					conjs[i] = gen.cond(2)
-				}
-				oracleWhere(t, name, oe, gen.pick([]string{"MATCH (a)", "MATCH (a:A)", "MATCH (a:B|C)"}), conjs, params)
+	}
+	for i := 0; i < 1500; i++ {
+		sh := oracleShapes[i%len(oracleShapes)]
+		gen := &exprGen{r: r, vars: append(slices.Clone(sh.vars), "zz")}
+		params := map[string]value.Value{"a": paramBinds[r.Intn(len(paramBinds))]}
+		switch i % 3 {
+		case 0:
+			oracleSelect(t, oe, sh.vars, sh.match, gen.expr(3, false), params)
+		case 1:
+			oracleSelect(t, oe, nil, sh.match, gen.expr(3, true), params)
+		default:
+			gen.vars = []string{"a", "a", "o"}
+			conjs := make([]string, 1+gen.r.Intn(3))
+			for i := range conjs {
+				conjs[i] = gen.cond(2)
 			}
+			oracleWhere(t, oe, gen.pick([]string{"MATCH (a)", "MATCH (a:A)", "MATCH (a:B|C)"}), conjs, params)
 		}
 	}
 }
@@ -728,7 +748,7 @@ func TestExpressionOracle(t *testing.T) {
 // proj (none: x alone, which folds into one group when it aggregates),
 // and checks the engine's column x against the oracle row by row — or
 // over the one group — or the first failing row's error.
-func oracleSelect(t *testing.T, engine string, oe oracleEngine, proj []string, match, x string, params map[string]value.Value) {
+func oracleSelect(t *testing.T, oe oracleEngine, proj []string, match, x string, params map[string]value.Value) {
 	t.Helper()
 	vars := oracleShapeVars(match)
 	cols := make([]string, len(vars))
@@ -770,17 +790,17 @@ func oracleSelect(t *testing.T, engine string, oe oracleEngine, proj []string, m
 	res, err := oe.run(src, params)
 	if wantErr != nil || err != nil {
 		if errText(err) != errText(wantErr) {
-			t.Errorf("%s engine, $a = %v:\n%s\nerror %s\noracle %s", engine, params["a"], src, errText(err), errText(wantErr))
+			t.Errorf("$a = %v (%s):\n%s\nerror %s\noracle %s", params["a"], params["a"].Kind(), src, errText(err), errText(wantErr))
 		}
 		return
 	}
 	if len(res.Table.Rows) != len(want) {
-		t.Errorf("%s engine, $a = %v:\n%s\n%d rows, oracle %d", engine, params["a"], src, len(res.Table.Rows), len(want))
+		t.Errorf("$a = %v (%s):\n%s\n%d rows, oracle %d", params["a"], params["a"].Kind(), src, len(res.Table.Rows), len(want))
 		return
 	}
 	for i, row := range res.Table.Rows {
 		if got := row[len(row)-1]; !sameValue(got, want[i]) {
-			t.Errorf("%s engine, $a = %v:\n%s\nrow %d: %v (%s), oracle %v (%s)", engine, params["a"], src, i, got, got.Kind(), want[i], want[i].Kind())
+			t.Errorf("$a = %v (%s):\n%s\nrow %d: %v (%s), oracle %v (%s)", params["a"], params["a"].Kind(), src, i, got, got.Kind(), want[i], want[i].Kind())
 			return
 		}
 	}
@@ -793,7 +813,7 @@ func oracleSelect(t *testing.T, engine string, oe oracleEngine, proj []string, m
 // the engine may raise any of them, or — when each erring row also has
 // a FALSE conjunct, which an evaluation order may meet first — keep
 // exactly those rows.
-func oracleWhere(t *testing.T, engine string, oe oracleEngine, match string, conjs []string, params map[string]value.Value) {
+func oracleWhere(t *testing.T, oe oracleEngine, match string, conjs []string, params map[string]value.Value) {
 	t.Helper()
 	mus := oe.bindings("SELECT a AS a "+match, []string{"a"})
 	src := "SELECT a AS a " + match + " WHERE " + strings.Join(conjs, " AND ")
@@ -832,11 +852,11 @@ func oracleWhere(t *testing.T, engine string, oe oracleEngine, match string, con
 	switch {
 	case err != nil:
 		if !errs[err.Error()] {
-			t.Errorf("%s engine, $a = %v:\n%s\nerror %v, oracle errors %v", engine, params["a"], src, err, errs)
+			t.Errorf("$a = %v (%s):\n%s\nerror %v, oracle errors %v", params["a"], params["a"].Kind(), src, err, errs)
 		}
 		return
 	case undroppable:
-		t.Errorf("%s engine, $a = %v:\n%s\nsucceeded, oracle errors %v on a row no conjunct drops", engine, params["a"], src, errs)
+		t.Errorf("$a = %v (%s):\n%s\nsucceeded, oracle errors %v on a row no conjunct drops", params["a"], params["a"].Kind(), src, errs)
 		return
 	}
 	var got []value.Value
@@ -844,7 +864,7 @@ func oracleWhere(t *testing.T, engine string, oe oracleEngine, match string, con
 		got = append(got, row[0])
 	}
 	if !slices.EqualFunc(got, kept, sameValue) {
-		t.Errorf("%s engine, $a = %v:\n%s\nkept %v, oracle %v", engine, params["a"], src, got, kept)
+		t.Errorf("$a = %v (%s):\n%s\nkept %v, oracle %v", params["a"], params["a"].Kind(), src, got, kept)
 	}
 }
 

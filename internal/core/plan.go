@@ -124,7 +124,7 @@ func (e nodeEst) sel() float64 {
 // value index built to measure it: the evaluator, passing its collector,
 // keeps the index for the scans to come and counts the build there;
 // static EXPLAIN (nil) leaves the column unindexed.
-func estimateNode(ab Ablation, snap *csr.Snapshot, np *ast.NodePattern, conjs []*conjunct, col *obs.Collector) nodeEst {
+func estimateNode(snap *csr.Snapshot, np *ast.NodePattern, conjs []*conjunct, col *obs.Collector) nodeEst {
 	e := nodeEst{base: float64(snap.NumNodes())}
 	for i, disj := range resolveSpec(snap, np.Labels) {
 		size := 0
@@ -140,7 +140,7 @@ func estimateNode(ab Ablation, snap *csr.Snapshot, np *ast.NodePattern, conjs []
 		return e
 	}
 	schema := appendBindVars([]string{np.Var}, np.Props)
-	_, leaves := prefilterConjuncts(ab, np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
+	_, leaves := prefilterConjuncts(np, np.Var, func(v string) bool { return slices.Contains(schema, v) }, conjs, shapeOnly)
 	for _, l := range leaves {
 		if l.op != ast.OpEq {
 			continue
@@ -205,16 +205,16 @@ func fanOut(snap *csr.Snapshot, from nodeEst, ep *ast.EdgePattern, dir ast.Direc
 // cheapest start wins, the leftmost among equals. Only chains made
 // entirely of edge patterns may start past their first node: path
 // patterns carry orientation-dependent search semantics (cost,
-// shortest-k) that the emission-order restore does not model.
-// Ablation.NoReorder pins the first node. A nil snapshot (a graph
-// only known at run time) plans the first node with no estimates.
-func planChain(ab Ablation, gp *ast.GraphPattern, snap *csr.Snapshot, conjs []*conjunct, col *obs.Collector) chainPlan {
+// shortest-k) that the emission-order restore does not model. A nil
+// snapshot (a graph only known at run time) plans the first node with
+// no estimates.
+func planChain(gp *ast.GraphPattern, snap *csr.Snapshot, conjs []*conjunct, col *obs.Collector) chainPlan {
 	if snap == nil {
 		return chainPlan{cost: math.MaxInt}
 	}
 	nodes := make([]nodeEst, len(gp.Nodes))
 	for i, np := range gp.Nodes {
-		nodes[i] = estimateNode(ab, snap, np, conjs, col)
+		nodes[i] = estimateNode(snap, np, conjs, col)
 	}
 	// Per link, the factor of a step over it: rightwards [0] and
 	// leftwards [1].
@@ -229,9 +229,6 @@ func planChain(ab Ablation, gp *ast.GraphPattern, snap *csr.Snapshot, conjs []*c
 			factors[i][0] = nodes[i+1].card * float64(max(x.K, 1))
 			starts = 1
 		}
-	}
-	if ab.NoReorder {
-		starts = 1
 	}
 	var (
 		best     []float64
@@ -386,7 +383,7 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 	case 1:
 		return tables[0], nil
 	}
-	order := joinOrder(ests, c.ev.ablation.NoReorder)
+	order := joinOrder(ests)
 	if orderIsTextual(order) {
 		tbl := tables[0]
 		var err error
@@ -412,15 +409,12 @@ func (c *evalCtx) foldConjuncts(tables []*bindings.Table, ests []int) (*bindings
 }
 
 // joinOrder returns the fold order for the conjunct-pattern tables of
-// one MATCH: indices sorted by estimate ascending, ties (and every
-// estimate, when textual — Ablation.NoReorder) in textual order.
-func joinOrder(ests []int, textual bool) []int {
+// one MATCH: indices sorted by estimate ascending, ties in textual
+// order.
+func joinOrder(ests []int) []int {
 	order := make([]int, len(ests))
 	for i := range order {
 		order[i] = i
-	}
-	if textual {
-		return order
 	}
 	sort.SliceStable(order, func(a, b int) bool { return ests[order[a]] < ests[order[b]] })
 	return order

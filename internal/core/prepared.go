@@ -226,9 +226,7 @@ func (ev *Evaluator) PlanCacheEntries() []plancache.EntryInfo {
 // cacheKey builds the plan-cache key for src: its normalised text and
 // the session's default-graph override. It reads no catalog state:
 // nothing an entry compiles depends on it, and the chain plans an
-// entry accumulates revalidate themselves (chainPlanFor). The cache
-// belongs to one evaluator, whose Ablation never changes, so that
-// stays out of the key.
+// entry accumulates revalidate themselves (chainPlanFor).
 func cacheKey(src string, opts ExecOpts) plancache.Key {
 	return plancache.Key{Text: plancache.Normalize(src), Default: opts.DefaultGraph}
 }

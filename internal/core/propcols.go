@@ -36,12 +36,10 @@ import (
 // comparison provably agrees with value.Compare (same-kind payloads,
 // non-NaN float constants), and everything else falls back first to
 // the mirrored FSET(V) sets and ultimately to the generic property
-// read (refs the snapshot does not know). The golden suite,
-// FuzzParamInline and TestExpressionOracle enforce the equivalence
-// against Ablation.NoPropColumns, under which leaves, label tests and property
-// reads go to the ppg.Properties maps and node scans never seek the
-// columns' value indexes (snapshots still build their columns: the
-// ablation gates use, not construction).
+// read (refs the snapshot does not know). TestExpressionOracle holds
+// the column form to the literal §A.1 evaluator over the
+// ppg.Properties maps, with the parameter bound to every value kind
+// the columns type.
 
 // colLeaf is the compiled column leaf.
 type colLeaf struct {
@@ -355,8 +353,8 @@ func boolEval(col *csr.PropCol, op ast.BinaryOp, l bool) func(int32) bool {
 //     selected, other usable leaves and label tests (both error-free)
 //     are left to applyReady, and the first conjunct that may error
 //     stops the walk — nothing after it pre-filters.
-func prefilterConjuncts(ab Ablation, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct, usable func(*colLeaf) bool) (picked []*conjunct, leaves []*colLeaf) {
-	if ab.NoPropColumns || ab.NoPushdown || len(conjs) == 0 {
+func prefilterConjuncts(np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct, usable func(*colLeaf) bool) (picked []*conjunct, leaves []*colLeaf) {
+	if len(conjs) == 0 {
 		return nil, nil
 	}
 	for _, ps := range np.Props {
@@ -404,7 +402,7 @@ func shapeOnly(*colLeaf) bool { return true }
 // snapshot and marks them applied.
 func (c *evalCtx) prefilterPreds(snap *csr.Snapshot, np *ast.NodePattern, varName string, schema func(string) bool, conjs []*conjunct) []*colBind {
 	bound := func(l *colLeaf) bool { _, ok := l.constant(c); return ok }
-	picked, leaves := prefilterConjuncts(c.ev.ablation, np, varName, schema, conjs, bound)
+	picked, leaves := prefilterConjuncts(np, varName, schema, conjs, bound)
 	binds := make([]*colBind, len(leaves))
 	for i, l := range leaves {
 		lit, _ := l.constant(c)

@@ -22,7 +22,7 @@ import (
 // applyReady filters tbl by every pushable, not-yet-applied conjunct
 // whose variables are all in the table schema.
 func (c *evalCtx) applyReady(conjs []*conjunct, tbl *bindings.Table, g *ppg.Graph) (*bindings.Table, error) {
-	if len(conjs) == 0 || c.ev.ablation.NoPushdown {
+	if len(conjs) == 0 {
 		return tbl, nil
 	}
 	var ready []*conjunct

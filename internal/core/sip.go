@@ -81,7 +81,7 @@ type sipVar struct {
 // whether every parameter of the statement has a value — EXPLAIN's
 // static view counts them all as bound. The evaluator and EXPLAIN both
 // call it before the pattern plans and claims its conjuncts.
-func sipVars(ab Ablation, cs *CachedStatement, lps []*ast.LocatedPattern, j int, conjs []*conjunct, paramsBound bool) []sipVar {
+func sipVars(cs *CachedStatement, lps []*ast.LocatedPattern, j int, conjs []*conjunct, paramsBound bool) []sipVar {
 	if j == 0 || !paramsBound {
 		return nil
 	}
@@ -101,7 +101,7 @@ func sipVars(ab Ablation, cs *CachedStatement, lps []*ast.LocatedPattern, j int,
 			out = append(out, sipVar{np.Var, from})
 		}
 	}
-	if out == nil || !restrictable(ab, cs, gp, conjs) {
+	if out == nil || !restrictable(cs, gp, conjs) {
 		return nil
 	}
 	slices.SortFunc(out, func(a, b sipVar) int { return strings.Compare(a.name, b.name) })
@@ -113,7 +113,7 @@ func sipVars(ab Ablation, cs *CachedStatement, lps []*ast.LocatedPattern, j int,
 // entry nor a WHERE conjunct it will apply (applyReady's test, against
 // every variable the chain binds; a conjunct without variables is
 // applied by the first chain).
-func restrictable(ab Ablation, cs *CachedStatement, gp *ast.GraphPattern, conjs []*conjunct) bool {
+func restrictable(cs *CachedStatement, gp *ast.GraphPattern, conjs []*conjunct) bool {
 	entriesFree := func(specs []*ast.PropSpec) bool {
 		for _, ps := range specs {
 			if ps.Mode == ast.PropFilter && !cs.exprs[ps.Expr].raiseFree {
@@ -132,9 +132,6 @@ func restrictable(ab Ablation, cs *CachedStatement, gp *ast.GraphPattern, conjs 
 		if !isEdge || !entriesFree(ep.Props) {
 			return false
 		}
-	}
-	if ab.NoPushdown {
-		return true
 	}
 	inChain := func(v string) bool { return binds(gp, v) }
 	for _, cj := range conjs {

@@ -70,7 +70,7 @@ func sipEvaluator(t *testing.T) *Evaluator {
 	if err := cat.SetDefault(a.Name()); err != nil {
 		t.Fatal(err)
 	}
-	return NewAblated(cat, Ablation{})
+	return New(cat)
 }
 
 // conjunctTable evaluates the patterns of q's MATCH on a fresh

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"gcore/internal/core"
 	"gcore/internal/ppg"
 	"gcore/internal/table"
 )
@@ -14,22 +13,6 @@ import (
 // social graph: John knows Peter and Alice, Peter knows Celine and
 // Frank (all both ways), Celine and Frank have an interest in Wagner,
 // and all five live in Houston.
-
-// ablations are the evaluators every subquery case runs under.
-func ablations() []struct {
-	name string
-	ab   core.Ablation
-} {
-	return []struct {
-		name string
-		ab   core.Ablation
-	}{
-		{"default", core.Ablation{}},
-		{"nopushdown", core.Ablation{NoPushdown: true}},
-		{"noreorder", core.Ablation{NoReorder: true}},
-		{"nopropcolumns", core.Ablation{NoPropColumns: true}},
-	}
-}
 
 // firstNames returns the sorted firstName values of g's nodes.
 func firstNames(t *testing.T, g *ppg.Graph) string {
@@ -87,12 +70,10 @@ WHERE EXISTS (
 		{"exists correlated with an outer property", `CONSTRUCT (n) MATCH (n:Person)
 WHERE EXISTS ( CONSTRUCT () MATCH (n)-[:knows]->(m) WHERE m.lastName < n.lastName )`, "Alice,Peter"},
 	}
-	for _, ab := range ablations() {
-		ev := newToyAblated(t, ab.ab)
-		for _, tc := range cases {
-			if got := firstNames(t, run(t, ev, tc.src).Graph); got != tc.want {
-				t.Errorf("%s/%s: got %s, want %s", ab.name, tc.name, got, tc.want)
-			}
+	ev := newToy(t)
+	for _, tc := range cases {
+		if got := firstNames(t, run(t, ev, tc.src).Graph); got != tc.want {
+			t.Errorf("%s: got %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -114,12 +95,10 @@ MATCH (n:Person) OPTIONAL (n)-[:hasInterest]->(t)`,
 MATCH (n:Person) OPTIONAL (n)-[:hasInterest]->(t)`,
 			`"Alice" TRUE` + "\n" + `"Celine" TRUE` + "\n" + `"Frank" TRUE` + "\n" + `"John" TRUE` + "\n" + `"Peter" TRUE`},
 	}
-	for _, ab := range ablations() {
-		ev := newToyAblated(t, ab.ab)
-		for _, tc := range cases {
-			if got := tableRows(run(t, ev, tc.src).Table); got != tc.want {
-				t.Errorf("%s/%s: got\n%s\nwant\n%s", ab.name, tc.name, got, tc.want)
-			}
+	ev := newToy(t)
+	for _, tc := range cases {
+		if got := tableRows(run(t, ev, tc.src).Table); got != tc.want {
+			t.Errorf("%s: got\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // evalObserved runs one query on a fresh engine built by setup with a
 // recording trace handler attached and returns the rendered result.
-func evalObserved(t *testing.T, setup func(*testing.T, ...gcore.Option) *gcore.Engine, query string) string {
+func evalObserved(t *testing.T, setup func(testing.TB, ...gcore.Option) *gcore.Engine, query string) string {
 	t.Helper()
 	rec := &traceRecorder{}
 	out := renderResult(setup(t, gcore.WithTraceHandler(rec)).Eval(query))
@@ -41,8 +41,8 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
-			plain := renderResult(tourEngine(t).Eval(query))
-			if observed := evalObserved(t, tourEngine, query); observed != plain {
+			plain := renderResult(goldenTour(t).Eval(query))
+			if observed := evalObserved(t, goldenTour, query); observed != plain {
 				t.Fatalf("observed run diverged from plain run\nobserved:\n%s\nplain:\n%s", observed, plain)
 			}
 		})
@@ -54,8 +54,8 @@ func TestObservabilityDifferentialPaper(t *testing.T) {
 func TestObservabilityDifferentialSNB(t *testing.T) {
 	for i, query := range snbQueries() {
 		t.Run(fmt.Sprintf("q%d", i), func(t *testing.T) {
-			plain := renderResult(snbEngine(t).Eval(query))
-			if observed := evalObserved(t, snbEngine, query); observed != plain {
+			plain := renderResult(goldenSNB(t).Eval(query))
+			if observed := evalObserved(t, goldenSNB, query); observed != plain {
 				t.Fatalf("observed run diverged from plain run\nobserved:\n%s\nplain:\n%s", observed, plain)
 			}
 		})
@@ -93,13 +93,13 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 	for _, key := range keys {
 		query := parser.PaperQueries[key]
 		t.Run(key, func(t *testing.T) {
-			eng := tourEngine(t)
+			eng := goldenTour(t)
 			out, err := eng.ExplainAnalyze(query)
 			if err != nil {
 				// A few tour queries reference views defined by other
 				// statements; EXPLAIN ANALYZE must fail exactly like a
 				// plain run, not invent a plan.
-				if plain := renderResult(tourEngine(t).Eval(query)); plain == "ERR: "+err.Error() {
+				if plain := renderResult(goldenTour(t).Eval(query)); plain == "ERR: "+err.Error() {
 					return
 				}
 				t.Fatal(err)
@@ -259,7 +259,7 @@ func TestExplainAnalyzeConcurrent(t *testing.T) {
 	const query = `CONSTRUCT (n)-/@p:sp {distance := c}/->(m)
 MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE AND m.lastName = 'Doe'`
 	times := regexp.MustCompile(`((?:time|compile)[= ])[^,)\] \n]+`)
-	eng := snbEngine(t)
+	eng := goldenSNB(t)
 	analyze := func() (string, error) {
 		out, err := eng.ExplainAnalyze(query)
 		return times.ReplaceAllString(out, "${1}T"), err

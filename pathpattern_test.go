@@ -93,7 +93,7 @@ func TestPathPatternGateErrorOrder(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			q := `SELECT id(m) AS id MATCH ` + c.match + ` WHERE n.anchor = TRUE AND ` + c.where
-			_, err := goldenSNB(t, gcore.NewEngine).Eval(q)
+			_, err := goldenSNB(t).Eval(q)
 			switch {
 			case c.wantErr == "" && err != nil:
 				t.Fatalf("unexpected error %v", err)
@@ -114,11 +114,11 @@ func TestPathPatternConcurrentDeref(t *testing.T) {
 	const q = `SELECT id(m) AS m, id(o) AS o, size(nodes(p)) AS len
 MATCH (n:Person)-/3 SHORTEST p<:knows*>/->(m:Person)-[:knows]->(o:Person)
 WHERE n.anchor = TRUE AND size(nodes(p)) > 2 AND o IN nodes(p) ORDER BY m, o, len`
-	want := renderResult(goldenSNB(t, gcore.NewEngine).Eval(q))
+	want := renderResult(goldenSNB(t).Eval(q))
 	if strings.HasPrefix(want, "ERR") || strings.Count(want, "\n") < 10 {
 		t.Fatalf("degenerate oracle:\n%s", want)
 	}
-	eng := goldenSNB(t, gcore.NewEngine)
+	eng := goldenSNB(t)
 	var wg sync.WaitGroup
 	got := make([]string, 8)
 	for i := range got {
@@ -148,7 +148,7 @@ WHERE n.anchor = TRUE AND size(nodes(p)) > 2 AND o IN nodes(p) ORDER BY m, o, le
 // footer.
 func TestPathPatternWalksBuiltOnDeref(t *testing.T) {
 	const match = `MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRUE`
-	eng := goldenSNB(t, gcore.NewEngine)
+	eng := goldenSNB(t)
 	var found, built int64
 	for _, c := range []struct {
 		name, query string
@@ -249,11 +249,11 @@ MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE n.anchor = TRU
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
 	}
-	want := canonical(goldenSNB(t, gcore.NewEngine).Eval(q))
+	want := canonical(goldenSNB(t).Eval(q))
 	if strings.HasPrefix(want, "ERR") || strings.Count(want, "path ") < 20 {
 		t.Fatalf("degenerate oracle:\n%s", want)
 	}
-	eng := goldenSNB(t, gcore.NewEngine)
+	eng := goldenSNB(t)
 	var wg sync.WaitGroup
 	got := make([]string, 8)
 	for i := range got {

@@ -37,7 +37,7 @@ MATCH (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.nam
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := snbEngine(t)
+	eng := goldenSNB(t)
 	static, err := eng.Explain(src)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ MATCH (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.nam
 		t.Errorf("the evaluation did not start where EXPLAIN said:\n%s", analyzed)
 	}
 	got := renderResult(p.Eval(params))
-	if want := renderResult(evalParsed(snbEngine(t), inlined)); got != want {
+	if want := renderResult(evalParsed(goldenSNB(t), inlined)); got != want {
 		t.Errorf("prepared result diverged from the inlined literal\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
@@ -75,7 +75,7 @@ MATCH (n:Person)-[:isLocatedIn]->(c:City)<-[:isLocatedIn]-(m:Person) WHERE c.nam
 // degree sums and value indexes off the one snapshot as others fill
 // them — render their goldens.
 func TestMatchStartConcurrent(t *testing.T) {
-	eng := snbEngine(t)
+	eng := goldenSNB(t)
 	want := map[int]string{}
 	for i, q := range goldenSNBQueries {
 		if strings.Contains(q, "SELECT") && strings.Count(q, "-[") >= 2 {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gcore"
-	"gcore/internal/core"
 	"gcore/internal/parser"
 	"gcore/internal/value"
 )
@@ -23,9 +22,9 @@ func evalParams(eng *gcore.Engine, src string, params map[string]gcore.Value) (*
 	return eng.NewSession().EvalParamsContext(context.Background(), src, params)
 }
 
-func kindsEngine(t *testing.T, ab core.Ablation) *gcore.Engine {
+func kindsEngine(t *testing.T) *gcore.Engine {
 	t.Helper()
-	eng := gcore.NewAblatedEngine(ab)
+	eng := gcore.NewEngine()
 	if err := eng.RegisterGraph(kindsGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +32,12 @@ func kindsEngine(t *testing.T, ab core.Ablation) *gcore.Engine {
 }
 
 // TestEqualitySeekKinds pins which (column kind, constant kind) pairs a
-// start scan seeks — and that the answer is the row-at-a-time engine's
-// either way. The pairs that keep scanning are the ones where equality
-// crosses kinds (int vs float) or is not == (NaN), and everything that
-// is not a scalar of a seekable kind.
+// start scan seeks, and how many rows each keeps — the same as the
+// inlined literal wherever the constant has a literal form. The pairs
+// that keep scanning are the ones where equality crosses kinds (int vs
+// float) or is not == (NaN), and everything that is not a scalar of a
+// seekable kind. TestExpressionOracle (internal/core) holds the column
+// form of each of these kinds to the §A.1 evaluator row by row.
 func TestEqualitySeekKinds(t *testing.T) {
 	nan := gcore.Float(math.NaN())
 	for _, c := range []struct {
@@ -75,13 +76,14 @@ func TestEqualitySeekKinds(t *testing.T) {
 				src = strings.Replace(src, fmt.Sprintf("n.%s = $c", c.key), fmt.Sprintf("$c = n.%s", c.key), 1)
 			}
 			params := map[string]gcore.Value{"c": c.val}
-			eng := kindsEngine(t, core.Ablation{})
+			eng := kindsEngine(t)
 			res, err := evalParams(eng, src, params)
-			got := renderResult(res, err)
-			oracle, oerr := evalParams(kindsEngine(t, core.Ablation{NoPropColumns: true}), src, params)
-			if want := renderResult(oracle, oerr); got != want {
-				t.Errorf("%s = %v: diverged from the NoPropColumns engine\ngot:\n%s\nwant:\n%s", c.key, c.val, got, want)
-				continue
+			if inlined, ierr := parser.InlineParams(src, params); ierr == nil {
+				lit, lerr := kindsEngine(t).Eval(inlined)
+				if got, want := renderResult(res, err), renderResult(lit, lerr); got != want {
+					t.Errorf("%s = %v: diverged from the inlined literal\ngot:\n%s\nwant:\n%s", c.key, c.val, got, want)
+					continue
+				}
 			}
 			if err != nil {
 				t.Errorf("%s = %v: %v", c.key, c.val, err)
@@ -109,7 +111,7 @@ func TestEqualitySeekKinds(t *testing.T) {
 // as its snapshot: after any write, even one that leaves its column
 // alone, the next seek builds it again on the new snapshot.
 func TestSeekIndexLifetime(t *testing.T) {
-	eng := kindsEngine(t, core.Ablation{})
+	eng := kindsEngine(t)
 	p, err := eng.Prepare(`SELECT n.s AS s MATCH (n:T) ON kinds_graph WHERE n.i = $i`)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +172,7 @@ func TestSeekIndexLifetime(t *testing.T) {
 // index build. Run under -race.
 func TestPreparedConcurrentBindings(t *testing.T) {
 	const src = `SELECT n.lastName AS last, n.firstName AS first MATCH (n:Person) WHERE n.firstName = $f AND n.lastName >= $lo ORDER BY last, first`
-	eng := snbEngine(t)
+	eng := goldenSNB(t)
 	social, _ := eng.Graph(eng.GraphNames()[0])
 	seen := map[string]bool{}
 	var names []string
@@ -190,7 +192,7 @@ func TestPreparedConcurrentBindings(t *testing.T) {
 	bind := func(i int) map[string]gcore.Value {
 		return map[string]gcore.Value{"f": gcore.Str(names[i%len(names)]), "lo": gcore.Str(string(rune('A' + i%5)))}
 	}
-	oracle := snbEngine(t)
+	oracle := goldenSNB(t)
 	want := make([]string, 5*len(names))
 	for i := range want {
 		inlined, err := parser.InlineParams(src, bind(i))
@@ -250,7 +252,7 @@ func TestParamErrorsUnchanged(t *testing.T) {
 			map[string]gcore.Value{"name": gcore.Str("Nobody")}, "NOT"},
 	} {
 		src := `SELECT n.lastName AS l MATCH (n:Person) WHERE ` + c.where + ` ORDER BY l`
-		res, err := evalParams(tourEngine(t), src, c.params)
+		res, err := evalParams(goldenTour(t), src, c.params)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", c.name, err)
@@ -258,12 +260,8 @@ func TestParamErrorsUnchanged(t *testing.T) {
 			t.Errorf("%s: error = %v, want one naming %q", c.name, err, c.wantErr)
 		}
 		got := renderResult(res, err)
-		rowRes, rowErr := evalParams(goldenTour(t, ablated(core.Ablation{NoPropColumns: true})), src, c.params)
-		if want := renderResult(rowRes, rowErr); got != want {
-			t.Errorf("%s: diverged from the NoPropColumns engine\ngot:  %s\nwant: %s", c.name, got, want)
-		}
 		if inlined, ierr := parser.InlineParams(src, c.params); ierr == nil {
-			litRes, litErr := tourEngine(t).Eval(inlined)
+			litRes, litErr := goldenTour(t).Eval(inlined)
 			if want := renderResult(litRes, litErr); got != want {
 				t.Errorf("%s: diverged from the inlined literal\ngot:  %s\nwant: %s", c.name, got, want)
 			}

@@ -17,7 +17,7 @@ import (
 // the social graph — for direct mutation.
 func mutableSNB(t *testing.T) (*gcore.Engine, *gcore.Graph) {
 	t.Helper()
-	eng := goldenSNB(t, gcore.NewEngine)
+	eng := goldenSNB(t)
 	g, ok := eng.Graph(eng.GraphNames()[0])
 	if !ok {
 		t.Fatal("registered social graph not found")
